@@ -1,9 +1,11 @@
 """Micro-benchmark for the multi-lane simulator kernel (not a paper figure).
 
 Grid sweeps spend their time running many independent ``(scheduler,
-workload, seed, capacity)`` cells; the lane kernel advances a batch of
-them in lockstep through one arrival table instead of paying the full
-event-loop machinery per cell.  Four entries:
+workload, seed, capacity)`` cells; the lane kernel runs a batch of them
+over one shared arrival table instead of paying the full event-loop
+machinery per cell.  The sequential side of every entry is the reference
+``ClusterSimulator`` (``evaluate_scheduler`` / ``run_stream``).  Four
+entries:
 
 * ``test_lane_kernel_8_lanes`` -- the original 8-cell batch (the four
   PR-4 closed-form schedulers x two capacities), kept byte-compatible
@@ -35,11 +37,12 @@ from repro.cluster.lanes import (
     lane_mode,
     run_stream_lanes,
 )
+from repro.experiments.common import evaluate_scheduler
 from repro.experiments.parallel import (
     GridTask,
+    build_scheduler,
     cached_arrival_table,
     cached_workload,
-    run_task,
 )
 
 #: The original 8-cell batch: the four PR-4 closed-form schedulers x two
@@ -92,21 +95,31 @@ def _kernel_batch(cells):
     return LaneKernel(specs).run()
 
 
+def _sequential_cell(task):
+    """One cell on the sequential simulator: ``(method, summary)``."""
+    outcome = evaluate_scheduler(
+        build_scheduler(task.scheduler),
+        cached_workload(task.workload, task.seed),
+        task.capacity_mb,
+    )
+    return outcome.method, outcome.result.telemetry.summary()
+
+
 def _sequential_floor(cells, repeats=2):
     """Best-of-N sequential wall time over the same cells."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        results = [run_task(task) for task in cells]
+        results = [_sequential_cell(task) for task in cells]
         best = min(best, time.perf_counter() - t0)
     return best, results
 
 
 def _assert_parity(sequential, results):
     """The speed means nothing if the cells drift."""
-    for cell, result in zip(sequential, results):
-        assert result.method == cell.method
-        assert list(result.summary.items()) == list(cell.summary.items())
+    for (method, summary), result in zip(sequential, results):
+        assert result.method == method
+        assert list(result.summary.items()) == list(summary.items())
 
 
 def _warm_memos(cells):
@@ -182,22 +195,13 @@ def test_stream_lane_replay(benchmark, emit):
     the stream family's sequential driver rebuilding and replaying the
     stream per cell -- the ``repro experiment stream --lanes`` speedup.
     """
+    from repro.cluster.simulator import ClusterSimulator, SimulationConfig
     from repro.experiments.ext_stream_replay import (
-        StreamReplayTask,
         derive_capacity_mb,
-        run_cell,
         trace_config,
     )
     from repro.workloads.azure import AzureTraceGenerator
 
-    tasks = [
-        StreamReplayTask(
-            scheduler=key, seed=0,
-            n_functions=STREAM_FUNCTIONS,
-            n_invocations=STREAM_INVOCATIONS,
-        )
-        for key in STREAM_SCHEDULERS
-    ]
     generator = AzureTraceGenerator(
         trace_config(STREAM_FUNCTIONS, STREAM_INVOCATIONS)
     )
@@ -208,17 +212,25 @@ def test_stream_lane_replay(benchmark, emit):
     capacity = derive_capacity_mb(make_stream())
     cells = [(key, capacity) for key in STREAM_SCHEDULERS]
 
-    sequential = [run_cell(t) for t in tasks]  # warm + reference
+    def run_stream_cell(key):
+        scheduler = build_scheduler(key)
+        sim = ClusterSimulator(
+            SimulationConfig(pool_capacity_mb=capacity,
+                             bounded_telemetry=True),
+            scheduler.make_eviction_policy(),
+        )
+        result = sim.run_stream(make_stream(), scheduler)
+        return result.scheduler_name, result.summary()
+
+    sequential = [run_stream_cell(k) for k in STREAM_SCHEDULERS]  # warm
     sequential_s = float("inf")
     for _ in range(2):
         t0 = time.perf_counter()
-        sequential = [run_cell(t) for t in tasks]
+        sequential = [run_stream_cell(k) for k in STREAM_SCHEDULERS]
         sequential_s = min(sequential_s, time.perf_counter() - t0)
 
     results = benchmark(_stream_lane_batch, cells, make_stream)
-    for cell, result in zip(sequential, results):
-        assert result.method == cell.method
-        assert list(result.summary.items()) == list(cell.summary.items())
+    _assert_parity(sequential, results)
 
     speedup = sequential_s / benchmark.stats["min"]
     emit(

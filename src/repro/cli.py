@@ -93,18 +93,14 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     """``repro simulate``: run scheduler(s) over a workload.
 
-    With ``--jobs N`` the scheduler runs fan out over worker processes via
-    :func:`repro.experiments.parallel.run_grid`; the printed table is
-    byte-identical to the serial run.  Cells (and the pool-sizing
-    reference run) are served from the content-addressed
-    ``.repro_cache/`` unless ``--no-cache`` (or ``REPRO_CACHE=off``) is
-    given; ``--profile`` prints the top cumulative-time entries of the
-    run.  ``--stream`` feeds arrivals through the O(1)-memory streaming
-    pipeline (``run_stream``) instead of batch ``run``; the printed table
-    is identical either way.  ``--lanes L`` batches supported schedulers
-    onto the lane kernel, L cells per process step (byte-identical
-    results); combined with ``--profile`` the profile attributes time
-    inside the kernel itself, not just the per-cell driver.
+    The scheduler runs go through
+    :func:`repro.experiments.parallel.run_grid` on the lane kernel.
+    ``--lanes L`` puts L cells in one kernel and ``--jobs N`` fans the
+    kernels over worker processes; the printed table is byte-identical
+    for any L and N.  Cells (and the pool-sizing reference run) are served
+    from the content-addressed ``.repro_cache/`` unless ``--no-cache`` (or
+    ``REPRO_CACHE=off``) is given; ``--profile`` prints the top
+    cumulative-time entries of the run.
     """
     from repro.experiments.cache import ExperimentCache, pool_sizes_cached
 
@@ -115,8 +111,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     keys = list(GRID_KEYS) if args.scheduler == "all" else [args.scheduler]
     tasks = [
         GridTask(scheduler=key, workload=args.workload, seed=args.seed,
-                 pool_label=args.pool.capitalize(), capacity_mb=capacity,
-                 stream=args.stream)
+                 pool_label=args.pool.capitalize(), capacity_mb=capacity)
         for key in keys
     ]
     if args.profile:
@@ -478,16 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the scheduler runs")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the content-addressed experiment cache")
-    p.add_argument("--stream", action="store_true",
-                   help="feed arrivals through the O(1)-memory streaming "
-                        "pipeline (identical results to batch mode)")
     p.add_argument("--profile", action="store_true",
                    help="run under cProfile and print the top-25 "
                         "cumulative-time entries")
     p.add_argument("--lanes", type=int, default=1,
-                   help="simulation lanes per process: batch supported "
-                        "schedulers onto the lane kernel (byte-identical "
-                        "results, several times faster)")
+                   help="cells per lane kernel (and per worker job); "
+                        "results are identical for any value")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train and save an MLCR policy")
@@ -539,10 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a paper experiment")
     p.add_argument("id", choices=_EXPERIMENTS)
     p.add_argument("--lanes", type=int, default=1,
-                   help="simulation lanes for the stream family: replay "
-                        "cells sharing a stream through one chunked lane "
-                        "pass (byte-identical results; ignored by other "
-                        "experiments)")
+                   help="stream-family cells sharing one chunked "
+                        "stream-lane pass (identical results for any "
+                        "value; ignored by other experiments)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("trace",

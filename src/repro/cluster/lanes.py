@@ -9,7 +9,7 @@ invocation, and a :class:`~repro.schedulers.base.SchedulingContext` whose
 construction sorts the whole pool per arrival.  None of that machinery is
 needed to produce the *summary* a grid cell actually carries.
 
-This module advances many **lanes** (one lane = one cell) per step through a
+This module runs many **lanes** (one lane = one cell) per process through a
 struct-of-arrays kernel:
 
 * **Batched arrival ingestion** -- each workload draw is lowered once into an
@@ -23,12 +23,12 @@ struct-of-arrays kernel:
   :meth:`ArrivalTable.from_stream` lowers a lazy arrival stream into
   bounded columnar chunks for O(1)-memory lane replay
   (:func:`run_stream_lanes`).
-* **Lockstep stepping** -- :meth:`LaneKernel.run` advances every active lane
-  to its ``k``-th arrival per step: due completions drain, TTL sweeps run,
-  then the step's decisions are scored as a batch
-  (:meth:`LaneKernel._score_batch`) against each lane's warm-pool match
-  index before being applied.  The active-lane bookkeeping (arrival
-  cursors, remaining counts) is vectorized numpy.
+* **Run-to-completion lanes** -- lanes are independent, so each one
+  replays its whole table in one loop (:meth:`_Lane.replay`): per arrival,
+  due completions drain, TTL sweeps run, the decision is scored against
+  the lane's warm-pool match index and then applied.  :meth:`LaneKernel.run`
+  replays each lane once; :func:`run_stream_lanes` replays each lane once
+  per stream chunk.
 * **Shared pool semantics** -- each lane reuses the *real*
   :class:`~repro.cluster.pool.WarmPool` and
   :class:`~repro.cluster.eviction.EvictionPolicy` objects, so eviction
@@ -65,15 +65,16 @@ completions), same decisions, same floating-point accumulation order for
 latency totals and memory peaks, same pre-warm / lending counter blocks.
 Bounded lanes (``LaneSpec(bounded=True)``, used by the streaming replay)
 fold latencies the way :class:`~repro.cluster.telemetry.BoundedTelemetry`
-does -- running total plus quantile sketch -- so ``repro experiment stream
---lanes`` is byte-identical to ``ClusterSimulator.run_stream`` with bounded
+does -- running total plus quantile sketch -- so ``repro experiment
+stream`` is byte-identical to ``ClusterSimulator.run_stream`` with bounded
 telemetry.  The ``lanes_vs_sequential`` and ``streaming_vs_materialized``
 differential oracles and the hypothesis suites in ``tests/test_lanes.py``
 enforce all of this.
 
-Wired into :func:`repro.experiments.parallel.run_grid` via its ``lanes``
-argument and the CLI's ``repro simulate --lanes`` /
-``repro experiment stream --lanes`` / ``runall --lanes`` flags.
+This kernel is the only engine behind
+:func:`repro.experiments.parallel.run_grid` and
+:func:`repro.experiments.ext_stream_replay.run`; their ``lanes`` argument
+(the CLI's ``--lanes``) only sets how many cells share one kernel.
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ from repro.cluster.eviction import (
 )
 from repro.cluster.pool import WarmPool, _mru_key
 from repro.cluster.sketches import QuantileSketch
+from repro.cluster.telemetry import column_percentiles, summary_fold
 from repro.containers.container import Container, ContainerState
 from repro.containers.costmodel import StartupCostModel
 from repro.containers.matching import MatchLevel, match_level
@@ -118,7 +120,6 @@ __all__ = [
     "SCHEDULER_CLASS_NAMES",
     "STREAM_CHUNK_SIZE",
     "lane_mode",
-    "lane_supported_scheduler",
     "run_stream_lanes",
 ]
 
@@ -207,11 +208,6 @@ _MATCH_MEMBERS: Tuple[MatchLevel, ...] = tuple(MatchLevel)
 _COVERS: Dict[Tuple[tuple, tuple], bool] = {}
 
 _MISSING = object()
-
-
-def lane_supported_scheduler(key: str) -> bool:
-    """Whether scheduler registry ``key`` has a lane path (all keys do)."""
-    return key in LANE_SCHEDULERS
 
 
 def lane_mode(key: str) -> str:
@@ -416,16 +412,29 @@ class _Lane:
 
     __slots__ = (
         "table", "method", "decide_code", "scheduler", "eviction", "on_start",
-        "ttl_s", "pool", "next_cid", "live_mb", "peak_live_mb", "cold",
-        "evictions", "rejections", "ttl_expirations", "latencies", "heap",
-        "seq", "arr_i", "bounded", "lat_n", "lat_total", "lat_sketch",
-        "prewarmed", "lent", "prewarms_issued", "prewarm_reuses",
-        "prewarm_wasted", "lends_issued", "lend_reuses", "walways_costs",
-        "offline_policy", "offline_rows",
+        "ttl_s", "pool", "next_cid", "live_mb", "peak_live_memory_mb",
+        "cold", "evictions", "keep_alive_rejections", "ttl_expirations",
+        "latencies", "heap", "seq", "arr_i", "bounded", "lat_n", "lat_total",
+        "lat_sketch", "prewarmed", "lent", "prewarms_issued",
+        "prewarm_reuses", "prewarm_wasted", "lends_issued", "lend_reuses",
+        "walways_costs", "offline_policy", "offline_rows",
     )
 
+    #: Summary counters the lane never increments: lanes run with faults
+    #: off and without a distilled-policy audit.
+    container_crashes = 0
+    stragglers = 0
+    surrogate_audits = 0
+    surrogate_disagreements = 0
+
     def __init__(self, spec: LaneSpec) -> None:
-        display, decide_code, eviction_factory = LANE_SCHEDULERS[spec.scheduler]
+        entry = LANE_SCHEDULERS.get(spec.scheduler)
+        if entry is None:
+            raise KeyError(
+                f"scheduler {spec.scheduler!r} has no lane path; "
+                f"supported: {sorted(LANE_SCHEDULERS)}"
+            )
+        display, decide_code, eviction_factory = entry
         table = spec.table
         self.table = table
         self.decide_code = decide_code
@@ -466,10 +475,10 @@ class _Lane:
         self.pool = WarmPool(spec.capacity_mb)
         self.next_cid = 1           # mirrors lifecycle's itertools.count(1)
         self.live_mb = 0.0
-        self.peak_live_mb = 0.0
+        self.peak_live_memory_mb = 0.0
         self.cold = 0
         self.evictions = 0
-        self.rejections = 0
+        self.keep_alive_rejections = 0
         self.ttl_expirations = 0
         self.bounded = spec.bounded
         if spec.bounded:
@@ -537,7 +546,7 @@ class _Lane:
         """Pool a finished container through the eviction policy."""
         victims = self.eviction.select_victims(self.pool, container, now)
         if victims is None:
-            self.rejections += 1
+            self.keep_alive_rejections += 1
             self._forget(container)
             return
         if victims:
@@ -571,6 +580,24 @@ class _Lane:
                 container.state = ContainerState.IDLE
                 container.last_used_at = time
                 self._keep_alive(container, time)
+
+    def replay(self, table: ArrivalTable) -> None:
+        """Bind ``table`` and replay every arrival in it, in order.
+
+        Per arrival: drain the completions due strictly before it, score
+        the decision, apply it.  Completions still in flight afterwards
+        stay queued, so a stream lane replays chunk after chunk and drains
+        once at the end (:meth:`drain_all`).
+        """
+        self.table = table
+        self.arr_i = 0
+        drain_until = self.drain_until
+        score = self.score
+        apply = self.apply
+        for t in table.times.tolist():
+            drain_until(t)
+            container, match, preserve, actions = score(t)
+            apply(t, container, match, preserve, actions)
 
     def drain_all(self) -> None:
         """Run out every in-flight completion (the ``finish()`` drain)."""
@@ -826,8 +853,8 @@ class _Lane:
                 old_mb = container.image.memory_mb
                 container.image = spec.image
                 self.live_mb += spec.image.memory_mb - old_mb
-        if self.live_mb > self.peak_live_mb:
-            self.peak_live_mb = self.live_mb
+        if self.live_mb > self.peak_live_memory_mb:
+            self.peak_live_memory_mb = self.live_mb
         latency = table.latency[fn][match]
         if self.bounded:
             self.lat_n += 1
@@ -872,8 +899,8 @@ prewarm`` (idle creation, issue counter, pool entry via keep-alive)."""
         self.live_mb += image.memory_mb
         self.prewarms_issued += 1
         self.prewarmed.add(container.container_id)
-        if self.live_mb > self.peak_live_mb:
-            self.peak_live_mb = self.live_mb
+        if self.live_mb > self.peak_live_memory_mb:
+            self.peak_live_memory_mb = self.live_mb
         self._keep_alive(container, now)
 
     def _lend(
@@ -899,69 +926,37 @@ prewarm`` (idle creation, issue counter, pool entry via keep-alive)."""
         pool.add(container)
         self.lends_issued += 1
         self.lent[container_id] = function_name
-        if self.live_mb > self.peak_live_mb:
-            self.peak_live_mb = self.live_mb
+        if self.live_mb > self.peak_live_memory_mb:
+            self.peak_live_memory_mb = self.live_mb
 
     # -- results -------------------------------------------------------------
+    @property
+    def peak_warm_memory_mb(self) -> float:
+        """Warm-pool peak, read off the pool's own tracking."""
+        return self.pool.peak_used_mb
+
     def summary(self) -> Dict[str, float]:
         """The cell summary, key-for-key and bit-for-bit equal to
         :meth:`repro.cluster.telemetry.Telemetry.summary` (or
         :class:`~repro.cluster.telemetry.BoundedTelemetry`'s in bounded
         mode) of the equivalent sequential run: same accumulation order,
-        same numpy percentile calls / sketch estimates, warm-pool peak read
-        off the pool's own tracking, pre-warm / lending blocks appended
-        under the same non-zero gates."""
+        same numpy percentile calls / sketch estimates, and the same
+        :func:`~repro.cluster.telemetry.summary_fold`."""
         if self.bounded:
-            n = self.lat_n
-            base = {
-                "invocations": float(n),
-                "total_startup_s": self.lat_total,
-                "mean_startup_s": self.lat_total / n if n else 0.0,
-                "p50_startup_s": self.lat_sketch.percentile(50),
-                "p95_startup_s": self.lat_sketch.percentile(95),
-                "cold_starts": float(self.cold),
-                "warm_starts": float(n - self.cold),
-                "evictions": float(self.evictions),
-                "keep_alive_rejections": float(self.rejections),
-                "ttl_expirations": float(self.ttl_expirations),
-                "peak_warm_memory_mb": self.pool.peak_used_mb,
-                "peak_live_memory_mb": self.peak_live_mb,
-                "container_crashes": 0.0,
-                "stragglers": 0.0,
-            }
-        else:
-            latencies = self.latencies
-            n = len(latencies)
-            total = float(sum(latencies))
-            lat = np.array(latencies, dtype=np.float64)
-            base = {
-                "invocations": float(n),
-                "total_startup_s": total,
-                "mean_startup_s": total / n if n else 0.0,
-                "p50_startup_s": float(np.median(lat)) if n else 0.0,
-                "p95_startup_s": float(np.percentile(lat, 95)) if n else 0.0,
-                "cold_starts": float(self.cold),
-                "warm_starts": float(n - self.cold),
-                "evictions": float(self.evictions),
-                "keep_alive_rejections": float(self.rejections),
-                "ttl_expirations": float(self.ttl_expirations),
-                "peak_warm_memory_mb": self.pool.peak_used_mb,
-                "peak_live_memory_mb": self.peak_live_mb,
-                "container_crashes": 0.0,
-                "stragglers": 0.0,
-            }
-        if self.prewarms_issued:
-            base["prewarms_issued"] = float(self.prewarms_issued)
-            base["prewarm_reuses"] = float(self.prewarm_reuses)
-            base["prewarm_wasted"] = float(self.prewarm_wasted)
-        if self.lends_issued:
-            base["lends_issued"] = float(self.lends_issued)
-            base["lend_reuses"] = float(self.lend_reuses)
-        return base
+            sketch = self.lat_sketch
+            return summary_fold(
+                self, self.lat_n, self.lat_total,
+                sketch.percentile(50), sketch.percentile(95), self.cold,
+            )
+        latencies = self.latencies
+        p50, p95 = column_percentiles(np.array(latencies, dtype=np.float64))
+        return summary_fold(
+            self, len(latencies), float(sum(latencies)), p50, p95, self.cold,
+        )
 
 
 class LaneKernel:
-    """Advance many independent simulation lanes per step.
+    """Run many independent simulation lanes in one process.
 
     Parameters
     ----------
@@ -973,11 +968,6 @@ class LaneKernel:
 
     def __init__(self, specs: Sequence[LaneSpec]) -> None:
         for spec in specs:
-            if spec.scheduler not in LANE_SCHEDULERS:
-                raise KeyError(
-                    f"scheduler {spec.scheduler!r} has no lane path; "
-                    f"supported: {sorted(LANE_SCHEDULERS)}"
-                )
             if spec.table is None:
                 raise ValueError(
                     "LaneKernel lanes need a bound ArrivalTable; "
@@ -985,50 +975,14 @@ class LaneKernel:
                 )
         self.lanes = [_Lane(spec) for spec in specs]
 
-    def _score_batch(
-        self, lanes: List[_Lane], times: np.ndarray
-    ) -> List[Tuple[Optional[Container], int, bool, tuple]]:
-        """Score one step's pending arrival across every active lane."""
-        return [lane.score(float(t)) for lane, t in zip(lanes, times)]
-
     def run(self) -> List[LaneResult]:
-        """Run every lane to completion; results in lane order.
-
-        Lockstep stepping: step ``k`` drains each active lane to its
-        ``k``-th arrival, batch-scores the pending decisions against the
-        lanes' pool indexes, then applies them.  The arrival cursors and
-        active mask live in numpy arrays; lanes finishing early drop out of
-        the step without stalling the rest.
-        """
-        lanes = self.lanes
-        n_arr = np.fromiter(
-            (lane.table.n for lane in lanes), dtype=np.int64,
-            count=len(lanes),
-        )
-        cursors = np.zeros(len(lanes), dtype=np.int64)
-        active_ix = np.flatnonzero(cursors < n_arr)
-        while active_ix.size:
-            active = [lanes[i] for i in active_ix]
-            # Batched arrival ingestion: this step's arrival timestamps,
-            # gathered straight from the shared columnar tables.
-            times = np.fromiter(
-                (lane.table.times[lane.arr_i] for lane in active),
-                dtype=np.float64, count=len(active),
-            )
-            for lane, t in zip(active, times):
-                lane.drain_until(t)
-            decisions = self._score_batch(active, times)
-            for lane, t, (container, match, preserve, actions) in zip(
-                active, times, decisions
-            ):
-                lane.apply(float(t), container, match, preserve, actions)
-            cursors[active_ix] += 1
-            active_ix = active_ix[cursors[active_ix] < n_arr[active_ix]]
-        for lane in lanes:
+        """Run every lane to completion; results in lane order."""
+        for lane in self.lanes:
+            lane.replay(lane.table)
             lane.drain_all()
         return [
             LaneResult(method=lane.method, summary=lane.summary())
-            for lane in lanes
+            for lane in self.lanes
         ]
 
 
@@ -1050,12 +1004,6 @@ def run_stream_lanes(
     ``SimulationConfig(bounded_telemetry=True)`` per cell (the
     ``streaming_vs_materialized`` oracle pins this).
     """
-    for key, _capacity in cells:
-        if key not in LANE_SCHEDULERS:
-            raise KeyError(
-                f"scheduler {key!r} has no lane path; "
-                f"supported: {sorted(LANE_SCHEDULERS)}"
-            )
     lanes = [
         _Lane(LaneSpec(
             scheduler=key, table=None, capacity_mb=capacity, bounded=True,
@@ -1065,18 +1013,8 @@ def run_stream_lanes(
     for chunk in ArrivalTable.from_stream(
         stream, chunk_size=chunk_size, cost_model=cost_model
     ):
-        times = chunk.times
         for lane in lanes:
-            lane.table = chunk
-            lane.arr_i = 0
-        for i in range(chunk.n):
-            t = float(times[i])
-            # Lanes are independent, so per-arrival interleaving is
-            # equivalent to the kernel's lockstep stepping.
-            for lane in lanes:
-                lane.drain_until(t)
-                container, match, preserve, actions = lane.score(t)
-                lane.apply(t, container, match, preserve, actions)
+            lane.replay(chunk)
     for lane in lanes:
         lane.drain_all()
     return [

@@ -115,6 +115,80 @@ class InvocationColumns(NamedTuple):
     execution_time_s: Sequence[float]
 
 
+def column_percentiles(lat: np.ndarray) -> Tuple[float, float]:
+    """Exact ``(p50, p95)`` of a latency column (zeros when empty)."""
+    if not lat.size:
+        return 0.0, 0.0
+    return float(np.median(lat)), float(np.percentile(lat, 95))
+
+
+def _prewarm_block(counters) -> Dict[str, float]:
+    """Pre-warm accounting block of :func:`summary_fold`."""
+    return {
+        "prewarms_issued": float(counters.prewarms_issued),
+        "prewarm_reuses": float(counters.prewarm_reuses),
+        "prewarm_wasted": float(counters.prewarm_wasted),
+    }
+
+
+def _lending_block(counters) -> Dict[str, float]:
+    """Container-lending block of :func:`summary_fold`."""
+    return {
+        "lends_issued": float(counters.lends_issued),
+        "lend_reuses": float(counters.lend_reuses),
+    }
+
+
+def summary_fold(
+    counters,
+    n: int,
+    total_s: float,
+    p50_s: float,
+    p95_s: float,
+    cold: int,
+    queueing: Optional[Dict[str, float]] = None,
+) -> Dict[str, float]:
+    """The scalar run summary, built the same way for every engine.
+
+    ``counters`` is any object carrying :class:`Telemetry`'s scalar
+    counters by name (``evictions``, ``keep_alive_rejections``, ...,
+    ``lends_issued``): a telemetry collector or a lane.  The latency
+    statistics and the cold-start count come from the caller, which owns
+    how they are accumulated (a latency column, or a running total plus a
+    sketch).  The 14 base keys are always present; the queueing block is
+    appended when given, and the surrogate-audit, pre-warm and lending
+    blocks when their counters are non-zero, in that order.
+    """
+    base = {
+        "invocations": float(n),
+        "total_startup_s": total_s,
+        "mean_startup_s": total_s / n if n else 0.0,
+        "p50_startup_s": p50_s,
+        "p95_startup_s": p95_s,
+        "cold_starts": float(cold),
+        "warm_starts": float(n - cold),
+        "evictions": float(counters.evictions),
+        "keep_alive_rejections": float(counters.keep_alive_rejections),
+        "ttl_expirations": float(counters.ttl_expirations),
+        "peak_warm_memory_mb": counters.peak_warm_memory_mb,
+        "peak_live_memory_mb": counters.peak_live_memory_mb,
+        "container_crashes": float(counters.container_crashes),
+        "stragglers": float(counters.stragglers),
+    }
+    if queueing is not None:
+        base.update(queueing)
+    if counters.surrogate_audits:
+        base["surrogate_audits"] = float(counters.surrogate_audits)
+        base["surrogate_disagreements"] = float(
+            counters.surrogate_disagreements
+        )
+    if counters.prewarms_issued:
+        base.update(_prewarm_block(counters))
+    if counters.lends_issued:
+        base.update(_lending_block(counters))
+    return base
+
+
 class Telemetry:
     """Mutable per-run metric collector (columnar storage).
 
@@ -590,46 +664,19 @@ class Telemetry:
         return {names[ix]: sums[ix] / counts[ix] for ix in sums}
 
     def summary(self) -> Dict[str, float]:
-        """Scalar summary used by experiment reports.
+        """Scalar summary used by experiment reports (:func:`summary_fold`).
 
         One pass over the columns; the queueing/utilization block is only
         present when the run enforced a worker concurrency limit, so
         summaries of runs without admission control are unchanged from the
         pre-queueing simulator.
         """
-        lat = self.latencies()
-        base = {
-            "invocations": float(self.n_invocations),
-            "total_startup_s": self.total_startup_latency_s,
-            "mean_startup_s": self.mean_startup_latency_s,
-            "p50_startup_s": float(np.median(lat)) if lat.size else 0.0,
-            "p95_startup_s": float(np.percentile(lat, 95)) if lat.size else 0.0,
-            "cold_starts": float(self.cold_starts),
-            "warm_starts": float(self.warm_starts),
-            "evictions": float(self.evictions),
-            "keep_alive_rejections": float(self.keep_alive_rejections),
-            "ttl_expirations": float(self.ttl_expirations),
-            "peak_warm_memory_mb": self.peak_warm_memory_mb,
-            "peak_live_memory_mb": self.peak_live_memory_mb,
-            "container_crashes": float(self.container_crashes),
-            "stragglers": float(self.stragglers),
-        }
-        if self.queueing_enabled:
-            base.update(self.queueing_summary())
-        if self.surrogate_audits:
-            base.update(self.surrogate_summary())
-        if self.prewarms_issued:
-            base.update(self.prewarm_summary())
-        if self.lends_issued:
-            base.update(self.lending_summary())
-        return base
-
-    def surrogate_summary(self) -> Dict[str, float]:
-        """Distilled-policy audit block (present only when audits ran)."""
-        return {
-            "surrogate_audits": float(self.surrogate_audits),
-            "surrogate_disagreements": float(self.surrogate_disagreements),
-        }
+        p50, p95 = column_percentiles(self.latencies())
+        return summary_fold(
+            self, self.n_invocations, self.total_startup_latency_s, p50, p95,
+            self.cold_starts,
+            self.queueing_summary() if self.queueing_enabled else None,
+        )
 
     def prewarm_summary(self) -> Dict[str, float]:
         """Pre-warm accounting block (present only when pre-warms ran).
@@ -637,11 +684,7 @@ class Telemetry:
         ``prewarm_wasted`` counts pre-warmed containers destroyed before
         any invocation claimed them -- the forecaster's false positives.
         """
-        return {
-            "prewarms_issued": float(self.prewarms_issued),
-            "prewarm_reuses": float(self.prewarm_reuses),
-            "prewarm_wasted": float(self.prewarm_wasted),
-        }
+        return _prewarm_block(self)
 
     def lending_summary(self) -> Dict[str, float]:
         """Container-lending block (present only when lends ran).
@@ -649,10 +692,7 @@ class Telemetry:
         ``lend_reuses`` counts lent containers later claimed by the
         function they were re-specialized for -- the lending hit count.
         """
-        return {
-            "lends_issued": float(self.lends_issued),
-            "lend_reuses": float(self.lend_reuses),
-        }
+        return _lending_block(self)
 
 
 class BoundedTelemetry(Telemetry):
@@ -795,31 +835,12 @@ QuantileSketch` sketches for the latency/queueing percentiles, so memory
     def summary(self) -> Dict[str, float]:
         """Same key set as :meth:`Telemetry.summary`; the two startup
         percentiles are sketch estimates, every other cell exact."""
-        base = {
-            "invocations": float(self._n),
-            "total_startup_s": self._lat_total,
-            "mean_startup_s": self.mean_startup_latency_s,
-            "p50_startup_s": self._lat_sketch.percentile(50),
-            "p95_startup_s": self._lat_sketch.percentile(95),
-            "cold_starts": float(self._n_cold),
-            "warm_starts": float(self._n - self._n_cold),
-            "evictions": float(self.evictions),
-            "keep_alive_rejections": float(self.keep_alive_rejections),
-            "ttl_expirations": float(self.ttl_expirations),
-            "peak_warm_memory_mb": self.peak_warm_memory_mb,
-            "peak_live_memory_mb": self.peak_live_memory_mb,
-            "container_crashes": float(self.container_crashes),
-            "stragglers": float(self.stragglers),
-        }
-        if self.queueing_enabled:
-            base.update(self.queueing_summary())
-        if self.surrogate_audits:
-            base.update(self.surrogate_summary())
-        if self.prewarms_issued:
-            base.update(self.prewarm_summary())
-        if self.lends_issued:
-            base.update(self.lending_summary())
-        return base
+        return summary_fold(
+            self, self._n, self._lat_total,
+            self._lat_sketch.percentile(50), self._lat_sketch.percentile(95),
+            self._n_cold,
+            self.queueing_summary() if self.queueing_enabled else None,
+        )
 
     # -- row views: structurally unavailable ---------------------------------
     def _unavailable(self, what: str) -> RuntimeError:

@@ -78,10 +78,10 @@ class MLCRConfig:
         or ``"float64"`` (full precision, the historical behaviour).
     batched_rollouts:
         Run no-learning episodes (demonstration seeding, validation) as
-        one lockstep batch sharing a single forward per step (default).
-        ``False`` rolls them out one episode at a time -- the historical
-        sequential path, kept as the differential-testing reference
-        (:mod:`repro.verify.differential` cross-checks the two).
+        one batch stepped together, sharing a single forward per step
+        (default).  ``False`` rolls them out one episode at a time -- the
+        historical sequential path, kept as the differential-testing
+        reference (:mod:`repro.verify.differential` cross-checks the two).
     seed:
         Master seed for network init, exploration and replay sampling.
     """

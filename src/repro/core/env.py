@@ -99,7 +99,7 @@ class SchedulingEnv:
 
         The spawn gets its **own encoder clone** (arrival tracking and
         demand features are per-episode state), so several spawns can run
-        episodes in lockstep -- the batched validation/demonstration
+        episodes stepped together -- the batched validation/demonstration
         rollouts of :class:`~repro.core.trainer.MLCRTrainer` -- without
         cross-contaminating each other's features.
         """

@@ -150,7 +150,7 @@ class StateEncoder:
 
         The clone has independent episode state (arrival tracking, demand
         counters) but shares the immutable-valued bag-of-packages cache, so
-        lockstep rollouts do not re-derive package vectors per clone.
+        batched rollouts do not re-derive package vectors per clone.
         """
         clone = StateEncoder(
             n_slots=self.n_slots,

@@ -206,7 +206,7 @@ class MLCRTrainer:
     ) -> List[Tuple[float, float, int]]:
         """Run no-learning episodes (``"eval"``/``"greedy"``/``"exact"``).
 
-        Dispatches on ``config.batched_rollouts``: the lockstep batched
+        Dispatches on ``config.batched_rollouts``: the step-synchronous batched
         path (default) or one sequential :meth:`_run_episode` per entry.
         Both return ``(return, latency, cold_starts)`` per episode in
         input order and are outcome-identical -- the differential oracle
@@ -224,7 +224,7 @@ class MLCRTrainer:
     def _run_episodes_batched(
         self, kinds: Sequence[str], episodes: Sequence[int]
     ) -> List[Tuple[float, float, int]]:
-        """Run several no-learning episodes in lockstep.
+        """Run several no-learning episodes stepped together.
 
         Each episode gets its own environment/encoder (via
         :meth:`~repro.core.env.SchedulingEnv.spawn`) so arrival tracking

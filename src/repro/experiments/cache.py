@@ -184,11 +184,7 @@ class ExperimentCache:
     def cell_key(self, task: "GridTask") -> str:
         """Content address of one grid task.
 
-        The payload enumerates the result-determining fields explicitly;
-        ``GridTask.stream`` is deliberately absent -- streaming and batch
-        feeds are summary-identical by design (the
-        ``streaming_vs_materialized`` oracle enforces it), so both route
-        to the same cache entry.
+        The payload enumerates the result-determining fields explicitly.
         """
         payload = {
             "kind": "grid_cell",

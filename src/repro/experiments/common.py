@@ -157,17 +157,9 @@ def evaluate_scheduler(
     workload: Workload,
     capacity_mb: float,
     pool_label: str = "",
-    stream: bool = False,
 ) -> MethodResult:
-    """Run one scheduler over one workload at one capacity.
-
-    With ``stream`` the workload is fed through
-    :meth:`~repro.cluster.simulator.ClusterSimulator.run_stream` (wrapped
-    as a lazy arrival stream) instead of batch ``run``.  The two paths are
-    decision-identical -- the ``streaming_vs_materialized`` oracle holds
-    them to that -- so ``stream`` changes the memory profile, never the
-    result.
-    """
+    """Run one scheduler over one workload at one capacity on the
+    sequential :class:`~repro.cluster.simulator.ClusterSimulator`."""
     scheduler.reset()
     if hasattr(scheduler, "observe_workload"):
         scheduler.observe_workload(workload)
@@ -179,12 +171,7 @@ def evaluate_scheduler(
     sim = ClusterSimulator(
         SimulationConfig(pool_capacity_mb=capacity_mb), eviction
     )
-    if stream:
-        from repro.workloads.stream import stream_from_workload
-
-        result = sim.run_stream(stream_from_workload(workload), scheduler)
-    else:
-        result = sim.run(workload, scheduler)
+    result = sim.run(workload, scheduler)
     t = result.telemetry
     return MethodResult(
         method=scheduler.name,

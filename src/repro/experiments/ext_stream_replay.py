@@ -7,17 +7,22 @@ Azure-like trace at that scale through the streaming pipeline end to end:
 
 * arrivals come from :meth:`AzureTraceGenerator.stream` -- heap-merged
   per-function generators, never materialized, O(#functions) memory;
-* the simulator consumes them via :meth:`ClusterSimulator.run_stream`,
-  holding one future arrival at a time;
-* telemetry is :class:`~repro.cluster.telemetry.BoundedTelemetry` -- exact
-  counters plus quantile sketches, O(1) in the invocation count.
+* bounded stream lanes (:func:`~repro.cluster.lanes.run_stream_lanes`)
+  consume them in columnar chunks, every cell replaying the same stream
+  sharing one pass;
+* telemetry folds like :class:`~repro.cluster.telemetry.BoundedTelemetry`
+  -- exact counters plus quantile sketches, O(1) in the invocation count
+  -- so summaries are byte-identical to
+  :meth:`ClusterSimulator.run_stream` with bounded telemetry (the
+  ``streaming_vs_materialized`` oracle pins this).
 
 At ``REPRO_SCALE=fast`` the family runs 300 functions x 30k invocations
 per cell (seconds); at ``full`` it is the headline 20k functions x 10M
 invocations, which no materialized path could hold in memory.  Cells are
-independent ``(scheduler, seed)`` pairs and fan across worker processes
-exactly like the baseline grid; the report carries no wall-clock values,
-so its text is byte-identical for any ``jobs`` count.
+independent ``(scheduler, seed)`` pairs; the lane groups fan across worker
+processes exactly like the baseline grid's lane batches, and the report
+carries no wall-clock values, so its text is byte-identical for any
+``jobs`` or ``lanes`` count.
 
 Pool capacity is derived *from the trace itself*: a fixed fraction of the
 summed per-function image memory, computed from the stream's function
@@ -36,9 +41,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.report import ascii_table
-from repro.cluster.simulator import ClusterSimulator, SimulationConfig
+from repro.cluster.lanes import run_stream_lanes
 from repro.experiments.common import ExperimentScale
-from repro.experiments.parallel import _pool_context, build_scheduler
+from repro.experiments.parallel import _pool_context
 from repro.workloads.azure import AzureTraceConfig, AzureTraceGenerator
 
 #: Schedulers replayed per cell (keys into
@@ -154,46 +159,9 @@ def derive_capacity_mb(
     return capacity_fraction * total
 
 
-def run_cell(task: StreamReplayTask) -> StreamReplayCell:
-    """Execute one streaming-replay cell (the worker entry point).
-
-    Rebuilds generator, stream and scheduler from the task's numbers, so
-    the result is deterministic regardless of which process runs it.
-    """
-    generator = AzureTraceGenerator(
-        trace_config(task.n_functions, task.n_invocations)
-    )
-    stream = generator.stream(seed=task.seed)
-    scheduler = build_scheduler(task.scheduler)
-    eviction = (
-        scheduler.make_eviction_policy()
-        if hasattr(scheduler, "make_eviction_policy")
-        else None
-    )
-    sim = ClusterSimulator(
-        SimulationConfig(
-            pool_capacity_mb=derive_capacity_mb(
-                stream, task.capacity_fraction
-            ),
-            bounded_telemetry=True,
-        ),
-        eviction,
-    )
-    result = sim.run_stream(stream, scheduler)
-    return StreamReplayCell(
-        task=task, method=result.scheduler_name, summary=result.summary()
-    )
-
-
 #: Packed IPC form of one cell, mirroring the baseline grid's columnar
 #: blocks: ``(method, summary keys, summary values)``.
 PackedStreamCell = Tuple[str, Tuple[str, ...], "array"]
-
-
-def _run_cell_packed(task: StreamReplayTask) -> PackedStreamCell:
-    """Worker entry point returning the columnar IPC block."""
-    cell = run_cell(task)
-    return cell.method, tuple(cell.summary), array("d", cell.summary.values())
 
 
 def _run_lane_group_packed(
@@ -206,13 +174,9 @@ def _run_lane_group_packed(
     (its own scheduler and derived capacity) of a single
     :func:`~repro.cluster.lanes.run_stream_lanes` pass, which lowers the
     stream into columnar chunks exactly once instead of once per cell.
-    Results come back in task order as the same columnar blocks
-    :func:`_run_cell_packed` ships -- byte-identical to the sequential
-    ``run_stream`` path (the ``streaming_vs_materialized`` oracle pins
-    this), so downstream unpacking cannot tell the paths apart.
+    Results come back in task order as columnar blocks
+    (:data:`PackedStreamCell`).
     """
-    from repro.cluster.lanes import run_stream_lanes
-
     head = tasks[0]
     generator = AzureTraceGenerator(
         trace_config(head.n_functions, head.n_invocations)
@@ -258,50 +222,42 @@ def run(
     seeds: Sequence[int] = STREAM_SEEDS,
     lanes: int = 1,
 ) -> StreamReplayResult:
-    """Replay the scenario family, fanning cells over ``jobs`` processes.
+    """Replay the scenario family on stream lanes, fanning over ``jobs``.
 
-    Results come back in task order (``Pool.map`` preserves it), and the
-    serial path round-trips through the same columnar packer as the
-    parallel one, so the outcome is byte-identical for any ``jobs``.
-
-    ``lanes > 1`` groups cells that replay the same stream (same seed and
-    trace shape) and runs each group through one chunked
+    Cells that replay the same stream (same seed and trace shape) are
+    grouped, ``lanes`` at a time, and each group runs as one chunked
     :func:`~repro.cluster.lanes.run_stream_lanes` pass -- the stream is
-    generated and lowered once per group instead of once per cell, still
-    O(1)-memory, with summaries byte-identical to the sequential path.
-    ``jobs`` then fans the *groups* across workers.
+    generated and lowered once per group, in O(1) memory.  ``lanes=1``
+    gives every cell its own pass.  ``jobs`` fans the groups across
+    workers.  Results come back in task order (``Pool.map`` preserves it)
+    and the serial path round-trips through the same columnar packer as
+    the parallel one, so the outcome is byte-identical for any ``jobs``
+    or ``lanes``.
     """
     tasks = default_tasks(scale, schedulers=schedulers, seeds=seeds)
-    if lanes > 1:
-        groups: Dict[Tuple[int, int, int, float],
-                     List[StreamReplayTask]] = {}
-        for task in tasks:
-            key = (task.seed, task.n_functions, task.n_invocations,
-                   task.capacity_fraction)
-            groups.setdefault(key, []).append(task)
-        batches = [
-            tuple(group[j:j + lanes])
-            for group in groups.values()
-            for j in range(0, len(group), lanes)
-        ]
-        if jobs <= 1 or len(batches) <= 1:
-            batch_packed = [_run_lane_group_packed(b) for b in batches]
-        else:
-            ctx = _pool_context()
-            with ctx.Pool(processes=min(jobs, len(batches))) as pool:
-                batch_packed = pool.map(_run_lane_group_packed, batches)
-        packed_by_task = {
-            id(task): block
-            for batch, blocks in zip(batches, batch_packed)
-            for task, block in zip(batch, blocks)
-        }
-        packed = [packed_by_task[id(task)] for task in tasks]
-    elif jobs <= 1 or len(tasks) <= 1:
-        packed = [_run_cell_packed(t) for t in tasks]
+    step = max(1, lanes)
+    groups: Dict[Tuple[int, int, int, float], List[StreamReplayTask]] = {}
+    for task in tasks:
+        key = (task.seed, task.n_functions, task.n_invocations,
+               task.capacity_fraction)
+        groups.setdefault(key, []).append(task)
+    batches = [
+        tuple(group[j:j + step])
+        for group in groups.values()
+        for j in range(0, len(group), step)
+    ]
+    if jobs <= 1 or len(batches) <= 1:
+        batch_packed = [_run_lane_group_packed(b) for b in batches]
     else:
         ctx = _pool_context()
-        with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
-            packed = pool.map(_run_cell_packed, tasks)
+        with ctx.Pool(processes=min(jobs, len(batches))) as pool:
+            batch_packed = pool.map(_run_lane_group_packed, batches)
+    packed_by_task = {
+        id(task): block
+        for batch, blocks in zip(batches, batch_packed)
+        for task, block in zip(batch, blocks)
+    }
+    packed = [packed_by_task[id(task)] for task in tasks]
     cells = [
         StreamReplayCell(
             task=task, method=method, summary=dict(zip(keys, values))

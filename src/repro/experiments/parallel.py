@@ -3,8 +3,9 @@
 The experiment suite replays thousands of simulations that are completely
 independent of each other: one per ``(scheduler, workload, pool size,
 seed)`` cell.  This module materializes that grid as picklable
-:class:`GridTask` descriptions and fans them across ``multiprocessing``
-workers.
+:class:`GridTask` descriptions, runs them in batches on the
+:class:`~repro.cluster.lanes.LaneKernel` (one lane per cell) and fans the
+batches across ``multiprocessing`` workers.
 
 Determinism is by construction:
 
@@ -18,9 +19,9 @@ Determinism is by construction:
   value, including ``jobs=1`` (which short-circuits to an in-process loop).
 
 IPC is columnar: a worker ships back ``(method, summary-keys tuple,
-array('d') values)`` -- a few hundred bytes -- instead of a pickled object
-graph, and both the serial and the parallel path round-trip through the
-same packer so their cells are identical by construction.  With an
+array('d') values)`` per cell -- a few hundred bytes -- instead of a pickled
+object graph, and both the serial and the parallel path round-trip through
+the same packer so their cells are identical by construction.  With an
 :class:`~repro.experiments.cache.ExperimentCache` attached, cached cells
 are served from disk and only the misses fan out to workers.
 
@@ -34,7 +35,6 @@ in-process cache).
 from __future__ import annotations
 
 import multiprocessing
-import os
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -46,13 +46,9 @@ from repro.cluster.lanes import (
     ArrivalTable,
     LaneKernel,
     LaneSpec,
-    lane_supported_scheduler,
 )
 from repro.experiments.cache import ExperimentCache, pool_sizes_cached
-from repro.experiments.common import (
-    ExperimentScale,
-    evaluate_scheduler,
-)
+from repro.experiments.common import ExperimentScale
 from repro.workloads.fstartbench import build_workload
 from repro.workloads.workload import Workload
 
@@ -60,9 +56,7 @@ from repro.workloads.workload import Workload
 #: Every entry builds with no constructor arguments, which is what makes
 #: grid tasks picklable and worker-rebuildable.  The mapping is shared
 #: with the lane kernel (:data:`repro.cluster.lanes.SCHEDULER_CLASS_NAMES`)
-#: so every registry key has a lane path by construction -- there is no
-#: supported-but-unlisted scheduler that could silently fall back to the
-#: sequential driver under ``lanes > 1``.
+#: so every registry key has a lane path by construction.
 SCHEDULER_FACTORIES: Dict[str, str] = dict(SCHEDULER_CLASS_NAMES)
 
 #: The paper's four baselines, in ``make_baselines()`` order.
@@ -88,21 +82,13 @@ def build_scheduler(key: str):
 
 @dataclass(frozen=True)
 class GridTask:
-    """One cell of the experiment grid (picklable, name-and-seed only).
-
-    ``stream`` feeds the cell through ``ClusterSimulator.run_stream``
-    instead of batch ``run``.  Both paths produce identical summaries by
-    design (enforced by the ``streaming_vs_materialized`` oracle), so the
-    flag is excluded from the experiment cache's content address -- a cell
-    computed either way serves the other.
-    """
+    """One cell of the experiment grid (picklable, name-and-seed only)."""
 
     scheduler: str      # key into SCHEDULER_FACTORIES
     workload: str       # key into WORKLOAD_BUILDERS
     seed: int
     pool_label: str     # "Tight" / "Moderate" / "Loose" (cosmetic)
     capacity_mb: float
-    stream: bool = False
 
 
 @dataclass(frozen=True)
@@ -153,28 +139,16 @@ def clear_workload_cache() -> None:
     _ARRIVAL_TABLE_CACHE.clear()
 
 
-def _arrival_table_cache_cap() -> int:
-    """Size bound of the per-process arrival-table memo.
-
-    ``REPRO_ARRIVAL_TABLE_CACHE`` overrides the default of 8 tables; a
-    20k-function table costs real memory, so the memo must not accumulate
-    one entry per ``(workload, seed)`` across a large grid.  Values below
-    1 are clamped to 1 (the memo is useless without at least the current
-    draw).
-    """
-    raw = os.environ.get("REPRO_ARRIVAL_TABLE_CACHE", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 8
-    return max(1, cap) if raw else 8
-
+#: Size bound of the per-process arrival-table memo: a 20k-function table
+#: costs real memory, so the memo must not accumulate one entry per
+#: ``(workload, seed)`` across a large grid.
+ARRIVAL_TABLE_CACHE_CAP = 8
 
 #: Per-process columnar lowering memo keyed by ``(name, seed)``: every lane
 #: replaying the same workload draw shares one read-only
-#: :class:`~repro.cluster.lanes.ArrivalTable`.  Bounded LRU (see
-#: :func:`_arrival_table_cache_cap`): hits refresh recency, inserts beyond
-#: the cap evict the least-recently-used table.  Eviction is
+#: :class:`~repro.cluster.lanes.ArrivalTable`.  Bounded LRU (at most
+#: :data:`ARRIVAL_TABLE_CACHE_CAP` tables): hits refresh recency, inserts
+#: beyond the cap evict the least-recently-used table.  Eviction is
 #: equivalence-preserving -- a re-lowered table is bit-identical to the
 #: evicted one.
 _ARRIVAL_TABLE_CACHE: "OrderedDict[Tuple[str, int], ArrivalTable]" = (
@@ -189,51 +163,11 @@ def cached_arrival_table(name: str, seed: int) -> ArrivalTable:
     if table is None:
         table = ArrivalTable(cached_workload(name, seed))
         _ARRIVAL_TABLE_CACHE[key] = table
-        cap = _arrival_table_cache_cap()
-        while len(_ARRIVAL_TABLE_CACHE) > cap:
+        while len(_ARRIVAL_TABLE_CACHE) > ARRIVAL_TABLE_CACHE_CAP:
             _ARRIVAL_TABLE_CACHE.popitem(last=False)
     else:
         _ARRIVAL_TABLE_CACHE.move_to_end(key)
     return table
-
-
-def lane_supported(task: GridTask) -> bool:
-    """Whether ``task`` can run on the lane kernel.
-
-    Grid cells all use the default single-shard, no-concurrency-limit
-    simulator configuration, so support hinges only on the scheduler having
-    a lane fast path -- which every registry key now does (closed-form or
-    scripted).  The ``stream`` flag is irrelevant: batch and stream
-    summaries are identical by the ``streaming_vs_materialized`` oracle's
-    guarantee, and the lane kernel reproduces both.
-    """
-    return lane_supported_scheduler(task.scheduler)
-
-
-def run_task(task: GridTask) -> GridCell:
-    """Execute one grid cell (the worker entry point).
-
-    Rebuilds workload and scheduler from the task's names and seed, so the
-    result is deterministic regardless of which process runs it.
-    """
-    scheduler = build_scheduler(task.scheduler)
-    workload = cached_workload(task.workload, task.seed)
-    result = evaluate_scheduler(
-        scheduler, workload, task.capacity_mb, task.pool_label,
-        stream=task.stream,
-    )
-    return GridCell(
-        task=task,
-        method=result.method,
-        summary=result.result.telemetry.summary(),
-    )
-
-
-def pack_cell(cell: GridCell) -> PackedCell:
-    """Flatten a cell into the columnar IPC block (task omitted: the
-    parent already holds it)."""
-    summary = cell.summary
-    return cell.method, tuple(summary.keys()), array("d", summary.values())
 
 
 def unpack_cell(task: GridTask, packed: PackedCell) -> GridCell:
@@ -243,18 +177,12 @@ def unpack_cell(task: GridTask, packed: PackedCell) -> GridCell:
                     summary=dict(zip(keys, values)))
 
 
-def _run_task_packed(task: GridTask) -> PackedCell:
-    """Worker entry point returning the columnar IPC block."""
-    return pack_cell(run_task(task))
-
-
 def _run_lane_batch_packed(tasks: Tuple[GridTask, ...]) -> List[PackedCell]:
     """Worker entry point: run a batch of cells on one lane kernel.
 
     Each task becomes one lane; tasks sharing a workload draw share one
     process-memoized :class:`~repro.cluster.lanes.ArrivalTable`.  Results
-    come back in task order as the same columnar IPC blocks the sequential
-    worker ships, so downstream unpacking cannot tell the paths apart.
+    come back in task order as columnar IPC blocks (:data:`PackedCell`).
     """
     specs = [
         LaneSpec(
@@ -286,28 +214,26 @@ def run_grid(
     cache: Optional[ExperimentCache] = None,
     lanes: int = 1,
 ) -> List[GridCell]:
-    """Run every task, fanning across ``jobs`` worker processes.
+    """Run every task on the lane kernel, fanning across ``jobs`` workers.
 
-    ``jobs <= 1`` runs in-process.  Results always come back in task
-    order, so downstream merging is independent of scheduling jitter.
-    Serial and parallel paths round-trip through the same columnar packer,
-    so their cells are equal by construction.
+    Cells run in batches of ``lanes`` consecutive tasks, one
+    :class:`~repro.cluster.lanes.LaneKernel` per batch (``lanes=1`` runs
+    one-lane kernels); ``jobs`` fans the batches over worker processes,
+    and one batch or ``jobs <= 1`` runs in-process.  Results always come
+    back in task order, so downstream merging is independent of
+    scheduling jitter, and the serial and parallel paths round-trip
+    through the same columnar packer, so their cells are equal by
+    construction.  Lane cells are byte-identical to
+    ``ClusterSimulator.run`` ones (the ``lanes_vs_sequential`` oracle and
+    hypothesis suite enforce this), so neither ``jobs`` nor ``lanes``
+    changes a result.  A task whose scheduler the kernel does not know
+    raises ``KeyError``, exactly as :func:`build_scheduler` would.
 
     With ``cache`` given (and enabled), each task is first looked up by
     its content address; only the misses are simulated (and then stored),
     so a warm cache re-runs nothing.  Cached and fresh cells are
     bit-identical -- the ``cached_vs_fresh`` differential oracle enforces
     this.
-
-    With ``lanes > 1``, every cache-missed cell runs in batches of
-    ``lanes`` on the :class:`~repro.cluster.lanes.LaneKernel` -- many
-    cells per process step instead of one full simulator per cell.  The
-    whole scheduler registry has lane paths (closed-form or scripted), so
-    there is no silent sequential fallback: a task whose scheduler the
-    kernel does not know raises ``KeyError``, exactly as
-    :func:`build_scheduler` would.  Lane cells are byte-identical to
-    sequential ones (the ``lanes_vs_sequential`` oracle and hypothesis
-    suite enforce this), so any grid accepts any ``lanes`` value.
     """
     tasks = list(tasks)
     cells: List[Optional[GridCell]] = [None] * len(tasks)
@@ -322,36 +248,19 @@ def run_grid(
                 misses.append(i)
     else:
         misses = list(range(len(tasks)))
-    if misses:
-        if lanes > 1:
-            laned, solo = list(misses), []
-        else:
-            laned, solo = [], list(misses)
-        batches = [
-            tuple(laned[j:j + lanes]) for j in range(0, len(laned), lanes)
-        ]
-        if jobs <= 1 or len(misses) <= 1:
-            packed = [_run_task_packed(tasks[i]) for i in solo]
-            batch_packed = [
-                _run_lane_batch_packed(tuple(tasks[i] for i in batch))
-                for batch in batches
-            ]
-        else:
-            ctx = _pool_context()
-            with ctx.Pool(processes=min(jobs, len(misses))) as pool:
-                packed = pool.map(
-                    _run_task_packed, [tasks[i] for i in solo]
-                )
-                batch_packed = pool.map(
-                    _run_lane_batch_packed,
-                    [tuple(tasks[i] for i in batch) for batch in batches],
-                )
-        filled = list(zip(solo, packed)) + [
-            (i, block)
-            for batch, blocks in zip(batches, batch_packed)
-            for i, block in zip(batch, blocks)
-        ]
-        for i, block in filled:
+    step = max(1, lanes)
+    batches = [
+        tuple(misses[j:j + step]) for j in range(0, len(misses), step)
+    ]
+    work = [tuple(tasks[i] for i in batch) for batch in batches]
+    if jobs <= 1 or len(batches) <= 1:
+        packed = [_run_lane_batch_packed(batch) for batch in work]
+    else:
+        ctx = _pool_context()
+        with ctx.Pool(processes=min(jobs, len(batches))) as pool:
+            packed = pool.map(_run_lane_batch_packed, work)
+    for batch, blocks in zip(batches, packed):
+        for i, block in zip(batch, blocks):
             cell = unpack_cell(tasks[i], block)
             cells[i] = cell
             if use_cache:
@@ -461,8 +370,8 @@ def run_default_grid(
 
     ``cache`` (optional) serves both the pool sizing and the grid cells
     content-addressed; the rendered report is byte-identical with the
-    cache on, off, cold or warm.  ``lanes > 1`` runs supported cells in
-    lane-kernel batches (see :func:`run_grid`).
+    cache on, off, cold or warm.  ``lanes`` cells share one lane kernel
+    (see :func:`run_grid`).
     """
     tasks = default_grid(scale, cache=cache, **grid_kwargs)
     return GridResult(

@@ -10,9 +10,8 @@ Honors ``REPRO_SCALE``.  The MLCR training cache is shared across
 experiments, so fig8/fig9/fig10 train each pool size once.  With
 ``--figures`` the fig8/9/10/11 results are additionally rendered as SVG
 files into the given directory.  ``--jobs N`` fans the baseline grid
-section over N worker processes and ``--lanes L`` batches its
-lane-supported cells L per process onto the lane kernel (the report text
-is identical for any N and L).
+section over N worker processes and ``--lanes L`` puts L of its cells in
+one lane kernel (the report text is identical for any N and L).
 
 Section bodies are deterministic (no timestamps; every seed fixed), so
 each is additionally served from the content-addressed experiment cache
@@ -120,8 +119,9 @@ def run_all(
 ) -> str:
     """Run every experiment; returns (and optionally writes) the report.
 
-    ``jobs`` only parallelizes the grid section and ``lanes`` only batches
-    its lane-supported cells; the report text does not depend on either.  With ``cache`` given, section bodies are
+    ``jobs`` only parallelizes the grid section and ``lanes`` only sets
+    how many of its cells share one lane kernel; the report text does not
+    depend on either.  With ``cache`` given, section bodies are
     served content-addressed (except when ``figures_dir`` is set, which
     needs the in-memory results); a warm cache turns the whole run into
     file reads.

@@ -42,8 +42,9 @@ serve_replay               a recorded ``repro.serve`` session (wall-
                            through a fresh engine makes byte-identical
                            decisions
 lanes_vs_sequential        ``run_grid(lanes=8)`` lane-kernel cells ==
-                           sequential cells for every scheduler in the
-                           experiment registry (derived, not hardcoded;
+                           ``evaluate_scheduler`` (``ClusterSimulator``)
+                           cells for every scheduler in the experiment
+                           registry (derived, not hardcoded;
                            byte-identical summaries, proactive pre-warm
                            / lending blocks included)
 surrogate_vs_network       the distilled decision tree reproduces >= 99%
@@ -640,28 +641,23 @@ def oracle_lanes_vs_sequential() -> OracleResult:
 
     The scheduler list is derived from the *experiment registry*
     (``SCHEDULER_FACTORIES``), not a hardcoded grid, so a newly registered
-    scheduler is picked up automatically -- and the oracle fails loudly if
-    a registry key ever lacks a lane path (closed-form or scripted),
-    because ``run_grid(lanes=...)`` no longer falls back sequentially.
+    scheduler is picked up automatically -- and the oracle fails loudly
+    (``run_grid`` raises) if a registry key ever lacks a lane path.
     Every registry scheduler runs over two workload draws and two pool
-    capacities, once through the per-cell sequential simulator and once
+    capacities, once through the sequential simulator
+    (:func:`~repro.experiments.common.evaluate_scheduler`) and once
     through ``run_grid(lanes=8)``, comparing summaries with ``==`` (bit
     equality, not tolerance) -- the lane kernel's whole contract, the
     proactive pre-warm / lending telemetry blocks included.
     """
-    from repro.cluster.lanes import lane_supported_scheduler
-    from repro.experiments.parallel import SCHEDULER_FACTORIES
+    from repro.experiments.common import evaluate_scheduler
+    from repro.experiments.parallel import (
+        SCHEDULER_FACTORIES,
+        build_scheduler,
+        cached_workload,
+    )
 
     name = "lanes_vs_sequential"
-    unsupported = sorted(
-        key for key in SCHEDULER_FACTORIES
-        if not lane_supported_scheduler(key)
-    )
-    if unsupported:
-        return OracleResult(
-            name, False,
-            f"registry keys without a lane path: {unsupported}",
-        )
     tasks = [
         GridTask(scheduler=key, workload=workload, seed=seed,
                  pool_label="Fixed", capacity_mb=capacity)
@@ -669,18 +665,23 @@ def oracle_lanes_vs_sequential() -> OracleResult:
         for workload, seed in (("LO-Sim", 0), ("HI-Var", 1))
         for capacity in (800.0, 4000.0)
     ]
-    sequential = run_grid(tasks, jobs=1)
     laned = run_grid(tasks, jobs=1, lanes=8)
-    for i, (a, b) in enumerate(zip(sequential, laned)):
+    for i, (task, b) in enumerate(zip(tasks, laned)):
+        a = evaluate_scheduler(
+            build_scheduler(task.scheduler),
+            cached_workload(task.workload, task.seed),
+            task.capacity_mb,
+        )
+        summary = a.result.telemetry.summary()
         if a.method != b.method:
             return OracleResult(
                 name, False, f"cell {i} method: {a.method} vs {b.method}"
             )
-        if list(a.summary.items()) != list(b.summary.items()):
-            diff = [k for k in a.summary if a.summary[k] != b.summary.get(k)]
+        if list(summary.items()) != list(b.summary.items()):
+            diff = [k for k in summary if summary[k] != b.summary.get(k)]
             return OracleResult(
                 name, False,
-                f"cell {i} ({tasks[i].scheduler}/{tasks[i].workload}) "
+                f"cell {i} ({task.scheduler}/{task.workload}) "
                 f"summaries differ at {diff}",
             )
     return OracleResult(

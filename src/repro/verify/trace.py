@@ -241,7 +241,7 @@ class TraceDivergence:
 # Record / replay
 # ---------------------------------------------------------------------------
 
-def _run_cell(spec: TraceSpec) -> Tuple[float, SimulationResult]:
+def _simulate(spec: TraceSpec) -> Tuple[float, SimulationResult]:
     """Run the spec's cell exactly as the experiment harness would."""
     workload = build_workload(spec.workload, seed=spec.seed)
     capacity = pool_sizes(workload)[spec.pool]
@@ -276,7 +276,7 @@ def record_trace(spec: TraceSpec) -> Trace:
     materialized on the recording path; the line values are identical to
     :meth:`TraceLine.from_record` over the row view.
     """
-    capacity, result = _run_cell(spec)
+    capacity, result = _simulate(spec)
     cols = result.telemetry.invocation_columns()
     lines = tuple(
         TraceLine(

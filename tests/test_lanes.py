@@ -2,23 +2,24 @@
 
 Pinned properties:
 
-* Every lane summary equals the sequential ``run_task`` summary for the
-  same ``(scheduler, workload, seed, capacity)`` cell -- exact ``==`` on
+* Every lane summary equals the sequential ``ClusterSimulator.run``
+  summary (through ``evaluate_scheduler``) for the same ``(scheduler,
+  workload, seed, capacity)`` cell -- exact ``==`` on
   every float, not approx (property-based over the full scheduler
   registry, closed-form and scripted lane modes alike, arbitrary seeds,
   capacities including the 0/inf edges, and arbitrary lane counts).
 * Proactive Decision actions (MPC's ``PrewarmRequest``, Pagurus's
   ``LendRequest``) replay inside the lane lifecycle: the pre-warm /
   lending telemetry blocks match the sequential driver exactly.
-* ``run_grid(lanes=L)`` reproduces ``run_grid()`` cell-for-cell for any
-  ``L`` over any registry schedulers, under process fan-out too; unknown
-  scheduler keys raise instead of silently running sequentially.
+* ``run_grid(lanes=L)`` reproduces the sequential simulator cell-for-cell
+  for any ``L`` (``L=1`` included) over any registry schedulers, under
+  process fan-out too; unknown scheduler keys raise ``KeyError``.
 * ``ArrivalTable`` is a faithful columnar lowering of the workload it was
   built from; ``ArrivalTable.from_stream`` chunks reassemble to the same
   columns for any chunk size (1, ragged, larger than the stream).
 * ``run_stream_lanes`` is byte-identical to ``ClusterSimulator.run_stream``
   with bounded telemetry, per cell, for every registry scheduler and any
-  chunk size.
+  chunk size; so is the stream experiment for any lane count.
 * The per-process arrival-table memo is a bounded LRU: it cannot grow
   past its cap however many draws a grid touches.
 """
@@ -37,18 +38,20 @@ from repro.cluster.lanes import (
     LaneKernel,
     LaneSpec,
     lane_mode,
-    lane_supported_scheduler,
     run_stream_lanes,
 )
+from repro.cluster.simulator import ClusterSimulator, SimulationConfig
+from repro.experiments import parallel
+from repro.experiments.common import evaluate_scheduler
 from repro.experiments.parallel import (
     _ARRIVAL_TABLE_CACHE,
     SCHEDULER_FACTORIES,
+    GridCell,
     GridTask,
+    build_scheduler,
     cached_arrival_table,
     cached_workload,
-    lane_supported,
     run_grid,
-    run_task,
 )
 
 LANE_KEYS = sorted(LANE_SCHEDULERS)
@@ -67,6 +70,47 @@ def make_task(scheduler="lru", workload="LO-Sim", seed=0, capacity=800.0):
                     pool_label="Lane", capacity_mb=float(capacity))
 
 
+def sequential_cell(task):
+    """The reference side: one ``ClusterSimulator.run`` of the cell."""
+    outcome = evaluate_scheduler(
+        build_scheduler(task.scheduler),
+        cached_workload(task.workload, task.seed),
+        task.capacity_mb,
+    )
+    return GridCell(task=task, method=outcome.method,
+                    summary=outcome.result.telemetry.summary())
+
+
+#: ``(n_functions, n_invocations)`` of the Azure-like test stream.
+STREAM_SHAPE = (30, 400)
+
+
+def azure_stream(seed):
+    """A fresh Azure-like test stream and its derived pool capacity."""
+    from repro.experiments.ext_stream_replay import (
+        derive_capacity_mb, trace_config,
+    )
+    from repro.workloads.azure import AzureTraceGenerator
+
+    generator = AzureTraceGenerator(trace_config(*STREAM_SHAPE))
+    stream = generator.stream(seed=seed)
+    return stream, derive_capacity_mb(stream)
+
+
+def run_stream_reference(scheduler, seed):
+    """The reference side of a stream cell: ``ClusterSimulator.run_stream``
+    with bounded telemetry; returns ``(method, summary)``."""
+    stream, capacity = azure_stream(seed)
+    driver = build_scheduler(scheduler)
+    sim = ClusterSimulator(
+        SimulationConfig(pool_capacity_mb=capacity, bounded_telemetry=True),
+        driver.make_eviction_policy()
+        if hasattr(driver, "make_eviction_policy") else None,
+    )
+    result = sim.run_stream(stream, driver)
+    return result.scheduler_name, result.summary()
+
+
 def lane_summary(task):
     """Run one cell on a single-lane kernel and return its summary."""
     table = cached_arrival_table(task.workload, task.seed)
@@ -78,15 +122,12 @@ def lane_summary(task):
 
 class TestRegistry:
     def test_every_registry_key_lane_supported(self):
-        """The whole scheduler registry runs in lanes -- no silent
-        sequential fallback is possible for a registry key."""
+        """The whole scheduler registry runs in lanes, each key in one
+        of the two lane modes."""
         assert set(LANE_SCHEDULERS) == set(SCHEDULER_FACTORIES)
         assert set(LANE_SCHEDULERS) == set(SCHEDULER_CLASS_NAMES)
         for key in SCHEDULER_FACTORIES:
-            assert lane_supported_scheduler(key)
-            assert lane_supported(make_task(key))
             assert lane_mode(key) in ("closed-form", "scripted")
-        assert not lane_supported_scheduler("nope")
 
     def test_lane_modes(self):
         assert lane_mode("lru") == "closed-form"
@@ -165,7 +206,7 @@ class TestArrivalTableCacheBound:
         """The per-process table memo cannot grow unboundedly across a
         large grid: inserts beyond the cap evict the LRU entry, hits
         refresh recency."""
-        monkeypatch.setenv("REPRO_ARRIVAL_TABLE_CACHE", "2")
+        monkeypatch.setattr(parallel, "ARRIVAL_TABLE_CACHE_CAP", 2)
         _ARRIVAL_TABLE_CACHE.clear()
         a = cached_arrival_table("LO-Sim", 0)
         cached_arrival_table("LO-Sim", 1)
@@ -181,8 +222,8 @@ class TestArrivalTableCacheBound:
             cached_arrival_table("HI-Var", seed)
             assert len(_ARRIVAL_TABLE_CACHE) <= 2
 
-    def test_default_cap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ARRIVAL_TABLE_CACHE", raising=False)
+    def test_default_cap(self):
+        assert parallel.ARRIVAL_TABLE_CACHE_CAP == 8
         _ARRIVAL_TABLE_CACHE.clear()
         for seed in range(10):
             cached_arrival_table("LO-Sim", seed)
@@ -193,7 +234,7 @@ class TestLaneParity:
     @pytest.mark.parametrize("scheduler", LANE_KEYS)
     def test_single_lane_matches_sequential(self, scheduler):
         task = make_task(scheduler)
-        sequential = run_task(task)
+        sequential = sequential_cell(task)
         result = lane_summary(task)
         assert result.method == sequential.method
         assert list(result.summary.items()) == list(
@@ -202,14 +243,14 @@ class TestLaneParity:
     @pytest.mark.parametrize("capacity", CAPACITIES)
     def test_capacity_edges(self, capacity):
         task = make_task("lru", capacity=capacity)
-        assert lane_summary(task).summary == run_task(task).summary
+        assert lane_summary(task).summary == sequential_cell(task).summary
 
     def test_prewarm_actions_replayed(self):
         """MPC's PrewarmRequest actions run inside the lane lifecycle:
         the pre-warm telemetry block must match exactly, not just the
         14 base keys."""
         task = make_task("mpc", workload="HI-Var")
-        sequential = run_task(task)
+        sequential = sequential_cell(task)
         result = lane_summary(task)
         assert sequential.summary.get("prewarms_issued", 0.0) > 0
         assert list(result.summary.items()) == list(
@@ -219,7 +260,7 @@ class TestLaneParity:
         """Pagurus's LendRequest actions run inside the lane lifecycle:
         the lending telemetry block must match exactly."""
         task = make_task("lending", workload="HI-Var", capacity=4000.0)
-        sequential = run_task(task)
+        sequential = sequential_cell(task)
         result = lane_summary(task)
         assert sequential.summary.get("lends_issued", 0.0) > 0
         assert list(result.summary.items()) == list(
@@ -236,7 +277,7 @@ class TestLaneParity:
         self, scheduler, workload, seed, capacity
     ):
         task = make_task(scheduler, workload, seed, capacity)
-        sequential = run_task(task)
+        sequential = sequential_cell(task)
         result = lane_summary(task)
         assert result.method == sequential.method
         assert list(result.summary.items()) == list(
@@ -253,7 +294,7 @@ class TestLaneParity:
         self, scheduler, workload, seed, capacity
     ):
         task = make_task(scheduler, workload, seed, capacity)
-        sequential = run_task(task)
+        sequential = sequential_cell(task)
         result = lane_summary(task)
         assert result.method == sequential.method
         assert list(result.summary.items()) == list(
@@ -274,7 +315,7 @@ class TestLaneParity:
     )
     def test_grid_parity_property(self, cells, lanes):
         tasks = [make_task(*cell) for cell in cells]
-        sequential = run_grid(tasks, jobs=1)
+        sequential = [sequential_cell(task) for task in tasks]
         laned = run_grid(tasks, jobs=1, lanes=lanes)
         assert [c.task for c in laned] == [c.task for c in sequential]
         for a, b in zip(laned, sequential):
@@ -283,39 +324,15 @@ class TestLaneParity:
 
 
 class TestStreamLanes:
-    STREAM_SHAPE = (30, 400)  # (n_functions, n_invocations)
-
-    def _sequential(self, scheduler, seed):
-        from repro.experiments.ext_stream_replay import (
-            StreamReplayTask, run_cell,
-        )
-
-        n_fn, n_inv = self.STREAM_SHAPE
-        return run_cell(StreamReplayTask(
-            scheduler=scheduler, seed=seed,
-            n_functions=n_fn, n_invocations=n_inv,
-        ))
-
-    def _stream(self, seed):
-        from repro.experiments.ext_stream_replay import (
-            derive_capacity_mb, trace_config,
-        )
-        from repro.workloads.azure import AzureTraceGenerator
-
-        n_fn, n_inv = self.STREAM_SHAPE
-        generator = AzureTraceGenerator(trace_config(n_fn, n_inv))
-        stream = generator.stream(seed=seed)
-        return stream, derive_capacity_mb(stream)
-
     @pytest.mark.parametrize("scheduler", LANE_KEYS)
     def test_stream_lane_matches_run_stream(self, scheduler):
         """One bounded lane per scheduler, byte-identical to the
         sequential ``run_stream`` cell (BoundedTelemetry folding)."""
-        cell = self._sequential(scheduler, seed=0)
-        stream, capacity = self._stream(seed=0)
+        method, summary = run_stream_reference(scheduler, seed=0)
+        stream, capacity = azure_stream(seed=0)
         [result] = run_stream_lanes([(scheduler, capacity)], stream)
-        assert result.method == cell.method
-        assert list(result.summary.items()) == list(cell.summary.items())
+        assert result.method == method
+        assert list(result.summary.items()) == list(summary.items())
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -327,19 +344,18 @@ class TestStreamLanes:
     def test_stream_lane_parity_property(self, schedulers, seed, chunk_size):
         """Many lanes sharing one stream, arbitrary chunk sizes (one
         arrival per chunk through larger-than-stream), exact parity."""
-        cells = [self._sequential(s, seed) for s in schedulers]
-        stream, capacity = self._stream(seed)
+        cells = [run_stream_reference(s, seed) for s in schedulers]
+        stream, capacity = azure_stream(seed)
         results = run_stream_lanes(
             [(s, capacity) for s in schedulers], stream,
             chunk_size=chunk_size,
         )
-        for cell, result in zip(cells, results):
-            assert result.method == cell.method
-            assert list(result.summary.items()) == list(
-                cell.summary.items())
+        for (method, summary), result in zip(cells, results):
+            assert result.method == method
+            assert list(result.summary.items()) == list(summary.items())
 
     def test_stream_lanes_rejects_unknown_scheduler(self):
-        stream, capacity = self._stream(seed=0)
+        stream, capacity = azure_stream(seed=0)
         with pytest.raises(KeyError):
             run_stream_lanes([("nope", capacity)], stream)
 
@@ -349,20 +365,19 @@ class TestRunGridIntegration:
         tasks = [make_task("lru"), make_task("faascache"),
                  make_task("greedy", seed=1), make_task("coldonly"),
                  make_task("zygote"), make_task("lookahead")]
-        sequential = run_grid(tasks, jobs=1)
-        laned = run_grid(tasks, jobs=1, lanes=3)
-        assert [c.summary for c in laned] == [c.summary for c in sequential]
+        sequential = [sequential_cell(task) for task in tasks]
+        for lanes in (1, 3):
+            laned = run_grid(tasks, jobs=1, lanes=lanes)
+            assert [c.summary for c in laned] == [
+                c.summary for c in sequential]
 
     def test_proactive_policies_run_in_lanes(self):
         """mpc/lending/offline cells are lane-lowered like every other
-        registry key -- no sequential fallback -- and stay byte-identical
-        to the sequential grid, proactive telemetry blocks included."""
-        for key in ("mpc", "lending", "offline"):
-            assert lane_supported(make_task(key))
-            assert lane_supported_scheduler(key)
+        registry key and stay byte-identical to the sequential simulator,
+        proactive telemetry blocks included."""
         tasks = [make_task("lru"), make_task("mpc"), make_task("lending"),
                  make_task("offline"), make_task("greedy", seed=1)]
-        sequential = run_grid(tasks, jobs=1)
+        sequential = [sequential_cell(task) for task in tasks]
         laned = run_grid(tasks, jobs=1, lanes=4)
         assert [c.method for c in laned] == [c.method for c in sequential]
         assert [list(c.summary.items()) for c in laned] == [
@@ -370,40 +385,51 @@ class TestRunGridIntegration:
 
     def test_unknown_scheduler_raises_instead_of_fallback(self):
         tasks = [make_task("lru"), make_task("definitely-not-a-scheduler")]
-        with pytest.raises(KeyError):
-            run_grid(tasks, jobs=1, lanes=2)
+        for lanes in (1, 2):
+            with pytest.raises(KeyError):
+                run_grid(tasks, jobs=1, lanes=lanes)
 
     def test_parallel_jobs_with_lanes(self):
         tasks = [make_task(s, seed=seed)
                  for seed in (0, 1) for s in ("lru", "keepalive", "greedy")]
-        sequential = run_grid(tasks, jobs=1)
-        fanned = run_grid(tasks, jobs=2, lanes=4)
-        assert [c.summary for c in fanned] == [c.summary for c in sequential]
+        sequential = [sequential_cell(task) for task in tasks]
+        for lanes in (1, 4):
+            fanned = run_grid(tasks, jobs=2, lanes=lanes)
+            assert [c.summary for c in fanned] == [
+                c.summary for c in sequential]
 
     def test_lane_batch_larger_than_grid(self):
         tasks = [make_task("lru"), make_task("greedy")]
         laned = run_grid(tasks, jobs=1, lanes=64)
         assert [c.summary for c in laned] == [
-            c.summary for c in run_grid(tasks, jobs=1)]
+            sequential_cell(task).summary for task in tasks]
 
     def test_stream_experiment_lanes_match(self):
-        """``repro experiment stream --lanes`` end to end: the grouped
-        lane path produces the same cells (and therefore the same
-        report) as the per-cell sequential path."""
+        """``repro experiment stream`` end to end: every lane grouping
+        produces the cells (and therefore the report) of per-cell
+        sequential ``run_stream`` replays."""
         from repro.experiments.ext_stream_replay import report, run
 
         class _Scale:
-            stream_functions = 30
-            stream_invocations = 400
+            stream_functions, stream_invocations = STREAM_SHAPE
 
-        sequential = run(_Scale(), schedulers=("lru", "mpc"), seeds=(0, 1))
-        laned = run(_Scale(), schedulers=("lru", "mpc"), seeds=(0, 1),
-                    lanes=4)
-        assert [c.task for c in laned.cells] == [
-            c.task for c in sequential.cells]
-        assert [list(c.summary.items()) for c in laned.cells] == [
-            list(c.summary.items()) for c in sequential.cells]
-        assert report(laned) == report(sequential)
+        schedulers, seeds = ("lru", "mpc"), (0, 1)
+        reference = [
+            run_stream_reference(key, seed)
+            for seed in seeds for key in schedulers
+        ]
+        reports = set()
+        for lanes in (1, 4):
+            laned = run(_Scale(), schedulers=schedulers, seeds=seeds,
+                        lanes=lanes)
+            assert [(c.task.scheduler, c.task.seed) for c in laned.cells] \
+                == [(key, seed) for seed in seeds for key in schedulers]
+            assert [(c.method, list(c.summary.items()))
+                    for c in laned.cells] == [
+                (method, list(summary.items()))
+                for method, summary in reference]
+            reports.add(report(laned))
+        assert len(reports) == 1
 
 
 class TestKernelValidation:

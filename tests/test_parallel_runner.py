@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.common import evaluate_scheduler
 from repro.experiments.parallel import (
     BASELINE_KEYS,
     GRID_KEYS,
@@ -9,9 +10,9 @@ from repro.experiments.parallel import (
     GridTask,
     SCHEDULER_FACTORIES,
     build_scheduler,
+    cached_workload,
     default_grid,
     run_grid,
-    run_task,
 )
 
 
@@ -44,9 +45,13 @@ class TestRegistry:
 class TestRunGrid:
     def test_serial_matches_single_task(self):
         task = small_tasks(schedulers=("lru",))[0]
-        cell = run_task(task)
+        sequential = evaluate_scheduler(
+            build_scheduler(task.scheduler),
+            cached_workload(task.workload, task.seed),
+            task.capacity_mb,
+        )
         [via_grid] = run_grid([task], jobs=1)
-        assert via_grid.summary == cell.summary
+        assert via_grid.summary == sequential.result.telemetry.summary()
         assert via_grid.method == "LRU"
         assert via_grid.task == task
 

@@ -53,14 +53,19 @@ from repro.workloads.fstartbench import build_workload
 TRACE_FORMAT_VERSION = 1
 
 #: The checked-in golden matrix: small, fast cells covering both a
-#: similarity extreme and a bursty arrival pattern across five scheduler
-#: families (exact-match LRU, multi-level greedy, fixed keep-alive, and
-#: the proactive MPC pre-warm / Pagurus lending policies, whose lend and
-#: pre-warm side effects must replay byte-identically too).
+#: similarity extreme and a bursty arrival pattern across eight scheduler
+#: families (exact-match LRU, multi-level greedy, fixed keep-alive, the
+#: proactive MPC pre-warm / Pagurus lending policies, whose lend and
+#: pre-warm side effects must replay byte-identically too, and the
+#: covering-zygote, delta-cost adoption and offline-Q rules, which pick
+#: differently from greedy on both workloads at the Tight pool).
 GOLDEN_MATRIX: Tuple[Tuple[str, str], ...] = tuple(
     (workload, scheduler)
     for workload in ("LO-Sim", "Peak")
-    for scheduler in ("lru", "greedy", "keepalive", "mpc", "lending")
+    for scheduler in (
+        "lru", "greedy", "keepalive", "mpc", "lending",
+        "zygote", "walways", "offline",
+    )
 )
 
 

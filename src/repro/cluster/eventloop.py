@@ -65,8 +65,7 @@ class VirtualClock:
     """Monotonic simulation clock: time advances, never rewinds.
 
     The deterministic :class:`TimeSource`: ``now`` is a plain float moved
-    only by :meth:`advance_to`.  This is byte-for-byte the historical
-    ``SimulationClock`` behaviour that the golden traces pin.
+    only by :meth:`advance_to` -- the behaviour the golden traces pin.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -77,11 +76,6 @@ class VirtualClock:
         if time > self.now:
             self.now = time
         return self.now
-
-
-#: Historical name of :class:`VirtualClock`, kept as an alias so existing
-#: imports and pickles keep working.
-SimulationClock = VirtualClock
 
 
 class WallClock:

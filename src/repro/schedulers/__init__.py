@@ -1,5 +1,9 @@
 """Container-reuse schedulers: the paper's comparison set.
 
+Reactive policies write their rule once, in ``decide_pool`` over the warm
+pool's match index; the simulator reaches it through ``decide`` and the
+lane kernel calls it directly.
+
 * :class:`ColdOnlyScheduler` -- always cold start (lower-bound sanity check).
 * :class:`KeepAliveScheduler` -- exact-configuration reuse, 10-minute TTL,
   reject-when-full (the public-cloud default).
@@ -22,6 +26,7 @@
 
 from repro.schedulers.base import (
     Decision,
+    ExactMatchScheduler,
     LendRequest,
     PrewarmRequest,
     Scheduler,
@@ -43,6 +48,7 @@ __all__ = [
     "Scheduler",
     "SchedulingContext",
     "Decision",
+    "ExactMatchScheduler",
     "PrewarmRequest",
     "LendRequest",
     "ColdOnlyScheduler",

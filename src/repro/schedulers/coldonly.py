@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.schedulers.base import Decision, Scheduler, SchedulingContext
+from repro.containers.costmodel import StartupCostModel
+from repro.schedulers.base import COLD, PoolDecision, Scheduler
+from repro.workloads.functions import FunctionSpec
 
 
 class ColdOnlyScheduler(Scheduler):
@@ -14,6 +16,8 @@ class ColdOnlyScheduler(Scheduler):
 
     name = "ColdOnly"
 
-    def decide(self, ctx: SchedulingContext) -> Decision:
-        """Choose a warm container (or cold start) for ``ctx.invocation``."""
-        return Decision.cold()
+    def decide_pool(
+        self, pool, spec: FunctionSpec, cost_model: StartupCostModel
+    ) -> PoolDecision:
+        """Always cold."""
+        return COLD

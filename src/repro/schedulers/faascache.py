@@ -9,10 +9,10 @@ cost and memory footprint.
 from __future__ import annotations
 
 from repro.cluster.eviction import FaasCacheEviction
-from repro.schedulers.base import Decision, Scheduler, SchedulingContext
+from repro.schedulers.base import ExactMatchScheduler
 
 
-class FaasCacheScheduler(Scheduler):
+class FaasCacheScheduler(ExactMatchScheduler):
     """Exact-match reuse paired with :class:`FaasCacheEviction`."""
 
     name = "FaasCache"
@@ -20,10 +20,3 @@ class FaasCacheScheduler(Scheduler):
     @staticmethod
     def make_eviction_policy() -> FaasCacheEviction:
         return FaasCacheEviction()
-
-    def decide(self, ctx: SchedulingContext) -> Decision:
-        """Choose a warm container (or cold start) for ``ctx.invocation``."""
-        exact = ctx.exact_matches()
-        if exact:
-            return Decision.warm(exact[0].container_id)
-        return Decision.cold()

@@ -10,7 +10,9 @@ Eviction is LRU, as in MLCR.
 from __future__ import annotations
 
 from repro.cluster.eviction import LRUEviction
-from repro.schedulers.base import Decision, Scheduler, SchedulingContext
+from repro.containers.costmodel import StartupCostModel
+from repro.schedulers.base import COLD, PoolDecision, Scheduler
+from repro.workloads.functions import FunctionSpec
 
 
 class GreedyMatchScheduler(Scheduler):
@@ -22,13 +24,11 @@ class GreedyMatchScheduler(Scheduler):
     def make_eviction_policy() -> LRUEviction:
         return LRUEviction()
 
-    def decide(self, ctx: SchedulingContext) -> Decision:
-        """Choose a warm container (or cold start) for ``ctx.invocation``.
-
-        Resolved through the pool match index (O(1) dict lookups) when the
-        context carries one; identical tie-breaking to the scan path.
-        """
-        container, level = ctx.best_candidate()
-        if level.is_reusable:
-            return Decision.warm(container.container_id)
-        return Decision.cold()
+    def decide_pool(
+        self, pool, spec: FunctionSpec, cost_model: StartupCostModel
+    ) -> PoolDecision:
+        """Deepest match at any level (MRU tie-break), else cold."""
+        container, level = pool.best_match(spec.image)
+        if container is None:
+            return COLD
+        return container, int(level), False

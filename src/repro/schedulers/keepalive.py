@@ -9,10 +9,10 @@ of newly finished containers are simply rejected.
 from __future__ import annotations
 
 from repro.cluster.eviction import RejectNewcomerEviction
-from repro.schedulers.base import Decision, Scheduler, SchedulingContext
+from repro.schedulers.base import ExactMatchScheduler
 
 
-class KeepAliveScheduler(Scheduler):
+class KeepAliveScheduler(ExactMatchScheduler):
     """Exact-match reuse with TTL keep-alive and reject-when-full."""
 
     name = "KeepAlive"
@@ -23,11 +23,3 @@ class KeepAliveScheduler(Scheduler):
     def make_eviction_policy(self) -> RejectNewcomerEviction:
         """The eviction policy this scheduler is designed to pair with."""
         return RejectNewcomerEviction(ttl_s=self.ttl_s)
-
-    def decide(self, ctx: SchedulingContext) -> Decision:
-        """Choose a warm container (or cold start) for ``ctx.invocation``."""
-        exact = ctx.exact_matches()
-        if exact:
-            # Most-recently-used exact match (exact_matches is MRU-first).
-            return Decision.warm(exact[0].container_id)
-        return Decision.cold()

@@ -1,8 +1,9 @@
 """Pagurus-style inter-function container lending (arXiv:2108.11240).
 
-Reactive half: deepest-match greedy reuse, byte-identical to
-:class:`~repro.schedulers.greedy.GreedyMatchScheduler` (the
-``lend_budget_zero_vs_greedy`` differential oracle pins this).
+Reactive half: the deepest-match rule inherited from
+:class:`~repro.schedulers.greedy.GreedyMatchScheduler`, so budget 0 is
+byte-identical to it (the ``lend_budget_zero_vs_greedy`` differential
+oracle pins this).
 
 Proactive half: when an arrival misses an exact match, an idle "helper"
 container that has sat unused past ``help_threshold_s`` is re-specialized
@@ -18,18 +19,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cluster.eviction import LRUEviction
 from repro.containers.container import Container
 from repro.containers.matching import MatchLevel
-from repro.schedulers.base import (
-    Decision,
-    LendRequest,
-    Scheduler,
-    SchedulingContext,
-)
+from repro.schedulers.base import Decision, LendRequest, SchedulingContext
+from repro.schedulers.greedy import GreedyMatchScheduler
 
 
-class PagurusLendingScheduler(Scheduler):
+class PagurusLendingScheduler(GreedyMatchScheduler):
     """Greedy multi-level reuse plus idle-container lending.
 
     Parameters
@@ -62,24 +58,17 @@ class PagurusLendingScheduler(Scheduler):
         """Restore the full lending budget for a fresh run."""
         self._lends_used = 0
 
-    @staticmethod
-    def make_eviction_policy() -> LRUEviction:
-        """LRU, matching the greedy baseline's pairing."""
-        return LRUEviction()
-
     def decide(self, ctx: SchedulingContext) -> Decision:
         """Greedy deepest-match reuse, plus a lend toward this function
         when the hit was inexact and a donor is available."""
-        container, level = ctx.best_candidate()
-        decision = (
-            Decision.warm(container.container_id)
-            if level.is_reusable
-            else Decision.cold()
+        container, match, _preserve = self.decide_pool(
+            ctx.pool, ctx.invocation.spec, ctx.cost_model
         )
-        if (
-            self._lends_used >= self.lend_budget
-            or level is MatchLevel.L3
-        ):
+        decision = (
+            Decision.cold() if container is None
+            else Decision.warm(container.container_id)
+        )
+        if self._lends_used >= self.lend_budget or match == MatchLevel.L3:
             # Exact hit: nothing to improve for this function right now.
             return decision
         donor = self._pick_donor(ctx, decision)

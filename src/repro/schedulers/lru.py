@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from repro.cluster.eviction import LRUEviction
-from repro.schedulers.base import Decision, Scheduler, SchedulingContext
+from repro.schedulers.base import ExactMatchScheduler
 
 
-class LRUScheduler(Scheduler):
+class LRUScheduler(ExactMatchScheduler):
     """Reuse a warm container only on a full configuration match.
 
     Finished containers are kept in the pool; when the pool is full the
@@ -19,10 +19,3 @@ class LRUScheduler(Scheduler):
     @staticmethod
     def make_eviction_policy() -> LRUEviction:
         return LRUEviction()
-
-    def decide(self, ctx: SchedulingContext) -> Decision:
-        """Choose a warm container (or cold start) for ``ctx.invocation``."""
-        exact = ctx.exact_matches()
-        if exact:
-            return Decision.warm(exact[0].container_id)
-        return Decision.cold()

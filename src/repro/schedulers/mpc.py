@@ -1,8 +1,10 @@
 """Model-predictive pre-warm scheduler (Taming Cold Starts, arXiv:2508.07640).
 
-Reactive half: exact-match keep-alive reuse, byte-identical to
-:class:`~repro.schedulers.keepalive.KeepAliveScheduler` (the
-``mpc_forecast_off_vs_keepalive`` differential oracle pins this).
+Reactive half: the exact-match rule of
+:class:`~repro.schedulers.base.ExactMatchScheduler`, shared with
+:class:`~repro.schedulers.keepalive.KeepAliveScheduler`, so forecast-off
+runs are byte-identical to it (the ``mpc_forecast_off_vs_keepalive``
+differential oracle pins this).
 
 Proactive half: a sliding per-function EWMA over inter-arrival gaps
 forecasts each function's next arrival; every decision re-solves a
@@ -23,8 +25,8 @@ from repro.cluster.eviction import EvictionPolicy, RejectNewcomerEviction
 from repro.containers.image import FunctionImage
 from repro.schedulers.base import (
     Decision,
+    ExactMatchScheduler,
     PrewarmRequest,
-    Scheduler,
     SchedulingContext,
 )
 
@@ -73,7 +75,7 @@ class ArrivalForecaster:
         self._ewma_gap.clear()
 
 
-class MPCScheduler(Scheduler):
+class MPCScheduler(ExactMatchScheduler):
     """Receding-horizon pre-warming on top of keep-alive reuse.
 
     Parameters
@@ -135,10 +137,7 @@ class MPCScheduler(Scheduler):
         spec = ctx.invocation.spec
         self._images[spec.name] = spec.image
         self.forecaster.observe(spec.name, ctx.invocation.arrival_time)
-        exact = ctx.exact_matches()
-        decision = (
-            Decision.warm(exact[0].container_id) if exact else Decision.cold()
-        )
+        decision = super().decide(ctx)
         if not self.forecast or self.prewarm_budget == 0:
             return decision
         plan = self._plan(ctx, decision)
@@ -176,14 +175,7 @@ class MPCScheduler(Scheduler):
     ) -> bool:
         """Whether an idle exact match for ``image`` will remain pooled
         (excluding the container this decision is about to claim)."""
-        if ctx.pool is not None:
-            candidates = ctx.pool.exact_matches(image)
-        else:
-            fingerprints = image.fingerprints
-            candidates = [
-                c for c in ctx.idle_containers
-                if c.image.fingerprints == fingerprints
-            ]
         return any(
-            c.container_id != decision.container_id for c in candidates
+            c.container_id != decision.container_id
+            for c in ctx.pool.exact_matches(image)
         )

@@ -4,30 +4,59 @@
 :class:`~repro.drl.offline.OfflineQPolicy` (fitted by
 :func:`~repro.drl.offline.fit_from_traces` from golden-trace /
 serve-recording JSONL), masks out actions with no idle candidate at that
-match level, and picks the arg-max action with the same
-:func:`~repro.drl.dqn.masked_argmax` used by the PR-3 DQN stack.  For
+match level, and picks the arg-max action with the first-maximum
+tie-break of :func:`~repro.drl.dqn.masked_argmax`.  For
 functions the data never covered -- or before any policy is attached --
 it falls back to the greedy deepest-match rule, so the registry's no-arg
 construction is always valid.
 
 When built without an explicit policy, :meth:`observe_workload`
-bootstraps one from the workload itself: a greedy reference rollout on an
-unbounded pool is recorded in memory and fitted, so experiment-grid cells
-genuinely train from traces (deterministically -- same workload, same
-rollout, same policy) without any filesystem coupling.
+bootstraps one from the workload itself (:func:`bootstrap_policy`): a
+greedy reference rollout on an unbounded pool is recorded in memory and
+fitted, so experiment-grid cells genuinely train from traces
+(deterministically -- same workload, same rollout, same policy) without
+any filesystem coupling.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+import math
+from typing import Dict, Optional
 
 from repro.cluster.eviction import LRUEviction
+from repro.containers.costmodel import StartupCostModel
 from repro.containers.matching import MatchLevel
-from repro.drl.dqn import masked_argmax
 from repro.drl.offline import OfflineQPolicy
-from repro.schedulers.base import Decision, Scheduler, SchedulingContext
+from repro.schedulers.base import COLD, PoolDecision, Scheduler
+from repro.workloads.functions import FunctionSpec
+from repro.workloads.workload import Workload
+
+#: Table-I levels by action index (action 0 is the cold start).
+_LEVELS = tuple(MatchLevel)
+
+_MISSING = object()
+
+
+def bootstrap_policy(workload: Workload) -> OfflineQPolicy:
+    """The policy a greedy reference rollout of ``workload`` fits to.
+
+    Runs the greedy baseline over ``workload`` on an unbounded pool and
+    fits its decision lines (:func:`~repro.drl.offline.fit_from_traces`).
+    Deterministic: the same workload always yields the same policy.
+    """
+    # Deferred imports: schedulers must stay importable without dragging
+    # the full cluster stack in at package-import time.
+    from repro.cluster.simulator import ClusterSimulator, SimulationConfig
+    from repro.drl.offline import fit_from_traces, trace_lines_from_result
+    from repro.schedulers.greedy import GreedyMatchScheduler
+
+    reference = GreedyMatchScheduler()
+    sim = ClusterSimulator(
+        SimulationConfig(pool_capacity_mb=float("inf")),
+        reference.make_eviction_policy(),
+    )
+    result = sim.run(workload, reference)
+    return fit_from_traces([trace_lines_from_result(result)])
 
 
 class OfflineQScheduler(Scheduler):
@@ -50,6 +79,18 @@ class OfflineQScheduler(Scheduler):
         # not overwrite it (serving a trained checkpoint must not retrain).
         self._policy_pinned = policy is not None
 
+    @property
+    def policy(self) -> Optional[OfflineQPolicy]:
+        """The served Q-policy (None: greedy fallback)."""
+        return self._policy
+
+    @policy.setter
+    def policy(self, policy: Optional[OfflineQPolicy]) -> None:
+        self._policy = policy
+        # Per-function Q-rows, NaN cells resolved to None; None for a
+        # function the policy never saw.
+        self._rows: Dict[str, Optional[tuple]] = {}
+
     def reset(self) -> None:
         """Drop any bootstrapped policy (pinned checkpoints survive)."""
         if not self._policy_pinned:
@@ -60,62 +101,55 @@ class OfflineQScheduler(Scheduler):
         """LRU, like the other multi-level-reuse policies."""
         return LRUEviction()
 
-    def observe_workload(self, workload) -> None:
+    def observe_workload(self, workload: Workload) -> None:
         """Bootstrap a policy from a greedy reference rollout (offline).
 
-        No-op when a policy was supplied at construction.  The rollout
-        runs the greedy baseline over ``workload`` on an unbounded pool;
-        its decision lines become the offline dataset.
+        No-op when a policy was supplied at construction.
         """
         if self._policy_pinned:
             return
-        # Deferred imports: schedulers must stay importable without
-        # dragging the full cluster stack in at package-import time.
-        from repro.cluster.simulator import ClusterSimulator, SimulationConfig
-        from repro.drl.offline import fit_from_traces, trace_lines_from_result
-        from repro.schedulers.greedy import GreedyMatchScheduler
+        self.policy = bootstrap_policy(workload)
 
-        reference = GreedyMatchScheduler()
-        sim = ClusterSimulator(
-            SimulationConfig(pool_capacity_mb=float("inf")),
-            reference.make_eviction_policy(),
-        )
-        result = sim.run(workload, reference)
-        self.policy = fit_from_traces([trace_lines_from_result(result)])
+    def decide_pool(
+        self, pool, spec: FunctionSpec, cost_model: StartupCostModel
+    ) -> PoolDecision:
+        """Masked arg-max over the function's Q-row; greedy fallback.
 
-    def decide(self, ctx: SchedulingContext) -> Decision:
-        """Masked arg-max over the function's Q-row; greedy fallback."""
-        if self.policy is None:
-            return self._fallback(ctx)
-        qvals = self.policy.action_values(ctx.invocation.spec.name)
-        if qvals is None:
-            return self._fallback(ctx)
-        counts = ctx.match_counts()
-        available = np.array([
-            True,  # cold start is always available
-            counts[MatchLevel.L1] > 0,
-            counts[MatchLevel.L2] > 0,
-            counts[MatchLevel.L3] > 0,
-        ])
-        mask = available & ~np.isnan(qvals)
-        if not mask.any():
-            return self._fallback(ctx)
-        q = np.where(np.isnan(qvals), -np.inf, qvals)
-        action = int(masked_argmax(q[None, :], mask[None, :])[0])
-        if action == 0:
-            return Decision.cold()
-        level = MatchLevel(action)
-        for container, match in ctx.reusable_containers():
-            if match is level:
-                return Decision.warm(container.container_id)
-        # Unreachable while match_counts and reusable_containers agree;
-        # degrade safely rather than raise inside a decision.
-        return self._fallback(ctx)  # pragma: no cover
-
-    @staticmethod
-    def _fallback(ctx: SchedulingContext) -> Decision:
-        """Greedy deepest-match rule (untrained / unseen-function path)."""
-        container, level = ctx.best_candidate()
-        if level.is_reusable:
-            return Decision.warm(container.container_id)
-        return Decision.cold()
+        Actions are cold start and L1/L2/L3 reuse; a reuse action is
+        available when an idle container matches at exactly that level,
+        and a NaN Q-value masks its action.  The first maximum wins (the
+        :func:`~repro.drl.dqn.masked_argmax` tie-break), and the MRU
+        container at the chosen level serves it.  Untrained, unseen or
+        fully-masked functions fall back to greedy deepest-match.
+        """
+        image = spec.image
+        if self._policy is not None:
+            row = self._rows.get(spec.name, _MISSING)
+            if row is _MISSING:
+                qvals = self._policy.action_values(spec.name)
+                row = self._rows[spec.name] = (
+                    None if qvals is None else tuple(
+                        None if math.isnan(v) else float(v) for v in qvals
+                    )
+                )
+            if row is not None:
+                counts = pool.match_depth_counts(image)
+                best_a = -1
+                best_v = -math.inf
+                for a in range(4):
+                    v = row[a]
+                    if v is None or (a and not counts[a]):
+                        continue
+                    if v > best_v:
+                        best_v = v
+                        best_a = a
+                if best_a == 0:
+                    return COLD
+                if best_a > 0:
+                    container = pool.best_at_level(image, _LEVELS[best_a])
+                    if container is not None:
+                        return container, best_a, False
+        container, level = pool.best_match(image)
+        if container is None:
+            return COLD
+        return container, int(level), False

@@ -14,10 +14,15 @@ the matcher with adversarial adoption behaviour.
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Dict, Tuple
 
 from repro.cluster.eviction import LRUEviction
-from repro.schedulers.base import Decision, Scheduler, SchedulingContext
+from repro.cluster.pool import _mru_key
+from repro.containers.costmodel import StartupCostModel
+from repro.containers.matching import MatchLevel, match_level
+from repro.schedulers.base import COLD, PoolDecision, Scheduler
+from repro.workloads.functions import FunctionSpec
 
 
 class AlwaysAdoptScheduler(Scheduler):
@@ -25,24 +30,60 @@ class AlwaysAdoptScheduler(Scheduler):
 
     name = "W-AlwaysAdopt"
 
+    def __init__(self) -> None:
+        # Per cost model: (delta costs keyed on (function fingerprints,
+        # function_init_s, container fingerprints), cold latencies keyed
+        # on (function fingerprints, function_init_s)).  Sound because
+        # both costs depend only on the images' package sets, which
+        # interned fingerprints determine exactly.
+        self._memos: Dict[StartupCostModel, Tuple[dict, dict]] = {}
+
+    def reset(self) -> None:
+        """Drop the cost memos."""
+        self._memos.clear()
+
     @staticmethod
     def make_eviction_policy() -> LRUEviction:
         return LRUEviction()
 
-    def decide(self, ctx: SchedulingContext) -> Decision:
-        """Choose a warm container (or cold start) for ``ctx.invocation``."""
-        spec = ctx.invocation.spec
-        best_id: Optional[int] = None
-        best_cost = float("inf")
-        for container in ctx.idle_containers:
-            if container.image.os_packages != spec.image.os_packages:
-                continue
-            cost = ctx.cost_model.delta_breakdown(
-                spec.image, container.image, spec.function_init_s
-            ).total_s
+    def decide_pool(
+        self, pool, spec: FunctionSpec, cost_model: StartupCostModel
+    ) -> PoolDecision:
+        """Cheapest same-OS delta cost, adopted only when it beats the
+        cold-start latency.
+
+        Candidates are visited least-recently-used first with a strict
+        ``<``, so the first minimizer in LRU order wins.
+        """
+        image = spec.image
+        candidates = pool.match_candidates(image, MatchLevel.L1)
+        if not candidates:
+            return COLD
+        if len(candidates) > 1:
+            candidates.sort(key=_mru_key)
+        memos = self._memos.get(cost_model)
+        if memos is None:
+            memos = self._memos[cost_model] = ({}, {})
+        deltas, colds = memos
+        fps = image.fingerprints
+        finit = spec.function_init_s
+        best = None
+        best_cost = math.inf
+        for c in candidates:
+            key = (fps, finit, c.image.fingerprints)
+            cost = deltas.get(key)
+            if cost is None:
+                cost = deltas[key] = cost_model.delta_breakdown(
+                    image, c.image, finit
+                ).total_s
             if cost < best_cost:
                 best_cost = cost
-                best_id = container.container_id
-        if best_id is not None and best_cost < ctx.estimated_latency(None):
-            return Decision.warm(best_id)
-        return Decision.cold()
+                best = c
+        cold = colds.get((fps, finit))
+        if cold is None:
+            cold = colds[fps, finit] = cost_model.latency_s(
+                image, MatchLevel.NO_MATCH, finit
+            )
+        if best_cost < cold:
+            return best, int(match_level(image, best.image)), False
+        return COLD

@@ -32,7 +32,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.lanes import (
-    LANE_SCHEDULERS,
     SCHEDULER_CLASS_NAMES,
     ArrivalTable,
     LaneKernel,
@@ -54,12 +53,12 @@ from repro.experiments.parallel import (
     run_grid,
 )
 
-LANE_KEYS = sorted(LANE_SCHEDULERS)
+LANE_KEYS = sorted(SCHEDULER_CLASS_NAMES)
 CLOSED_FORM_KEYS = sorted(
-    k for k in LANE_SCHEDULERS if lane_mode(k) == "closed-form"
+    k for k in SCHEDULER_CLASS_NAMES if lane_mode(k) == "closed-form"
 )
 SCRIPTED_KEYS = sorted(
-    k for k in LANE_SCHEDULERS if lane_mode(k) == "scripted"
+    k for k in SCHEDULER_CLASS_NAMES if lane_mode(k) == "scripted"
 )
 WORKLOADS = ("LO-Sim", "HI-Var")
 CAPACITIES = (0.0, 300.0, 800.0, 4000.0, float("inf"))
@@ -124,8 +123,7 @@ class TestRegistry:
     def test_every_registry_key_lane_supported(self):
         """The whole scheduler registry runs in lanes, each key in one
         of the two lane modes."""
-        assert set(LANE_SCHEDULERS) == set(SCHEDULER_FACTORIES)
-        assert set(LANE_SCHEDULERS) == set(SCHEDULER_CLASS_NAMES)
+        assert set(SCHEDULER_CLASS_NAMES) == set(SCHEDULER_FACTORIES)
         for key in SCHEDULER_FACTORIES:
             assert lane_mode(key) in ("closed-form", "scripted")
 
@@ -134,12 +132,19 @@ class TestRegistry:
         assert lane_mode("zygote") == "closed-form"
         assert lane_mode("walways") == "closed-form"
         assert lane_mode("offline") == "closed-form"
-        assert lane_mode("faascache") == "scripted"
+        assert lane_mode("faascache") == "closed-form"
         assert lane_mode("mpc") == "scripted"
         assert lane_mode("lending") == "scripted"
         assert lane_mode("lookahead") == "scripted"
         with pytest.raises(KeyError):
             lane_mode("nope")
+
+    def test_each_rule_written_once(self):
+        """No registry class writes both a ``decide`` and a
+        ``decide_pool``: a reactive rule lives in ``decide_pool`` only."""
+        for key in SCHEDULER_CLASS_NAMES:
+            own = set(vars(type(build_scheduler(key))))
+            assert not {"decide", "decide_pool"} <= own, key
 
 
 class TestArrivalTable:

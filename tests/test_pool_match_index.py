@@ -47,6 +47,39 @@ def assert_index_consistent(pool, images):
         assert container is expected_container
 
 
+def scan_best_at_level(pool, image, level):
+    """Brute-force MRU container matching at exactly ``level``."""
+    at_level = [
+        c for c in pool.containers() if match_level(image, c.image) is level
+    ]
+    return max(
+        at_level, key=lambda c: (c.last_used_at, c.container_id),
+        default=None,
+    )
+
+
+def assert_level_queries_consistent(pool, images):
+    """``best_exact`` / ``best_at_level`` / ``match_candidates`` equal
+    brute-force scans for every probe image and level."""
+    for image in images:
+        assert pool.best_exact(image) is scan_best_at_level(
+            pool, image, MatchLevel.L3
+        )
+        for level in (MatchLevel.L1, MatchLevel.L2, MatchLevel.L3):
+            assert pool.best_at_level(image, level) is scan_best_at_level(
+                pool, image, level
+            )
+        for level in MatchLevel:
+            expected = sorted(
+                c.container_id for c in pool.containers()
+                if match_level(image, c.image) >= level
+            )
+            got = sorted(
+                c.container_id for c in pool.match_candidates(image, level)
+            )
+            assert got == expected
+
+
 def make_probe_images():
     return [
         make_image("p-full"),
@@ -155,9 +188,19 @@ class TestPoolSetIndex:
                                      last_used_at=float(i)),
                       shard_index=i)
         assert_index_consistent(pools, probes)
+        assert_level_queries_consistent(pools, probes)
         for i in (2, 5, 9):
             pools.remove(i)
         assert_index_consistent(pools, probes)
+        assert_level_queries_consistent(pools, probes)
+        # Equal recency on different shards: the merged MRU pick breaks
+        # the tie on container id, like the scan.
+        for i in range(12, 20):
+            pools.add(make_container(i, image=variants[i % 4],
+                                     last_used_at=20.0),
+                      shard_index=i)
+        assert_index_consistent(pools, probes)
+        assert_level_queries_consistent(pools, probes)
 
     def test_sharded_expiry_pops_shard_map(self):
         pools = PoolSet(capacity_mb=float("inf"), n_shards=2)

@@ -7,7 +7,6 @@ from repro.cluster import (
     ClusterSimulator,
     Decision,
     EventLoop,
-    SimulationClock,
     SimulationConfig,
     TimeSource,
     VirtualClock,
@@ -42,10 +41,6 @@ class TestVirtualClock:
         clock = VirtualClock(start=10.0)
         assert clock.advance_to(4.0) == 10.0
         assert clock.now == 10.0
-
-    def test_simulation_clock_alias(self):
-        # The historical name must keep working (and keep behavior).
-        assert SimulationClock is VirtualClock
 
     def test_satisfies_protocol(self):
         assert isinstance(VirtualClock(), TimeSource)

@@ -46,6 +46,7 @@ from repro.cluster.lanes import (
     ArrivalTable,
     LaneKernel,
     LaneSpec,
+    scheduler_class,
 )
 from repro.experiments.cache import ExperimentCache, pool_sizes_cached
 from repro.experiments.common import ExperimentScale
@@ -69,15 +70,7 @@ GRID_KEYS: Tuple[str, ...] = BASELINE_KEYS + ("mpc", "lending", "offline")
 
 def build_scheduler(key: str):
     """Instantiate a scheduler from its registry ``key``."""
-    import repro.schedulers as schedulers
-
-    try:
-        class_name = SCHEDULER_FACTORIES[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown scheduler {key!r}; choose from {sorted(SCHEDULER_FACTORIES)}"
-        ) from None
-    return getattr(schedulers, class_name)()
+    return scheduler_class(key)()
 
 
 @dataclass(frozen=True)

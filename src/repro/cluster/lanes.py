@@ -29,11 +29,15 @@ struct-of-arrays kernel:
   the lane's warm-pool match index and the decision is applied.
   :meth:`LaneKernel.run` replays each lane once; :func:`run_stream_lanes`
   replays each lane once per stream chunk.
-* **Shared pool semantics** -- each lane reuses the *real*
+* **Shared pool semantics** -- each lane *is* a
+  :class:`~repro.cluster.lifecycle.PoolLifecycle`, the pool-side container
+  bookkeeping the sequential :class:`~repro.cluster.lifecycle.\
+ContainerLifecycle` extends, running on a real
   :class:`~repro.cluster.pool.WarmPool` and
-  :class:`~repro.cluster.eviction.EvictionPolicy` objects, so eviction
-  ordering, TTL expiry, capacity accounting and peak tracking are identical
-  to the sequential simulator by construction, not by reimplementation.
+  :class:`~repro.cluster.eviction.EvictionPolicy`.  Create, claim, repack,
+  keep-alive and eviction, TTL expiry, destroy, pre-warm and lend, live
+  memory and the scalar :class:`~repro.cluster.telemetry.Counters` are
+  therefore one implementation on both engines, not a reimplementation.
 
 Every scheduler registry key (:data:`SCHEDULER_CLASS_NAMES`) runs in a lane.
 Each lane builds its registry scheduler and decides through one of two
@@ -89,18 +93,15 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.eviction import EvictionPolicy, LRUEviction
+from repro.cluster.eviction import EvictionPolicy
+from repro.cluster.lifecycle import PoolLifecycle
 from repro.cluster.pool import WarmPool, _mru_key
 from repro.cluster.sketches import QuantileSketch
-from repro.cluster.telemetry import column_percentiles, summary_fold
+from repro.cluster.telemetry import Counters, column_percentiles, summary_fold
 from repro.containers.container import Container, ContainerState
 from repro.containers.costmodel import StartupCostModel
-from repro.containers.matching import MatchLevel, match_level
-from repro.schedulers.base import (
-    PrewarmRequest,
-    SchedulingContext,
-    decides_by_pool_rule,
-)
+from repro.containers.matching import MatchLevel
+from repro.schedulers.base import SchedulingContext, decides_by_pool_rule
 from repro.workloads.workload import Invocation, Workload
 
 __all__ = [
@@ -337,32 +338,27 @@ class LaneResult:
     summary: Dict[str, float]
 
 
-class _Lane:
-    """Mutable per-lane simulation state (pool, heap, counters).
+class _Lane(PoolLifecycle):
+    """One lane: a :class:`~repro.cluster.lifecycle.PoolLifecycle` on its
+    own warm pool, plus the lane's scheduler, completion heap and latency
+    fold.
 
-    Only the fields the summary depends on are simulated; containers are
+    Create, claim, repack, keep-alive, TTL expiry, destroy, pre-warm and
+    lend are the shared pool bookkeeping the sequential lifecycle runs
+    too; the lane's counters go to its own
+    :class:`~repro.cluster.telemetry.Counters` record.  Containers are
     real :class:`~repro.containers.container.Container` objects (the pool
-    and eviction policies read their id, image, recency and idle state) but
-    the checked state-machine transitions, cleaner, volumes and placement
-    bookkeeping of the sequential lifecycle -- none of which influence a
+    and eviction policies read their id, image, recency and idle state),
+    but the checked state-machine transitions, cleaner, volumes and
+    placement of the sequential lifecycle -- none of which influence a
     summary under the supported configuration -- are skipped.
     """
 
     __slots__ = (
-        "table", "method", "scheduler", "rule", "eviction", "on_start",
-        "ttl_s", "pool", "next_cid", "live_mb", "peak_live_memory_mb",
-        "cold", "evictions", "keep_alive_rejections", "ttl_expirations",
+        "table", "method", "scheduler", "rule", "on_start", "cold",
         "latencies", "heap", "seq", "bounded", "lat_n", "lat_total",
-        "lat_sketch", "prewarmed", "lent", "prewarms_issued",
-        "prewarm_reuses", "prewarm_wasted", "lends_issued", "lend_reuses",
+        "lat_sketch",
     )
-
-    #: Summary counters the lane never increments: lanes run with faults
-    #: off and without a distilled-policy audit.
-    container_crashes = 0
-    stragglers = 0
-    surrogate_audits = 0
-    surrogate_disagreements = 0
 
     def __init__(self, spec: LaneSpec) -> None:
         from repro.schedulers.offline import OfflineQScheduler
@@ -385,29 +381,18 @@ class _Lane:
             scheduler.decide_pool if decides_by_pool_rule(cls) else None
         )
         self.method = scheduler.name
-        self.eviction = (
-            scheduler.make_eviction_policy()
-            if hasattr(scheduler, "make_eviction_policy")
-            else LRUEviction()
-        )
+        eviction = scheduler.make_eviction_policy()
+        super().__init__(WarmPool(spec.capacity_mb), eviction, Counters())
         # Bind the start hook only when the policy actually overrides the
         # base no-op (FaasCache's greedy-dual statistics); other lanes then
         # skip the per-arrival call entirely.
         self.on_start = (
-            self.eviction.on_function_start
-            if type(self.eviction).on_function_start
+            eviction.on_function_start
+            if type(eviction).on_function_start
             is not EvictionPolicy.on_function_start
             else None
         )
-        self.ttl_s = self.eviction.ttl_s
-        self.pool = WarmPool(spec.capacity_mb)
-        self.next_cid = 1           # mirrors lifecycle's itertools.count(1)
-        self.live_mb = 0.0
-        self.peak_live_memory_mb = 0.0
         self.cold = 0
-        self.evictions = 0
-        self.keep_alive_rejections = 0
-        self.ttl_expirations = 0
         self.bounded = spec.bounded
         if spec.bounded:
             self.latencies = None
@@ -419,15 +404,6 @@ class _Lane:
             self.lat_n = 0
             self.lat_total = 0.0
             self.lat_sketch = None
-        # Proactive-action bookkeeping, mirroring ContainerLifecycle's:
-        # pre-warmed ids awaiting first claim, lent ids -> target function.
-        self.prewarmed: set = set()
-        self.lent: Dict[int, str] = {}
-        self.prewarms_issued = 0
-        self.prewarm_reuses = 0
-        self.prewarm_wasted = 0
-        self.lends_issued = 0
-        self.lend_reuses = 0
         # Completion heap: (time, seq, kind, container, exec_s).  All
         # completions share event priority 1, so (time, seq) alone orders
         # them exactly as the sequential queue does; only *relative* seq
@@ -438,39 +414,6 @@ class _Lane:
         self.seq = table.n if table is not None else 0
 
     # -- event handling ------------------------------------------------------
-    def _forget(self, container: Container) -> None:
-        """Destroy-side bookkeeping (live memory, pre-warm/lend counters)."""
-        self.live_mb = max(0.0, self.live_mb - container.image.memory_mb)
-        cid = container.container_id
-        if self.prewarmed and cid in self.prewarmed:
-            self.prewarmed.discard(cid)
-            self.prewarm_wasted += 1
-        if self.lent:
-            self.lent.pop(cid, None)
-
-    def _sweep(self, now: float) -> None:
-        """Expire pooled containers idle past the TTL (per-pop sweep)."""
-        expired = self.pool.expire_older_than(now - self.ttl_s)
-        if expired:
-            self.ttl_expirations += len(expired)
-            for container in expired:
-                self._forget(container)
-
-    def _keep_alive(self, container: Container, now: float) -> None:
-        """Pool a finished container through the eviction policy."""
-        victims = self.eviction.select_victims(self.pool, container, now)
-        if victims is None:
-            self.keep_alive_rejections += 1
-            self._forget(container)
-            return
-        if victims:
-            self.evictions += len(victims)
-            pool_remove = self.pool.remove
-            for victim in victims:
-                pool_remove(victim.container_id)
-                self._forget(victim)
-        self.pool.add(container)
-
     def drain_until(self, t: float) -> None:
         """Handle every completion strictly before ``t`` (the next arrival).
 
@@ -479,11 +422,11 @@ class _Lane:
         handling, mirroring ``EventLoop.pop_next``.
         """
         heap = self.heap
-        ttl_active = self.ttl_s is not None
+        ttl_active = self.eviction.ttl_s is not None
         while heap and heap[0][0] < t:
             time, _seq, kind, container, exec_s = heapq.heappop(heap)
             if ttl_active and len(self.pool):
-                self._sweep(time)
+                self.expire_ttl(time)
             if kind == _STARTUP_DONE:
                 heapq.heappush(
                     heap,
@@ -493,7 +436,7 @@ class _Lane:
             else:
                 container.state = ContainerState.IDLE
                 container.last_used_at = time
-                self._keep_alive(container, time)
+                self.keep_alive(container, time)
 
     def replay(self, table: ArrivalTable) -> None:
         """Bind ``table`` and replay every arrival in it, in order.
@@ -509,7 +452,7 @@ class _Lane:
         drain_until = self.drain_until
         apply = self.apply
         pool = self.pool
-        sweep = self._sweep if self.ttl_s is not None else None
+        sweep = self.expire_ttl if self.eviction.ttl_s is not None else None
         rule = self.rule
         specs = table.specs
         cost_model = table.cost_model
@@ -543,7 +486,9 @@ class _Lane:
         lane's own pool behind the index-backed helpers.  ``worker_loads``
         / ``queue_depths`` stay empty -- no registry scheduler reads them
         (they are only populated under admission control, which lanes do
-        not support).
+        not support).  A warm decision is validated as the sequential
+        claim validates it (:class:`~repro.cluster.lifecycle.\
+InvalidDecisionError` on an unknown id or a NO_MATCH container).
         """
         table = self.table
         pool = self.pool
@@ -566,9 +511,8 @@ class _Lane:
         decision = self.scheduler.decide(ctx)
         if decision.container_id is None:
             return None, 0, False, decision.actions
-        container = pool.get(decision.container_id)
-        match = int(match_level(spec.image, container.image))
-        return container, match, decision.preserve_image, decision.actions
+        container, match = self.check_decision(decision.container_id, spec)
+        return container, int(match), decision.preserve_image, decision.actions
 
     # -- application ---------------------------------------------------------
     def apply(
@@ -585,33 +529,17 @@ class _Lane:
         table = self.table
         spec = table.specs[fn]
         if container is None:
-            container = Container(
-                container_id=self.next_cid, image=spec.image,
-                created_at=t, last_used_at=0.0,
-            )
-            self.next_cid += 1
-            self.live_mb += spec.image.memory_mb
+            container = self.create(spec.image, spec.name, t)
             self.cold += 1
         else:
-            cid = container.container_id
-            self.pool.remove(cid)
+            self.claim(container.container_id, spec, t)
             container.state = ContainerState.STARTING
-            if self.prewarmed and cid in self.prewarmed:
-                self.prewarmed.discard(cid)
-                self.prewarm_reuses += 1
-            if self.lent:
-                target = self.lent.pop(cid, None)
-                if target is not None and target == spec.name:
-                    self.lend_reuses += 1
             if not preserve:
-                # Repack: the image swap adjusts live memory exactly as
-                # ``ContainerLifecycle.repack`` does (new minus old);
-                # zygote-style preserve keeps the superset image in place.
-                old_mb = container.image.memory_mb
-                container.image = spec.image
-                self.live_mb += spec.image.memory_mb - old_mb
-        if self.live_mb > self.peak_live_memory_mb:
-            self.peak_live_memory_mb = self.live_mb
+                # Zygote-style preserve keeps the superset image in place.
+                self.repack(container, spec.image, spec.name)
+        counters = self.counters
+        if self.live_memory_mb > counters.peak_live_memory_mb:
+            counters.peak_live_memory_mb = self.live_memory_mb
         latency = table.latency[fn][match]
         if self.bounded:
             self.lat_n += 1
@@ -630,82 +558,31 @@ class _Lane:
         self.seq += 1
         if self.on_start is not None:
             self.on_start(spec.name, latency, container.memory_mb, t)
-        for action in actions:
-            if isinstance(action, PrewarmRequest):
-                self._prewarm(action.image, action.function_name, t)
-            else:
-                self._lend(
-                    action.container_id, action.image,
-                    action.function_name, t,
-                )
-
-    # -- proactive actions (pre-warm / lending) ------------------------------
-    def _prewarm(self, image, function_name: str, now: float) -> None:
-        """Replay a ``PrewarmRequest``: mirrors ``ContainerLifecycle.\
-prewarm`` (idle creation, issue counter, pool entry via keep-alive)."""
-        container = Container(
-            container_id=self.next_cid, image=image,
-            created_at=now, last_used_at=now,
-        )
-        self.next_cid += 1
-        container.state = ContainerState.IDLE
-        container.current_function = function_name
-        self.live_mb += image.memory_mb
-        self.prewarms_issued += 1
-        self.prewarmed.add(container.container_id)
-        if self.live_mb > self.peak_live_memory_mb:
-            self.peak_live_memory_mb = self.live_mb
-        self._keep_alive(container, now)
-
-    def _lend(
-        self, container_id: int, target_image, function_name: str, now: float
-    ) -> None:
-        """Replay a ``LendRequest``: mirrors ``ContainerLifecycle.lend``
-        (validation, in-place repack toward the target, idle-clock reset)."""
-        pool = self.pool
-        container = pool.get(container_id)
-        if container is None:
-            return
-        if match_level(target_image, container.image) is MatchLevel.NO_MATCH:
-            return
-        headroom = pool.capacity_mb - pool.used_mb + container.memory_mb
-        if target_image.memory_mb > headroom:
-            return
-        pool.remove(container_id)
-        old_mb = container.image.memory_mb
-        container.image = target_image
-        self.live_mb += target_image.memory_mb - old_mb
-        container.current_function = function_name
-        container.last_used_at = now
-        pool.add(container)
-        self.lends_issued += 1
-        self.lent[container_id] = function_name
-        if self.live_mb > self.peak_live_memory_mb:
-            self.peak_live_memory_mb = self.live_mb
+        if actions:
+            self.apply_actions(actions, t)
 
     # -- results -------------------------------------------------------------
-    @property
-    def peak_warm_memory_mb(self) -> float:
-        """Warm-pool peak, read off the pool's own tracking."""
-        return self.pool.peak_used_mb
-
     def summary(self) -> Dict[str, float]:
         """The cell summary, key-for-key and bit-for-bit equal to
         :meth:`repro.cluster.telemetry.Telemetry.summary` (or
         :class:`~repro.cluster.telemetry.BoundedTelemetry`'s in bounded
         mode) of the equivalent sequential run: same accumulation order,
         same numpy percentile calls / sketch estimates, and the same
-        :func:`~repro.cluster.telemetry.summary_fold`."""
+        :func:`~repro.cluster.telemetry.summary_fold`.  The warm-pool peak
+        is read off the pool's own tracking."""
+        counters = self.counters
+        counters.peak_warm_memory_mb = self.pool.peak_used_mb
         if self.bounded:
             sketch = self.lat_sketch
             return summary_fold(
-                self, self.lat_n, self.lat_total,
+                counters, self.lat_n, self.lat_total,
                 sketch.percentile(50), sketch.percentile(95), self.cold,
             )
         latencies = self.latencies
         p50, p95 = column_percentiles(np.array(latencies, dtype=np.float64))
         return summary_fold(
-            self, len(latencies), float(sum(latencies)), p50, p95, self.cold,
+            counters, len(latencies), float(sum(latencies)), p50, p95,
+            self.cold,
         )
 
 

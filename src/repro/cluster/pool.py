@@ -368,13 +368,6 @@ class PoolSet:
         """Remaining capacity across shards."""
         return self.capacity_mb - self.used_mb
 
-    @property
-    def peak_used_mb(self) -> float:
-        """Aggregate peak warm memory (sum of shard peaks)."""
-        # Aggregate peak is approximated by the sum of shard peaks; exact
-        # for n_shards == 1 (the default configuration).
-        return sum(s.peak_used_mb for s in self._shards)
-
     # -- membership -------------------------------------------------------------
     def __len__(self) -> int:
         return sum(len(s) for s in self._shards)

@@ -64,12 +64,7 @@ from repro.containers.container import Container
 from repro.containers.costmodel import StartupCostModel
 from repro.containers.matching import MatchLevel, match_level
 from repro.containers.volumes import VolumeStore
-from repro.schedulers.base import (
-    Decision,
-    PrewarmRequest,
-    Scheduler,
-    SchedulingContext,
-)
+from repro.schedulers.base import Decision, Scheduler, SchedulingContext
 from repro.workloads.workload import Invocation, Workload
 
 __all__ = [
@@ -475,9 +470,7 @@ class ClusterSimulator:
         else:
             # claim() validates before mutating: an InvalidDecisionError
             # propagates with self._pending intact.
-            container = self.lifecycle.claim(
-                decision.container_id, invocation, now
-            )
+            container = self.lifecycle.claim(decision.container_id, spec, now)
             old_image = container.image
             # Zygote-style reuse keeps the container's own (superset) image;
             # the cleaner then only swaps the user-data volume.
@@ -555,13 +548,8 @@ class ClusterSimulator:
         # Proactive actions attached by MPC/lending policies execute right
         # after the decision itself, in every driving mode (batch, stream,
         # incremental, online serve), keeping the modes decision-identical.
-        for action in decision.actions:
-            if isinstance(action, PrewarmRequest):
-                self.lifecycle.prewarm(action.image, action.function_name,
-                                       now)
-            else:
-                self.lifecycle.lend(action.container_id, action.image,
-                                    action.function_name, now)
+        if decision.actions:
+            self.lifecycle.apply_actions(decision.actions, now)
         if self.verifier is not None:
             self.verifier.checkpoint()
         if not want_record:

@@ -140,7 +140,7 @@ def _lending_block(counters) -> Dict[str, float]:
 
 
 def summary_fold(
-    counters,
+    counters: "Counters",
     n: int,
     total_s: float,
     p50_s: float,
@@ -150,14 +150,13 @@ def summary_fold(
 ) -> Dict[str, float]:
     """The scalar run summary, built the same way for every engine.
 
-    ``counters`` is any object carrying :class:`Telemetry`'s scalar
-    counters by name (``evictions``, ``keep_alive_rejections``, ...,
-    ``lends_issued``): a telemetry collector or a lane.  The latency
-    statistics and the cold-start count come from the caller, which owns
-    how they are accumulated (a latency column, or a running total plus a
-    sketch).  The 14 base keys are always present; the queueing block is
-    appended when given, and the surrogate-audit, pre-warm and lending
-    blocks when their counters are non-zero, in that order.
+    ``counters`` is a :class:`Counters` record: a telemetry collector or a
+    lane's own record.  The latency statistics and the cold-start count
+    come from the caller, which owns how they are accumulated (a latency
+    column, or a running total plus a sketch).  The 14 base keys are
+    always present; the queueing block is appended when given, and the
+    surrogate-audit, pre-warm and lending blocks when their counters are
+    non-zero, in that order.
     """
     base = {
         "invocations": float(n),
@@ -189,7 +188,36 @@ def summary_fold(
     return base
 
 
-class Telemetry:
+class Counters:
+    """The scalar run counters :func:`summary_fold` reads, declared once.
+
+    Written by the pool-side container bookkeeping
+    (:class:`~repro.cluster.lifecycle.PoolLifecycle`) and, for crashes,
+    stragglers and surrogate audits, by the sequential driver.
+    :class:`Telemetry` extends this record; each lane owns a bare one.
+    """
+
+    def __init__(self) -> None:
+        self.evictions = 0
+        self.keep_alive_rejections = 0
+        self.ttl_expirations = 0
+        self.container_crashes = 0
+        self.stragglers = 0
+        self.peak_warm_memory_mb = 0.0
+        self.peak_live_memory_mb = 0.0
+        # Distilled-policy audit counters (folded in from the scheduler by
+        # the simulator after a run; see MLCRScheduler.attach_surrogate).
+        self.surrogate_audits = 0
+        self.surrogate_disagreements = 0
+        # Proactive-action counters (pre-warm / container lending).
+        self.prewarms_issued = 0
+        self.prewarm_reuses = 0
+        self.prewarm_wasted = 0
+        self.lends_issued = 0
+        self.lend_reuses = 0
+
+
+class Telemetry(Counters):
     """Mutable per-run metric collector (columnar storage).
 
     Constructor flags:
@@ -213,30 +241,13 @@ class Telemetry:
         queueing_enabled: bool = False,
         worker_slots: int = 1,
     ) -> None:
+        super().__init__()
         self.trace_enabled = trace_enabled
         self.queueing_enabled = queueing_enabled
         self.worker_slots = worker_slots
-        # Scalar counters.
-        self.evictions = 0
-        self.keep_alive_rejections = 0
-        self.ttl_expirations = 0
-        self.container_crashes = 0
-        self.stragglers = 0
-        self.peak_warm_memory_mb = 0.0
-        self.peak_live_memory_mb = 0.0
         self.max_queue_depth = 0
         self.worker_busy_s: Dict[int, float] = {}
         self.duration_s = 0.0
-        # Distilled-policy audit counters (folded in from the scheduler by
-        # the simulator after a run; see MLCRScheduler.attach_surrogate).
-        self.surrogate_audits = 0
-        self.surrogate_disagreements = 0
-        # Proactive-action counters (pre-warm / container lending).
-        self.prewarms_issued = 0
-        self.prewarm_reuses = 0
-        self.prewarm_wasted = 0
-        self.lends_issued = 0
-        self.lend_reuses = 0
         # Per-invocation columns (struct-of-arrays).
         self._inv_id = array("q")
         self._fn_ix = array("q")
@@ -347,18 +358,6 @@ class Telemetry:
             record.worker_id,
         )
 
-    def record_eviction(self, n: int = 1) -> None:
-        """Count eviction(s) of warm containers."""
-        self.evictions += n
-
-    def record_rejection(self) -> None:
-        """Count one rejected keep-warm request."""
-        self.keep_alive_rejections += 1
-
-    def record_ttl_expiration(self, n: int = 1) -> None:
-        """Count TTL expiration(s) of idle containers."""
-        self.ttl_expirations += n
-
     def record_surrogate_audit(self, audits: int, disagreements: int) -> None:
         """Fold in a run's distilled-policy audit totals.
 
@@ -369,27 +368,6 @@ class Telemetry:
         """
         self.surrogate_audits += audits
         self.surrogate_disagreements += disagreements
-
-    def record_prewarm_issue(self) -> None:
-        """Count one proactive pre-warm (a container created ahead of any
-        arrival)."""
-        self.prewarms_issued += 1
-
-    def record_prewarm_reuse(self) -> None:
-        """Count one pre-warmed container claimed by a real invocation."""
-        self.prewarm_reuses += 1
-
-    def record_prewarm_waste(self) -> None:
-        """Count one pre-warmed container destroyed before any claim."""
-        self.prewarm_wasted += 1
-
-    def record_lend(self) -> None:
-        """Count one idle container lent (re-specialized in place)."""
-        self.lends_issued += 1
-
-    def record_lend_reuse(self) -> None:
-        """Count one lent container claimed by its target function."""
-        self.lend_reuses += 1
 
     def record_event(
         self,

@@ -61,10 +61,6 @@ class OnlineFineTuner(Scheduler):
         self.updates = 0
         self._pending: Optional[tuple] = None  # (EncodedState, action)
 
-    @staticmethod
-    def make_eviction_policy():
-        return MLCRScheduler.make_eviction_policy()
-
     def reset(self) -> None:
         """Clear per-run state."""
         self.scheduler.reset()

@@ -82,11 +82,6 @@ class MLCRScheduler(Scheduler):
         self.surrogate_audits = 0
         self.surrogate_disagreements = 0
 
-    @staticmethod
-    def make_eviction_policy() -> LRUEviction:
-        """MLCR pairs with LRU eviction (paper Section III)."""
-        return LRUEviction()
-
     def attach_surrogate(self, surrogate, audit_every: int = 64) -> None:
         """Serve decisions from a distilled surrogate instead of the network.
 

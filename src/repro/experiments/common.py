@@ -163,13 +163,9 @@ def evaluate_scheduler(
     scheduler.reset()
     if hasattr(scheduler, "observe_workload"):
         scheduler.observe_workload(workload)
-    eviction = (
-        scheduler.make_eviction_policy()
-        if hasattr(scheduler, "make_eviction_policy")
-        else None
-    )
     sim = ClusterSimulator(
-        SimulationConfig(pool_capacity_mb=capacity_mb), eviction
+        SimulationConfig(pool_capacity_mb=capacity_mb),
+        scheduler.make_eviction_policy(),
     )
     result = sim.run(workload, scheduler)
     t = result.telemetry

@@ -14,10 +14,10 @@ clock, the invocation or proactive actions override ``decide`` instead.
 
 Proactive policies (MPC pre-warming, Pagurus lending) additionally attach
 :class:`PrewarmRequest` / :class:`LendRequest` actions to their decisions;
-the driver executes them through
-:class:`~repro.cluster.lifecycle.ContainerLifecycle` immediately after
-applying the decision itself, so batch, streaming, incremental and online
-serving drives stay decision-identical.
+both engines execute them through
+:meth:`~repro.cluster.lifecycle.PoolLifecycle.apply_actions` immediately
+after applying the decision itself, so batch, streaming, incremental,
+online serving and lane drives stay decision-identical.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.workloads.functions import FunctionSpec
 from repro.workloads.workload import Invocation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster -> base)
+    from repro.cluster.eviction import EvictionPolicy
     from repro.cluster.pool import PoolSet
 
 #: What :meth:`Scheduler.decide_pool` returns: the container to reuse (None
@@ -49,7 +50,7 @@ COLD: PoolDecision = (None, 0, False)
 class PrewarmRequest:
     """Proactive action: create an idle container for ``function_name``.
 
-    Executed by :meth:`ContainerLifecycle.prewarm` right after the decision
+    Executed by :meth:`PoolLifecycle.prewarm` right after the decision
     carrying it is applied; the new container joins the warm pool through
     the eviction policy like any finishing container.
     """
@@ -63,7 +64,7 @@ class LendRequest:
     """Proactive action: re-specialize idle ``container_id`` toward
     ``function_name``'s image (Pagurus-style helping).
 
-    Executed by :meth:`ContainerLifecycle.lend`; a no-op when the donor is
+    Executed by :meth:`PoolLifecycle.lend`; a no-op when the donor is
     gone, incompatible, or the repack would overflow its pool shard.
     """
 
@@ -227,6 +228,15 @@ class Scheduler:
         if container is None:
             return Decision.cold()
         return Decision.warm(container.container_id, preserve_image=preserve)
+
+    @staticmethod
+    def make_eviction_policy() -> "EvictionPolicy":
+        """The eviction policy this scheduler pairs with: LRU, unless a
+        policy overrides it."""
+        # Deferred: the cluster package imports this module.
+        from repro.cluster.eviction import LRUEviction
+
+        return LRUEviction()
 
     def reset(self) -> None:
         """Clear per-run state; called by experiment harnesses between runs."""

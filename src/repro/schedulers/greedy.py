@@ -9,7 +9,6 @@ Eviction is LRU, as in MLCR.
 
 from __future__ import annotations
 
-from repro.cluster.eviction import LRUEviction
 from repro.containers.costmodel import StartupCostModel
 from repro.schedulers.base import COLD, PoolDecision, Scheduler
 from repro.workloads.functions import FunctionSpec
@@ -19,10 +18,6 @@ class GreedyMatchScheduler(Scheduler):
     """Pick the deepest-matching idle container; cold-start otherwise."""
 
     name = "Greedy-Match"
-
-    @staticmethod
-    def make_eviction_policy() -> LRUEviction:
-        return LRUEviction()
 
     def decide_pool(
         self, pool, spec: FunctionSpec, cost_model: StartupCostModel

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.cluster.eviction import LRUEviction
 from repro.schedulers.base import ExactMatchScheduler
 
 
@@ -15,7 +14,3 @@ class LRUScheduler(ExactMatchScheduler):
     """
 
     name = "LRU"
-
-    @staticmethod
-    def make_eviction_policy() -> LRUEviction:
-        return LRUEviction()

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
-from repro.cluster.eviction import LRUEviction
 from repro.containers.costmodel import StartupCostModel
 from repro.containers.matching import MatchLevel
 from repro.drl.offline import OfflineQPolicy
@@ -95,11 +94,6 @@ class OfflineQScheduler(Scheduler):
         """Drop any bootstrapped policy (pinned checkpoints survive)."""
         if not self._policy_pinned:
             self.policy = None
-
-    @staticmethod
-    def make_eviction_policy() -> LRUEviction:
-        """LRU, like the other multi-level-reuse policies."""
-        return LRUEviction()
 
     def observe_workload(self, workload: Workload) -> None:
         """Bootstrap a policy from a greedy reference rollout (offline).

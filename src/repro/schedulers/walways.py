@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Tuple
 
-from repro.cluster.eviction import LRUEviction
 from repro.cluster.pool import _mru_key
 from repro.containers.costmodel import StartupCostModel
 from repro.containers.matching import MatchLevel, match_level
@@ -41,10 +40,6 @@ class AlwaysAdoptScheduler(Scheduler):
     def reset(self) -> None:
         """Drop the cost memos."""
         self._memos.clear()
-
-    @staticmethod
-    def make_eviction_policy() -> LRUEviction:
-        return LRUEviction()
 
     def decide_pool(
         self, pool, spec: FunctionSpec, cost_model: StartupCostModel

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-from repro.cluster.eviction import LRUEviction
 from repro.containers.costmodel import StartupCostModel
 from repro.containers.image import FunctionImage
 from repro.containers.matching import MatchLevel, match_level
@@ -72,10 +71,6 @@ class ZygoteScheduler(Scheduler):
     """Warm-start on covering (superset) containers, preserved in place."""
 
     name = "Zygote"
-
-    @staticmethod
-    def make_eviction_policy() -> LRUEviction:
-        return LRUEviction()
 
     def decide_pool(
         self, pool, spec: FunctionSpec, cost_model: StartupCostModel

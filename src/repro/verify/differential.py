@@ -519,15 +519,11 @@ def oracle_streaming_vs_materialized() -> OracleResult:
     )
     for (key, _cap), lane in zip(lane_cells, lane_results):
         scheduler = build_scheduler(key)
-        eviction = (
-            scheduler.make_eviction_policy()
-            if hasattr(scheduler, "make_eviction_policy") else None
-        )
         stream_sim = ClusterSimulator(
             SimulationConfig(
                 pool_capacity_mb=capacity_mb, bounded_telemetry=True,
             ),
-            eviction,
+            scheduler.make_eviction_policy(),
         )
         streamed = stream_sim.run_stream(azure.stream(seed=0), scheduler)
         if lane.method != streamed.scheduler_name:
@@ -772,10 +768,9 @@ def _run_scheduler(scheduler, workload, capacity_mb: float = 1500.0):
     summary and the raw per-invocation columns.
     """
     scheduler.reset()
-    eviction = (scheduler.make_eviction_policy()
-                if hasattr(scheduler, "make_eviction_policy") else None)
     sim = ClusterSimulator(
-        SimulationConfig(pool_capacity_mb=capacity_mb), eviction
+        SimulationConfig(pool_capacity_mb=capacity_mb),
+        scheduler.make_eviction_policy(),
     )
     result = sim.run(workload, scheduler)
     return sim, result

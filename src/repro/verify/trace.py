@@ -254,14 +254,9 @@ def _simulate(spec: TraceSpec) -> Tuple[float, SimulationResult]:
     scheduler.reset()
     if hasattr(scheduler, "observe_workload"):
         scheduler.observe_workload(workload)
-    eviction = (
-        scheduler.make_eviction_policy()
-        if hasattr(scheduler, "make_eviction_policy")
-        else None
-    )
     sim = ClusterSimulator(
         SimulationConfig(pool_capacity_mb=capacity, verify=spec.verify),
-        eviction,
+        scheduler.make_eviction_policy(),
     )
     if spec.stream:
         from repro.workloads.stream import stream_from_workload

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.cluster.telemetry import InvocationRecord, Telemetry
+from repro.cluster.telemetry import (
+    Counters,
+    InvocationRecord,
+    Telemetry,
+    summary_fold,
+)
 from repro.containers.costmodel import StartupBreakdown
 from repro.containers.matching import MatchLevel
 
@@ -92,14 +97,18 @@ class TestMemoryTracking:
 
 class TestEvents:
     def test_eviction_and_rejection_counters(self):
+        """Telemetry extends the shared Counters record; summary_fold
+        reads the counters off a bare record and a collector alike."""
         t = Telemetry()
-        t.record_eviction()
-        t.record_eviction(2)
-        t.record_rejection()
-        t.record_ttl_expiration(3)
-        assert t.evictions == 3
-        assert t.keep_alive_rejections == 1
-        assert t.ttl_expirations == 3
+        for counters in (t, Counters()):
+            counters.evictions += 3
+            counters.keep_alive_rejections += 1
+            counters.ttl_expirations += 3
+            summary = summary_fold(counters, 0, 0.0, 0.0, 0.0, 0)
+            assert summary["evictions"] == 3.0
+            assert summary["keep_alive_rejections"] == 1.0
+            assert summary["ttl_expirations"] == 3.0
+        assert t.summary() == summary
 
     def test_finish_time(self):
         r = record(0, latency=2.0, arrival=10.0)

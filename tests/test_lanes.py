@@ -22,9 +22,18 @@ Pinned properties:
   chunk size; so is the stream experiment for any lane count.
 * The per-process arrival-table memo is a bounded LRU: it cannot grow
   past its cap however many draws a grid touches.
+* Lanes run the shared pool lifecycle, not a copy of it: after the final
+  drain a lane's live memory equals its pool's, and only pooled
+  containers can still await a pre-warm claim or a lend target.  A
+  scripted lane rejects an invalid warm decision with the sequential
+  engine's ``InvalidDecisionError``.
 """
 
 from __future__ import annotations
+
+import ast
+import inspect
+import math
 
 import numpy as np
 import pytest
@@ -36,10 +45,13 @@ from repro.cluster.lanes import (
     ArrivalTable,
     LaneKernel,
     LaneSpec,
+    _Lane,
     lane_mode,
     run_stream_lanes,
 )
+from repro.cluster.lifecycle import InvalidDecisionError
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
+from repro.containers.matching import MatchLevel, match_level
 from repro.experiments import parallel
 from repro.experiments.common import evaluate_scheduler
 from repro.experiments.parallel import (
@@ -52,6 +64,7 @@ from repro.experiments.parallel import (
     cached_workload,
     run_grid,
 )
+from repro.schedulers.base import Decision, Scheduler
 
 LANE_KEYS = sorted(SCHEDULER_CLASS_NAMES)
 CLOSED_FORM_KEYS = sorted(
@@ -110,12 +123,57 @@ def run_stream_reference(scheduler, seed):
     return result.scheduler_name, result.summary()
 
 
+def assert_conserved(lane):
+    """End-of-run pool conservation: once every completion has drained,
+    each live container is pooled, and only pooled containers can still
+    be awaiting a pre-warm claim or a lend target."""
+    pooled = {c.container_id for c in lane.pool}
+    assert math.isclose(lane.live_memory_mb, lane.pool.used_mb,
+                        rel_tol=1e-9, abs_tol=1e-9)
+    assert lane._prewarmed <= pooled
+    assert set(lane._lent) <= pooled
+
+
+def declared_counters(module, names):
+    """``(class, name)`` for each of ``names`` a class of ``module``
+    declares: in its body (``__slots__`` or a class-level value) or as an
+    attribute assigned in its ``__init__``."""
+    found = []
+    tree = ast.parse(inspect.getsource(module))
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if not isinstance(target, ast.Name):
+                        continue
+                    if target.id == "__slots__":
+                        found += [(cls.name, slot)
+                                  for slot in ast.literal_eval(node.value)
+                                  if slot in names]
+                    elif target.id in names:
+                        found.append((cls.name, target.id))
+            elif (isinstance(node, ast.FunctionDef)
+                  and node.name == "__init__"):
+                found += [
+                    (cls.name, target.attr)
+                    for stmt in ast.walk(node)
+                    if isinstance(stmt, ast.Assign)
+                    for target in stmt.targets
+                    if isinstance(target, ast.Attribute)
+                    and target.attr in names
+                ]
+    return found
+
+
 def lane_summary(task):
-    """Run one cell on a single-lane kernel and return its summary."""
+    """Run one cell on a single-lane kernel and return its summary,
+    checking the lane's end-of-run conservation."""
     table = cached_arrival_table(task.workload, task.seed)
     spec = LaneSpec(scheduler=task.scheduler, table=table,
                     capacity_mb=task.capacity_mb)
-    [result] = LaneKernel([spec]).run()
+    kernel = LaneKernel([spec])
+    [result] = kernel.run()
+    assert_conserved(kernel.lanes[0])
     return result
 
 
@@ -145,6 +203,29 @@ class TestRegistry:
         for key in SCHEDULER_CLASS_NAMES:
             own = set(vars(type(build_scheduler(key))))
             assert not {"decide", "decide_pool"} <= own, key
+
+    def test_pool_bookkeeping_written_once(self):
+        """Lanes run the shared pool lifecycle rather than a copy, and the
+        scalar counters are declared only by ``Counters.__init__``."""
+        from repro.cluster import lanes, lifecycle, telemetry
+        from repro.cluster.telemetry import Counters
+
+        own = set(vars(_Lane))
+        assert not own & {
+            "create", "claim", "repack", "keep_alive", "expire_ttl",
+            "destroy", "prewarm", "lend",
+        }
+        assert issubclass(_Lane, lifecycle.PoolLifecycle)
+        names = set(vars(Counters()))
+        assert len(names) == 14
+        declared = [
+            found
+            for module in (lanes, lifecycle, telemetry)
+            for found in declared_counters(module, names)
+        ]
+        assert sorted(declared) == sorted(
+            ("Counters", name) for name in names
+        )
 
 
 class TestArrivalTable:
@@ -448,3 +529,47 @@ class TestKernelValidation:
         spec = LaneSpec(scheduler="lru", table=None, capacity_mb=800.0)
         with pytest.raises(ValueError):
             LaneKernel([spec])
+
+
+class _NoMatchReuse(Scheduler):
+    """Rogue scripted policy: reuses an idle container that matches the
+    arrival at no Table-I level."""
+
+    name = "Rogue-NoMatch"
+
+    def decide(self, ctx):
+        spec = ctx.invocation.spec
+        for container in ctx.idle_containers:
+            if match_level(spec.image, container.image) is MatchLevel.NO_MATCH:
+                return Decision.warm(container.container_id)
+        return Decision.cold()
+
+
+class _UnknownIdReuse(Scheduler):
+    """Rogue scripted policy: reuses a container id that was never made."""
+
+    name = "Rogue-UnknownId"
+
+    def decide(self, ctx):
+        return Decision.warm(10**9)
+
+
+class TestDecisionValidation:
+    @pytest.mark.parametrize("rogue", [_NoMatchReuse, _UnknownIdReuse])
+    def test_invalid_scripted_decision_raises_on_both_engines(
+        self, rogue, monkeypatch
+    ):
+        """A scripted lane validates a warm decision exactly as the
+        sequential claim does: an unknown id or a NO_MATCH container is an
+        :class:`InvalidDecisionError` on both engines."""
+        import repro.schedulers
+
+        monkeypatch.setitem(SCHEDULER_CLASS_NAMES, "rogue", rogue.__name__)
+        monkeypatch.setattr(repro.schedulers, rogue.__name__, rogue,
+                            raising=False)
+        assert lane_mode("rogue") == "scripted"
+        task = make_task("rogue", "HI-Var", seed=0, capacity=float("inf"))
+        with pytest.raises(InvalidDecisionError):
+            sequential_cell(task)
+        with pytest.raises(InvalidDecisionError):
+            lane_summary(task)

@@ -58,13 +58,17 @@ TRACE_FORMAT_VERSION = 1
 #: proactive MPC pre-warm / Pagurus lending policies, whose lend and
 #: pre-warm side effects must replay byte-identically too, and the
 #: covering-zygote, delta-cost adoption and offline-Q rules, which pick
-#: differently from greedy on both workloads at the Tight pool).
+#: differently from greedy on both workloads at the Tight pool), plus the
+#: clairvoyant Lookahead rule, whose first-best tie-break depends on its
+#: candidate order, FaasCache's greedy-dual eviction and the ColdOnly
+#: floor -- every registry key.
 GOLDEN_MATRIX: Tuple[Tuple[str, str], ...] = tuple(
     (workload, scheduler)
     for workload in ("LO-Sim", "Peak")
     for scheduler in (
         "lru", "greedy", "keepalive", "mpc", "lending",
-        "zygote", "walways", "offline",
+        "zygote", "walways", "offline", "lookahead", "faascache",
+        "coldonly",
     )
 )
 

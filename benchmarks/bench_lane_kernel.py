@@ -13,11 +13,11 @@ entries:
 * ``test_lane_kernel_closed_form_registry`` -- seven closed-form
   registry schedulers (adds zygote / walways / offline) x two
   capacities; pins >= 3x over the sequential per-cell path.
-* ``test_lane_kernel_scripted`` -- lookahead / mpc / lending, which
-  drive their own ``decide()`` per arrival, plus faascache.  The
-  decision stays Python, so the win is the shared kernel machinery
-  only: parity is asserted, the timing is recorded ``no_guard`` (no
-  speedup floor, excluded from the baseline guard).
+* ``test_lane_kernel_scripted`` -- lookahead / mpc / lending, whose
+  rules scan candidates and attach proactive actions per arrival, plus
+  faascache.  The rules stay Python, so the margin over the sequential
+  driver is thin: parity is asserted, the timing is recorded
+  ``no_guard`` (excluded from the baseline guard) with a >= 1x floor.
 * ``test_stream_lane_replay`` -- the chunked streaming lane path
   (``run_stream_lanes``) vs per-cell sequential ``run_stream`` on the
   stream family's closed-form schedulers; pins the >= 3x speedup the
@@ -57,8 +57,8 @@ CELLS = [
 
 #: Seven closed-form registry schedulers x two capacities (zygote,
 #: walways, offline included) -- pinned like ``CELLS`` so the stored
-#: baseline keeps measuring the same cells when a scheduler changes lane
-#: mode.
+#: baseline keeps measuring the same cells when a scheduler's rule
+#: changes.
 CLOSED_FORM_CELLS = [
     GridTask(scheduler=s, workload="LO-Sim", seed=0,
              pool_label="Bench", capacity_mb=c)
@@ -67,9 +67,9 @@ CLOSED_FORM_CELLS = [
     for c in (800.0, 4000.0)
 ]
 
-#: Four lanes x two capacities, pinned likewise: lookahead, mpc and
-#: lending drive ``decide()`` per arrival; faascache runs closed-form but
-#: stays in this entry so its stored baseline measures the same cells.
+#: Four lanes x two capacities, pinned likewise: the lookahead, mpc and
+#: lending rules plus faascache, kept in this entry so its stored
+#: baseline measures the same cells.
 SCRIPTED_CELLS = [
     GridTask(scheduler=s, workload="LO-Sim", seed=0,
              pool_label="Bench", capacity_mb=c)
@@ -169,10 +169,11 @@ def test_lane_kernel_closed_form_registry(benchmark, emit):
 
 
 def test_lane_kernel_scripted(benchmark, emit):
-    """Scripted-decision lanes: real ``decide()`` per arrival, shared
-    kernel machinery.  Parity is the contract; timing is informational
-    (``no_guard``: the decision itself stays Python, so the margin is
-    too thin to gate on under load jitter)."""
+    """Lookahead, MPC, lending and FaasCache lanes: the costliest rules
+    (candidate scans, forecasts, donor picks) on the shared kernel
+    machinery.  Parity is the contract; timing is informational
+    (``no_guard``: the rules stay Python, so the margin is too thin to
+    gate on under load jitter)."""
     benchmark.extra_info["no_guard"] = True
     _warm_memos(SCRIPTED_CELLS)
     sequential_s, sequential = _sequential_floor(SCRIPTED_CELLS)
@@ -184,7 +185,7 @@ def test_lane_kernel_scripted(benchmark, emit):
         f"{sequential_s * 1e3:.1f} ms vs lane batch "
         f"{benchmark.stats['min'] * 1e3:.1f} ms ({speedup:.2f}x)"
     )
-    # Scripted lanes must never be slower than sequential by more than
+    # These lanes must never be slower than sequential by more than
     # jitter: the kernel machinery is strictly cheaper than the event loop.
     assert speedup >= 1.0
 

@@ -14,19 +14,22 @@ struct-of-arrays kernel:
 
 * **Batched arrival ingestion** -- each workload draw is lowered once into an
   :class:`ArrivalTable`: numpy columns (arrival time, execution time,
-  function index, invocation id) plus a per-``(function, match level)``
-  startup-latency table computed through the exact same
+  function index) beside the draw's
+  :class:`~repro.workloads.workload.Invocation` list, plus a
+  per-``(function, match level)`` startup-latency table computed through
+  the exact same
   :meth:`~repro.containers.costmodel.StartupCostModel.breakdown` call the
-  sequential driver makes per arrival.  The hot loop never touches an
-  :class:`~repro.workloads.workload.Invocation` object on the closed-form
-  paths.  Tables are shared by every lane replaying the same draw;
+  sequential driver makes per arrival.  Tables are shared by every lane
+  replaying the same draw;
   :meth:`ArrivalTable.from_stream` lowers a lazy arrival stream into
   bounded columnar chunks for O(1)-memory lane replay
   (:func:`run_stream_lanes`).
 * **Run-to-completion lanes** -- lanes are independent, so each one
   replays its whole table in one loop (:meth:`_Lane.replay`): per arrival,
-  due completions drain, TTL sweeps run, the scheduler decides against
-  the lane's warm-pool match index and the decision is applied.
+  due completions drain, TTL sweeps run, the scheduler's
+  :meth:`~repro.schedulers.base.Scheduler.decide_pool` rule decides
+  against the lane's warm pool, a warm pick is validated, and the
+  decision and its proactive actions are applied.
   :meth:`LaneKernel.run` replays each lane once; :func:`run_stream_lanes`
   replays each lane once per stream chunk.
 * **Shared pool semantics** -- each lane *is* a
@@ -39,28 +42,19 @@ ContainerLifecycle` extends, running on a real
   memory and the scalar :class:`~repro.cluster.telemetry.Counters` are
   therefore one implementation on both engines, not a reimplementation.
 
-Every scheduler registry key (:data:`SCHEDULER_CLASS_NAMES`) runs in a lane.
-Each lane builds its registry scheduler and decides through one of two
-modes (:func:`lane_mode`):
-
-* **Closed-form** -- schedulers that keep the base
-  :meth:`~repro.schedulers.base.Scheduler.decide` (ColdOnly, LRU,
-  KeepAlive, FaasCache, Greedy-Match, Zygote, W-AlwaysAdopt, Offline-Q)
-  decide by their :meth:`~repro.schedulers.base.Scheduler.decide_pool`
-  rule alone; the lane calls that rule on its own warm pool once per
-  arrival, with no scheduling context.  The sequential simulator reaches
-  the same rule through ``decide``, so both engines run one
-  implementation.
-* **Scripted** -- schedulers that override ``decide`` (Lookahead,
-  MPC-Prewarm, Pagurus-Lend) get a per-arrival
-  :class:`~repro.schedulers.base.SchedulingContext` backed by the lane's
-  own pool, and the lane replays the returned decision -- including any
-  attached :class:`~repro.schedulers.base.PrewarmRequest` /
-  :class:`~repro.schedulers.base.LendRequest` proactive actions --
-  through the lane lifecycle.
-
-The vectorized latency table, tuple completion heap and columnar
-accumulation are shared either way.
+Every scheduler registry key (:data:`SCHEDULER_CLASS_NAMES`) runs in a lane
+the same way: the lane calls the scheduler's
+:meth:`~repro.schedulers.base.Scheduler.decide_pool` rule on its own warm
+pool once per arrival, with the arrival's lowered
+:class:`~repro.workloads.workload.Invocation` and no scheduling context.
+The sequential simulator reaches the same rule through
+:meth:`~repro.schedulers.base.Scheduler.decide`, so both engines run one
+implementation.  Every warm pick passes
+:meth:`~repro.cluster.lifecycle.PoolLifecycle.check_decision`, the
+sequential claim's validation, and any attached
+:class:`~repro.schedulers.base.PrewarmRequest` /
+:class:`~repro.schedulers.base.LendRequest` actions replay through the
+lane lifecycle.
 
 **Byte-identical contract.**  For every registry scheduler and the default
 grid configuration (no worker concurrency limit, single pool shard, faults
@@ -95,13 +89,12 @@ import numpy as np
 
 from repro.cluster.eviction import EvictionPolicy
 from repro.cluster.lifecycle import PoolLifecycle
-from repro.cluster.pool import WarmPool, _mru_key
+from repro.cluster.pool import WarmPool
 from repro.cluster.sketches import QuantileSketch
 from repro.cluster.telemetry import Counters, column_percentiles, summary_fold
 from repro.containers.container import Container, ContainerState
 from repro.containers.costmodel import StartupCostModel
 from repro.containers.matching import MatchLevel
-from repro.schedulers.base import SchedulingContext, decides_by_pool_rule
 from repro.workloads.workload import Invocation, Workload
 
 __all__ = [
@@ -111,7 +104,6 @@ __all__ = [
     "LaneSpec",
     "SCHEDULER_CLASS_NAMES",
     "STREAM_CHUNK_SIZE",
-    "lane_mode",
     "run_stream_lanes",
     "scheduler_class",
 ]
@@ -162,15 +154,6 @@ def scheduler_class(key: str) -> type:
     return getattr(schedulers_pkg, class_name)
 
 
-def lane_mode(key: str) -> str:
-    """``"closed-form"`` or ``"scripted"`` for a registry scheduler key:
-    closed-form when the scheduler decides by its ``decide_pool`` rule
-    alone."""
-    if decides_by_pool_rule(scheduler_class(key)):
-        return "closed-form"
-    return "scripted"
-
-
 class ArrivalTable:
     """Columnar (struct-of-arrays) lowering of one workload draw.
 
@@ -180,10 +163,11 @@ class ArrivalTable:
     by ``(arrival_time, invocation_id)`` -- the same order the event queue
     pops same-time arrivals in):
 
-    ``times`` / ``exec_s`` / ``ids``
-        Arrival timestamps, execution durations (float64) and invocation
-        ids (int64; scripted lanes rebuild the exact
-        :class:`~repro.workloads.workload.Invocation` from them).
+    ``times`` / ``exec_s``
+        Arrival timestamps and execution durations (float64).
+    ``invocations``
+        The lowered :class:`~repro.workloads.workload.Invocation` objects
+        themselves, handed to the scheduler's rule.
     ``fn_ix``
         Index into :attr:`specs` for each arrival (int32).
     ``latency``
@@ -235,10 +219,7 @@ StartupCostModel.breakdown` the sequential driver evaluates per arrival
             (inv.execution_time_s for inv in invocations),
             dtype=np.float64, count=self.n,
         )
-        self.ids = np.fromiter(
-            (inv.invocation_id for inv in invocations),
-            dtype=np.int64, count=self.n,
-        )
+        self.invocations = invocations
         fn_ix = np.empty(self.n, dtype=np.int32)
         for i, inv in enumerate(invocations):
             spec = inv.spec
@@ -355,7 +336,7 @@ class _Lane(PoolLifecycle):
     """
 
     __slots__ = (
-        "table", "method", "scheduler", "rule", "on_start", "cold",
+        "table", "method", "rule", "on_start", "cold",
         "latencies", "heap", "seq", "bounded", "lat_n", "lat_total",
         "lat_sketch",
     )
@@ -363,8 +344,7 @@ class _Lane(PoolLifecycle):
     def __init__(self, spec: LaneSpec) -> None:
         from repro.schedulers.offline import OfflineQScheduler
 
-        cls = scheduler_class(spec.scheduler)
-        scheduler = cls()
+        scheduler = scheduler_class(spec.scheduler)()
         scheduler.reset()
         table = spec.table
         self.table = table
@@ -374,12 +354,7 @@ class _Lane(PoolLifecycle):
                 scheduler.policy = _offline_policy_for(table)
             elif hasattr(scheduler, "observe_workload"):
                 scheduler.observe_workload(table.workload)
-        self.scheduler = scheduler
-        # Closed-form lanes call the pool rule directly; None selects the
-        # scripted context path.
-        self.rule = (
-            scheduler.decide_pool if decides_by_pool_rule(cls) else None
-        )
+        self.rule = scheduler.decide_pool
         self.method = scheduler.name
         eviction = scheduler.make_eviction_policy()
         super().__init__(WarmPool(spec.capacity_mb), eviction, Counters())
@@ -443,7 +418,10 @@ class _Lane(PoolLifecycle):
 
         Per arrival: drain the completions due strictly before it, run the
         TTL sweep at the arrival's time (the sequential loop sweeps on the
-        arrival pop before the scheduler decides), decide, apply.
+        arrival pop before the scheduler decides), decide, validate a warm
+        pick as the sequential claim does
+        (:class:`~repro.cluster.lifecycle.InvalidDecisionError` on an
+        unknown id or a NO_MATCH container), apply.
         Completions still in flight afterwards stay queued, so a stream
         lane replays chunk after chunk and drains once at the end
         (:meth:`drain_all`).
@@ -454,65 +432,28 @@ class _Lane(PoolLifecycle):
         pool = self.pool
         sweep = self.expire_ttl if self.eviction.ttl_s is not None else None
         rule = self.rule
-        specs = table.specs
+        check = self.check_decision
         cost_model = table.cost_model
+        invocations = table.invocations
         fn_ix = table.fn_ix.tolist()
         exec_s = table.exec_s.tolist()
         for i, t in enumerate(table.times.tolist()):
             drain_until(t)
             if sweep is not None and len(pool):
                 sweep(t)
-            fn = fn_ix[i]
-            if rule is not None:
-                container, match, preserve = rule(pool, specs[fn], cost_model)
-                apply(t, fn, exec_s[i], container, match, preserve, ())
-            else:
-                apply(t, fn, exec_s[i], *self._decide_scripted(t, i, fn))
+            invocation = invocations[i]
+            container, match, preserve, actions = rule(
+                pool, invocation, cost_model
+            )
+            if container is not None:
+                container, match = check(
+                    container.container_id, invocation.spec
+                )
+            apply(t, fn_ix[i], exec_s[i], container, match, preserve, actions)
 
     def drain_all(self) -> None:
         """Run out every in-flight completion (the ``finish()`` drain)."""
         self.drain_until(float("inf"))
-
-    # -- decision ------------------------------------------------------------
-    def _decide_scripted(
-        self, t: float, i: int, fn: int
-    ) -> Tuple[Optional[Container], int, bool, tuple]:
-        """Drive the scheduler's own ``decide`` for arrival ``i``.
-
-        Returns ``(container or None, match, preserve_image, actions)``.
-        The context mirrors ``ClusterSimulator._context_for``: the pending
-        invocation rebuilt from the columns, idle containers sorted by
-        ``(last_used_at, container_id)`` (the PoolSet merge order), the
-        lane's own pool behind the index-backed helpers.  ``worker_loads``
-        / ``queue_depths`` stay empty -- no registry scheduler reads them
-        (they are only populated under admission control, which lanes do
-        not support).  A warm decision is validated as the sequential
-        claim validates it (:class:`~repro.cluster.lifecycle.\
-InvalidDecisionError` on an unknown id or a NO_MATCH container).
-        """
-        table = self.table
-        pool = self.pool
-        spec = table.specs[fn]
-        invocation = Invocation(
-            invocation_id=int(table.ids[i]),
-            spec=spec,
-            arrival_time=t,
-            execution_time_s=float(table.exec_s[i]),
-        )
-        ctx = SchedulingContext(
-            now=t,
-            invocation=invocation,
-            idle_containers=tuple(sorted(pool.lru_order(), key=_mru_key)),
-            cost_model=table.cost_model,
-            pool_capacity_mb=pool.capacity_mb,
-            pool_used_mb=pool.used_mb,
-            pool=pool,
-        )
-        decision = self.scheduler.decide(ctx)
-        if decision.container_id is None:
-            return None, 0, False, decision.actions
-        container, match = self.check_decision(decision.container_id, spec)
-        return container, int(match), decision.preserve_image, decision.actions
 
     # -- application ---------------------------------------------------------
     def apply(

@@ -219,10 +219,10 @@ class WarmPool:
     ) -> Tuple[Optional[Container], MatchLevel]:
         """Deepest-matching idle container for ``image`` via the index.
 
-        Ties at the deepest level are broken most-recently-used first
-        (greatest ``(last_used_at, container_id)``), matching the LRU-scan
-        semantics of ``SchedulingContext.reusable_containers()[0]``.  Cost
-        is three dict lookups plus a max() over the deepest bucket only.
+        The first container in the order deepest level first, then
+        greatest ``(last_used_at, container_id)`` (most recently used).
+        Cost is three dict lookups plus a max() over the deepest bucket
+        only.
         """
         f = image.fingerprints
         bucket = self._idx_l3.get(f)
@@ -254,8 +254,8 @@ class WarmPool:
         """Idle containers fully (L3) matching ``image``, MRU first.
 
         Single-shard equivalent of :meth:`PoolSet.exact_matches`, so a
-        lane's scheduling context can hand schedulers its ``WarmPool`` in
-        place of a set.
+        lane can hand the schedulers' rules its ``WarmPool`` in place of a
+        set.
         """
         bucket = self._idx_l3.get(image.fingerprints)
         if not bucket:
@@ -270,13 +270,11 @@ class WarmPool:
         """Most-recently-used container matching ``image`` at *exactly*
         ``level`` (no deeper), or None.
 
-        Equivalent to the first hit of a ``reusable_containers()`` scan
-        filtered to that level -- the scan orders deepest level first and
-        MRU within a level, so the exact-level MRU maximum is the same
-        container.  Containers at exactly L2 are the L2-prefix bucket
-        minus the L3 bucket; exactly L1 is the L1 bucket minus the L2
-        bucket (which contains the L3 one).  This is Offline-Q's
-        level-targeted pick.
+        The container with the greatest ``(last_used_at, container_id)``
+        among those at that level.  Containers at exactly L2 are the
+        L2-prefix bucket minus the L3 bucket; exactly L1 is the L1 bucket
+        minus the L2 bucket (which contains the L3 one).  This is
+        Offline-Q's level-targeted pick.
         """
         f = image.fingerprints
         if level is MatchLevel.L3:

@@ -1,8 +1,8 @@
 """Container-reuse schedulers: the paper's comparison set.
 
-Reactive policies write their rule once, in ``decide_pool`` over the warm
-pool's match index; the simulator reaches it through ``decide`` and the
-lane kernel calls it directly.
+Every policy writes its rule once, in ``decide_pool`` over the warm pool's
+match index and the arriving invocation; the simulator reaches it through
+``decide`` and the lane kernel calls it directly.
 
 * :class:`ColdOnlyScheduler` -- always cold start (lower-bound sanity check).
 * :class:`KeepAliveScheduler` -- exact-configuration reuse, 10-minute TTL,

@@ -5,16 +5,18 @@ with a :class:`SchedulingContext` -- a read-only view of the warm pool plus
 the cost model -- and receives a :class:`~repro.cluster.simulator.Decision`:
 either reuse a specific idle container or cold-start a new one.
 
-Reactive policies write their rule once, in :meth:`Scheduler.decide_pool`:
-a pure function of the warm pool's match index, the arriving function and
-the cost model.  The base ``decide`` wraps that rule in a
-:class:`Decision`, and the lane kernel calls the rule directly (no
-context), so both engines run the same code.  Policies that need the
-clock, the invocation or proactive actions override ``decide`` instead.
+Every registry policy writes its rule once, in :meth:`Scheduler.decide_pool`:
+a function of the warm pool's match index, the arriving invocation (whose
+``arrival_time`` is the decision time) and the cost model, returning the
+container to reuse, its match level, ``preserve_image`` and any proactive
+actions.  The base ``decide`` wraps that rule in a :class:`Decision`, and
+the lane kernel calls the rule directly (no context), so both engines run
+the same code.  Only MLCR's DRL scheduler and its online fine-tuner,
+which encode the full context, override ``decide``.
 
-Proactive policies (MPC pre-warming, Pagurus lending) additionally attach
-:class:`PrewarmRequest` / :class:`LendRequest` actions to their decisions;
-both engines execute them through
+Proactive policies (MPC pre-warming, Pagurus lending) attach
+:class:`PrewarmRequest` / :class:`LendRequest` actions beside their
+reactive pick; both engines execute them through
 :meth:`~repro.cluster.lifecycle.PoolLifecycle.apply_actions` immediately
 after applying the decision itself, so batch, streaming, incremental,
 online serving and lane drives stay decision-identical.
@@ -22,29 +24,18 @@ online serving and lane drives stay decision-identical.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.containers.container import Container
 from repro.containers.costmodel import StartupCostModel
 from repro.containers.image import FunctionImage
 from repro.containers.matching import MatchLevel, match_level
-from repro.workloads.functions import FunctionSpec
 from repro.workloads.workload import Invocation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster -> base)
     from repro.cluster.eviction import EvictionPolicy
     from repro.cluster.pool import PoolSet
-
-#: What :meth:`Scheduler.decide_pool` returns: the container to reuse (None
-#: for a cold start), its Table-I match level as an int, and whether to
-#: keep the container's own image (zygote-style ``preserve_image``).
-PoolDecision = Tuple[Optional[Container], int, bool]
-
-#: The cold-start :data:`PoolDecision`.
-COLD: PoolDecision = (None, 0, False)
-
 
 @dataclass(frozen=True)
 class PrewarmRequest:
@@ -74,6 +65,17 @@ class LendRequest:
 
 
 ProactiveAction = Union[PrewarmRequest, LendRequest]
+
+#: What :meth:`Scheduler.decide_pool` returns: the container to reuse (None
+#: for a cold start), its Table-I match level as an int, whether to keep
+#: the container's own image (zygote-style ``preserve_image``) and the
+#: proactive actions to run after the decision.
+PoolDecision = Tuple[
+    Optional[Container], int, bool, Tuple[ProactiveAction, ...]
+]
+
+#: The cold-start :data:`PoolDecision` with no actions.
+COLD: PoolDecision = (None, 0, False, ())
 
 
 @dataclass(frozen=True)
@@ -109,16 +111,6 @@ class Decision:
     @classmethod
     def warm(cls, container_id: int, preserve_image: bool = False) -> "Decision":
         return cls(container_id=container_id, preserve_image=preserve_image)
-
-    def with_actions(
-        self, actions: Tuple[ProactiveAction, ...]
-    ) -> "Decision":
-        """Copy of this decision carrying ``actions`` (frozen dataclass)."""
-        return Decision(
-            container_id=self.container_id,
-            preserve_image=self.preserve_image,
-            actions=tuple(actions),
-        )
 
 
 @dataclass(frozen=True)
@@ -173,22 +165,6 @@ class SchedulingContext:
             self.invocation.spec.image, match, self.invocation.spec.function_init_s
         )
 
-    def reusable_containers(self) -> List[Tuple[Container, MatchLevel]]:
-        """Idle containers with a non-trivial match, deepest-match first.
-
-        Ties on match level keep most-recently-used first so schedulers that
-        take the head get LRU-friendly behaviour.
-        """
-        scored = [
-            (c, self.match_of(c))
-            for c in self.idle_containers
-        ]
-        reusable = [(c, m) for c, m in scored if m.is_reusable]
-        # idle_containers is LRU-first; reverse for MRU-first tie-breaking.
-        reusable.reverse()
-        reusable.sort(key=lambda cm: -int(cm[1]))
-        return reusable
-
     def match_counts(self) -> Dict[MatchLevel, int]:
         """Idle-container counts per Table-I match level."""
         depth = self.pool.match_depth_counts(self.invocation.spec.image)
@@ -198,23 +174,27 @@ class SchedulingContext:
 class Scheduler:
     """Base class for container-reuse scheduling policies.
 
-    A reactive policy implements :meth:`decide_pool` and inherits
-    :meth:`decide`; a policy that needs more than the pool (the clock, the
-    invocation, proactive actions) overrides :meth:`decide` instead.
+    A policy implements :meth:`decide_pool` and inherits :meth:`decide`;
+    only a policy that reads the whole context (MLCR's DRL scheduler and
+    its fine-tuner) overrides :meth:`decide` instead.
     """
 
     #: Human-readable policy name used in reports and figures.
     name: str = "scheduler"
 
     def decide_pool(
-        self, pool: "PoolSet", spec: FunctionSpec, cost_model: StartupCostModel
+        self,
+        pool: "PoolSet",
+        invocation: Invocation,
+        cost_model: StartupCostModel,
     ) -> PoolDecision:
-        """The policy's reuse rule for an arrival of ``spec``.
+        """The policy's rule for placing ``invocation``.
 
-        Reads only ``pool``'s match-index queries (a
+        Reads ``pool``'s match-index queries (a
         :class:`~repro.cluster.pool.PoolSet` or a single
-        :class:`~repro.cluster.pool.WarmPool`) and ``cost_model``; returns
-        a :data:`PoolDecision` -- :data:`COLD` for a cold start.
+        :class:`~repro.cluster.pool.WarmPool`), the invocation -- its
+        ``arrival_time`` is the decision time -- and ``cost_model``;
+        returns a :data:`PoolDecision` -- :data:`COLD` for a cold start.
         """
         raise NotImplementedError(
             f"{type(self).__name__} decides from the full context"
@@ -222,12 +202,12 @@ class Scheduler:
 
     def decide(self, ctx: SchedulingContext) -> Decision:
         """Choose a warm container (or cold start) for ``ctx.invocation``."""
-        container, _match, preserve = self.decide_pool(
-            ctx.pool, ctx.invocation.spec, ctx.cost_model
+        container, _match, preserve, actions = self.decide_pool(
+            ctx.pool, ctx.invocation, ctx.cost_model
         )
         if container is None:
-            return Decision.cold()
-        return Decision.warm(container.container_id, preserve_image=preserve)
+            return Decision(actions=actions)
+        return Decision(container.container_id, preserve, actions)
 
     @staticmethod
     def make_eviction_policy() -> "EvictionPolicy":
@@ -245,17 +225,6 @@ class Scheduler:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def decides_by_pool_rule(cls: type) -> bool:
-    """Whether scheduler class ``cls`` decides by :meth:`Scheduler.\
-decide_pool` alone, i.e. keeps the base :meth:`Scheduler.decide`.
-
-    ``inspect.unwrap`` looks through wrappers (``functools.wraps``-style
-    ``__wrapped__``) set on an inherited ``decide``, so instrumenting a
-    class does not change how it is classified.
-    """
-    return inspect.unwrap(cls.decide) is Scheduler.decide
-
-
 class ExactMatchScheduler(Scheduler):
     """Reuse only a full (L3) configuration match, most recently used
     first; cold-start otherwise.  The rule of LRU, KeepAlive, FaasCache
@@ -263,10 +232,13 @@ class ExactMatchScheduler(Scheduler):
     pre-warming)."""
 
     def decide_pool(
-        self, pool: "PoolSet", spec: FunctionSpec, cost_model: StartupCostModel
+        self,
+        pool: "PoolSet",
+        invocation: Invocation,
+        cost_model: StartupCostModel,
     ) -> PoolDecision:
         """MRU exact match, else cold."""
-        container = pool.best_exact(spec.image)
+        container = pool.best_exact(invocation.spec.image)
         if container is None:
             return COLD
-        return container, 3, False
+        return container, 3, False, ()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.containers.costmodel import StartupCostModel
 from repro.schedulers.base import COLD, PoolDecision, Scheduler
-from repro.workloads.functions import FunctionSpec
+from repro.workloads.workload import Invocation
 
 
 class ColdOnlyScheduler(Scheduler):
@@ -17,7 +17,7 @@ class ColdOnlyScheduler(Scheduler):
     name = "ColdOnly"
 
     def decide_pool(
-        self, pool, spec: FunctionSpec, cost_model: StartupCostModel
+        self, pool, invocation: Invocation, cost_model: StartupCostModel
     ) -> PoolDecision:
         """Always cold."""
         return COLD

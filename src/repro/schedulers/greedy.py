@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.containers.costmodel import StartupCostModel
 from repro.schedulers.base import COLD, PoolDecision, Scheduler
-from repro.workloads.functions import FunctionSpec
+from repro.workloads.workload import Invocation
 
 
 class GreedyMatchScheduler(Scheduler):
@@ -20,10 +20,10 @@ class GreedyMatchScheduler(Scheduler):
     name = "Greedy-Match"
 
     def decide_pool(
-        self, pool, spec: FunctionSpec, cost_model: StartupCostModel
+        self, pool, invocation: Invocation, cost_model: StartupCostModel
     ) -> PoolDecision:
         """Deepest match at any level (MRU tie-break), else cold."""
-        container, level = pool.best_match(spec.image)
+        container, level = pool.best_match(invocation.spec.image)
         if container is None:
             return COLD
-        return container, int(level), False
+        return container, int(level), False, ()

@@ -19,10 +19,14 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.cluster.pool import _mru_key
 from repro.containers.container import Container
-from repro.containers.matching import MatchLevel
-from repro.schedulers.base import Decision, LendRequest, SchedulingContext
+from repro.containers.costmodel import StartupCostModel
+from repro.containers.image import FunctionImage
+from repro.containers.matching import MatchLevel, match_level
+from repro.schedulers.base import LendRequest, PoolDecision
 from repro.schedulers.greedy import GreedyMatchScheduler
+from repro.workloads.workload import Invocation
 
 
 class PagurusLendingScheduler(GreedyMatchScheduler):
@@ -58,47 +62,55 @@ class PagurusLendingScheduler(GreedyMatchScheduler):
         """Restore the full lending budget for a fresh run."""
         self._lends_used = 0
 
-    def decide(self, ctx: SchedulingContext) -> Decision:
+    def decide_pool(
+        self, pool, invocation: Invocation, cost_model: StartupCostModel
+    ) -> PoolDecision:
         """Greedy deepest-match reuse, plus a lend toward this function
         when the hit was inexact and a donor is available."""
-        container, match, _preserve = self.decide_pool(
-            ctx.pool, ctx.invocation.spec, ctx.cost_model
-        )
-        decision = (
-            Decision.cold() if container is None
-            else Decision.warm(container.container_id)
-        )
+        decision = super().decide_pool(pool, invocation, cost_model)
+        container, match, preserve, _ = decision
         if self._lends_used >= self.lend_budget or match == MatchLevel.L3:
             # Exact hit: nothing to improve for this function right now.
             return decision
-        donor = self._pick_donor(ctx, decision)
+        spec = invocation.spec
+        donor = self._pick_donor(
+            pool, spec.image, invocation.arrival_time, container
+        )
         if donor is None:
             return decision
         self._lends_used += 1
-        spec = ctx.invocation.spec
-        return decision.with_actions((
+        return container, match, preserve, (
             LendRequest(
                 container_id=donor.container_id,
                 image=spec.image,
                 function_name=spec.name,
             ),
-        ))
+        )
 
     def _pick_donor(
-        self, ctx: SchedulingContext, decision: Decision
+        self,
+        pool,
+        image: FunctionImage,
+        now: float,
+        claimed: Optional[Container],
     ) -> Optional[Container]:
         """Deepest-matching idle helper past the threshold, longest-idle
-        tie-break; excludes the container this decision claims."""
+        tie-break; excludes the ``claimed`` container.
+
+        Scans least recently used (smallest ``(last_used_at,
+        container_id)``) first; a later candidate wins only with a
+        strictly deeper level.
+        """
         best: Optional[Container] = None
         best_level = MatchLevel.NO_MATCH
-        for candidate in ctx.idle_containers:  # LRU (longest-idle) first
-            if candidate.container_id == decision.container_id:
+        candidates = pool.match_candidates(image, MatchLevel.L1)
+        candidates.sort(key=_mru_key)
+        for candidate in candidates:
+            if candidate is claimed:
                 continue
-            if candidate.idle_duration(ctx.now) < self.help_threshold_s:
+            if candidate.idle_duration(now) < self.help_threshold_s:
                 continue
-            level = ctx.match_of(candidate)
-            if not level.is_reusable:
-                continue
+            level = match_level(image, candidate.image)
             if level > best_level:
                 best, best_level = candidate, level
         return best

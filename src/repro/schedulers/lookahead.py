@@ -11,10 +11,14 @@ the DRL scheduler can hope to learn.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Tuple
 
-from repro.containers.matching import match_level
-from repro.schedulers.base import Decision, Scheduler, SchedulingContext
+from repro.cluster.pool import _mru_key
+from repro.containers.container import Container
+from repro.containers.costmodel import StartupCostModel
+from repro.containers.image import FunctionImage
+from repro.containers.matching import MatchLevel, match_level
+from repro.schedulers.base import COLD, PoolDecision, Scheduler
 from repro.workloads.workload import Invocation, Workload
 
 
@@ -38,27 +42,55 @@ class LookaheadScheduler(Scheduler):
         self._future = []
 
     # -- decision logic -------------------------------------------------------
-    def decide(self, ctx: SchedulingContext) -> Decision:
-        """Choose a warm container (or cold start) for ``ctx.invocation``."""
-        upcoming = self._upcoming(ctx.invocation)
-        cold_latency = ctx.estimated_latency(None)
-        best: Optional[Decision] = None
+    @staticmethod
+    def candidates(
+        pool, image: FunctionImage
+    ) -> List[Tuple[Container, MatchLevel]]:
+        """Reusable idle containers for ``image`` with their match levels,
+        in scan order: deepest level first, then most recently used
+        (greatest ``(last_used_at, container_id)``)."""
+        scored = [
+            (c, match_level(image, c.image))
+            for c in pool.match_candidates(image, MatchLevel.L1)
+        ]
+        scored.sort(key=lambda cm: (cm[1], _mru_key(cm[0])), reverse=True)
+        return scored
+
+    def decide_pool(
+        self, pool, invocation: Invocation, cost_model: StartupCostModel
+    ) -> PoolDecision:
+        """The reusable container with the best positive net saving --
+        its startup saving minus the worst saving a near-future arrival
+        forfeits -- else cold.
+
+        Scans :meth:`candidates` in order; a later candidate wins only
+        with a strictly better score.
+        """
+        spec = invocation.spec
+        image = spec.image
+        finit = spec.function_init_s
+        upcoming = self._upcoming(invocation)
+        cold_latency = cost_model.latency_s(image, MatchLevel.NO_MATCH, finit)
+        best = COLD
         best_score = 0.0  # score of cold start: zero net saving
-        for container, _level in ctx.reusable_containers():
-            my_latency = ctx.estimated_latency(container)
+        for container, level in self.candidates(pool, image):
+            my_latency = cost_model.latency_s(image, level, finit)
             my_saving = cold_latency - my_latency
             # Taking the container keeps it busy through startup + execution;
             # future invocations arriving within that window lose it
             # entirely, later ones only lose the repack delta.
             busy_until = (
-                ctx.now + my_latency + ctx.invocation.execution_time_s
+                invocation.arrival_time + my_latency
+                + invocation.execution_time_s
             )
-            loss = self._opportunity_loss(container, upcoming, ctx, busy_until)
+            loss = self._opportunity_loss(
+                container, upcoming, image, cost_model, busy_until
+            )
             score = my_saving - loss
             if score > best_score:
                 best_score = score
-                best = Decision.warm(container.container_id)
-        return best or Decision.cold()
+                best = (container, int(level), False, ())
+        return best
 
     def _upcoming(self, current: Invocation) -> List[Invocation]:
         """The next ``horizon`` invocations after ``current``."""
@@ -73,9 +105,10 @@ class LookaheadScheduler(Scheduler):
 
     def _opportunity_loss(
         self,
-        container,
+        container: Container,
         upcoming: List[Invocation],
-        ctx: SchedulingContext,
+        my_image: FunctionImage,
+        cost_model: StartupCostModel,
         busy_until: float,
     ) -> float:
         """Worst saving a near-future invocation forfeits if we take it now.
@@ -83,35 +116,36 @@ class LookaheadScheduler(Scheduler):
         An invocation arriving while the container is busy loses the entire
         as-is saving; one arriving after it is free again loses only the
         difference between reusing the original stack and reusing the
-        repacked (current invocation's) stack.
+        repacked (``my_image``) stack.
         """
-        my_image = ctx.invocation.spec.image
         worst = 0.0
         for inv in upcoming:
-            as_is = self._saving(inv, container.image, ctx)
+            as_is = self._saving(inv, container.image, cost_model)
             if as_is <= 0:
                 continue
             if inv.arrival_time < busy_until:
                 loss = as_is
             else:
-                loss = max(0.0, as_is - self._saving(inv, my_image, ctx))
+                loss = max(
+                    0.0, as_is - self._saving(inv, my_image, cost_model)
+                )
             worst = max(worst, loss)
         return worst
 
     @staticmethod
     def _saving(
-        inv: Invocation, container_image, ctx: SchedulingContext
+        inv: Invocation,
+        container_image: FunctionImage,
+        cost_model: StartupCostModel,
     ) -> float:
         """Startup saving ``inv`` would get from a container of that image."""
-        from repro.containers.matching import MatchLevel
-
         match = match_level(inv.spec.image, container_image)
         if not match.is_reusable:
             return 0.0
-        cold = ctx.cost_model.latency_s(
+        cold = cost_model.latency_s(
             inv.spec.image, MatchLevel.NO_MATCH, inv.spec.function_init_s
         )
-        warm = ctx.cost_model.latency_s(
+        warm = cost_model.latency_s(
             inv.spec.image, match, inv.spec.function_init_s
         )
         return cold - warm

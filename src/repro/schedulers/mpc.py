@@ -19,16 +19,18 @@ reused / wasted) measures the forecaster's hit rate.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.cluster.eviction import EvictionPolicy, RejectNewcomerEviction
+from repro.containers.container import Container
+from repro.containers.costmodel import StartupCostModel
 from repro.containers.image import FunctionImage
 from repro.schedulers.base import (
-    Decision,
     ExactMatchScheduler,
+    PoolDecision,
     PrewarmRequest,
-    SchedulingContext,
 )
+from repro.workloads.workload import Invocation
 
 
 class ArrivalForecaster:
@@ -132,29 +134,33 @@ class MPCScheduler(ExactMatchScheduler):
         """Keep-alive semantics for the reactive half."""
         return RejectNewcomerEviction(ttl_s=self.ttl_s)
 
-    def decide(self, ctx: SchedulingContext) -> Decision:
+    def decide_pool(
+        self, pool, invocation: Invocation, cost_model: StartupCostModel
+    ) -> PoolDecision:
         """Keep-alive exact-match reuse plus the receding-horizon plan."""
-        spec = ctx.invocation.spec
+        spec = invocation.spec
         self._images[spec.name] = spec.image
-        self.forecaster.observe(spec.name, ctx.invocation.arrival_time)
-        decision = super().decide(ctx)
+        self.forecaster.observe(spec.name, invocation.arrival_time)
+        decision = super().decide_pool(pool, invocation, cost_model)
         if not self.forecast or self.prewarm_budget == 0:
             return decision
-        plan = self._plan(ctx, decision)
-        if plan:
-            return decision.with_actions(plan)
-        return decision
+        container, match, preserve, _ = decision
+        return container, match, preserve, self._plan(
+            pool, invocation, container
+        )
 
     # -- planning ------------------------------------------------------------
-    def _plan(self, ctx: SchedulingContext, decision: Decision) -> list:
+    def _plan(
+        self, pool, invocation: Invocation, claimed: Optional[Container]
+    ) -> Tuple[PrewarmRequest, ...]:
         """Pre-warm requests for functions forecast inside the horizon."""
-        now = ctx.now
+        now = invocation.arrival_time
         deadline = now + self.horizon_s
         plan = []
         for fn, image in self._images.items():
             if len(plan) >= self.prewarm_budget:
                 break
-            if fn == ctx.invocation.spec.name:
+            if fn == invocation.spec.name:
                 # The container this very decision starts (or claims) will
                 # serve the function's next arrival if keep-alive holds it.
                 continue
@@ -163,19 +169,9 @@ class MPCScheduler(ExactMatchScheduler):
                 continue
             if self._prewarmed_for.get(fn) == predicted:
                 continue
-            if self._has_idle_exact(ctx, image, decision):
+            if any(c is not claimed for c in pool.exact_matches(image)):
+                # An idle exact match stays pooled past this decision.
                 continue
             plan.append(PrewarmRequest(image=image, function_name=fn))
             self._prewarmed_for[fn] = predicted
-        return plan
-
-    @staticmethod
-    def _has_idle_exact(
-        ctx: SchedulingContext, image: FunctionImage, decision: Decision
-    ) -> bool:
-        """Whether an idle exact match for ``image`` will remain pooled
-        (excluding the container this decision is about to claim)."""
-        return any(
-            c.container_id != decision.container_id
-            for c in ctx.pool.exact_matches(image)
-        )
+        return tuple(plan)

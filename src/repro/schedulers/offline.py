@@ -27,8 +27,7 @@ from repro.containers.costmodel import StartupCostModel
 from repro.containers.matching import MatchLevel
 from repro.drl.offline import OfflineQPolicy
 from repro.schedulers.base import COLD, PoolDecision, Scheduler
-from repro.workloads.functions import FunctionSpec
-from repro.workloads.workload import Workload
+from repro.workloads.workload import Invocation, Workload
 
 #: Table-I levels by action index (action 0 is the cold start).
 _LEVELS = tuple(MatchLevel)
@@ -105,7 +104,7 @@ class OfflineQScheduler(Scheduler):
         self.policy = bootstrap_policy(workload)
 
     def decide_pool(
-        self, pool, spec: FunctionSpec, cost_model: StartupCostModel
+        self, pool, invocation: Invocation, cost_model: StartupCostModel
     ) -> PoolDecision:
         """Masked arg-max over the function's Q-row; greedy fallback.
 
@@ -116,6 +115,7 @@ class OfflineQScheduler(Scheduler):
         container at the chosen level serves it.  Untrained, unseen or
         fully-masked functions fall back to greedy deepest-match.
         """
+        spec = invocation.spec
         image = spec.image
         if self._policy is not None:
             row = self._rows.get(spec.name, _MISSING)
@@ -142,8 +142,8 @@ class OfflineQScheduler(Scheduler):
                 if best_a > 0:
                     container = pool.best_at_level(image, _LEVELS[best_a])
                     if container is not None:
-                        return container, best_a, False
+                        return container, best_a, False, ()
         container, level = pool.best_match(image)
         if container is None:
             return COLD
-        return container, int(level), False
+        return container, int(level), False, ()

@@ -21,7 +21,7 @@ from repro.cluster.pool import _mru_key
 from repro.containers.costmodel import StartupCostModel
 from repro.containers.matching import MatchLevel, match_level
 from repro.schedulers.base import COLD, PoolDecision, Scheduler
-from repro.workloads.functions import FunctionSpec
+from repro.workloads.workload import Invocation
 
 
 class AlwaysAdoptScheduler(Scheduler):
@@ -42,7 +42,7 @@ class AlwaysAdoptScheduler(Scheduler):
         self._memos.clear()
 
     def decide_pool(
-        self, pool, spec: FunctionSpec, cost_model: StartupCostModel
+        self, pool, invocation: Invocation, cost_model: StartupCostModel
     ) -> PoolDecision:
         """Cheapest same-OS delta cost, adopted only when it beats the
         cold-start latency.
@@ -50,6 +50,7 @@ class AlwaysAdoptScheduler(Scheduler):
         Candidates are visited least-recently-used first with a strict
         ``<``, so the first minimizer in LRU order wins.
         """
+        spec = invocation.spec
         image = spec.image
         candidates = pool.match_candidates(image, MatchLevel.L1)
         if not candidates:
@@ -80,5 +81,5 @@ class AlwaysAdoptScheduler(Scheduler):
                 image, MatchLevel.NO_MATCH, finit
             )
         if best_cost < cold:
-            return best, int(match_level(image, best.image)), False
+            return best, int(match_level(image, best.image)), False, ()
         return COLD

@@ -33,6 +33,7 @@ from repro.containers.image import FunctionImage
 from repro.containers.matching import MatchLevel, match_level
 from repro.schedulers.base import COLD, PoolDecision, Scheduler
 from repro.workloads.functions import FunctionSpec
+from repro.workloads.workload import Invocation
 
 #: Covering-test memo: (function fingerprints, container fingerprints) ->
 #: whether the container's package set covers the function's.  Interned
@@ -73,7 +74,7 @@ class ZygoteScheduler(Scheduler):
     name = "Zygote"
 
     def decide_pool(
-        self, pool, spec: FunctionSpec, cost_model: StartupCostModel
+        self, pool, invocation: Invocation, cost_model: StartupCostModel
     ) -> PoolDecision:
         """Smallest covering same-OS container (preserved in place), else
         the MRU exact match, else cold.
@@ -83,7 +84,7 @@ class ZygoteScheduler(Scheduler):
         smallest-``(memory_mb, container_id)`` pick is order-free, so
         bucket order is irrelevant.
         """
-        image = spec.image
+        image = invocation.spec.image
         candidates = pool.match_candidates(image, MatchLevel.L1)
         if not candidates:
             return COLD
@@ -107,8 +108,8 @@ class ZygoteScheduler(Scheduler):
                 best_key = key
                 best = c
         if best is not None:
-            return best, int(match_level(image, best.image)), True
+            return best, int(match_level(image, best.image)), True, ()
         exact = pool.best_exact(image)
         if exact is None:
             return COLD
-        return exact, 3, False
+        return exact, 3, False, ()

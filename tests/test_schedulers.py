@@ -14,7 +14,9 @@ from repro.schedulers import (
     KeepAliveScheduler,
     LookaheadScheduler,
     LRUScheduler,
+    PagurusLendingScheduler,
 )
+from repro.schedulers.base import LendRequest
 from repro.workloads.workload import Workload
 
 from conftest import (
@@ -124,8 +126,26 @@ class TestLookahead:
             Workload.from_invocations("w", [inv_now])  # nothing follows
         )
         ctx = make_ctx(inv_now, idle_containers=[contested])
-        assert ctx.reusable_containers()
+        assert LookaheadScheduler.candidates(ctx.pool, inv_now.spec.image)
         assert not scheduler.decide(ctx).is_cold
+
+    def test_candidates_sorted_deepest_first(self):
+        """The rule scans reusable containers deepest level first, then
+        most recently used (greatest ``(last_used_at, container_id)``),
+        whatever the pool's own order; non-matching ones are skipped."""
+        nodejs = make_image("x", lang_name="nodejs")
+        l1_old = make_container(1, image=nodejs, last_used_at=0.0)
+        l1_new = make_container(2, image=nodejs, last_used_at=5.0)
+        l1_tied = make_container(5, image=nodejs, last_used_at=5.0)
+        l3 = make_container(3)
+        other_os = make_container(4, image=make_image("o", os_name="debian"))
+        ctx = ctx_for([l1_new, l3, other_os, l1_old, l1_tied])
+        order = LookaheadScheduler.candidates(
+            ctx.pool, ctx.invocation.spec.image
+        )
+        assert [(c.container_id, int(m)) for c, m in order] == [
+            (3, 3), (5, 1), (2, 1), (1, 1)
+        ]
 
     def test_reset_clears_future(self):
         scheduler = LookaheadScheduler()
@@ -137,6 +157,29 @@ class TestLookahead:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             LookaheadScheduler(horizon=-1)
+
+
+class TestLendingDonor:
+    def test_longest_idle_donor_at_deepest_level(self):
+        """The donor scan runs least recently used first and keeps the
+        first strictly deeper level; the claimed container and helpers
+        idle under the threshold are skipped."""
+        spec = make_spec(name="f", image=make_image("f",
+                                                    runtime_names=("numpy",)))
+        flask = make_image("flask")
+        donors = [
+            make_container(2, image=flask, last_used_at=1.0),
+            make_container(4, image=make_image("n", lang_name="nodejs")),
+            make_container(1, image=flask, last_used_at=0.0),
+            make_container(3, image=flask, last_used_at=9.5),
+        ]
+        ctx = make_ctx(make_invocation(spec, arrival_time=10.0),
+                       idle_containers=donors, now=10.0)
+        decision = PagurusLendingScheduler(help_threshold_s=2.0).decide(ctx)
+        assert decision.container_id == 3  # greedy MRU pick at L2
+        assert decision.actions == (
+            LendRequest(container_id=1, image=spec.image, function_name="f"),
+        )
 
 
 class TestSchedulingContext:
@@ -153,10 +196,3 @@ class TestSchedulingContext:
         ])
         counts = ctx.match_counts()
         assert sum(counts.values()) == 2
-
-    def test_reusable_sorted_deepest_first(self):
-        c_l1 = make_container(1, image=make_image("x", lang_name="nodejs"))
-        c_l3 = make_container(2)
-        ctx = ctx_for([c_l1, c_l3])
-        levels = [int(m) for _, m in ctx.reusable_containers()]
-        assert levels == sorted(levels, reverse=True)

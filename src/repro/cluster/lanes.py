@@ -15,12 +15,13 @@ struct-of-arrays kernel:
 * **Batched arrival ingestion** -- each workload draw is lowered once into an
   :class:`ArrivalTable`: numpy columns (arrival time, execution time,
   function index) beside the draw's
-  :class:`~repro.workloads.workload.Invocation` list, plus a
-  per-``(function, match level)`` startup-latency table computed through
-  the exact same
-  :meth:`~repro.containers.costmodel.StartupCostModel.breakdown` call the
-  sequential driver makes per arrival.  Tables are shared by every lane
-  replaying the same draw;
+  :class:`~repro.workloads.workload.Invocation` list and the cost model
+  that prices every start.  Lanes price a start with
+  :meth:`~repro.containers.costmodel.StartupCostModel.latency_s`, the
+  memoized total of the same
+  :meth:`~repro.containers.costmodel.StartupCostModel.breakdown` the
+  sequential driver prices each arrival with.  Tables are shared by every
+  lane replaying the same draw;
   :meth:`ArrivalTable.from_stream` lowers a lazy arrival stream into
   bounded columnar chunks for O(1)-memory lane replay
   (:func:`run_stream_lanes`).
@@ -94,7 +95,6 @@ from repro.cluster.sketches import QuantileSketch
 from repro.cluster.telemetry import Counters, column_percentiles, summary_fold
 from repro.containers.container import Container, ContainerState
 from repro.containers.costmodel import StartupCostModel
-from repro.containers.matching import MatchLevel
 from repro.workloads.workload import Invocation, Workload
 
 __all__ = [
@@ -170,13 +170,10 @@ class ArrivalTable:
         themselves, handed to the scheduler's rule.
     ``fn_ix``
         Index into :attr:`specs` for each arrival (int32).
-    ``latency``
-        ``latency[fn][int(match)]`` -- the startup latency of starting
-        ``specs[fn]`` at a given Table-I match level, precomputed through
-        the same cost-model :meth:`~repro.containers.costmodel.\
-StartupCostModel.breakdown` the sequential driver evaluates per arrival
-        (breakdowns are pure and order-independent, so the floats are
-        bit-identical).
+
+    :attr:`cost_model` prices every start of every lane replaying the
+    table; it memoizes its breakdowns, so each ``(function, match level)``
+    price is computed once per model.
 
     :attr:`workload` keeps the source workload for schedulers that need
     ``observe_workload`` (Lookahead's clairvoyance, Offline-Q's bootstrap
@@ -188,7 +185,7 @@ StartupCostModel.breakdown` the sequential driver evaluates per arrival
         self, workload: Workload, cost_model: Optional[StartupCostModel] = None
     ) -> None:
         cost_model = cost_model or StartupCostModel()
-        self._init_from(workload.name, list(workload), cost_model, [], {}, [])
+        self._init_from(workload.name, list(workload), cost_model, [], {})
         self.workload: Optional[Workload] = workload
 
     def _init_from(
@@ -198,14 +195,12 @@ StartupCostModel.breakdown` the sequential driver evaluates per arrival
         cost_model: StartupCostModel,
         specs: List,
         index_of: Dict[int, int],
-        latency: List[List[float]],
     ) -> None:
         """Populate the columns from ``invocations``.
 
-        ``specs`` / ``index_of`` / ``latency`` are the (shared, append-only)
-        function registries -- chunk tables from one stream pass the same
-        lists so function indices stay stable across chunks and per-spec
-        latency rows are computed exactly once, at first encounter.
+        ``specs`` / ``index_of`` are the (shared, append-only) function
+        registry -- chunk tables from one stream pass the same ones so
+        function indices stay stable across chunks.
         """
         self.name = name
         self.cost_model = cost_model
@@ -228,16 +223,9 @@ StartupCostModel.breakdown` the sequential driver evaluates per arrival
             if ix is None:
                 ix = index_of[key] = len(specs)
                 specs.append(spec)
-                latency.append([
-                    cost_model.breakdown(
-                        spec.image, level, spec.function_init_s
-                    ).total_s
-                    for level in MatchLevel
-                ])
             fn_ix[i] = ix
         self.fn_ix = fn_ix
         self.specs = specs
-        self.latency = latency
 
     @classmethod
     def from_stream(
@@ -251,8 +239,9 @@ StartupCostModel.breakdown` the sequential driver evaluates per arrival
         Yields one table per ``chunk_size`` arrivals (the final chunk may
         be shorter; an empty stream yields nothing).  All chunks share one
         function registry -- ``specs`` / ``fn_ix`` indices are stable
-        across chunks and each function's latency row is computed once --
-        so memory stays O(chunk + #functions) regardless of stream length.
+        across chunks -- and one cost model, whose memo keeps each start
+        priced once across chunk boundaries, so memory stays
+        O(chunk + #functions) regardless of stream length.
         Chunk tables carry ``workload=None``: the streaming driver never
         calls ``observe_workload`` either.
         """
@@ -262,14 +251,13 @@ StartupCostModel.breakdown` the sequential driver evaluates per arrival
         name = getattr(stream, "name", "<stream>")
         specs: List = []
         index_of: Dict[int, int] = {}
-        latency: List[List[float]] = []
         source = iter(stream)
         while True:
             block = list(itertools.islice(source, chunk_size))
             if not block:
                 return
             table = cls.__new__(cls)
-            table._init_from(name, block, cost_model, specs, index_of, latency)
+            table._init_from(name, block, cost_model, specs, index_of)
             yield table
 
 
@@ -481,7 +469,9 @@ class _Lane(PoolLifecycle):
         counters = self.counters
         if self.live_memory_mb > counters.peak_live_memory_mb:
             counters.peak_live_memory_mb = self.live_memory_mb
-        latency = table.latency[fn][match]
+        latency = table.cost_model.latency_s(
+            spec.image, match, spec.function_init_s
+        )
         if self.bounded:
             self.lat_n += 1
             self.lat_total += latency

@@ -19,6 +19,14 @@ code pulling is 47--89 % of a cold start, runtime initialization is ~6 % for
 interpreted languages and up to ~45 % for compiled ones, a full warm start is
 up to ~14x faster than a cold start, and cold starts are 1.3--166x the
 function execution time.
+
+Breakdowns are pure, so the model memoizes them in one private dict --
+the only cache of startup prices -- keyed ``(image.fingerprints, match,
+function_init_s)`` for :meth:`~StartupCostModel.breakdown` (read by
+:meth:`~StartupCostModel.latency_s` too) and ``(function fingerprints,
+container fingerprints, function_init_s)`` for
+:meth:`~StartupCostModel.delta_breakdown`.  Errors are never stored.
+Fingerprints are process-local, so a model pickles without its memo.
 """
 
 from __future__ import annotations
@@ -125,7 +133,10 @@ class CostModelParams:
 
 @dataclass(frozen=True)
 class StartupBreakdown:
-    """Per-phase startup latency in seconds (the Fig. 1 stacked bars)."""
+    """Per-phase startup latency in seconds (the Fig. 1 stacked bars).
+
+    ``total_s`` is summed once, at construction, in the phase order below.
+    """
 
     create_s: float = 0.0
     pull_s: float = 0.0
@@ -134,16 +145,15 @@ class StartupBreakdown:
     function_init_s: float = 0.0
     clean_s: float = 0.0
 
-    @property
-    def total_s(self) -> float:
-        return (
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total_s", (
             self.create_s
             + self.pull_s
             + self.install_s
             + self.runtime_init_s
             + self.function_init_s
             + self.clean_s
-        )
+        ))
 
     def as_dict(self) -> Dict[StartupPhase, float]:
         """Per-phase seconds keyed by StartupPhase."""
@@ -158,10 +168,15 @@ class StartupBreakdown:
 
 
 class StartupCostModel:
-    """Compute startup latencies for every Table-I match level."""
+    """Compute (and memoize) startup latencies for every Table-I match level."""
 
     def __init__(self, params: CostModelParams | None = None) -> None:
         self.params = params or CostModelParams()
+        self._memo: Dict[tuple, StartupBreakdown] = {}
+
+    def __reduce__(self):
+        """Pickle without the memo: its fingerprint keys are process-local."""
+        return type(self), (self.params,)
 
     # -- phase helpers -------------------------------------------------------
     def pull_time_s(self, packages: FrozenSet[Package]) -> float:
@@ -199,8 +214,21 @@ class StartupCostModel:
         """Startup breakdown for starting ``image`` at the given match level.
 
         ``function_init_s`` is the function's own initialization time (code
-        import, model load, ...), supplied by the function spec.
+        import, model load, ...), supplied by the function spec.  An int
+        ``match`` hits the same memo entry as its ``MatchLevel``.
         """
+        key = (image.fingerprints, match, function_init_s)
+        cached = self._memo.get(key)
+        if cached is None:
+            cached = self._memo[key] = self._price(
+                image, MatchLevel(match), function_init_s
+            )
+        return cached
+
+    def _price(
+        self, image: FunctionImage, match: MatchLevel, function_init_s: float
+    ) -> StartupBreakdown:
+        """Compute :meth:`breakdown` (no memo)."""
         if function_init_s < 0:
             raise ValueError("function_init_s must be >= 0")
         p = self.params
@@ -241,8 +269,12 @@ class StartupCostModel:
     def latency_s(
         self, image: FunctionImage, match: MatchLevel, function_init_s: float
     ) -> float:
-        """Total startup latency (convenience wrapper over :meth:`breakdown`)."""
-        return self.breakdown(image, match, function_init_s).total_s
+        """``breakdown(...).total_s``, read straight off the memo (the
+        per-arrival call on the hot paths)."""
+        cached = self._memo.get((image.fingerprints, match, function_init_s))
+        if cached is None:
+            cached = self.breakdown(image, match, function_init_s)
+        return cached.total_s
 
     # -- W-style delta costing (Fig. 1's "pull missing packages") -------------
     def delta_breakdown(
@@ -262,6 +294,22 @@ class StartupCostModel:
         levels, this prices arbitrary package overlap -- the cost model
         behind level-free sharing baselines.
         """
+        key = (function_image.fingerprints, container_image.fingerprints,
+               function_init_s)
+        cached = self._memo.get(key)
+        if cached is None:
+            cached = self._memo[key] = self._price_delta(
+                function_image, container_image, function_init_s
+            )
+        return cached
+
+    def _price_delta(
+        self,
+        function_image: FunctionImage,
+        container_image: FunctionImage,
+        function_init_s: float,
+    ) -> StartupBreakdown:
+        """Compute :meth:`delta_breakdown` (no memo)."""
         if function_init_s < 0:
             raise ValueError("function_init_s must be >= 0")
         if function_image.os_packages != container_image.os_packages:

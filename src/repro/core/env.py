@@ -31,6 +31,7 @@ from repro.cluster.simulator import (
     SimulationConfig,
     SimulationResult,
 )
+from repro.containers.matching import MatchLevel
 from repro.core.state import EncodedState, StateEncoder
 from repro.workloads.workload import Workload
 
@@ -92,7 +93,6 @@ class SchedulingEnv:
         self._sim: Optional[ClusterSimulator] = None
         self._episode = -1
         self._phi = 0.0
-        self._stack_saving_cache: dict = {}
 
     def spawn(self) -> "SchedulingEnv":
         """A fresh environment over the same configuration.
@@ -166,18 +166,11 @@ class SchedulingEnv:
 
     # -- potential-based shaping -------------------------------------------
     def _stack_saving(self, image) -> float:
-        """Cold-minus-warm latency of a container's stack (cached)."""
-        key = image.packages
-        saving = self._stack_saving_cache.get(key)
-        if saving is None:
-            from repro.containers.matching import MatchLevel
-
-            model = self.sim_config.cost_model
-            saving = model.latency_s(image, MatchLevel.NO_MATCH, 0.0) - (
-                model.latency_s(image, MatchLevel.L3, 0.0)
-            )
-            self._stack_saving_cache[key] = saving
-        return saving
+        """Cold-minus-warm latency of a container's stack."""
+        model = self.sim_config.cost_model
+        return model.latency_s(image, MatchLevel.NO_MATCH, 0.0) - (
+            model.latency_s(image, MatchLevel.L3, 0.0)
+        )
 
     def _potential(self) -> float:
         """Demand-weighted warm value of the current idle pool."""

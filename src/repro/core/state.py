@@ -118,13 +118,9 @@ class StateEncoder:
         self._last_arrival: Optional[float] = None
         self._image_demand: Dict[object, float] = {}
         self._demand_total = 0.0
-        # Image-keyed caches.  Both survive reset(): they depend only on
-        # the (immutable) image configurations and the cost model, not on
-        # episode state; the latency cache is invalidated when a context
-        # carries a different cost-model instance.
+        # Image-keyed cache.  Survives reset(): it depends only on the
+        # (immutable) image configurations, not on episode state.
         self._bag_cache: Dict[object, np.ndarray] = {}
-        self._latency_cache: Dict[Tuple, float] = {}
-        self._latency_model: Optional[object] = None
 
     # -- dimensions --------------------------------------------------------
     @property
@@ -208,7 +204,7 @@ class StateEncoder:
         mask[-1] = True  # cold start is always allowed
         slot_ids: List[Optional[int]] = [None] * self.n_slots
         slot_matches: List[MatchLevel] = [MatchLevel.NO_MATCH] * self.n_slots
-        cold_latency = self._cached_latency(ctx, MatchLevel.NO_MATCH)
+        cold_latency = self._latency(ctx, MatchLevel.NO_MATCH)
         for slot, (container, match) in enumerate(ranked):
             # Idle containers matching at least as deep as this one, besides
             # itself: >0 means taking this container costs nothing.
@@ -249,24 +245,13 @@ class StateEncoder:
         # cached array can be shared.
         return bag
 
-    def _cached_latency(
-        self,
-        ctx: SchedulingContext,
-        match: MatchLevel,
-        function_init_s: Optional[float] = None,
-    ) -> float:
-        """Cost-model latency cached per ``(image, match, function_init_s)``."""
-        if ctx.cost_model is not self._latency_model:
-            self._latency_model = ctx.cost_model
-            self._latency_cache.clear()
+    @staticmethod
+    def _latency(ctx: SchedulingContext, match: MatchLevel) -> float:
+        """The cost model's startup latency of the invocation at ``match``."""
         spec = ctx.invocation.spec
-        init_s = spec.function_init_s if function_init_s is None else function_init_s
-        key = (spec.image.fingerprints, int(match), init_s)
-        latency = self._latency_cache.get(key)
-        if latency is None:
-            latency = ctx.cost_model.latency_s(spec.image, match, init_s)
-            self._latency_cache[key] = latency
-        return latency
+        return ctx.cost_model.latency_s(
+            spec.image, match, spec.function_init_s
+        )
 
     def _global_features(
         self, ctx: SchedulingContext, interval: float, depth_counts: np.ndarray
@@ -286,7 +271,7 @@ class StateEncoder:
                 np.log1p(interval),
                 free_frac,
                 len(ctx.idle_containers) / self.n_slots,
-                self._cached_latency(ctx, MatchLevel.NO_MATCH) * _LATENCY_SCALE,
+                self._latency(ctx, MatchLevel.NO_MATCH) * _LATENCY_SCALE,
                 self._demand_of(spec.image.packages),
             ]
         )
@@ -353,7 +338,7 @@ class StateEncoder:
         one_hot = np.zeros(4)
         one_hot[int(match)] = 1.0
         if match.is_reusable:
-            reuse_latency = self._cached_latency(ctx, match)
+            reuse_latency = self._latency(ctx, match)
             saving = cold_latency - reuse_latency
         else:
             reuse_latency = 0.0

@@ -15,7 +15,6 @@ the matcher with adversarial adoption behaviour.
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
 
 from repro.cluster.pool import _mru_key
 from repro.containers.costmodel import StartupCostModel
@@ -28,18 +27,6 @@ class AlwaysAdoptScheduler(Scheduler):
     """Adopt the same-OS container with the smallest delta startup cost."""
 
     name = "W-AlwaysAdopt"
-
-    def __init__(self) -> None:
-        # Per cost model: (delta costs keyed on (function fingerprints,
-        # function_init_s, container fingerprints), cold latencies keyed
-        # on (function fingerprints, function_init_s)).  Sound because
-        # both costs depend only on the images' package sets, which
-        # interned fingerprints determine exactly.
-        self._memos: Dict[StartupCostModel, Tuple[dict, dict]] = {}
-
-    def reset(self) -> None:
-        """Drop the cost memos."""
-        self._memos.clear()
 
     def decide_pool(
         self, pool, invocation: Invocation, cost_model: StartupCostModel
@@ -57,29 +44,15 @@ class AlwaysAdoptScheduler(Scheduler):
             return COLD
         if len(candidates) > 1:
             candidates.sort(key=_mru_key)
-        memos = self._memos.get(cost_model)
-        if memos is None:
-            memos = self._memos[cost_model] = ({}, {})
-        deltas, colds = memos
-        fps = image.fingerprints
         finit = spec.function_init_s
         best = None
         best_cost = math.inf
         for c in candidates:
-            key = (fps, finit, c.image.fingerprints)
-            cost = deltas.get(key)
-            if cost is None:
-                cost = deltas[key] = cost_model.delta_breakdown(
-                    image, c.image, finit
-                ).total_s
+            cost = cost_model.delta_breakdown(image, c.image, finit).total_s
             if cost < best_cost:
                 best_cost = cost
                 best = c
-        cold = colds.get((fps, finit))
-        if cold is None:
-            cold = colds[fps, finit] = cost_model.latency_s(
-                image, MatchLevel.NO_MATCH, finit
-            )
+        cold = cost_model.latency_s(image, MatchLevel.NO_MATCH, finit)
         if best_cost < cold:
             return best, int(match_level(image, best.image)), False, ()
         return COLD

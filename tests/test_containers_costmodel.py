@@ -1,9 +1,13 @@
 """Tests for the startup cost model and its paper calibration bands."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cluster.faults import FaultConfig, FaultModel
 from repro.containers.costmodel import (
     CostModelParams,
     StartupCostModel,
@@ -151,3 +155,101 @@ def test_monotone_savings_hold_for_any_function_init(init):
     image = make_image("f", runtime_names=("flask", "numpy"))
     latencies = [model.latency_s(image, lvl, init) for lvl in MatchLevel]
     assert all(a >= b for a, b in zip(latencies, latencies[1:]))
+
+
+def _bits(breakdown):
+    """Every phase and the total as exact float bit patterns."""
+    values = dataclasses.astuple(breakdown) + (breakdown.total_s,)
+    return tuple(float(v).hex() for v in values)
+
+
+class TestMemo:
+    """One memo per model: repeat calls return the first call's prices."""
+
+    def test_breakdown_repeat_bit_equal_to_fresh_model(self):
+        memo = StartupCostModel()
+        for spec in fstartbench_functions():
+            for lvl in MatchLevel:
+                args = (spec.image, lvl, spec.function_init_s)
+                first = memo.breakdown(*args)
+                fresh = StartupCostModel().breakdown(*args)
+                again = memo.breakdown(*args)
+                assert again is first
+                assert _bits(again) == _bits(fresh)
+                # total_s sums the phases left to right, in phase order.
+                assert first.total_s == sum(first.as_dict().values())
+                # The lane prices with a plain-int match: same entry.
+                assert memo.breakdown(spec.image, int(lvl),
+                                      spec.function_init_s) is first
+                assert memo.latency_s(spec.image, int(lvl),
+                                      spec.function_init_s).hex() \
+                    == fresh.total_s.hex()
+
+    def test_latency_repeat_bit_equal_to_fresh_model(self):
+        memo = StartupCostModel()
+        for spec in fstartbench_functions():
+            for lvl in MatchLevel:
+                args = (spec.image, lvl, spec.function_init_s)
+                memo.latency_s(*args)
+                assert memo.latency_s(*args).hex() \
+                    == StartupCostModel().latency_s(*args).hex()
+
+    def test_delta_repeat_bit_equal_to_fresh_model(self):
+        memo = StartupCostModel()
+        specs = fstartbench_functions()
+        pairs = [
+            (f, c) for f in specs for c in specs
+            if f.image.os_packages == c.image.os_packages
+        ]
+        assert len(pairs) > len(specs)  # some cross-function pairs
+        for f, c in pairs:
+            args = (f.image, c.image, f.function_init_s)
+            first = memo.delta_breakdown(*args)
+            fresh = StartupCostModel().delta_breakdown(*args)
+            assert memo.delta_breakdown(*args) is first
+            assert _bits(first) == _bits(fresh)
+
+    def test_pickle_round_trip_drops_memo(self, model):
+        spec = fstartbench_functions()[0]
+        expected = model.latency_s(spec.image, MatchLevel.L2,
+                                   spec.function_init_s)
+        assert model._memo
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone._memo == {}
+        assert clone.params == model.params
+        assert clone.latency_s(spec.image, MatchLevel.L2,
+                               spec.function_init_s) == expected
+        assert model._memo  # the original keeps its memo
+
+    def test_negative_init_raises_every_time(self, model):
+        image = make_image("f")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                model.breakdown(image, MatchLevel.L1, -0.1)
+            with pytest.raises(ValueError):
+                model.latency_s(image, MatchLevel.L1, -0.1)
+            with pytest.raises(ValueError):
+                model.delta_breakdown(image, image, -0.1)
+        assert model._memo == {}
+
+    def test_os_mismatched_delta_raises_every_time(self, model):
+        alpine = make_image("a", os_name="alpine")
+        debian = make_image("d", os_name="debian")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                model.delta_breakdown(alpine, debian, 0.1)
+        assert model._memo == {}
+
+    def test_straggler_leaves_memoized_breakdown_unchanged(self, model):
+        spec = fstartbench_functions()[0]
+        args = (spec.image, MatchLevel.NO_MATCH, spec.function_init_s)
+        shared = model.breakdown(*args)
+        pull_s = shared.pull_s
+        faults = FaultModel(FaultConfig(straggler_prob=1.0))
+        stretched, straggled = faults.perturb_breakdown(shared)
+        assert straggled
+        assert stretched is not shared
+        assert stretched.pull_s == pull_s * faults.config.straggler_factor
+        assert stretched.total_s > shared.total_s
+        assert model.breakdown(*args) is shared
+        assert shared.pull_s == pull_s

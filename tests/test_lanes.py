@@ -263,11 +263,12 @@ class TestArrivalTable:
             np.concatenate([c.exec_s for c in chunks]), whole.exec_s)
         assert [inv for c in chunks for inv in c.invocations] \
             == whole.invocations
-        # Chunks share one function registry: identical spec objects,
-        # identical latency rows, stable indices across chunk boundaries.
+        # Chunks share one function registry (identical spec objects,
+        # stable indices across chunk boundaries) and one cost model, whose
+        # memo keeps priced starts across chunk boundaries.
         assert all(c.specs is chunks[0].specs for c in chunks)
         assert chunks[0].specs == whole.specs
-        assert chunks[0].latency == whole.latency
+        assert all(c.cost_model is chunks[0].cost_model for c in chunks)
         np.testing.assert_array_equal(
             np.concatenate([c.fn_ix for c in chunks]), whole.fn_ix)
         # Stream chunks have no materialized workload to observe.

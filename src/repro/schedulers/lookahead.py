@@ -7,11 +7,16 @@ the next ``horizon`` invocations could extract from the *same* container --
 a direct operationalization of the paper's Fig. 2 insight.  It gives a cheap
 estimate of how much headroom exists beyond Greedy-Match, which bounds what
 the DRL scheduler can hope to learn.
+
+A decision finds its horizon through an ``invocation_id -> position`` index
+built once per workload, prices each upcoming arrival once, and scores each
+distinct candidate image once: a candidate's score depends only on its
+image, so only the first container of an image in scan order can win.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cluster.pool import _mru_key
 from repro.containers.container import Container
@@ -20,6 +25,8 @@ from repro.containers.image import FunctionImage
 from repro.containers.matching import MatchLevel, match_level
 from repro.schedulers.base import COLD, PoolDecision, Scheduler
 from repro.workloads.workload import Invocation, Workload
+
+_NO_MATCH = MatchLevel.NO_MATCH
 
 
 class LookaheadScheduler(Scheduler):
@@ -32,14 +39,20 @@ class LookaheadScheduler(Scheduler):
             raise ValueError("horizon must be >= 0")
         self.horizon = horizon
         self._future: List[Invocation] = []
+        self._position: Dict[int, int] = {}
 
     def observe_workload(self, workload: Workload) -> None:
         """Give the scheduler clairvoyant access to the arrival stream."""
         self._future = list(workload.invocations)
+        self._position = {}
+        for i, inv in enumerate(self._future):
+            # A repeated id keeps its first position.
+            self._position.setdefault(inv.invocation_id, i)
 
     def reset(self) -> None:
         """Clear per-run state."""
         self._future = []
+        self._position = {}
 
     # -- decision logic -------------------------------------------------------
     @staticmethod
@@ -63,89 +76,66 @@ class LookaheadScheduler(Scheduler):
         its startup saving minus the worst saving a near-future arrival
         forfeits -- else cold.
 
-        Scans :meth:`candidates` in order; a later candidate wins only
-        with a strictly better score.
+        An upcoming arrival that lands while the container is busy
+        (startup plus execution) forfeits its whole as-is saving; a later
+        one forfeits only how much more that is than its saving from the
+        container repacked to this image.  Each upcoming arrival's cold
+        latency and repacked saving are priced once per decision.  Scans
+        :meth:`candidates` in order, scoring only the first container of
+        each distinct image; a later candidate wins only with a strictly
+        better score.
         """
         spec = invocation.spec
         image = spec.image
         finit = spec.function_init_s
-        upcoming = self._upcoming(invocation)
-        cold_latency = cost_model.latency_s(image, MatchLevel.NO_MATCH, finit)
+        latency_s = cost_model.latency_s
+        cold_latency = latency_s(image, _NO_MATCH, finit)
+        window = []
+        for inv in self._upcoming(invocation):
+            up, up_init = inv.spec.image, inv.spec.function_init_s
+            up_cold = latency_s(up, _NO_MATCH, up_init)
+            repack = match_level(up, image)
+            repacked = (
+                0.0 if repack is _NO_MATCH
+                else up_cold - latency_s(up, repack, up_init)
+            )
+            window.append((up, up_init, inv.arrival_time, up_cold, repacked))
         best = COLD
         best_score = 0.0  # score of cold start: zero net saving
+        seen_images = set()
         for container, level in self.candidates(pool, image):
-            my_latency = cost_model.latency_s(image, level, finit)
-            my_saving = cold_latency - my_latency
-            # Taking the container keeps it busy through startup + execution;
-            # future invocations arriving within that window lose it
-            # entirely, later ones only lose the repack delta.
+            held = container.image
+            if held.fingerprints in seen_images:
+                continue
+            seen_images.add(held.fingerprints)
+            my_latency = latency_s(image, level, finit)
             busy_until = (
                 invocation.arrival_time + my_latency
                 + invocation.execution_time_s
             )
-            loss = self._opportunity_loss(
-                container, upcoming, image, cost_model, busy_until
-            )
-            score = my_saving - loss
+            worst = 0.0
+            for up, up_init, arrival, up_cold, repacked in window:
+                match = match_level(up, held)
+                if match is _NO_MATCH:
+                    continue
+                as_is = up_cold - latency_s(up, match, up_init)
+                if as_is <= 0:
+                    continue
+                if arrival < busy_until:
+                    loss = as_is
+                else:
+                    loss = max(0.0, as_is - repacked)
+                worst = max(worst, loss)
+            score = (cold_latency - my_latency) - worst
             if score > best_score:
                 best_score = score
                 best = (container, int(level), False, ())
         return best
 
     def _upcoming(self, current: Invocation) -> List[Invocation]:
-        """The next ``horizon`` invocations after ``current``."""
-        idx = None
-        for i, inv in enumerate(self._future):
-            if inv.invocation_id == current.invocation_id:
-                idx = i
-                break
+        """The next ``horizon`` invocations after ``current``; none for an
+        id that was never observed."""
+        idx = self._position.get(current.invocation_id)
         if idx is None:
             return []
         return self._future[idx + 1 : idx + 1 + self.horizon]
-
-    def _opportunity_loss(
-        self,
-        container: Container,
-        upcoming: List[Invocation],
-        my_image: FunctionImage,
-        cost_model: StartupCostModel,
-        busy_until: float,
-    ) -> float:
-        """Worst saving a near-future invocation forfeits if we take it now.
-
-        An invocation arriving while the container is busy loses the entire
-        as-is saving; one arriving after it is free again loses only the
-        difference between reusing the original stack and reusing the
-        repacked (``my_image``) stack.
-        """
-        worst = 0.0
-        for inv in upcoming:
-            as_is = self._saving(inv, container.image, cost_model)
-            if as_is <= 0:
-                continue
-            if inv.arrival_time < busy_until:
-                loss = as_is
-            else:
-                loss = max(
-                    0.0, as_is - self._saving(inv, my_image, cost_model)
-                )
-            worst = max(worst, loss)
-        return worst
-
-    @staticmethod
-    def _saving(
-        inv: Invocation,
-        container_image: FunctionImage,
-        cost_model: StartupCostModel,
-    ) -> float:
-        """Startup saving ``inv`` would get from a container of that image."""
-        match = match_level(inv.spec.image, container_image)
-        if not match.is_reusable:
-            return 0.0
-        cold = cost_model.latency_s(
-            inv.spec.image, MatchLevel.NO_MATCH, inv.spec.function_init_s
-        )
-        warm = cost_model.latency_s(
-            inv.spec.image, match, inv.spec.function_init_s
-        )
-        return cold - warm

@@ -1,5 +1,7 @@
 """Unit tests for the baseline scheduling policies."""
 
+import random
+
 import pytest
 
 from repro.cluster.eviction import (
@@ -7,6 +9,9 @@ from repro.cluster.eviction import (
     LRUEviction,
     RejectNewcomerEviction,
 )
+from repro.cluster.pool import PoolSet
+from repro.containers.costmodel import StartupCostModel
+from repro.containers.matching import MatchLevel, match_level
 from repro.schedulers import (
     ColdOnlyScheduler,
     FaasCacheScheduler,
@@ -16,7 +21,8 @@ from repro.schedulers import (
     LRUScheduler,
     PagurusLendingScheduler,
 )
-from repro.schedulers.base import LendRequest
+from repro.schedulers.base import COLD, LendRequest
+from repro.workloads.fstartbench import build_workload
 from repro.workloads.workload import Workload
 
 from conftest import (
@@ -153,10 +159,166 @@ class TestLookahead:
         scheduler.observe_workload(workload)
         scheduler.reset()
         assert scheduler._future == []
+        assert scheduler._position == {}
+
+    def test_upcoming_with_gapped_unordered_ids(self):
+        """The id -> position index finds the same window as a linear
+        scan when ids are gapped, out of arrival order or repeated (a
+        repeated id keeps its first position)."""
+        spec = make_spec(name="f", image=make_image("f"))
+        ids = [40, 7, 19, 2, 7, 1000, 3]
+        workload = Workload(
+            name="w",
+            invocations=tuple(
+                make_invocation(spec, i, arrival_time=float(t))
+                for t, i in enumerate(ids)
+            ),
+        )
+        scheduler = LookaheadScheduler(horizon=3)
+        scheduler.observe_workload(workload)
+        for inv in workload.invocations:
+            assert scheduler._upcoming(inv) == _reference_upcoming(
+                workload.invocations, inv, 3
+            )
+        assert [i.invocation_id for i in scheduler._upcoming(
+            workload.invocations[4])] == [19, 2, 7]
+
+    def test_upcoming_unknown_id_is_empty(self):
+        _, _, workload = self._two_arrival_workload()
+        scheduler = LookaheadScheduler(horizon=4)
+        scheduler.observe_workload(workload)
+        stranger = make_invocation(make_spec(), invocation_id=99)
+        assert scheduler._upcoming(stranger) == []
+
+    @pytest.mark.parametrize(
+        "name,seed",
+        [("LO-Sim", 0), ("HI-Sim", 1), ("Peak", 2), ("Overall", 3),
+         ("Random", 4)],
+    )
+    def test_matches_per_candidate_reference(self, name, seed):
+        """The rule returns what the straight-line per-candidate rule
+        returns at every arrival, over random sharded idle pools that
+        hold same-image containers tied on ``last_used_at``."""
+        workload = build_workload(name, seed=seed)
+        invocations = workload.invocations[:150]
+        images = [spec.image for spec in workload.function_specs()]
+        scheduler = LookaheadScheduler(horizon=8)
+        scheduler.observe_workload(workload)
+        rule_model, reference_model = StartupCostModel(), StartupCostModel()
+        rng = random.Random(seed)
+        outcomes = {"warm": 0, "cold_with_candidates": 0, "tied_pick": 0}
+        for inv in invocations:
+            pool = PoolSet(float("inf"), n_shards=2)
+            drawn = [rng.choice(images) for _ in range(rng.randint(0, 10))]
+            drawn += [inv.spec.image] * rng.randint(0, 2)
+            drawn += [rng.choice(images)] * 3  # a same-image run
+            for cid, image in enumerate(drawn):
+                pool.add(
+                    make_container(cid, image=image,
+                                   last_used_at=float(rng.randint(0, 1))),
+                    shard_index=cid,
+                )
+            got = scheduler.decide_pool(pool, inv, rule_model)
+            want = _reference_decide(
+                workload.invocations, 8, pool, inv, reference_model
+            )
+            assert _decision_key(got) == _decision_key(want)
+            container = got[0]
+            if container is None:
+                has_candidates = bool(
+                    LookaheadScheduler.candidates(pool, inv.spec.image))
+                outcomes["cold_with_candidates"] += has_candidates
+                continue
+            outcomes["warm"] += 1
+            outcomes["tied_pick"] += any(
+                c is not container
+                and c.image.fingerprints == container.image.fingerprints
+                and c.last_used_at == container.last_used_at
+                for c in pool.match_candidates(inv.spec.image, MatchLevel.L1)
+            )
+        assert all(outcomes.values()), outcomes
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             LookaheadScheduler(horizon=-1)
+
+
+def _reference_upcoming(future, current, horizon):
+    """Linear-scan horizon: the ``horizon`` arrivals after the first one
+    whose id is ``current``'s."""
+    for i, inv in enumerate(future):
+        if inv.invocation_id == current.invocation_id:
+            return list(future[i + 1 : i + 1 + horizon])
+    return []
+
+
+def _reference_saving(inv, container_image, cost_model):
+    match = match_level(inv.spec.image, container_image)
+    if not match.is_reusable:
+        return 0.0
+    cold = cost_model.latency_s(
+        inv.spec.image, MatchLevel.NO_MATCH, inv.spec.function_init_s
+    )
+    warm = cost_model.latency_s(
+        inv.spec.image, match, inv.spec.function_init_s
+    )
+    return cold - warm
+
+
+def _reference_opportunity_loss(container, upcoming, my_image, cost_model,
+                                busy_until):
+    worst = 0.0
+    for inv in upcoming:
+        as_is = _reference_saving(inv, container.image, cost_model)
+        if as_is <= 0:
+            continue
+        if inv.arrival_time < busy_until:
+            loss = as_is
+        else:
+            loss = max(
+                0.0, as_is - _reference_saving(inv, my_image, cost_model)
+            )
+        worst = max(worst, loss)
+    return worst
+
+
+def _reference_decide(future, horizon, pool, invocation, cost_model):
+    """Lookahead's rule written per candidate: every candidate (repeated
+    images included) prices every upcoming arrival from scratch."""
+    spec = invocation.spec
+    image = spec.image
+    finit = spec.function_init_s
+    upcoming = _reference_upcoming(future, invocation, horizon)
+    cold_latency = cost_model.latency_s(image, MatchLevel.NO_MATCH, finit)
+    scan = sorted(
+        ((c, match_level(image, c.image))
+         for c in pool.match_candidates(image, MatchLevel.L1)),
+        key=lambda cm: (cm[1], cm[0].last_used_at, cm[0].container_id),
+        reverse=True,
+    )
+    best, best_score = COLD, 0.0
+    for container, level in scan:
+        my_latency = cost_model.latency_s(image, level, finit)
+        my_saving = cold_latency - my_latency
+        busy_until = (
+            invocation.arrival_time + my_latency + invocation.execution_time_s
+        )
+        loss = _reference_opportunity_loss(
+            container, upcoming, image, cost_model, busy_until
+        )
+        score = my_saving - loss
+        if score > best_score:
+            best_score = score
+            best = (container, int(level), False, ())
+    return best
+
+
+def _decision_key(decision):
+    container, match, preserve_image, actions = decision
+    return (
+        None if container is None else container.container_id,
+        match, preserve_image, actions,
+    )
 
 
 class TestLendingDonor:

@@ -113,49 +113,6 @@ def surrogate_report(
     return ascii_table(["metric", "value"], rows, title=title)
 
 
-def prewarm_report(
-    telemetry: "Telemetry", title: str = "Proactive pre-warming"
-) -> str:
-    """Render a run's pre-warm accounting as a table.
-
-    Shows how many containers were created ahead of arrivals, how many
-    were actually claimed (forecast hits) and how many died unused
-    (forecast waste).  Empty string when the run never pre-warmed.
-    """
-    issued = getattr(telemetry, "prewarms_issued", 0)
-    if not issued:
-        return ""
-    p = telemetry.prewarm_summary()
-    rows = [
-        ["pre-warms issued", f"{int(p['prewarms_issued'])}"],
-        ["reused (hits)", f"{int(p['prewarm_reuses'])}"],
-        ["wasted (never claimed)", f"{int(p['prewarm_wasted'])}"],
-        ["hit rate", f"{p['prewarm_reuses'] / p['prewarms_issued']:.1%}"],
-    ]
-    return ascii_table(["metric", "value"], rows, title=title)
-
-
-def lending_report(
-    telemetry: "Telemetry", title: str = "Container lending"
-) -> str:
-    """Render a run's Pagurus-lending counters as a table.
-
-    Shows how many idle containers were re-specialized toward other
-    functions and how many of those were later claimed by their target
-    function (the lend hit rate).  Empty string when the run never lent.
-    """
-    issued = getattr(telemetry, "lends_issued", 0)
-    if not issued:
-        return ""
-    s = telemetry.lending_summary()
-    rows = [
-        ["lends issued", f"{int(s['lends_issued'])}"],
-        ["reused by target (hits)", f"{int(s['lend_reuses'])}"],
-        ["hit rate", f"{s['lend_reuses'] / s['lends_issued']:.1%}"],
-    ]
-    return ascii_table(["metric", "value"], rows, title=title)
-
-
 def worker_utilization_report(
     telemetry: "Telemetry", title: str = "Worker utilization"
 ) -> str:

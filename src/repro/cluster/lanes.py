@@ -10,21 +10,19 @@ construction sorts the whole pool per arrival.  None of that machinery is
 needed to produce the *summary* a grid cell actually carries.
 
 This module runs many **lanes** (one lane = one cell) per process through a
-struct-of-arrays kernel:
+lean kernel:
 
-* **Batched arrival ingestion** -- each workload draw is lowered once into an
-  :class:`ArrivalTable`: numpy columns (arrival time, execution time,
-  function index) beside the draw's
-  :class:`~repro.workloads.workload.Invocation` list and the cost model
-  that prices every start.  Lanes price a start with
+* **Shared arrival tables** -- each workload draw is wrapped once in an
+  :class:`ArrivalTable`: the draw's
+  :class:`~repro.workloads.workload.Invocation` list, in arrival order,
+  beside the cost model that prices every start.  Lanes price a start with
   :meth:`~repro.containers.costmodel.StartupCostModel.latency_s`, the
   memoized total of the same
   :meth:`~repro.containers.costmodel.StartupCostModel.breakdown` the
   sequential driver prices each arrival with.  Tables are shared by every
   lane replaying the same draw;
-  :meth:`ArrivalTable.from_stream` lowers a lazy arrival stream into
-  bounded columnar chunks for O(1)-memory lane replay
-  (:func:`run_stream_lanes`).
+  :meth:`ArrivalTable.from_stream` cuts a lazy arrival stream into
+  bounded chunks for O(1)-memory lane replay (:func:`run_stream_lanes`).
 * **Run-to-completion lanes** -- lanes are independent, so each one
   replays its whole table in one loop (:meth:`_Lane.replay`): per arrival,
   due completions drain, TTL sweeps run, the scheduler's
@@ -46,7 +44,7 @@ ContainerLifecycle` extends, running on a real
 Every scheduler registry key (:data:`SCHEDULER_CLASS_NAMES`) runs in a lane
 the same way: the lane calls the scheduler's
 :meth:`~repro.schedulers.base.Scheduler.decide_pool` rule on its own warm
-pool once per arrival, with the arrival's lowered
+pool once per arrival, with the arrival's
 :class:`~repro.workloads.workload.Invocation` and no scheduling context.
 The sequential simulator reaches the same rule through
 :meth:`~repro.schedulers.base.Scheduler.decide`, so both engines run one
@@ -128,8 +126,8 @@ SCHEDULER_CLASS_NAMES: Dict[str, str] = {
 }
 
 #: Default arrival-chunk size for streaming lane replay.  Large enough to
-#: amortize the per-chunk columnar lowering, small enough that chunk buffers
-#: stay O(1) in the stream length.
+#: amortize the per-chunk rebinding of every lane, small enough that chunk
+#: buffers stay O(1) in the stream length.
 STREAM_CHUNK_SIZE = 4096
 
 #: Completion-event kind codes inside a lane's heap.
@@ -155,21 +153,15 @@ def scheduler_class(key: str) -> type:
 
 
 class ArrivalTable:
-    """Columnar (struct-of-arrays) lowering of one workload draw.
+    """One workload draw as the lanes replay it.
 
     Built once per ``(workload, cost model)`` and shared read-only by every
-    lane that replays the draw.  Columns are parallel arrays over the
-    workload's arrival order (which the workload constructor already sorts
-    by ``(arrival_time, invocation_id)`` -- the same order the event queue
-    pops same-time arrivals in):
-
-    ``times`` / ``exec_s``
-        Arrival timestamps and execution durations (float64).
-    ``invocations``
-        The lowered :class:`~repro.workloads.workload.Invocation` objects
-        themselves, handed to the scheduler's rule.
-    ``fn_ix``
-        Index into :attr:`specs` for each arrival (int32).
+    lane that replays the draw.  :attr:`invocations` is the draw's
+    :class:`~repro.workloads.workload.Invocation` list in arrival order
+    (which the workload constructor already sorts by ``(arrival_time,
+    invocation_id)`` -- the same order the event queue pops same-time
+    arrivals in); a lane reads each arrival's time, function and execution
+    time off the object it hands to the scheduler's rule.
 
     :attr:`cost_model` prices every start of every lane replaying the
     table; it memoizes its breakdowns, so each ``(function, match level)``
@@ -184,8 +176,9 @@ class ArrivalTable:
     def __init__(
         self, workload: Workload, cost_model: Optional[StartupCostModel] = None
     ) -> None:
-        cost_model = cost_model or StartupCostModel()
-        self._init_from(workload.name, list(workload), cost_model, [], {})
+        self._init_from(
+            workload.name, list(workload), cost_model or StartupCostModel()
+        )
         self.workload: Optional[Workload] = workload
 
     def _init_from(
@@ -193,39 +186,13 @@ class ArrivalTable:
         name: str,
         invocations: List[Invocation],
         cost_model: StartupCostModel,
-        specs: List,
-        index_of: Dict[int, int],
     ) -> None:
-        """Populate the columns from ``invocations``.
-
-        ``specs`` / ``index_of`` are the (shared, append-only) function
-        registry -- chunk tables from one stream pass the same ones so
-        function indices stay stable across chunks.
-        """
+        """The one constructor body shared by whole-draw and chunk tables."""
         self.name = name
         self.cost_model = cost_model
         self.workload = None
         self.n = len(invocations)
-        self.times = np.fromiter(
-            (inv.arrival_time for inv in invocations),
-            dtype=np.float64, count=self.n,
-        )
-        self.exec_s = np.fromiter(
-            (inv.execution_time_s for inv in invocations),
-            dtype=np.float64, count=self.n,
-        )
         self.invocations = invocations
-        fn_ix = np.empty(self.n, dtype=np.int32)
-        for i, inv in enumerate(invocations):
-            spec = inv.spec
-            key = id(spec)
-            ix = index_of.get(key)
-            if ix is None:
-                ix = index_of[key] = len(specs)
-                specs.append(spec)
-            fn_ix[i] = ix
-        self.fn_ix = fn_ix
-        self.specs = specs
 
     @classmethod
     def from_stream(
@@ -234,30 +201,26 @@ class ArrivalTable:
         chunk_size: int = STREAM_CHUNK_SIZE,
         cost_model: Optional[StartupCostModel] = None,
     ) -> Iterator["ArrivalTable"]:
-        """Lower a lazy arrival stream into bounded columnar chunks.
+        """Cut a lazy arrival stream into bounded chunk tables.
 
         Yields one table per ``chunk_size`` arrivals (the final chunk may
         be shorter; an empty stream yields nothing).  All chunks share one
-        function registry -- ``specs`` / ``fn_ix`` indices are stable
-        across chunks -- and one cost model, whose memo keeps each start
-        priced once across chunk boundaries, so memory stays
-        O(chunk + #functions) regardless of stream length.
-        Chunk tables carry ``workload=None``: the streaming driver never
-        calls ``observe_workload`` either.
+        cost model, whose memo keeps each start priced once across chunk
+        boundaries, so memory stays O(chunk + #functions) regardless of
+        stream length.  Chunk tables carry ``workload=None``: the
+        streaming driver never calls ``observe_workload`` either.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         cost_model = cost_model or StartupCostModel()
         name = getattr(stream, "name", "<stream>")
-        specs: List = []
-        index_of: Dict[int, int] = {}
         source = iter(stream)
         while True:
             block = list(itertools.islice(source, chunk_size))
             if not block:
                 return
             table = cls.__new__(cls)
-            table._init_from(name, block, cost_model, specs, index_of)
+            table._init_from(name, block, cost_model)
             yield table
 
 
@@ -284,7 +247,7 @@ class LaneSpec:
     """One lane of a kernel run: a scheduler replaying a workload draw.
 
     ``scheduler`` must be a :data:`SCHEDULER_CLASS_NAMES` key; ``table`` is the
-    (shareable) columnar lowering of the lane's workload and
+    (shareable) arrival table of the lane's workload and
     ``capacity_mb`` the warm-pool capacity of the cell.  ``bounded``
     selects :class:`~repro.cluster.telemetry.BoundedTelemetry`-equivalent
     folding (running totals plus quantile sketches instead of a latency
@@ -422,14 +385,11 @@ class _Lane(PoolLifecycle):
         rule = self.rule
         check = self.check_decision
         cost_model = table.cost_model
-        invocations = table.invocations
-        fn_ix = table.fn_ix.tolist()
-        exec_s = table.exec_s.tolist()
-        for i, t in enumerate(table.times.tolist()):
+        for invocation in table.invocations:
+            t = invocation.arrival_time
             drain_until(t)
             if sweep is not None and len(pool):
                 sweep(t)
-            invocation = invocations[i]
             container, match, preserve, actions = rule(
                 pool, invocation, cost_model
             )
@@ -437,7 +397,7 @@ class _Lane(PoolLifecycle):
                 container, match = check(
                     container.container_id, invocation.spec
                 )
-            apply(t, fn_ix[i], exec_s[i], container, match, preserve, actions)
+            apply(t, invocation, container, match, preserve, actions)
 
     def drain_all(self) -> None:
         """Run out every in-flight completion (the ``finish()`` drain)."""
@@ -447,16 +407,14 @@ class _Lane(PoolLifecycle):
     def apply(
         self,
         t: float,
-        fn: int,
-        exec_s: float,
+        invocation: Invocation,
         container: Optional[Container],
         match: int,
         preserve: bool,
         actions: tuple,
     ) -> None:
-        """Execute a decision for an arrival of function ``fn`` at ``t``."""
-        table = self.table
-        spec = table.specs[fn]
+        """Execute a decision for ``invocation``, arriving at ``t``."""
+        spec = invocation.spec
         if container is None:
             container = self.create(spec.image, spec.name, t)
             self.cold += 1
@@ -469,7 +427,7 @@ class _Lane(PoolLifecycle):
         counters = self.counters
         if self.live_memory_mb > counters.peak_live_memory_mb:
             counters.peak_live_memory_mb = self.live_memory_mb
-        latency = table.cost_model.latency_s(
+        latency = self.table.cost_model.latency_s(
             spec.image, match, spec.function_init_s
         )
         if self.bounded:
@@ -484,7 +442,10 @@ class _Lane(PoolLifecycle):
         container.last_used_at = t
         heapq.heappush(
             self.heap,
-            (t + latency, self.seq, _STARTUP_DONE, container, exec_s),
+            (
+                t + latency, self.seq, _STARTUP_DONE, container,
+                invocation.execution_time_s,
+            ),
         )
         self.seq += 1
         if self.on_start is not None:
@@ -557,7 +518,7 @@ def run_stream_lanes(
     """Replay one arrival stream through many bounded lanes at once.
 
     ``cells`` is one ``(scheduler key, capacity_mb)`` pair per lane; all
-    lanes consume the same stream, lowered once into
+    lanes consume the same stream, cut once into
     :meth:`ArrivalTable.from_stream` chunks and re-bound to every lane as
     each chunk arrives, so memory stays O(chunk + #functions + in-flight
     containers) regardless of stream length.  Lanes run in

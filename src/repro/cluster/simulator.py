@@ -261,6 +261,14 @@ class ClusterSimulator:
         modes to that.
         """
         self.load(workload)
+        return self._drive(scheduler)
+
+    def _drive(self, scheduler: Scheduler) -> SimulationResult:
+        """Decide and apply every queued arrival, then finish the run.
+
+        The one sequential drive loop behind :meth:`run` and
+        :meth:`run_stream`; they differ only in how arrivals are queued.
+        """
         while True:
             ctx = self.next_decision_point()
             if ctx is None:
@@ -300,13 +308,7 @@ class ClusterSimulator:
         side O(1) as well.
         """
         self.load_stream(stream)
-        while True:
-            ctx = self.next_decision_point()
-            if ctx is None:
-                break
-            self._apply(scheduler.decide(ctx), want_record=False)
-        self._fold_scheduler_counters(scheduler)
-        return self.finish(scheduler_name=scheduler.name)
+        return self._drive(scheduler)
 
     def load_stream(self, stream: Iterable[Invocation]) -> None:
         """Attach a lazy arrival source and schedule its first arrival.

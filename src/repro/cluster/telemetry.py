@@ -122,23 +122,6 @@ def column_percentiles(lat: np.ndarray) -> Tuple[float, float]:
     return float(np.median(lat)), float(np.percentile(lat, 95))
 
 
-def _prewarm_block(counters) -> Dict[str, float]:
-    """Pre-warm accounting block of :func:`summary_fold`."""
-    return {
-        "prewarms_issued": float(counters.prewarms_issued),
-        "prewarm_reuses": float(counters.prewarm_reuses),
-        "prewarm_wasted": float(counters.prewarm_wasted),
-    }
-
-
-def _lending_block(counters) -> Dict[str, float]:
-    """Container-lending block of :func:`summary_fold`."""
-    return {
-        "lends_issued": float(counters.lends_issued),
-        "lend_reuses": float(counters.lend_reuses),
-    }
-
-
 def summary_fold(
     counters: "Counters",
     n: int,
@@ -182,9 +165,12 @@ def summary_fold(
             counters.surrogate_disagreements
         )
     if counters.prewarms_issued:
-        base.update(_prewarm_block(counters))
+        base["prewarms_issued"] = float(counters.prewarms_issued)
+        base["prewarm_reuses"] = float(counters.prewarm_reuses)
+        base["prewarm_wasted"] = float(counters.prewarm_wasted)
     if counters.lends_issued:
-        base.update(_lending_block(counters))
+        base["lends_issued"] = float(counters.lends_issued)
+        base["lend_reuses"] = float(counters.lend_reuses)
     return base
 
 
@@ -210,6 +196,9 @@ class Counters:
         self.surrogate_audits = 0
         self.surrogate_disagreements = 0
         # Proactive-action counters (pre-warm / container lending).
+        # ``prewarm_wasted`` counts pre-warmed containers destroyed before
+        # any claim (forecast false positives); ``lend_reuses`` counts lent
+        # containers later claimed by the function they were lent to.
         self.prewarms_issued = 0
         self.prewarm_reuses = 0
         self.prewarm_wasted = 0
@@ -655,22 +644,6 @@ class Telemetry(Counters):
             self.cold_starts,
             self.queueing_summary() if self.queueing_enabled else None,
         )
-
-    def prewarm_summary(self) -> Dict[str, float]:
-        """Pre-warm accounting block (present only when pre-warms ran).
-
-        ``prewarm_wasted`` counts pre-warmed containers destroyed before
-        any invocation claimed them -- the forecaster's false positives.
-        """
-        return _prewarm_block(self)
-
-    def lending_summary(self) -> Dict[str, float]:
-        """Container-lending block (present only when lends ran).
-
-        ``lend_reuses`` counts lent containers later claimed by the
-        function they were re-specialized for -- the lending hit count.
-        """
-        return _lending_block(self)
 
 
 class BoundedTelemetry(Telemetry):

@@ -18,13 +18,12 @@ import numpy as np
 from repro.core.config import MLCRConfig
 from repro.core.mlcr import MLCRScheduler
 from repro.core.state import StateEncoder
-from repro.drl.attention import migrate_unfused_qkv_state
 from repro.drl.dqn import DQNAgent, DQNConfig
 from repro.drl.network import AttentionQNetwork, MLPQNetwork, QNetwork
 
-#: Version 2 fuses each attention layer's Q/K/V projections into one
-#: ``(D, 3D)`` tensor and records the compute dtype.  Version-1 files (the
-#: unfused float64 layout) still load through the migration shim.
+#: The one policy file format: each attention layer's Q/K/V projections
+#: fused into one ``(D, 3D)`` tensor, plus the compute dtype.  Any other
+#: version (the pre-fusion version 1 included) is rejected on load.
 FORMAT_VERSION = 2
 
 
@@ -101,7 +100,7 @@ def load_scheduler(path: Union[str, Path]) -> MLCRScheduler:
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["_meta"]))
         version = meta.get("format_version")
-        if version not in (1, FORMAT_VERSION):
+        if version != FORMAT_VERSION:
             raise ValueError(f"unsupported policy file version {version}")
         state = {
             key[len("param_"):]: data[key]
@@ -117,9 +116,7 @@ def load_scheduler(path: Union[str, Path]) -> MLCRScheduler:
         head_hidden=cfg_meta["head_hidden"],
         use_attention=cfg_meta["use_attention"],
         use_dueling=cfg_meta.get("use_dueling", False),
-        # Version-1 checkpoints were trained in float64; keep serving them
-        # at full precision so their decisions are bit-identical.
-        dtype=cfg_meta.get("dtype", "float64"),
+        dtype=cfg_meta["dtype"],
         seed=cfg_meta["seed"],
     )
     encoder = StateEncoder(
@@ -130,9 +127,6 @@ def load_scheduler(path: Union[str, Path]) -> MLCRScheduler:
         config=DQNConfig(),
         rng=np.random.default_rng(config.seed + 1),
     )
-    if version == 1:
-        # Old layout: separate w_q/w_k/w_v linears per attention layer.
-        state = migrate_unfused_qkv_state(state, agent.online)
     agent.online.load_state_dict(state)
     agent.sync_target()
     return MLCRScheduler(agent, encoder, use_mask=meta["use_mask"])

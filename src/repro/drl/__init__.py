@@ -27,7 +27,7 @@ from repro.drl.layers import (
     ReLU,
     Sequential,
 )
-from repro.drl.attention import MultiHeadAttention, migrate_unfused_qkv_state
+from repro.drl.attention import MultiHeadAttention
 from repro.drl.losses import huber_loss, mse_loss
 from repro.drl.optim import Adam, Optimizer, SGD
 from repro.drl.replay import ReplayBuffer, Transition
@@ -48,7 +48,6 @@ __all__ = [
     "LayerNorm",
     "Sequential",
     "MultiHeadAttention",
-    "migrate_unfused_qkv_state",
     "huber_loss",
     "mse_loss",
     "Optimizer",

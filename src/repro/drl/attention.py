@@ -13,13 +13,13 @@ The Q/K/V projections are **fused**: one ``(D, 3D)`` matmul produces all
 three, replacing the historical separate ``w_q``/``w_k``/``w_v`` linears.
 One big GEMM beats three small ones (better BLAS utilization, one pass over
 ``x``), and the fused activations reshape into per-head views without
-copying.  :func:`migrate_unfused_qkv_state` converts checkpoints saved in
-the old unfused layout.
+copying.  Policy files store the fused layout only
+(:data:`repro.core.persistence.FORMAT_VERSION`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -156,40 +156,3 @@ class AttentionBlock(Module):
         """Backward pass; consumes the forward cache, accumulates grads."""
         return grad + self.norm.backward(self.attn.backward(grad))
 
-
-def migrate_unfused_qkv_state(
-    state: Dict[str, np.ndarray], module: Module
-) -> Dict[str, np.ndarray]:
-    """Convert a pre-fusion state dict to the fused-QKV layout of ``module``.
-
-    Historical checkpoints store each attention layer's Q/K/V projections as
-    three separate ``(D, D)`` weights with ``(D,)`` biases, in parameter
-    order ``qw, qb, kw, kb, vw, vb``.  This walks ``module``'s (fused)
-    parameter list and, at every ``*.qkv.weight`` / ``*.qkv.bias`` pair,
-    consumes six old tensors and concatenates them into the fused
-    ``(D, 3D)`` weight and ``(3D,)`` bias.  Non-attention parameters pass
-    through unchanged, so the helper is a no-op for MLP networks.
-    """
-    old = [np.asarray(state[str(i)]) for i in range(len(state))]
-    new: List[np.ndarray] = []
-    i = 0
-    params = iter(module.parameters())
-    for p in params:
-        if p.name.endswith(".qkv.weight"):
-            if i + 6 > len(old):
-                raise ValueError("unfused state too short for QKV migration")
-            qw, qb, kw, kb, vw, vb = old[i:i + 6]
-            i += 6
-            new.append(np.concatenate([qw, kw, vw], axis=1))
-            new.append(np.concatenate([qb, kb, vb]))
-            next(params)  # the paired *.qkv.bias, just emitted
-        else:
-            if i >= len(old):
-                raise ValueError("unfused state too short")
-            new.append(old[i])
-            i += 1
-    if i != len(old):
-        raise ValueError(
-            f"unfused state has {len(old)} tensors, consumed {i}"
-        )
-    return {str(j): tensor for j, tensor in enumerate(new)}

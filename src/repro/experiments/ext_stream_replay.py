@@ -8,7 +8,7 @@ Azure-like trace at that scale through the streaming pipeline end to end:
 * arrivals come from :meth:`AzureTraceGenerator.stream` -- heap-merged
   per-function generators, never materialized, O(#functions) memory;
 * bounded stream lanes (:func:`~repro.cluster.lanes.run_stream_lanes`)
-  consume them in columnar chunks, every cell replaying the same stream
+  consume them in bounded chunks, every cell replaying the same stream
   sharing one pass;
 * telemetry folds like :class:`~repro.cluster.telemetry.BoundedTelemetry`
   -- exact counters plus quantile sketches, O(1) in the invocation count
@@ -172,8 +172,8 @@ def _run_lane_group_packed(
     ``tasks`` must share ``(seed, n_functions, n_invocations)`` so they
     describe the *same* arrival stream; each task becomes one bounded lane
     (its own scheduler and derived capacity) of a single
-    :func:`~repro.cluster.lanes.run_stream_lanes` pass, which lowers the
-    stream into columnar chunks exactly once instead of once per cell.
+    :func:`~repro.cluster.lanes.run_stream_lanes` pass, which cuts the
+    stream into chunks exactly once instead of once per cell.
     Results come back in task order as columnar blocks
     (:data:`PackedStreamCell`).
     """
@@ -227,7 +227,7 @@ def run(
     Cells that replay the same stream (same seed and trace shape) are
     grouped, ``lanes`` at a time, and each group runs as one chunked
     :func:`~repro.cluster.lanes.run_stream_lanes` pass -- the stream is
-    generated and lowered once per group, in O(1) memory.  ``lanes=1``
+    generated and chunked once per group, in O(1) memory.  ``lanes=1``
     gives every cell its own pass.  ``jobs`` fans the groups across
     workers.  Results come back in task order (``Pool.map`` preserves it)
     and the serial path round-trips through the same columnar packer as

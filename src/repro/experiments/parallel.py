@@ -137,12 +137,12 @@ def clear_workload_cache() -> None:
 #: ``(workload, seed)`` across a large grid.
 ARRIVAL_TABLE_CACHE_CAP = 8
 
-#: Per-process columnar lowering memo keyed by ``(name, seed)``: every lane
+#: Per-process arrival-table memo keyed by ``(name, seed)``: every lane
 #: replaying the same workload draw shares one read-only
 #: :class:`~repro.cluster.lanes.ArrivalTable`.  Bounded LRU (at most
 #: :data:`ARRIVAL_TABLE_CACHE_CAP` tables): hits refresh recency, inserts
 #: beyond the cap evict the least-recently-used table.  Eviction is
-#: equivalence-preserving -- a re-lowered table is bit-identical to the
+#: equivalence-preserving -- a rebuilt table replays bit-identically to the
 #: evicted one.
 _ARRIVAL_TABLE_CACHE: "OrderedDict[Tuple[str, int], ArrivalTable]" = (
     OrderedDict()
@@ -150,7 +150,7 @@ _ARRIVAL_TABLE_CACHE: "OrderedDict[Tuple[str, int], ArrivalTable]" = (
 
 
 def cached_arrival_table(name: str, seed: int) -> ArrivalTable:
-    """Columnar lowering of one workload draw (bounded process memo)."""
+    """The arrival table of one workload draw (bounded process memo)."""
     key = (name, seed)
     table = _ARRIVAL_TABLE_CACHE.get(key)
     if table is None:

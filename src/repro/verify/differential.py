@@ -17,8 +17,9 @@ jobs_serial_vs_parallel    ``run_grid(jobs=1)`` == ``run_grid(jobs=2)``
                            (identical cell summaries)
 fused_vs_unfused_qkv       fused ``(D, 3D)`` QKV projection == textbook
                            three-projection attention forward
-v1_float64_vs_float32      a v1 (unfused float64) checkpoint served in
-                           float64 picks the same greedy actions as its
+float64_vs_float32         a trained float64 policy, round-tripped
+                           through its policy file and served in
+                           float64, picks the same greedy actions as its
                            float32 cast
 sequential_vs_batched      ``MLCRTrainer.rollout`` with
                            ``batched_rollouts`` on/off (identical
@@ -71,7 +72,6 @@ part of the standalone ``tools/verify_capture.py`` gate via
 
 from __future__ import annotations
 
-import json
 import math
 import tempfile
 import traceback
@@ -278,50 +278,12 @@ def oracle_fused_vs_unfused_qkv() -> OracleResult:
     return OracleResult(name, True, f"max error {max_err:g}")
 
 
-def _write_v1_checkpoint(scheduler, cfg: MLCRConfig, path: Path) -> Path:
-    """Save in the historical format: unfused QKV params, no dtype field."""
-    meta = {
-        "format_version": 1,
-        "n_slots": scheduler.encoder.n_slots,
-        "mask_dominated": scheduler.encoder.mask_dominated,
-        "use_mask": scheduler.use_mask,
-        "config": {
-            "n_slots": cfg.n_slots,
-            "model_dim": cfg.model_dim,
-            "n_heads": cfg.n_heads,
-            "n_blocks": cfg.n_blocks,
-            "head_hidden": cfg.head_hidden,
-            "use_attention": cfg.use_attention,
-            "use_dueling": cfg.use_dueling,
-            "seed": cfg.seed,
-        },
-    }
-    old: List[np.ndarray] = []
-    params = scheduler.agent.online.parameters()
-    i = 0
-    while i < len(params):
-        p = params[i]
-        if p.name.endswith(".qkv.weight"):
-            bias = params[i + 1]
-            d = p.value.shape[0]
-            for j in range(3):
-                old.append(p.value[:, d * j:d * (j + 1)].copy())
-                old.append(bias.value[d * j:d * (j + 1)].copy())
-            i += 2
-        else:
-            old.append(p.value.copy())
-            i += 1
-    arrays = {f"param_{j}": t for j, t in enumerate(old)}
-    np.savez(path, _meta=np.array(json.dumps(meta)), **arrays)
-    return path
+def oracle_float64_vs_float32() -> OracleResult:
+    """A trained float64 policy, served from its policy file, and its
+    float32 cast pick the same greedy actions."""
+    from repro.core.persistence import load_scheduler, save_scheduler
 
-
-def oracle_v1_float64_vs_float32() -> OracleResult:
-    """A v1 checkpoint's float64 serve and its float32 cast pick the same
-    greedy actions."""
-    from repro.core.persistence import load_scheduler
-
-    name = "v1_float64_vs_float32"
+    name = "float64_vs_float32"
     cfg = tiny_mlcr_config(dtype="float64", demo_episodes=1, eval_episodes=1)
     scheduler, _ = train_mlcr_scheduler(
         workload_factory=lambda ep: tiny_workload(seed=ep % 2),
@@ -329,12 +291,12 @@ def oracle_v1_float64_vs_float32() -> OracleResult:
         config=cfg,
     )
     with tempfile.TemporaryDirectory() as tmp:
-        path = _write_v1_checkpoint(scheduler, cfg, Path(tmp) / "v1.npz")
+        path = save_scheduler(scheduler, cfg, Path(tmp) / "policy.npz")
         served64 = load_scheduler(path)
     net64 = served64.agent.online
     if net64.dtype != np.dtype("float64"):
         return OracleResult(
-            name, False, f"v1 checkpoint served as {net64.dtype}, not float64"
+            name, False, f"float64 policy served as {net64.dtype}"
         )
 
     # Cast the served network to float32 and compare greedy decisions.
@@ -454,7 +416,7 @@ def oracle_streaming_vs_materialized() -> OracleResult:
     :meth:`~repro.workloads.azure.AzureTraceGenerator.stream` against its
     own materialized ``generate()`` (feed path plus arrival synthesis),
     each under two schedulers.  A third leg pins the chunked streaming
-    *lane* lowering: :func:`~repro.cluster.lanes.run_stream_lanes` over
+    *lane* replay: :func:`~repro.cluster.lanes.run_stream_lanes` over
     the Azure stream must be byte-equal (exact ``==``) to the sequential
     bounded-telemetry ``run_stream`` for every scheduler in the
     experiment registry.
@@ -507,7 +469,7 @@ def oracle_streaming_vs_materialized() -> OracleResult:
     # Third leg: chunked streaming *lane* replay.  Every registry
     # scheduler replays the Azure stream once through the sequential
     # bounded-telemetry ``run_stream`` and once through
-    # ``run_stream_lanes`` (all lanes sharing one chunked lowering);
+    # ``run_stream_lanes`` (all lanes sharing one chunked stream);
     # summaries must be byte-equal.
     from repro.cluster.lanes import run_stream_lanes
     from repro.experiments.parallel import SCHEDULER_FACTORIES, build_scheduler
@@ -887,7 +849,7 @@ ORACLES: Dict[str, Callable[[], OracleResult]] = {
     "global_vs_sharded": oracle_global_vs_sharded,
     "jobs_serial_vs_parallel": oracle_jobs_serial_vs_parallel,
     "fused_vs_unfused_qkv": oracle_fused_vs_unfused_qkv,
-    "v1_float64_vs_float32": oracle_v1_float64_vs_float32,
+    "float64_vs_float32": oracle_float64_vs_float32,
     "sequential_vs_batched": oracle_sequential_vs_batched,
     "cached_vs_fresh": oracle_cached_vs_fresh,
     "streaming_vs_materialized": oracle_streaming_vs_materialized,

@@ -60,17 +60,20 @@ class TestPersistence:
         assert isinstance(loaded.agent.online, MLPQNetwork)
 
     def test_bad_version_rejected(self, trained, tmp_path):
+        """Only format 2 loads: the pre-fusion version 1 and unknown
+        versions fail at the trust boundary."""
         import json
 
         scheduler, cfg = trained
-        path = save_scheduler(scheduler, cfg, tmp_path / "p.npz")
-        data = dict(np.load(path, allow_pickle=False))
-        meta = json.loads(str(data["_meta"]))
-        meta["format_version"] = 99
-        data["_meta"] = np.array(json.dumps(meta))
-        np.savez(path, **data)
-        with pytest.raises(ValueError):
-            load_scheduler(path)
+        for version in (1, 99):
+            path = save_scheduler(scheduler, cfg, tmp_path / f"v{version}.npz")
+            data = dict(np.load(path, allow_pickle=False))
+            meta = json.loads(str(data["_meta"]))
+            meta["format_version"] = version
+            data["_meta"] = np.array(json.dumps(meta))
+            np.savez(path, **data)
+            with pytest.raises(ValueError, match="unsupported policy file"):
+                load_scheduler(path)
 
 
 class TestOnlineFineTuning:

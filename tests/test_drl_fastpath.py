@@ -6,8 +6,6 @@ memoization) must not change *what* is computed, only how fast.  Every test
 here pins an equivalence between the fast path and the reference path.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -16,11 +14,7 @@ from repro.core.config import MLCRConfig
 from repro.core.mlcr import train_mlcr_scheduler
 from repro.core.persistence import load_scheduler, save_scheduler
 from repro.core.trainer import EVAL_EPISODE_BASE, MLCRTrainer
-from repro.drl.attention import (
-    MultiHeadAttention,
-    _softmax,
-    migrate_unfused_qkv_state,
-)
+from repro.drl.attention import MultiHeadAttention, _softmax
 from repro.drl.dqn import DQNAgent, DQNConfig, masked_argmax
 from repro.drl.layers import Linear, glorot_init
 from repro.drl.network import AttentionQNetwork
@@ -144,41 +138,6 @@ class TestFusedQKV:
         assert gw.shape == (d, 3 * d)
         for j in range(3):
             assert np.abs(gw[:, d * j:d * (j + 1)]).max() > 0
-
-    def test_migration_roundtrip(self):
-        """Unfused (v1) tensors migrate into a forward-identical network."""
-        net = small_net()
-        states = random_states(net)
-        expected = net.forward(states)
-
-        # Serialize to the historical layout: each fused pair becomes six
-        # tensors in the old parameter order (qw, qb, kw, kb, vw, vb).
-        old = []
-        params = net.parameters()
-        i = 0
-        while i < len(params):
-            p = params[i]
-            if p.name.endswith(".qkv.weight"):
-                bias = params[i + 1]
-                d = p.value.shape[0]
-                for j in range(3):
-                    old.append(p.value[:, d * j:d * (j + 1)].copy())
-                    old.append(bias.value[d * j:d * (j + 1)].copy())
-                i += 2
-            else:
-                old.append(p.value.copy())
-                i += 1
-        unfused_state = {str(j): t for j, t in enumerate(old)}
-
-        fresh = small_net(seed=99)  # different weights before loading
-        migrated = migrate_unfused_qkv_state(unfused_state, fresh)
-        fresh.load_state_dict(migrated)
-        assert np.allclose(fresh.forward(states), expected, atol=1e-12)
-
-    def test_migration_rejects_short_state(self):
-        net = small_net()
-        with pytest.raises(ValueError):
-            migrate_unfused_qkv_state({"0": np.zeros((8, 8))}, net)
 
 
 class TestInferenceMode:
@@ -306,78 +265,6 @@ class TestBatchedRollouts:
 
 
 class TestCheckpointBackCompat:
-    @pytest.fixture(scope="class")
-    def trained64(self):
-        cfg = tiny_config(dtype="float64")
-        scheduler, _ = train_mlcr_scheduler(
-            workload_factory=lambda ep: tiny_workload(seed=ep % 2),
-            sim_config=SimulationConfig(pool_capacity_mb=10_000.0),
-            config=cfg,
-        )
-        return scheduler, cfg
-
-    @staticmethod
-    def _write_v1(scheduler, cfg, path):
-        """Save in the historical format: unfused QKV, no dtype field."""
-        meta = {
-            "format_version": 1,
-            "n_slots": scheduler.encoder.n_slots,
-            "mask_dominated": scheduler.encoder.mask_dominated,
-            "use_mask": scheduler.use_mask,
-            "config": {
-                "n_slots": cfg.n_slots,
-                "model_dim": cfg.model_dim,
-                "n_heads": cfg.n_heads,
-                "n_blocks": cfg.n_blocks,
-                "head_hidden": cfg.head_hidden,
-                "use_attention": cfg.use_attention,
-                "use_dueling": cfg.use_dueling,
-                "seed": cfg.seed,
-            },
-        }
-        old = []
-        params = scheduler.agent.online.parameters()
-        i = 0
-        while i < len(params):
-            p = params[i]
-            if p.name.endswith(".qkv.weight"):
-                bias = params[i + 1]
-                d = p.value.shape[0]
-                for j in range(3):
-                    old.append(p.value[:, d * j:d * (j + 1)].copy())
-                    old.append(bias.value[d * j:d * (j + 1)].copy())
-                i += 2
-            else:
-                old.append(p.value.copy())
-                i += 1
-        arrays = {f"param_{j}": t for j, t in enumerate(old)}
-        np.savez(path, _meta=np.array(json.dumps(meta)), **arrays)
-        return path
-
-    def test_v1_checkpoint_loads_with_identical_weights(self, trained64,
-                                                        tmp_path):
-        scheduler, cfg = trained64
-        path = self._write_v1(scheduler, cfg, tmp_path / "v1.npz")
-        loaded = load_scheduler(path)
-        assert loaded.agent.online.dtype == np.dtype("float64")
-        original = scheduler.agent.online.state_dict()
-        migrated = loaded.agent.online.state_dict()
-        assert original.keys() == migrated.keys()
-        for key in original:
-            assert np.array_equal(original[key], migrated[key]), key
-
-    def test_v1_checkpoint_identical_decisions(self, trained64, tmp_path):
-        from repro.experiments.common import evaluate_scheduler
-
-        scheduler, cfg = trained64
-        path = self._write_v1(scheduler, cfg, tmp_path / "v1.npz")
-        loaded = load_scheduler(path)
-        wl = tiny_workload(seed=9)
-        a = evaluate_scheduler(scheduler, wl, 10_000.0, "x")
-        b = evaluate_scheduler(loaded, wl, 10_000.0, "x")
-        assert a.total_startup_s == pytest.approx(b.total_startup_s)
-        assert a.cold_starts == b.cold_starts
-
     def test_v2_roundtrip_preserves_dtype(self, tmp_path):
         cfg = tiny_config()  # default float32 fast path
         scheduler, _ = train_mlcr_scheduler(
@@ -389,6 +276,6 @@ class TestCheckpointBackCompat:
         loaded = load_scheduler(path)
         assert loaded.agent.online.dtype == np.dtype("float32")
         original = scheduler.agent.online.state_dict()
-        migrated = loaded.agent.online.state_dict()
+        restored = loaded.agent.online.state_dict()
         for key in original:
-            assert np.array_equal(original[key], migrated[key]), key
+            assert np.array_equal(original[key], restored[key]), key

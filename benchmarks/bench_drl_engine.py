@@ -49,7 +49,6 @@ def make_agent(dtype=np.float32, batch_size=32):
             next_state=rng.normal(size=agent.online.state_dim),
             next_mask=mask,
             done=bool(rng.random() < 0.05),
-            n_steps=1,
         ))
     return agent
 

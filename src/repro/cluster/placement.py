@@ -1,4 +1,4 @@
-"""Data-plane placement: worker selection, capacity and startup admission.
+"""Data-plane placement: worker selection and startup admission.
 
 The paper's system model (Section III-A) runs on a cluster of workers.
 Historically the simulator's :class:`~repro.cluster.worker.WorkerSet` was
@@ -8,8 +8,7 @@ pure accounting -- worker count never affected latency.  The
 * **Selection** -- cold starts are placed on a worker.  Without a
   concurrency limit this reproduces the historical least-memory rule
   byte-for-byte; with a limit, the engine load-balances on in-flight
-  startups/executions instead, and an optional per-worker memory capacity
-  filters out workers that would overcommit.
+  startups/executions instead.
 * **Admission** -- each worker runs at most ``concurrency_limit``
   containers concurrently (startup phases plus execution).  Startups
   beyond the limit queue FIFO on their worker; :meth:`admit` returns the
@@ -46,26 +45,17 @@ class PlacementEngine:
         Maximum containers concurrently starting or executing per worker;
         ``None`` disables admission control entirely (no queueing, and
         selection falls back to the historical least-memory rule).
-    worker_capacity_mb:
-        Optional per-worker memory bound used as a placement filter: cold
-        starts prefer workers whose hosted memory stays within the bound.
-        When every worker would exceed it, the least-loaded worker is used
-        anyway (the warm pool remains the hard memory limit).
     """
 
     def __init__(
         self,
         workers: WorkerSet,
         concurrency_limit: Optional[int] = None,
-        worker_capacity_mb: Optional[float] = None,
     ) -> None:
         if concurrency_limit is not None and concurrency_limit < 1:
             raise ValueError("concurrency_limit must be >= 1")
-        if worker_capacity_mb is not None and worker_capacity_mb <= 0:
-            raise ValueError("worker_capacity_mb must be positive")
         self.workers = workers
         self.concurrency_limit = concurrency_limit
-        self.worker_capacity_mb = worker_capacity_mb
         n = workers.n_workers
         # Per-worker release times of the jobs currently holding a slot
         # chain (at most ``concurrency_limit`` entries per worker).
@@ -81,22 +71,14 @@ class PlacementEngine:
         return self.concurrency_limit is not None
 
     # -- selection ----------------------------------------------------------
-    def select_worker(self, memory_mb: float, now: float) -> int:
+    def select_worker(self, now: float) -> int:
         """Pick the worker for a new (cold-started) container.
 
         With admission control off this is the historical least-memory
         rule.  With it on, workers are ranked by in-flight load first so
-        ``n_workers`` genuinely spreads startup contention; the optional
-        memory capacity filters candidates before ranking.
+        ``n_workers`` genuinely spreads startup contention.
         """
         candidates = self.workers.workers()
-        if self.worker_capacity_mb is not None:
-            fitting = [
-                w for w in candidates
-                if w.memory_mb + memory_mb <= self.worker_capacity_mb
-            ]
-            if fitting:
-                candidates = fitting
         if self.concurrency_limit is None:
             chosen = min(candidates, key=lambda w: (w.memory_mb, w.worker_id))
         else:
@@ -112,7 +94,7 @@ class PlacementEngine:
 
     def place(self, container_id: int, memory_mb: float, now: float) -> int:
         """Select a worker and record the placement; returns the worker id."""
-        worker_id = self.select_worker(memory_mb, now)
+        worker_id = self.select_worker(now)
         return self.workers.place_on(worker_id, container_id, memory_mb)
 
     def release(self, container_id: int, memory_mb: float) -> None:
@@ -168,13 +150,6 @@ class PlacementEngine:
         so counts may include already-released jobs.
         """
         return tuple(len(slots) for slots in self._slots)
-
-    def inflight_counts(self, now: float) -> Tuple[int, ...]:
-        """Admitted-but-unreleased startups/executions per worker."""
-        return tuple(
-            self._inflight_count(i, now)
-            for i in range(self.workers.n_workers)
-        )
 
     def queue_depths(self, now: float) -> Tuple[int, ...]:
         """Startups waiting for a concurrency slot, per worker.

@@ -107,9 +107,6 @@ class SimulationConfig:
         a finite limit queues excess startups FIFO per worker, adds the
         queueing delay to startup latency, and unlocks the queueing /
         utilization telemetry block.
-    worker_capacity_mb:
-        Optional per-worker memory bound used to filter cold-start
-        placement (see :class:`~repro.cluster.placement.PlacementEngine`).
     bounded_telemetry:
         Collect telemetry with
         :class:`~repro.cluster.telemetry.BoundedTelemetry`: exact counters
@@ -140,15 +137,12 @@ class SimulationConfig:
     faults: "FaultConfig" = field(default_factory=lambda: FaultConfig())
     trace: bool = False
     worker_concurrency: Optional[int] = None
-    worker_capacity_mb: Optional[float] = None
     bounded_telemetry: bool = False
     verify: bool = False
 
     def __post_init__(self) -> None:
         if self.worker_concurrency is not None and self.worker_concurrency < 1:
             raise ValueError("worker_concurrency must be >= 1")
-        if self.worker_capacity_mb is not None and self.worker_capacity_mb <= 0:
-            raise ValueError("worker_capacity_mb must be positive")
 
 
 @dataclass(frozen=True)
@@ -204,7 +198,6 @@ class ClusterSimulator:
         self.placement = PlacementEngine(
             self.workers,
             concurrency_limit=config.worker_concurrency,
-            worker_capacity_mb=config.worker_capacity_mb,
         )
         self.lifecycle = ContainerLifecycle(
             pool=self.pool,
@@ -593,17 +586,14 @@ class ClusterSimulator:
     # Internals
     # ------------------------------------------------------------------
     def _context_for(self, invocation: Invocation) -> SchedulingContext:
-        now = self.loop.now
         return SchedulingContext(
-            now=now,
+            now=self.loop.now,
             invocation=invocation,
             idle_containers=tuple(self.pool.lru_order()),
             cost_model=self.config.cost_model,
             pool_capacity_mb=self.pool.capacity_mb,
             pool_used_mb=self.pool.used_mb,
             pool=self.pool,
-            worker_loads=self.workers.container_counts(),
-            queue_depths=self.placement.queue_depths(now),
         )
 
     def _handle_non_arrival(self, event) -> None:

@@ -103,11 +103,6 @@ class QuantileSketch:
         """Exact maximum (0 when empty)."""
         return self._max if self._count else 0.0
 
-    @property
-    def n_buckets(self) -> int:
-        """Live bucket count -- the sketch's memory footprint."""
-        return len(self._buckets) + (1 if self._zero_count else 0)
-
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile (``0 <= q <= 1``).
 

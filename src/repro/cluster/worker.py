@@ -3,16 +3,16 @@
 The paper's system runs on a cluster of workers, each reserving memory for
 the warm pool.  The :class:`WorkerSet` tracks *placement* -- which worker
 hosts which container -- and exposes per-worker load views.  Worker
-*selection* (least-loaded fallback, capacity filtering, startup admission
-and queueing) lives in :class:`~repro.cluster.placement.PlacementEngine`;
-the set itself is pure bookkeeping so both layers share one source of
-truth about who hosts what.
+*selection* (least-loaded fallback, startup admission and queueing) lives
+in :class:`~repro.cluster.placement.PlacementEngine`; the set itself is
+pure bookkeeping so both layers share one source of truth about who hosts
+what.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 
 @dataclass
@@ -73,14 +73,6 @@ class WorkerSet:
     def worker_of(self, container_id: int) -> int:
         """The worker id hosting a container."""
         return self._placement[container_id]
-
-    def container_counts(self) -> Tuple[int, ...]:
-        """Hosted container count per worker (busy and idle alike)."""
-        return tuple(w.n_containers for w in self._workers)
-
-    def memory_loads(self) -> Tuple[float, ...]:
-        """Hosted container memory per worker, in MB."""
-        return tuple(w.memory_mb for w in self._workers)
 
     def load_snapshot(self) -> List[Dict[str, float]]:
         """Per-worker load for telemetry/reporting."""

@@ -41,10 +41,6 @@ class CleanResult:
     unmounted: List[Volume]
     mounted: List[Volume]
 
-    @property
-    def n_operations(self) -> int:
-        return len(self.unmounted) + len(self.mounted)
-
 
 class ContainerCleaner:
     """Repack warm containers for reuse via volume mount/unmount."""

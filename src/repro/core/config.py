@@ -29,9 +29,6 @@ class MLCRConfig:
         Policy-network architecture (Fig. 7).
     use_attention:
         ``False`` switches to the MLP ablation network.
-    use_dueling:
-        Use the dueling value/advantage decomposition over the attention
-        trunk (requires ``use_attention``).
     use_mask:
         ``False`` disables the action mask (ablation); invalid actions are
         then interpreted as cold starts, as the paper specifies.
@@ -43,13 +40,6 @@ class MLCRConfig:
         Linear exploration schedule.
     train_every:
         Gradient steps are taken every ``train_every`` decisions.
-    n_step:
-        n-step return length for TD targets (1 = plain DQN).  Multi-step
-        targets propagate delayed costs faster but amplify off-policy bias
-        from demonstration seeding; the default stays at 1.
-    use_prioritized_replay:
-        Replace uniform replay with TD-error-prioritized replay
-        (importance-weighted).  Off by default; an ablation knob.
     demo_episodes:
         Episodes of heuristic demonstrations (Greedy-Match alternating with
         exact-match-only) used to seed the replay buffer before DQN
@@ -66,11 +56,6 @@ class MLCRConfig:
         Strength of potential-based reward shaping (0 disables).  The
         potential is the demand-weighted warm value of the idle pool; see
         :mod:`repro.core.env`.
-    load_features:
-        Append aggregate cluster-load features (worker loads, startup
-        queue depths) to the encoder's global segment.  Useful when
-        training against a simulator with a finite ``worker_concurrency``;
-        off by default so the historical state layout is unchanged.
     dtype:
         Compute/storage precision of the Q-networks, optimizer state and
         replay buffer: ``"float32"`` (default -- the fast path; the
@@ -92,7 +77,6 @@ class MLCRConfig:
     n_blocks: int = 2
     head_hidden: int = 64
     use_attention: bool = True
-    use_dueling: bool = False
     use_mask: bool = True
     dqn: DQNConfig = field(default_factory=DQNConfig)
     n_episodes: int = 30
@@ -100,14 +84,11 @@ class MLCRConfig:
     epsilon_end: float = 0.02
     epsilon_decay_steps: int = 6000
     train_every: int = 2
-    n_step: int = 1
-    use_prioritized_replay: bool = False
     demo_episodes: int = 3
     eval_every: int = 4
     eval_episodes: int = 2
     reward_scale: float = 0.1
     shaping_coef: float = 1.0
-    load_features: bool = False
     dtype: str = "float32"
     batched_rollouts: bool = True
     seed: int = 0
@@ -124,8 +105,6 @@ class MLCRConfig:
             raise ValueError("n_episodes must be >= 1")
         if self.train_every < 1:
             raise ValueError("train_every must be >= 1")
-        if self.n_step < 1:
-            raise ValueError("n_step must be >= 1")
         if self.demo_episodes < 0:
             raise ValueError("demo_episodes must be >= 0")
         if self.eval_every < 0 or self.eval_episodes < 0:

@@ -192,9 +192,7 @@ def train_mlcr_scheduler(
         MLCR hyperparameters; defaults to :class:`MLCRConfig`.
     """
     cfg = config or MLCRConfig()
-    encoder = StateEncoder(
-        n_slots=cfg.n_slots, catalog=catalog, load_features=cfg.load_features
-    )
+    encoder = StateEncoder(n_slots=cfg.n_slots, catalog=catalog)
     env = SchedulingEnv(
         workload_factory=workload_factory,
         sim_config=sim_config,

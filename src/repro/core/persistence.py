@@ -18,8 +18,8 @@ import numpy as np
 from repro.core.config import MLCRConfig
 from repro.core.mlcr import MLCRScheduler
 from repro.core.state import StateEncoder
+from repro.core.trainer import q_network_factory
 from repro.drl.dqn import DQNAgent, DQNConfig
-from repro.drl.network import AttentionQNetwork, MLPQNetwork, QNetwork
 
 #: The one policy file format: each attention layer's Q/K/V projections
 #: fused into one ``(D, 3D)`` tensor, plus the compute dtype.  Any other
@@ -27,35 +27,11 @@ from repro.drl.network import AttentionQNetwork, MLPQNetwork, QNetwork
 FORMAT_VERSION = 2
 
 
-def _network_factory(cfg: MLCRConfig, encoder: StateEncoder):
-    from repro.drl.network import DuelingAttentionQNetwork
-
-    def factory() -> QNetwork:
-        rng = np.random.default_rng(cfg.seed + 2)
-        if cfg.use_attention:
-            cls = (DuelingAttentionQNetwork if cfg.use_dueling
-                   else AttentionQNetwork)
-            return cls(
-                global_dim=encoder.global_dim,
-                slot_dim=encoder.slot_dim,
-                n_slots=encoder.n_slots,
-                rng=rng,
-                model_dim=cfg.model_dim,
-                n_heads=cfg.n_heads,
-                n_blocks=cfg.n_blocks,
-                head_hidden=cfg.head_hidden,
-                dtype=cfg.np_dtype,
-            )
-        return MLPQNetwork(
-            global_dim=encoder.global_dim,
-            slot_dim=encoder.slot_dim,
-            n_slots=encoder.n_slots,
-            rng=rng,
-            hidden=cfg.model_dim * 2,
-            dtype=cfg.np_dtype,
-        )
-
-    return factory
+#: Retired options that older files may still record (at the top level or
+#: in ``config``), each with the one value the code still implements.  A
+#: file recording another value would serve a behaviour it was not
+#: trained for, so it is rejected.
+RETIRED_OPTIONS = {"mask_dominated": True, "use_dueling": False}
 
 
 def save_scheduler(
@@ -72,7 +48,6 @@ def save_scheduler(
     meta = {
         "format_version": FORMAT_VERSION,
         "n_slots": scheduler.encoder.n_slots,
-        "mask_dominated": scheduler.encoder.mask_dominated,
         "use_mask": scheduler.use_mask,
         "config": {
             "n_slots": config.n_slots,
@@ -81,7 +56,6 @@ def save_scheduler(
             "n_blocks": config.n_blocks,
             "head_hidden": config.head_hidden,
             "use_attention": config.use_attention,
-            "use_dueling": config.use_dueling,
             "dtype": config.dtype,
             "seed": config.seed,
         },
@@ -108,6 +82,13 @@ def load_scheduler(path: Union[str, Path]) -> MLCRScheduler:
             if key.startswith("param_")
         }
     cfg_meta = meta["config"]
+    for option, supported in RETIRED_OPTIONS.items():
+        value = meta.get(option, cfg_meta.get(option, supported))
+        if value != supported:
+            raise ValueError(
+                f"policy file sets retired option {option}={value!r}; "
+                f"only {option}={supported!r} is supported"
+            )
     config = MLCRConfig(
         n_slots=cfg_meta["n_slots"],
         model_dim=cfg_meta["model_dim"],
@@ -115,15 +96,12 @@ def load_scheduler(path: Union[str, Path]) -> MLCRScheduler:
         n_blocks=cfg_meta["n_blocks"],
         head_hidden=cfg_meta["head_hidden"],
         use_attention=cfg_meta["use_attention"],
-        use_dueling=cfg_meta.get("use_dueling", False),
         dtype=cfg_meta["dtype"],
         seed=cfg_meta["seed"],
     )
-    encoder = StateEncoder(
-        n_slots=meta["n_slots"], mask_dominated=meta["mask_dominated"]
-    )
+    encoder = StateEncoder(n_slots=meta["n_slots"])
     agent = DQNAgent(
-        network_factory=_network_factory(config, encoder),
+        network_factory=q_network_factory(config, encoder),
         config=DQNConfig(),
         rng=np.random.default_rng(config.seed + 1),
     )

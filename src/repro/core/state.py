@@ -19,7 +19,8 @@ Container slots are filled deepest-match-first so that the most relevant
 candidates are always visible even when the pool holds more than
 ``n_slots`` idle containers.  The **action mask** marks reusable slots plus
 the always-valid cold action (paper Section IV-C: "no match" containers are
-filtered out rather than explored).
+filtered out rather than explored); when a full (L3) match is visible, the
+shallower reuses it dominates are masked too.
 
 Encoding is incremental: bag-of-packages vectors and cost-model latencies
 are cached per image configuration, per-depth idle counts come from the
@@ -89,27 +90,10 @@ class StateEncoder:
         self,
         n_slots: int,
         catalog: PackageCatalog | None = None,
-        mask_dominated: bool = True,
-        load_features: bool = False,
     ) -> None:
-        """``mask_dominated`` extends the paper's action mask with a
-        dominance rule: when a full (L3) match is available, shallower
-        reuses are filtered out as manifestly erroneous -- the L3 reuse is
-        both the cheapest start *and* destroys no warm state, because the
-        container already holds exactly the function's stack.
-
-        ``load_features`` appends six aggregate cluster-load scalars
-        (worker container loads and startup queue depths from
-        ``ctx.worker_loads`` / ``ctx.queue_depths``) to the global
-        segment.  Aggregates, not per-worker values, so the state
-        dimension is independent of ``n_workers`` and one trained policy
-        transfers across cluster sizes.  Off by default: the historical
-        encoding is bit-for-bit unchanged."""
         if n_slots < 1:
             raise ValueError("n_slots must be >= 1")
         self.n_slots = n_slots
-        self.mask_dominated = mask_dominated
-        self.load_features = load_features
         self.catalog = catalog or default_catalog()
         self._key_index: Dict[str, int] = {
             key: i for i, key in enumerate(self.catalog.key_order())
@@ -125,9 +109,8 @@ class StateEncoder:
     # -- dimensions --------------------------------------------------------
     @property
     def global_dim(self) -> int:
-        # bag-of-packages + 8 scalars + per-match-level idle counts (4),
-        # plus 6 aggregate cluster-load scalars when enabled.
-        return self._n_keys + 8 + 4 + (6 if self.load_features else 0)
+        # bag-of-packages + 8 scalars + per-match-level idle counts (4).
+        return self._n_keys + 8 + 4
 
     @property
     def slot_dim(self) -> int:
@@ -148,12 +131,7 @@ class StateEncoder:
         counters) but shares the immutable-valued bag-of-packages cache, so
         batched rollouts do not re-derive package vectors per clone.
         """
-        clone = StateEncoder(
-            n_slots=self.n_slots,
-            catalog=self.catalog,
-            mask_dominated=self.mask_dominated,
-            load_features=self.load_features,
-        )
+        clone = StateEncoder(n_slots=self.n_slots, catalog=self.catalog)
         clone._bag_cache = self._bag_cache
         return clone
 
@@ -217,7 +195,10 @@ class StateEncoder:
             if match.is_reusable:
                 mask[slot] = True
 
-        if self.mask_dominated and MatchLevel.L3 in slot_matches:
+        # Dominance rule on top of the paper's mask: when a full (L3) match
+        # is visible, shallower reuses are filtered out -- the L3 reuse is
+        # both the cheapest start and destroys no warm state.
+        if MatchLevel.L3 in slot_matches:
             for slot, match in enumerate(slot_matches):
                 if match.is_reusable and match is not MatchLevel.L3:
                     mask[slot] = False
@@ -275,31 +256,8 @@ class StateEncoder:
                 self._demand_of(spec.image.packages),
             ]
         )
-        parts = [self._bag_of_packages(ctx), scalars,
-                 depth_counts / self.n_slots]
-        if self.load_features:
-            parts.append(self._load_features(ctx))
-        return np.concatenate(parts)
-
-    def _load_features(self, ctx: SchedulingContext) -> np.ndarray:
-        """Aggregate cluster-load scalars (independent of ``n_workers``).
-
-        Log-compressed means/maxima of per-worker container loads and
-        startup queue depths, plus the fraction of workers hosting at
-        least one container and the total queued-startup count.  Empty
-        load views (hand-built contexts) encode as all zeros.
-        """
-        loads = np.asarray(ctx.worker_loads, dtype=np.float64)
-        queues = np.asarray(ctx.queue_depths, dtype=np.float64)
-        return np.array(
-            [
-                np.log1p(loads.mean()) if loads.size else 0.0,
-                np.log1p(loads.max()) if loads.size else 0.0,
-                float((loads > 0).mean()) if loads.size else 0.0,
-                np.log1p(queues.mean()) if queues.size else 0.0,
-                np.log1p(queues.max()) if queues.size else 0.0,
-                np.log1p(queues.sum()) if queues.size else 0.0,
-            ]
+        return np.concatenate(
+            [self._bag_of_packages(ctx), scalars, depth_counts / self.n_slots]
         )
 
     def _ranked_candidates(

@@ -21,9 +21,8 @@ mini-batch gradient steps.  Two practical additions over the bare algorithm:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,15 +31,9 @@ from repro.core.config import MLCRConfig
 from repro.core.env import SchedulingEnv
 from repro.core.state import EncodedState, StateEncoder
 from repro.drl.dqn import DQNAgent
-from repro.drl.network import (
-    AttentionQNetwork,
-    DuelingAttentionQNetwork,
-    MLPQNetwork,
-    QNetwork,
-)
+from repro.drl.network import AttentionQNetwork, MLPQNetwork, QNetwork
 from repro.drl.replay import Transition
 from repro.drl.schedules import LinearDecayEpsilon
-
 
 
 #: Episode indices at or above this base are validation episodes; workload
@@ -59,9 +52,41 @@ class TrainingHistory:
     eval_latencies: List[float] = field(default_factory=list)
     best_eval_latency: float = float("inf")
 
-    @property
-    def best_latency(self) -> float:
-        return min(self.episode_latencies) if self.episode_latencies else float("nan")
+
+def q_network_factory(
+    config: MLCRConfig, encoder: StateEncoder
+) -> Callable[[], QNetwork]:
+    """Zero-argument builder of the Q-network ``config`` describes.
+
+    Every call draws its initial weights from the same ``seed + 2``
+    generator, so the online and target networks start equal and a saved
+    policy rebuilds the architecture it was trained with.
+    """
+
+    def factory() -> QNetwork:
+        rng = np.random.default_rng(config.seed + 2)
+        if config.use_attention:
+            return AttentionQNetwork(
+                global_dim=encoder.global_dim,
+                slot_dim=encoder.slot_dim,
+                n_slots=encoder.n_slots,
+                rng=rng,
+                model_dim=config.model_dim,
+                n_heads=config.n_heads,
+                n_blocks=config.n_blocks,
+                head_hidden=config.head_hidden,
+                dtype=config.np_dtype,
+            )
+        return MLPQNetwork(
+            global_dim=encoder.global_dim,
+            slot_dim=encoder.slot_dim,
+            n_slots=encoder.n_slots,
+            rng=rng,
+            hidden=config.model_dim * 2,
+            dtype=config.np_dtype,
+        )
+
+    return factory
 
 
 @dataclass
@@ -75,8 +100,6 @@ class _Lane:
     total_latency: float = 0.0
     cold_starts: int = 0
     next_action: int = -1
-    # n-step accumulator: [state, action, [r_t, r_t+1, ...]] per entry.
-    window: Deque[list] = field(default_factory=deque)
 
 
 class MLCRTrainer:
@@ -93,19 +116,10 @@ class MLCRTrainer:
         self.encoder = encoder or env.encoder
         self.rng = np.random.default_rng(config.seed)
         self.agent = DQNAgent(
-            network_factory=self._network_factory(),
+            network_factory=q_network_factory(config, self.encoder),
             config=config.dqn,
             rng=np.random.default_rng(config.seed + 1),
         )
-        if config.use_prioritized_replay:
-            from repro.drl.prioritized import PrioritizedReplayBuffer
-
-            self.agent.buffer = PrioritizedReplayBuffer(
-                config.dqn.buffer_capacity,
-                self.agent.online.state_dim,
-                self.agent.online.action_dim,
-                dtype=config.np_dtype,
-            )
         self.history = TrainingHistory()
         self._epsilon = LinearDecayEpsilon(
             start=config.epsilon_start,
@@ -113,42 +127,6 @@ class MLCRTrainer:
             decay_steps=config.epsilon_decay_steps,
         )
         self._global_step = 0
-
-    # -- network construction ---------------------------------------------------
-    def _network_factory(self) -> Callable[[], QNetwork]:
-        cfg = self.config
-        enc = self.encoder
-        seed = cfg.seed + 2
-
-        def factory() -> QNetwork:
-            rng = np.random.default_rng(seed)
-            if cfg.use_attention:
-                cls = (
-                    DuelingAttentionQNetwork
-                    if cfg.use_dueling
-                    else AttentionQNetwork
-                )
-                return cls(
-                    global_dim=enc.global_dim,
-                    slot_dim=enc.slot_dim,
-                    n_slots=enc.n_slots,
-                    rng=rng,
-                    model_dim=cfg.model_dim,
-                    n_heads=cfg.n_heads,
-                    n_blocks=cfg.n_blocks,
-                    head_hidden=cfg.head_hidden,
-                    dtype=cfg.np_dtype,
-                )
-            return MLPQNetwork(
-                global_dim=enc.global_dim,
-                slot_dim=enc.slot_dim,
-                n_slots=enc.n_slots,
-                rng=rng,
-                hidden=cfg.model_dim * 2,
-                dtype=cfg.np_dtype,
-            )
-
-        return factory
 
     # -- training loop ------------------------------------------------------
     def train(self, verbose: bool = False) -> TrainingHistory:
@@ -234,8 +212,6 @@ class MLCRTrainer:
         transitions exactly as the sequential path does.  Returns
         ``(return, latency, cold_starts)`` per episode, in input order.
         """
-        gamma = self.config.dqn.gamma
-        n_step = self.config.n_step
         lanes = []
         for kind, episode in zip(kinds, episodes):
             env = self.env.spawn()
@@ -267,21 +243,11 @@ class MLCRTrainer:
                 lane.total_latency += result.startup_latency_s
                 lane.cold_starts += int(result.cold_start)
                 if not is_eval:
-                    for entry in lane.window:
-                        entry[2].append(result.reward)
-                    lane.window.append([lane.encoded, action, [result.reward]])
-                    if (
-                        result.state is not None
-                        and len(lane.window[0][2]) >= n_step
-                    ):
-                        self._emit(lane.window.popleft(), result.state, gamma,
-                                   done=False)
+                    self._remember(lane.encoded, action, result.reward,
+                                   result.state)
                     self._global_step += 1
                 lane.encoded = result.state
                 if lane.encoded is None:
-                    if not is_eval:
-                        for entry in lane.window:
-                            self._emit(entry, None, gamma, done=True)
                     lane.env.finish()
                 else:
                     still_active.append(lane)
@@ -299,12 +265,6 @@ class MLCRTrainer:
         total_reward = 0.0
         total_latency = 0.0
         cold_starts = 0
-        gamma = self.config.dqn.gamma
-        n_step = self.config.n_step
-        # n-step accumulator: [state, action, [r_t, r_t+1, ...]].  A deque:
-        # the ready transition pops from the left in O(1) instead of the
-        # O(n) list ``pop(0)``.
-        window: Deque[list] = deque()
 
         while encoded is not None:
             action = self._choose_action(encoded, demo_kind, is_eval)
@@ -316,53 +276,45 @@ class MLCRTrainer:
             if is_eval:
                 encoded = result.state
                 continue
-            for entry in window:
-                entry[2].append(result.reward)
-            window.append([encoded, action, [result.reward]])
-            if result.state is not None and len(window[0][2]) >= n_step:
-                self._emit(window.popleft(), result.state, gamma, done=False)
-
+            if result.state is not None:
+                self._remember(encoded, action, result.reward, result.state)
             if learn and self._global_step % self.config.train_every == 0:
                 loss = self.agent.train_step()
                 if loss is not None:
                     self.history.losses.append(loss)
             self._global_step += 1
+            if result.state is None:
+                # The terminal transition enters the buffer after the
+                # episode's last gradient step, never before it.
+                self._remember(encoded, action, result.reward, None)
             encoded = result.state
 
-        if not is_eval:
-            # Episode over: flush the window with terminal transitions.
-            for entry in window:
-                self._emit(entry, None, gamma, done=True)
         self.env.finish()
         return total_reward, total_latency, cold_starts
 
-    def _emit(
+    def _remember(
         self,
-        entry: list,
+        encoded: EncodedState,
+        action: int,
+        reward: float,
         next_encoded: Optional[EncodedState],
-        gamma: float,
-        done: bool,
     ) -> None:
-        """Store one (possibly n-step) transition in the replay buffer."""
-        state, action, rewards = entry
-        returns = sum(r * gamma**i for i, r in enumerate(rewards))
-        if done or next_encoded is None:
-            next_state = np.zeros_like(state.state)
+        """Store one transition; ``next_encoded=None`` marks it terminal."""
+        if next_encoded is None:
+            next_state = np.zeros_like(encoded.state)
             next_mask = np.zeros(self.agent.action_dim, dtype=bool)
             next_mask[-1] = True
-            done = True
         else:
             next_state = next_encoded.state
             next_mask = self._training_mask(next_encoded)
         self.agent.remember(
             Transition(
-                state=state.state,
+                state=encoded.state,
                 action=action,
-                reward=returns,
+                reward=reward,
                 next_state=next_state,
                 next_mask=next_mask,
-                done=done,
-                n_steps=len(rewards),
+                done=next_encoded is None,
             )
         )
 
@@ -390,8 +342,6 @@ class MLCRTrainer:
         ``greedy``: deepest match (slot 0 holds it after ranking);
         ``exact``: only a full (L3) match, otherwise cold start.
         """
-
-
         cold = len(encoded.slot_containers)
         if kind == "exact":
             for slot, match in enumerate(encoded.slot_matches):

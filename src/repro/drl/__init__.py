@@ -13,7 +13,7 @@ with manual backpropagation:
 * :mod:`repro.drl.schedules` -- epsilon-greedy exploration schedules;
 * :mod:`repro.drl.network` -- the Fig. 7 policy network (token embedding,
   two attention blocks, per-action linear heads) and an MLP ablation;
-* :mod:`repro.drl.dqn` -- the (double) DQN agent with action masking.
+* :mod:`repro.drl.dqn` -- the double DQN agent with action masking.
 
 Every layer's backward pass is verified against numerical differentiation in
 the test suite.
@@ -34,7 +34,6 @@ from repro.drl.replay import ReplayBuffer, Transition
 from repro.drl.schedules import ConstantEpsilon, LinearDecayEpsilon
 from repro.drl.network import (
     AttentionQNetwork,
-    DuelingAttentionQNetwork,
     MLPQNetwork,
     QNetwork,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "LinearDecayEpsilon",
     "QNetwork",
     "AttentionQNetwork",
-    "DuelingAttentionQNetwork",
     "MLPQNetwork",
     "DQNAgent",
     "DQNConfig",

@@ -1,4 +1,4 @@
-"""Masked (double) DQN agent.
+"""Masked double DQN agent.
 
 Implements Algorithm 1 plus the paper's two optimizations (Section IV-C):
 
@@ -8,6 +8,7 @@ Implements Algorithm 1 plus the paper's two optimizations (Section IV-C):
 
 Double DQN (action selected by the online network, evaluated by the target
 network) and Huber loss are standard stabilizers for small-budget training.
+TD targets are one-step: ``r + gamma * (1 - done) * Q_target(s', a*)``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class DQNConfig:
     buffer_capacity: int = 20_000
     target_sync_every: int = 200
     grad_clip: float = 10.0
-    double_dqn: bool = True
     huber_delta: float = 1.0
 
     def __post_init__(self) -> None:
@@ -173,15 +173,6 @@ class DQNAgent:
         q_taken = q_all[rows, batch["actions"]]
         loss, d_q_taken = huber_loss(q_taken, targets, cfg.huber_delta)
 
-        # Prioritized replay support: importance weights scale the gradient
-        # and the buffer learns the fresh TD errors.
-        if "weights" in batch:
-            d_q_taken = d_q_taken * batch["weights"]
-        if hasattr(self.buffer, "update_priorities") and "indices" in batch:
-            self.buffer.update_priorities(
-                batch["indices"], q_taken - targets
-            )
-
         grad = np.zeros_like(q_all)
         grad[rows, batch["actions"]] = d_q_taken
         self.online.zero_grad()
@@ -195,22 +186,17 @@ class DQNAgent:
         return loss
 
     def _td_targets(self, batch: Dict[str, np.ndarray]) -> np.ndarray:
-        """Bootstrapped targets with masked (double-)DQN maximization."""
-        cfg = self.config
+        """One-step targets with masked double-DQN maximization."""
         next_q_target = self.target.forward(batch["next_states"])
-        masks = batch["next_masks"]
-        if cfg.double_dqn:
-            # Action selection only -- no backward pass follows, so the
-            # online forward runs in inference mode (no caching).
-            with self.online.inference():
-                next_q_online = self.online.forward(batch["next_states"])
-            best = masked_argmax(next_q_online, masks)
-        else:
-            best = masked_argmax(next_q_target, masks)
-        rows = np.arange(len(best))
-        bootstrap = next_q_target[rows, best]
-        # n-step returns bootstrap with gamma^n (n = 1 for plain DQN).
-        discount = cfg.gamma ** batch["n_steps"]
+        # Action selection only -- no backward pass follows, so the online
+        # forward runs in inference mode (no caching).
+        with self.online.inference():
+            next_q_online = self.online.forward(batch["next_states"])
+        best = masked_argmax(next_q_online, batch["next_masks"])
+        bootstrap = next_q_target[np.arange(len(best)), best]
+        # A float64 scalar, not a Python float: it keeps float32 agents'
+        # targets in float64.
+        discount = np.float64(self.config.gamma)
         return batch["rewards"] + discount * np.where(
             batch["dones"], 0.0, bootstrap
         )

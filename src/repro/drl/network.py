@@ -166,78 +166,6 @@ class AttentionQNetwork(QNetwork):
         )
 
 
-class DuelingAttentionQNetwork(AttentionQNetwork):
-    """Dueling decomposition over the attention trunk (Wang et al., 2016).
-
-    The global token produces a state value ``V(s)``; the slot tokens (and
-    the global token, for the cold action) produce advantages ``A(s, a)``.
-    Q-values recombine as ``Q = V + A - mean(A)``, which stabilizes learning
-    when many actions have near-identical value -- common here, since most
-    warm containers are interchangeable.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # Reuse the parent's heads as advantage heads; add the value head.
-        rng = np.random.default_rng(0)
-        self.value_head = Sequential(
-            Linear(self.model_dim, kwargs.get("head_hidden", 64), rng,
-                   name="head.value.0", dtype=self.dtype),
-            ReLU(),
-            Linear(kwargs.get("head_hidden", 64), 1, rng,
-                   name="head.value.1", dtype=self.dtype),
-        )
-        self.invalidate_parameter_cache()
-        self._dueling_cache = None
-
-    def forward(self, states: np.ndarray) -> np.ndarray:
-        """Forward pass: ``Q = V + A - mean(A)`` over the attention trunk."""
-        global_part, slot_part = self.split_state(states)
-        b = states.shape[0]
-        if self.training:
-            self._batch = b
-        g_tok = self.global_embed.forward(global_part)[:, None, :]
-        s_tok = self.slot_embed.forward(slot_part)
-        tokens = np.concatenate([g_tok, s_tok], axis=1)
-        for block in self.blocks:
-            tokens = block.forward(tokens)
-        tokens = self.out_norm.forward(tokens)
-        adv_slots = self.slot_head.forward(tokens[:, 1:, :])[..., 0]
-        adv_cold = self.cold_head.forward(tokens[:, 0, :])
-        value = self.value_head.forward(tokens[:, 0, :])     # (B, 1)
-        adv = np.concatenate([adv_slots, adv_cold], axis=1)  # (B, A)
-        if self.training:
-            self._dueling_cache = adv.shape[1]
-        return value + adv - adv.mean(axis=1, keepdims=True)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backward pass through the dueling recombination and the trunk."""
-        if self._batch is None or self._dueling_cache is None:
-            raise RuntimeError("backward before forward")
-        b, self._batch = self._batch, None
-        k = self._dueling_cache
-        self._dueling_cache = None
-        d_value = grad.sum(axis=1, keepdims=True)                 # (B, 1)
-        d_adv = grad - grad.sum(axis=1, keepdims=True) / k        # (B, A)
-
-        d_tokens = np.zeros((b, self.n_slots + 1, self.model_dim),
-                            dtype=self.dtype)
-        d_tokens[:, 1:, :] = self.slot_head.backward(
-            d_adv[:, : self.n_slots, None]
-        )
-        d_tokens[:, 0, :] = self.cold_head.backward(d_adv[:, self.n_slots:])
-        d_tokens[:, 0, :] += self.value_head.backward(d_value)
-        d_tokens = self.out_norm.backward(d_tokens)
-        for block in reversed(self.blocks):
-            d_tokens = block.backward(d_tokens)
-        d_global = self.global_embed.backward(d_tokens[:, 0, :])
-        d_slots = self.slot_embed.backward(d_tokens[:, 1:, :])
-        return np.concatenate(
-            [d_global, d_slots.reshape(b, self.n_slots * self.slot_dim)],
-            axis=1,
-        )
-
-
 class MLPQNetwork(QNetwork):
     """Plain MLP over the flat state (the attention-vs-MLP ablation)."""
 

@@ -15,13 +15,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Transition:
-    """One (s, a, R, s', done) tuple with the next state's action mask.
-
-    ``n_steps`` supports n-step returns: ``reward`` is then the discounted
-    sum of the next ``n_steps`` rewards and ``next_state`` the state
-    ``n_steps`` decisions later; the learner bootstraps with
-    ``gamma ** n_steps``.
-    """
+    """One (s, a, r, s', done) tuple with the next state's action mask."""
 
     state: np.ndarray
     action: int
@@ -29,7 +23,6 @@ class Transition:
     next_state: np.ndarray
     next_mask: np.ndarray
     done: bool
-    n_steps: int = 1
 
 
 class ReplayBuffer:
@@ -59,7 +52,6 @@ class ReplayBuffer:
         self._next_states = np.zeros((capacity, state_dim), dtype=self.dtype)
         self._next_masks = np.zeros((capacity, action_dim), dtype=bool)
         self._dones = np.zeros(capacity, dtype=bool)
-        self._n_steps = np.ones(capacity, dtype=np.int64)
         self._size = 0
         self._head = 0
 
@@ -81,8 +73,6 @@ class ReplayBuffer:
             raise ValueError("mask dimensionality mismatch")
         if not 0 <= transition.action < self.action_dim:
             raise ValueError(f"action {transition.action} out of range")
-        if transition.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
         i = self._head
         self._states[i] = state
         self._actions[i] = transition.action
@@ -90,7 +80,6 @@ class ReplayBuffer:
         self._next_states[i] = next_state
         self._next_masks[i] = next_mask
         self._dones[i] = transition.done
-        self._n_steps[i] = transition.n_steps
         self._head = (self._head + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -108,5 +97,4 @@ class ReplayBuffer:
             "next_states": self._next_states[idx],
             "next_masks": self._next_masks[idx],
             "dones": self._dones[idx],
-            "n_steps": self._n_steps[idx],
         }

@@ -96,7 +96,6 @@ def config_fingerprint(config: SimulationConfig) -> Dict:
         "delta_pricing": config.delta_pricing,
         "per_worker_pools": config.per_worker_pools,
         "worker_concurrency": config.worker_concurrency,
-        "worker_capacity_mb": config.worker_capacity_mb,
         "faults": {
             "crash_prob": config.faults.crash_prob,
             "straggler_prob": config.faults.straggler_prob,

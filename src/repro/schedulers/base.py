@@ -134,13 +134,6 @@ class SchedulingContext:
         single :class:`~repro.cluster.pool.WarmPool`, which answers the
         same queries.  Its match index serves :meth:`match_counts` and
         every :meth:`Scheduler.decide_pool` rule as dictionary lookups.
-    worker_loads:
-        Hosted container count per worker (busy and idle alike), indexed
-        by worker id.  Empty in hand-built contexts.
-    queue_depths:
-        Startups waiting for a worker concurrency slot, per worker.  All
-        zeros unless the simulator enforces a ``worker_concurrency``
-        limit; empty in hand-built contexts.
     """
 
     now: float
@@ -150,8 +143,6 @@ class SchedulingContext:
     pool_capacity_mb: float
     pool_used_mb: float
     pool: "PoolSet"
-    worker_loads: Tuple[int, ...] = ()
-    queue_depths: Tuple[int, ...] = ()
 
     # -- helpers every scheduler needs -------------------------------------
     def match_of(self, container: Container) -> MatchLevel:

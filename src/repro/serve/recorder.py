@@ -79,7 +79,6 @@ class DecisionRecorder:
             "pool_capacity_mb": config.pool_capacity_mb,
             "n_workers": config.n_workers,
             "worker_concurrency": config.worker_concurrency,
-            "worker_capacity_mb": config.worker_capacity_mb,
             "per_worker_pools": config.per_worker_pools,
             "delta_pricing": config.delta_pricing,
             "keepalive_ttl_s": engine.keepalive_ttl_s,
@@ -199,11 +198,18 @@ def replay_recording(
     from repro.serve.engine import ServeEngine
 
     header, entries = read_recording(source)
+    # Recordings made while the per-worker memory filter existed carry it;
+    # a non-null value placed containers by a rule that no longer exists.
+    if header.get("worker_capacity_mb") is not None:
+        raise ValueError(
+            "recording sets retired option worker_capacity_mb="
+            f"{header['worker_capacity_mb']!r}; its placements cannot be "
+            "replayed"
+        )
     config = SimulationConfig(
         pool_capacity_mb=header["pool_capacity_mb"],
         n_workers=header["n_workers"],
         worker_concurrency=header["worker_concurrency"],
-        worker_capacity_mb=header["worker_capacity_mb"],
         per_worker_pools=header["per_worker_pools"],
         delta_pricing=header["delta_pricing"],
         verify=verify,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -167,13 +167,6 @@ class WorkloadComposer:
         if weight <= 0:
             raise ValueError("weight must be positive")
         self._functions.append((spec, weight))
-        return self
-
-    def add_functions(self, specs: Sequence[FunctionSpec],
-                      weight: float = 1.0) -> "WorkloadComposer":
-        """Add several function types sharing one weight."""
-        for spec in specs:
-            self.add_function(spec, weight)
         return self
 
     def with_envelope(self, envelope: RateEnvelope) -> "WorkloadComposer":

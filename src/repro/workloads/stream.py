@@ -155,10 +155,9 @@ class StreamStatistics:
         self.n_invocations = 0
         self.last_arrival = 0.0
         self._prev_arrival: float | None = None
-        # Interarrival moments (for mean/variance without storing gaps).
+        # Interarrival sum (for the mean without storing gaps).
         self._gap_n = 0
         self._gap_sum = 0.0
-        self._gap_sumsq = 0.0
 
     def observe(self, invocation: Invocation) -> None:
         """Fold one invocation (must arrive in stream order)."""
@@ -170,7 +169,6 @@ class StreamStatistics:
             gap = arrival - self._prev_arrival
             self._gap_n += 1
             self._gap_sum += gap
-            self._gap_sumsq += gap * gap
         self._prev_arrival = arrival
         self.last_arrival = arrival
 
@@ -184,14 +182,6 @@ class StreamStatistics:
     def mean_interarrival_s(self) -> float:
         """Mean gap between consecutive arrivals."""
         return self._gap_sum / self._gap_n if self._gap_n else 0.0
-
-    @property
-    def var_interarrival_s(self) -> float:
-        """Population variance of the interarrival gaps."""
-        if not self._gap_n:
-            return 0.0
-        mean = self.mean_interarrival_s
-        return max(0.0, self._gap_sumsq / self._gap_n - mean * mean)
 
     def statistics(self) -> Dict[str, float]:
         """The cited Azure aggregates over what has been observed so far."""

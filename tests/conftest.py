@@ -131,8 +131,6 @@ def make_ctx(
     capacity_mb: float = 4096.0,
     used_mb: float = 0.0,
     cost_model: Optional[StartupCostModel] = None,
-    worker_loads: Sequence[int] = (),
-    queue_depths: Sequence[int] = (),
 ) -> SchedulingContext:
     """A context whose unbounded one-shard pool holds ``idle_containers``."""
     idle = tuple(idle_containers)
@@ -147,8 +145,6 @@ def make_ctx(
         pool_capacity_mb=capacity_mb,
         pool_used_mb=used_mb,
         pool=pool,
-        worker_loads=tuple(worker_loads),
-        queue_depths=tuple(queue_depths),
     )
 
 

@@ -68,20 +68,17 @@ class TestEventLoop:
 
 
 class TestPlacementEngine:
-    def engine(self, n=2, limit=None, capacity=None):
-        return PlacementEngine(WorkerSet(n), concurrency_limit=limit,
-                               worker_capacity_mb=capacity)
+    def engine(self, n=2, limit=None):
+        return PlacementEngine(WorkerSet(n), concurrency_limit=limit)
 
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             self.engine(limit=0)
-        with pytest.raises(ValueError):
-            self.engine(capacity=0.0)
 
     def test_no_limit_uses_least_memory_rule(self):
         eng = self.engine(n=2)
         eng.workers.place_on(0, 1, 100.0)
-        assert eng.select_worker(50.0, now=0.0) == 1
+        assert eng.select_worker(now=0.0) == 1
 
     def test_no_limit_admits_immediately(self):
         eng = self.engine(n=1)
@@ -118,20 +115,7 @@ class TestPlacementEngine:
         # Worker 0 hosts more memory but fewer in-flight startups.
         eng.workers.place_on(0, 1, 500.0)
         eng.admit(1, now=0.0, hold_s=100.0)
-        assert eng.select_worker(50.0, now=0.0) == 0
-
-    def test_capacity_filter_prefers_fitting_worker(self):
-        eng = self.engine(n=2, capacity=200.0)
-        eng.workers.place_on(0, 1, 150.0)
-        # 100MB no longer fits on worker 0; worker 1 must take it.
-        assert eng.select_worker(100.0, now=0.0) == 1
-
-    def test_capacity_filter_falls_back_when_nothing_fits(self):
-        eng = self.engine(n=2, capacity=100.0)
-        eng.workers.place_on(0, 1, 90.0)
-        eng.workers.place_on(1, 2, 95.0)
-        # Neither fits 50MB: least-memory fallback, not an error.
-        assert eng.select_worker(50.0, now=0.0) == 0
+        assert eng.select_worker(now=0.0) == 0
 
 
 def queueing_sim(n_workers, limit, capacity=2048.0):
@@ -148,8 +132,6 @@ class TestQueueingIntegration:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimulationConfig(pool_capacity_mb=1024.0, worker_concurrency=0)
-        with pytest.raises(ValueError):
-            SimulationConfig(pool_capacity_mb=1024.0, worker_capacity_mb=-1.0)
 
     def test_hi_sim_queues_under_finite_limit(self):
         sim, sched = queueing_sim(n_workers=2, limit=1)
@@ -237,8 +219,12 @@ class TestQueueingIntegration:
         )
         sim.load(workload_of([make_invocation(spec_a(), 0)]))
         ctx = sim.next_decision_point()
-        assert ctx.worker_loads == (0, 0, 0)
-        assert ctx.queue_depths == (0, 0, 0)
+        # The load views live on the simulator's workers and placement
+        # engine; the context itself carries no per-worker copies.
+        assert [w["containers"] for w in sim.workers.load_snapshot()] == [
+            0.0, 0.0, 0.0
+        ]
+        assert sim.placement.queue_depths(ctx.now) == (0, 0, 0)
         record = sim.apply_decision(LRUScheduler().decide(ctx))
         assert record.worker_id in (0, 1, 2)
         sim.finish()

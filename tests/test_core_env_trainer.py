@@ -145,6 +145,34 @@ class TestTrainer:
         history = trainer.train()
         assert len(history.episode_latencies) == 2
 
+    def test_one_transition_per_decision_terminal_after_last_step(self):
+        """Every decision stores one one-step transition; the terminal one
+        enters the buffer after the episode's last gradient step."""
+        env = SchedulingEnv(
+            lambda ep: tiny_workload(0, n=10),
+            SimulationConfig(pool_capacity_mb=10_000.0),
+            StateEncoder(n_slots=4),
+        )
+        trainer = MLCRTrainer(env, tiny_config(
+            n_episodes=1, demo_episodes=0, eval_every=0, train_every=1,
+        ))
+        agent = trainer.agent
+        events = []
+        remember, train_step = agent.remember, agent.train_step
+
+        def spy_remember(transition):
+            events.append("terminal" if transition.done else "remember")
+            remember(transition)
+
+        def spy_train_step():
+            events.append("train")
+            return train_step()
+
+        agent.remember = spy_remember
+        agent.train_step = spy_train_step
+        trainer.train()
+        assert events == ["remember", "train"] * 9 + ["train", "terminal"]
+
     def test_eval_episodes_use_held_out_indices(self):
         seen = []
 

@@ -86,8 +86,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             MLCRConfig(shaping_coef=-1.0)
         with pytest.raises(ValueError):
-            MLCRConfig(n_step=0)
-        with pytest.raises(ValueError):
             MLCRConfig(eval_every=-1)
 
     def test_config_hashable_for_caching(self):

@@ -1,5 +1,7 @@
 """Tests for policy persistence and online fine-tuning."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -62,8 +64,6 @@ class TestPersistence:
     def test_bad_version_rejected(self, trained, tmp_path):
         """Only format 2 loads: the pre-fusion version 1 and unknown
         versions fail at the trust boundary."""
-        import json
-
         scheduler, cfg = trained
         for version in (1, 99):
             path = save_scheduler(scheduler, cfg, tmp_path / f"v{version}.npz")
@@ -74,6 +74,60 @@ class TestPersistence:
             np.savez(path, **data)
             with pytest.raises(ValueError, match="unsupported policy file"):
                 load_scheduler(path)
+
+    @staticmethod
+    def write_recorded_options(scheduler, cfg, path, mask_dominated,
+                               use_dueling):
+        """A format-2 file whose hand-written meta records the retired
+        ``mask_dominated`` (top level) and ``use_dueling`` (config)."""
+        meta = {
+            "format_version": 2,
+            "n_slots": cfg.n_slots,
+            "mask_dominated": mask_dominated,
+            "use_mask": True,
+            "config": {
+                "n_slots": cfg.n_slots,
+                "model_dim": cfg.model_dim,
+                "n_heads": cfg.n_heads,
+                "n_blocks": cfg.n_blocks,
+                "head_hidden": cfg.head_hidden,
+                "use_attention": True,
+                "use_dueling": use_dueling,
+                "dtype": cfg.dtype,
+                "seed": cfg.seed,
+            },
+        }
+        arrays = {
+            f"param_{key}": value
+            for key, value in scheduler.agent.online.state_dict().items()
+        }
+        np.savez(path, _meta=np.array(json.dumps(meta)), **arrays)
+        return path
+
+    def test_recorded_supported_values_load(self, trained, tmp_path):
+        scheduler, cfg = trained
+        path = self.write_recorded_options(
+            scheduler, cfg, tmp_path / "old.npz",
+            mask_dominated=True, use_dueling=False,
+        )
+        loaded = load_scheduler(path)
+        for key, value in scheduler.agent.online.state_dict().items():
+            np.testing.assert_array_equal(
+                value, loaded.agent.online.state_dict()[key]
+            )
+
+    @pytest.mark.parametrize("option, recorded", [
+        ("mask_dominated", dict(mask_dominated=False, use_dueling=False)),
+        ("use_dueling", dict(mask_dominated=True, use_dueling=True)),
+    ])
+    def test_retired_option_rejected(self, trained, tmp_path, option,
+                                     recorded):
+        scheduler, cfg = trained
+        path = self.write_recorded_options(
+            scheduler, cfg, tmp_path / f"{option}.npz", **recorded
+        )
+        with pytest.raises(ValueError, match=f"retired option {option}"):
+            load_scheduler(path)
 
 
 class TestOnlineFineTuning:
@@ -114,22 +168,3 @@ class TestOnlineFineTuning:
         evaluate_scheduler(tuner, tiny_workload(seed=6), 10_000.0, "x")
         tuner.reset()
         assert tuner._pending is None
-
-
-class TestDuelingPersistence:
-    def test_dueling_roundtrip(self, tmp_path):
-        cfg = tiny_config(use_dueling=True)
-        scheduler, _ = train_mlcr_scheduler(
-            workload_factory=lambda ep: tiny_workload(seed=0),
-            sim_config=SimulationConfig(pool_capacity_mb=10_000.0),
-            config=cfg,
-        )
-        path = save_scheduler(scheduler, cfg, tmp_path / "dueling.npz")
-        loaded = load_scheduler(path)
-        from repro.drl.network import DuelingAttentionQNetwork
-
-        assert isinstance(loaded.agent.online, DuelingAttentionQNetwork)
-        wl = tiny_workload(seed=3)
-        a = evaluate_scheduler(scheduler, wl, 10_000.0, "x")
-        b = evaluate_scheduler(loaded, wl, 10_000.0, "x")
-        assert a.total_startup_s == pytest.approx(b.total_startup_s)

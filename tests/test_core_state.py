@@ -64,6 +64,19 @@ class TestMask:
         )
         assert enc.slot_containers[:3] == (2, 3, 1)
 
+    def test_full_match_masks_shallower_reuses(self, encoder):
+        """A visible L3 match dominates the L2/L1 reuses, which are masked."""
+        c_l1 = make_container(1, image=make_image("x", lang_name="nodejs"))
+        c_l2 = make_container(3, image=make_image("y",
+                                                  runtime_names=("numpy",)))
+        shallow = encoder.encode(ctx_with_containers([c_l1, c_l2]))
+        assert shallow.mask.tolist() == [True, True, False, False, True]
+        encoder.reset()
+        enc = encoder.encode(
+            ctx_with_containers([c_l1, make_container(2), c_l2])
+        )
+        assert enc.mask.tolist() == [True, False, False, False, True]
+
     def test_overflow_keeps_deepest(self, encoder):
         deep = make_container(99)
         shallow = [
@@ -147,73 +160,3 @@ class TestFeatures:
             ctx_with_containers(containers, capacity_mb=float("inf"))
         )
         assert np.isfinite(enc.state).all()
-
-
-class TestLoadFeatures:
-    def test_disabled_by_default_and_dims_unchanged(self):
-        plain = StateEncoder(n_slots=4)
-        loaded = StateEncoder(n_slots=4, load_features=True)
-        assert not plain.load_features
-        assert loaded.global_dim == plain.global_dim + 6
-        assert loaded.state_dim == plain.state_dim + 6
-
-    def test_disabled_encoding_ignores_load_views(self):
-        encoder = StateEncoder(n_slots=4)
-        bare = encoder.encode(ctx_with_containers([]))
-        encoder.reset()
-        encoder._last_arrival = None
-        loaded_ctx = ctx_with_containers([])
-        import dataclasses
-        loaded_ctx = dataclasses.replace(
-            loaded_ctx, worker_loads=(3, 1), queue_depths=(2, 0)
-        )
-        with_views = encoder.encode(loaded_ctx)
-        assert np.array_equal(bare.state, with_views.state)
-
-    def test_enabled_appends_aggregate_scalars(self):
-        encoder = StateEncoder(n_slots=4, load_features=True)
-        ctx = ctx_with_containers([])
-        import dataclasses
-        ctx = dataclasses.replace(
-            ctx, worker_loads=(2, 0, 4), queue_depths=(1, 0, 3)
-        )
-        enc = encoder.encode(ctx)
-        tail = enc.state[encoder.global_dim - 6:encoder.global_dim]
-        assert tail[0] == pytest.approx(np.log1p(2.0))       # mean load
-        assert tail[1] == pytest.approx(np.log1p(4.0))       # max load
-        assert tail[2] == pytest.approx(2.0 / 3.0)           # busy fraction
-        assert tail[3] == pytest.approx(np.log1p(4.0 / 3.0)) # mean queue
-        assert tail[4] == pytest.approx(np.log1p(3.0))       # max queue
-        assert tail[5] == pytest.approx(np.log1p(4.0))       # total queued
-
-    def test_empty_load_views_encode_as_zeros(self):
-        encoder = StateEncoder(n_slots=4, load_features=True)
-        enc = encoder.encode(ctx_with_containers([]))
-        tail = enc.state[encoder.global_dim - 6:encoder.global_dim]
-        assert np.array_equal(tail, np.zeros(6))
-
-    def test_simulator_feeds_load_views_through_encoder(self):
-        from repro.cluster.eviction import LRUEviction
-        from repro.cluster.simulator import ClusterSimulator, SimulationConfig
-        from repro.workloads.workload import Workload
-        encoder = StateEncoder(n_slots=4, load_features=True)
-        sim = ClusterSimulator(
-            SimulationConfig(pool_capacity_mb=4096.0, n_workers=2,
-                             worker_concurrency=1),
-            LRUEviction(),
-        )
-        spec = make_spec(name="fa", image=make_image("a"))
-        sim.load(Workload.from_invocations("t", [
-            make_invocation(spec, 0, arrival_time=0.0, execution_time_s=50.0),
-            make_invocation(spec, 1, arrival_time=1.0, execution_time_s=50.0),
-            make_invocation(spec, 2, arrival_time=2.0, execution_time_s=50.0),
-        ]))
-        states = []
-        while (ctx := sim.next_decision_point()) is not None:
-            states.append(encoder.encode(ctx))
-            sim.apply_decision(Decision.cold())
-        sim.finish()
-        # By the third arrival both workers host a container and at least
-        # one startup is queued, so the load tail must be non-zero.
-        tail = states[-1].state[encoder.global_dim - 6:encoder.global_dim]
-        assert tail.sum() > 0

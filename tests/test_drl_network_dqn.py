@@ -144,6 +144,51 @@ class TestDQNAgent:
         q = agent.q_values(state)[0]
         assert q == pytest.approx(2.0, rel=0.15)  # 1/(1-0.5)
 
+    def test_td_targets_match_textbook_double_dqn_in_float64(self):
+        """A float32 agent's TD targets are float64 and equal, bit for bit,
+        r + gamma * (1 - done) * Q_target(s', argmax_masked Q_online(s'))
+        computed in float64 from the same forward outputs."""
+        gamma = 0.95
+        agent = DQNAgent(
+            network_factory=lambda: attention_net(
+                np.random.default_rng(3), dtype=np.float32
+            ),
+            config=DQNConfig(batch_size=8, buffer_capacity=64, gamma=gamma,
+                             target_sync_every=1000),
+            rng=np.random.default_rng(4),
+        )
+        rng = np.random.default_rng(5)
+        dim = agent.online.state_dim
+        for i in range(64):
+            mask = rng.random(agent.action_dim) < 0.5
+            mask[-1] = True
+            agent.remember(Transition(
+                rng.normal(size=dim), int(rng.integers(agent.action_dim)),
+                float(rng.normal()), rng.normal(size=dim), mask, i % 4 == 0,
+            ))
+        # Independent target weights, so online and target choose
+        # different next actions and double DQN is observable.
+        agent.target.copy_from(
+            attention_net(np.random.default_rng(6), dtype=np.float32)
+        )
+        batch = agent.buffer.sample(32, rng)
+        assert batch["dones"].any() and not batch["dones"].all()
+
+        targets = agent._td_targets(batch)
+        with agent.online.inference():
+            q_online = agent.online.forward(batch["next_states"])
+        q_target = agent.target.forward(batch["next_states"])
+        assert q_online.dtype == q_target.dtype == np.float32
+        best = np.where(batch["next_masks"], q_online, -np.inf).argmax(axis=1)
+        by_target = np.where(batch["next_masks"], q_target, -np.inf).argmax(1)
+        assert (best != by_target).any()
+        bootstrap = q_target[np.arange(len(best)), best].astype(np.float64)
+        not_done = 1.0 - batch["dones"].astype(np.float64)
+        expected = (batch["rewards"].astype(np.float64)
+                    + gamma * not_done * bootstrap)
+        assert targets.dtype == np.float64
+        assert np.array_equal(targets, expected)
+
     def test_target_sync_counts(self, agent):
         fill_buffer(agent)
         for _ in range(5):
@@ -175,48 +220,3 @@ class TestDQNAgent:
             DQNConfig(batch_size=64, buffer_capacity=32)
         with pytest.raises(ValueError):
             DQNConfig(target_sync_every=0)
-
-
-class TestDuelingNetwork:
-    def test_gradients(self, rng):
-        from repro.drl.network import DuelingAttentionQNetwork
-
-        net = DuelingAttentionQNetwork(G, S, N, rng, model_dim=8, n_heads=2,
-                                       head_hidden=8)
-        check_gradients(net, rng.normal(size=(3, net.state_dim)), rng,
-                        atol=1e-6)
-
-    def test_q_equals_value_plus_centered_advantage(self, rng):
-        from repro.drl.network import DuelingAttentionQNetwork
-
-        net = DuelingAttentionQNetwork(G, S, N, rng, model_dim=8, n_heads=2,
-                                       head_hidden=8)
-        q = net.forward(rng.normal(size=(4, net.state_dim)))
-        assert q.shape == (4, N + 1)
-        assert np.isfinite(q).all()
-
-    def test_trainer_builds_dueling_variant(self):
-        from repro.cluster.simulator import SimulationConfig
-        from repro.core.config import MLCRConfig
-        from repro.core.env import SchedulingEnv
-        from repro.core.state import StateEncoder
-        from repro.core.trainer import MLCRTrainer
-        from repro.drl.dqn import DQNConfig
-        from repro.drl.network import DuelingAttentionQNetwork
-        from test_core_env_trainer import tiny_workload
-
-        env = SchedulingEnv(
-            lambda ep: tiny_workload(0, n=6),
-            SimulationConfig(pool_capacity_mb=10_000.0),
-            StateEncoder(n_slots=4),
-        )
-        cfg = MLCRConfig(
-            n_slots=4, model_dim=8, head_hidden=8, n_episodes=1,
-            demo_episodes=0, eval_every=0, use_dueling=True,
-            epsilon_decay_steps=10,
-            dqn=DQNConfig(batch_size=4, buffer_capacity=64,
-                          target_sync_every=10),
-        )
-        trainer = MLCRTrainer(env, cfg)
-        assert isinstance(trainer.agent.online, DuelingAttentionQNetwork)
-        trainer.train()

@@ -169,6 +169,20 @@ class TestRecordingReplay:
         report = replay_recording(path)
         assert report.ok and report.n_decisions == 12
 
+    def test_retired_worker_capacity_in_header(self):
+        """Older headers record ``worker_capacity_mb``: null still replays,
+        a bound (placed by the retired capacity filter) is rejected."""
+        lines = self._record_session().lines()
+        header = json.loads(lines[0])
+        assert "worker_capacity_mb" not in header
+        header["worker_capacity_mb"] = None
+        lines[0] = json.dumps(header)
+        assert replay_recording(lines).ok
+        header["worker_capacity_mb"] = 512.0
+        lines[0] = json.dumps(header)
+        with pytest.raises(ValueError, match="worker_capacity_mb"):
+            replay_recording(lines)
+
     def test_fault_configs_are_rejected(self):
         from repro.cluster.faults import FaultConfig
 

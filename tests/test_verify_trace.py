@@ -14,11 +14,14 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
+from repro.cluster.simulator import ClusterSimulator, SimulationConfig
+from repro.core.persistence import load_scheduler
 from repro.verify.trace import (
     GOLDEN_MATRIX,
     TRACE_FORMAT_VERSION,
     Trace,
     TraceHeader,
+    TraceLine,
     TraceSpec,
     diff_traces,
     golden_trace_name,
@@ -27,8 +30,10 @@ from repro.verify.trace import (
     replay_trace,
     write_trace,
 )
+from repro.workloads.fstartbench import build_workload
 
 GOLDEN_ROOT = Path(__file__).parent / "golden_traces"
+MLCR_FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "mlcr"
 
 
 def test_golden_matrix_files_exist():
@@ -46,6 +51,26 @@ def test_golden_replay_is_bit_identical(workload, scheduler):
     replayed = replay_trace(golden)
     assert diff_traces(golden, replayed) is None
     # Bitwise, not just structurally: the serialized forms are equal too.
+    assert golden.to_jsonl() == replayed.to_jsonl()
+
+
+@pytest.mark.parametrize("workload", ["LO-Sim", "Peak"])
+def test_mlcr_fixture_replay_is_bit_identical(workload):
+    """The checked-in MLCR policy's decisions on its recorded cells."""
+    golden = read_trace(MLCR_FIXTURE_ROOT / f"{workload.lower()}.jsonl")
+    header = golden.header
+    policy = load_scheduler(MLCR_FIXTURE_ROOT / "policy.npz")
+    policy.reset()
+    sim = ClusterSimulator(
+        SimulationConfig(pool_capacity_mb=header.capacity_mb),
+        policy.make_eviction_policy(),
+    )
+    result = sim.run(build_workload(header.workload, seed=header.seed),
+                     policy)
+    lines = tuple(TraceLine.from_record(i, record)
+                  for i, record in enumerate(result.telemetry.records))
+    replayed = Trace(replace(header, n_events=len(lines)), lines)
+    assert diff_traces(golden, replayed) is None
     assert golden.to_jsonl() == replayed.to_jsonl()
 
 

@@ -27,7 +27,9 @@ def test_decision_loop_no_queueing(benchmark):
         )
         sim.load(workload)
         while (ctx := sim.next_decision_point()) is not None:
-            sim.apply_decision(scheduler.decide(ctx))
+            sim.apply_decision(scheduler.decide_pool(
+                ctx.pool, ctx.invocation, ctx.cost_model
+            ))
         return sim.finish()
 
     result = benchmark(run)

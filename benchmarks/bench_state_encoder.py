@@ -2,16 +2,15 @@
 
 The encoder runs once per MLCR decision, i.e. hundreds of thousands of
 times per training session.  This measures encode throughput against a
-100-container warm pool (with the pool match index attached, as the
-simulator provides it) across a rotation of FStartBench invocations, so
-the per-image caches see the realistic mixed-hit pattern.
+100-container warm pool (read through its match index, as in the
+simulator) across a rotation of FStartBench invocations, so the per-image
+caches see the realistic mixed-hit pattern.
 """
 
 from repro.cluster.pool import PoolSet
 from repro.containers.container import Container, ContainerState
 from repro.containers.costmodel import StartupCostModel
 from repro.core.state import StateEncoder
-from repro.schedulers.base import SchedulingContext
 from repro.workloads.functions import fstartbench_functions
 from repro.workloads.workload import Invocation
 
@@ -19,7 +18,8 @@ N_CONTAINERS = 100
 N_INVOCATIONS = 20
 
 
-def _make_contexts():
+def _make_decision_points():
+    """``(pool, invocation, cost_model)`` triples, one per invocation."""
     specs = fstartbench_functions()
     pool = PoolSet(capacity_mb=float("inf"))
     for i in range(N_CONTAINERS):
@@ -32,22 +32,17 @@ def _make_contexts():
             ),
             shard_index=0,
         )
-    idle = tuple(pool.lru_order())
     cost_model = StartupCostModel()
     return [
-        SchedulingContext(
-            now=float(N_CONTAINERS),
-            invocation=Invocation(
+        (
+            pool,
+            Invocation(
                 invocation_id=i,
                 spec=specs[i % len(specs)],
                 arrival_time=float(N_CONTAINERS),
                 execution_time_s=0.5,
             ),
-            idle_containers=idle,
-            cost_model=cost_model,
-            pool_capacity_mb=float("inf"),
-            pool_used_mb=pool.used_mb,
-            pool=pool,
+            cost_model,
         )
         for i in range(N_INVOCATIONS)
     ]
@@ -55,12 +50,12 @@ def _make_contexts():
 
 def test_state_encode_throughput(benchmark):
     """Encode 20 decision points against a 100-container pool."""
-    contexts = _make_contexts()
+    points = _make_decision_points()
     encoder = StateEncoder(n_slots=12)
 
     def run():
-        for ctx in contexts:
-            encoder.encode(ctx)
+        for pool, invocation, cost_model in points:
+            encoder.encode(pool, invocation, cost_model)
 
     benchmark(run)
     # MLCR training encodes at every simulated decision: keep a 20-encode

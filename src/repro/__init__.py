@@ -37,7 +37,6 @@ from repro.core.config import MLCRConfig
 from repro.core.mlcr import MLCRScheduler, train_mlcr_scheduler
 from repro.schedulers import (
     ColdOnlyScheduler,
-    Decision,
     FaasCacheScheduler,
     GreedyMatchScheduler,
     KeepAliveScheduler,
@@ -67,7 +66,6 @@ __all__ = [
     "MLCRScheduler",
     "train_mlcr_scheduler",
     "Scheduler",
-    "Decision",
     "ColdOnlyScheduler",
     "KeepAliveScheduler",
     "LRUScheduler",

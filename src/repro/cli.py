@@ -433,7 +433,11 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
     """``repro serve-replay``: verify a recorded serving session."""
     from repro.serve.recorder import replay_recording
 
-    report = replay_recording(args.recording, verify=args.verify)
+    try:
+        report = replay_recording(args.recording, verify=args.verify)
+    except ValueError as exc:  # a recording this build cannot replay
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not report.ok:
         print(report.divergence)
         return 1

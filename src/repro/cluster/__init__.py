@@ -25,7 +25,6 @@ from repro.cluster.lifecycle import ContainerLifecycle, InvalidDecisionError
 from repro.cluster.placement import PlacementEngine
 from repro.cluster.sketches import QuantileSketch
 from repro.cluster.telemetry import BoundedTelemetry, InvocationRecord, Telemetry
-from repro.schedulers.base import Decision
 from repro.cluster.simulator import (
     ClusterSimulator,
     SimulationConfig,
@@ -57,7 +56,6 @@ __all__ = [
     "QuantileSketch",
     "InvocationRecord",
     "ClusterSimulator",
-    "Decision",
     "SimulationConfig",
     "SimulationResult",
 ]

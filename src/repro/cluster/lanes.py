@@ -4,10 +4,9 @@ A grid sweep replays thousands of *independent* simulations -- one per
 ``(scheduler, workload, seed, capacity)`` cell.  The sequential path runs
 each cell through the full :class:`~repro.cluster.simulator.ClusterSimulator`
 stack: per-event :class:`~repro.cluster.events.Event` objects, the layered
-lifecycle (cleaner, volumes, placement), a 16-column telemetry append per
-invocation, and a :class:`~repro.schedulers.base.SchedulingContext` whose
-construction sorts the whole pool per arrival.  None of that machinery is
-needed to produce the *summary* a grid cell actually carries.
+lifecycle (cleaner, volumes, placement) and a 16-column telemetry append
+per invocation.  None of that machinery is needed to produce the *summary*
+a grid cell actually carries.
 
 This module runs many **lanes** (one lane = one cell) per process through a
 lean kernel:
@@ -45,10 +44,9 @@ Every scheduler registry key (:data:`SCHEDULER_CLASS_NAMES`) runs in a lane
 the same way: the lane calls the scheduler's
 :meth:`~repro.schedulers.base.Scheduler.decide_pool` rule on its own warm
 pool once per arrival, with the arrival's
-:class:`~repro.workloads.workload.Invocation` and no scheduling context.
-The sequential simulator reaches the same rule through
-:meth:`~repro.schedulers.base.Scheduler.decide`, so both engines run one
-implementation.  Every warm pick passes
+:class:`~repro.workloads.workload.Invocation`.  The sequential simulator
+calls the same rule on its :class:`~repro.cluster.pool.PoolSet`, so both
+engines run one implementation.  Every warm pick passes
 :meth:`~repro.cluster.lifecycle.PoolLifecycle.check_decision`, the
 sequential claim's validation, and any attached
 :class:`~repro.schedulers.base.PrewarmRequest` /

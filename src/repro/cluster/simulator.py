@@ -36,8 +36,17 @@ The driver exposes three equivalent driving modes:
   byte-identical to batch mode (the ``streaming_vs_materialized``
   differential oracle enforces this);
 * the incremental API (:meth:`load` / :meth:`next_decision_point` /
-  :meth:`apply_decision` / :meth:`finish`) used by the DRL environment, which
-  needs to interleave learning with decisions.
+  :meth:`apply_decision` / :meth:`finish`) used by the DRL environment and
+  the serving engine, which interleave their own work with decisions:
+  :meth:`next_decision_point` hands out the pending arrival's
+  :class:`~repro.schedulers.base.SchedulingContext` (invocation, warm pool,
+  cost model) and :meth:`apply_decision` takes the
+  :data:`~repro.schedulers.base.PoolDecision` that
+  :meth:`~repro.schedulers.base.Scheduler.decide_pool` returns for it.
+
+Every mode decides through
+:meth:`~repro.schedulers.base.Scheduler.decide_pool`, the one decision
+interface, which the lane kernel calls too.
 
 All modes share every line of event-handling code, so trained policies see
 exactly the dynamics they were trained on.  With ``worker_concurrency``
@@ -64,7 +73,7 @@ from repro.containers.container import Container
 from repro.containers.costmodel import StartupCostModel
 from repro.containers.matching import MatchLevel, match_level
 from repro.containers.volumes import VolumeStore
-from repro.schedulers.base import Decision, Scheduler, SchedulingContext
+from repro.schedulers.base import PoolDecision, Scheduler, SchedulingContext
 from repro.workloads.workload import Invocation, Workload
 
 __all__ = [
@@ -262,19 +271,21 @@ class ClusterSimulator:
         The one sequential drive loop behind :meth:`run` and
         :meth:`run_stream`; they differ only in how arrivals are queued.
         """
+        rule = scheduler.decide_pool
         while True:
             ctx = self.next_decision_point()
             if ctx is None:
                 break
-            self._apply(scheduler.decide(ctx), want_record=False)
+            self._apply(rule(ctx.pool, ctx.invocation, ctx.cost_model),
+                        want_record=False)
         self._fold_scheduler_counters(scheduler)
         return self.finish(scheduler_name=scheduler.name)
 
     def _fold_scheduler_counters(self, scheduler: Scheduler) -> None:
         """Copy a policy's surrogate-audit counters into telemetry.
 
-        Schedulers have no telemetry handle inside ``decide``, so policies
-        that serve from a distilled surrogate (see
+        Schedulers have no telemetry handle inside ``decide_pool``, so
+        policies that serve from a distilled surrogate (see
         ``MLCRScheduler.attach_surrogate``) count audits locally; the run
         drivers fold the totals in here once the decision loop ends.
         """
@@ -439,17 +450,20 @@ class ClusterSimulator:
             self._handle_non_arrival(event)
         return None
 
-    def apply_decision(self, decision: Decision) -> InvocationRecord:
+    def apply_decision(self, decision: PoolDecision) -> InvocationRecord:
         """Execute a scheduling decision for the pending invocation.
 
-        A rejected decision (:class:`InvalidDecisionError`) leaves the
+        ``decision`` is a :data:`~repro.schedulers.base.PoolDecision`; a
+        warm pick is validated against the live pool before anything
+        changes, and its match level is recomputed from the repack.  A
+        rejected decision (:class:`InvalidDecisionError`) leaves the
         pending invocation in place, so the caller can retry with a valid
         decision instead of silently losing the arrival.
         """
         return self._apply(decision, want_record=True)
 
     def _apply(
-        self, decision: Decision, want_record: bool
+        self, decision: PoolDecision, want_record: bool
     ) -> Optional[InvocationRecord]:
         """Shared decision executor; builds the row view only on request."""
         if self._pending is None:
@@ -457,31 +471,31 @@ class ClusterSimulator:
         invocation = self._pending
         spec = invocation.spec
         now = self.loop.now
+        picked, _, preserve_image, actions = decision
+        is_cold = picked is None
 
-        if decision.is_cold:
+        if is_cold:
             container = self.lifecycle.create(spec.image, spec.name, now)
             match = MatchLevel.NO_MATCH
             old_image = spec.image
         else:
             # claim() validates before mutating: an InvalidDecisionError
             # propagates with self._pending intact.
-            container = self.lifecycle.claim(decision.container_id, spec, now)
+            container = self.lifecycle.claim(picked.container_id, spec, now)
             old_image = container.image
             # Zygote-style reuse keeps the container's own (superset) image;
             # the cleaner then only swaps the user-data volume.
-            target_image = (
-                container.image if decision.preserve_image else spec.image
-            )
+            target_image = container.image if preserve_image else spec.image
             result = self.lifecycle.repack(container, target_image, spec.name)
             match = (
                 match_level(spec.image, container.image)
-                if decision.preserve_image
+                if preserve_image
                 else result.match
             )
         self._pending = None
         self.telemetry.sample_live_memory(self.lifecycle.live_memory_mb)
 
-        if not decision.is_cold and self.config.delta_pricing:
+        if not is_cold and self.config.delta_pricing:
             breakdown = self.config.cost_model.delta_breakdown(
                 spec.image, old_image, spec.function_init_s
             )
@@ -517,7 +531,7 @@ class ClusterSimulator:
             # Guarded so the detail string is only formatted when tracing.
             self.telemetry.record_event(
                 now,
-                "cold_start" if decision.is_cold else f"warm_{match.name}",
+                "cold_start" if is_cold else f"warm_{match.name}",
                 container.container_id,
                 spec.name,
                 f"latency={latency:.3f}s",
@@ -527,7 +541,7 @@ class ClusterSimulator:
             spec.name,
             invocation.arrival_time,
             container.container_id,
-            decision.is_cold,
+            is_cold,
             int(match),
             latency,
             breakdown.create_s,
@@ -543,8 +557,8 @@ class ClusterSimulator:
         # Proactive actions attached by MPC/lending policies execute right
         # after the decision itself, in every driving mode (batch, stream,
         # incremental, online serve), keeping the modes decision-identical.
-        if decision.actions:
-            self.lifecycle.apply_actions(decision.actions, now)
+        if actions:
+            self.lifecycle.apply_actions(actions, now)
         if self.verifier is not None:
             self.verifier.checkpoint()
         if not want_record:
@@ -554,7 +568,7 @@ class ClusterSimulator:
             function_name=spec.name,
             arrival_time=invocation.arrival_time,
             container_id=container.container_id,
-            cold_start=decision.is_cold,
+            cold_start=is_cold,
             match=match,
             startup_latency_s=latency,
             breakdown=breakdown,
@@ -586,15 +600,7 @@ class ClusterSimulator:
     # Internals
     # ------------------------------------------------------------------
     def _context_for(self, invocation: Invocation) -> SchedulingContext:
-        return SchedulingContext(
-            now=self.loop.now,
-            invocation=invocation,
-            idle_containers=tuple(self.pool.lru_order()),
-            cost_model=self.config.cost_model,
-            pool_capacity_mb=self.pool.capacity_mb,
-            pool_used_mb=self.pool.used_mb,
-            pool=self.pool,
-        )
+        return SchedulingContext(invocation, self.pool, self.config.cost_model)
 
     def _handle_non_arrival(self, event) -> None:
         container, invocation = event.payload

@@ -127,7 +127,9 @@ class SchedulingEnv:
         ctx = self._sim.next_decision_point()
         if ctx is None:
             return None
-        encoded = self.encoder.encode(ctx)
+        encoded = self.encoder.encode(
+            ctx.pool, ctx.invocation, ctx.cost_model
+        )
         self._phi = self._potential()
         return encoded
 
@@ -150,7 +152,9 @@ class SchedulingEnv:
                 cold_start=record.cold_start,
                 queue_delay_s=record.queue_delay_s,
             )
-        next_state = self.encoder.encode(ctx)
+        next_state = self.encoder.encode(
+            ctx.pool, ctx.invocation, ctx.cost_model
+        )
         if self.shaping_coef:
             phi_next = self._potential()
             reward += self.gamma * phi_next - self._phi

@@ -13,55 +13,22 @@ scheduler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from repro.cluster.eviction import LRUEviction
+from repro.cluster.pool import PoolSet
 from repro.cluster.simulator import SimulationConfig
+from repro.containers.costmodel import StartupCostModel
 from repro.core.config import MLCRConfig
 from repro.core.env import SchedulingEnv
 from repro.core.state import StateEncoder
 from repro.core.trainer import MLCRTrainer, TrainingHistory
 from repro.drl.dqn import DQNAgent
 from repro.packages.catalog import PackageCatalog
-from repro.schedulers.base import Decision, Scheduler, SchedulingContext
-from repro.workloads.workload import Workload
-
-
-@dataclass(frozen=True)
-class CandidateRow:
-    """One container candidate in a decision explanation."""
-
-    container_id: Optional[int]
-    match: object
-    q_value: float
-    masked: bool
-
-
-@dataclass(frozen=True)
-class DecisionExplanation:
-    """Why MLCR chose what it chose: Q-values for every candidate."""
-
-    rows: list
-    cold_q: float
-    decision: Decision
-
-    def render(self) -> str:
-        """Human-readable table of the candidate Q-values."""
-        lines = ["slot | container | match    | Q        | masked"]
-        for i, row in enumerate(self.rows):
-            cid = "-" if row.container_id is None else str(row.container_id)
-            lines.append(
-                f"{i:4d} | {cid:>9s} | {getattr(row.match, 'name', '-'):8s} "
-                f"| {row.q_value:8.3f} | {'yes' if row.masked else 'no'}"
-            )
-        lines.append(f"cold | {'-':>9s} | {'-':8s} | {self.cold_q:8.3f} | no")
-        chosen = ("cold start" if self.decision.is_cold
-                  else f"container {self.decision.container_id}")
-        lines.append(f"chosen: {chosen}")
-        return "\n".join(lines)
+from repro.schedulers.base import PoolDecision, Scheduler
+from repro.workloads.workload import Invocation, Workload
 
 
 class MLCRScheduler(Scheduler):
@@ -126,9 +93,14 @@ class MLCRScheduler(Scheduler):
                 self.surrogate_disagreements += 1
         return action
 
-    def decide(self, ctx: SchedulingContext) -> Decision:
-        """Choose a warm container (or cold start) for ``ctx.invocation``."""
-        encoded = self.encoder.encode(ctx)
+    def decide_pool(
+        self,
+        pool: PoolSet,
+        invocation: Invocation,
+        cost_model: StartupCostModel,
+    ) -> PoolDecision:
+        """Encode the decision point, act greedily, return the pick."""
+        encoded = self.encoder.encode(pool, invocation, cost_model)
         mask = encoded.mask if self.use_mask else np.ones_like(encoded.mask)
         if self.surrogate is not None:
             action = self.act_surrogate(encoded.state, mask)
@@ -136,38 +108,6 @@ class MLCRScheduler(Scheduler):
             action = self.agent.act(encoded.state, mask, epsilon=0.0)
         self.decisions_made += 1
         return encoded.decision_for(action)
-
-    def explain(self, ctx: SchedulingContext) -> "DecisionExplanation":
-        """Dry-run a decision and expose the Q-values behind it.
-
-        Does not advance the encoder's arrival tracking or the decision
-        counter, so it can be called freely for debugging/observability.
-        Returns per-candidate rows (container id, Table-I match, Q-value,
-        masked flag) plus the cold-start row and the chosen action.
-        """
-        saved_arrival = self.encoder._last_arrival
-        saved_demand = dict(self.encoder._image_demand)
-        saved_total = self.encoder._demand_total
-        try:
-            encoded = self.encoder.encode(ctx)
-        finally:
-            self.encoder._last_arrival = saved_arrival
-            self.encoder._image_demand = saved_demand
-            self.encoder._demand_total = saved_total
-        mask = encoded.mask if self.use_mask else np.ones_like(encoded.mask)
-        q = self.agent.q_values(encoded.state)
-        rows = []
-        for slot, container_id in enumerate(encoded.slot_containers):
-            rows.append(CandidateRow(
-                container_id=container_id,
-                match=encoded.slot_matches[slot],
-                q_value=float(q[slot]),
-                masked=not bool(mask[slot]),
-            ))
-        cold_q = float(q[-1])
-        valid = np.where(mask, q, -np.inf)
-        chosen = encoded.decision_for(int(valid.argmax()))
-        return DecisionExplanation(rows=rows, cold_q=cold_q, decision=chosen)
 
 
 def train_mlcr_scheduler(

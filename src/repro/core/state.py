@@ -22,26 +22,39 @@ the always-valid cold action (paper Section IV-C: "no match" containers are
 filtered out rather than explored); when a full (L3) match is visible, the
 shallower reuses it dominates are masked too.
 
-Encoding is incremental: bag-of-packages vectors and cost-model latencies
-are cached per image configuration, per-depth idle counts come from the
-warm pool's match index (``ctx.match_counts``), the redundancy feature uses
-precomputed suffix sums, and candidate ranking is a partial selection of
-the top ``n_slots`` instead of a full sort.
+The encoder reads exactly what :meth:`~repro.schedulers.base.Scheduler.\
+decide_pool` receives: the warm pool, the invocation (whose
+``arrival_time`` is the decision time) and the cost model.  Encoding is
+incremental: bag-of-packages vectors are cached per image configuration,
+per-depth idle counts come from the warm pool's match index
+(``pool.match_depth_counts``), the redundancy feature uses precomputed
+suffix sums, and the visible candidates are taken level by level from the
+index buckets (a partial selection of the ``n_slots`` most recent per
+level), so no container is re-matched and the pool is never sorted.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.cluster.pool import PoolSet, _mru_key
 from repro.containers.container import Container
-from repro.containers.matching import MatchLevel, match_level
+from repro.containers.costmodel import StartupCostModel
+from repro.containers.image import FunctionImage
+from repro.containers.matching import MatchLevel
 from repro.packages.catalog import PackageCatalog, default_catalog
-from repro.packages.package import PackageLevel
-from repro.schedulers.base import Decision, SchedulingContext
+from repro.packages.package import PackageLevel, PackageSet
+from repro.schedulers.base import COLD, PoolDecision
+from repro.workloads.functions import FunctionSpec
+from repro.workloads.workload import Invocation
+
+#: Levels in ranking order; each index bucket holds its level and deeper.
+_RANK_LEVELS = (MatchLevel.L3, MatchLevel.L2, MatchLevel.L1,
+                MatchLevel.NO_MATCH)
 
 # Feature-scaling constants: chosen so typical values land in ~[0, 3].
 _LATENCY_SCALE = 0.1     # seconds -> tenths of ten-seconds
@@ -55,11 +68,12 @@ class EncodedState:
 
     state: np.ndarray                 # flat (global_dim + n_slots * slot_dim,)
     mask: np.ndarray                  # (n_slots + 1,) bool; last = cold start
-    slot_containers: Tuple[Optional[int], ...]  # slot index -> container id
-    slot_matches: Tuple[MatchLevel, ...]        # slot index -> match level
+    slot_containers: Tuple[Optional[Container], ...]  # slot -> container
+    slot_matches: Tuple[MatchLevel, ...]              # slot -> match level
 
-    def decision_for(self, action: int) -> Decision:
-        """Translate a (possibly invalid) action index into a Decision.
+    def decision_for(self, action: int) -> PoolDecision:
+        """Translate a (possibly invalid) action index into a
+        :data:`~repro.schedulers.base.PoolDecision`.
 
         Following the paper ("if i is larger than the actual number of warm
         containers ... it also means cold start"), actions pointing at an
@@ -69,15 +83,17 @@ class EncodedState:
         if action < 0 or action > len(self.slot_containers):
             raise ValueError(f"action {action} out of range")
         if action == len(self.slot_containers):
-            return Decision.cold()
-        container_id = self.slot_containers[action]
-        if container_id is None or not self.slot_matches[action].is_reusable:
-            return Decision.cold()
-        return Decision.warm(container_id)
+            return COLD
+        container = self.slot_containers[action]
+        match = self.slot_matches[action]
+        if container is None or not match.is_reusable:
+            return COLD
+        return container, int(match), False, ()
 
 
 class StateEncoder:
-    """Encode :class:`SchedulingContext` objects into fixed-size vectors."""
+    """Encode decision points ``(pool, invocation, cost_model)`` into
+    fixed-size vectors."""
 
     SLOT_DIM = 12
     #: Exponential decay applied to per-image arrival counts at each arrival;
@@ -157,40 +173,60 @@ class StateEncoder:
         self._demand_total += 1.0
 
     # -- encoding ----------------------------------------------------------
-    def encode(self, ctx: SchedulingContext) -> EncodedState:
-        """Encode one decision point; advances the arrival-interval tracker."""
-        interval = (
-            0.0 if self._last_arrival is None else ctx.now - self._last_arrival
-        )
-        self._last_arrival = ctx.now
+    def encode(
+        self,
+        pool: PoolSet,
+        invocation: Invocation,
+        cost_model: StartupCostModel,
+    ) -> EncodedState:
+        """Encode one decision point; advances the arrival-interval tracker.
 
-        self._observe_arrival(ctx.invocation.spec.image.packages)
-        ranked = self._ranked_candidates(ctx)
-        # Per-depth idle counts come from the pool match index when the
-        # context carries one (ctx.match_counts) instead of re-scoring
-        # every idle container.
-        counts = ctx.match_counts()
+        ``pool`` is the live warm pool (a
+        :class:`~repro.cluster.pool.PoolSet` or a single
+        :class:`~repro.cluster.pool.WarmPool`); the decision time is
+        ``invocation.arrival_time``.
+        """
+        now = invocation.arrival_time
+        interval = (
+            0.0 if self._last_arrival is None else now - self._last_arrival
+        )
+        self._last_arrival = now
+
+        spec = invocation.spec
+        self._observe_arrival(spec.image.packages)
+        ranked = self._ranked_candidates(pool, spec.image)
         depth_counts = np.array(
-            [float(counts[lvl]) for lvl in MatchLevel], dtype=np.float64
+            pool.match_depth_counts(spec.image), dtype=np.float64
         )
         # Suffix sums: redundancy_suffix[m] = idle containers matching at
         # least as deep as level m (precomputed once per decision point).
         redundancy_suffix = np.cumsum(depth_counts[::-1])[::-1]
-        global_part = self._global_features(ctx, interval, depth_counts)
+        cold_latency = cost_model.latency_s(
+            spec.image, MatchLevel.NO_MATCH, spec.function_init_s
+        )
+        global_part = self._global_features(
+            pool, spec, interval, depth_counts, cold_latency
+        )
         slot_parts = np.zeros((self.n_slots, self.slot_dim))
         mask = np.zeros(self.action_dim, dtype=bool)
         mask[-1] = True  # cold start is always allowed
-        slot_ids: List[Optional[int]] = [None] * self.n_slots
+        slot_containers: List[Optional[Container]] = [None] * self.n_slots
         slot_matches: List[MatchLevel] = [MatchLevel.NO_MATCH] * self.n_slots
-        cold_latency = self._latency(ctx, MatchLevel.NO_MATCH)
         for slot, (container, match) in enumerate(ranked):
             # Idle containers matching at least as deep as this one, besides
             # itself: >0 means taking this container costs nothing.
             redundancy = float(redundancy_suffix[int(match)] - 1)
+            if match.is_reusable:
+                reuse_latency = cost_model.latency_s(
+                    spec.image, match, spec.function_init_s
+                )
+                saving = cold_latency - reuse_latency
+            else:
+                reuse_latency = saving = 0.0
             slot_parts[slot] = self._slot_features(
-                ctx, container, match, cold_latency, redundancy
+                now, container, match, reuse_latency, saving, redundancy
             )
-            slot_ids[slot] = container.container_id
+            slot_containers[slot] = container
             slot_matches[slot] = match
             if match.is_reusable:
                 mask[slot] = True
@@ -207,13 +243,12 @@ class StateEncoder:
         return EncodedState(
             state=state,
             mask=mask,
-            slot_containers=tuple(slot_ids),
+            slot_containers=tuple(slot_containers),
             slot_matches=tuple(slot_matches),
         )
 
     # -- internals -----------------------------------------------------------
-    def _bag_of_packages(self, ctx: SchedulingContext) -> np.ndarray:
-        packages = ctx.invocation.spec.image.packages
+    def _bag_of_packages(self, packages: PackageSet) -> np.ndarray:
         bag = self._bag_cache.get(packages)
         if bag is None:
             bag = np.zeros(self._n_keys)
@@ -226,23 +261,19 @@ class StateEncoder:
         # cached array can be shared.
         return bag
 
-    @staticmethod
-    def _latency(ctx: SchedulingContext, match: MatchLevel) -> float:
-        """The cost model's startup latency of the invocation at ``match``."""
-        spec = ctx.invocation.spec
-        return ctx.cost_model.latency_s(
-            spec.image, match, spec.function_init_s
-        )
-
     def _global_features(
-        self, ctx: SchedulingContext, interval: float, depth_counts: np.ndarray
+        self,
+        pool: PoolSet,
+        spec: FunctionSpec,
+        interval: float,
+        depth_counts: np.ndarray,
+        cold_latency: float,
     ) -> np.ndarray:
-        spec = ctx.invocation.spec
-        capacity = ctx.pool_capacity_mb
+        capacity = pool.capacity_mb
         free_frac = (
             1.0
             if not np.isfinite(capacity)
-            else max(0.0, (capacity - ctx.pool_used_mb)) / max(capacity, 1.0)
+            else max(0.0, (capacity - pool.used_mb)) / max(capacity, 1.0)
         )
         scalars = np.array(
             [
@@ -251,56 +282,52 @@ class StateEncoder:
                 spec.image.memory_mb * _MEMORY_SCALE,
                 np.log1p(interval),
                 free_frac,
-                len(ctx.idle_containers) / self.n_slots,
-                self._latency(ctx, MatchLevel.NO_MATCH) * _LATENCY_SCALE,
+                len(pool) / self.n_slots,
+                cold_latency * _LATENCY_SCALE,
                 self._demand_of(spec.image.packages),
             ]
         )
-        return np.concatenate(
-            [self._bag_of_packages(ctx), scalars, depth_counts / self.n_slots]
-        )
+        return np.concatenate([
+            self._bag_of_packages(spec.image.packages),
+            scalars,
+            depth_counts / self.n_slots,
+        ])
 
     def _ranked_candidates(
-        self, ctx: SchedulingContext
+        self, pool: PoolSet, image: FunctionImage
     ) -> List[Tuple[Container, MatchLevel]]:
-        """Top ``n_slots`` idle containers, deepest-match first, then most
-        recent.
+        """Top ``n_slots`` idle containers, deepest match first, then most
+        recently used (greatest ``(last_used_at, container_id)``).
 
-        Partial selection (``heapq.nsmallest``) instead of a full sort:
-        only the ``n_slots`` visible candidates are ordered, O(n log k)
-        over the pool instead of O(n log n).
+        Read level by level off the pool's match index: the containers at
+        exactly one level are that level's bucket minus the next deeper
+        one (the buckets nest, and ``NO_MATCH``'s is the whole pool), and
+        only the remaining slots' worth of each level is selected.
         """
-        image = ctx.invocation.spec.image
-        # idle_containers is LRU-first; enumerate() index preserves recency.
-        # The 4-tuples order by (depth, recency) alone -- the recency index
-        # is unique, so the trailing elements are never compared.
-        scored = [
-            (-int(match_level(image, container.image)), -recency,
-             container.container_id, container)
-            for recency, container in enumerate(ctx.idle_containers)
-        ]
-        top = heapq.nsmallest(self.n_slots, scored)
-        return [
-            (container, MatchLevel(-neg_match))
-            for neg_match, _, _, container in top
-        ]
+        ranked: List[Tuple[Container, MatchLevel]] = []
+        deeper: Set[int] = set()
+        for level in _RANK_LEVELS:
+            room = self.n_slots - len(ranked)
+            if room == 0:
+                break
+            bucket = pool.match_candidates(image, level)
+            exact = [c for c in bucket if c.container_id not in deeper]
+            top = heapq.nlargest(room, exact, key=_mru_key)
+            ranked.extend((container, level) for container in top)
+            deeper = {c.container_id for c in bucket}
+        return ranked
 
     def _slot_features(
         self,
-        ctx: SchedulingContext,
+        now: float,
         container: Container,
         match: MatchLevel,
-        cold_latency: float,
+        reuse_latency: float,
+        saving: float,
         redundancy: float,
     ) -> np.ndarray:
         one_hot = np.zeros(4)
         one_hot[int(match)] = 1.0
-        if match.is_reusable:
-            reuse_latency = self._latency(ctx, match)
-            saving = cold_latency - reuse_latency
-        else:
-            reuse_latency = 0.0
-            saving = 0.0
         runtime_payload = container.image.packages.level_size_mb(
             PackageLevel.RUNTIME
         )
@@ -311,7 +338,7 @@ class StateEncoder:
                 [
                     reuse_latency * _LATENCY_SCALE,
                     saving * _LATENCY_SCALE,
-                    np.log1p(container.idle_duration(ctx.now)),
+                    np.log1p(container.idle_duration(now)),
                     container.memory_mb * _MEMORY_SCALE,
                     # What a repack would throw away: the container's current
                     # runtime payload (the Fig. 2 "keep the good container

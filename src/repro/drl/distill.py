@@ -181,7 +181,9 @@ def collect_decisions(
             ctx = sim.next_decision_point()
             if ctx is None:
                 break
-            encoded = scheduler.encoder.encode(ctx)
+            encoded = scheduler.encoder.encode(
+                ctx.pool, ctx.invocation, ctx.cost_model
+            )
             mask = (encoded.mask if scheduler.use_mask
                     else np.ones_like(encoded.mask))
             action = scheduler.agent.act(encoded.state, mask, epsilon=0.0)

@@ -50,18 +50,18 @@ def run(
         "Overall", lambda s: overall_workload(seed=s), capacity, scale
     )
 
-    # Time every decision by wrapping decide().
+    # Time every decision by wrapping decide_pool().
     times: list = []
-    original_decide = mlcr.decide
+    original_decide = mlcr.decide_pool
 
-    def timed_decide(ctx):
+    def timed_decide(pool, invocation, cost_model):
         t0 = time.perf_counter()
-        decision = original_decide(ctx)
+        decision = original_decide(pool, invocation, cost_model)
         times.append(time.perf_counter() - t0)
         return decision
 
     mlcr.reset()
-    mlcr.decide = timed_decide  # type: ignore[method-assign]
+    mlcr.decide_pool = timed_decide  # type: ignore[method-assign]
     try:
         sim = ClusterSimulator(
             SimulationConfig(pool_capacity_mb=capacity),
@@ -69,7 +69,7 @@ def run(
         )
         mlcr_result = sim.run(workload, mlcr)
     finally:
-        del mlcr.decide  # restore the bound method
+        del mlcr.decide_pool  # restore the bound method
 
     # Savings: compare against the best exact-match baseline.
     baseline_latency = min(

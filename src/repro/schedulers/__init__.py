@@ -1,8 +1,8 @@
 """Container-reuse schedulers: the paper's comparison set.
 
 Every policy writes its rule once, in ``decide_pool`` over the warm pool's
-match index and the arriving invocation; the simulator reaches it through
-``decide`` and the lane kernel calls it directly.
+match index, the arriving invocation and the cost model; the sequential
+simulator, the serving engine and the lane kernel all call it directly.
 
 * :class:`ColdOnlyScheduler` -- always cold start (lower-bound sanity check).
 * :class:`KeepAliveScheduler` -- exact-configuration reuse, 10-minute TTL,
@@ -25,7 +25,6 @@ match index and the arriving invocation; the simulator reaches it through
 """
 
 from repro.schedulers.base import (
-    Decision,
     ExactMatchScheduler,
     LendRequest,
     PrewarmRequest,
@@ -47,7 +46,6 @@ from repro.schedulers.zygote import ZygoteScheduler, build_zygote_images
 __all__ = [
     "Scheduler",
     "SchedulingContext",
-    "Decision",
     "ExactMatchScheduler",
     "PrewarmRequest",
     "LendRequest",

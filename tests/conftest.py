@@ -13,7 +13,7 @@ from repro.containers.image import FunctionImage
 from repro.packages.catalog import default_catalog, language_group, os_group
 from repro.packages.package import Package, PackageLevel
 from repro.cluster.pool import PoolSet
-from repro.schedulers.base import SchedulingContext
+from repro.schedulers.base import PoolDecision, Scheduler, SchedulingContext
 from repro.workloads.functions import FunctionSpec, function_by_id
 from repro.workloads.workload import Invocation
 
@@ -127,25 +127,28 @@ def make_invocation(
 def make_ctx(
     invocation: Optional[Invocation] = None,
     idle_containers: Iterable[Container] = (),
-    now: float = 0.0,
-    capacity_mb: float = 4096.0,
-    used_mb: float = 0.0,
     cost_model: Optional[StartupCostModel] = None,
 ) -> SchedulingContext:
-    """A context whose unbounded one-shard pool holds ``idle_containers``."""
-    idle = tuple(idle_containers)
+    """A decision point whose unbounded one-shard pool holds
+    ``idle_containers``."""
     pool = PoolSet(float("inf"))
-    for container in idle:
+    for container in idle_containers:
         pool.add(container, shard_index=0)
     return SchedulingContext(
-        now=now,
-        invocation=invocation or make_invocation(),
-        idle_containers=idle,
-        cost_model=cost_model or StartupCostModel(),
-        pool_capacity_mb=capacity_mb,
-        pool_used_mb=used_mb,
-        pool=pool,
+        invocation or make_invocation(), pool,
+        cost_model or StartupCostModel(),
     )
+
+
+def decide(scheduler: Scheduler, ctx: SchedulingContext) -> PoolDecision:
+    """``scheduler``'s decision for the arrival pending in ``ctx``."""
+    return scheduler.decide_pool(ctx.pool, ctx.invocation, ctx.cost_model)
+
+
+def picked_id(scheduler: Scheduler, ctx: SchedulingContext) -> Optional[int]:
+    """Id of the container ``scheduler`` reuses for ``ctx`` (None = cold)."""
+    container = decide(scheduler, ctx)[0]
+    return None if container is None else container.container_id
 
 
 def fstart_spec(func_id: int) -> FunctionSpec:

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve.recorder import RECORDING_VERSION
 
 
 class TestParser:
@@ -105,3 +108,18 @@ class TestCommands:
 
         scheduler = load_scheduler(out_file)
         assert scheduler.name == "MLCR"
+
+    @pytest.mark.parametrize("header", [
+        {"version": 99, "kind": "serve"},
+        {"version": RECORDING_VERSION, "kind": "serve",
+         "worker_capacity_mb": 512.0},
+    ], ids=["unknown-version", "retired-worker-capacity"])
+    def test_serve_replay_rejects_recording_cleanly(self, tmp_path, capsys,
+                                                    header):
+        recording = tmp_path / "session.jsonl"
+        recording.write_text(json.dumps(header) + "\n")
+        assert main(["serve-replay", str(recording)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.out + captured.err

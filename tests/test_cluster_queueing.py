@@ -224,7 +224,9 @@ class TestQueueingIntegration:
         assert [w["containers"] for w in sim.workers.load_snapshot()] == [
             0.0, 0.0, 0.0
         ]
-        assert sim.placement.queue_depths(ctx.now) == (0, 0, 0)
-        record = sim.apply_decision(LRUScheduler().decide(ctx))
+        assert sim.placement.queue_depths(sim.now) == (0, 0, 0)
+        record = sim.apply_decision(LRUScheduler().decide_pool(
+            ctx.pool, ctx.invocation, ctx.cost_model
+        ))
         assert record.worker_id in (0, 1, 2)
         sim.finish()

@@ -9,13 +9,19 @@ from repro.cluster.simulator import (
     SimulationConfig,
 )
 from repro.containers.matching import MatchLevel
-from repro.schedulers.base import Decision
+from repro.schedulers.base import COLD
 from repro.schedulers.coldonly import ColdOnlyScheduler
 from repro.schedulers.greedy import GreedyMatchScheduler
 from repro.schedulers.lru import LRUScheduler
 from repro.workloads.workload import Workload
 
-from conftest import make_image, make_invocation, make_spec
+from conftest import (
+    decide,
+    make_container,
+    make_image,
+    make_invocation,
+    make_spec,
+)
 
 
 def workload_of(invocations, name="test"):
@@ -30,6 +36,11 @@ def spec_b(name="fb"):
     return make_spec(
         name=name, image=make_image("b", runtime_names=("numpy",))
     )
+
+
+def warm(container):
+    """A reuse decision for ``container`` (validated by the simulator)."""
+    return container, 3, False, ()
 
 
 def sim(capacity=10_000.0, policy=None):
@@ -148,7 +159,7 @@ class TestInvalidDecisions:
         s.load(workload_of([make_invocation(spec_a(), 0)]))
         assert s.next_decision_point() is not None
         with pytest.raises(InvalidDecisionError):
-            s.apply_decision(Decision.warm(999))
+            s.apply_decision(warm(make_container(999)))
 
     def test_no_match_container_rejected(self):
         first = spec_a()
@@ -162,11 +173,11 @@ class TestInvalidDecisions:
         s = sim()
         s.load(wl)
         s.next_decision_point()
-        s.apply_decision(Decision.cold())
+        s.apply_decision(COLD)
         ctx = s.next_decision_point()
-        warm_id = ctx.idle_containers[0].container_id
+        (pooled,) = ctx.pool.containers()
         with pytest.raises(InvalidDecisionError):
-            s.apply_decision(Decision.warm(warm_id))
+            s.apply_decision(warm(pooled))
 
     def test_rejected_decision_keeps_invocation_pending(self):
         # Regression: apply_decision used to pop the pending invocation
@@ -176,9 +187,9 @@ class TestInvalidDecisions:
         s.load(workload_of([make_invocation(spec_a(), 0)]))
         assert s.next_decision_point() is not None
         with pytest.raises(InvalidDecisionError):
-            s.apply_decision(Decision.warm(999))
+            s.apply_decision(warm(make_container(999)))
         # The arrival is still pending: retrying with a valid decision works.
-        record = s.apply_decision(Decision.cold())
+        record = s.apply_decision(COLD)
         assert record.invocation_id == 0
         t = s.finish().telemetry
         assert t.n_invocations == 1
@@ -192,17 +203,18 @@ class TestInvalidDecisions:
         s = sim()
         s.load(wl)
         s.next_decision_point()
-        s.apply_decision(Decision.cold())
+        s.apply_decision(COLD)
         ctx = s.next_decision_point()
-        warm_id = ctx.idle_containers[0].container_id
+        (pooled,) = ctx.pool.containers()
+        warm_id = pooled.container_id
         pooled_before = len(s.pool.containers())
         samples_before = len(s.telemetry.memory_timeline)
         with pytest.raises(InvalidDecisionError):
-            s.apply_decision(Decision.warm(warm_id + 1))
+            s.apply_decision(warm(make_container(warm_id + 1)))
         assert len(s.pool.containers()) == pooled_before
         assert len(s.telemetry.memory_timeline) == samples_before
         # The warm container is still claimable after the failed attempt.
-        record = s.apply_decision(Decision.warm(warm_id))
+        record = s.apply_decision(warm(pooled))
         assert record.container_id == warm_id
         assert not record.cold_start
 
@@ -220,7 +232,7 @@ class TestIncrementalAPI:
         sched = LRUScheduler()
         s2.load(wl)
         while (ctx := s2.next_decision_point()) is not None:
-            s2.apply_decision(sched.decide(ctx))
+            s2.apply_decision(decide(sched, ctx))
         inc = s2.finish("LRU").telemetry
         assert batch.total_startup_latency_s == pytest.approx(
             inc.total_startup_latency_s
@@ -231,9 +243,9 @@ class TestIncrementalAPI:
         s = sim()
         s.load(workload_of([make_invocation(spec_a(), 0)]))
         s.next_decision_point()
-        s.apply_decision(Decision.cold())
+        s.apply_decision(COLD)
         with pytest.raises(RuntimeError):
-            s.apply_decision(Decision.cold())
+            s.apply_decision(COLD)
 
     def test_finish_with_pending_rejected(self):
         s = sim()
@@ -252,7 +264,7 @@ class TestIncrementalAPI:
         stamps = []
         while (ctx := s.next_decision_point()) is not None:
             stamps.append(s.now)
-            s.apply_decision(Decision.cold())
+            s.apply_decision(COLD)
         assert stamps == sorted(stamps)
 
 

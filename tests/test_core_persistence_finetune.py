@@ -1,4 +1,4 @@
-"""Tests for policy persistence and online fine-tuning."""
+"""Tests for policy persistence."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.cluster.simulator import SimulationConfig
 from repro.core.config import MLCRConfig
-from repro.core.finetune import OnlineFineTuner
 from repro.core.mlcr import train_mlcr_scheduler
 from repro.core.persistence import load_scheduler, save_scheduler
 from repro.drl.dqn import DQNConfig
@@ -128,43 +127,3 @@ class TestPersistence:
         )
         with pytest.raises(ValueError, match=f"retired option {option}"):
             load_scheduler(path)
-
-
-class TestOnlineFineTuning:
-    def test_serves_valid_decisions_and_learns(self, trained):
-        scheduler, _ = trained
-        tuner = OnlineFineTuner(scheduler, epsilon=0.0,
-                                updates_per_decision=1)
-        res = evaluate_scheduler(tuner, tiny_workload(seed=4), 10_000.0, "x")
-        assert res.total_startup_s > 0
-        assert tuner.decisions == 12
-        assert tuner.updates > 0  # buffer was pre-filled by offline training
-
-    def test_exploration_bounds(self, trained):
-        scheduler, _ = trained
-        with pytest.raises(ValueError):
-            OnlineFineTuner(scheduler, epsilon=1.5)
-        with pytest.raises(ValueError):
-            OnlineFineTuner(scheduler, updates_per_decision=-1)
-
-    def test_weights_change_during_fine_tuning(self, trained):
-        scheduler, _ = trained
-        before = {
-            k: v.copy()
-            for k, v in scheduler.agent.online.state_dict().items()
-        }
-        tuner = OnlineFineTuner(scheduler, epsilon=0.1,
-                                updates_per_decision=2)
-        evaluate_scheduler(tuner, tiny_workload(seed=5), 10_000.0, "x")
-        after = scheduler.agent.online.state_dict()
-        changed = any(
-            not np.array_equal(before[k], after[k]) for k in before
-        )
-        assert changed
-
-    def test_reset_clears_pending(self, trained):
-        scheduler, _ = trained
-        tuner = OnlineFineTuner(scheduler)
-        evaluate_scheduler(tuner, tiny_workload(seed=6), 10_000.0, "x")
-        tuner.reset()
-        assert tuner._pending is None

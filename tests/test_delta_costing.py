@@ -6,7 +6,14 @@ from repro.containers.costmodel import StartupCostModel
 from repro.containers.matching import MatchLevel
 from repro.schedulers.walways import AlwaysAdoptScheduler
 
-from conftest import make_container, make_ctx, make_image, make_invocation, make_spec
+from conftest import (
+    make_container,
+    make_ctx,
+    make_image,
+    make_invocation,
+    make_spec,
+    picked_id,
+)
 
 
 @pytest.fixture
@@ -92,13 +99,13 @@ class TestAlwaysAdoptScheduler:
             1, image=make_image("z", runtime_names=("flask", "numpy"))
         )
         ctx = make_ctx(make_invocation(spec), idle_containers=[zygote])
-        assert AlwaysAdoptScheduler().decide(ctx).container_id == 1
+        assert picked_id(AlwaysAdoptScheduler(), ctx) == 1
 
     def test_ignores_other_os(self):
         spec = make_spec(name="f", image=make_image("f", os_name="alpine"))
         other = make_container(1, image=make_image("o", os_name="debian"))
         ctx = make_ctx(make_invocation(spec), idle_containers=[other])
-        assert AlwaysAdoptScheduler().decide(ctx).is_cold
+        assert picked_id(AlwaysAdoptScheduler(), ctx) is None
 
     def test_picks_cheapest_delta(self):
         spec = make_spec(
@@ -108,8 +115,8 @@ class TestAlwaysAdoptScheduler:
         near = make_container(2, image=make_image("near",
                                                   runtime_names=("flask",)))
         ctx = make_ctx(make_invocation(spec), idle_containers=[far, near])
-        assert AlwaysAdoptScheduler().decide(ctx).container_id == 2
+        assert picked_id(AlwaysAdoptScheduler(), ctx) == 2
 
     def test_cold_when_empty(self):
         ctx = make_ctx(make_invocation(make_spec()))
-        assert AlwaysAdoptScheduler().decide(ctx).is_cold
+        assert picked_id(AlwaysAdoptScheduler(), ctx) is None

@@ -62,21 +62,24 @@ def small_workload(seed: int = 0, n: int = 40) -> Workload:
     return Workload.from_invocations(f"families-{seed}", invocations)
 
 
-def drive_decisions(scheduler, workload, capacity_mb=1500.0):
-    """Run the incremental API, yielding every decision the policy makes."""
+def drive_actions(scheduler, workload, capacity_mb=1500.0):
+    """Run the incremental API; the proactive actions of every decision
+    the policy makes, in order."""
     eviction = (scheduler.make_eviction_policy()
                 if hasattr(scheduler, "make_eviction_policy") else None)
     sim = ClusterSimulator(
         SimulationConfig(pool_capacity_mb=capacity_mb), eviction
     )
     sim.load(workload)
-    decisions = []
+    actions = []
     while (ctx := sim.next_decision_point()) is not None:
-        decision = scheduler.decide(ctx)
-        decisions.append(decision)
+        decision = scheduler.decide_pool(
+            ctx.pool, ctx.invocation, ctx.cost_model
+        )
+        actions.append(decision[3])
         sim.apply_decision(decision)
     sim.finish(scheduler_name=scheduler.name)
-    return decisions
+    return actions
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +98,9 @@ def test_prewarms_never_exceed_budget(horizon_s, prewarm_budget, alpha, seed):
         horizon_s=horizon_s, prewarm_budget=prewarm_budget, alpha=alpha
     )
     scheduler.reset()
-    decisions = drive_decisions(scheduler, small_workload(seed=seed))
-    for decision in decisions:
-        prewarms = [a for a in decision.actions
-                    if isinstance(a, PrewarmRequest)]
-        assert len(prewarms) == len(decision.actions)  # MPC only pre-warms
+    for actions in drive_actions(scheduler, small_workload(seed=seed)):
+        prewarms = [a for a in actions if isinstance(a, PrewarmRequest)]
+        assert len(prewarms) == len(actions)  # MPC only pre-warms
         assert len(prewarms) <= prewarm_budget
         # Never pre-warm the function this very decision serves.
         if prewarm_budget:
@@ -110,8 +111,8 @@ def test_prewarms_never_exceed_budget(horizon_s, prewarm_budget, alpha, seed):
 def test_budget_zero_decisions_carry_no_actions():
     scheduler = MPCScheduler(prewarm_budget=0)
     scheduler.reset()
-    for decision in drive_decisions(scheduler, small_workload()):
-        assert decision.actions == ()
+    for actions in drive_actions(scheduler, small_workload()):
+        assert actions == ()
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +181,11 @@ def test_lending_respects_pool_invariants(
     # Every decision's lend side is at most one request, toward the
     # arriving function itself.
     scheduler.reset()
-    for decision in drive_decisions(
+    for actions in drive_actions(
         scheduler, small_workload(seed=seed), capacity_mb=capacity_mb
     ):
-        assert len(decision.actions) <= 1
-        for action in decision.actions:
+        assert len(actions) <= 1
+        for action in actions:
             assert isinstance(action, LendRequest)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.cluster import (
     ClusterSimulator,
-    Decision,
     EventLoop,
     SimulationConfig,
     TimeSource,
@@ -13,6 +12,7 @@ from repro.cluster import (
     WallClock,
 )
 from repro.cluster.events import EventKind
+from repro.schedulers.base import COLD
 from repro.workloads.functions import function_by_id
 from repro.workloads.workload import Invocation
 
@@ -111,8 +111,9 @@ class TestOffer:
         sim = ClusterSimulator(SimulationConfig(pool_capacity_mb=10_000.0))
         sim.offer(_invocation(0, 1.25))
         ctx = sim.next_decision_point()
-        assert ctx is not None and ctx.now == 1.25
-        record = sim.apply_decision(Decision.cold())
+        assert ctx is not None and sim.now == 1.25
+        assert ctx.invocation.arrival_time == 1.25
+        record = sim.apply_decision(COLD)
         assert record.cold_start and record.arrival_time == 1.25
 
     def test_out_of_order_offer_rejected(self):
@@ -132,7 +133,7 @@ class TestPumpUntil:
     def _run_one(self, sim, t=1.0):
         sim.offer(_invocation(0, t))
         sim.next_decision_point()
-        return sim.apply_decision(Decision.cold())
+        return sim.apply_decision(COLD)
 
     def test_processes_due_completions(self):
         sim = ClusterSimulator(SimulationConfig(pool_capacity_mb=10_000.0))
@@ -186,7 +187,9 @@ class TestPumpUntil:
                             sim.pump_until(tick)
                 sim.offer(_invocation(i, t))
                 ctx = sim.next_decision_point()
-                records.append(sim.apply_decision(scheduler.decide(ctx)))
+                records.append(sim.apply_decision(scheduler.decide_pool(
+                    ctx.pool, ctx.invocation, ctx.cost_model
+                )))
             sim.finish()
             return records
 

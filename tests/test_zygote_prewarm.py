@@ -5,7 +5,6 @@ import pytest
 from repro.cluster.eviction import LRUEviction
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.containers.matching import MatchLevel
-from repro.schedulers.base import Decision
 from repro.schedulers.zygote import ZygoteScheduler, build_zygote_images
 from repro.workloads.functions import function_by_id, functions_by_ids
 from repro.workloads.workload import Workload
@@ -136,13 +135,3 @@ class TestZygoteScheduling:
         )
         t = sim.run(workload, ZygoteScheduler()).telemetry
         assert t.cold_starts == 1
-
-
-class TestDecisionValidation:
-    def test_preserve_image_requires_container(self):
-        with pytest.raises(ValueError):
-            Decision(container_id=None, preserve_image=True)
-
-    def test_warm_factory_flag(self):
-        d = Decision.warm(3, preserve_image=True)
-        assert d.preserve_image and d.container_id == 3

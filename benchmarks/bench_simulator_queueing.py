@@ -27,9 +27,7 @@ def test_decision_loop_no_queueing(benchmark):
         )
         sim.load(workload)
         while (ctx := sim.next_decision_point()) is not None:
-            sim.apply_decision(scheduler.decide_pool(
-                ctx.pool, ctx.invocation, ctx.cost_model
-            ))
+            sim.apply_decision(scheduler.decide(ctx))
         return sim.finish()
 
     result = benchmark(run)

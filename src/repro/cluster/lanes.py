@@ -45,8 +45,10 @@ the same way: the lane calls the scheduler's
 :meth:`~repro.schedulers.base.Scheduler.decide_pool` rule on its own warm
 pool once per arrival, with the arrival's
 :class:`~repro.workloads.workload.Invocation`.  The sequential simulator
-calls the same rule on its :class:`~repro.cluster.pool.PoolSet`, so both
-engines run one implementation.  Every warm pick passes
+reaches the same rule through
+:meth:`~repro.schedulers.base.Scheduler.decide` on its
+:class:`~repro.cluster.pool.PoolSet`, so both engines run one
+implementation.  Every warm pick passes
 :meth:`~repro.cluster.lifecycle.PoolLifecycle.check_decision`, the
 sequential claim's validation, and any attached
 :class:`~repro.schedulers.base.PrewarmRequest` /

@@ -42,11 +42,12 @@ The driver exposes three equivalent driving modes:
   :class:`~repro.schedulers.base.SchedulingContext` (invocation, warm pool,
   cost model) and :meth:`apply_decision` takes the
   :data:`~repro.schedulers.base.PoolDecision` that
-  :meth:`~repro.schedulers.base.Scheduler.decide_pool` returns for it.
+  :meth:`~repro.schedulers.base.Scheduler.decide` returns for it.
 
 Every mode decides through
-:meth:`~repro.schedulers.base.Scheduler.decide_pool`, the one decision
-interface, which the lane kernel calls too.
+:meth:`~repro.schedulers.base.Scheduler.decide`, i.e. the policy's
+:meth:`~repro.schedulers.base.Scheduler.decide_pool` rule, the one decision
+interface, which the lane kernel calls directly.
 
 All modes share every line of event-handling code, so trained policies see
 exactly the dynamics they were trained on.  With ``worker_concurrency``
@@ -271,13 +272,11 @@ class ClusterSimulator:
         The one sequential drive loop behind :meth:`run` and
         :meth:`run_stream`; they differ only in how arrivals are queued.
         """
-        rule = scheduler.decide_pool
         while True:
             ctx = self.next_decision_point()
             if ctx is None:
                 break
-            self._apply(rule(ctx.pool, ctx.invocation, ctx.cost_model),
-                        want_record=False)
+            self._apply(scheduler.decide(ctx), want_record=False)
         self._fold_scheduler_counters(scheduler)
         return self.finish(scheduler_name=scheduler.name)
 

@@ -1,8 +1,9 @@
 """Container-reuse schedulers: the paper's comparison set.
 
 Every policy writes its rule once, in ``decide_pool`` over the warm pool's
-match index, the arriving invocation and the cost model; the sequential
-simulator, the serving engine and the lane kernel all call it directly.
+match index, the arriving invocation and the cost model; the lane kernel
+calls it directly, and the sequential simulator and the serving engine
+through ``Scheduler.decide``, which no policy overrides.
 
 * :class:`ColdOnlyScheduler` -- always cold start (lower-bound sanity check).
 * :class:`KeepAliveScheduler` -- exact-configuration reuse, 10-minute TTL,

@@ -5,10 +5,12 @@ function of the warm pool's match index, the arriving invocation (whose
 ``arrival_time`` is the decision time) and the cost model, returning a
 :data:`PoolDecision` -- the container to reuse (None for a cold start),
 its match level, ``preserve_image`` and any proactive actions.  It is the
-one decision interface: the sequential simulator, the online serving
-engine, the DRL environment and the lane kernel all call it, so every
-engine runs the same code.  MLCR's DRL scheduler encodes the same three
-inputs into its state vector.
+one decision interface: the lane kernel calls it on each lane's pool, and
+the sequential simulator, the online serving engine and the incremental
+API's callers reach it through :meth:`Scheduler.decide`, which applies it
+to a pending arrival's :class:`SchedulingContext` and which no policy
+overrides.  So every engine runs the same code.  MLCR's DRL scheduler
+encodes the same three inputs into its state vector.
 
 Proactive policies (MPC pre-warming, Pagurus lending) attach
 :class:`PrewarmRequest` / :class:`LendRequest` actions beside their
@@ -77,14 +79,11 @@ COLD: PoolDecision = (None, 0, False, ())
 class SchedulingContext:
     """One pending arrival, as the simulator's incremental API hands it out.
 
-    The three arguments of :meth:`Scheduler.decide_pool`: the arriving
+    The three inputs of :meth:`Scheduler.decide_pool`: the arriving
     ``invocation``, the live warm ``pool`` (a
     :class:`~repro.cluster.pool.PoolSet`) and the cluster's
-    ``cost_model``.  The incremental API's callers pass them on as
-    ``decide_pool(ctx.pool, ctx.invocation, ctx.cost_model)``.  The class
-    (and ``ClusterSimulator._context_for``) stays only as the repository
-    benchmark's ``schedulers.context`` trace target
-    (``perfbench/tracing.py``).
+    ``cost_model``.  Pass it to :meth:`Scheduler.decide` for the
+    scheduler's decision.
     """
 
     invocation: Invocation
@@ -95,17 +94,20 @@ class SchedulingContext:
 class Scheduler:
     """Base class for container-reuse scheduling policies.
 
-    A policy implements :meth:`decide_pool`, the one decision interface.
+    A policy implements :meth:`decide_pool`, the one decision interface;
+    :meth:`decide` is the sequential engines' entry to it.
     """
 
     #: Human-readable policy name used in reports and figures.
     name: str = "scheduler"
 
-    #: Not an interface: the attribute the repository benchmark's tracer
-    #: looks up on every registry class (its per-key
-    #: ``schedulers.decide.<key>`` layers).  No engine calls it; it goes
-    #: when that tracer targets :meth:`decide_pool` instead.
-    decide = None
+    def decide(self, ctx: SchedulingContext) -> PoolDecision:
+        """This policy's :meth:`decide_pool` for the arrival in ``ctx``.
+
+        Not an extension point: the lane kernel calls :meth:`decide_pool`
+        directly, so an override here would be ignored there.
+        """
+        return self.decide_pool(ctx.pool, ctx.invocation, ctx.cost_model)
 
     def decide_pool(
         self,

@@ -20,7 +20,7 @@ Three properties make the contract hold:
   event loop's clock, so the arrival sequence is always a valid (sorted)
   stream even if the wall source misbehaves.
 * **Atomic decisions** -- :meth:`ServeEngine.submit` runs
-  offer -> next_decision_point -> decide_pool -> apply_decision with no await
+  offer -> next_decision_point -> decide -> apply_decision with no await
   points, so concurrent HTTP handlers on one asyncio loop serialize their
   arrivals exactly in stamping order.
 * **Decision-neutral pumping** -- the janitor's :meth:`ServeEngine.pump`
@@ -211,9 +211,7 @@ class ServeEngine:
         self._next_invocation_id += 1
         self.sim.offer(invocation)
         ctx = self.sim.next_decision_point()
-        record = self.sim.apply_decision(self.scheduler.decide_pool(
-            ctx.pool, ctx.invocation, ctx.cost_model
-        ))
+        record = self.sim.apply_decision(self.scheduler.decide(ctx))
         self.submitted += 1
         if self.recorder is not None:
             self.recorder.on_decision(record, exec_s)

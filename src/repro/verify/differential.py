@@ -192,9 +192,7 @@ def oracle_batch_vs_incremental() -> OracleResult:
     scheduler = GreedyMatchScheduler()
     inc_sim.load(workload)
     while (ctx := inc_sim.next_decision_point()) is not None:
-        inc_sim.apply_decision(scheduler.decide_pool(
-            ctx.pool, ctx.invocation, ctx.cost_model
-        ))
+        inc_sim.apply_decision(scheduler.decide(ctx))
     incremental = inc_sim.finish(scheduler_name=scheduler.name)
 
     want = batch.telemetry.records

@@ -13,7 +13,7 @@ from repro.containers.image import FunctionImage
 from repro.packages.catalog import default_catalog, language_group, os_group
 from repro.packages.package import Package, PackageLevel
 from repro.cluster.pool import PoolSet
-from repro.schedulers.base import PoolDecision, Scheduler, SchedulingContext
+from repro.schedulers.base import SchedulingContext
 from repro.workloads.functions import FunctionSpec, function_by_id
 from repro.workloads.workload import Invocation
 
@@ -138,17 +138,6 @@ def make_ctx(
         invocation or make_invocation(), pool,
         cost_model or StartupCostModel(),
     )
-
-
-def decide(scheduler: Scheduler, ctx: SchedulingContext) -> PoolDecision:
-    """``scheduler``'s decision for the arrival pending in ``ctx``."""
-    return scheduler.decide_pool(ctx.pool, ctx.invocation, ctx.cost_model)
-
-
-def picked_id(scheduler: Scheduler, ctx: SchedulingContext) -> Optional[int]:
-    """Id of the container ``scheduler`` reuses for ``ctx`` (None = cold)."""
-    container = decide(scheduler, ctx)[0]
-    return None if container is None else container.container_id
 
 
 def fstart_spec(func_id: int) -> FunctionSpec:

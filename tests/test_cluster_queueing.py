@@ -225,8 +225,6 @@ class TestQueueingIntegration:
             0.0, 0.0, 0.0
         ]
         assert sim.placement.queue_depths(sim.now) == (0, 0, 0)
-        record = sim.apply_decision(LRUScheduler().decide_pool(
-            ctx.pool, ctx.invocation, ctx.cost_model
-        ))
+        record = sim.apply_decision(LRUScheduler().decide(ctx))
         assert record.worker_id in (0, 1, 2)
         sim.finish()

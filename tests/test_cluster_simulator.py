@@ -15,13 +15,7 @@ from repro.schedulers.greedy import GreedyMatchScheduler
 from repro.schedulers.lru import LRUScheduler
 from repro.workloads.workload import Workload
 
-from conftest import (
-    decide,
-    make_container,
-    make_image,
-    make_invocation,
-    make_spec,
-)
+from conftest import make_container, make_image, make_invocation, make_spec
 
 
 def workload_of(invocations, name="test"):
@@ -232,7 +226,7 @@ class TestIncrementalAPI:
         sched = LRUScheduler()
         s2.load(wl)
         while (ctx := s2.next_decision_point()) is not None:
-            s2.apply_decision(decide(sched, ctx))
+            s2.apply_decision(sched.decide(ctx))
         inc = s2.finish("LRU").telemetry
         assert batch.total_startup_latency_s == pytest.approx(
             inc.total_startup_latency_s

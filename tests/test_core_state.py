@@ -20,14 +20,13 @@ def encoder():
     return StateEncoder(n_slots=4)
 
 
-def ctx_with_containers(containers, now=0.0, **kw):
-    spec = make_spec(name="f", image=make_image("f"))
-    return make_ctx(make_invocation(spec, arrival_time=now),
-                    idle_containers=containers, **kw)
-
-
-def encode(encoder, ctx):
-    return encoder.encode(ctx.pool, ctx.invocation, ctx.cost_model)
+def decision_point(containers=(), now=0.0, spec=None):
+    """``(pool, invocation, cost_model)`` for an arrival of ``spec`` at
+    ``now`` with ``containers`` idle."""
+    spec = spec or make_spec(name="f", image=make_image("f"))
+    ctx = make_ctx(make_invocation(spec, arrival_time=now),
+                   idle_containers=containers)
+    return ctx.pool, ctx.invocation, ctx.cost_model
 
 
 def slot_ids(enc):
@@ -37,8 +36,7 @@ def slot_ids(enc):
 
 class TestDimensions:
     def test_state_dim_consistent(self, encoder):
-        ctx = ctx_with_containers([])
-        enc = encode(encoder, ctx)
+        enc = encoder.encode(*decision_point())
         assert enc.state.shape == (encoder.state_dim,)
         assert enc.mask.shape == (encoder.action_dim,)
         assert encoder.state_dim == (
@@ -51,20 +49,20 @@ class TestDimensions:
 
 class TestMask:
     def test_cold_always_valid(self, encoder):
-        enc = encode(encoder, ctx_with_containers([]))
+        enc = encoder.encode(*decision_point())
         assert enc.mask[-1]
         assert not enc.mask[:-1].any()
 
     def test_matching_container_valid(self, encoder):
         c = make_container(1)  # same default image -> L3
-        enc = encode(encoder, ctx_with_containers([c]))
+        enc = encoder.encode(*decision_point([c]))
         assert enc.mask[0]
         assert slot_ids(enc)[0] == 1
         assert enc.slot_matches[0] is MatchLevel.L3
 
     def test_no_match_container_masked(self, encoder):
         c = make_container(1, image=make_image("o", os_name="debian"))
-        enc = encode(encoder, ctx_with_containers([c]))
+        enc = encoder.encode(*decision_point([c]))
         assert not enc.mask[0]
         assert slot_ids(enc)[0] == 1  # visible but masked
 
@@ -73,7 +71,7 @@ class TestMask:
         c_l3 = make_container(2)
         c_l2 = make_container(3, image=make_image("y",
                                                   runtime_names=("numpy",)))
-        enc = encode(encoder, ctx_with_containers([c_l1, c_l3, c_l2]))
+        enc = encoder.encode(*decision_point([c_l1, c_l3, c_l2]))
         assert enc.slot_matches[:3] == (
             MatchLevel.L3, MatchLevel.L2, MatchLevel.L1
         )
@@ -84,11 +82,11 @@ class TestMask:
         c_l1 = make_container(1, image=make_image("x", lang_name="nodejs"))
         c_l2 = make_container(3, image=make_image("y",
                                                   runtime_names=("numpy",)))
-        shallow = encode(encoder, ctx_with_containers([c_l1, c_l2]))
+        shallow = encoder.encode(*decision_point([c_l1, c_l2]))
         assert shallow.mask.tolist() == [True, True, False, False, True]
         encoder.reset()
-        enc = encode(
-            encoder, ctx_with_containers([c_l1, make_container(2), c_l2])
+        enc = encoder.encode(
+            *decision_point([c_l1, make_container(2), c_l2])
         )
         assert enc.mask.tolist() == [True, False, False, False, True]
 
@@ -98,27 +96,27 @@ class TestMask:
             make_container(i, image=make_image(f"s{i}", lang_name="nodejs"))
             for i in range(10)
         ]
-        enc = encode(encoder, ctx_with_containers(shallow + [deep]))
+        enc = encoder.encode(*decision_point(shallow + [deep]))
         assert slot_ids(enc)[0] == 99
 
 
 class TestDecisionFor:
     def test_cold_action(self, encoder):
-        enc = encode(encoder, ctx_with_containers([]))
+        enc = encoder.encode(*decision_point())
         assert enc.decision_for(encoder.n_slots) == COLD
 
     def test_warm_action(self, encoder):
         container = make_container(7)
-        enc = encode(encoder, ctx_with_containers([container]))
+        enc = encoder.encode(*decision_point([container]))
         assert enc.decision_for(0) == (container, 3, False, ())
 
     def test_empty_slot_means_cold(self, encoder):
         """Paper: actions pointing beyond the pool mean cold start."""
-        enc = encode(encoder, ctx_with_containers([]))
+        enc = encoder.encode(*decision_point())
         assert enc.decision_for(2) == COLD
 
     def test_out_of_range_rejected(self, encoder):
-        enc = encode(encoder, ctx_with_containers([]))
+        enc = encoder.encode(*decision_point())
         with pytest.raises(ValueError):
             enc.decision_for(99)
 
@@ -126,21 +124,21 @@ class TestDecisionFor:
 class TestFeatures:
     def test_arrival_interval_tracked(self, encoder):
         encoder.reset()
-        e1 = encode(encoder, ctx_with_containers([], now=0.0))
-        e2 = encode(encoder, ctx_with_containers([], now=5.0))
+        e1 = encoder.encode(*decision_point(now=0.0))
+        e2 = encoder.encode(*decision_point(now=5.0))
         interval_idx = len(encoder.catalog.key_order()) + 3
         assert e1.state[interval_idx] == pytest.approx(0.0)
         assert e2.state[interval_idx] == pytest.approx(np.log1p(5.0))
 
     def test_reset_clears_interval(self, encoder):
-        encode(encoder, ctx_with_containers([], now=0.0))
+        encoder.encode(*decision_point(now=0.0))
         encoder.reset()
-        e = encode(encoder, ctx_with_containers([], now=100.0))
+        e = encoder.encode(*decision_point(now=100.0))
         interval_idx = len(encoder.catalog.key_order()) + 3
         assert e.state[interval_idx] == pytest.approx(0.0)
 
     def test_bag_of_packages_set(self, encoder):
-        enc = encode(encoder, ctx_with_containers([]))
+        enc = encoder.encode(*decision_point())
         n_keys = len(encoder.catalog.key_order())
         bag = enc.state[:n_keys]
         spec_packages = len(make_image("f").packages)
@@ -150,10 +148,10 @@ class TestFeatures:
         encoder.reset()
         image = make_image("f")
         demand_idx = len(encoder.catalog.key_order()) + 7
-        e1 = encode(encoder, ctx_with_containers([]))
+        e1 = encoder.encode(*decision_point())
         assert e1.state[demand_idx] == pytest.approx(1.0)  # only arrival
         # Same function again: still the only stack seen.
-        e2 = encode(encoder, ctx_with_containers([]))
+        e2 = encoder.encode(*decision_point())
         assert e2.state[demand_idx] == pytest.approx(1.0)
 
     def test_demand_splits_between_stacks(self):
@@ -163,8 +161,8 @@ class TestFeatures:
             name="b", image=make_image("b", runtime_names=("numpy",))
         )
         demand_idx = len(encoder.catalog.key_order()) + 7
-        encode(encoder, make_ctx(make_invocation(spec_a)))
-        enc = encode(encoder, make_ctx(make_invocation(spec_b)))
+        encoder.encode(*decision_point(spec=spec_a))
+        enc = encoder.encode(*decision_point(spec=spec_b))
         assert 0.0 < enc.state[demand_idx] < 1.0
 
     def test_finite_features_always(self, encoder):
@@ -172,7 +170,7 @@ class TestFeatures:
             make_container(i, image=make_image(f"c{i}"), last_used_at=0.0)
             for i in range(6)
         ]
-        enc = encode(encoder, ctx_with_containers(containers))
+        enc = encoder.encode(*decision_point(containers))
         assert np.isfinite(enc.state).all()
 
 

@@ -8,9 +8,9 @@ Pinned properties:
   every float, not approx (property-based over the full scheduler
   registry, arbitrary seeds, capacities including the 0/inf edges, and
   arbitrary lane counts).
-* Every registry class writes its rule in ``decide_pool``, the one
-  interface both engines call, and defines no ``decide`` of its own
-  (no engine would call it).
+* Every registry class inherits ``Scheduler.decide`` unchanged: lanes
+  call each key's ``decide_pool`` rule, so a policy that overrode
+  ``decide`` would be ignored there.
 * Proactive decision actions (MPC's ``PrewarmRequest``, Pagurus's
   ``LendRequest``) replay inside the lane lifecycle: the pre-warm /
   lending telemetry blocks match the sequential driver exactly.
@@ -182,9 +182,9 @@ def lane_summary(task):
 class TestRegistry:
     def test_every_registry_key_lane_supported(self):
         """The whole scheduler registry runs in lanes, which call each
-        key's ``decide_pool`` rule, as the sequential engine does: every
-        registry class writes that rule and leaves ``Scheduler.decide``
-        alone, since no engine would call an override."""
+        key's ``decide_pool`` rule: every registry class must inherit
+        ``Scheduler.decide`` unchanged, or lanes would ignore its
+        override."""
         assert set(SCHEDULER_CLASS_NAMES) == set(SCHEDULER_FACTORIES)
         for key in SCHEDULER_CLASS_NAMES:
             cls = type(build_scheduler(key))

@@ -73,9 +73,7 @@ def drive_actions(scheduler, workload, capacity_mb=1500.0):
     sim.load(workload)
     actions = []
     while (ctx := sim.next_decision_point()) is not None:
-        decision = scheduler.decide_pool(
-            ctx.pool, ctx.invocation, ctx.cost_model
-        )
+        decision = scheduler.decide(ctx)
         actions.append(decision[3])
         sim.apply_decision(decision)
     sim.finish(scheduler_name=scheduler.name)

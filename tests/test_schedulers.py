@@ -26,13 +26,11 @@ from repro.workloads.fstartbench import build_workload
 from repro.workloads.workload import Workload
 
 from conftest import (
-    decide,
     make_container,
     make_ctx,
     make_image,
     make_invocation,
     make_spec,
-    picked_id,
 )
 
 
@@ -44,7 +42,7 @@ def ctx_for(containers, spec=None, **kw):
 class TestColdOnly:
     def test_always_cold(self):
         ctx = ctx_for([make_container(1)])
-        assert decide(ColdOnlyScheduler(), ctx) == COLD
+        assert ColdOnlyScheduler().decide(ctx) == COLD
 
 
 class TestExactMatchers:
@@ -58,7 +56,7 @@ class TestExactMatchers:
         partial = make_container(2, image=make_image("p",
                                                      runtime_names=("numpy",)))
         ctx = ctx_for([partial, exact])
-        assert decide(scheduler_cls(), ctx) == (exact, 3, False, ())
+        assert scheduler_cls().decide(ctx) == (exact, 3, False, ())
 
     @pytest.mark.parametrize(
         "scheduler_cls", [KeepAliveScheduler, LRUScheduler, FaasCacheScheduler]
@@ -67,14 +65,14 @@ class TestExactMatchers:
         partial = make_container(2, image=make_image("p",
                                                      runtime_names=("numpy",)))
         ctx = ctx_for([partial])
-        assert decide(scheduler_cls(), ctx) == COLD
+        assert scheduler_cls().decide(ctx) == COLD
 
     def test_mru_tie_break(self):
         older = make_container(1, last_used_at=0.0)
         newer = make_container(2, last_used_at=10.0)
         # Pool order is LRU-first: [older, newer].
         ctx = ctx_for([older, newer])
-        assert picked_id(LRUScheduler(), ctx) == 2
+        assert LRUScheduler().decide(ctx)[0] is newer
 
     def test_paired_eviction_policies(self):
         assert isinstance(LRUScheduler.make_eviction_policy(), LRUEviction)
@@ -91,17 +89,17 @@ class TestGreedyMatch:
         c_l2 = make_container(2, image=make_image("y",
                                                   runtime_names=("numpy",)))
         ctx = ctx_for([c_l1, c_l2])
-        assert picked_id(GreedyMatchScheduler(), ctx) == 2
+        assert GreedyMatchScheduler().decide(ctx)[0] is c_l2
 
     def test_uses_shallow_match_when_only_option(self):
         c_l1 = make_container(1, image=make_image("x", lang_name="nodejs"))
         ctx = ctx_for([c_l1])
-        assert picked_id(GreedyMatchScheduler(), ctx) == 1
+        assert GreedyMatchScheduler().decide(ctx)[0] is c_l1
 
     def test_cold_when_nothing_matches(self):
         other_os = make_container(1, image=make_image("o", os_name="debian"))
         ctx = ctx_for([other_os])
-        assert decide(GreedyMatchScheduler(), ctx) == COLD
+        assert GreedyMatchScheduler().decide(ctx) == COLD
 
 
 class TestLookahead:
@@ -123,7 +121,7 @@ class TestLookahead:
         scheduler = LookaheadScheduler(horizon=4)
         scheduler.observe_workload(workload)
         ctx = make_ctx(inv_now, idle_containers=[contested])
-        assert decide(scheduler, ctx) == COLD
+        assert scheduler.decide(ctx) == COLD
 
     def test_takes_container_when_no_future_contention(self):
         inv_now, _, _ = self._two_arrival_workload()
@@ -134,7 +132,7 @@ class TestLookahead:
         )
         ctx = make_ctx(inv_now, idle_containers=[contested])
         assert LookaheadScheduler.candidates(ctx.pool, inv_now.spec.image)
-        assert picked_id(scheduler, ctx) == 1
+        assert scheduler.decide(ctx)[0] is contested
 
     def test_candidates_sorted_deepest_first(self):
         """The rule scans reusable containers deepest level first, then
@@ -338,9 +336,9 @@ class TestLendingDonor:
         ]
         ctx = make_ctx(make_invocation(spec, arrival_time=10.0),
                        idle_containers=donors)
-        container, _, _, actions = decide(
-            PagurusLendingScheduler(help_threshold_s=2.0), ctx
-        )
+        container, _, _, actions = PagurusLendingScheduler(
+            help_threshold_s=2.0
+        ).decide(ctx)
         assert container.container_id == 3  # greedy MRU pick at L2
         assert actions == (
             LendRequest(container_id=1, image=spec.image, function_name="f"),

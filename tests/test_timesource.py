@@ -187,9 +187,7 @@ class TestPumpUntil:
                             sim.pump_until(tick)
                 sim.offer(_invocation(i, t))
                 ctx = sim.next_decision_point()
-                records.append(sim.apply_decision(scheduler.decide_pool(
-                    ctx.pool, ctx.invocation, ctx.cost_model
-                )))
+                records.append(sim.apply_decision(scheduler.decide(ctx)))
             sim.finish()
             return records
 

@@ -128,7 +128,7 @@ def test_eval_rollout_batched_vs_sequential(benchmark, emit):
     batched_trainer = make_trainer(n_eval, dtype="float32")
 
     results = benchmark(
-        lambda: batched_trainer._run_episodes_batched(
+        lambda: batched_trainer.rollout(
             ["eval"] * n_eval, episodes
         )
     )

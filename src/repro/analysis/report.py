@@ -3,20 +3,11 @@
 The benchmark harness prints the same rows/series the paper's tables and
 figures report; these helpers keep the formatting consistent and dependency
 free (no matplotlib available offline).
-
-The telemetry-consuming reports read only aggregate methods
-(``queueing_summary``, ``worker_utilization``), so they duck-type over both
-the columnar :class:`~repro.cluster.telemetry.Telemetry` and the legacy
-row-oriented reference -- the parity suite renders both and asserts the
-bytes match.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.telemetry import Telemetry
+from typing import List, Sequence
 
 
 def format_seconds(value: float) -> str:
@@ -70,61 +61,3 @@ def ascii_bar_chart(
         bar = "#" * max(1, int(round(width * value / peak)))
         lines.append(f"{label.ljust(label_w)} | {bar} {value:.2f}{unit}")
     return "\n".join(lines)
-
-
-def queueing_report(telemetry: "Telemetry", title: str = "Startup queueing") -> str:
-    """Render a run's queueing-delay summary as a table.
-
-    Empty string when the run never enforced a worker concurrency limit
-    (no queueing telemetry to report).
-    """
-    if not telemetry.queueing_enabled:
-        return ""
-    q = telemetry.queueing_summary()
-    rows = [
-        ["queued starts", f"{int(q['queued_starts'])}"],
-        ["total queueing", format_seconds(q["total_queueing_s"]).strip()],
-        ["mean queueing", format_seconds(q["mean_queueing_s"]).strip()],
-        ["p95 queueing", format_seconds(q["p95_queueing_s"]).strip()],
-        ["max queue depth", f"{int(q['max_queue_depth'])}"],
-    ]
-    return ascii_table(["metric", "value"], rows, title=title)
-
-
-def surrogate_report(
-    telemetry: "Telemetry", title: str = "Distilled-policy audit"
-) -> str:
-    """Render a run's surrogate-audit counters as a table.
-
-    Shows how many distilled-surrogate decisions were double-checked
-    against the full network and how many disagreed (distillation drift).
-    Empty string when the run never audited a surrogate (no distilled
-    policy attached, or auditing disabled).
-    """
-    audits = getattr(telemetry, "surrogate_audits", 0)
-    if not audits:
-        return ""
-    disagreements = telemetry.surrogate_disagreements
-    rows = [
-        ["audited decisions", f"{audits}"],
-        ["disagreements", f"{disagreements}"],
-        ["agreement", f"{1.0 - disagreements / audits:.1%}"],
-    ]
-    return ascii_table(["metric", "value"], rows, title=title)
-
-
-def worker_utilization_report(
-    telemetry: "Telemetry", title: str = "Worker utilization"
-) -> str:
-    """Render per-worker busy fractions as a bar chart.
-
-    Busy time (startup + execution seconds) over the run's duration, one
-    bar per worker.  Empty string when no busy time was recorded (i.e.
-    admission control was disabled).
-    """
-    utilization = telemetry.worker_utilization()
-    if not utilization:
-        return ""
-    labels = [f"worker {w}" for w in utilization]
-    values = [u * 100.0 for u in utilization.values()]
-    return ascii_bar_chart(labels, values, unit="%", title=title)

@@ -336,23 +336,23 @@ def cmd_trace(args: argparse.Namespace) -> int:
         path = write_trace(trace, args.output)
         print(f"recorded {trace.header.n_events} events to {path}")
         return 0
-    if args.action == "replay":
-        expected = read_trace(args.trace)
+    replay = args.action == "replay"
+    try:
+        expected = read_trace(args.trace if replay else args.expected)
+        actual = None if replay else read_trace(args.actual)
+    except ValueError as exc:  # a trace file this build cannot read
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if replay:
         actual = replay_trace(expected, verify=args.verify)
-        divergence = diff_traces(expected, actual)
-        if divergence is not None:
-            print(divergence)
-            return 1
-        print(f"{args.trace}: replayed {expected.header.n_events} events, "
-              "bit-identical")
-        return 0
-    # diff
-    divergence = diff_traces(read_trace(args.expected),
-                             read_trace(args.actual))
+    divergence = diff_traces(expected, actual)
     if divergence is not None:
         print(divergence)
         return 1
-    print("traces identical")
+    print(
+        f"{args.trace}: replayed {expected.header.n_events} events, "
+        "bit-identical" if replay else "traces identical"
+    )
     return 0
 
 

@@ -381,14 +381,6 @@ class Telemetry(Counters):
         self._tr_fn.append(-1 if function is None else self._intern(function))
         self._tr_detail.append(detail)
 
-    def trace_to_jsonl(self, path) -> "object":
-        """Write the trace as JSON lines; returns the path."""
-        from pathlib import Path
-
-        path = Path(path)
-        path.write_text("\n".join(e.to_json() for e in self.trace) + "\n")
-        return path
-
     def record_crash(self) -> None:
         """Count one injected container crash."""
         self.container_crashes += 1

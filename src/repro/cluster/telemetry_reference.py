@@ -86,18 +86,6 @@ class LegacyTelemetry:
             worker_id=worker_id,
         ))
 
-    def record_eviction(self, n: int = 1) -> None:
-        """Count eviction(s) of warm containers."""
-        self.evictions += n
-
-    def record_rejection(self) -> None:
-        """Count one rejected keep-warm request."""
-        self.keep_alive_rejections += 1
-
-    def record_ttl_expiration(self, n: int = 1) -> None:
-        """Count TTL expiration(s) of idle containers."""
-        self.ttl_expirations += n
-
     def record_event(
         self,
         time: float,

@@ -61,12 +61,6 @@ class MLCRConfig:
         replay buffer: ``"float32"`` (default -- the fast path; the
         networks are small enough that float32 loses no training quality)
         or ``"float64"`` (full precision, the historical behaviour).
-    batched_rollouts:
-        Run no-learning episodes (demonstration seeding, validation) as
-        one batch stepped together, sharing a single forward per step
-        (default).  ``False`` rolls them out one episode at a time -- the
-        historical sequential path, kept as the differential-testing
-        reference (:mod:`repro.verify.differential` cross-checks the two).
     seed:
         Master seed for network init, exploration and replay sampling.
     """
@@ -90,7 +84,6 @@ class MLCRConfig:
     reward_scale: float = 0.1
     shaping_coef: float = 1.0
     dtype: str = "float32"
-    batched_rollouts: bool = True
     seed: int = 0
 
     @property

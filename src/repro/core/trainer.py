@@ -170,7 +170,7 @@ class MLCRTrainer:
 
         The validation episodes run as one synchronized batch: each step is
         a single ``(E, state_dim)`` forward instead of ``E`` batch-1
-        forwards (see :meth:`_run_episodes_batched`).
+        forwards (see :meth:`rollout`).
         """
         n = max(1, self.config.eval_episodes)
         results = self.rollout(
@@ -182,35 +182,18 @@ class MLCRTrainer:
     def rollout(
         self, kinds: Sequence[str], episodes: Sequence[int]
     ) -> List[Tuple[float, float, int]]:
-        """Run no-learning episodes (``"eval"``/``"greedy"``/``"exact"``).
-
-        Dispatches on ``config.batched_rollouts``: the step-synchronous batched
-        path (default) or one sequential :meth:`_run_episode` per entry.
-        Both return ``(return, latency, cold_starts)`` per episode in
-        input order and are outcome-identical -- the differential oracle
-        harness holds them to that.
-        """
-        kinds = list(kinds)
-        episodes = list(episodes)
-        if self.config.batched_rollouts:
-            return self._run_episodes_batched(kinds, episodes)
-        return [
-            self._run_episode(policy=kind, learn=False, episode=episode)
-            for kind, episode in zip(kinds, episodes)
-        ]
-
-    def _run_episodes_batched(
-        self, kinds: Sequence[str], episodes: Sequence[int]
-    ) -> List[Tuple[float, float, int]]:
-        """Run several no-learning episodes stepped together.
+        """Run no-learning episodes (``"eval"``/``"greedy"``/``"exact"``)
+        stepped together.
 
         Each episode gets its own environment/encoder (via
         :meth:`~repro.core.env.SchedulingEnv.spawn`) so arrival tracking
         stays per-episode.  All ``"eval"`` lanes that are still alive share
         one batched greedy forward per step; demonstration lanes
         (``"greedy"`` / ``"exact"``) act heuristically and store their
-        transitions exactly as the sequential path does.  Returns
-        ``(return, latency, cold_starts)`` per episode, in input order.
+        transitions exactly as a one-at-a-time :meth:`_run_episode` does
+        (the ``sequential_vs_batched`` differential oracle holds the two
+        to identical outcomes).  Returns ``(return, latency, cold_starts)``
+        per episode, in input order.
         """
         lanes = []
         for kind, episode in zip(kinds, episodes):

@@ -119,18 +119,12 @@ class DQNAgent:
         q = self.q_values(state)
         return int(masked_argmax(q[None, :], mask[None, :])[0])
 
-    def act_batch(
-        self,
-        states: np.ndarray,
-        masks: np.ndarray,
-        epsilon: float = 0.0,
-    ) -> np.ndarray:
-        """Epsilon-greedy masked actions for a batch of independent states.
+    def act_batch(self, states: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """Greedy masked actions for a batch of independent states.
 
         One ``(E, state_dim)`` inference-mode forward replaces ``E``
-        batch-1 forwards -- the fast path for synchronized greedy rollouts
-        (validation and demonstration episodes).  Returns an ``(E,)`` array
-        of action indices.
+        batch-1 forwards -- the fast path for synchronized greedy
+        validation rollouts.  Returns an ``(E,)`` array of action indices.
         """
         states = np.asarray(states)
         masks = np.asarray(masks, dtype=bool)
@@ -144,12 +138,7 @@ class DQNAgent:
         self.act_steps += len(states)
         with self.online.inference():
             q = self.online.forward(states)
-        actions = masked_argmax(q, masks)
-        if epsilon > 0.0:
-            explore = self.rng.random(len(states)) < epsilon
-            for row in np.flatnonzero(explore):
-                actions[row] = int(self.rng.choice(np.flatnonzero(masks[row])))
-        return actions
+        return masked_argmax(q, masks)
 
     # -- learning -----------------------------------------------------------
     def remember(self, transition: Transition) -> None:

@@ -34,7 +34,6 @@ cost a full replay).
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,7 +42,7 @@ import numpy as np
 from repro.analysis.report import ascii_table
 from repro.cluster.lanes import run_stream_lanes
 from repro.experiments.common import ExperimentScale
-from repro.experiments.parallel import _pool_context
+from repro.experiments.parallel import PackedCell, map_batches, pack_results
 from repro.workloads.azure import AzureTraceConfig, AzureTraceGenerator
 
 #: Schedulers replayed per cell (keys into
@@ -159,14 +158,9 @@ def derive_capacity_mb(
     return capacity_fraction * total
 
 
-#: Packed IPC form of one cell, mirroring the baseline grid's columnar
-#: blocks: ``(method, summary keys, summary values)``.
-PackedStreamCell = Tuple[str, Tuple[str, ...], "array"]
-
-
 def _run_lane_group_packed(
     tasks: Tuple[StreamReplayTask, ...]
-) -> List[PackedStreamCell]:
+) -> List[PackedCell]:
     """Worker entry point: replay one stream through many lanes at once.
 
     ``tasks`` must share ``(seed, n_functions, n_invocations)`` so they
@@ -174,26 +168,22 @@ def _run_lane_group_packed(
     (its own scheduler and derived capacity) of a single
     :func:`~repro.cluster.lanes.run_stream_lanes` pass, which cuts the
     stream into chunks exactly once instead of once per cell.
-    Results come back in task order as columnar blocks
-    (:data:`PackedStreamCell`).
+    Results come back in task order as the baseline grid's columnar
+    blocks (:data:`~repro.experiments.parallel.PackedCell`).
     """
     head = tasks[0]
     generator = AzureTraceGenerator(
         trace_config(head.n_functions, head.n_invocations)
     )
     stream = generator.stream(seed=head.seed)
-    results = run_stream_lanes(
+    return pack_results(run_stream_lanes(
         [
             (task.scheduler,
              derive_capacity_mb(stream, task.capacity_fraction))
             for task in tasks
         ],
         stream,
-    )
-    return [
-        (res.method, tuple(res.summary), array("d", res.summary.values()))
-        for res in results
-    ]
+    ))
 
 
 def default_tasks(
@@ -246,12 +236,7 @@ def run(
         for group in groups.values()
         for j in range(0, len(group), step)
     ]
-    if jobs <= 1 or len(batches) <= 1:
-        batch_packed = [_run_lane_group_packed(b) for b in batches]
-    else:
-        ctx = _pool_context()
-        with ctx.Pool(processes=min(jobs, len(batches))) as pool:
-            batch_packed = pool.map(_run_lane_group_packed, batches)
+    batch_packed = map_batches(_run_lane_group_packed, batches, jobs)
     packed_by_task = {
         id(task): block
         for batch, blocks in zip(batches, batch_packed)

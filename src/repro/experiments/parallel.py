@@ -38,7 +38,7 @@ import multiprocessing
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import ascii_table
 from repro.cluster.lanes import (
@@ -185,20 +185,32 @@ def _run_lane_batch_packed(tasks: Tuple[GridTask, ...]) -> List[PackedCell]:
         )
         for task in tasks
     ]
-    results = LaneKernel(specs).run()
+    return pack_results(LaneKernel(specs).run())
+
+
+def pack_results(results) -> List[PackedCell]:
+    """Columnar IPC blocks (:data:`PackedCell`) of lane results, in order."""
     return [
-        (res.method, tuple(res.summary.keys()),
-         array("d", res.summary.values()))
+        (res.method, tuple(res.summary), array("d", res.summary.values()))
         for res in results
     ]
 
 
-def _pool_context():
-    """Pick a multiprocessing start method (fork where available)."""
+def map_batches(worker: Callable, batches: Sequence, jobs: int) -> List:
+    """``[worker(batch) for batch in batches]``, fanned over ``jobs``.
+
+    One batch or ``jobs <= 1`` runs in-process; otherwise ``Pool.map``
+    (fork where available) runs the batches on worker processes and keeps
+    their order.  ``worker`` must be a module-level function.
+    """
+    if jobs <= 1 or len(batches) <= 1:
+        return [worker(batch) for batch in batches]
     try:
-        return multiprocessing.get_context("fork")
+        ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
+        ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(processes=min(jobs, len(batches))) as pool:
+        return pool.map(worker, batches)
 
 
 def run_grid(
@@ -246,12 +258,7 @@ def run_grid(
         tuple(misses[j:j + step]) for j in range(0, len(misses), step)
     ]
     work = [tuple(tasks[i] for i in batch) for batch in batches]
-    if jobs <= 1 or len(batches) <= 1:
-        packed = [_run_lane_batch_packed(batch) for batch in work]
-    else:
-        ctx = _pool_context()
-        with ctx.Pool(processes=min(jobs, len(batches))) as pool:
-            packed = pool.map(_run_lane_batch_packed, work)
+    packed = map_batches(_run_lane_batch_packed, work, jobs)
     for batch, blocks in zip(batches, packed):
         for i, block in zip(batch, blocks):
             cell = unpack_cell(tasks[i], block)

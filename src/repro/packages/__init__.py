@@ -24,11 +24,6 @@ from repro.packages.similarity import (
     package_size_variance,
 )
 from repro.packages.registry import RegistryImage, SyntheticRegistry
-from repro.packages.classifier import (
-    Classification,
-    InstallHint,
-    PackageLevelClassifier,
-)
 
 __all__ = [
     "Package",
@@ -43,7 +38,4 @@ __all__ = [
     "package_size_variance",
     "RegistryImage",
     "SyntheticRegistry",
-    "Classification",
-    "InstallHint",
-    "PackageLevelClassifier",
 ]

@@ -154,12 +154,9 @@ class ServeEngine:
                 )
             self.scheduler = scheduler
             self.scheduler_key = getattr(scheduler, "name", "custom")
-        eviction = (
-            self.scheduler.make_eviction_policy()
-            if hasattr(self.scheduler, "make_eviction_policy")
-            else None
+        self.sim = ClusterSimulator(
+            config, self.scheduler.make_eviction_policy()
         )
-        self.sim = ClusterSimulator(config, eviction)
         if keepalive_ttl_s is not None:
             if keepalive_ttl_s <= 0:
                 raise ValueError("keepalive_ttl_s must be positive")

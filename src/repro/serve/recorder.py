@@ -42,6 +42,14 @@ RECORDING_VERSION = 1
 #: Decision fields compared by replay, in reporting order.
 _COMPARED_FIELDS = ("inv", "cold", "cid", "m", "lat", "q", "w")
 
+#: Header keys replay rebuilds the engine from.
+_HEADER_KEYS = ("scheduler", "pool_capacity_mb", "n_workers",
+                "worker_concurrency", "per_worker_pools", "delta_pricing",
+                "keepalive_ttl_s")
+
+#: Keys replay reads from a decision line (swap lines need only ``swap``).
+_DECISION_KEYS = ("fn", "t", "exec") + _COMPARED_FIELDS
+
 
 class DecisionRecorder:
     """Append-only JSONL log of one serving session.
@@ -165,7 +173,9 @@ def read_recording(
 
     ``source`` is a path or an iterable of JSONL lines (e.g.
     :meth:`DecisionRecorder.lines`).  Raises ``ValueError`` on an empty
-    log or an unsupported header.
+    log, an unsupported header (one that sets the retired
+    ``worker_capacity_mb`` included), or a line that is not a JSON object
+    with the keys replay reads (the message names the line and the key).
     """
     if isinstance(source, (str, Path)):
         lines = Path(source).read_text(encoding="utf-8").splitlines()
@@ -173,14 +183,52 @@ def read_recording(
         lines = [line for line in source if line.strip()]
     if not lines:
         raise ValueError("empty serving recording")
-    header = json.loads(lines[0])
+    header = _json_object(lines[0], 1)
     if header.get("kind") != "serve":
         raise ValueError(f"not a serving recording: {header!r}")
     if header.get("version") != RECORDING_VERSION:
         raise ValueError(
             f"unsupported recording version {header.get('version')!r}"
         )
-    return header, [json.loads(line) for line in lines[1:]]
+    # Recordings made while the per-worker memory filter existed carry it;
+    # a non-null value placed containers by a rule that no longer exists.
+    if header.get("worker_capacity_mb") is not None:
+        raise ValueError(
+            "recording sets retired option worker_capacity_mb="
+            f"{header['worker_capacity_mb']!r}; its placements cannot be "
+            "replayed"
+        )
+    _require(header, _HEADER_KEYS, 1)
+    entries = []
+    for number, line in enumerate(lines[1:], start=2):
+        entry = _json_object(line, number)
+        if "swap" not in entry:
+            _require(entry, _DECISION_KEYS, number)
+        entries.append(entry)
+    return header, entries
+
+
+def _json_object(line: str, number: int) -> Dict[str, object]:
+    """Decode recording line ``number``, which must hold a JSON object."""
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"recording line {number} is not JSON: "
+                         f"{exc.msg}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"recording line {number} is not a JSON object: "
+                         f"{type(data).__name__}")
+    return data
+
+
+def _require(data: Dict[str, object], keys: Tuple[str, ...],
+             number: int) -> None:
+    """``ValueError`` naming the first of ``keys`` missing on the line."""
+    for key in keys:
+        if key not in data:
+            raise ValueError(
+                f"recording line {number} is missing key {key!r}"
+            )
 
 
 def replay_recording(
@@ -198,14 +246,6 @@ def replay_recording(
     from repro.serve.engine import ServeEngine
 
     header, entries = read_recording(source)
-    # Recordings made while the per-worker memory filter existed carry it;
-    # a non-null value placed containers by a rule that no longer exists.
-    if header.get("worker_capacity_mb") is not None:
-        raise ValueError(
-            "recording sets retired option worker_capacity_mb="
-            f"{header['worker_capacity_mb']!r}; its placements cannot be "
-            "replayed"
-        )
     config = SimulationConfig(
         pool_capacity_mb=header["pool_capacity_mb"],
         n_workers=header["n_workers"],

@@ -21,9 +21,9 @@ float64_vs_float32         a trained float64 policy, round-tripped
                            through its policy file and served in
                            float64, picks the same greedy actions as its
                            float32 cast
-sequential_vs_batched      ``MLCRTrainer.rollout`` with
-                           ``batched_rollouts`` on/off (identical
-                           outcomes and replay-buffer fill)
+sequential_vs_batched      ``MLCRTrainer.rollout`` (lockstep batched
+                           episodes) == one ``_run_episode`` per entry
+                           (identical outcomes and replay-buffer fill)
 cached_vs_fresh            ``run_grid`` without a cache == with a cold
                            cache == with a warm cache (identical cell
                            summaries and report bytes; warm run is all
@@ -324,18 +324,22 @@ def oracle_float64_vs_float32() -> OracleResult:
 
 
 def oracle_sequential_vs_batched() -> OracleResult:
-    """``MLCRTrainer.rollout`` agrees across the ``batched_rollouts`` knob."""
+    """``MLCRTrainer.rollout`` agrees with one ``_run_episode`` per entry."""
     name = "sequential_vs_batched"
     kinds = ["greedy", "exact", "eval", "eval"]
     episodes = [0, 1, EVAL_EPISODE_BASE, EVAL_EPISODE_BASE + 1]
 
-    outcomes = {}
-    trainers = {}
-    for batched in (True, False):
-        cfg = tiny_mlcr_config(batched_rollouts=batched)
-        trainer = MLCRTrainer(tiny_env(), cfg)
-        outcomes[batched] = trainer.rollout(kinds, episodes)
-        trainers[batched] = trainer
+    trainers = {
+        batched: MLCRTrainer(tiny_env(), tiny_mlcr_config())
+        for batched in (True, False)
+    }
+    outcomes = {
+        True: trainers[True].rollout(kinds, episodes),
+        False: [
+            trainers[False]._run_episode(kind, learn=False, episode=ep)
+            for kind, ep in zip(kinds, episodes)
+        ],
+    }
 
     for i, (got, want) in enumerate(zip(outcomes[True], outcomes[False])):
         (g_ret, g_lat, g_cold), (w_ret, w_lat, w_cold) = got, want

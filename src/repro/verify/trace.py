@@ -33,7 +33,7 @@ latency (queueing included; ``q`` is the queueing component alone).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -122,14 +122,20 @@ class TraceHeader:
 
     @staticmethod
     def from_json(line: str) -> "TraceHeader":
-        data = json.loads(line)
-        header = TraceHeader(**data)
-        if header.version != TRACE_FORMAT_VERSION:
+        """Parse a header line; ``ValueError`` unless it is this format's."""
+        data = _json_object(line, "trace header")
+        version = data.get("version", TRACE_FORMAT_VERSION)
+        if version != TRACE_FORMAT_VERSION:
             raise ValueError(
-                f"unsupported trace format version {header.version} "
+                f"unsupported trace format version {version!r} "
                 f"(this build reads version {TRACE_FORMAT_VERSION})"
             )
-        return header
+        _check_keys(data, _HEADER_FIELDS, "trace header")
+        return TraceHeader(**data)
+
+
+#: Header fields, in serialization order.
+_HEADER_FIELDS = tuple(f.name for f in fields(TraceHeader))
 
 
 #: JSON key per :class:`TraceLine` field, in serialization order.
@@ -146,6 +152,7 @@ _LINE_KEYS = (
     ("worker", "w"),
     ("exec_s", "exec"),
 )
+_LINE_JSON_KEYS = tuple(key for _, key in _LINE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -192,8 +199,33 @@ class TraceLine:
 
     @staticmethod
     def from_json(line: str) -> "TraceLine":
-        data = json.loads(line)
+        """Parse one decision line; ``ValueError`` on a malformed one."""
+        data = _json_object(line, "trace line")
+        _check_keys(data, _LINE_JSON_KEYS, "trace line")
         return TraceLine(**{attr: data[key] for attr, key in _LINE_KEYS})
+
+
+def _json_object(line: str, where: str) -> dict:
+    """Decode one JSONL line that must hold a JSON object."""
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where} is not JSON: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{where} is not a JSON object: {type(data).__name__}"
+        )
+    return data
+
+
+def _check_keys(data: dict, keys: Sequence[str], where: str) -> None:
+    """``ValueError`` naming the first missing or unexpected key."""
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{where} is missing key {key!r}")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{where} has unexpected key {key!r}")
 
 
 @dataclass(frozen=True)
@@ -211,11 +243,22 @@ class Trace:
 
     @staticmethod
     def from_jsonl(text: str) -> "Trace":
-        rows = [row for row in text.splitlines() if row.strip()]
-        if not rows:
+        """Parse the JSONL form; ``ValueError`` naming the bad line."""
+        parsed: list = []
+        for number, row in enumerate(text.splitlines(), start=1):
+            if not row.strip():
+                continue
+            try:
+                parsed.append(
+                    TraceLine.from_json(row) if parsed
+                    else TraceHeader.from_json(row)
+                )
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+        if not parsed:
             raise ValueError("empty trace")
-        header = TraceHeader.from_json(rows[0])
-        lines = tuple(TraceLine.from_json(row) for row in rows[1:])
+        header, *rest = parsed
+        lines = tuple(rest)
         if header.n_events != len(lines):
             raise ValueError(
                 f"trace header promises {header.n_events} events, "
@@ -355,8 +398,11 @@ def write_trace(trace: Trace, path: Union[str, Path]) -> Path:
 
 
 def read_trace(path: Union[str, Path]) -> Trace:
-    """Parse a JSONL trace file."""
-    return Trace.from_jsonl(Path(path).read_text())
+    """Parse a JSONL trace file; ``ValueError`` names the file and line."""
+    try:
+        return Trace.from_jsonl(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def golden_trace_name(workload: str, scheduler: str) -> str:

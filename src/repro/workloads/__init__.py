@@ -45,13 +45,6 @@ from repro.workloads.stream import (
     statistics_from_counts,
     stream_from_workload,
 )
-from repro.workloads.composer import (
-    ConstantEnvelope,
-    DiurnalEnvelope,
-    RampEnvelope,
-    StepEnvelope,
-    WorkloadComposer,
-)
 from repro.workloads.metrics import workload_similarity, workload_size_variance
 from repro.workloads.serialization import load_workload, save_workload
 
@@ -85,11 +78,6 @@ __all__ = [
     "merge_function_arrivals",
     "statistics_from_counts",
     "stream_from_workload",
-    "WorkloadComposer",
-    "ConstantEnvelope",
-    "DiurnalEnvelope",
-    "RampEnvelope",
-    "StepEnvelope",
     "workload_similarity",
     "workload_size_variance",
     "save_workload",

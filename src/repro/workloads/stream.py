@@ -20,8 +20,8 @@ are equivalent by construction (the ``streaming_vs_materialized``
 differential oracle holds them to it).
 
 :class:`StreamStatistics` is the online accumulator behind single-pass
-``trace_statistics``: per-function invocation counts and the interarrival
-moments, O(#functions) state however long the stream runs.
+``trace_statistics``: per-function invocation counts, O(#functions)
+state however long the stream runs.
 """
 
 from __future__ import annotations
@@ -152,36 +152,17 @@ class StreamStatistics:
 
     def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
-        self.n_invocations = 0
-        self.last_arrival = 0.0
-        self._prev_arrival: float | None = None
-        # Interarrival sum (for the mean without storing gaps).
-        self._gap_n = 0
-        self._gap_sum = 0.0
 
     def observe(self, invocation: Invocation) -> None:
-        """Fold one invocation (must arrive in stream order)."""
+        """Fold one invocation."""
         name = invocation.spec.name
         self.counts[name] = self.counts.get(name, 0) + 1
-        self.n_invocations += 1
-        arrival = invocation.arrival_time
-        if self._prev_arrival is not None:
-            gap = arrival - self._prev_arrival
-            self._gap_n += 1
-            self._gap_sum += gap
-        self._prev_arrival = arrival
-        self.last_arrival = arrival
 
     def consume(self, stream: Iterable[Invocation]) -> "StreamStatistics":
         """Fold every invocation of ``stream``; returns ``self``."""
         for invocation in stream:
             self.observe(invocation)
         return self
-
-    @property
-    def mean_interarrival_s(self) -> float:
-        """Mean gap between consecutive arrivals."""
-        return self._gap_sum / self._gap_n if self._gap_n else 0.0
 
     def statistics(self) -> Dict[str, float]:
         """The cited Azure aggregates over what has been observed so far."""

@@ -113,41 +113,3 @@ class TestBreakdownTable:
         out = breakdown_table({"cold": bd}, title="T")
         assert "create" in out and "pull" in out
         assert "1.75" in out  # total
-
-
-class TestQueueingReports:
-    def _telemetry(self, enabled=True):
-        from repro.cluster.telemetry import Telemetry
-        t = Telemetry(queueing_enabled=enabled, worker_slots=2)
-        t.record_queueing(0.0)
-        t.record_queueing(3.5)
-        t.record_queue_depth(4)
-        t.record_worker_busy(0, 80.0)
-        t.record_worker_busy(1, 20.0)
-        t.duration_s = 100.0
-        return t
-
-    def test_queueing_report_renders_metrics(self):
-        from repro.analysis.report import queueing_report
-        text = queueing_report(self._telemetry())
-        assert "queued starts" in text
-        assert "1" in text          # one delay > 0
-        assert "3.50s" in text      # total == p95 == the single delay
-        assert "max queue depth" in text
-
-    def test_queueing_report_empty_when_disabled(self):
-        from repro.analysis.report import queueing_report
-        assert queueing_report(self._telemetry(enabled=False)) == ""
-
-    def test_worker_utilization_report_one_bar_per_worker(self):
-        from repro.analysis.report import worker_utilization_report
-        text = worker_utilization_report(self._telemetry())
-        assert "worker 0" in text and "worker 1" in text
-        # worker 0: 80s busy / (100s * 2 slots) = 40%.
-        assert "40.00%" in text
-        assert "10.00%" in text
-
-    def test_worker_utilization_report_empty_without_busy_time(self):
-        from repro.analysis.report import worker_utilization_report
-        from repro.cluster.telemetry import Telemetry
-        assert worker_utilization_report(Telemetry()) == ""

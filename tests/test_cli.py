@@ -1,11 +1,22 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.serve.recorder import RECORDING_VERSION
+
+GOLDEN_ROOT = Path(__file__).parent / "golden_traces"
+
+#: A complete serving-recording header (what ``DecisionRecorder`` writes).
+_SERVE_HEADER = {
+    "version": RECORDING_VERSION, "kind": "serve", "scheduler": "lru",
+    "pool_capacity_mb": 2000.0, "n_workers": 1, "worker_concurrency": None,
+    "per_worker_pools": False, "delta_pricing": False,
+    "keepalive_ttl_s": 600.0,
+}
 
 
 class TestParser:
@@ -109,17 +120,56 @@ class TestCommands:
         scheduler = load_scheduler(out_file)
         assert scheduler.name == "MLCR"
 
-    @pytest.mark.parametrize("header", [
-        {"version": 99, "kind": "serve"},
-        {"version": RECORDING_VERSION, "kind": "serve",
-         "worker_capacity_mb": 512.0},
-    ], ids=["unknown-version", "retired-worker-capacity"])
+    @pytest.mark.parametrize("lines, needle", [
+        ([json.dumps({"version": 99, "kind": "serve"})],
+         "unsupported recording version 99"),
+        ([json.dumps({"version": RECORDING_VERSION, "kind": "serve",
+                      "worker_capacity_mb": 512.0})],
+         "retired option worker_capacity_mb=512.0"),
+        (["[1,2]"], "line 1 is not a JSON object"),
+        ([json.dumps({k: v for k, v in _SERVE_HEADER.items()
+                      if k != "pool_capacity_mb"})],
+         "line 1 is missing key 'pool_capacity_mb'"),
+        ([json.dumps(_SERVE_HEADER),
+          json.dumps({"inv": 0, "t": 0.5, "exec": 0.1, "cold": True,
+                      "cid": 1, "m": 0, "lat": 2.4, "q": 0.0, "w": 0})],
+         "line 2 is missing key 'fn'"),
+        ([json.dumps(_SERVE_HEADER), "{truncated"], "line 2 is not JSON"),
+    ], ids=["unknown-version", "retired-worker-capacity", "array-header",
+            "header-without-pool", "decision-without-fn", "non-json-line"])
     def test_serve_replay_rejects_recording_cleanly(self, tmp_path, capsys,
-                                                    header):
+                                                    lines, needle):
         recording = tmp_path / "session.jsonl"
-        recording.write_text(json.dumps(header) + "\n")
+        recording.write_text("\n".join(lines) + "\n")
         assert main(["serve-replay", str(recording)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert needle in captured.err
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("action", ["replay", "diff"])
+    @pytest.mark.parametrize("mangle, needle", [
+        (lambda rows: ["not json"] + rows[1:],
+         "line 1: trace header is not JSON"),
+        (lambda rows: [json.dumps({"version": 99, "workload": "LO-Sim"})]
+         + rows[1:], "line 1: unsupported trace format version 99"),
+        (lambda rows: rows[:1] + [json.dumps(
+            {k: v for k, v in json.loads(rows[1]).items() if k != "fn"})]
+         + rows[2:], "line 2: trace line is missing key 'fn'"),
+        (lambda rows: [json.dumps(dict(json.loads(rows[0]), extra=1))]
+         + rows[1:], "line 1: trace header has unexpected key 'extra'"),
+    ], ids=["non-json-header", "unknown-version", "line-without-fn",
+            "header-extra-key"])
+    def test_trace_rejects_malformed_file(self, tmp_path, capsys, action,
+                                          mangle, needle):
+        golden = GOLDEN_ROOT / "lo-sim_lru.jsonl"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(mangle(golden.read_text().splitlines()))
+                       + "\n")
+        argv = (["trace", "replay", str(bad)] if action == "replay"
+                else ["trace", "diff", str(golden), str(bad)])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: {needle}")
+        assert len(captured.err.splitlines()) == 1

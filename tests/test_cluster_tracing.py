@@ -30,15 +30,6 @@ class TestTelemetryTrace:
         t.record_event(0.0, "x", 1, "f")
         assert len(t.trace) == 1
 
-    def test_jsonl_output(self, tmp_path):
-        t = Telemetry(trace_enabled=True)
-        t.record_event(0.0, "a")
-        t.record_event(1.0, "b", 2, "g", "d")
-        path = t.trace_to_jsonl(tmp_path / "trace.jsonl")
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        assert all(json.loads(line) for line in lines)
-
 
 class TestSimulatorTracing:
     @pytest.fixture(scope="class")

@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.telemetry import BoundedTelemetry, Telemetry
-from repro.analysis.report import surrogate_report
 from repro.core.mlcr import MLCRScheduler
 from repro.drl.distill import (
     DistillConfig,
@@ -217,11 +216,3 @@ class TestTelemetry:
         # The surrogate block appends after the 14 base keys.
         assert list(summary)[-2:] == [
             "surrogate_audits", "surrogate_disagreements"]
-
-    def test_report_rendering(self):
-        telemetry = Telemetry()
-        assert surrogate_report(telemetry) == ""
-        telemetry.record_surrogate_audit(10, 1)
-        text = surrogate_report(telemetry)
-        assert "audited decisions" in text
-        assert "90.0%" in text

@@ -231,7 +231,7 @@ class TestBatchedRollouts:
         batched = MLCRTrainer(make_env(), cfg)
         sequential = MLCRTrainer(make_env(), cfg)
 
-        got = batched._run_episodes_batched(
+        got = batched.rollout(
             ["eval"] * 3, [EVAL_EPISODE_BASE + i for i in range(3)]
         )
         want = [
@@ -251,7 +251,7 @@ class TestBatchedRollouts:
         batched = MLCRTrainer(make_env(), cfg)
         sequential = MLCRTrainer(make_env(), cfg)
 
-        got = batched._run_episodes_batched(["greedy", "exact"], [0, 1])
+        got = batched.rollout(["greedy", "exact"], [0, 1])
         want = [
             sequential._run_episode("greedy", learn=False, episode=0),
             sequential._run_episode("exact", learn=False, episode=1),

@@ -85,18 +85,3 @@ def test_summary_aggregation(benchmark):
     summary = benchmark(telemetry.summary)
     assert summary["invocations"] == float(N_EVENTS)
     assert benchmark.stats["mean"] < 0.01
-
-
-def test_memory_timeline_dedup_ingest(benchmark):
-    """50k constant-valued memory samples collapse to two points."""
-
-    def run():
-        telemetry = Telemetry()
-        sample = telemetry.sample_memory
-        for i in range(50_000):
-            sample(float(i), 512.0)
-        return telemetry
-
-    telemetry = benchmark(run)
-    assert len(telemetry.memory_timeline) == 2
-    assert telemetry.memory_timeline[-1] == (49_999.0, 512.0)

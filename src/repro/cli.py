@@ -198,9 +198,13 @@ def cmd_train_offline(args: argparse.Namespace) -> int:
     """
     from repro.drl.offline import fit_from_traces
 
-    policy = fit_from_traces(
-        args.traces, gamma=args.gamma, iterations=args.iterations
-    )
+    try:
+        policy = fit_from_traces(
+            args.traces, gamma=args.gamma, iterations=args.iterations
+        )
+    except ValueError as exc:  # a corrupt trace line or a bad --gamma
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not policy.n_transitions:
         print("no decision lines found in the given traces", file=sys.stderr)
         return 1
@@ -339,12 +343,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     replay = args.action == "replay"
     try:
         expected = read_trace(args.trace if replay else args.expected)
-        actual = None if replay else read_trace(args.actual)
-    except ValueError as exc:  # a trace file this build cannot read
+        actual = (replay_trace(expected, verify=args.verify) if replay
+                  else read_trace(args.actual))
+    except ValueError as exc:  # a trace this build cannot read or replay
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if replay:
-        actual = replay_trace(expected, verify=args.verify)
     divergence = diff_traces(expected, actual)
     if divergence is not None:
         print(divergence)

@@ -13,8 +13,8 @@ Two layers own every container-state mutation in the cluster:
 * :class:`ContainerLifecycle` -- the sequential engine's extension:
   worker placement, the cleaner's volume-level repack, the live-container
   set and created/destroyed counts behind the conservation invariant,
-  checked state transitions, monitor notifications, trace events, the
-  warm-memory timeline, per-worker shard routing (:meth:`~ContainerLifecycle.\
+  checked state transitions, monitor notifications, warm-memory peak
+  sampling, per-worker shard routing (:meth:`~ContainerLifecycle.\
 worker_of`) and the crash / straggler hooks of the configured
   :class:`~repro.cluster.faults.FaultModel`.
 
@@ -306,8 +306,8 @@ class ContainerLifecycle(PoolLifecycle):
 
     Extends :class:`PoolLifecycle` with worker placement, cleaner volumes,
     the live-container set, checked state transitions, monitor
-    notifications, trace events, the warm-memory timeline and per-worker
-    shard routing.  ``telemetry`` is the counters record.
+    notifications, warm-memory peak sampling and per-worker shard
+    routing.  ``telemetry`` is the counters record.
     """
 
     def __init__(
@@ -386,7 +386,6 @@ class ContainerLifecycle(PoolLifecycle):
         """
         self.check_decision(container_id, spec)
         container = super().claim(container_id, spec, now)
-        self.telemetry.sample_memory(now, self.pool.used_mb)
         container.claim()
         return container
 
@@ -407,28 +406,19 @@ class ContainerLifecycle(PoolLifecycle):
     def keep_alive(self, container: Container, now: float) -> None:
         """Try to put a finished container back into its worker's pool."""
         index = self.worker_of(container.container_id)
-        victims = self.make_room(self.pool.shard(index), container, now)
-        if victims is None:
+        if self.make_room(self.pool.shard(index), container, now) is None:
             return
-        telemetry = self.telemetry
-        if telemetry.trace_enabled:
-            for victim in victims:
-                telemetry.record_event(
-                    now, "eviction", victim.container_id,
-                    victim.current_function,
-                )
         self.pool.add(container, index)
-        telemetry.sample_memory(now, self.pool.used_mb)
+        self.telemetry.sample_memory(now, self.pool.used_mb)
 
     def _expired(
         self, now: float, ttl: float, expired: List[Container]
     ) -> None:
-        """Notify the monitors of a TTL sweep and sample warm memory."""
+        """Notify the monitors of a TTL sweep."""
         if self._monitor is not None:
             self._monitor.notify(
                 "ttl_expired", now=now, ttl=ttl, containers=expired
             )
-        self.telemetry.sample_memory(now, self.pool.used_mb)
 
     def destroy(self, container: Container) -> None:
         """Tear a container down and release its worker placement."""
@@ -442,12 +432,8 @@ class ContainerLifecycle(PoolLifecycle):
         self.placement.release(container.container_id, container.memory_mb)
 
     def _proactive(self, now: float, kind: str, container: Container) -> None:
-        """Trace a pre-warm or lend and sample the memory it moved."""
+        """Sample the memory a pre-warm or lend moved."""
         telemetry = self.telemetry
-        if telemetry.trace_enabled:
-            telemetry.record_event(
-                now, kind, container.container_id, container.current_function
-            )
         if kind == "lend":
             telemetry.sample_memory(now, self.pool.used_mb)
         telemetry.sample_live_memory(self.live_memory_mb)

@@ -145,7 +145,6 @@ class SimulationConfig:
     delta_pricing: bool = False
     per_worker_pools: bool = False
     faults: "FaultConfig" = field(default_factory=lambda: FaultConfig())
-    trace: bool = False
     worker_concurrency: Optional[int] = None
     bounded_telemetry: bool = False
     verify: bool = False
@@ -194,13 +193,11 @@ class ClusterSimulator:
             from repro.cluster.telemetry import BoundedTelemetry
 
             self.telemetry: Telemetry = BoundedTelemetry(
-                trace_enabled=config.trace,
                 queueing_enabled=config.worker_concurrency is not None,
                 worker_slots=config.worker_concurrency or 1,
             )
         else:
             self.telemetry = Telemetry(
-                trace_enabled=config.trace,
                 queueing_enabled=config.worker_concurrency is not None,
                 worker_slots=config.worker_concurrency or 1,
             )
@@ -366,8 +363,8 @@ class ClusterSimulator:
         provisioning (Li et al.): the container appears in the pool
         immediately and consumes pool capacity; the eviction policy makes
         room if needed.  When the container lands in the pool the warm
-        memory is sampled (``telemetry.sample_memory``) so prewarm
-        experiments get accurate pool-occupancy traces.  Routed through
+        memory is sampled (``telemetry.sample_memory``), so the run's
+        warm-memory peak counts pre-warmed containers.  Routed through
         :meth:`ContainerLifecycle.prewarm`, so the pre-warm accounting
         counters (issued / reused / wasted) cover zygote provisioning too.
         """
@@ -526,15 +523,6 @@ class ClusterSimulator:
             self.telemetry.record_worker_busy(
                 worker_id, service_s + invocation.execution_time_s
             )
-        if self.telemetry.trace_enabled:
-            # Guarded so the detail string is only formatted when tracing.
-            self.telemetry.record_event(
-                now,
-                "cold_start" if is_cold else f"warm_{match.name}",
-                container.container_id,
-                spec.name,
-                f"latency={latency:.3f}s",
-            )
         self.telemetry.record_invocation_values(
             invocation.invocation_id,
             spec.name,
@@ -611,19 +599,9 @@ class ClusterSimulator:
                                (container, invocation))
         elif event.kind is EventKind.EXECUTION_COMPLETE:
             container.finish_execution(now)
-            if self.telemetry.trace_enabled:
-                self.telemetry.record_event(
-                    now, "execution_complete", container.container_id,
-                    container.current_function,
-                )
             if self.lifecycle.faults_enabled and self.lifecycle.should_crash():
                 self.lifecycle.destroy(container)
                 self.telemetry.record_crash()
-                if self.telemetry.trace_enabled:
-                    self.telemetry.record_event(
-                        now, "crash", container.container_id,
-                        container.current_function,
-                    )
             else:
                 self.lifecycle.keep_alive(container, now)
         else:  # pragma: no cover - exhaustive enum

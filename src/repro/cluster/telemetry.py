@@ -10,15 +10,14 @@ interned into a string table.  Appending an event touches a handful of
 primitive array slots instead of allocating a Python object per invocation,
 and the aggregates (:meth:`Telemetry.summary`, percentiles, per-worker
 utilization) compute directly over the columns in one pass.  The historical
-row-oriented views -- :class:`InvocationRecord` and :class:`TraceEvent` --
-are materialized lazily (and cached) by the :attr:`Telemetry.records` /
-:attr:`Telemetry.trace` properties, so report rendering, golden-trace
-record/replay and the verification monitors keep byte-identical output.
+row-oriented view -- :class:`InvocationRecord` -- is materialized lazily
+(and cached) by the :attr:`Telemetry.records` property for the callers that
+still compare whole rows (the batch-vs-incremental oracle).
 
 The pre-columnar list implementation survives as
 :class:`repro.cluster.telemetry_reference.LegacyTelemetry`; the hypothesis
 parity suite (``tests/test_telemetry_parity.py``) drives both with random
-event streams and asserts identical summaries and trace bytes.
+event streams and asserts identical summaries and aggregates.
 """
 
 from __future__ import annotations
@@ -68,29 +67,6 @@ class InvocationRecord:
     def service_latency_s(self) -> float:
         """Startup latency excluding time queued for a worker slot."""
         return self.startup_latency_s - self.queue_delay_s
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One structured simulator event (emitted when tracing is enabled)."""
-
-    time: float
-    kind: str
-    container_id: Optional[int] = None
-    function: Optional[str] = None
-    detail: str = ""
-
-    def to_json(self) -> str:
-        """Serialize as one JSON line."""
-        import json
-
-        return json.dumps({
-            "t": round(self.time, 6),
-            "kind": self.kind,
-            "container": self.container_id,
-            "function": self.function,
-            "detail": self.detail,
-        })
 
 
 class InvocationColumns(NamedTuple):
@@ -211,9 +187,6 @@ class Telemetry(Counters):
 
     Constructor flags:
 
-    ``trace_enabled``
-        Record structured :class:`TraceEvent` rows (off by default; the
-        disabled :meth:`record_event` path returns before any allocation).
     ``queueing_enabled``
         Set by the simulator when a worker concurrency limit is enforced;
         gates the queueing/utilization block of :meth:`summary` so runs
@@ -226,12 +199,10 @@ class Telemetry(Counters):
 
     def __init__(
         self,
-        trace_enabled: bool = False,
         queueing_enabled: bool = False,
         worker_slots: int = 1,
     ) -> None:
         super().__init__()
-        self.trace_enabled = trace_enabled
         self.queueing_enabled = queueing_enabled
         self.worker_slots = worker_slots
         self.max_queue_depth = 0
@@ -254,24 +225,13 @@ class Telemetry(Counters):
         self._bd_rinit = array("d")
         self._bd_finit = array("d")
         self._bd_clean = array("d")
-        # Interned string table shared by function names and trace kinds.
+        # Interned function-name table.
         self._names: List[str] = []
         self._name_ix: Dict[str, int] = {}
-        # Memory-timeline columns (deduped on ingest: interior points of a
-        # constant-value run are collapsed, keeping first and last).
-        self._mem_t = array("d")
-        self._mem_mb = array("d")
-        # Queueing-delay column.
+        # Queueing-delay column (read by :meth:`queueing_summary`).
         self._queue_delays = array("d")
-        # Trace-event columns (-1 encodes None for container/function).
-        self._tr_time = array("d")
-        self._tr_kind = array("q")
-        self._tr_cid = array("q")
-        self._tr_fn = array("q")
-        self._tr_detail: List[str] = []
-        # Lazily materialized row views (invalidated by length mismatch).
+        # Lazily materialized row view (invalidated by length mismatch).
         self._records_view: Optional[List[InvocationRecord]] = None
-        self._trace_view: Optional[List[TraceEvent]] = None
 
     # -- interning -----------------------------------------------------------
     def _intern(self, name: str) -> int:
@@ -358,29 +318,6 @@ class Telemetry(Counters):
         self.surrogate_audits += audits
         self.surrogate_disagreements += disagreements
 
-    def record_event(
-        self,
-        time: float,
-        kind: str,
-        container_id: Optional[int] = None,
-        function: Optional[str] = None,
-        detail: str = "",
-    ) -> None:
-        """Append a structured trace event (no-op unless tracing is on).
-
-        The disabled path returns before any allocation.  Hot callers
-        (e.g. the simulator's per-invocation events) additionally check
-        :attr:`trace_enabled` *before* formatting ``detail`` strings, so a
-        non-traced run never pays for event formatting at all.
-        """
-        if not self.trace_enabled:
-            return
-        self._tr_time.append(time)
-        self._tr_kind.append(self._intern(kind))
-        self._tr_cid.append(-1 if container_id is None else container_id)
-        self._tr_fn.append(-1 if function is None else self._intern(function))
-        self._tr_detail.append(detail)
-
     def record_crash(self) -> None:
         """Count one injected container crash."""
         self.container_crashes += 1
@@ -405,19 +342,7 @@ class Telemetry(Counters):
         self.stragglers += 1
 
     def sample_memory(self, now: float, used_mb: float) -> None:
-        """Record a warm-pool memory sample and update the peak.
-
-        Runs of identical ``used_mb`` values are deduplicated on ingest:
-        only the first and last sample of a constant run are kept (the
-        last one slides forward in time), which shrinks long-run timelines
-        without changing any piecewise-constant plot drawn from them.
-        """
-        mb = self._mem_mb
-        if len(mb) >= 2 and mb[-1] == used_mb and mb[-2] == used_mb:
-            self._mem_t[-1] = now
-        else:
-            self._mem_t.append(now)
-            mb.append(used_mb)
+        """Update the warm-pool memory peak (Fig. 10) with one sample."""
         if used_mb > self.peak_warm_memory_mb:
             self.peak_warm_memory_mb = used_mb
 
@@ -466,39 +391,6 @@ class Telemetry(Counters):
         ]
         self._records_view = view
         return view
-
-    @property
-    def trace(self) -> List[TraceEvent]:
-        """Structured trace events, materialized lazily from the columns."""
-        view = self._trace_view
-        if view is not None and len(view) == len(self._tr_time):
-            return view
-        names = self._names
-        view = [
-            TraceEvent(
-                time=t,
-                kind=names[k],
-                container_id=None if cid < 0 else cid,
-                function=None if fn < 0 else names[fn],
-                detail=detail,
-            )
-            for t, k, cid, fn, detail in zip(
-                self._tr_time, self._tr_kind, self._tr_cid,
-                self._tr_fn, self._tr_detail,
-            )
-        ]
-        self._trace_view = view
-        return view
-
-    @property
-    def memory_timeline(self) -> List[Tuple[float, float]]:
-        """Warm-pool ``(time, used_mb)`` samples (deduped constant runs)."""
-        return list(zip(self._mem_t, self._mem_mb))
-
-    @property
-    def queue_delays(self) -> Sequence[float]:
-        """Per-startup queueing delays, in admission order."""
-        return self._queue_delays
 
     def invocation_columns(self) -> InvocationColumns:
         """The scalar per-invocation columns as one named view.
@@ -612,16 +504,6 @@ class Telemetry(Counters):
             ),
         }
 
-    def per_function_mean_latency(self) -> Dict[str, float]:
-        """Mean startup latency per function name."""
-        sums: Dict[int, float] = {}
-        counts: Dict[int, int] = {}
-        for ix, latency in zip(self._fn_ix, self._latency):
-            sums[ix] = sums.get(ix, 0.0) + latency
-            counts[ix] = counts.get(ix, 0) + 1
-        names = self._names
-        return {names[ix]: sums[ix] / counts[ix] for ix in sums}
-
     def summary(self) -> Dict[str, float]:
         """Scalar summary used by experiment reports (:func:`summary_fold`).
 
@@ -652,24 +534,16 @@ QuantileSketch` sketches for the latency/queueing percentiles, so memory
 
     Row-level views are structurally unavailable: :attr:`records`,
     :meth:`invocation_columns`, :meth:`latencies` and friends raise
-    ``RuntimeError``, and structured tracing cannot be enabled (both are
-    inherently O(#invocations)).
+    ``RuntimeError`` (they are inherently O(#invocations)).
     """
 
     def __init__(
         self,
-        trace_enabled: bool = False,
         queueing_enabled: bool = False,
         worker_slots: int = 1,
         relative_accuracy: float = 0.01,
     ) -> None:
-        if trace_enabled:
-            raise ValueError(
-                "structured tracing is O(#invocations); "
-                "use the unbounded Telemetry for traced runs"
-            )
         super().__init__(
-            trace_enabled=False,
             queueing_enabled=queueing_enabled,
             worker_slots=worker_slots,
         )
@@ -716,11 +590,6 @@ QuantileSketch` sketches for the latency/queueing percentiles, so memory
         if delay_s > 0:
             self._n_queued += 1
         self._queue_sketch.insert(delay_s)
-
-    def sample_memory(self, now: float, used_mb: float) -> None:
-        """Track the warm-memory peak only (no O(#changes) timeline)."""
-        if used_mb > self.peak_warm_memory_mb:
-            self.peak_warm_memory_mb = used_mb
 
     # -- aggregates (exact, from counters) -----------------------------------
     @property
@@ -813,12 +682,3 @@ QuantileSketch` sketches for the latency/queueing percentiles, so memory
     def cumulative_cold_starts(self) -> np.ndarray:
         """Unavailable in bounded mode (raises ``RuntimeError``)."""
         raise self._unavailable("cumulative_cold_starts()")
-
-    def per_function_mean_latency(self) -> Dict[str, float]:
-        """Unavailable in bounded mode (raises ``RuntimeError``)."""
-        raise self._unavailable("per_function_mean_latency()")
-
-    @property
-    def queue_delays(self) -> Sequence[float]:
-        """Unavailable in bounded mode (raises ``RuntimeError``)."""
-        raise self._unavailable("queue_delays")

@@ -1,12 +1,13 @@
 """The pre-columnar, row-oriented telemetry collector (reference only).
 
 This is the list-of-objects implementation :class:`repro.cluster.telemetry.
-Telemetry` replaced.  It is kept verbatim (minus the rename) as the
-behavioural reference for two consumers:
+Telemetry` replaced.  It is kept, renamed and trimmed to the surface the
+columnar collector still has, as the behavioural reference for two
+consumers:
 
 * the hypothesis parity suite (``tests/test_telemetry_parity.py``) drives
   both implementations with identical random event streams and asserts
-  byte-identical summaries, reports and golden-trace serializations;
+  identical summaries, aggregates and golden-trace serializations;
 * ``benchmarks/bench_telemetry_ingest.py`` measures the columnar ingest
   speedup against this implementation (the acceptance floor is 2x).
 
@@ -16,11 +17,11 @@ Nothing in the production pipeline imports this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from repro.cluster.telemetry import InvocationRecord, TraceEvent
+from repro.cluster.telemetry import InvocationRecord
 from repro.containers.costmodel import StartupBreakdown
 from repro.containers.matching import MatchLevel
 
@@ -35,11 +36,8 @@ class LegacyTelemetry:
     ttl_expirations: int = 0
     container_crashes: int = 0
     stragglers: int = 0
-    memory_timeline: List[Tuple[float, float]] = field(default_factory=list)
     peak_warm_memory_mb: float = 0.0
     peak_live_memory_mb: float = 0.0
-    trace: List[TraceEvent] = field(default_factory=list)
-    trace_enabled: bool = False
     queueing_enabled: bool = False
     queue_delays: List[float] = field(default_factory=list)
     max_queue_depth: int = 0
@@ -86,20 +84,6 @@ class LegacyTelemetry:
             worker_id=worker_id,
         ))
 
-    def record_event(
-        self,
-        time: float,
-        kind: str,
-        container_id: Optional[int] = None,
-        function: Optional[str] = None,
-        detail: str = "",
-    ) -> None:
-        """Append a structured trace event (no-op unless tracing is on)."""
-        if not self.trace_enabled:
-            return
-        self.trace.append(TraceEvent(time, kind, container_id,
-                                     function, detail))
-
     def record_crash(self) -> None:
         """Count one injected container crash."""
         self.container_crashes += 1
@@ -124,8 +108,7 @@ class LegacyTelemetry:
         self.stragglers += 1
 
     def sample_memory(self, now: float, used_mb: float) -> None:
-        """Record a warm-pool memory sample and update the peak."""
-        self.memory_timeline.append((now, used_mb))
+        """Update the warm-pool memory peak with one sample."""
         self.peak_warm_memory_mb = max(self.peak_warm_memory_mb, used_mb)
 
     def sample_live_memory(self, live_mb: float) -> None:
@@ -215,17 +198,6 @@ class LegacyTelemetry:
                 float(np.max(utilization)) if utilization else 0.0
             ),
         }
-
-    def per_function_mean_latency(self) -> Dict[str, float]:
-        """Mean startup latency per function name."""
-        sums: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for r in self.records:
-            sums[r.function_name] = (
-                sums.get(r.function_name, 0.0) + r.startup_latency_s
-            )
-            counts[r.function_name] = counts.get(r.function_name, 0) + 1
-        return {name: sums[name] / counts[name] for name in sums}
 
     def summary(self) -> Dict[str, float]:
         """Scalar summary used by experiment reports."""

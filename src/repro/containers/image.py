@@ -98,10 +98,6 @@ class FunctionImage:
     def total_size_mb(self) -> float:
         return self.packages.total_size_mb
 
-    def same_configuration(self, other: "FunctionImage") -> bool:
-        """True when every level matches (a full, Table-I ``L3`` match)."""
-        return self.packages == other.packages
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{self.name} (L1={len(self.os_packages)}, "

@@ -59,23 +59,33 @@ class Transition:
     next_state: Optional[str]
 
 
-def iter_transitions(lines: Iterable[str]) -> Iterator[Transition]:
+def iter_transitions(
+    lines: Iterable[str], source: str = "trace"
+) -> Iterator[Transition]:
     """Parse decision lines into transitions (consecutive-pair chaining).
 
     Non-decision lines (trace headers, serve swap markers, blanks) are
     skipped; the final decision of a shard becomes a terminal transition.
+    A line that is not a JSON object raises ``ValueError`` naming
+    ``source`` and the line number: skipping it would chain its
+    neighbours into a transition the data never showed.
     """
     prev: Optional[Tuple[str, int, float]] = None
-    for raw in lines:
+    for number, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw:
             continue
         try:
             row = json.loads(raw)
-        except json.JSONDecodeError:
-            continue
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{source}: line {number} is not JSON: {exc.msg}"
+            ) from None
         if not isinstance(row, dict):
-            continue
+            raise ValueError(
+                f"{source}: line {number} is not a JSON object: "
+                f"{type(row).__name__}"
+            )
         if any(key not in row for key in _DECISION_KEYS):
             continue
         action = ACTION_COLD if row["cold"] else int(row["m"])
@@ -170,7 +180,9 @@ def fit_from_traces(
     Parameters
     ----------
     sources:
-        Trace shards: file paths and/or iterables of JSONL lines.
+        Trace shards: file paths and/or iterables of JSONL lines.  A
+        line that is not a JSON object raises ``ValueError`` naming the
+        path (or ``shard <index>``) and the line number.
         Transitions chain *within* a shard only, so re-ordering the
         shards -- or fitting them on different machines and merging --
         yields a bit-identical policy.
@@ -185,8 +197,10 @@ def fit_from_traces(
     rewards: Dict[Tuple[str, int], List[float]] = {}
     successors: Dict[Tuple[str, int], Dict[Optional[str], int]] = {}
     n_transitions = 0
-    for source in sources:
-        for tr in iter_transitions(_read_lines(source)):
+    for index, source in enumerate(sources):
+        name = (str(source) if isinstance(source, (str, Path))
+                else f"shard {index}")
+        for tr in iter_transitions(_read_lines(source), name):
             key = (tr.state, tr.action)
             counts[key] = counts.get(key, 0) + 1
             rewards.setdefault(key, []).append(tr.reward)

@@ -86,8 +86,8 @@ def config_fingerprint(config: SimulationConfig) -> Dict:
 
     Captures every knob that changes run outcomes: capacity, worker
     topology, pricing mode, fault probabilities and the full cost-model
-    parameter set.  ``verify`` and ``trace`` are observation-only and
-    deliberately excluded -- they must not fork the cache address space.
+    parameter set.  ``verify`` is observation-only and deliberately
+    excluded -- it must not fork the cache address space.
     """
     params = config.cost_model.params
     return {

@@ -71,15 +71,6 @@ class PackageCatalog:
         """All packages of a given level, sorted."""
         return sorted(p for p in self._packages.values() if p.level == level)
 
-    def index_of(self, pkg: Package) -> int:
-        """Stable integer index of ``pkg`` within the catalog.
-
-        Used by the DRL state encoder to build fixed-size bag-of-package
-        vectors.
-        """
-        keys = sorted(self._packages)
-        return keys.index(pkg.key)
-
     def key_order(self) -> List[str]:
         """Deterministic ordering of all keys (for state encoding)."""
         return sorted(self._packages)

@@ -212,10 +212,6 @@ class PackageSet:
         """Total on-disk size of the packages at ``level``."""
         return math.fsum(p.size_mb for p in self._by_level[level])
 
-    def level_install_cost_s(self, level: PackageLevel) -> float:
-        """Total extra install time of the packages at ``level``."""
-        return math.fsum(p.install_cost_s for p in self._by_level[level])
-
     # -- construction helpers ------------------------------------------------
     def union(self, other: "PackageSet") -> "PackageSet":
         """Return a new set containing packages from both sets."""

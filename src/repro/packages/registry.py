@@ -13,7 +13,7 @@ generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -125,12 +125,3 @@ class SyntheticRegistry:
             return 0.0
         top = sum(im.pull_count for im in level_images[:k])
         return top / total
-
-    def popularity_weights(self, level: PackageLevel) -> Dict[str, float]:
-        """Normalized pull-count weights per image name at ``level``."""
-        level_images = self.images_at_level(level)
-        total = sum(im.pull_count for im in level_images)
-        if total == 0:
-            uniform = 1.0 / max(len(level_images), 1)
-            return {im.name: uniform for im in level_images}
-        return {im.name: im.pull_count / total for im in level_images}

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.cluster.lanes import SCHEDULER_CLASS_NAMES
+
 __all__ = [
     "DecisionRecorder",
     "ReplayReport",
@@ -174,8 +176,9 @@ def read_recording(
     ``source`` is a path or an iterable of JSONL lines (e.g.
     :meth:`DecisionRecorder.lines`).  Raises ``ValueError`` on an empty
     log, an unsupported header (one that sets the retired
-    ``worker_capacity_mb`` included), or a line that is not a JSON object
-    with the keys replay reads (the message names the line and the key).
+    ``worker_capacity_mb`` included), a line that is not a JSON object
+    with the keys replay reads, or a header or swap marker naming an
+    unknown scheduler key (the message names the line and the key).
     """
     if isinstance(source, (str, Path)):
         lines = Path(source).read_text(encoding="utf-8").splitlines()
@@ -199,10 +202,13 @@ def read_recording(
             "replayed"
         )
     _require(header, _HEADER_KEYS, 1)
+    _require_scheduler(header, "scheduler", 1)
     entries = []
     for number, line in enumerate(lines[1:], start=2):
         entry = _json_object(line, number)
-        if "swap" not in entry:
+        if "swap" in entry:
+            _require_scheduler(entry, "swap", number)
+        else:
             _require(entry, _DECISION_KEYS, number)
         entries.append(entry)
     return header, entries
@@ -229,6 +235,17 @@ def _require(data: Dict[str, object], keys: Tuple[str, ...],
             raise ValueError(
                 f"recording line {number} is missing key {key!r}"
             )
+
+
+def _require_scheduler(data: Dict[str, object], key: str,
+                       number: int) -> None:
+    """``ValueError`` unless ``data[key]`` is a scheduler registry key."""
+    value = data[key]
+    if not isinstance(value, str) or value not in SCHEDULER_CLASS_NAMES:
+        raise ValueError(
+            f"recording line {number} key {key!r} names unknown scheduler "
+            f"{value!r}; choose from {sorted(SCHEDULER_CLASS_NAMES)}"
+        )
 
 
 def replay_recording(

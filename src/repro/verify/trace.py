@@ -44,9 +44,9 @@ from repro.cluster.simulator import (
 )
 from repro.cluster.telemetry import InvocationRecord
 from repro.containers.matching import MatchLevel
-from repro.experiments.common import pool_sizes
-from repro.experiments.parallel import build_scheduler
-from repro.workloads.fstartbench import build_workload
+from repro.experiments.common import POOL_LEVELS, pool_sizes
+from repro.experiments.parallel import SCHEDULER_FACTORIES, build_scheduler
+from repro.workloads.fstartbench import WORKLOAD_BUILDERS, build_workload
 
 #: Version stamp written into every trace header; bump on any change to
 #: the line schema or field semantics.
@@ -107,7 +107,20 @@ class TraceHeader:
     n_events: int
 
     def spec(self, verify: bool = False) -> TraceSpec:
-        """The recording spec this header was produced from."""
+        """The recording spec this header was produced from.
+
+        ``ValueError`` naming the key and its value when the header's
+        workload, scheduler or pool is not one this build can run.
+        """
+        for key, known in (("workload", WORKLOAD_BUILDERS),
+                           ("scheduler", SCHEDULER_FACTORIES),
+                           ("pool", POOL_LEVELS)):
+            value = getattr(self, key)
+            if not isinstance(value, str) or value not in known:
+                raise ValueError(
+                    f"trace header has unknown {key} {value!r}; "
+                    f"choose from {sorted(known)}"
+                )
         return TraceSpec(
             workload=self.workload,
             scheduler=self.scheduler,

@@ -101,6 +101,19 @@ class TestCommands:
         policy = OfflineQPolicy.load(out_file)
         assert policy.n_transitions == len(workload)
 
+    def test_train_offline_rejects_corrupt_line(self, tmp_path, capsys):
+        rows = (GOLDEN_ROOT / "lo-sim_lru.jsonl").read_text().splitlines()
+        rows[2] = rows[2][:10]  # truncated mid-line
+        trace = tmp_path / "torn.jsonl"
+        trace.write_text("\n".join(rows) + "\n")
+        out_file = tmp_path / "q.npz"
+        assert main(["train-offline", str(trace),
+                     "--output", str(out_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {trace}: line 3 is not JSON")
+        assert len(captured.err.splitlines()) == 1
+        assert not out_file.exists()
+
     def test_train_offline_empty_trace_fails(self, tmp_path, capsys):
         trace = tmp_path / "empty.jsonl"
         trace.write_text('{"version": 1}\n')
@@ -135,8 +148,13 @@ class TestCommands:
                       "cid": 1, "m": 0, "lat": 2.4, "q": 0.0, "w": 0})],
          "line 2 is missing key 'fn'"),
         ([json.dumps(_SERVE_HEADER), "{truncated"], "line 2 is not JSON"),
+        ([json.dumps(dict(_SERVE_HEADER, scheduler="nope"))],
+         "line 1 key 'scheduler' names unknown scheduler 'nope'"),
+        ([json.dumps(_SERVE_HEADER), json.dumps({"swap": "nope", "t": 1.0})],
+         "line 2 key 'swap' names unknown scheduler 'nope'"),
     ], ids=["unknown-version", "retired-worker-capacity", "array-header",
-            "header-without-pool", "decision-without-fn", "non-json-line"])
+            "header-without-pool", "decision-without-fn", "non-json-line",
+            "unknown-scheduler", "unknown-swap-scheduler"])
     def test_serve_replay_rejects_recording_cleanly(self, tmp_path, capsys,
                                                     lines, needle):
         recording = tmp_path / "session.jsonl"
@@ -145,6 +163,21 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert needle in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("key", ["scheduler", "workload", "pool"])
+    def test_trace_replay_rejects_unknown_header_name(self, tmp_path, capsys,
+                                                      key):
+        rows = (GOLDEN_ROOT / "lo-sim_lru.jsonl").read_text().splitlines()
+        rows[0] = json.dumps(dict(json.loads(rows[0]), **{key: "nope"}))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(rows) + "\n")
+        assert main(["trace", "replay", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: trace header has unknown {key} 'nope'"
+        )
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.out + captured.err
 

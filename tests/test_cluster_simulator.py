@@ -202,11 +202,9 @@ class TestInvalidDecisions:
         (pooled,) = ctx.pool.containers()
         warm_id = pooled.container_id
         pooled_before = len(s.pool.containers())
-        samples_before = len(s.telemetry.memory_timeline)
         with pytest.raises(InvalidDecisionError):
             s.apply_decision(warm(make_container(warm_id + 1)))
         assert len(s.pool.containers()) == pooled_before
-        assert len(s.telemetry.memory_timeline) == samples_before
         # The warm container is still claimable after the failed attempt.
         record = s.apply_decision(warm(pooled))
         assert record.container_id == warm_id

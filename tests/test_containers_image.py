@@ -46,13 +46,6 @@ class TestAccessors:
         assert img.level_set(PackageLevel.LANGUAGE) == img.language_packages
         assert img.level_set(PackageLevel.RUNTIME) == img.runtime_packages
 
-    def test_same_configuration(self):
-        a = make_image("a")
-        b = make_image("b")
-        assert a.same_configuration(b)
-        c = make_image("c", runtime_names=("numpy",))
-        assert not a.same_configuration(c)
-
     def test_images_hashable_and_frozen(self):
         img = make_image()
         with pytest.raises(AttributeError):

@@ -39,11 +39,21 @@ class TestIterTransitions:
         lines = ['{"version": 1, "workload": "x"}',
                  line("a"),
                  '{"swap": "greedy", "t": 3.0}',
-                 "not json at all",
+                 "",
                  line("b", cold=False, m=1, lat=0.2)]
         got = list(iter_transitions(lines))
         assert [t.state for t in got] == ["a", "b"]
         assert got[0].next_state == "b"
+
+    @pytest.mark.parametrize("bad, needle", [
+        ("not json at all", "shard.jsonl: line 3 is not JSON"),
+        ('{"fn": "b", "cold": tr', "shard.jsonl: line 3 is not JSON"),
+        ("[1, 2]", "shard.jsonl: line 3 is not a JSON object: list"),
+    ], ids=["not-json", "truncated", "array"])
+    def test_rejects_corrupt_line(self, bad, needle):
+        lines = [line("a"), "", bad, line("c")]
+        with pytest.raises(ValueError, match=needle):
+            list(iter_transitions(lines, "shard.jsonl"))
 
     def test_empty_input(self):
         assert list(iter_transitions([])) == []

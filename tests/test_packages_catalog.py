@@ -59,14 +59,6 @@ class TestPackageCatalog:
         ])
         assert [p.name for p in cat.at_level(PackageLevel.OS)] == ["os1"]
 
-    def test_index_of_is_stable(self):
-        cat = default_catalog()
-        pkg = cat.get("flask", "2.3")
-        idx1 = cat.index_of(pkg)
-        idx2 = cat.index_of(pkg)
-        assert idx1 == idx2
-        assert cat.key_order()[idx1] == pkg.key
-
 
 class TestDefaultCatalog:
     def test_contains_core_stacks(self, catalog):

@@ -89,13 +89,6 @@ class TestPackageSet:
         assert ps.level_size_mb(PackageLevel.RUNTIME) == pytest.approx(11.0)
         assert ps.level_size_mb(PackageLevel.LANGUAGE) == 0.0
 
-    def test_level_install_cost(self):
-        ps = PackageSet([
-            make_package("a", level=PackageLevel.LANGUAGE, install_cost_s=0.4),
-            make_package("b", level=PackageLevel.LANGUAGE, install_cost_s=0.6),
-        ])
-        assert ps.level_install_cost_s(PackageLevel.LANGUAGE) == pytest.approx(1.0)
-
     def test_union(self):
         a = PackageSet([make_package("a")])
         b = PackageSet([make_package("b")])

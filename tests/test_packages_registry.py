@@ -39,13 +39,6 @@ class TestSyntheticRegistry:
         )
         assert total == reg.n_images
 
-    def test_popularity_weights_normalized(self):
-        reg = SyntheticRegistry()
-        for level in PackageLevel:
-            weights = reg.popularity_weights(level)
-            assert sum(weights.values()) == pytest.approx(1.0)
-            assert all(w >= 0 for w in weights.values())
-
     def test_top_k_share_monotone_in_k(self):
         reg = SyntheticRegistry()
         shares = [reg.top_k_share(PackageLevel.OS, k) for k in range(1, 8)]

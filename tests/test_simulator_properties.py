@@ -61,11 +61,10 @@ def test_simulator_invariants(items, scheduler_cls, capacity):
     assert t.n_invocations == len(workload)
     assert [r.invocation_id for r in t.records] == list(range(len(workload)))
 
-    # 2. Capacity: the warm pool never exceeds its capacity.
+    # 2. Capacity: the warm pool never exceeds its capacity (the peak
+    #    bounds every sample).
     if np.isfinite(capacity):
         assert t.peak_warm_memory_mb <= capacity + 1e-6
-        for _, used in t.memory_timeline:
-            assert used <= capacity + 1e-6
 
     # 3. Cold/warm consistency: warm starts carry a reusable match level
     #    and cost no more than the same function's cold start would.

@@ -64,22 +64,21 @@ class TestPrewarm:
         assert sim.telemetry.evictions == 1
 
     def test_prewarm_samples_pool_memory(self):
-        # Regression: prewarm must leave a memory-timeline sample of the
-        # pool occupancy once the container lands, so prewarm-only
-        # experiments get accurate warm-memory traces.
+        # Regression: prewarm must sample the pool occupancy once the
+        # container lands, so prewarm-only experiments report an accurate
+        # warm-memory peak.
         sim = ClusterSimulator(
             SimulationConfig(pool_capacity_mb=10_000.0), LRUEviction()
         )
         zygote = build_zygote_images(debian_python_specs())[0]
-        assert sim.telemetry.memory_timeline == []
+        assert sim.telemetry.peak_warm_memory_mb == 0.0
         sim.prewarm(zygote)
-        assert sim.telemetry.memory_timeline[-1] == (0.0, sim.pool.used_mb)
         assert sim.telemetry.peak_warm_memory_mb == pytest.approx(
             zygote.memory_mb
         )
         sim.prewarm(zygote)
-        assert sim.telemetry.memory_timeline[-1] == (0.0, sim.pool.used_mb)
         assert sim.pool.used_mb == pytest.approx(2 * zygote.memory_mb)
+        assert sim.telemetry.peak_warm_memory_mb == sim.pool.used_mb
 
 
 class TestZygoteScheduling:

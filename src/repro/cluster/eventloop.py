@@ -1,7 +1,9 @@
 """Control-plane event loop: the time source, the queue and periodic sweeps.
 
 The :class:`EventLoop` owns the pieces of the simulator that define *when*
-things happen: the deterministic event queue, a pluggable
+things happen: the deterministic event heap (a ``heapq`` list of
+:class:`~repro.cluster.events.Event` named tuples plus the sequence
+counter that breaks time ties), a pluggable
 :class:`TimeSource`, and an optional sweep hook that runs after every clock
 advance (the simulator installs the warm-pool TTL sweep there, so expiry
 happens exactly where the old monolithic loop ran it -- once per popped
@@ -33,10 +35,16 @@ loop hands it.
 
 from __future__ import annotations
 
+import itertools
 import time as _time
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
-from repro.cluster.events import Event, EventKind, EventQueue
+from repro.cluster.events import Event, EventKind
+
+_ARRIVAL = EventKind.ARRIVAL
+#: Builds an :class:`Event` from one tuple without the keyword constructor.
+_new_event = tuple.__new__
 
 
 @runtime_checkable
@@ -111,7 +119,7 @@ class WallClock:
 
 
 class EventLoop:
-    """Deterministic event queue plus time source plus per-advance sweep.
+    """Deterministic event heap plus time source plus per-advance sweep.
 
     Parameters
     ----------
@@ -139,7 +147,8 @@ class EventLoop:
         clock: Optional[TimeSource] = None,
     ) -> None:
         self.clock: TimeSource = clock if clock is not None else VirtualClock()
-        self._queue = EventQueue()
+        self._heap: list[Event] = []
+        self._seq = itertools.count()
         self._sweep = sweep
         self._observer = observer
 
@@ -152,7 +161,12 @@ class EventLoop:
         """Queue an event at ``time``; returns the created event."""
         if self._observer is not None:
             self._observer("schedule", time)
-        return self._queue.push(time, kind, payload)
+        if time < 0:
+            raise ValueError("event time must be >= 0")
+        event = _new_event(Event, (time, 0 if kind is _ARRIVAL else 1,
+                                   next(self._seq), kind, payload))
+        heappush(self._heap, event)
+        return event
 
     def pop_next(self) -> Optional[Event]:
         """Pop the earliest event, advance the clock, run the sweep.
@@ -160,14 +174,14 @@ class EventLoop:
         Returns ``None`` when the queue is empty (the clock and sweep are
         untouched in that case).
         """
-        if not self._queue:
+        if not self._heap:
             return None
-        event = self._queue.pop()
-        self.clock.advance_to(event.time)
+        event = heappop(self._heap)
+        now = self.clock.advance_to(event.time)
         if self._observer is not None:
-            self._observer("advance", self.clock.now)
+            self._observer("advance", now)
         if self._sweep is not None:
-            self._sweep(self.clock.now)
+            self._sweep(now)
         return event
 
     def advance_to(self, time: float) -> float:
@@ -188,10 +202,10 @@ class EventLoop:
 
     def peek(self) -> Optional[Event]:
         """The earliest queued event without popping it."""
-        return self._queue.peek()
+        return self._heap[0] if self._heap else None
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return bool(self._queue)
+        return bool(self._heap)

@@ -1,23 +1,22 @@
-"""Discrete-event machinery for the cluster simulator.
+"""Discrete-event records for the cluster simulator.
 
-A tiny, dependency-free event queue built on ``heapq``.  Events are ordered
-by ``(time, priority, sequence)``: arrivals carry priority 0 and all other
-kinds priority 1, so a simultaneous arrival is always processed before a
-completion regardless of *when* it was scheduled; within a priority class,
-simultaneous events run in insertion order.  This keeps the simulator fully
+An :class:`Event` is a named tuple ``(time, priority, seq, kind,
+payload)`` that :class:`~repro.cluster.eventloop.EventLoop` keeps on a
+``heapq`` heap, so the C heap orders events with the native tuple
+comparison.  Arrivals carry priority 0 and all other kinds priority 1, so
+a simultaneous arrival is always processed before a completion regardless
+of *when* it was scheduled; within a priority class, simultaneous events
+run in insertion order.  The loop derives ``priority`` from the kind and
+numbers events as it schedules them; ``seq`` is unique, so a comparison
+never reaches ``kind`` or ``payload``.  This keeps the simulator fully
 deterministic -- and makes the incremental arrival feed
 (``ClusterSimulator.run_stream``, which schedules each arrival just in
 time) pop events in exactly the order of the batch path, which schedules
 every arrival up front with the earliest sequence numbers.
 """
 
-from __future__ import annotations
-
 import enum
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple
 
 
 class EventKind(enum.Enum):
@@ -28,56 +27,16 @@ class EventKind(enum.Enum):
     EXECUTION_COMPLETE = "execution" # function finished executing
 
 
-@dataclass(frozen=True, order=True)
-class Event:
-    """A scheduled simulator event.
+class Event(NamedTuple):
+    """A scheduled simulator event, ordered by ``(time, priority, seq)``.
 
-    ``payload`` carries the invocation or container involved; it is excluded
-    from ordering so only ``(time, priority, seq)`` determine processing
-    order.  ``priority`` is derived from the kind (0 for arrivals, 1
-    otherwise) by :meth:`EventQueue.push`.
+    ``payload`` is the invocation or container involved.  Events are
+    ordered, never hashed or compared for equality: a named tuple's
+    equality and hash would include the payload.
     """
 
     time: float
     priority: int
     seq: int
-    kind: EventKind = field(compare=False)
-    payload: Any = field(compare=False, default=None)
-
-
-class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects."""
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._counter = itertools.count()
-
-    def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
-        """Schedule an event at ``time``; returns the created event."""
-        if time < 0:
-            raise ValueError("event time must be >= 0")
-        event = Event(
-            time=time,
-            priority=0 if kind is EventKind.ARRIVAL else 1,
-            seq=next(self._counter),
-            kind=kind,
-            payload=payload,
-        )
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        if not self._heap:
-            raise IndexError("pop from empty EventQueue")
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> Optional[Event]:
-        """The earliest event without removing it, or ``None`` if empty."""
-        return self._heap[0] if self._heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
+    kind: EventKind
+    payload: Any

@@ -3,10 +3,11 @@
 A grid sweep replays thousands of *independent* simulations -- one per
 ``(scheduler, workload, seed, capacity)`` cell.  The sequential path runs
 each cell through the full :class:`~repro.cluster.simulator.ClusterSimulator`
-stack: per-event :class:`~repro.cluster.events.Event` objects, the layered
-lifecycle (cleaner, volumes, placement) and a 16-column telemetry append
-per invocation.  None of that machinery is needed to produce the *summary*
-a grid cell actually carries.
+stack: an :class:`~repro.cluster.eventloop.EventLoop` call per scheduled
+and per popped :class:`~repro.cluster.events.Event`, with its observer and
+sweep hooks, the layered lifecycle (cleaner, volumes, placement) and a
+16-column telemetry append per invocation.  None of that machinery is
+needed to produce the *summary* a grid cell actually carries.
 
 This module runs many **lanes** (one lane = one cell) per process through a
 lean kernel:

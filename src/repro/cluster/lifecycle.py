@@ -327,7 +327,8 @@ class ContainerLifecycle(PoolLifecycle):
         self.volume_store = VolumeStore()
         self.cleaner = ContainerCleaner(self.volume_store)
         self.faults = FaultModel(faults)
-        self._fault_config = faults
+        #: Whether any fault has a non-zero probability (``faults`` is frozen).
+        self.faults_enabled = faults.enabled
         self._live: Dict[int, Container] = {}
         # Lifetime counters backing the conservation invariant
         # (created == pooled + running + destroyed); two int increments per
@@ -439,11 +440,6 @@ class ContainerLifecycle(PoolLifecycle):
         telemetry.sample_live_memory(self.live_memory_mb)
 
     # -- fault hooks ---------------------------------------------------------
-    @property
-    def faults_enabled(self) -> bool:
-        """Whether any fault has a non-zero probability."""
-        return self._fault_config.enabled
-
     def should_crash(self) -> bool:
         """Sample whether a finishing container dies instead of pooling."""
         return self.faults.should_crash()

@@ -43,8 +43,17 @@ ACTION_COLD = 0
 
 #: Keys a JSONL row must carry to count as one decision (golden-trace
 #: lines and serve-recording decision lines both qualify; headers and
-#: scheduler-swap markers do not).
-_DECISION_KEYS = ("fn", "cold", "m", "lat")
+#: scheduler-swap markers do not), with what each must hold: ``(key,
+#: check, label)``.  JSON true/false decode to ``bool``, which Python
+#: counts as an int, so the numeric checks exclude it.
+_DECISION_CHECKS = (
+    ("fn", lambda v: isinstance(v, str), "a string"),
+    ("cold", lambda v: isinstance(v, bool), "a bool"),
+    ("m", lambda v: type(v) is int and 0 <= v < N_ACTIONS,
+     f"an int match level in 0..{N_ACTIONS - 1}"),
+    ("lat", lambda v: isinstance(v, (int, float))
+     and not isinstance(v, bool), "a number"),
+)
 
 TraceSource = Union[str, Path, Iterable[str]]
 
@@ -66,9 +75,10 @@ def iter_transitions(
 
     Non-decision lines (trace headers, serve swap markers, blanks) are
     skipped; the final decision of a shard becomes a terminal transition.
-    A line that is not a JSON object raises ``ValueError`` naming
-    ``source`` and the line number: skipping it would chain its
-    neighbours into a transition the data never showed.
+    A line that is not a JSON object, or a decision line whose field has
+    the wrong type (``"cold": "no"`` is not a cold start), raises
+    ``ValueError`` naming ``source`` and the line number: skipping it
+    would chain its neighbours into a transition the data never showed.
     """
     prev: Optional[Tuple[str, int, float]] = None
     for number, raw in enumerate(lines, start=1):
@@ -86,10 +96,16 @@ def iter_transitions(
                 f"{source}: line {number} is not a JSON object: "
                 f"{type(row).__name__}"
             )
-        if any(key not in row for key in _DECISION_KEYS):
+        if any(key not in row for key, _, _ in _DECISION_CHECKS):
             continue
-        action = ACTION_COLD if row["cold"] else int(row["m"])
-        state = str(row["fn"])
+        for key, check, label in _DECISION_CHECKS:
+            if not check(row[key]):
+                raise ValueError(
+                    f"{source}: line {number} key {key!r} is not {label}: "
+                    f"{row[key]!r}"
+                )
+        action = ACTION_COLD if row["cold"] else row["m"]
+        state = row["fn"]
         if prev is not None:
             yield Transition(prev[0], prev[1], prev[2], state)
         prev = (state, action, -float(row["lat"]))

@@ -144,11 +144,23 @@ class TraceHeader:
                 f"(this build reads version {TRACE_FORMAT_VERSION})"
             )
         _check_keys(data, _HEADER_FIELDS, "trace header")
+        for field in fields(TraceHeader):
+            types, label = _JSON_TYPES[field.type]
+            value = data[field.name]
+            # JSON true/false decode to bool, which Python counts as an int.
+            if not isinstance(value, types) or isinstance(value, bool):
+                raise ValueError(f"trace header key {field.name!r} is not "
+                                 f"{label}: {value!r}")
         return TraceHeader(**data)
 
 
 #: Header fields, in serialization order.
 _HEADER_FIELDS = tuple(f.name for f in fields(TraceHeader))
+
+#: The JSON values each header field's annotation accepts, and their name;
+#: keyed by annotation string (this module postpones annotations).
+_JSON_TYPES = {"int": (int, "an int"), "str": (str, "a string"),
+               "float": ((int, float), "a number")}
 
 
 #: JSON key per :class:`TraceLine` field, in serialization order.

@@ -114,6 +114,20 @@ class TestCommands:
         assert len(captured.err.splitlines()) == 1
         assert not out_file.exists()
 
+    def test_train_offline_rejects_mistyped_field(self, tmp_path, capsys):
+        rows = (GOLDEN_ROOT / "lo-sim_lru.jsonl").read_text().splitlines()
+        rows[2] = json.dumps(dict(json.loads(rows[2]), cold="no"))
+        trace = tmp_path / "mistyped.jsonl"
+        trace.write_text("\n".join(rows) + "\n")
+        out_file = tmp_path / "q.npz"
+        assert main(["train-offline", str(trace),
+                     "--output", str(out_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {trace}: line 3 key 'cold' is not a bool: 'no'\n"
+        )
+        assert not out_file.exists()
+
     def test_train_offline_empty_trace_fails(self, tmp_path, capsys):
         trace = tmp_path / "empty.jsonl"
         trace.write_text('{"version": 1}\n')
@@ -180,6 +194,34 @@ class TestCommands:
         )
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("key, value, label", [
+        ("version", True, "an int"),
+        ("seed", "x", "an int"),
+        ("seed", 1.0, "an int"),
+        ("n_events", False, "an int"),
+        ("workload", 3, "a string"),
+        ("scheduler", None, "a string"),
+        ("pool", ["Tight"], "a string"),
+        ("capacity_mb", "512", "a number"),
+        ("capacity_mb", True, "a number"),
+    ], ids=["bool-version", "str-seed", "float-seed", "bool-n-events",
+            "int-workload", "null-scheduler", "list-pool", "str-capacity",
+            "bool-capacity"])
+    def test_trace_replay_rejects_mistyped_header_field(self, tmp_path,
+                                                        capsys, key, value,
+                                                        label):
+        rows = (GOLDEN_ROOT / "lo-sim_lru.jsonl").read_text().splitlines()
+        rows[0] = json.dumps(dict(json.loads(rows[0]), **{key: value}))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(rows) + "\n")
+        assert main(["trace", "replay", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {bad}: line 1: trace header key {key!r} is not "
+            f"{label}: {value!r}\n"
+        )
+        assert "Traceback" not in captured.out
 
     @pytest.mark.parametrize("action", ["replay", "diff"])
     @pytest.mark.parametrize("mangle, needle", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,25 @@ class TestIterTransitions:
     def test_rejects_corrupt_line(self, bad, needle):
         lines = [line("a"), "", bad, line("c")]
         with pytest.raises(ValueError, match=needle):
+            list(iter_transitions(lines, "shard.jsonl"))
+
+    @pytest.mark.parametrize("field, value, needle", [
+        ("m", "x", "key 'm' is not an int match level in 0..3: 'x'"),
+        ("m", 4, "key 'm' is not an int match level in 0..3: 4"),
+        ("m", True, "key 'm' is not an int match level in 0..3: True"),
+        ("cold", "no", "key 'cold' is not a bool: 'no'"),
+        ("cold", 0, "key 'cold' is not a bool: 0"),
+        ("fn", 7, "key 'fn' is not a string: 7"),
+        ("lat", "1.5", "key 'lat' is not a number: '1.5'"),
+        ("lat", False, "key 'lat' is not a number: False"),
+    ], ids=["str-m", "m-out-of-range", "bool-m", "str-cold", "int-cold",
+            "int-fn", "str-lat", "bool-lat"])
+    def test_rejects_mistyped_decision_field(self, field, value, needle):
+        row = json.loads(line("b", cold=False, m=2, lat=0.5))
+        row[field] = value
+        lines = [line("a"), json.dumps(row), line("c")]
+        with pytest.raises(ValueError,
+                           match=re.escape(f"shard.jsonl: line 2 {needle}")):
             list(iter_transitions(lines, "shard.jsonl"))
 
     def test_empty_input(self):

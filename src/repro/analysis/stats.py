@@ -19,10 +19,6 @@ class BoxStats:
     maximum: float
     mean: float
 
-    def as_tuple(self) -> Tuple[float, float, float, float, float]:
-        """The five-number summary as a plain tuple."""
-        return (self.minimum, self.q1, self.median, self.q3, self.maximum)
-
 
 def box_stats(values: Sequence[float]) -> BoxStats:
     """Compute the five-number summary (plus mean) of ``values``."""

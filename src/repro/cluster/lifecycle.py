@@ -345,7 +345,7 @@ class ContainerLifecycle(PoolLifecycle):
         """Index of the pool shard ``container_id`` is kept on: its
         worker's shard with per-worker pools, else the single shard 0."""
         if self.per_worker_pools:
-            return self.placement.workers.worker_of(container_id)
+            return self.placement.worker_of(container_id)
         return 0
 
     def home_shard(self, container_id: int) -> WarmPool:

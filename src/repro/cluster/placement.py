@@ -1,9 +1,9 @@
-"""Data-plane placement: worker selection and startup admission.
+"""Data-plane placement: worker books, worker selection and startup admission.
 
-The paper's system model (Section III-A) runs on a cluster of workers.
-Historically the simulator's :class:`~repro.cluster.worker.WorkerSet` was
-pure accounting -- worker count never affected latency.  The
-:class:`PlacementEngine` makes workers a real resource:
+The paper's system model (Section III-A) runs on a cluster of workers,
+each reserving memory for the warm pool.  The :class:`PlacementEngine`
+keeps the worker books -- which worker hosts each live container and how
+much memory each worker hosts -- and makes workers a real resource:
 
 * **Selection** -- cold starts are placed on a worker.  Without a
   concurrency limit this reproduces the historical least-memory rule
@@ -29,77 +29,94 @@ arithmetic serves offline simulation and the online serving plane.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
-
-from repro.cluster.worker import WorkerSet
+from typing import Dict, List, Optional, Tuple
 
 
 class PlacementEngine:
-    """Worker selection plus per-worker concurrency admission.
+    """Worker books, worker selection and per-worker concurrency admission.
 
     Parameters
     ----------
-    workers:
-        The placement bookkeeping shared with the rest of the cluster.
+    n_workers:
+        Worker nodes in the cluster (at least one).
     concurrency_limit:
         Maximum containers concurrently starting or executing per worker;
         ``None`` disables admission control entirely (no queueing, and
         selection falls back to the historical least-memory rule).
+
+    The books price a container at its placement-time memory and release
+    whatever memory the caller passes (a repacked container's current
+    size), clamped at zero; the least-memory rule depends on exactly that
+    arithmetic, so it is never repriced in between.
     """
 
     def __init__(
         self,
-        workers: WorkerSet,
+        n_workers: int,
         concurrency_limit: Optional[int] = None,
     ) -> None:
+        if n_workers < 1:
+            raise ValueError("need at least one worker")
         if concurrency_limit is not None and concurrency_limit < 1:
             raise ValueError("concurrency_limit must be >= 1")
-        self.workers = workers
+        self.n_workers = n_workers
         self.concurrency_limit = concurrency_limit
-        n = workers.n_workers
+        #: Memory hosted per worker (MB), indexed by worker id.
+        self.memory_mb: List[float] = [0.0] * n_workers
+        # Worker id of every placed, unreleased container.
+        self._placement: Dict[int, int] = {}
         # Per-worker release times of the jobs currently holding a slot
         # chain (at most ``concurrency_limit`` entries per worker).
-        self._slots: List[List[float]] = [[] for _ in range(n)]
+        self._slots: List[List[float]] = [[] for _ in range(n_workers)]
         # Per-worker release times of every admitted, unreleased startup.
-        self._inflight: List[List[float]] = [[] for _ in range(n)]
+        self._inflight: List[List[float]] = [[] for _ in range(n_workers)]
         # Per-worker start times of admitted-but-not-yet-started startups.
-        self._waiting: List[List[float]] = [[] for _ in range(n)]
+        self._waiting: List[List[float]] = [[] for _ in range(n_workers)]
 
     @property
     def queueing_enabled(self) -> bool:
         """Whether a finite concurrency limit is being enforced."""
         return self.concurrency_limit is not None
 
-    # -- selection ----------------------------------------------------------
+    # -- selection and books -------------------------------------------------
     def select_worker(self, now: float) -> int:
         """Pick the worker for a new (cold-started) container.
 
         With admission control off this is the historical least-memory
-        rule.  With it on, workers are ranked by in-flight load first so
+        rule: smallest hosted memory, ties broken by the lower worker id.
+        With it on, workers are ranked by in-flight load first so
         ``n_workers`` genuinely spreads startup contention.
         """
-        candidates = self.workers.workers()
+        memory = self.memory_mb
         if self.concurrency_limit is None:
-            chosen = min(candidates, key=lambda w: (w.memory_mb, w.worker_id))
-        else:
-            chosen = min(
-                candidates,
-                key=lambda w: (
-                    self._inflight_count(w.worker_id, now),
-                    w.memory_mb,
-                    w.worker_id,
-                ),
-            )
-        return chosen.worker_id
+            # ``index`` returns the first minimum: the lowest id on a tie.
+            return memory.index(min(memory))
+        return min(
+            range(self.n_workers),
+            key=lambda w: (self._inflight_count(w, now), memory[w], w),
+        )
 
     def place(self, container_id: int, memory_mb: float, now: float) -> int:
-        """Select a worker and record the placement; returns the worker id."""
+        """Select a worker and book the container on it; returns its id."""
+        if container_id in self._placement:
+            raise ValueError(f"container {container_id} already placed")
         worker_id = self.select_worker(now)
-        return self.workers.place_on(worker_id, container_id, memory_mb)
+        self._placement[container_id] = worker_id
+        self.memory_mb[worker_id] += memory_mb
+        return worker_id
 
     def release(self, container_id: int, memory_mb: float) -> None:
         """Remove a destroyed container from its worker's books."""
-        self.workers.release(container_id, memory_mb)
+        worker_id = self._placement.pop(container_id, None)
+        if worker_id is None:
+            raise KeyError(f"container {container_id} not placed")
+        self.memory_mb[worker_id] = max(
+            0.0, self.memory_mb[worker_id] - memory_mb
+        )
+
+    def worker_of(self, container_id: int) -> int:
+        """The worker id hosting a placed container."""
+        return self._placement[container_id]
 
     # -- admission ----------------------------------------------------------
     def admit(self, worker_id: int, now: float, hold_s: float) -> Tuple[float, float]:
@@ -157,7 +174,7 @@ class PlacementEngine:
         All zeros when admission control is disabled.
         """
         if self.concurrency_limit is None:
-            return (0,) * self.workers.n_workers
+            return (0,) * self.n_workers
         depths = []
         for waiting in self._waiting:
             while waiting and waiting[0] <= now:

@@ -13,8 +13,9 @@ The simulator is layered control-plane / data-plane:
 * :class:`~repro.cluster.lifecycle.ContainerLifecycle` -- container
   create/claim/repack/keep-alive/destroy, the cleaner, volumes and fault
   hooks (data plane);
-* :class:`~repro.cluster.placement.PlacementEngine` -- worker selection,
-  per-worker memory capacity and startup admission: with a finite
+* :class:`~repro.cluster.placement.PlacementEngine` -- the worker books
+  (which worker hosts each container, memory per worker), worker
+  selection and startup admission: with a finite
   ``worker_concurrency``, startups beyond the limit queue FIFO on their
   worker and the queueing delay is added to startup latency (and recorded
   separately in telemetry);
@@ -68,7 +69,6 @@ from repro.cluster.lifecycle import ContainerLifecycle, InvalidDecisionError
 from repro.cluster.placement import PlacementEngine
 from repro.cluster.pool import PoolSet
 from repro.cluster.telemetry import InvocationRecord, Telemetry
-from repro.cluster.worker import WorkerSet
 from repro.containers.cleaner import ContainerCleaner
 from repro.containers.container import Container
 from repro.containers.costmodel import StartupCostModel
@@ -201,9 +201,8 @@ class ClusterSimulator:
                 queueing_enabled=config.worker_concurrency is not None,
                 worker_slots=config.worker_concurrency or 1,
             )
-        self.workers = WorkerSet(config.n_workers)
         self.placement = PlacementEngine(
-            self.workers,
+            config.n_workers,
             concurrency_limit=config.worker_concurrency,
         )
         self.lifecycle = ContainerLifecycle(
@@ -504,7 +503,7 @@ class ClusterSimulator:
             if straggled:
                 self.telemetry.record_straggler()
         service_s = breakdown.total_s
-        worker_id = self.workers.worker_of(container.container_id)
+        worker_id = self.placement.worker_of(container.container_id)
         start_at, queue_delay = self.placement.admit(
             worker_id, now, service_s + invocation.execution_time_s
         )

@@ -7,10 +7,10 @@ with manual backpropagation:
 * :mod:`repro.drl.layers` -- Parameter/Module framework, Linear, ReLU,
   LayerNorm, Sequential;
 * :mod:`repro.drl.attention` -- multi-head self-attention (Fig. 7's trunk);
-* :mod:`repro.drl.losses` -- Huber / MSE with analytic gradients;
-* :mod:`repro.drl.optim` -- SGD and Adam;
+* :mod:`repro.drl.losses` -- the Huber loss with its analytic gradient;
+* :mod:`repro.drl.optim` -- Adam;
 * :mod:`repro.drl.replay` -- experience replay buffer (Algorithm 1's ``E``);
-* :mod:`repro.drl.schedules` -- epsilon-greedy exploration schedules;
+* :mod:`repro.drl.schedules` -- the epsilon-greedy exploration schedule;
 * :mod:`repro.drl.network` -- the Fig. 7 policy network (token embedding,
   two attention blocks, per-action linear heads) and an MLP ablation;
 * :mod:`repro.drl.dqn` -- the double DQN agent with action masking.
@@ -28,10 +28,10 @@ from repro.drl.layers import (
     Sequential,
 )
 from repro.drl.attention import MultiHeadAttention
-from repro.drl.losses import huber_loss, mse_loss
-from repro.drl.optim import Adam, Optimizer, SGD
+from repro.drl.losses import huber_loss
+from repro.drl.optim import Adam
 from repro.drl.replay import ReplayBuffer, Transition
-from repro.drl.schedules import ConstantEpsilon, LinearDecayEpsilon
+from repro.drl.schedules import LinearDecayEpsilon
 from repro.drl.network import (
     AttentionQNetwork,
     MLPQNetwork,
@@ -48,13 +48,9 @@ __all__ = [
     "Sequential",
     "MultiHeadAttention",
     "huber_loss",
-    "mse_loss",
-    "Optimizer",
-    "SGD",
     "Adam",
     "ReplayBuffer",
     "Transition",
-    "ConstantEpsilon",
     "LinearDecayEpsilon",
     "QNetwork",
     "AttentionQNetwork",

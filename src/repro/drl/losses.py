@@ -1,6 +1,6 @@
-"""Loss functions with analytic gradients.
+"""The DQN loss with its analytic gradient.
 
-Each loss returns ``(value, grad)`` where ``grad`` is the derivative with
+The loss returns ``(value, grad)`` where ``grad`` is the derivative with
 respect to the predictions, already divided by the batch size so callers can
 feed it straight into ``Module.backward``.
 """
@@ -10,16 +10,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean squared error: ``mean((pred - target)^2)``."""
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    diff = pred - target
-    loss = float(np.mean(diff**2))
-    grad = 2.0 * diff / diff.size
-    return loss, grad
 
 
 def huber_loss(

@@ -36,6 +36,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.drl.dqn import DQNConfig
+from repro.jsonl import DECISION_SCHEMA, check_object, read_object
 
 #: Action space: cold start plus the three reusable Table-I match levels.
 N_ACTIONS = 4
@@ -43,17 +44,10 @@ ACTION_COLD = 0
 
 #: Keys a JSONL row must carry to count as one decision (golden-trace
 #: lines and serve-recording decision lines both qualify; headers and
-#: scheduler-swap markers do not), with what each must hold: ``(key,
-#: check, label)``.  JSON true/false decode to ``bool``, which Python
-#: counts as an int, so the numeric checks exclude it.
-_DECISION_CHECKS = (
-    ("fn", lambda v: isinstance(v, str), "a string"),
-    ("cold", lambda v: isinstance(v, bool), "a bool"),
-    ("m", lambda v: type(v) is int and 0 <= v < N_ACTIONS,
-     f"an int match level in 0..{N_ACTIONS - 1}"),
-    ("lat", lambda v: isinstance(v, (int, float))
-     and not isinstance(v, bool), "a number"),
-)
+#: scheduler-swap markers do not), with the JSON kind each must hold.  A
+#: match level is an action index: cold is 0, L1..L3 are 1..3.
+_DECISION_SCHEMA = {key: DECISION_SCHEMA[key]
+                    for key in ("fn", "cold", "m", "lat")}
 
 TraceSource = Union[str, Path, Iterable[str]]
 
@@ -85,25 +79,11 @@ def iter_transitions(
         raw = raw.strip()
         if not raw:
             continue
-        try:
-            row = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{source}: line {number} is not JSON: {exc.msg}"
-            ) from None
-        if not isinstance(row, dict):
-            raise ValueError(
-                f"{source}: line {number} is not a JSON object: "
-                f"{type(row).__name__}"
-            )
-        if any(key not in row for key, _, _ in _DECISION_CHECKS):
+        where = f"{source}: line {number}"
+        row = read_object(raw, where)
+        if any(key not in row for key in _DECISION_SCHEMA):
             continue
-        for key, check, label in _DECISION_CHECKS:
-            if not check(row[key]):
-                raise ValueError(
-                    f"{source}: line {number} key {key!r} is not {label}: "
-                    f"{row[key]!r}"
-                )
+        check_object(row, _DECISION_SCHEMA, where, closed=False)
         action = ACTION_COLD if row["cold"] else row["m"]
         state = row["fn"]
         if prev is not None:

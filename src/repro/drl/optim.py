@@ -1,15 +1,13 @@
-"""Gradient-descent optimizers.
+"""The Adam optimizer.
 
-Optimizer state (momentum / Adam moments) is allocated with
-``np.zeros_like`` on the parameter values, so it automatically follows the
-network's compute dtype: a float32 network gets float32 optimizer state and
+The Adam moments are allocated with ``np.zeros_like`` on the parameter
+values, so they automatically follow the network's compute dtype: a float32 network gets float32 optimizer state and
 the whole update step stays in float32 (scalar coefficients are Python
 floats, which numpy's weak promotion keeps at the array dtype).
 """
 
 from __future__ import annotations
 
-import abc
 from typing import List, Sequence
 
 import numpy as np
@@ -17,20 +15,29 @@ import numpy as np
 from repro.drl.layers import Parameter
 
 
-class Optimizer(abc.ABC):
-    """Updates a fixed set of parameters from their accumulated gradients."""
+class Adam:
+    """Adam (Kingma & Ba) with bias correction over a fixed parameter set."""
 
-    def __init__(self, params: Sequence[Parameter], lr: float) -> None:
+    def __init__(
+        self,
+        params: Sequence[Parameter],
+        lr: float = 1e-3,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        eps: float = 1e-8,
+    ) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         if not params:
             raise ValueError("no parameters to optimize")
+        if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
+            raise ValueError("betas must be in [0, 1)")
         self.params: List[Parameter] = list(params)
         self.lr = lr
-
-    @abc.abstractmethod
-    def step(self) -> None:
-        """Apply one update using the current gradients."""
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self._m = [np.zeros_like(p.value) for p in self.params]
+        self._v = [np.zeros_like(p.value) for p in self.params]
+        self._t = 0
 
     def zero_grad(self) -> None:
         """Zero every accumulated gradient."""
@@ -48,49 +55,6 @@ class Optimizer(abc.ABC):
             for p in self.params:
                 p.grad *= scale
         return total
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self, params: Sequence[Parameter], lr: float = 1e-2, momentum: float = 0.0
-    ) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.value) for p in self.params]
-
-    def step(self) -> None:
-        """Apply one parameter update from the accumulated gradients."""
-        for p, v in zip(self.params, self._velocity):
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.value -= self.lr * v
-            else:
-                p.value -= self.lr * p.grad
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(params, lr)
-        if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
-            raise ValueError("betas must be in [0, 1)")
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
-        self._t = 0
 
     def step(self) -> None:
         """Apply one parameter update from the accumulated gradients."""

@@ -58,10 +58,6 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def is_full(self) -> bool:
-        return self._size == self.capacity
-
     def add(self, transition: Transition) -> None:
         """Append a transition, overwriting the oldest when full."""
         state = np.asarray(transition.state, dtype=self.dtype)

@@ -1,33 +1,13 @@
-"""Exploration (epsilon) schedules for epsilon-greedy action selection."""
+"""The exploration (epsilon) schedule for epsilon-greedy action selection."""
 
 from __future__ import annotations
 
-import abc
 
+class LinearDecayEpsilon:
+    """Linear decay from ``start`` to ``end`` over ``decay_steps``.
 
-class EpsilonSchedule(abc.ABC):
-    """Maps a global step counter to an exploration probability."""
-
-    @abc.abstractmethod
-    def value(self, step: int) -> float:
-        """Epsilon at ``step`` (must lie in [0, 1])."""
-
-
-class ConstantEpsilon(EpsilonSchedule):
-    """Fixed exploration rate (``0.0`` for pure evaluation)."""
-
-    def __init__(self, epsilon: float) -> None:
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        self.epsilon = epsilon
-
-    def value(self, step: int) -> float:
-        """Epsilon at the given global step."""
-        return self.epsilon
-
-
-class LinearDecayEpsilon(EpsilonSchedule):
-    """Linear decay from ``start`` to ``end`` over ``decay_steps``."""
+    Maps a global step counter to an exploration probability in [0, 1].
+    """
 
     def __init__(
         self, start: float = 1.0, end: float = 0.05, decay_steps: int = 10_000

@@ -1,0 +1,89 @@
+"""Decoding one JSONL line into a checked JSON object.
+
+Golden traces, serving recordings and offline-training shards are files
+the program reads from outside, one JSON object per line.  Each loader
+decodes a line with :func:`read_object` and checks it against a *schema*
+-- a mapping from key to :data:`Kind` -- with :func:`check_object`, so
+every malformed line ends in a ``ValueError`` worded the same way, with
+the caller's ``where`` (e.g. ``"recording line 3"``) in front:
+
+* ``{where} is not JSON: …`` / ``{where} is not a JSON object: list``;
+* ``{where} is missing key 'fn'`` / ``{where} has unexpected key 'x'``;
+* ``{where} key 'seed' is not an int: 'x'``.
+
+JSON ``true``/``false`` decode to ``bool``, which Python counts as an
+int, so the numeric kinds compare exact types and reject booleans.  This
+module imports nothing but the standard library.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Any, Callable, Dict, Mapping, Tuple
+
+#: A JSON value kind: a predicate on the decoded value, and the phrase an
+#: error message uses for it ("is not {label}").
+Kind = Tuple[Callable[[Any], bool], str]
+
+INT: Kind = (lambda v: type(v) is int, "an int")
+NUMBER: Kind = (lambda v: type(v) is int or type(v) is float, "a number")
+STR: Kind = (lambda v: type(v) is str, "a string")
+BOOL: Kind = (lambda v: type(v) is bool, "a bool")
+
+#: The Table-I match level: 0 is a cold start (no match), 1..3 are warm
+#: starts at L1..L3.
+MATCH_LEVEL: Kind = (lambda v: type(v) is int and 0 <= v <= 3,
+                     "an int match level in 0..3")
+
+#: One scheduling decision as golden-trace lines and serving-recording
+#: decision lines both store it (a trace line adds its index ``i``):
+#: invocation id, function, arrival time, cold flag, container id, match
+#: level, startup latency, queueing delay, worker id and execution time.
+DECISION_SCHEMA: Dict[str, Kind] = {
+    "inv": INT, "fn": STR, "t": NUMBER, "cold": BOOL, "cid": INT,
+    "m": MATCH_LEVEL, "lat": NUMBER, "q": NUMBER, "w": INT, "exec": NUMBER,
+}
+
+
+def nullable(kind: Kind) -> Kind:
+    """``kind`` or JSON ``null``."""
+    check, label = kind
+    return (lambda v: v is None or check(v), f"{label} or null")
+
+
+def read_object(line: str, where: str) -> Dict[str, Any]:
+    """Decode ``line``, which must hold one JSON object.
+
+    ``ValueError`` prefixed with ``where`` when it is not JSON or holds
+    another JSON value.
+    """
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where} is not JSON: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} is not a JSON object: "
+                         f"{type(data).__name__}")
+    return data
+
+
+def check_object(data: Mapping[str, Any], schema: Mapping[str, Kind],
+                 where: str, closed: bool = True) -> None:
+    """``ValueError`` unless ``data`` holds every ``schema`` key at its kind.
+
+    Checks run in order -- missing keys, then (when ``closed``) keys the
+    schema does not name, then each value's kind in schema order -- and
+    the first failure is reported, prefixed with ``where``.
+    """
+    for key in schema:
+        if key not in data:
+            raise ValueError(f"{where} is missing key {key!r}")
+    if closed:
+        for key in data:
+            if key not in schema:
+                raise ValueError(f"{where} has unexpected key {key!r}")
+    for key, (check, label) in schema.items():
+        value = data[key]
+        if not check(value):
+            raise ValueError(f"{where} key {key!r} is not {label}: "
+                             f"{value!r}")

@@ -63,10 +63,6 @@ class PackageCatalog:
     def __len__(self) -> int:
         return len(self._packages)
 
-    def all_packages(self) -> List[Package]:
-        """All registered packages in deterministic (sorted) order."""
-        return sorted(self._packages.values())
-
     def at_level(self, level: PackageLevel) -> List[Package]:
         """All packages of a given level, sorted."""
         return sorted(p for p in self._packages.values() if p.level == level)

@@ -29,6 +29,17 @@ from pathlib import Path
 from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cluster.lanes import SCHEDULER_CLASS_NAMES
+from repro.jsonl import (
+    BOOL,
+    DECISION_SCHEMA,
+    INT,
+    NUMBER,
+    STR,
+    check_object,
+    nullable,
+    read_object,
+)
+from repro.workloads.functions import fstartbench_functions
 
 __all__ = [
     "DecisionRecorder",
@@ -44,13 +55,19 @@ RECORDING_VERSION = 1
 #: Decision fields compared by replay, in reporting order.
 _COMPARED_FIELDS = ("inv", "cold", "cid", "m", "lat", "q", "w")
 
-#: Header keys replay rebuilds the engine from.
-_HEADER_KEYS = ("scheduler", "pool_capacity_mb", "n_workers",
-                "worker_concurrency", "per_worker_pools", "delta_pricing",
-                "keepalive_ttl_s")
+#: Header keys replay rebuilds the engine from, with their JSON kinds.
+_HEADER_SCHEMA = {
+    "scheduler": STR,
+    "pool_capacity_mb": NUMBER,
+    "n_workers": INT,
+    "worker_concurrency": nullable(INT),
+    "per_worker_pools": BOOL,
+    "delta_pricing": BOOL,
+    "keepalive_ttl_s": nullable(NUMBER),
+}
 
-#: Keys replay reads from a decision line (swap lines need only ``swap``).
-_DECISION_KEYS = ("fn", "t", "exec") + _COMPARED_FIELDS
+#: Keys replay reads from a scheduler hot-swap marker.
+_SWAP_SCHEMA = {"swap": STR}
 
 
 class DecisionRecorder:
@@ -177,8 +194,10 @@ def read_recording(
     :meth:`DecisionRecorder.lines`).  Raises ``ValueError`` on an empty
     log, an unsupported header (one that sets the retired
     ``worker_capacity_mb`` included), a line that is not a JSON object
-    with the keys replay reads, or a header or swap marker naming an
-    unknown scheduler key (the message names the line and the key).
+    with the keys replay reads at their JSON types, a header or swap
+    marker naming an unknown scheduler key, or a decision naming a
+    function the replay engine does not serve (the message names the
+    line and the key).
     """
     if isinstance(source, (str, Path)):
         lines = Path(source).read_text(encoding="utf-8").splitlines()
@@ -186,7 +205,7 @@ def read_recording(
         lines = [line for line in source if line.strip()]
     if not lines:
         raise ValueError("empty serving recording")
-    header = _json_object(lines[0], 1)
+    header = read_object(lines[0], "recording line 1")
     if header.get("kind") != "serve":
         raise ValueError(f"not a serving recording: {header!r}")
     if header.get("version") != RECORDING_VERSION:
@@ -201,50 +220,32 @@ def read_recording(
             f"{header['worker_capacity_mb']!r}; its placements cannot be "
             "replayed"
         )
-    _require(header, _HEADER_KEYS, 1)
-    _require_scheduler(header, "scheduler", 1)
+    check_object(header, _HEADER_SCHEMA, "recording line 1", closed=False)
+    _require_known(header, "scheduler", SCHEDULER_CLASS_NAMES, "scheduler",
+                   "recording line 1")
+    functions = {spec.name for spec in fstartbench_functions()}
     entries = []
     for number, line in enumerate(lines[1:], start=2):
-        entry = _json_object(line, number)
+        where = f"recording line {number}"
+        entry = read_object(line, where)
         if "swap" in entry:
-            _require_scheduler(entry, "swap", number)
+            check_object(entry, _SWAP_SCHEMA, where, closed=False)
+            _require_known(entry, "swap", SCHEDULER_CLASS_NAMES, "scheduler",
+                           where)
         else:
-            _require(entry, _DECISION_KEYS, number)
+            check_object(entry, DECISION_SCHEMA, where, closed=False)
+            _require_known(entry, "fn", functions, "function", where)
         entries.append(entry)
     return header, entries
 
 
-def _json_object(line: str, number: int) -> Dict[str, object]:
-    """Decode recording line ``number``, which must hold a JSON object."""
-    try:
-        data = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"recording line {number} is not JSON: "
-                         f"{exc.msg}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"recording line {number} is not a JSON object: "
-                         f"{type(data).__name__}")
-    return data
-
-
-def _require(data: Dict[str, object], keys: Tuple[str, ...],
-             number: int) -> None:
-    """``ValueError`` naming the first of ``keys`` missing on the line."""
-    for key in keys:
-        if key not in data:
-            raise ValueError(
-                f"recording line {number} is missing key {key!r}"
-            )
-
-
-def _require_scheduler(data: Dict[str, object], key: str,
-                       number: int) -> None:
-    """``ValueError`` unless ``data[key]`` is a scheduler registry key."""
-    value = data[key]
-    if not isinstance(value, str) or value not in SCHEDULER_CLASS_NAMES:
+def _require_known(data: Dict[str, object], key: str, known, what: str,
+                   where: str) -> None:
+    """``ValueError`` unless the string ``data[key]`` is one of ``known``."""
+    if data[key] not in known:
         raise ValueError(
-            f"recording line {number} key {key!r} names unknown scheduler "
-            f"{value!r}; choose from {sorted(SCHEDULER_CLASS_NAMES)}"
+            f"{where} key {key!r} names unknown {what} {data[key]!r}; "
+            f"choose from {sorted(known)}"
         )
 
 

@@ -11,9 +11,9 @@ laws the optimised data structures are supposed to preserve:
   one of pooled / running / destroyed, and live-memory accounting matches
   the live set (:class:`ConservationMonitor`);
 * **capacity and concurrency bounds** -- no pool shard exceeds its
-  capacity, no worker holds more concurrency slots than configured, and
-  per-worker memory bookkeeping sums correctly
-  (:class:`CapacityMonitor`);
+  capacity, no worker holds more concurrency slots than configured, the
+  placement books hold exactly the live containers, and per-worker
+  memory bookkeeping sums correctly (:class:`CapacityMonitor`);
 * **pool-index consistency** -- the fingerprint match index of every
   :class:`~repro.cluster.pool.WarmPool` describes exactly the pooled
   containers, and the :class:`~repro.cluster.pool.PoolSet` shard map
@@ -157,19 +157,19 @@ class CapacityMonitor(InvariantMonitor):
     def attach(self, sim: "ClusterSimulator") -> None:
         """Bind to ``sim`` and zero one shadow-ledger cell per worker."""
         super().attach(sim)
-        self._ledger = [0.0] * sim.workers.n_workers
+        self._ledger = [0.0] * sim.placement.n_workers
 
     def on_event(self, kind: str, **info) -> None:
         """Apply create/destroy placement pricing to the shadow ledger."""
         if kind == "create":
             container = info["container"]
-            worker_id = self.sim.workers.worker_of(container.container_id)
+            worker_id = self.sim.placement.worker_of(container.container_id)
             self._ledger[worker_id] += container.memory_mb
         elif kind == "destroy":
             # Fired before the placement release, mirroring its arithmetic:
             # the current (possibly repacked) memory, clamped at zero.
             container = info["container"]
-            worker_id = self.sim.workers.worker_of(container.container_id)
+            worker_id = self.sim.placement.worker_of(container.container_id)
             self._ledger[worker_id] = max(
                 0.0, self._ledger[worker_id] - container.memory_mb
             )
@@ -192,39 +192,20 @@ class CapacityMonitor(InvariantMonitor):
                         f"slots over its limit of {limit}"
                     )
         live = self.sim.lifecycle._live
-        placed = set(self.sim.workers._placement)
+        placed = set(placement._placement)
         if placed != set(live):
             self.fail(
                 f"worker placement tracks {sorted(placed)} but live "
                 f"containers are {sorted(live)}"
             )
-        hosted_union = set()
-        for worker in self.sim.workers.workers():
-            foreign = worker.container_ids - set(live)
-            if foreign:
+        for worker_id, memory_mb in enumerate(placement.memory_mb):
+            expected = self._ledger[worker_id]
+            if abs(memory_mb - expected) > _EPS * max(1.0, expected):
                 self.fail(
-                    f"worker {worker.worker_id} hosts dead containers "
-                    f"{sorted(foreign)}"
-                )
-            overlap = hosted_union & worker.container_ids
-            if overlap:
-                self.fail(
-                    f"containers {sorted(overlap)} hosted on more than one "
-                    f"worker"
-                )
-            hosted_union |= worker.container_ids
-            expected = self._ledger[worker.worker_id]
-            if abs(worker.memory_mb - expected) > _EPS * max(1.0, expected):
-                self.fail(
-                    f"worker {worker.worker_id} memory book says "
-                    f"{worker.memory_mb:.6f}MB, shadow ledger says "
+                    f"worker {worker_id} memory book says "
+                    f"{memory_mb:.6f}MB, shadow ledger says "
                     f"{expected:.6f}MB"
                 )
-        if hosted_union != set(live):
-            self.fail(
-                f"workers host {sorted(hosted_union)} but live containers "
-                f"are {sorted(live)}"
-            )
 
 
 class PoolIndexMonitor(InvariantMonitor):

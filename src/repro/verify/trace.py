@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.cluster.simulator import (
     ClusterSimulator,
@@ -46,6 +46,14 @@ from repro.cluster.telemetry import InvocationRecord
 from repro.containers.matching import MatchLevel
 from repro.experiments.common import POOL_LEVELS, pool_sizes
 from repro.experiments.parallel import SCHEDULER_FACTORIES, build_scheduler
+from repro.jsonl import (
+    DECISION_SCHEMA,
+    INT,
+    NUMBER,
+    STR,
+    check_object,
+    read_object,
+)
 from repro.workloads.fstartbench import WORKLOAD_BUILDERS, build_workload
 
 #: Version stamp written into every trace header; bump on any change to
@@ -136,31 +144,23 @@ class TraceHeader:
     @staticmethod
     def from_json(line: str) -> "TraceHeader":
         """Parse a header line; ``ValueError`` unless it is this format's."""
-        data = _json_object(line, "trace header")
+        data = read_object(line, "trace header")
         version = data.get("version", TRACE_FORMAT_VERSION)
         if version != TRACE_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported trace format version {version!r} "
                 f"(this build reads version {TRACE_FORMAT_VERSION})"
             )
-        _check_keys(data, _HEADER_FIELDS, "trace header")
-        for field in fields(TraceHeader):
-            types, label = _JSON_TYPES[field.type]
-            value = data[field.name]
-            # JSON true/false decode to bool, which Python counts as an int.
-            if not isinstance(value, types) or isinstance(value, bool):
-                raise ValueError(f"trace header key {field.name!r} is not "
-                                 f"{label}: {value!r}")
+        check_object(data, _HEADER_SCHEMA, "trace header")
         return TraceHeader(**data)
 
 
-#: Header fields, in serialization order.
-_HEADER_FIELDS = tuple(f.name for f in fields(TraceHeader))
+#: The JSON value kind each field annotation accepts, keyed by annotation
+#: string (this module postpones annotations).
+_KINDS = {"int": INT, "str": STR, "float": NUMBER}
 
-#: The JSON values each header field's annotation accepts, and their name;
-#: keyed by annotation string (this module postpones annotations).
-_JSON_TYPES = {"int": (int, "an int"), "str": (str, "a string"),
-               "float": ((int, float), "a number")}
+#: Header key -> kind, in serialization order.
+_HEADER_SCHEMA = {f.name: _KINDS[f.type] for f in fields(TraceHeader)}
 
 
 #: JSON key per :class:`TraceLine` field, in serialization order.
@@ -177,7 +177,6 @@ _LINE_KEYS = (
     ("worker", "w"),
     ("exec_s", "exec"),
 )
-_LINE_JSON_KEYS = tuple(key for _, key in _LINE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -225,32 +224,13 @@ class TraceLine:
     @staticmethod
     def from_json(line: str) -> "TraceLine":
         """Parse one decision line; ``ValueError`` on a malformed one."""
-        data = _json_object(line, "trace line")
-        _check_keys(data, _LINE_JSON_KEYS, "trace line")
+        data = read_object(line, "trace line")
+        check_object(data, _LINE_SCHEMA, "trace line")
         return TraceLine(**{attr: data[key] for attr, key in _LINE_KEYS})
 
 
-def _json_object(line: str, where: str) -> dict:
-    """Decode one JSONL line that must hold a JSON object."""
-    try:
-        data = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{where} is not JSON: {exc.msg}") from None
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"{where} is not a JSON object: {type(data).__name__}"
-        )
-    return data
-
-
-def _check_keys(data: dict, keys: Sequence[str], where: str) -> None:
-    """``ValueError`` naming the first missing or unexpected key."""
-    for key in keys:
-        if key not in data:
-            raise ValueError(f"{where} is missing key {key!r}")
-    for key in data:
-        if key not in keys:
-            raise ValueError(f"{where} has unexpected key {key!r}")
+#: Line key -> kind: the event index, then the decision fields.
+_LINE_SCHEMA = {"i": INT, **DECISION_SCHEMA}
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ class TestBoxStats:
 
     def test_single_value(self):
         s = box_stats([7.0])
-        assert s.as_tuple() == (7.0, 7.0, 7.0, 7.0, 7.0)
+        assert (s.minimum, s.q1, s.median, s.q3, s.maximum) == (7.0,) * 5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

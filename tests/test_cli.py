@@ -18,6 +18,22 @@ _SERVE_HEADER = {
     "keepalive_ttl_s": 600.0,
 }
 
+_SERVE_DECISION = {
+    "inv": 0, "fn": "alu", "t": 0.5, "exec": 0.1, "cold": True, "cid": 1,
+    "m": 0, "lat": 2.4, "q": 0.0, "w": 0,
+}
+
+
+def _mistyped_header(key, value):
+    """A recording whose header sets ``key`` to ``value``."""
+    return [json.dumps(dict(_SERVE_HEADER, **{key: value}))]
+
+
+def _mistyped_decision(key, value):
+    """A recording whose one decision line sets ``key`` to ``value``."""
+    return [json.dumps(_SERVE_HEADER),
+            json.dumps(dict(_SERVE_DECISION, **{key: value}))]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -166,9 +182,47 @@ class TestCommands:
          "line 1 key 'scheduler' names unknown scheduler 'nope'"),
         ([json.dumps(_SERVE_HEADER), json.dumps({"swap": "nope", "t": 1.0})],
          "line 2 key 'swap' names unknown scheduler 'nope'"),
+        (_mistyped_header("pool_capacity_mb", "x"),
+         "line 1 key 'pool_capacity_mb' is not a number: 'x'"),
+        (_mistyped_header("n_workers", 2.5),
+         "line 1 key 'n_workers' is not an int: 2.5"),
+        (_mistyped_header("n_workers", True),
+         "line 1 key 'n_workers' is not an int: True"),
+        (_mistyped_header("worker_concurrency", "2"),
+         "line 1 key 'worker_concurrency' is not an int or null: '2'"),
+        (_mistyped_header("per_worker_pools", "no"),
+         "line 1 key 'per_worker_pools' is not a bool: 'no'"),
+        (_mistyped_header("delta_pricing", 0),
+         "line 1 key 'delta_pricing' is not a bool: 0"),
+        (_mistyped_header("keepalive_ttl_s", "600"),
+         "line 1 key 'keepalive_ttl_s' is not a number or null: '600'"),
+        (_mistyped_decision("t", "x"), "line 2 key 't' is not a number: 'x'"),
+        (_mistyped_decision("exec", "0.1"),
+         "line 2 key 'exec' is not a number: '0.1'"),
+        (_mistyped_decision("fn", "f0"),
+         "line 2 key 'fn' names unknown function 'f0'"),
+        (_mistyped_decision("fn", 3), "line 2 key 'fn' is not a string: 3"),
+        (_mistyped_decision("inv", "0"),
+         "line 2 key 'inv' is not an int: '0'"),
+        (_mistyped_decision("cid", 1.0),
+         "line 2 key 'cid' is not an int: 1.0"),
+        (_mistyped_decision("w", None), "line 2 key 'w' is not an int: None"),
+        (_mistyped_decision("m", 4),
+         "line 2 key 'm' is not an int match level in 0..3: 4"),
+        (_mistyped_decision("cold", "yes"),
+         "line 2 key 'cold' is not a bool: 'yes'"),
+        (_mistyped_decision("lat", True),
+         "line 2 key 'lat' is not a number: True"),
+        (_mistyped_decision("q", [0.0]),
+         "line 2 key 'q' is not a number: [0.0]"),
     ], ids=["unknown-version", "retired-worker-capacity", "array-header",
             "header-without-pool", "decision-without-fn", "non-json-line",
-            "unknown-scheduler", "unknown-swap-scheduler"])
+            "unknown-scheduler", "unknown-swap-scheduler", "str-capacity",
+            "float-n-workers", "bool-n-workers", "str-concurrency",
+            "str-per-worker-pools", "int-delta-pricing", "str-ttl",
+            "str-t", "str-exec", "unknown-fn", "int-fn", "str-inv",
+            "float-cid", "null-w", "m-out-of-range", "str-cold", "bool-lat",
+            "list-q"])
     def test_serve_replay_rejects_recording_cleanly(self, tmp_path, capsys,
                                                     lines, needle):
         recording = tmp_path / "session.jsonl"
@@ -234,8 +288,11 @@ class TestCommands:
          + rows[2:], "line 2: trace line is missing key 'fn'"),
         (lambda rows: [json.dumps(dict(json.loads(rows[0]), extra=1))]
          + rows[1:], "line 1: trace header has unexpected key 'extra'"),
+        (lambda rows: rows[:1] + [json.dumps(dict(json.loads(rows[1]),
+                                                  w="0"))] + rows[2:],
+         "line 2: trace line key 'w' is not an int: '0'"),
     ], ids=["non-json-header", "unknown-version", "line-without-fn",
-            "header-extra-key"])
+            "header-extra-key", "line-str-worker"])
     def test_trace_rejects_malformed_file(self, tmp_path, capsys, action,
                                           mangle, needle):
         golden = GOLDEN_ROOT / "lo-sim_lru.jsonl"

@@ -7,7 +7,6 @@ from repro.cluster.events import EventKind
 from repro.cluster.eviction import LRUEviction
 from repro.cluster.placement import PlacementEngine
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
-from repro.cluster.worker import WorkerSet
 from repro.schedulers.greedy import GreedyMatchScheduler
 from repro.schedulers.lru import LRUScheduler
 from repro.workloads.fstartbench import hi_sim_workload
@@ -69,16 +68,62 @@ class TestEventLoop:
 
 class TestPlacementEngine:
     def engine(self, n=2, limit=None):
-        return PlacementEngine(WorkerSet(n), concurrency_limit=limit)
+        return PlacementEngine(n, concurrency_limit=limit)
 
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             self.engine(limit=0)
 
+    def test_at_least_one_worker(self):
+        with pytest.raises(ValueError):
+            self.engine(n=0)
+
     def test_no_limit_uses_least_memory_rule(self):
         eng = self.engine(n=2)
-        eng.workers.place_on(0, 1, 100.0)
+        assert eng.place(1, 100.0, now=0.0) == 0  # tie: lower id
         assert eng.select_worker(now=0.0) == 1
+
+    def test_least_loaded_placement(self):
+        eng = self.engine(n=2)
+        eng.place(1, 100.0, now=0.0)
+        eng.place(2, 50.0, now=0.0)   # goes to the other worker
+        eng.place(3, 10.0, now=0.0)   # goes to the lighter worker (#2's)
+        assert eng.worker_of(1) != eng.worker_of(2)
+        assert eng.worker_of(3) == eng.worker_of(2)
+        assert eng.memory_mb == [100.0, 60.0]
+
+    def test_equal_memory_breaks_ties_by_worker_id(self):
+        eng = self.engine(n=3)
+        eng.place(1, 10.0, now=0.0)
+        eng.place(2, 10.0, now=0.0)
+        eng.place(3, 10.0, now=0.0)
+        assert [eng.worker_of(c) for c in (1, 2, 3)] == [0, 1, 2]
+        eng.release(2, 10.0)
+        eng.release(1, 10.0)
+        assert eng.place(4, 5.0, now=0.0) == 0
+
+    def test_release_rebalances(self):
+        eng = self.engine(n=2)
+        eng.place(1, 100.0, now=0.0)
+        eng.place(2, 50.0, now=0.0)
+        eng.release(1, 100.0)
+        assert eng.place(3, 10.0, now=0.0) == 0  # worker 0 is now empty
+
+    def test_duplicate_placement_rejected(self):
+        eng = self.engine()
+        eng.place(1, 10.0, now=0.0)
+        with pytest.raises(ValueError):
+            eng.place(1, 10.0, now=0.0)
+
+    def test_release_unknown_rejected(self):
+        with pytest.raises(KeyError):
+            self.engine().release(42, 1.0)
+
+    def test_memory_never_negative(self):
+        eng = self.engine(n=1)
+        eng.place(1, 10.0, now=0.0)
+        eng.release(1, 999.0)  # over-release clamps to zero
+        assert eng.memory_mb == [0.0]
 
     def test_no_limit_admits_immediately(self):
         eng = self.engine(n=1)
@@ -113,7 +158,7 @@ class TestPlacementEngine:
     def test_limit_balances_on_inflight(self):
         eng = self.engine(n=2, limit=4)
         # Worker 0 hosts more memory but fewer in-flight startups.
-        eng.workers.place_on(0, 1, 500.0)
+        assert eng.place(1, 500.0, now=0.0) == 0
         eng.admit(1, now=0.0, hold_s=100.0)
         assert eng.select_worker(now=0.0) == 0
 
@@ -219,11 +264,10 @@ class TestQueueingIntegration:
         )
         sim.load(workload_of([make_invocation(spec_a(), 0)]))
         ctx = sim.next_decision_point()
-        # The load views live on the simulator's workers and placement
-        # engine; the context itself carries no per-worker copies.
-        assert [w["containers"] for w in sim.workers.load_snapshot()] == [
-            0.0, 0.0, 0.0
-        ]
+        # The load views live on the simulator's placement engine; the
+        # context itself carries no per-worker copies.
+        assert sim.placement.memory_mb == [0.0, 0.0, 0.0]
+        assert sim.placement._placement == {}
         assert sim.placement.queue_depths(sim.now) == (0, 0, 0)
         record = sim.apply_decision(LRUScheduler().decide(ctx))
         assert record.worker_id in (0, 1, 2)

@@ -26,7 +26,6 @@ class TestAdd:
         for i in range(5):
             buf.add(make_transition(float(i)))
             assert len(buf) == min(i + 1, 3)
-        assert buf.is_full
 
     def test_overwrites_oldest(self):
         buf = ReplayBuffer(2, 4, 3)

@@ -47,11 +47,6 @@ class TestPackageCatalog:
         cat = PackageCatalog([make_package("x", "2")])
         assert cat.by_key("x==2").name == "x"
 
-    def test_all_packages_sorted_deterministically(self):
-        cat = PackageCatalog([make_package("b"), make_package("a")])
-        names = [p.name for p in cat.all_packages()]
-        assert names == sorted(names)
-
     def test_at_level(self):
         cat = PackageCatalog([
             make_package("os1", level=PackageLevel.OS),
@@ -76,8 +71,9 @@ class TestDefaultCatalog:
     def test_deterministic_rebuild(self):
         a = default_catalog()
         b = default_catalog()
-        assert [p.key for p in a.all_packages()] == [
-            p.key for p in b.all_packages()
+        assert a.key_order() == b.key_order()
+        assert [a.by_key(k) for k in a.key_order()] == [
+            b.by_key(k) for k in b.key_order()
         ]
 
 

@@ -158,15 +158,14 @@ def test_conservation_fires_on_live_memory_drift(finished_sim):
 
 
 def test_capacity_fires_on_memory_book_tamper(finished_sim):
-    worker = next(iter(finished_sim.workers.workers()))
-    worker.memory_mb += 123.0
+    finished_sim.placement.memory_mb[0] += 123.0
     with pytest.raises(InvariantViolation, match=r"\[capacity\]"):
         finished_sim.verifier.checkpoint()
 
 
 def test_capacity_fires_on_foreign_hosting(finished_sim):
-    worker = next(iter(finished_sim.workers.workers()))
-    worker.container_ids.add(999_999)  # a container that never existed
+    # Book a container that never existed.
+    finished_sim.placement._placement[999_999] = 0
     with pytest.raises(InvariantViolation, match=r"\[capacity\]"):
         finished_sim.verifier.checkpoint()
 

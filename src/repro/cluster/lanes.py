@@ -135,9 +135,6 @@ STREAM_CHUNK_SIZE = 4096
 _STARTUP_DONE = 0
 _EXECUTION_DONE = 1
 
-_MISSING = object()
-
-
 def scheduler_class(key: str) -> type:
     """The registry class behind ``key`` (``KeyError`` when unknown)."""
     try:
@@ -226,21 +223,13 @@ class ArrivalTable:
 
 
 def _offline_policy_for(table: ArrivalTable):
-    """The Offline-Q policy ``observe_workload`` would bootstrap for the
-    table's workload, fitted once per table.
+    """The Offline-Q policy ``observe_workload`` bootstraps for the
+    table's workload: :func:`~repro.schedulers.offline.bootstrap_policy`,
+    whose per-workload memo every lane and the sequential engine share.
+    The table must carry its workload."""
+    from repro.schedulers.offline import bootstrap_policy
 
-    :func:`~repro.schedulers.offline.bootstrap_policy` is deterministic
-    (same workload, same rollout, same policy), so caching its result on
-    the table amortizes the bootstrap across every lane and capacity
-    replaying the same draw -- the sequential driver refits per cell and
-    gets bit-identical Q-values.  The table must carry its workload.
-    """
-    policy = getattr(table, "_offline_policy", _MISSING)
-    if policy is _MISSING:
-        from repro.schedulers.offline import bootstrap_policy
-
-        policy = table._offline_policy = bootstrap_policy(table.workload)
-    return policy
+    return bootstrap_policy(table.workload)
 
 
 @dataclass(frozen=True)
@@ -302,7 +291,8 @@ class _Lane(PoolLifecycle):
         self.table = table
         if table is not None and table.workload is not None:
             if isinstance(scheduler, OfflineQScheduler):
-                # One bootstrap fit per table, shared by its lanes.
+                # One bootstrap fit per workload draw, shared by every
+                # lane and the sequential engine.
                 scheduler.policy = _offline_policy_for(table)
             elif hasattr(scheduler, "observe_workload"):
                 scheduler.observe_workload(table.workload)

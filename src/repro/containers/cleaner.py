@@ -12,6 +12,12 @@ Because the OS level lives on the container's writable layer (not a volume),
 an OS mismatch cannot be fixed by the cleaner -- such containers are simply
 not reusable (Table I ``NO_MATCH``).
 
+The volume set a function needs on an image comes from the store's
+memoized :meth:`~repro.containers.volumes.VolumeStore.plan`.  A repack
+keeps the container's volumes that the plan names, in their current order,
+and mounts the rest in plan order; when the container already holds
+exactly the plan (same-function reuse), nothing is unmounted or mounted.
+
 The cleaner is also the security boundary: it *guarantees* that no user-data
 volume owned by function A is ever mounted while function B runs.  A
 violation raises :class:`SecurityViolation`; the property-based tests assert
@@ -26,7 +32,7 @@ from typing import List
 from repro.containers.container import Container
 from repro.containers.image import FunctionImage
 from repro.containers.matching import MatchLevel, match_level
-from repro.containers.volumes import Volume, VolumeKind, VolumeStore, volumes_for_image
+from repro.containers.volumes import Volume, VolumeKind, VolumeStore
 
 
 class SecurityViolation(RuntimeError):
@@ -55,15 +61,10 @@ class ContainerCleaner:
 
     def initial_mount(self, container: Container, function_name: str) -> List[Volume]:
         """Mount the volume set for a freshly created (cold-start) container."""
-        vols = volumes_for_image(
-            self._store,
-            container.image.language_packages,
-            container.image.runtime_packages,
-            function_name,
-        )
-        container.mounted_volumes = list(vols)
-        self._store.record_mount(len(vols))
-        return vols
+        needed, _ = self._store.plan(container.image, function_name)
+        container.mounted_volumes = list(needed)
+        self._store.record_mount(len(needed))
+        return list(needed)
 
     def repack(
         self,
@@ -91,20 +92,18 @@ class ContainerCleaner:
                 f"container {container.container_id} has a different OS level; "
                 "repacking cannot change the writable layer"
             )
-        needed = volumes_for_image(
-            self._store,
-            new_image.language_packages,
-            new_image.runtime_packages,
-            function_name,
-        )
-        needed_ids = {v.volume_id for v in needed}
-        current = list(container.mounted_volumes)
-        unmounted = [v for v in current if v.volume_id not in needed_ids]
-        kept = [v for v in current if v.volume_id in needed_ids]
-        kept_ids = {v.volume_id for v in kept}
-        mounted = [v for v in needed if v.volume_id not in kept_ids]
-
-        container.mounted_volumes = kept + mounted
+        needed, needed_ids = self._store.plan(new_image, function_name)
+        current = container.mounted_volumes
+        if current == needed:
+            # Same-function reuse: every volume stays, in place.
+            unmounted: List[Volume] = []
+            mounted: List[Volume] = []
+        else:
+            unmounted = [v for v in current if v.volume_id not in needed_ids]
+            kept = [v for v in current if v.volume_id in needed_ids]
+            kept_ids = {v.volume_id for v in kept}
+            mounted = [v for v in needed if v.volume_id not in kept_ids]
+            container.mounted_volumes = kept + mounted
         container.image = new_image
         self._store.record_unmount(len(unmounted))
         self._store.record_mount(len(mounted))

@@ -5,6 +5,11 @@ container sharing by persisting it in *volumes* that are unmounted before a
 container is handed to a different function.  Volumes come in three kinds:
 language-package volumes, runtime-package volumes and user-data volumes; OS
 packages live on the container's writable layer and are not volumes.
+
+An image's volumes never change, so :meth:`VolumeStore.plan` builds the
+volume set of one ``(image, function)`` pair once (through
+:func:`volumes_for_image`, which hands out volume ids in first-use order)
+and serves it from a memo afterwards.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from repro.containers.image import FunctionImage
 from repro.packages.package import Package, PackageLevel
 
 
@@ -66,14 +72,41 @@ class VolumeStore:
     The cleaner mounts required package volumes from this store when
     repacking a warm container.  Volumes are deduplicated by content: asking
     twice for the same package set returns the same volume object.
+
+    :meth:`plan` memoizes each ``(image, function)`` pair's volume set,
+    keyed by the image's process-local fingerprints; a store lives in the
+    one process whose lifecycle owns it and is never pickled.
     """
 
     def __init__(self) -> None:
         self._ids = itertools.count(1)
         self._package_volumes: Dict[tuple, Volume] = {}
         self._user_volumes: Dict[str, Volume] = {}
+        self._plans: Dict[tuple, Tuple[List[Volume], FrozenSet[int]]] = {}
         self.mount_count = 0
         self.unmount_count = 0
+
+    def plan(
+        self, image: FunctionImage, function_name: str
+    ) -> Tuple[List[Volume], FrozenSet[int]]:
+        """The volumes ``function_name`` needs on ``image``, and their ids.
+
+        Built once per pair by :func:`volumes_for_image` (so volume ids
+        are handed out in the same order as without the memo), then
+        served from the memo.  The list is shared: callers copy it before
+        giving it to a container, and never mutate it.
+        """
+        key = (image.fingerprints, function_name)
+        plan = self._plans.get(key)
+        if plan is None:
+            needed = volumes_for_image(
+                self, image.language_packages, image.runtime_packages,
+                function_name,
+            )
+            plan = self._plans[key] = (
+                needed, frozenset(v.volume_id for v in needed)
+            )
+        return plan
 
     def package_volume(
         self, kind: VolumeKind, packages: Iterable[Package]

@@ -12,13 +12,17 @@ the caller's ``where`` (e.g. ``"recording line 3"``) in front:
 * ``{where} key 'seed' is not an int: 'x'``.
 
 JSON ``true``/``false`` decode to ``bool``, which Python counts as an
-int, so the numeric kinds compare exact types and reject booleans.  This
-module imports nothing but the standard library.
+int, so the numeric kinds compare exact types and reject booleans.
+``json.loads`` also decodes the non-standard ``NaN``, ``Infinity`` and
+``-Infinity``; :data:`NUMBER` rejects them (``key 't' is not a number:
+nan``), since no time, latency or capacity a loader reads can be one.
+This module imports nothing but the standard library.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Callable, Dict, Mapping, Tuple
 
 #: A JSON value kind: a predicate on the decoded value, and the phrase an
@@ -26,7 +30,10 @@ from typing import Any, Callable, Dict, Mapping, Tuple
 Kind = Tuple[Callable[[Any], bool], str]
 
 INT: Kind = (lambda v: type(v) is int, "an int")
-NUMBER: Kind = (lambda v: type(v) is int or type(v) is float, "a number")
+NUMBER: Kind = (
+    lambda v: type(v) is int or (type(v) is float and math.isfinite(v)),
+    "a number",
+)
 STR: Kind = (lambda v: type(v) is str, "a string")
 BOOL: Kind = (lambda v: type(v) is bool, "a bool")
 

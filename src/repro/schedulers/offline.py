@@ -15,12 +15,15 @@ bootstraps one from the workload itself (:func:`bootstrap_policy`): a
 greedy reference rollout on an unbounded pool is recorded in memory and
 fitted, so experiment-grid cells genuinely train from traces
 (deterministically -- same workload, same rollout, same policy) without
-any filesystem coupling.
+any filesystem coupling.  The fit is memoized per workload object for as
+long as that object lives, so the sequential engine's cells and the lane
+kernel's lanes replaying one workload draw share one policy.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Dict, Optional
 
 from repro.containers.costmodel import StartupCostModel
@@ -35,13 +38,27 @@ _LEVELS = tuple(MatchLevel)
 _MISSING = object()
 
 
+#: Bootstrap fits keyed by ``id(workload)``.  Each entry is dropped when
+#: its workload is collected (a ``weakref.finalize`` runs before the id
+#: can be reused), so the memo keeps no workload alive and holds one
+#: policy per live workload at most; it lives outside the workload, so
+#: pickling a workload never carries it.
+_BOOTSTRAP_MEMO: Dict[int, OfflineQPolicy] = {}
+
+
 def bootstrap_policy(workload: Workload) -> OfflineQPolicy:
     """The policy a greedy reference rollout of ``workload`` fits to.
 
     Runs the greedy baseline over ``workload`` on an unbounded pool and
     fits its decision lines (:func:`~repro.drl.offline.fit_from_traces`).
-    Deterministic: the same workload always yields the same policy.
+    Deterministic: the same workload always yields the same policy, so
+    the fit is memoized per workload object and every later call returns
+    the same (read-only) policy object.
     """
+    key = id(workload)
+    policy = _BOOTSTRAP_MEMO.get(key)
+    if policy is not None:
+        return policy
     # Deferred imports: schedulers must stay importable without dragging
     # the full cluster stack in at package-import time.
     from repro.cluster.simulator import ClusterSimulator, SimulationConfig
@@ -54,7 +71,11 @@ def bootstrap_policy(workload: Workload) -> OfflineQPolicy:
         reference.make_eviction_policy(),
     )
     result = sim.run(workload, reference)
-    return fit_from_traces([trace_lines_from_result(result)])
+    policy = _BOOTSTRAP_MEMO[key] = fit_from_traces(
+        [trace_lines_from_result(result)]
+    )
+    weakref.finalize(workload, _BOOTSTRAP_MEMO.pop, key, None)
+    return policy
 
 
 class OfflineQScheduler(Scheduler):
@@ -97,7 +118,9 @@ class OfflineQScheduler(Scheduler):
     def observe_workload(self, workload: Workload) -> None:
         """Bootstrap a policy from a greedy reference rollout (offline).
 
-        No-op when a policy was supplied at construction.
+        The policy is :func:`bootstrap_policy`'s, shared with every other
+        scheduler that observed the same workload object.  No-op when a
+        policy was supplied at construction.
         """
         if self._policy_pinned:
             return

@@ -191,8 +191,9 @@ def read_recording(
     """Parse a recording into ``(header, entries)``.
 
     ``source`` is a path or an iterable of JSONL lines (e.g.
-    :meth:`DecisionRecorder.lines`).  Raises ``ValueError`` on an empty
-    log, an unsupported header (one that sets the retired
+    :meth:`DecisionRecorder.lines`); blank lines are skipped from either,
+    and messages number lines as the source does.  Raises ``ValueError``
+    on an empty log, an unsupported header (one that sets the retired
     ``worker_capacity_mb`` included), a line that is not a JSON object
     with the keys replay reads at their JSON types, a header or swap
     marker naming an unknown scheduler key, or a decision naming a
@@ -200,12 +201,14 @@ def read_recording(
     line and the key).
     """
     if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        lines = [line for line in source if line.strip()]
+        source = Path(source).read_text(encoding="utf-8").splitlines()
+    lines = [(number, line) for number, line in enumerate(source, start=1)
+             if line.strip()]
     if not lines:
         raise ValueError("empty serving recording")
-    header = read_object(lines[0], "recording line 1")
+    (header_number, header_line), *rest = lines
+    header_where = f"recording line {header_number}"
+    header = read_object(header_line, header_where)
     if header.get("kind") != "serve":
         raise ValueError(f"not a serving recording: {header!r}")
     if header.get("version") != RECORDING_VERSION:
@@ -220,12 +223,12 @@ def read_recording(
             f"{header['worker_capacity_mb']!r}; its placements cannot be "
             "replayed"
         )
-    check_object(header, _HEADER_SCHEMA, "recording line 1", closed=False)
+    check_object(header, _HEADER_SCHEMA, header_where, closed=False)
     _require_known(header, "scheduler", SCHEDULER_CLASS_NAMES, "scheduler",
-                   "recording line 1")
+                   header_where)
     functions = {spec.name for spec in fstartbench_functions()}
     entries = []
-    for number, line in enumerate(lines[1:], start=2):
+    for number, line in rest:
         where = f"recording line {number}"
         entry = read_object(line, where)
         if "swap" in entry:

@@ -144,6 +144,40 @@ class TestCommands:
         )
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("value, shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    ], ids=["nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("command", ["trace", "serve-replay",
+                                         "train-offline"])
+    def test_non_finite_number_is_rejected(self, tmp_path, capsys, command,
+                                           value, shown):
+        """``json.loads`` decodes ``NaN`` / ``Infinity``; every loader
+        rejects them with one error line naming the line and key."""
+        if command == "serve-replay":
+            rows = _mistyped_decision("t", value)
+            needle = f"recording line 2 key 't' is not a number: {shown}"
+        else:
+            rows = (GOLDEN_ROOT / "lo-sim_lru.jsonl").read_text().splitlines()
+            rows[2] = json.dumps(dict(json.loads(rows[2]), lat=value))
+            needle = (f"line 3: trace line key 'lat' is not a number: {shown}"
+                      if command == "trace"
+                      else f"line 3 key 'lat' is not a number: {shown}")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(rows) + "\n")
+        assert "NaN" in bad.read_text() or "Infinity" in bad.read_text()
+        argv = {
+            "trace": ["trace", "replay", str(bad)],
+            "serve-replay": ["serve-replay", str(bad)],
+            "train-offline": ["train-offline", str(bad), "--output",
+                              str(tmp_path / "q.npz")],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert needle in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.out + captured.err
+
     def test_train_offline_empty_trace_fails(self, tmp_path, capsys):
         trace = tmp_path / "empty.jsonl"
         trace.write_text('{"version": 1}\n')

@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.containers.cleaner import ContainerCleaner, SecurityViolation
-from repro.containers.matching import MatchLevel
-from repro.containers.volumes import VolumeKind, VolumeStore
+from repro.containers.cleaner import (
+    CleanResult,
+    ContainerCleaner,
+    SecurityViolation,
+)
+from repro.containers.matching import MatchLevel, match_level
+from repro.containers.volumes import VolumeKind, VolumeStore, volumes_for_image
+from repro.workloads.functions import fstartbench_functions
 
 from conftest import make_container, make_image
 
@@ -108,3 +113,124 @@ def test_user_data_isolation_invariant(chain):
         for vol in container.mounted_volumes:
             if vol.kind is VolumeKind.USER_DATA:
                 assert vol.owner_function == current
+
+
+# -- the memoized volume plan == the per-call plan it replaced ----------------
+
+FSTARTBENCH = fstartbench_functions()
+
+
+class _PerCallCleaner:
+    """The cleaner before the volume plan: it rebuilds the needed volume
+    list with ``volumes_for_image`` on every mount and repack."""
+
+    def __init__(self) -> None:
+        self.store = VolumeStore()
+        self.repack_count = 0
+
+    def _needed(self, image, function_name):
+        return volumes_for_image(self.store, image.language_packages,
+                                 image.runtime_packages, function_name)
+
+    def initial_mount(self, container, function_name):
+        vols = self._needed(container.image, function_name)
+        container.mounted_volumes = list(vols)
+        self.store.record_mount(len(vols))
+        return vols
+
+    def repack(self, container, new_image, function_name):
+        match = match_level(new_image, container.image)
+        if match is MatchLevel.NO_MATCH:
+            raise SecurityViolation("different OS level")
+        needed = self._needed(new_image, function_name)
+        needed_ids = {v.volume_id for v in needed}
+        current = list(container.mounted_volumes)
+        unmounted = [v for v in current if v.volume_id not in needed_ids]
+        kept = [v for v in current if v.volume_id in needed_ids]
+        kept_ids = {v.volume_id for v in kept}
+        mounted = [v for v in needed if v.volume_id not in kept_ids]
+        container.mounted_volumes = kept + mounted
+        container.image = new_image
+        self.store.record_unmount(len(unmounted))
+        self.store.record_mount(len(mounted))
+        self.repack_count += 1
+        return CleanResult(match=match, unmounted=unmounted, mounted=mounted)
+
+
+def _ids(volumes):
+    return [v.volume_id for v in volumes]
+
+
+_specs = st.integers(0, len(FSTARTBENCH) - 1)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), _specs, _specs, st.booleans()),
+                min_size=1, max_size=30))
+def test_volume_plan_matches_per_call_plan(steps):
+    """Random cold starts and repack chains over three containers sharing
+    one store: the memoized plan mounts the same volume ids in the same
+    order, reports the same unmounted / mounted lists and counts the same
+    mounts, unmounts and repacks as the per-call plan.  A step repacks
+    toward any FStartBench image for any function, so same-function
+    reuse, function changes, zygote-style reuse of another function's
+    image and OS mismatches all occur."""
+    cleaner = ContainerCleaner(VolumeStore())
+    reference = _PerCallCleaner()
+    pairs = {}
+    for slot, fn_index, image_index, cold in steps:
+        function_name = FSTARTBENCH[fn_index].name
+        image = FSTARTBENCH[image_index].image
+        if cold or slot not in pairs:
+            pairs[slot] = (make_container(slot, image=image),
+                           make_container(slot, image=image))
+            new, old = pairs[slot]
+            assert _ids(cleaner.initial_mount(new, function_name)) == _ids(
+                reference.initial_mount(old, function_name))
+        else:
+            new, old = pairs[slot]
+            before = (_ids(new.mounted_volumes), new.image)
+            try:
+                expected = reference.repack(old, image, function_name)
+            except SecurityViolation:
+                with pytest.raises(SecurityViolation):
+                    cleaner.repack(new, image, function_name)
+                assert (_ids(new.mounted_volumes), new.image) == before
+            else:
+                got = cleaner.repack(new, image, function_name)
+                assert got.match is expected.match
+                assert _ids(got.unmounted) == _ids(expected.unmounted)
+                assert _ids(got.mounted) == _ids(expected.mounted)
+                assert new.image is old.image
+        assert _ids(new.mounted_volumes) == _ids(old.mounted_volumes)
+        assert cleaner.store.mount_count == reference.store.mount_count
+        assert cleaner.store.unmount_count == reference.store.unmount_count
+        assert cleaner.repack_count == reference.repack_count
+
+
+def test_volume_plan_is_never_aliased():
+    """Mutating one container's mounted list (or a returned list) changes
+    neither the memoized plan nor another container."""
+    store = VolumeStore()
+    cleaner = ContainerCleaner(store)
+    spec = FSTARTBENCH[0]
+    plan_ids = _ids(store.plan(spec.image, spec.name)[0])
+    a = make_container(1, image=spec.image)
+    b = make_container(2, image=spec.image)
+    returned = cleaner.initial_mount(a, spec.name)
+    cleaner.initial_mount(b, spec.name)
+    returned.clear()
+    a.mounted_volumes.pop()
+    assert _ids(store.plan(spec.image, spec.name)[0]) == plan_ids
+    assert _ids(b.mounted_volumes) == plan_ids
+
+    # The fast path (b holds the plan) and the slow path (a lacks its
+    # user-data volume) both leave each container on a list of its own.
+    cleaner.repack(b, spec.image, spec.name)
+    result = cleaner.repack(a, spec.image, spec.name)
+    assert [v.kind for v in result.mounted] == [VolumeKind.USER_DATA]
+    plan = store.plan(spec.image, spec.name)[0]
+    assert a.mounted_volumes is not plan and b.mounted_volumes is not plan
+    assert a.mounted_volumes is not b.mounted_volumes
+    b.mounted_volumes.clear()
+    assert _ids(a.mounted_volumes) == plan_ids
+    assert _ids(store.plan(spec.image, spec.name)[0]) == plan_ids

@@ -65,8 +65,10 @@ class TestIterTransitions:
         ("fn", 7, "key 'fn' is not a string: 7"),
         ("lat", "1.5", "key 'lat' is not a number: '1.5'"),
         ("lat", False, "key 'lat' is not a number: False"),
+        ("lat", float("nan"), "key 'lat' is not a number: nan"),
+        ("lat", float("-inf"), "key 'lat' is not a number: -inf"),
     ], ids=["str-m", "m-out-of-range", "bool-m", "str-cold", "int-cold",
-            "int-fn", "str-lat", "bool-lat"])
+            "int-fn", "str-lat", "bool-lat", "nan-lat", "minus-inf-lat"])
     def test_rejects_mistyped_decision_field(self, field, value, needle):
         row = json.loads(line("b", cold=False, m=2, lat=0.5))
         row[field] = value

@@ -169,6 +169,28 @@ class TestRecordingReplay:
         report = replay_recording(path)
         assert report.ok and report.n_decisions == 12
 
+    def test_blank_lines_read_the_same_from_a_path_and_lines(self,
+                                                             tmp_path):
+        """Blank lines are skipped from either source, and a bad line is
+        numbered as the source numbers it."""
+        from repro.serve.recorder import read_recording
+
+        lines = self._record_session().lines()
+        spaced = ["", lines[0], "", "  "] + lines[1:] + [""]
+        path = tmp_path / "spaced.jsonl"
+        path.write_text("\n".join(spaced) + "\n")
+        from_path = read_recording(path)
+        assert from_path == read_recording(spaced)
+        assert from_path == read_recording(lines)
+        assert replay_recording(path).ok
+
+        spaced[5] = "{torn"
+        path.write_text("\n".join(spaced) + "\n")
+        for source in (path, spaced):
+            with pytest.raises(ValueError,
+                               match="recording line 6 is not JSON"):
+                read_recording(source)
+
     def test_retired_worker_capacity_in_header(self):
         """Older headers record ``worker_capacity_mb``: null still replays,
         a bound (placed by the retired capacity filter) is rejected."""

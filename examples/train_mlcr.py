@@ -24,10 +24,10 @@ from repro.drl.dqn import DQNConfig
 from repro.experiments.common import (
     ExperimentScale,
     evaluate_scheduler,
-    make_baselines,
     make_training_factory,
     pool_sizes,
 )
+from repro.experiments.parallel import BASELINE_KEYS, build_scheduler
 from repro.workloads.fstartbench import WORKLOAD_BUILDERS
 
 
@@ -80,7 +80,8 @@ def main() -> None:
     results = {}
     for seed in range(args.eval_seeds):
         workload = builder(seed=seed)
-        for policy in make_baselines() + [scheduler]:
+        baselines = [build_scheduler(key) for key in BASELINE_KEYS]
+        for policy in baselines + [scheduler]:
             res = evaluate_scheduler(policy, workload, capacity,
                                      args.pool.capitalize())
             results.setdefault(policy.name, []).append(res)

@@ -248,7 +248,11 @@ def cmd_distill(args: argparse.Namespace) -> int:
         save_surrogate,
     )
 
-    scheduler = load_scheduler(args.policy)
+    try:
+        scheduler = load_scheduler(args.policy)
+    except ValueError as exc:  # a missing, corrupt or incomplete policy
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     builder = WORKLOAD_BUILDERS[args.workload]
     capacity = pool_sizes(builder(seed=0))[args.pool.capitalize()]
     workloads = [builder(seed=s) for s in range(args.seeds)]
@@ -383,7 +387,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print("--policy cannot be combined with --record: replay "
                   "rebuilds schedulers from registry keys", file=sys.stderr)
             return 2
-        scheduler = load_scheduler(args.policy)
+        try:
+            scheduler = load_scheduler(args.policy)
+        except ValueError as exc:  # a missing, corrupt or incomplete policy
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if args.surrogate:
             from repro.drl.distill import load_surrogate
 

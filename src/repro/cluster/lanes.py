@@ -41,8 +41,9 @@ ContainerLifecycle` extends, running on a real
   memory and the scalar :class:`~repro.cluster.telemetry.Counters` are
   therefore one implementation on both engines, not a reimplementation.
 
-Every scheduler registry key (:data:`SCHEDULER_CLASS_NAMES`) runs in a lane
-the same way: the lane calls the scheduler's
+Every scheduler registry key (:data:`SCHEDULER_CLASS_NAMES`), and a
+trained MLCR policy given as its policy-file bytes (``LaneSpec.policy``),
+runs in a lane the same way: the lane calls the scheduler's
 :meth:`~repro.schedulers.base.Scheduler.decide_pool` rule on its own warm
 pool once per arrival, with the arrival's
 :class:`~repro.workloads.workload.Invocation`.  The sequential simulator
@@ -80,6 +81,7 @@ This kernel is the only engine behind
 from __future__ import annotations
 
 import heapq
+import io
 import itertools
 from array import array
 from dataclasses import dataclass
@@ -236,8 +238,11 @@ def _offline_policy_for(table: ArrivalTable):
 class LaneSpec:
     """One lane of a kernel run: a scheduler replaying a workload draw.
 
-    ``scheduler`` must be a :data:`SCHEDULER_CLASS_NAMES` key; ``table`` is the
-    (shareable) arrival table of the lane's workload and
+    ``scheduler`` must be a :data:`SCHEDULER_CLASS_NAMES` key, or
+    ``"mlcr"`` with ``policy`` holding the bytes of a trained policy file
+    (:func:`~repro.core.persistence.save_scheduler`), which the lane loads
+    from memory; ``table`` is the (shareable) arrival table of the lane's
+    workload and
     ``capacity_mb`` the warm-pool capacity of the cell.  ``bounded``
     selects :class:`~repro.cluster.telemetry.BoundedTelemetry`-equivalent
     folding (running totals plus quantile sketches instead of a latency
@@ -250,6 +255,7 @@ class LaneSpec:
     table: Optional[ArrivalTable]
     capacity_mb: float
     bounded: bool = False
+    policy: Optional[bytes] = None
 
 
 @dataclass(frozen=True)
@@ -285,7 +291,12 @@ class _Lane(PoolLifecycle):
     def __init__(self, spec: LaneSpec) -> None:
         from repro.schedulers.offline import OfflineQScheduler
 
-        scheduler = scheduler_class(spec.scheduler)()
+        if spec.policy is not None:
+            from repro.core.persistence import load_scheduler
+
+            scheduler = load_scheduler(io.BytesIO(spec.policy))
+        else:
+            scheduler = scheduler_class(spec.scheduler)()
         scheduler.reset()
         table = spec.table
         self.table = table

@@ -11,7 +11,6 @@ from repro.experiments.common import (
     ExperimentScale,
     MethodResult,
     evaluate_scheduler,
-    make_baselines,
     pool_sizes,
     train_mlcr_for,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "ExperimentScale",
     "MethodResult",
     "evaluate_scheduler",
-    "make_baselines",
     "pool_sizes",
     "train_mlcr_for",
 ]

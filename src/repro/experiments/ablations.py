@@ -15,21 +15,20 @@ Also reports the Lookahead clairvoyant heuristic as a headroom reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.analysis.report import ascii_table
 from repro.cluster.simulator import SimulationConfig
 from repro.core.mlcr import train_mlcr_scheduler
+from repro.experiments.cache import ExperimentCache, pool_sizes_cached
 from repro.experiments.common import (
     ExperimentScale,
-    evaluate_scheduler,
     make_training_factory,
-    pool_sizes,
+    register_policy,
 )
-from repro.schedulers.greedy import GreedyMatchScheduler
-from repro.schedulers.lookahead import LookaheadScheduler
+from repro.experiments.parallel import method_tasks, run_grid
 from repro.workloads.fstartbench import overall_workload
 
 VARIANTS = ("full", "no-mask", "mlp", "no-demos")
@@ -70,14 +69,25 @@ def _variant_config(base, variant: str):
     raise KeyError(variant)
 
 
-def run(scale: Optional[ExperimentScale] = None) -> AblationResult:
-    """Run the experiment; returns its result dataclass."""
+def run(
+    scale: Optional[ExperimentScale] = None,
+    jobs: int = 1,
+    cache: Optional[ExperimentCache] = None,
+    lanes: int = 1,
+) -> AblationResult:
+    """Run the experiment; returns its result dataclass.
+
+    Each trained variant, Greedy-Match and Lookahead are evaluated as
+    :func:`~repro.experiments.parallel.run_grid` tasks; ``jobs``,
+    ``cache`` and ``lanes`` go to it and change no result.
+    """
     scale = scale or ExperimentScale.from_env()
-    capacity = pool_sizes(overall_workload(seed=0))["Tight"]
+    capacity = pool_sizes_cached("Overall", 0, cache)["Tight"]
     base_cfg = scale.mlcr_config()
     eval_seeds = range(scale.repeats)
 
-    rows: List[AblationRow] = []
+    tasks = []
+    final_latencies = []
     for variant in VARIANTS:
         cfg = _variant_config(base_cfg, variant)
         scheduler, history = train_mlcr_scheduler(
@@ -87,37 +97,37 @@ def run(scale: Optional[ExperimentScale] = None) -> AblationResult:
             sim_config=SimulationConfig(pool_capacity_mb=capacity),
             config=cfg,
         )
-        totals, colds = [], []
-        for seed in eval_seeds:
-            res = evaluate_scheduler(
-                scheduler, overall_workload(seed=seed), capacity, "Tight"
-            )
-            totals.append(res.total_startup_s)
-            colds.append(res.cold_starts)
+        final_latencies.append(history.episode_latencies[-1])
+        tasks += method_tasks("Overall", "Tight", capacity, eval_seeds,
+                              keys=(), policy=register_policy(scheduler, cfg))
+    tasks += method_tasks("Overall", "Tight", capacity, eval_seeds,
+                          keys=("greedy", "lookahead"))
+    cells = run_grid(tasks, jobs=jobs, cache=cache, lanes=lanes)
+
+    n = len(eval_seeds)
+    rows: List[AblationRow] = []
+    for i, (variant, final) in enumerate(zip(VARIANTS, final_latencies)):
+        own = cells[i * n:(i + 1) * n]
         rows.append(
             AblationRow(
                 variant=variant,
-                mean_total_startup_s=float(np.mean(totals)),
-                mean_cold_starts=float(np.mean(colds)),
-                final_training_latency_s=history.episode_latencies[-1],
+                mean_total_startup_s=float(
+                    np.mean([c.total_startup_s for c in own])
+                ),
+                mean_cold_starts=float(np.mean([c.cold_starts for c in own])),
+                final_training_latency_s=final,
             )
         )
 
-    greedy_totals, lookahead_totals = [], []
-    for seed in eval_seeds:
-        wl = overall_workload(seed=seed)
-        greedy_totals.append(
-            evaluate_scheduler(GreedyMatchScheduler(), wl, capacity,
-                               "Tight").total_startup_s
-        )
-        lookahead_totals.append(
-            evaluate_scheduler(LookaheadScheduler(), wl, capacity,
-                               "Tight").total_startup_s
-        )
+    def heuristic_mean(key: str) -> float:
+        return float(np.mean(
+            [c.total_startup_s for c in cells if c.task.scheduler == key]
+        ))
+
     return AblationResult(
         rows=rows,
-        greedy_total_s=float(np.mean(greedy_totals)),
-        lookahead_total_s=float(np.mean(lookahead_totals)),
+        greedy_total_s=heuristic_mean("greedy"),
+        lookahead_total_s=heuristic_mean("lookahead"),
         capacity_mb=capacity,
     )
 

@@ -5,7 +5,8 @@ its inputs (the simulator is deterministic by construction).  This module
 keys each such result by a SHA-256 digest over a canonical JSON payload of
 everything the result depends on:
 
-* the task fields themselves (scheduler, workload, seed, pool, capacity);
+* the task fields themselves (scheduler, workload, seed, pool, capacity,
+  and, on a trained-policy cell, the policy file's digest);
 * the :class:`~repro.cluster.simulator.SimulationConfig` fingerprint,
   including the cost-model parameter values;
 * the content-address versions --
@@ -125,6 +126,22 @@ def version_stamp() -> Dict[str, int]:
     }
 
 
+def task_fields(task: "GridTask") -> Dict:
+    """The result-determining fields of a grid task, as cell keys and
+    cell files record them.  ``policy`` is present only when set, so a
+    registry task's address is independent of the field's existence."""
+    fields = {
+        "scheduler": task.scheduler,
+        "workload": task.workload,
+        "seed": task.seed,
+        "pool_label": task.pool_label,
+        "capacity_mb": task.capacity_mb,
+    }
+    if task.policy is not None:
+        fields["policy"] = task.policy
+    return fields
+
+
 def default_cache_root() -> Path:
     """Cache directory: ``$REPRO_CACHE_DIR`` or ``.repro_cache/``."""
     return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
@@ -183,16 +200,13 @@ class ExperimentCache:
     def cell_key(self, task: "GridTask") -> str:
         """Content address of one grid task.
 
-        The payload enumerates the result-determining fields explicitly.
+        The payload enumerates the result-determining fields explicitly
+        (:func:`task_fields`).
         """
         payload = {
             "kind": "grid_cell",
             "versions": version_stamp(),
-            "scheduler": task.scheduler,
-            "workload": task.workload,
-            "seed": task.seed,
-            "pool_label": task.pool_label,
-            "capacity_mb": task.capacity_mb,
+            **task_fields(task),
             "sim_config": config_fingerprint(
                 SimulationConfig(pool_capacity_mb=task.capacity_mb)
             ),
@@ -226,13 +240,7 @@ class ExperimentCache:
         """Persist one cell as a columnar ``(keys, values)`` summary."""
         data = {
             "version": CACHE_FORMAT_VERSION,
-            "task": {
-                "scheduler": cell.task.scheduler,
-                "workload": cell.task.workload,
-                "seed": cell.task.seed,
-                "pool_label": cell.task.pool_label,
-                "capacity_mb": cell.task.capacity_mb,
-            },
+            "task": task_fields(cell.task),
             "method": cell.method,
             "keys": list(cell.summary.keys()),
             "values": [float(v) for v in cell.summary.values()],

@@ -3,20 +3,23 @@
 * Pool sizing: the paper's *Loose* capacity is "the peak memory size of all
   running containers in the cluster"; we measure it with an unbounded-pool
   reference run.  *Tight* and *Moderate* are 1/5 and 1/2 of Loose.
-* Method construction: the five comparison methods, each paired with its
-  designed eviction policy.
 * MLCR training cache: experiments share trained schedulers keyed by
   (workload family, capacity, config) so a benchmark session does not
   retrain for every figure.
+* Policy registry: a trained policy is registered once per process as its
+  policy-file bytes under their SHA-256 digest, the name a
+  :class:`~repro.experiments.parallel.GridTask` runs it by.
 * Scale control: ``REPRO_SCALE=fast|full|paper`` trades fidelity for wall
   time (training episodes, repeat counts).
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.cluster.eviction import LRUEviction
 from repro.cluster.simulator import (
@@ -26,12 +29,10 @@ from repro.cluster.simulator import (
 )
 from repro.core.config import MLCRConfig
 from repro.core.mlcr import MLCRScheduler, train_mlcr_scheduler
+from repro.core.persistence import save_scheduler
 from repro.core.trainer import EVAL_EPISODE_BASE
 from repro.drl.dqn import DQNConfig
 from repro.schedulers.base import Scheduler
-from repro.schedulers.faascache import FaasCacheScheduler
-from repro.schedulers.greedy import GreedyMatchScheduler
-from repro.schedulers.keepalive import KeepAliveScheduler
 from repro.schedulers.lru import LRUScheduler
 from repro.workloads.workload import Workload
 
@@ -139,18 +140,8 @@ def pool_sizes(workload: Workload) -> Dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Methods
+# Sequential evaluation
 # ---------------------------------------------------------------------------
-
-def make_baselines() -> List[Scheduler]:
-    """Fresh instances of the paper's four baseline methods."""
-    return [
-        LRUScheduler(),
-        FaasCacheScheduler(),
-        KeepAliveScheduler(),
-        GreedyMatchScheduler(),
-    ]
-
 
 def evaluate_scheduler(
     scheduler: Scheduler,
@@ -187,7 +178,7 @@ def evaluate_scheduler(
 # MLCR training cache
 # ---------------------------------------------------------------------------
 
-_MLCR_CACHE: Dict[Tuple, Tuple[MLCRScheduler, object]] = {}
+_MLCR_CACHE: Dict[Tuple, Tuple[MLCRScheduler, MLCRConfig]] = {}
 
 #: Training seeds are offset from evaluation seeds so the policy is evaluated
 #: on unseen workload draws of the same family (the paper trains offline on
@@ -223,8 +214,6 @@ def train_mlcr_for(
     workload_builder: Callable[[int], Workload],
     capacity_mb: float,
     scale: Optional[ExperimentScale] = None,
-    cache: bool = True,
-    config: Optional[MLCRConfig] = None,
 ) -> MLCRScheduler:
     """Train (or fetch a cached) MLCR scheduler for a workload family.
 
@@ -238,11 +227,35 @@ def train_mlcr_for(
     capacity_mb:
         Pool capacity to train against (policies are capacity-specific).
     """
+    return _trained(workload_family, workload_builder, capacity_mb, scale)[0]
+
+
+def mlcr_policy_for(
+    workload_family: str,
+    workload_builder: Callable[[int], Workload],
+    capacity_mb: float,
+    scale: Optional[ExperimentScale] = None,
+) -> str:
+    """The digest of :func:`train_mlcr_for`'s policy, registered with
+    :func:`register_policy` so grid tasks can run it."""
+    return register_policy(
+        *_trained(workload_family, workload_builder, capacity_mb, scale)
+    )
+
+
+def _trained(
+    workload_family: str,
+    workload_builder: Callable[[int], Workload],
+    capacity_mb: float,
+    scale: Optional[ExperimentScale],
+) -> Tuple[MLCRScheduler, MLCRConfig]:
+    """The cached best-validated restart and the configuration it was
+    trained with."""
     scale = scale or ExperimentScale.from_env()
-    cfg = config or scale.mlcr_config()
+    cfg = scale.mlcr_config()
     key = (workload_family, round(capacity_mb, 1), cfg, scale.restarts)
-    if cache and key in _MLCR_CACHE:
-        return _MLCR_CACHE[key][0]
+    if key in _MLCR_CACHE:
+        return _MLCR_CACHE[key]
 
     # DQN training on small budgets is seed-sensitive: train a few restarts
     # and keep the one with the best *validation* latency (the validation
@@ -257,12 +270,53 @@ def train_mlcr_for(
             config=restart_cfg,
         )
         if best is None or history.best_eval_latency < best[1].best_eval_latency:
-            best = (scheduler, history)
-    if cache:
-        _MLCR_CACHE[key] = best
-    return best[0]
+            best = (scheduler, history, restart_cfg)
+    _MLCR_CACHE[key] = (best[0], best[2])
+    return _MLCR_CACHE[key]
 
 
 def clear_mlcr_cache() -> None:
     """Drop all cached trained schedulers (used by tests)."""
     _MLCR_CACHE.clear()
+
+
+# ---------------------------------------------------------------------------
+# Policy registry
+# ---------------------------------------------------------------------------
+
+#: Registered policy files by the SHA-256 hex digest of their bytes.
+_POLICY_FILES: Dict[str, bytes] = {}
+
+
+def register_policy(scheduler: MLCRScheduler, config: MLCRConfig) -> str:
+    """Register a trained policy; returns the digest that names it.
+
+    The policy is kept as its :func:`~repro.core.persistence.save_scheduler`
+    bytes (a pure function of the weights and ``config``), so the same
+    policy always registers under the same digest.
+    """
+    buffer = io.BytesIO()
+    save_scheduler(scheduler, config, buffer)
+    return register_policy_file(buffer.getvalue())
+
+
+def register_policy_file(data: bytes) -> str:
+    """Register a policy file's bytes; returns their SHA-256 hex digest.
+
+    The bytes are loaded (and a bad file rejected) where a grid task runs
+    them, by :func:`~repro.core.persistence.load_scheduler`.
+    """
+    digest = hashlib.sha256(data).hexdigest()
+    _POLICY_FILES[digest] = data
+    return digest
+
+
+def registered_policy(digest: str) -> bytes:
+    """The policy-file bytes registered under ``digest`` (``KeyError``
+    when none is)."""
+    try:
+        return _POLICY_FILES[digest]
+    except KeyError:
+        raise KeyError(
+            f"unknown policy {digest!r}; register it with register_policy"
+        ) from None

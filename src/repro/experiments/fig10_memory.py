@@ -15,14 +15,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.analysis.report import ascii_table
-from repro.experiments.common import (
-    ExperimentScale,
-    evaluate_scheduler,
-    make_baselines,
-    pool_sizes,
-    train_mlcr_for,
-)
+from repro.experiments.cache import ExperimentCache, pool_sizes_cached
+from repro.experiments.common import ExperimentScale, mlcr_policy_for
 from repro.experiments.fig8_overall import METHOD_ORDER
+from repro.experiments.parallel import method_tasks, run_grid
 from repro.workloads.fstartbench import overall_workload
 
 
@@ -49,28 +45,33 @@ class Fig10Result:
         raise KeyError(method)
 
 
-def run(scale: Optional[ExperimentScale] = None) -> Fig10Result:
-    """Run the experiment; returns its result dataclass."""
+def run(
+    scale: Optional[ExperimentScale] = None,
+    jobs: int = 1,
+    cache: Optional[ExperimentCache] = None,
+    lanes: int = 1,
+) -> Fig10Result:
+    """Run the experiment; returns its result dataclass.
+
+    Every cell is a :func:`~repro.experiments.parallel.run_grid` task;
+    ``jobs``, ``cache`` and ``lanes`` go to it and change no result.
+    """
     scale = scale or ExperimentScale.from_env()
-    capacity = pool_sizes(overall_workload(seed=0))["Loose"]
-    mlcr = train_mlcr_for(
+    capacity = pool_sizes_cached("Overall", 0, cache)["Loose"]
+    policy = mlcr_policy_for(
         "Overall", lambda s: overall_workload(seed=s), capacity, scale
     )
+    tasks = method_tasks("Overall", "Loose", capacity, range(scale.repeats),
+                         policy=policy)
 
     acc: Dict[str, List] = {m: [] for m in METHOD_ORDER}
-    for seed in range(scale.repeats):
-        workload = overall_workload(seed=seed)
-        for scheduler in make_baselines() + [mlcr]:
-            res = evaluate_scheduler(scheduler, workload, capacity, "Loose")
-            t = res.result.telemetry
-            acc[scheduler.name].append(
-                (
-                    t.peak_warm_memory_mb,
-                    t.evictions,
-                    t.keep_alive_rejections,
-                    t.total_startup_latency_s,
-                )
-            )
+    for cell in run_grid(tasks, jobs=jobs, cache=cache, lanes=lanes):
+        acc[cell.method].append(
+            tuple(cell.summary[name] for name in (
+                "peak_warm_memory_mb", "evictions", "keep_alive_rejections",
+                "total_startup_s",
+            ))
+        )
 
     rows = []
     for method in METHOD_ORDER:

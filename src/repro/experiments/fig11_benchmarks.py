@@ -20,14 +20,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import ascii_table
 from repro.analysis.stats import BoxStats, box_stats
-from repro.experiments.common import (
-    ExperimentScale,
-    evaluate_scheduler,
-    loose_capacity,
-    make_baselines,
-    train_mlcr_for,
-)
+from repro.experiments.cache import ExperimentCache, pool_sizes_cached
+from repro.experiments.common import ExperimentScale, mlcr_policy_for
 from repro.experiments.fig8_overall import METHOD_ORDER
+from repro.experiments.parallel import method_tasks, run_grid
 from repro.workloads.fstartbench import (
     hi_sim_workload,
     hi_var_workload,
@@ -86,8 +82,15 @@ def run_subfigure(
     subfigure: str,
     scale: Optional[ExperimentScale] = None,
     pool_fractions: Optional[Sequence[float]] = None,
+    jobs: int = 1,
+    cache: Optional[ExperimentCache] = None,
+    lanes: int = 1,
 ) -> Fig11Result:
-    """Run one of ``"a:similarity"``, ``"b:variance"``, ``"c:arrival"``."""
+    """Run one of ``"a:similarity"``, ``"b:variance"``, ``"c:arrival"``.
+
+    Every cell is a :func:`~repro.experiments.parallel.run_grid` task;
+    ``jobs``, ``cache`` and ``lanes`` go to it and change no result.
+    """
     if subfigure not in SUBFIGURES:
         raise KeyError(
             f"unknown subfigure {subfigure!r}; choose from {sorted(SUBFIGURES)}"
@@ -96,34 +99,36 @@ def run_subfigure(
     if pool_fractions is None:
         pool_fractions = scale.fig11_pool_fractions
     builders = SUBFIGURES[subfigure]
+    seeds = range(scale.repeats)
 
-    boxes: List[Fig11Box] = []
+    tasks = []
     loose_by_workload: Dict[str, float] = {}
     for wl_name, builder in builders.items():
-        loose = loose_capacity(builder(seed=0))
+        loose = pool_sizes_cached(wl_name, 0, cache)["Loose"]
         loose_by_workload[wl_name] = loose
-        samples: Dict[str, List[float]] = {m: [] for m in METHOD_ORDER}
         for frac in pool_fractions:
             capacity = frac * loose
-            mlcr = train_mlcr_for(
+            policy = mlcr_policy_for(
                 wl_name, lambda s, b=builder: b(seed=s), capacity, scale
             )
-            for seed in range(scale.repeats):
-                workload = builder(seed=seed)
-                for scheduler in make_baselines() + [mlcr]:
-                    res = evaluate_scheduler(
-                        scheduler, workload, capacity, f"{frac:.0%}"
-                    )
-                    samples[scheduler.name].append(res.total_startup_s)
-        for method in METHOD_ORDER:
-            boxes.append(
-                Fig11Box(
-                    workload=wl_name,
-                    method=method,
-                    stats=box_stats(samples[method]),
-                    samples=tuple(samples[method]),
-                )
-            )
+            tasks += method_tasks(wl_name, f"{frac:.0%}", capacity, seeds,
+                                  policy=policy)
+    samples: Dict[Tuple[str, str], List[float]] = {}
+    for cell in run_grid(tasks, jobs=jobs, cache=cache, lanes=lanes):
+        samples.setdefault((cell.task.workload, cell.method), []).append(
+            cell.total_startup_s
+        )
+
+    boxes = [
+        Fig11Box(
+            workload=wl_name,
+            method=method,
+            stats=box_stats(samples[wl_name, method]),
+            samples=tuple(samples[wl_name, method]),
+        )
+        for wl_name in builders
+        for method in METHOD_ORDER
+    ]
     return Fig11Result(
         subfigure=subfigure,
         boxes=boxes,

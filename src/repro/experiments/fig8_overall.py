@@ -20,14 +20,9 @@ import numpy as np
 
 from repro.analysis.report import ascii_table
 from repro.analysis.stats import reduction_pct
-from repro.experiments.common import (
-    ExperimentScale,
-    MethodResult,
-    evaluate_scheduler,
-    make_baselines,
-    pool_sizes,
-    train_mlcr_for,
-)
+from repro.experiments.cache import ExperimentCache, pool_sizes_cached
+from repro.experiments.common import ExperimentScale, mlcr_policy_for
+from repro.experiments.parallel import method_tasks, run_grid
 from repro.workloads.fstartbench import overall_workload
 
 METHOD_ORDER = ["LRU", "FaasCache", "KeepAlive", "Greedy-Match", "MLCR"]
@@ -50,7 +45,6 @@ class Fig8Result:
     cells: List[Fig8Cell]
     capacities: Dict[str, float]
     repeats: int
-    raw: List[MethodResult]
 
     def cell(self, method: str, pool_label: str) -> Fig8Cell:
         """The (method, pool size) cell of the result."""
@@ -66,48 +60,51 @@ class Fig8Result:
         return reduction_pct(base, ours)
 
 
-def run(scale: Optional[ExperimentScale] = None) -> Fig8Result:
-    """Run the experiment; returns its result dataclass."""
-    scale = scale or ExperimentScale.from_env()
-    sizing_workload = overall_workload(seed=0)
-    capacities = pool_sizes(sizing_workload)
+def run(
+    scale: Optional[ExperimentScale] = None,
+    jobs: int = 1,
+    cache: Optional[ExperimentCache] = None,
+    lanes: int = 1,
+) -> Fig8Result:
+    """Run the experiment; returns its result dataclass.
 
-    raw: List[MethodResult] = []
+    Every cell, the trained MLCR policies' included, is a
+    :func:`~repro.experiments.parallel.run_grid` task; ``jobs``,
+    ``cache`` and ``lanes`` go to it and change no result.
+    """
+    scale = scale or ExperimentScale.from_env()
+    capacities = pool_sizes_cached("Overall", 0, cache)
+    seeds = range(scale.repeats)
+
+    tasks = []
     for pool_label, capacity in capacities.items():
-        mlcr = train_mlcr_for(
+        policy = mlcr_policy_for(
             "Overall", lambda s: overall_workload(seed=s), capacity, scale
         )
-        for seed in range(scale.repeats):
-            workload = overall_workload(seed=seed)
-            for scheduler in make_baselines() + [mlcr]:
-                raw.append(
-                    evaluate_scheduler(scheduler, workload, capacity, pool_label)
-                )
+        tasks += method_tasks("Overall", pool_label, capacity, seeds,
+                              policy=policy)
+    grid = run_grid(tasks, jobs=jobs, cache=cache, lanes=lanes)
 
     cells: List[Fig8Cell] = []
     for pool_label in capacities:
         for method in METHOD_ORDER:
             rows = [
-                r for r in raw
-                if r.method == method and r.pool_label == pool_label
+                c.summary for c in grid
+                if c.method == method and c.task.pool_label == pool_label
             ]
             cells.append(
                 Fig8Cell(
                     method=method,
                     pool_label=pool_label,
-                    total_startup_s=float(
-                        np.mean([r.total_startup_s for r in rows])
-                    ),
-                    cold_starts=float(np.mean([r.cold_starts for r in rows])),
-                    evictions=float(np.mean([r.evictions for r in rows])),
-                    peak_warm_memory_mb=float(
-                        np.mean([r.peak_warm_memory_mb for r in rows])
-                    ),
+                    **{
+                        name: float(np.mean([r[name] for r in rows]))
+                        for name in ("total_startup_s", "cold_starts",
+                                     "evictions", "peak_warm_memory_mb")
+                    },
                 )
             )
-    return Fig8Result(
-        cells=cells, capacities=capacities, repeats=scale.repeats, raw=raw
-    )
+    return Fig8Result(cells=cells, capacities=capacities,
+                      repeats=scale.repeats)
 
 
 def report(result: Fig8Result) -> str:

@@ -18,10 +18,10 @@ from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.experiments.common import (
     ExperimentScale,
     evaluate_scheduler,
-    make_baselines,
     pool_sizes,
     train_mlcr_for,
 )
+from repro.experiments.parallel import BASELINE_KEYS, build_scheduler
 from repro.workloads.fstartbench import overall_workload
 
 
@@ -73,8 +73,10 @@ def run(
 
     # Savings: compare against the best exact-match baseline.
     baseline_latency = min(
-        evaluate_scheduler(b, workload, capacity, "Tight").total_startup_s
-        for b in make_baselines()[:3]  # LRU, FaasCache, KeepAlive
+        evaluate_scheduler(
+            build_scheduler(key), workload, capacity, "Tight"
+        ).total_startup_s
+        for key in BASELINE_KEYS[:3]  # LRU, FaasCache, KeepAlive
     )
     saving = baseline_latency - mlcr_result.telemetry.total_startup_latency_s
     per_decision_saving = saving / max(1, len(workload))

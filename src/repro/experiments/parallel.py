@@ -14,6 +14,10 @@ Determinism is by construction:
   function of the task (workloads are memoized per process by
   ``(name, seed)``, which is equivalence-preserving because
   ``build_workload`` is deterministic and workloads are frozen);
+* a trained MLCR policy is named by the SHA-256 digest of its policy
+  file (:func:`~repro.experiments.common.register_policy`); each batch
+  carries the bytes of the policies it uses, and its lanes load them from
+  memory, so policy cells run the same in-process, forked or spawned;
 * results return in task order (``Pool.map`` preserves it), so the merged
   telemetry and the rendered report are byte-identical for any ``jobs``
   value, including ``jobs=1`` (which short-circuits to an in-process loop).
@@ -25,11 +29,10 @@ the same packer so their cells are identical by construction.  With an
 :class:`~repro.experiments.cache.ExperimentCache` attached, cached cells
 are served from disk and only the misses fan out to workers.
 
-Wired into ``python -m repro.experiments.runall --jobs N`` and
-``python -m repro simulate --jobs N``.  MLCR is absent from
-:data:`SCHEDULER_FACTORIES` on purpose: trained policies are not cheap to
-rebuild per task (see ``repro.experiments.common.train_mlcr_for`` and its
-in-process cache).
+Wired into ``python -m repro simulate --jobs N`` and, through
+``python -m repro.experiments.runall --jobs N --lanes L``, into the grid
+section and the Fig 8, Fig 10, Fig 11 and ablation sections, whose
+baseline, heuristic and trained-policy cells are all grid tasks.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from repro.cluster.lanes import (
     scheduler_class,
 )
 from repro.experiments.cache import ExperimentCache, pool_sizes_cached
-from repro.experiments.common import ExperimentScale
+from repro.experiments.common import ExperimentScale, registered_policy
 from repro.workloads.fstartbench import build_workload
 from repro.workloads.workload import Workload
 
@@ -60,7 +63,7 @@ from repro.workloads.workload import Workload
 #: so every registry key has a lane path by construction.
 SCHEDULER_FACTORIES: Dict[str, str] = dict(SCHEDULER_CLASS_NAMES)
 
-#: The paper's four baselines, in ``make_baselines()`` order.
+#: The paper's four baselines, in the figures' method order.
 BASELINE_KEYS: Tuple[str, ...] = ("lru", "faascache", "keepalive", "greedy")
 
 #: The default grid's scheduler set: the paper baselines plus the three
@@ -73,15 +76,55 @@ def build_scheduler(key: str):
     return scheduler_class(key)()
 
 
+#: The ``GridTask.scheduler`` of a trained-policy cell.
+MLCR_KEY = "mlcr"
+
+
 @dataclass(frozen=True)
 class GridTask:
-    """One cell of the experiment grid (picklable, name-and-seed only)."""
+    """One cell of the experiment grid (picklable, name-and-seed only).
 
-    scheduler: str      # key into SCHEDULER_FACTORIES
+    ``scheduler`` is a :data:`SCHEDULER_FACTORIES` key, or
+    :data:`MLCR_KEY` with ``policy`` set to a registered policy's digest
+    (:func:`~repro.experiments.common.register_policy`).
+    """
+
+    scheduler: str      # key into SCHEDULER_FACTORIES, or MLCR_KEY
     workload: str       # key into WORKLOAD_BUILDERS
     seed: int
     pool_label: str     # "Tight" / "Moderate" / "Loose" (cosmetic)
     capacity_mb: float
+    policy: Optional[str] = None  # policy-file SHA-256, on MLCR_KEY tasks
+
+    def __post_init__(self) -> None:
+        if (self.policy is not None) != (self.scheduler == MLCR_KEY):
+            raise ValueError(
+                f"a {MLCR_KEY!r} task names its policy digest and no "
+                f"other task does (scheduler={self.scheduler!r}, "
+                f"policy={self.policy!r})"
+            )
+
+
+def method_tasks(
+    workload: str,
+    pool_label: str,
+    capacity_mb: float,
+    seeds: Sequence[int],
+    keys: Sequence[str] = BASELINE_KEYS,
+    policy: Optional[str] = None,
+) -> List[GridTask]:
+    """Per seed, one task per registry key in ``keys``, then one for the
+    registered policy ``policy`` if given: the figures' method cells of
+    one ``(workload, pool)`` in the order they aggregate them."""
+    tasks: List[GridTask] = []
+    for seed in seeds:
+        for key in keys:
+            tasks.append(GridTask(key, workload, seed, pool_label,
+                                  capacity_mb))
+        if policy is not None:
+            tasks.append(GridTask(MLCR_KEY, workload, seed, pool_label,
+                                  capacity_mb, policy=policy))
+    return tasks
 
 
 @dataclass(frozen=True)
@@ -170,18 +213,26 @@ def unpack_cell(task: GridTask, packed: PackedCell) -> GridCell:
                     summary=dict(zip(keys, values)))
 
 
-def _run_lane_batch_packed(tasks: Tuple[GridTask, ...]) -> List[PackedCell]:
+#: One worker job: a batch of tasks and the policy-file bytes of the
+#: trained policies among them, by digest.
+LaneBatch = Tuple[Tuple[GridTask, ...], Dict[str, bytes]]
+
+
+def _run_lane_batch_packed(batch: LaneBatch) -> List[PackedCell]:
     """Worker entry point: run a batch of cells on one lane kernel.
 
     Each task becomes one lane; tasks sharing a workload draw share one
-    process-memoized :class:`~repro.cluster.lanes.ArrivalTable`.  Results
+    process-memoized :class:`~repro.cluster.lanes.ArrivalTable`, and a
+    policy task's lane loads its policy from the batch's bytes.  Results
     come back in task order as columnar IPC blocks (:data:`PackedCell`).
     """
+    tasks, policies = batch
     specs = [
         LaneSpec(
             scheduler=task.scheduler,
             table=cached_arrival_table(task.workload, task.seed),
             capacity_mb=task.capacity_mb,
+            policy=policies[task.policy] if task.policy else None,
         )
         for task in tasks
     ]
@@ -232,7 +283,8 @@ def run_grid(
     ``ClusterSimulator.run`` ones (the ``lanes_vs_sequential`` oracle and
     hypothesis suite enforce this), so neither ``jobs`` nor ``lanes``
     changes a result.  A task whose scheduler the kernel does not know
-    raises ``KeyError``, exactly as :func:`build_scheduler` would.
+    raises ``KeyError``, exactly as :func:`build_scheduler` would, and so
+    does a policy task whose digest was never registered.
 
     With ``cache`` given (and enabled), each task is first looked up by
     its content address; only the misses are simulated (and then stored),
@@ -257,7 +309,14 @@ def run_grid(
     batches = [
         tuple(misses[j:j + step]) for j in range(0, len(misses), step)
     ]
-    work = [tuple(tasks[i] for i in batch) for batch in batches]
+    work = []
+    for batch in batches:
+        batch_tasks = tuple(tasks[i] for i in batch)
+        policies = {
+            task.policy: registered_policy(task.policy)
+            for task in batch_tasks if task.policy
+        }
+        work.append((batch_tasks, policies))
     packed = map_batches(_run_lane_batch_packed, work, jobs)
     for batch, blocks in zip(batches, packed):
         for i, block in zip(batch, blocks):

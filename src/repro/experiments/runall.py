@@ -9,9 +9,11 @@ Used to regenerate the data section of EXPERIMENTS.md::
 Honors ``REPRO_SCALE``.  The MLCR training cache is shared across
 experiments, so fig8/fig9/fig10 train each pool size once.  With
 ``--figures`` the fig8/9/10/11 results are additionally rendered as SVG
-files into the given directory.  ``--jobs N`` fans the baseline grid
-section over N worker processes and ``--lanes L`` puts L of its cells in
-one lane kernel (the report text is identical for any N and L).
+files into the given directory.  ``--jobs N`` fans the simulated cells
+of the grid, Fig 8, Fig 10, Fig 11 and ablation sections (baselines and
+trained MLCR policies alike) over N worker processes, and ``--lanes L``
+puts L of a section's cells in one lane kernel; ``--jobs`` also fans the
+streaming replay section.  The report text is identical for any N and L.
 
 Section bodies are deterministic (no timestamps; every seed fixed), so
 each is additionally served from the content-addressed experiment cache
@@ -65,6 +67,9 @@ def _experiments(
         collected[key] = result
         return result
 
+    # What every run_grid-backed section takes.
+    grid = dict(jobs=jobs, cache=cache, lanes=lanes)
+
     return [
         ("fig1", "Fig 1 - startup breakdown (C vs W)",
          lambda: fig1_breakdown.report(fig1_breakdown.run())),
@@ -75,34 +80,34 @@ def _experiments(
         ("tab2", "Table II - FStartBench functions",
          lambda: tab2_functions.report(tab2_functions.run())),
         ("fig8", "Fig 8 - overall latency & cold starts",
-         lambda: fig8_overall.report(keep("fig8", fig8_overall.run(scale)))),
+         lambda: fig8_overall.report(
+             keep("fig8", fig8_overall.run(scale, **grid)))),
         ("fig9", "Fig 9 - cumulative trajectories",
          lambda: fig9_trajectory.report(
              keep("fig9", fig9_trajectory.run(scale)))),
         ("fig10", "Fig 10 - warm resource consumption",
          lambda: fig10_memory.report(
-             keep("fig10", fig10_memory.run(scale)))),
+             keep("fig10", fig10_memory.run(scale, **grid)))),
         ("fig11a", "Fig 11a - function similarity",
          lambda: fig11_benchmarks.report(keep(
              "fig11a",
-             fig11_benchmarks.run_subfigure("a:similarity", scale)))),
+             fig11_benchmarks.run_subfigure("a:similarity", scale, **grid)))),
         ("fig11b", "Fig 11b - package size variance",
          lambda: fig11_benchmarks.report(keep(
              "fig11b",
-             fig11_benchmarks.run_subfigure("b:variance", scale)))),
+             fig11_benchmarks.run_subfigure("b:variance", scale, **grid)))),
         ("fig11c", "Fig 11c - arrival patterns",
          lambda: fig11_benchmarks.report(keep(
              "fig11c",
-             fig11_benchmarks.run_subfigure("c:arrival", scale)))),
+             fig11_benchmarks.run_subfigure("c:arrival", scale, **grid)))),
         ("overhead", "Section VI-D - scheduler overhead",
          lambda: overhead.report(overhead.run(scale))),
         ("ablations", "Ablations",
-         lambda: ablations.report(ablations.run(scale))),
+         lambda: ablations.report(ablations.run(scale, **grid))),
         ("queueing", "Extension - worker concurrency & queueing",
          lambda: queueing.report(queueing.run(scale))),
         ("grid", "Baseline grid (parallel runner)",
-         lambda: parallel.run_default_grid(scale, jobs=jobs, cache=cache,
-                                           lanes=lanes).report()),
+         lambda: parallel.run_default_grid(scale, **grid).report()),
         ("stream", "Extension - streaming Azure-like replay",
          lambda: ext_stream_replay.report(
              ext_stream_replay.run(scale, jobs=jobs))),
@@ -119,9 +124,10 @@ def run_all(
 ) -> str:
     """Run every experiment; returns (and optionally writes) the report.
 
-    ``jobs`` only parallelizes the grid section and ``lanes`` only sets
-    how many of its cells share one lane kernel; the report text does not
-    depend on either.  With ``cache`` given, section bodies are
+    ``jobs`` fans the cells of the ``run_grid``-backed sections (grid,
+    Fig 8, Fig 10, Fig 11, ablations) and the streaming replay over worker
+    processes, and ``lanes`` sets how many of a section's cells share one
+    lane kernel; the report text does not depend on either.  With ``cache`` given, section bodies are
     served content-addressed (except when ``figures_dir`` is set, which
     needs the in-memory results); a warm cache turns the whole run into
     file reads.

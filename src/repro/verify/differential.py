@@ -47,7 +47,9 @@ lanes_vs_sequential        ``run_grid(lanes=8)`` lane-kernel cells ==
                            cells for every scheduler in the experiment
                            registry (derived, not hardcoded;
                            byte-identical summaries, proactive pre-warm
-                           / lending blocks included)
+                           / lending blocks included), and for the
+                           checked-in MLCR fixture policy run as a
+                           policy cell
 surrogate_vs_network       the distilled decision tree reproduces >= 99%
                            of the network's greedy actions on the
                            distillation trajectory, and mask-invalid
@@ -598,6 +600,14 @@ def oracle_serve_replay() -> OracleResult:
     )
 
 
+#: The checked-in tiny MLCR policy (``tests/fixtures/mlcr``) that the
+#: ``lanes_vs_sequential`` oracle runs as a policy cell.
+MLCR_FIXTURE_POLICY = (
+    Path(__file__).resolve().parents[3] / "tests" / "fixtures" / "mlcr"
+    / "policy.npz"
+)
+
+
 def oracle_lanes_vs_sequential() -> OracleResult:
     """Lane-kernel grid cells are byte-identical to sequential ones.
 
@@ -605,32 +615,45 @@ def oracle_lanes_vs_sequential() -> OracleResult:
     (``SCHEDULER_FACTORIES``), not a hardcoded grid, so a newly registered
     scheduler is picked up automatically -- and the oracle fails loudly
     (``run_grid`` raises) if a registry key ever lacks a lane path.
-    Every registry scheduler runs over two workload draws and two pool
-    capacities, once through the sequential simulator
-    (:func:`~repro.experiments.common.evaluate_scheduler`) and once
-    through ``run_grid(lanes=8)``, comparing summaries with ``==`` (bit
-    equality, not tolerance) -- the lane kernel's whole contract, the
-    proactive pre-warm / lending telemetry blocks included.
+    Every registry scheduler, and the MLCR fixture policy
+    (:data:`MLCR_FIXTURE_POLICY`, registered by digest and run as a
+    policy cell), runs over two workload draws and two pool capacities,
+    once through the sequential simulator
+    (:func:`~repro.experiments.common.evaluate_scheduler`, the policy
+    loaded from its file) and once through ``run_grid(lanes=8)``,
+    comparing method and summary with ``==`` (bit equality, not
+    tolerance) -- the lane kernel's whole contract, the proactive
+    pre-warm / lending telemetry blocks included.
     """
-    from repro.experiments.common import evaluate_scheduler
+    from repro.core.persistence import load_scheduler
+    from repro.experiments.common import (
+        evaluate_scheduler,
+        register_policy_file,
+    )
     from repro.experiments.parallel import (
+        MLCR_KEY,
         SCHEDULER_FACTORIES,
         build_scheduler,
         cached_workload,
     )
 
     name = "lanes_vs_sequential"
+    digest = register_policy_file(MLCR_FIXTURE_POLICY.read_bytes())
+    cells = [(key, None) for key in SCHEDULER_FACTORIES]
+    cells.append((MLCR_KEY, digest))
     tasks = [
         GridTask(scheduler=key, workload=workload, seed=seed,
-                 pool_label="Fixed", capacity_mb=capacity)
-        for key in SCHEDULER_FACTORIES
+                 pool_label="Fixed", capacity_mb=capacity, policy=policy)
+        for key, policy in cells
         for workload, seed in (("LO-Sim", 0), ("HI-Var", 1))
         for capacity in (800.0, 4000.0)
     ]
     laned = run_grid(tasks, jobs=1, lanes=8)
     for i, (task, b) in enumerate(zip(tasks, laned)):
+        scheduler = (load_scheduler(MLCR_FIXTURE_POLICY) if task.policy
+                     else build_scheduler(task.scheduler))
         a = evaluate_scheduler(
-            build_scheduler(task.scheduler),
+            scheduler,
             cached_workload(task.workload, task.seed),
             task.capacity_mb,
         )
@@ -649,7 +672,7 @@ def oracle_lanes_vs_sequential() -> OracleResult:
     return OracleResult(
         name, True,
         f"{len(tasks)} cells ({len(SCHEDULER_FACTORIES)} registry "
-        f"schedulers) byte-identical at 8 lanes",
+        f"schedulers + the MLCR fixture policy) byte-identical at 8 lanes",
     )
 
 

@@ -1,14 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.serve.recorder import RECORDING_VERSION
 
 GOLDEN_ROOT = Path(__file__).parent / "golden_traces"
+FIXTURE_POLICY = Path(__file__).parent / "fixtures" / "mlcr" / "policy.npz"
 
 #: A complete serving-recording header (what ``DecisionRecorder`` writes).
 _SERVE_HEADER = {
@@ -339,3 +342,62 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {bad}: {needle}")
         assert len(captured.err.splitlines()) == 1
+
+
+def _policy_arrays():
+    """The fixture policy's arrays and its decoded ``_meta`` record."""
+    with np.load(FIXTURE_POLICY, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    return arrays, json.loads(str(arrays.pop("_meta")))
+
+
+def _write_policy(path, drop_meta=False, drop_config=None, drop_param=None,
+                  nan_param=None):
+    """Rewrite the fixture policy to ``path`` with one defect."""
+    arrays, meta = _policy_arrays()
+    if drop_config is not None:
+        del meta["config"][drop_config]
+    if drop_param is not None:
+        del arrays[drop_param]
+    if nan_param is not None:
+        arrays[nan_param] = arrays[nan_param].copy()
+        arrays[nan_param].flat[0] = np.nan
+    if not drop_meta:
+        arrays["_meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+class TestPolicyFileRejections:
+    """``repro distill --policy`` and ``repro serve --policy`` end a bad
+    policy file with one ``error:`` line naming it, and exit 2."""
+
+    @pytest.mark.parametrize("command", ["distill", "serve"])
+    @pytest.mark.parametrize("make, needle", [
+        (None, "policy file not found"),
+        (lambda path: path.write_bytes(FIXTURE_POLICY.read_bytes()[:300]),
+         "not a readable policy file"),
+        (lambda path: path.write_bytes(b"not a zip archive\n"),
+         "not a readable policy file"),
+        (lambda path: path.write_bytes(pickle.dumps({"param_0": [1.0]})),
+         "not a readable policy file"),
+        (lambda path: _write_policy(path, drop_meta=True),
+         "_meta is not a file in the archive"),
+        (lambda path: _write_policy(path, drop_config="model_dim"),
+         "policy config lacks 'model_dim'"),
+        (lambda path: _write_policy(path, drop_param="param_3"),
+         "policy does not fit its recorded architecture"),
+        (lambda path: _write_policy(path, nan_param="param_0"),
+         "parameter 0 is not a finite float tensor"),
+    ], ids=["missing", "truncated", "non-zip", "pickled", "no-meta",
+            "no-config-key", "no-parameter", "non-finite"])
+    def test_policy_commands_reject_bad_policy_file(self, tmp_path, capsys,
+                                                    command, make, needle):
+        bad = tmp_path / "policy.npz"
+        if make is not None:
+            make(bad)
+        assert main([command, "--policy", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: ")
+        assert needle in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.out + captured.err

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +18,9 @@ from repro.experiments.cache import (
     pool_sizes_cached,
     version_stamp,
 )
-from repro.experiments.common import pool_sizes
+from repro.experiments.common import pool_sizes, register_policy_file
 from repro.experiments.parallel import (
+    MLCR_KEY,
     GridResult,
     GridTask,
     cached_workload,
@@ -27,6 +30,15 @@ from repro.cluster.simulator import SimulationConfig
 
 TASK = GridTask(scheduler="lru", workload="LO-Sim", seed=0,
                 pool_label="Fixed", capacity_mb=2000.0)
+
+#: ``TASK``'s cell address before grid tasks could name a policy: registry
+#: cells must keep it, or every cached cell would be re-simulated.
+TASK_CELL_KEY = (
+    "de6eda1144bfde59f2a0a075c56267cf458c1685ed611b5a34a38763cc61b052"
+)
+
+FIXTURE_POLICY = (Path(__file__).parent / "fixtures" / "mlcr"
+                  / "policy.npz")
 
 
 class TestDigests:
@@ -65,6 +77,16 @@ class TestDigests:
         ):
             assert cache.cell_key(replace(TASK, **change)) != base
 
+    def test_registry_cell_key_is_pinned(self):
+        assert ExperimentCache(enabled=True).cell_key(TASK) == TASK_CELL_KEY
+
+    def test_policy_tasks_differing_in_policy_get_different_keys(self):
+        cache = ExperimentCache(enabled=True)
+        a = replace(TASK, scheduler=MLCR_KEY, policy="a" * 64)
+        b = replace(a, policy="b" * 64)
+        assert len({cache.cell_key(a), cache.cell_key(b),
+                    cache.cell_key(TASK)}) == 3
+
     def test_version_bump_invalidates(self, monkeypatch):
         cache = ExperimentCache(enabled=True)
         base = cache.cell_key(TASK)
@@ -82,6 +104,22 @@ class TestStorage:
         assert hit.method == cell.method
         assert hit.summary == cell.summary  # bit-exact doubles
         assert hit.task == TASK
+
+    def test_policy_cell_round_trip_is_exact(self, tmp_path):
+        digest = register_policy_file(FIXTURE_POLICY.read_bytes())
+        task = replace(TASK, scheduler=MLCR_KEY, policy=digest)
+        cache = ExperimentCache(root=tmp_path, enabled=True)
+        [cell] = run_grid([task], cache=cache)
+        assert cell.method == "MLCR"
+        hit = cache.get_cell(task)
+        assert hit == cell  # task, method and bit-exact doubles
+        stored = json.loads(
+            (tmp_path / "cells" / f"{cache.cell_key(task)}.json").read_text()
+        )
+        assert stored["task"]["policy"] == digest
+        [served] = run_grid([task], cache=cache)
+        assert served == cell
+        assert cache.hits == 2
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ExperimentCache(root=tmp_path, enabled=True)

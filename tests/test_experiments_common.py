@@ -6,11 +6,11 @@ from repro.experiments.common import (
     ExperimentScale,
     evaluate_scheduler,
     loose_capacity,
-    make_baselines,
     make_training_factory,
     pool_sizes,
 )
 from repro.core.trainer import EVAL_EPISODE_BASE
+from repro.experiments.parallel import BASELINE_KEYS, build_scheduler
 from repro.schedulers.greedy import GreedyMatchScheduler
 from repro.workloads.fstartbench import overall_workload
 
@@ -56,8 +56,8 @@ class TestEvaluate:
         assert res.cold_starts >= 1
         assert res.pool_label == "x"
 
-    def test_make_baselines_names(self):
-        names = [s.name for s in make_baselines()]
+    def test_baseline_keys_names(self):
+        names = [build_scheduler(key).name for key in BASELINE_KEYS]
         assert names == ["LRU", "FaasCache", "KeepAlive", "Greedy-Match"]
 
 

@@ -35,7 +35,6 @@ def fig8_result():
         cells=cells,
         capacities={"Tight": 500.0, "Loose": 2500.0},
         repeats=1,
-        raw=[],
     )
 
 

@@ -5,16 +5,25 @@ overhead and ablation code paths are exercised inside the unit suite in
 seconds; the real budgets live in ``benchmarks/``.
 """
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
+    ablations,
     fig8_overall,
     fig9_trajectory,
     fig10_memory,
     fig11_benchmarks,
     overhead,
 )
-from repro.experiments.common import ExperimentScale, clear_mlcr_cache
+from repro.experiments.common import (
+    ExperimentScale,
+    clear_mlcr_cache,
+    evaluate_scheduler,
+    train_mlcr_for,
+)
+from repro.experiments.parallel import BASELINE_KEYS, build_scheduler
+from repro.workloads.fstartbench import overall_workload
 
 MICRO = ExperimentScale(
     repeats=1,
@@ -97,3 +106,39 @@ class TestOverheadMicro:
         assert result.decisions == 400
         assert result.mean_decision_ms > 0
         assert "decision time" in overhead.report(result)
+
+
+@pytest.mark.slow
+class TestSectionParity:
+    """The figure sections run every cell on ``run_grid``; their numbers
+    must be the sequential engine's, for any ``jobs`` and ``lanes``."""
+
+    def test_fig8_cells_equal_sequential_means(self):
+        result = fig8_overall.run(MICRO)
+        for pool_label, capacity in result.capacities.items():
+            mlcr = train_mlcr_for(
+                "Overall", lambda s: overall_workload(seed=s), capacity,
+                MICRO,
+            )
+            runs = {}
+            for seed in range(MICRO.repeats):
+                workload = overall_workload(seed=seed)
+                schedulers = [build_scheduler(k) for k in BASELINE_KEYS]
+                for scheduler in schedulers + [mlcr]:
+                    res = evaluate_scheduler(scheduler, workload, capacity,
+                                             pool_label)
+                    runs.setdefault(res.method, []).append(res)
+            assert list(runs) == fig8_overall.METHOD_ORDER
+            for method, rows in runs.items():
+                cell = result.cell(method, pool_label)
+                for name in ("total_startup_s", "cold_starts", "evictions",
+                             "peak_warm_memory_mb"):
+                    expected = float(np.mean([getattr(r, name)
+                                              for r in rows]))
+                    assert getattr(cell, name) == expected, (method, name)
+
+    def test_ablation_rows_equal_across_jobs_and_lanes(self):
+        serial = ablations.run(MICRO)
+        fanned = ablations.run(MICRO, jobs=2, lanes=4)
+        assert serial == fanned
+        assert [r.variant for r in serial.rows] == list(ablations.VARIANTS)

@@ -1,19 +1,29 @@
 """Tests for the parallel experiment runner (repro.experiments.parallel)."""
 
+import multiprocessing
+from pathlib import Path
+
 import pytest
 
-from repro.experiments.common import evaluate_scheduler
+from repro.core.persistence import load_scheduler
+from repro.experiments.common import evaluate_scheduler, register_policy_file
 from repro.experiments.parallel import (
     BASELINE_KEYS,
     GRID_KEYS,
+    MLCR_KEY,
     GridResult,
     GridTask,
     SCHEDULER_FACTORIES,
+    _run_lane_batch_packed,
     build_scheduler,
     cached_workload,
     default_grid,
+    method_tasks,
     run_grid,
 )
+
+FIXTURE_POLICY = (Path(__file__).parent / "fixtures" / "mlcr"
+                  / "policy.npz")
 
 
 def small_tasks(schedulers=("lru", "greedy"), seeds=(0,)):
@@ -68,6 +78,55 @@ class TestRunGrid:
         tasks = small_tasks(schedulers=("lru",))
         cells = run_grid(tasks, jobs=32)
         assert len(cells) == len(tasks)
+
+
+class TestPolicyCells:
+    """A trained policy runs as a grid cell named by its file's digest."""
+
+    @pytest.fixture(scope="class")
+    def digest(self):
+        return register_policy_file(FIXTURE_POLICY.read_bytes())
+
+    def test_policy_cell_equals_sequential(self, digest):
+        [task] = method_tasks("LO-Sim", "Tight", 800.0, [0], keys=(),
+                              policy=digest)
+        [cell] = run_grid([task])
+        sequential = evaluate_scheduler(
+            load_scheduler(FIXTURE_POLICY), cached_workload("LO-Sim", 0),
+            800.0,
+        )
+        assert cell.method == sequential.method == "MLCR"
+        assert cell.summary == sequential.result.telemetry.summary()
+
+    def test_policy_cells_equal_across_jobs_and_lanes(self, digest):
+        tasks = method_tasks("LO-Sim", "Tight", 800.0, [0, 1],
+                             keys=("greedy",), policy=digest)
+        serial = run_grid(tasks)
+        assert run_grid(tasks, jobs=2, lanes=2) == serial
+
+    def test_spawned_worker_runs_shipped_policy(self, digest):
+        """A spawned worker starts with an empty policy registry: the
+        batch's own bytes are all its lanes load."""
+        tasks = tuple(method_tasks("LO-Sim", "Tight", 800.0, [0], keys=(),
+                                   policy=digest))
+        batch = (tasks, {digest: FIXTURE_POLICY.read_bytes()})
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(processes=1) as pool:
+            [spawned] = pool.map(_run_lane_batch_packed, [batch])
+        assert spawned == _run_lane_batch_packed(batch)
+
+    def test_unregistered_digest_raises_key_error(self):
+        task = GridTask(MLCR_KEY, "LO-Sim", 0, "Tight", 800.0,
+                        policy="0" * 64)
+        with pytest.raises(KeyError, match="unknown policy"):
+            run_grid([task])
+
+    @pytest.mark.parametrize("scheduler, policy", [
+        ("lru", "0" * 64), (MLCR_KEY, None),
+    ])
+    def test_policy_only_on_mlcr_tasks(self, scheduler, policy):
+        with pytest.raises(ValueError):
+            GridTask(scheduler, "LO-Sim", 0, "Tight", 800.0, policy=policy)
 
 
 class TestGridResult:

@@ -76,7 +76,8 @@ class LRUEviction(EvictionPolicy):
         needed = incoming.memory_mb - pool.free_mb
         if needed <= 0:
             return []
-        for container in pool.lru_order():
+        # Walk the shard LRU-first in place; only the victims are copied.
+        for container in pool:
             victims.append(container)
             freed += container.memory_mb
             if freed >= needed:

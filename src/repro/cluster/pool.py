@@ -22,6 +22,17 @@ dictionary lookups instead of linear scans over the pool.  The index is
 keyed by the fingerprints a container had when it was added (kept per
 container id), so removal stays correct even if a caller mutates a pooled
 container's image -- re-adding after a repack re-keys it.
+
+Every bucket iterates in ascending ``(last_used_at, container_id)`` order
+(most recently used last), so an MRU pick reads the bucket's tail instead
+of scanning it.  The pool remembers the greatest key it has ever indexed:
+an add at or above it appends to its three buckets, which keeps them
+sorted because a pooled container's key never changes (both engines
+re-stamp ``last_used_at`` only on containers taken out of the pool, and
+re-add them).  Any other add -- a hand-built pool, or a same-time
+completion with a lower id -- re-sorts just its three buckets, so the
+order holds for any insertion order.  Removal keeps the order (dicts
+delete in place).
 """
 
 from __future__ import annotations
@@ -41,6 +52,13 @@ class PoolFullError(RuntimeError):
 def _mru_key(container: Container) -> Tuple[float, int]:
     """Recency sort key: greater means more recently used."""
     return (container.last_used_at, container.container_id)
+
+
+def _resort(bucket: Dict[int, Container]) -> None:
+    """Restore ascending ``(last_used_at, container_id)`` order in place."""
+    items = sorted(bucket.items(), key=lambda item: _mru_key(item[1]))
+    bucket.clear()
+    bucket.update(items)
 
 
 def _most_recent(
@@ -68,13 +86,15 @@ class WarmPool:
         self._containers: "OrderedDict[int, Container]" = OrderedDict()
         self._used_mb = 0.0
         self.peak_used_mb = 0.0
-        # Match index: fingerprint prefix -> {container_id: Container}
-        # (insertion-ordered; MRU selection still resolves ties by
-        # (last_used_at, container_id) for exact LRU-scan parity).
+        # Match index: fingerprint prefix -> {container_id: Container},
+        # each bucket in ascending (last_used_at, container_id) order.
         self._idx_l1: Dict[int, Dict[int, Container]] = {}
         self._idx_l2: Dict[Tuple[int, int], Dict[int, Container]] = {}
         self._idx_l3: Dict[Tuple[int, int, int], Dict[int, Container]] = {}
         self._index_keys: Dict[int, Tuple[int, int, int]] = {}
+        # Greatest (last_used_at, container_id) ever indexed: an add at or
+        # above it keeps every bucket sorted by appending.
+        self._newest_key: Tuple[float, int] = (float("-inf"), -1)
 
     # -- capacity -----------------------------------------------------------
     @property
@@ -137,12 +157,21 @@ class WarmPool:
         cid = container.container_id
         self._containers[cid] = container
         self._used_mb += container.memory_mb
-        self.peak_used_mb = max(self.peak_used_mb, self._used_mb)
+        if self._used_mb > self.peak_used_mb:
+            self.peak_used_mb = self._used_mb
         fps = container.image.fingerprints
-        self._idx_l1.setdefault(fps[0], {})[cid] = container
-        self._idx_l2.setdefault(fps[:2], {})[cid] = container
-        self._idx_l3.setdefault(fps, {})[cid] = container
+        b1 = self._idx_l1.setdefault(fps[0], {})
+        b2 = self._idx_l2.setdefault(fps[:2], {})
+        b3 = self._idx_l3.setdefault(fps, {})
+        b1[cid] = b2[cid] = b3[cid] = container
         self._index_keys[cid] = fps
+        key = (container.last_used_at, cid)
+        if key >= self._newest_key:
+            self._newest_key = key
+        else:
+            _resort(b1)
+            _resort(b2)
+            _resort(b3)
 
     def remove(self, container_id: int) -> Container:
         """Remove and return a pooled container (claimed or evicted)."""
@@ -187,8 +216,9 @@ class WarmPool:
     ) -> List[Container]:
         """Idle containers matching ``image`` at least at ``level``.
 
-        Returned in index insertion order (oldest first); ``NO_MATCH``
-        returns every pooled container.
+        Returned least recently used first (ascending
+        ``(last_used_at, container_id)``); ``NO_MATCH`` returns every
+        pooled container in pool (LRU) order.
         """
         f = image.fingerprints
         if level is MatchLevel.NO_MATCH:
@@ -221,34 +251,32 @@ class WarmPool:
 
         The first container in the order deepest level first, then
         greatest ``(last_used_at, container_id)`` (most recently used).
-        Cost is three dict lookups plus a max() over the deepest bucket
-        only.
+        Cost is at most three dict lookups plus the deepest non-empty
+        bucket's tail.
         """
         f = image.fingerprints
         bucket = self._idx_l3.get(f)
         if bucket:
-            return max(bucket.values(), key=_mru_key), MatchLevel.L3
+            return next(reversed(bucket.values())), MatchLevel.L3
         bucket = self._idx_l2.get(f[:2])
         if bucket:
-            return max(bucket.values(), key=_mru_key), MatchLevel.L2
+            return next(reversed(bucket.values())), MatchLevel.L2
         bucket = self._idx_l1.get(f[0])
         if bucket:
-            return max(bucket.values(), key=_mru_key), MatchLevel.L1
+            return next(reversed(bucket.values())), MatchLevel.L1
         return None, MatchLevel.NO_MATCH
 
     def best_exact(self, image: FunctionImage) -> Optional[Container]:
         """Most-recently-used exact (L3) match for ``image``, or None.
 
         Equivalent to ``PoolSet.exact_matches(image)[0]`` on a single
-        shard -- the bucket max under ``(last_used_at, container_id)`` is
-        the head of the MRU-sorted candidate list -- without building or
-        sorting the list: the exact-match rule's (LRU, KeepAlive,
-        FaasCache) lookup.
+        shard -- the L3 bucket's tail -- without building the list: the
+        exact-match rule's (LRU, KeepAlive, FaasCache) lookup.
         """
         bucket = self._idx_l3.get(image.fingerprints)
         if not bucket:
             return None
-        return max(bucket.values(), key=_mru_key)
+        return next(reversed(bucket.values()))
 
     def exact_matches(self, image: FunctionImage) -> List[Container]:
         """Idle containers fully (L3) matching ``image``, MRU first.
@@ -260,9 +288,7 @@ class WarmPool:
         bucket = self._idx_l3.get(image.fingerprints)
         if not bucket:
             return []
-        matches = list(bucket.values())
-        matches.sort(key=_mru_key, reverse=True)
-        return matches
+        return list(reversed(bucket.values()))
 
     def best_at_level(
         self, image: FunctionImage, level: MatchLevel
@@ -273,7 +299,8 @@ class WarmPool:
         The container with the greatest ``(last_used_at, container_id)``
         among those at that level.  Containers at exactly L2 are the
         L2-prefix bucket minus the L3 bucket; exactly L1 is the L1 bucket
-        minus the L2 bucket (which contains the L3 one).  This is
+        minus the L2 bucket (which contains the L3 one), so the pick is
+        the last id of the bucket that the deeper bucket lacks.  This is
         Offline-Q's level-targeted pick.
         """
         f = image.fingerprints
@@ -281,7 +308,7 @@ class WarmPool:
             bucket = self._idx_l3.get(f)
             if not bucket:
                 return None
-            return max(bucket.values(), key=_mru_key)
+            return next(reversed(bucket.values()))
         if level is MatchLevel.L2:
             bucket = self._idx_l2.get(f[:2])
             deeper = self._idx_l3.get(f)
@@ -292,12 +319,12 @@ class WarmPool:
             raise ValueError("best_at_level requires a reusable match level")
         if not bucket:
             return None
-        if deeper:
-            candidates = [c for cid, c in bucket.items() if cid not in deeper]
-            if not candidates:
-                return None
-            return max(candidates, key=_mru_key)
-        return max(bucket.values(), key=_mru_key)
+        if not deeper:
+            return next(reversed(bucket.values()))
+        for cid, container in reversed(bucket.items()):
+            if cid not in deeper:
+                return container
+        return None
 
     def expire_older_than(self, threshold: float) -> List[Container]:
         """Pop and return LRU-head containers with ``last_used_at < threshold``.
@@ -462,6 +489,8 @@ class PoolSet:
 
     def exact_matches(self, image: FunctionImage) -> List[Container]:
         """Idle containers fully (L3) matching ``image``, MRU first."""
+        if self.n_shards == 1:
+            return self._shards[0].exact_matches(image)
         matches = self.match_candidates(image, MatchLevel.L3)
         matches.sort(key=_mru_key, reverse=True)
         return matches

@@ -49,15 +49,19 @@ def save_scheduler(
     config: MLCRConfig,
     path: PolicySource,
 ) -> PolicySource:
-    """Serialize a trained scheduler to ``path`` (``.npz``) and return it.
+    """Serialize a trained scheduler to ``path`` and return what was written.
 
     ``config`` must be the configuration the scheduler was trained with --
-    it defines the network architecture that the weights fit.  ``path``
-    may be a binary file object; the bytes written are a pure function of
-    the scheduler and ``config`` (the archive carries no timestamps).
+    it defines the network architecture that the weights fit.  A path
+    without the ``.npz`` suffix gets it appended, as ``np.savez`` does, and
+    the returned path is the file written.  ``path`` may be a binary file
+    object; the bytes written are a pure function of the scheduler and
+    ``config`` (the archive carries no timestamps).
     """
     if not hasattr(path, "write"):
         path = Path(path)
+        if not path.name.endswith(".npz"):
+            path = path.with_name(path.name + ".npz")
     meta = {
         "format_version": FORMAT_VERSION,
         "n_slots": scheduler.encoder.n_slots,

@@ -16,8 +16,10 @@ laws the optimised data structures are supposed to preserve:
   memory bookkeeping sums correctly (:class:`CapacityMonitor`);
 * **pool-index consistency** -- the fingerprint match index of every
   :class:`~repro.cluster.pool.WarmPool` describes exactly the pooled
-  containers, and the :class:`~repro.cluster.pool.PoolSet` shard map
-  agrees with the shards (:class:`PoolIndexMonitor`);
+  containers, every bucket iterates in ascending
+  ``(last_used_at, container_id)`` order (the MRU lookups read its
+  tail), and the :class:`~repro.cluster.pool.PoolSet` shard map agrees
+  with the shards (:class:`PoolIndexMonitor`);
 * **volume mount/unmount pairing** -- the cleaner's mount and unmount
   counters balance against the volumes actually mounted, and no live
   container ever holds a foreign user-data volume
@@ -209,7 +211,8 @@ class CapacityMonitor(InvariantMonitor):
 
 
 class PoolIndexMonitor(InvariantMonitor):
-    """The fingerprint match index describes exactly the pooled containers."""
+    """The fingerprint match index describes exactly the pooled containers,
+    each bucket in ascending ``(last_used_at, container_id)`` order."""
 
     name = "pool-index"
 
@@ -252,6 +255,15 @@ class PoolIndexMonitor(InvariantMonitor):
                         self.fail(
                             f"shard {shard_index} {idx_name} bucket {key!r} "
                             f"indexes unpooled containers {sorted(stale)}"
+                        )
+                    order = [
+                        (c.last_used_at, cid) for cid, c in bucket.items()
+                    ]
+                    if order != sorted(order):
+                        self.fail(
+                            f"shard {shard_index} {idx_name} bucket {key!r} "
+                            "is not in ascending (last_used_at, "
+                            f"container_id) order: {order}"
                         )
             expected_mb = sum(c.memory_mb for c in members.values())
             if abs(shard.used_mb - expected_mb) > _EPS * max(1.0, expected_mb):

@@ -47,6 +47,22 @@ class TestPersistence:
                 value, loaded.agent.online.state_dict()[key]
             )
 
+    def test_path_without_suffix_returns_written_file(self, trained,
+                                                      tmp_path, monkeypatch):
+        """``np.savez`` appends ``.npz``; the returned path is that file,
+        so ``repro train`` prints a path ``load_scheduler`` opens."""
+        scheduler, cfg = trained
+        monkeypatch.chdir(tmp_path)
+        path = save_scheduler(scheduler, cfg, "pol")
+        assert str(path) == "pol.npz"
+        assert path.is_file()
+        assert not (tmp_path / "pol").exists()
+        loaded = load_scheduler(path)
+        for key, value in scheduler.agent.online.state_dict().items():
+            np.testing.assert_array_equal(
+                value, loaded.agent.online.state_dict()[key]
+            )
+
     def test_mlp_roundtrip(self, tmp_path):
         cfg = tiny_config(use_attention=False)
         scheduler, _ = train_mlcr_scheduler(

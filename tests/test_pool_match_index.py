@@ -3,12 +3,22 @@
 The index must mirror pool membership exactly through every mutation --
 add, remove, TTL expiry, and the claim/repack/re-add cycle (repack changes
 the container's image, so re-adding must re-key it).  Each check compares
-the index answers against a brute-force scan of the same pool.
+the index answers against a brute-force scan of the same pool.  Every
+bucket must also iterate in ascending ``(last_used_at, container_id)``
+order, which the MRU lookups' tail reads rely on; a hypothesis property
+test drives arbitrary add / remove / expiry / lend sequences for that.
 """
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.pool import PoolSet, WarmPool
 from repro.containers.container import ContainerState
 from repro.containers.matching import MatchLevel, match_level
+from repro.verify.invariants import InvariantViolation, PoolIndexMonitor
 
 from conftest import make_container, make_image
 
@@ -219,3 +229,150 @@ class TestPoolSetIndex:
             pools.add(make_container(i, last_used_at=float(i)), shard_index=i)
         ids = [c.container_id for c in pools.exact_matches(image)]
         assert ids == [3, 2, 1, 0]
+
+
+# -- bucket order: property test --------------------------------------------
+
+#: Pooled images: one base, then one per Table-I level it diverges at, and
+#: a second runtime so two L2 buckets share an L1 bucket.
+ORDER_IMAGES = [
+    make_image("o-base"),
+    make_image("o-l2", runtime_names=("numpy",)),
+    make_image("o-l2b", runtime_names=("pandas",)),
+    make_image("o-l1", lang_name="nodejs"),
+    make_image("o-no", os_name="debian"),
+]
+
+#: ``last_used_at`` values: few, so ties and out-of-order adds are common.
+_TIMES = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, 5.0])
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 40),
+                  st.integers(0, len(ORDER_IMAGES) - 1), _TIMES,
+                  st.integers(0, 1)),
+        st.tuples(st.just("remove"), st.integers(0, 40)),
+        st.tuples(st.just("expire"), _TIMES),
+        st.tuples(st.just("lend"), st.integers(0, 40),
+                  st.integers(0, len(ORDER_IMAGES) - 1), _TIMES),
+    ),
+    max_size=40,
+)
+
+
+def mru(c):
+    return (c.last_used_at, c.container_id)
+
+
+def assert_buckets_ordered(shard):
+    """Every L1/L2/L3 bucket iterates in ascending MRU key order."""
+    for index in (shard._idx_l1, shard._idx_l2, shard._idx_l3):
+        for bucket in index.values():
+            keys = [mru(c) for c in bucket.values()]
+            assert keys == sorted(keys)
+
+
+def assert_queries_match_scan(pool, probes):
+    """Every MRU and candidate query equals a brute-force scan."""
+    assert_index_consistent(pool, probes)
+    assert_level_queries_consistent(pool, probes)
+    members = pool.containers()
+    for image in probes:
+        exact = [c for c in members if match_level(image, c.image)
+                 is MatchLevel.L3]
+        assert pool.exact_matches(image) == sorted(exact, key=mru,
+                                                   reverse=True)
+        if isinstance(pool, WarmPool):
+            for level in (MatchLevel.L1, MatchLevel.L2, MatchLevel.L3):
+                expected = sorted(
+                    (c for c in members if match_level(image, c.image)
+                     >= level),
+                    key=mru,
+                )
+                assert pool.match_candidates(image, level) == expected
+
+
+def put(pool, container, shard):
+    """Add to a ``WarmPool``, or to shard ``shard`` of a ``PoolSet``."""
+    if isinstance(pool, WarmPool):
+        pool.add(container)
+    else:
+        pool.add(container, shard_index=shard)
+
+
+def apply_op(pool, op):
+    """Apply one generated step to a ``WarmPool`` or a ``PoolSet``."""
+    kind = op[0]
+    if kind == "add":
+        _, cid, image_i, t, shard = op
+        if cid not in pool:
+            put(pool, make_container(cid, image=ORDER_IMAGES[image_i],
+                                     last_used_at=t), shard)
+    elif kind == "remove":
+        if op[1] in pool:
+            pool.remove(op[1])
+    elif kind == "expire":
+        pool.expire_older_than(op[1])
+    else:
+        # Lend-style: take the container out, re-stamp and re-image it,
+        # and put it back on the shard it came from.
+        _, cid, image_i, t = op
+        if cid not in pool:
+            return
+        shard = None if isinstance(pool, WarmPool) else pool._shard_of[cid]
+        container = pool.remove(cid)
+        container.image, container.last_used_at = ORDER_IMAGES[image_i], t
+        put(pool, container, shard)
+
+
+class TestBucketOrder:
+    """Buckets stay MRU-ordered under any mutation sequence, so the tail
+    reads of ``best_*`` and ``exact_matches`` equal brute-force scans."""
+
+    probes = make_probe_images() + ORDER_IMAGES
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_OPS)
+    def test_warm_pool_order_and_queries(self, ops):
+        pool = WarmPool(capacity_mb=float("inf"))
+        for op in ops:
+            apply_op(pool, op)
+            assert_buckets_ordered(pool)
+            assert_queries_match_scan(pool, self.probes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_OPS)
+    def test_pool_set_order_and_queries(self, ops):
+        pools = PoolSet(capacity_mb=float("inf"), n_shards=2)
+        monitor = PoolIndexMonitor()
+        monitor.attach(SimpleNamespace(pool=pools))
+        for op in ops:
+            apply_op(pools, op)
+            for shard in pools._shards:
+                assert_buckets_ordered(shard)
+            monitor.check()
+            assert_queries_match_scan(pools, self.probes)
+
+    def test_out_of_order_add_resorts_its_buckets(self):
+        pool = WarmPool(capacity_mb=float("inf"))
+        image = ORDER_IMAGES[0]
+        for cid, t in ((5, 3.0), (2, 1.0), (9, 3.0), (1, 3.0)):
+            pool.add(make_container(cid, image=image, last_used_at=t))
+        assert [c.container_id for c in pool.exact_matches(image)] == [
+            9, 5, 1, 2,
+        ]
+        assert pool.best_exact(image).container_id == 9
+
+    def test_monitor_flags_disordered_bucket(self):
+        pools = PoolSet(capacity_mb=float("inf"), n_shards=1)
+        for cid in range(3):
+            pools.add(make_container(cid, last_used_at=float(cid)),
+                      shard_index=0)
+        monitor = PoolIndexMonitor()
+        monitor.attach(SimpleNamespace(pool=pools))
+        monitor.check()
+        # Re-stamping a pooled container behind the pool's back breaks
+        # the order the tail reads rely on.
+        pools.get(0).last_used_at = 10.0
+        with pytest.raises(InvariantViolation, match="ascending"):
+            monitor.check()

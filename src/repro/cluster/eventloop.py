@@ -1,13 +1,20 @@
 """Control-plane event loop: the time source, the queue and periodic sweeps.
 
 The :class:`EventLoop` owns the pieces of the simulator that define *when*
-things happen: the deterministic event heap (a ``heapq`` list of
-:class:`~repro.cluster.events.Event` named tuples plus the sequence
-counter that breaks time ties), a pluggable
-:class:`TimeSource`, and an optional sweep hook that runs after every clock
-advance (the simulator installs the warm-pool TTL sweep there, so expiry
-happens exactly where the old monolithic loop ran it -- once per popped
-event, after time has advanced).
+things happen: the deterministic event queues of
+:class:`~repro.cluster.events.Event` named tuples -- a FIFO of arrivals
+and a ``heapq`` heap of completions -- plus the sequence counter that
+breaks time ties, a pluggable :class:`TimeSource`, and an optional sweep
+hook that runs after every clock advance (the simulator installs the
+warm-pool TTL sweep there, so expiry runs once per popped event, after
+time has advanced).
+
+Arrivals are scheduled in time order by every driver, so they need no
+heap: the FIFO is a sorted list plus a read cursor, appended to in order
+and cleared once drained (a streaming feed therefore holds one arrival
+in it).  An arrival scheduled out of order is inserted into the unread
+part by ``(time, seq)``.  A pop takes the earlier of the FIFO head and
+the heap head, and an arrival wins a time tie.
 
 Time is abstracted behind the :class:`TimeSource` protocol so sim-time and
 wall-time are interchangeable:
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import time as _time
+from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
@@ -119,7 +127,7 @@ class WallClock:
 
 
 class EventLoop:
-    """Deterministic event heap plus time source plus per-advance sweep.
+    """Deterministic event queues plus time source plus per-advance sweep.
 
     Parameters
     ----------
@@ -147,6 +155,10 @@ class EventLoop:
         clock: Optional[TimeSource] = None,
     ) -> None:
         self.clock: TimeSource = clock if clock is not None else VirtualClock()
+        # Arrival FIFO sorted by (time, seq); _next indexes the first
+        # unread one.  Empty whenever every arrival has been read.
+        self._arrivals: list[Event] = []
+        self._next = 0
         self._heap: list[Event] = []
         self._seq = itertools.count()
         self._sweep = sweep
@@ -157,27 +169,62 @@ class EventLoop:
         """Current time as read from the loop's time source."""
         return self.clock.now
 
-    def schedule(self, time: float, kind: EventKind, payload: Any = None) -> Event:
-        """Queue an event at ``time``; returns the created event."""
+    def schedule(
+        self,
+        time: float,
+        kind: EventKind,
+        payload: Any = None,
+        priority: float = 1,
+    ) -> Event:
+        """Queue an event at ``time``; returns the created event.
+
+        An arrival joins the arrival FIFO with priority 0.  Any other kind
+        joins the completion heap with ``priority``: completions due at
+        one time pop by ``(priority, seq)``.  The simulator passes the
+        time the container finished starting up.
+        """
         if self._observer is not None:
             self._observer("schedule", time)
         if time < 0:
             raise ValueError("event time must be >= 0")
-        event = _new_event(Event, (time, 0 if kind is _ARRIVAL else 1,
-                                   next(self._seq), kind, payload))
-        heappush(self._heap, event)
+        if kind is _ARRIVAL:
+            event = _new_event(Event, (time, 0, next(self._seq), kind,
+                                       payload))
+            arrivals = self._arrivals
+            if arrivals and time < arrivals[-1][0]:
+                insort(arrivals, event, lo=self._next)
+            else:
+                arrivals.append(event)
+        else:
+            event = _new_event(Event, (time, priority, next(self._seq), kind,
+                                       payload))
+            heappush(self._heap, event)
         return event
 
     def pop_next(self) -> Optional[Event]:
         """Pop the earliest event, advance the clock, run the sweep.
 
-        Returns ``None`` when the queue is empty (the clock and sweep are
-        untouched in that case).
+        Returns ``None`` when both queues are empty (the clock and sweep
+        are untouched in that case).
         """
-        if not self._heap:
+        arrivals = self._arrivals
+        heap = self._heap
+        if arrivals:
+            i = self._next
+            event = arrivals[i]
+            if heap and heap[0][0] < event[0]:
+                event = heappop(heap)
+            else:
+                i += 1
+                if i == len(arrivals):
+                    arrivals.clear()
+                    i = 0
+                self._next = i
+        elif heap:
+            event = heappop(heap)
+        else:
             return None
-        event = heappop(self._heap)
-        now = self.clock.advance_to(event.time)
+        now = self.clock.advance_to(event[0])
         if self._observer is not None:
             self._observer("advance", now)
         if self._sweep is not None:
@@ -202,10 +249,16 @@ class EventLoop:
 
     def peek(self) -> Optional[Event]:
         """The earliest queued event without popping it."""
-        return self._heap[0] if self._heap else None
+        heap = self._heap
+        if self._arrivals:
+            event = self._arrivals[self._next]
+            if heap and heap[0][0] < event[0]:
+                return heap[0]
+            return event
+        return heap[0] if heap else None
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._arrivals) - self._next + len(self._heap)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._arrivals or self._heap)

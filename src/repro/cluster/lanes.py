@@ -61,9 +61,10 @@ lane lifecycle.
 grid configuration (no worker concurrency limit, single pool shard, faults
 off), a lane's :meth:`_Lane.summary` is bit-equal to
 ``ClusterSimulator.run(...).telemetry.summary()`` for the same cell: same
-event order (``(time, priority, seq)`` with arrivals before same-time
-completions), same decisions, same floating-point accumulation order for
-latency totals and memory peaks, same pre-warm / lending counter blocks.
+event order (one completion per invocation, ordered ``(finish time, ready
+time, seq)``, with arrivals before same-time completions), same decisions,
+same floating-point accumulation order for latency totals and memory
+peaks, same pre-warm / lending counter blocks.
 Bounded lanes (``LaneSpec(bounded=True)``, used by the streaming replay)
 fold latencies the way :class:`~repro.cluster.telemetry.BoundedTelemetry`
 does -- running total plus quantile sketch -- so ``repro experiment
@@ -132,10 +133,6 @@ SCHEDULER_CLASS_NAMES: Dict[str, str] = {
 #: amortize the per-chunk rebinding of every lane, small enough that chunk
 #: buffers stay O(1) in the stream length.
 STREAM_CHUNK_SIZE = 4096
-
-#: Completion-event kind codes inside a lane's heap.
-_STARTUP_DONE = 0
-_EXECUTION_DONE = 1
 
 def scheduler_class(key: str) -> type:
     """The registry class behind ``key`` (``KeyError`` when unknown)."""
@@ -332,14 +329,11 @@ class _Lane(PoolLifecycle):
             self.lat_n = 0
             self.lat_total = 0.0
             self.lat_sketch = None
-        # Completion heap: (time, seq, kind, container, exec_s).  All
-        # completions share event priority 1, so (time, seq) alone orders
-        # them exactly as the sequential queue does; only *relative* seq
-        # order matters, so batch lanes start past the arrival count purely
-        # to mirror the batch loader's numbering while stream lanes count
-        # from zero across chunks.
-        self.heap: List[Tuple[float, int, int, Container, float]] = []
-        self.seq = table.n if table is not None else 0
+        # Completion heap: one (finish, ready_at, seq, container) entry
+        # per invocation, the sequential queue's (time, priority, seq)
+        # completion order; seq counts decisions.
+        self.heap: List[Tuple[float, float, int, Container]] = []
+        self.seq = 0
 
     # -- event handling ------------------------------------------------------
     def drain_until(self, t: float) -> None:
@@ -352,19 +346,12 @@ class _Lane(PoolLifecycle):
         heap = self.heap
         ttl_active = self.eviction.ttl_s is not None
         while heap and heap[0][0] < t:
-            time, _seq, kind, container, exec_s = heapq.heappop(heap)
+            time, _ready, _seq, container = heapq.heappop(heap)
             if ttl_active and len(self.pool):
                 self.expire_ttl(time)
-            if kind == _STARTUP_DONE:
-                heapq.heappush(
-                    heap,
-                    (time + exec_s, self.seq, _EXECUTION_DONE, container, 0.0),
-                )
-                self.seq += 1
-            else:
-                container.state = ContainerState.IDLE
-                container.last_used_at = time
-                self.keep_alive(container, time)
+            container.state = ContainerState.IDLE
+            container.last_used_at = time
+            self.keep_alive(container, time)
 
     def replay(self, table: ArrivalTable) -> None:
         """Bind ``table`` and replay every arrival in it, in order.
@@ -442,12 +429,11 @@ class _Lane(PoolLifecycle):
         # latter feeds FaasCache's greedy-dual priorities).
         container.current_function = spec.name
         container.last_used_at = t
+        ready_at = t + latency
         heapq.heappush(
             self.heap,
-            (
-                t + latency, self.seq, _STARTUP_DONE, container,
-                invocation.execution_time_s,
-            ),
+            (ready_at + invocation.execution_time_s, ready_at, self.seq,
+             container),
         )
         self.seq += 1
         if self.on_start is not None:

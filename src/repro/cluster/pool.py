@@ -355,7 +355,9 @@ class PoolSet:
     :meth:`best_at_level`, :meth:`match_candidates`,
     :meth:`match_depth_counts`, :meth:`exact_matches`) merge the per-shard
     indexes, so a :class:`WarmPool` and a ``PoolSet`` answer every query
-    the schedulers' ``decide_pool`` rules make the same way.
+    the schedulers' ``decide_pool`` rules make the same way.  With one
+    shard, :meth:`get` and those queries are the shard's own bound
+    methods, so a lookup costs no merge and no extra call.
     """
 
     def __init__(self, capacity_mb: float, n_shards: int = 1) -> None:
@@ -367,6 +369,15 @@ class PoolSet:
         per_shard = capacity_mb / n_shards
         self._shards = [WarmPool(per_shard) for _ in range(n_shards)]
         self._shard_of: dict[int, int] = {}
+        if n_shards == 1:
+            only = self._shards[0]
+            self.get = only.get
+            self.best_match = only.best_match
+            self.best_exact = only.best_exact
+            self.best_at_level = only.best_at_level
+            self.match_candidates = only.match_candidates
+            self.match_depth_counts = only.match_depth_counts
+            self.exact_matches = only.exact_matches
 
     # -- shard access ---------------------------------------------------------
     def shard(self, index: int) -> WarmPool:
@@ -386,6 +397,8 @@ class PoolSet:
     @property
     def used_mb(self) -> float:
         """Memory consumed by idle containers across shards."""
+        if self.n_shards == 1:
+            return self._shards[0].used_mb
         return sum(s.used_mb for s in self._shards)
 
     @property
@@ -395,7 +408,7 @@ class PoolSet:
 
     # -- membership -------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(len(s) for s in self._shards)
+        return len(self._shard_of)
 
     def __contains__(self, container_id: int) -> bool:
         return container_id in self._shard_of
@@ -431,8 +444,6 @@ class PoolSet:
         Ties at the deepest level break most-recently-used first (greatest
         ``(last_used_at, container_id)``), matching the LRU-scan semantics.
         """
-        if self.n_shards == 1:
-            return self._shards[0].best_match(image)
         best_container: Optional[Container] = None
         best_level = MatchLevel.NO_MATCH
         for shard in self._shards:
@@ -449,8 +460,6 @@ class PoolSet:
 
     def best_exact(self, image: FunctionImage) -> Optional[Container]:
         """Most-recently-used exact (L3) match across all shards, or None."""
-        if self.n_shards == 1:
-            return self._shards[0].best_exact(image)
         return _most_recent(s.best_exact(image) for s in self._shards)
 
     def best_at_level(
@@ -458,8 +467,6 @@ class PoolSet:
     ) -> Optional[Container]:
         """Most-recently-used container matching ``image`` at exactly
         ``level`` across all shards, or None."""
-        if self.n_shards == 1:
-            return self._shards[0].best_at_level(image, level)
         return _most_recent(
             s.best_at_level(image, level) for s in self._shards
         )
@@ -469,8 +476,6 @@ class PoolSet:
     ) -> List[Container]:
         """Idle containers matching ``image`` at least at ``level``, shard
         by shard (each shard oldest first)."""
-        if self.n_shards == 1:
-            return self._shards[0].match_candidates(image, level)
         merged: List[Container] = []
         for shard in self._shards:
             merged.extend(shard.match_candidates(image, level))
@@ -478,8 +483,6 @@ class PoolSet:
 
     def match_depth_counts(self, image: FunctionImage) -> Tuple[int, int, int, int]:
         """Per-level idle counts ``(n_no_match, n_L1, n_L2, n_L3)``, summed."""
-        if self.n_shards == 1:
-            return self._shards[0].match_depth_counts(image)
         totals = [0, 0, 0, 0]
         for shard in self._shards:
             counts = shard.match_depth_counts(image)
@@ -489,8 +492,6 @@ class PoolSet:
 
     def exact_matches(self, image: FunctionImage) -> List[Container]:
         """Idle containers fully (L3) matching ``image``, MRU first."""
-        if self.n_shards == 1:
-            return self._shards[0].exact_matches(image)
         matches = self.match_candidates(image, MatchLevel.L3)
         matches.sort(key=_mru_key, reverse=True)
         return matches

@@ -9,7 +9,7 @@ the keep-warm request).
 The simulator is layered control-plane / data-plane:
 
 * :class:`~repro.cluster.eventloop.EventLoop` -- the clock, the event
-  queue and the per-event TTL sweep (control plane);
+  queues and the per-event TTL sweep (control plane);
 * :class:`~repro.cluster.lifecycle.ContainerLifecycle` -- container
   create/claim/repack/keep-alive/destroy, the cleaner, volumes and fault
   hooks (data plane);
@@ -29,11 +29,11 @@ The driver exposes three equivalent driving modes:
   front;
 * :meth:`ClusterSimulator.run_stream` -- streaming mode: arrivals are
   pulled one at a time from a lazy
-  :class:`~repro.workloads.stream.InvocationStream`, so the event queue
-  holds exactly one future arrival (plus in-flight completions) and
-  replaying a million-invocation trace never materializes it.  Because
-  events are ordered ``(time, priority, seq)`` with arrivals at priority 0,
-  the pop order -- and therefore every decision, record and summary -- is
+  :class:`~repro.workloads.stream.InvocationStream`, so the arrival FIFO
+  holds exactly one future arrival (beside the in-flight completions) and
+  replaying a million-invocation trace never materializes it.  Because an
+  arrival wins every time tie and same-time arrivals pop in order, the
+  pop order -- and therefore every decision, record and summary -- is
   byte-identical to batch mode (the ``streaming_vs_materialized``
   differential oracle enforces this);
 * the incremental API (:meth:`load` / :meth:`next_decision_point` /
@@ -50,10 +50,13 @@ Every mode decides through
 :meth:`~repro.schedulers.base.Scheduler.decide_pool` rule, the one decision
 interface, which the lane kernel calls directly.
 
-All modes share every line of event-handling code, so trained policies see
-exactly the dynamics they were trained on.  With ``worker_concurrency``
-unset the dynamics (and the resulting telemetry summaries) are identical
-to the pre-layering monolith.
+Each decided invocation queues one completion event, due when its startup
+and execution are both done (:meth:`ClusterSimulator._complete` pools or
+destroys the container then).  All modes share every line of
+event-handling code, so trained policies see exactly the dynamics they
+were trained on.  With ``worker_concurrency`` unset the dynamics (and the
+resulting telemetry summaries) are identical to the pre-layering
+monolith.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
 ]
+
+_COMPLETE = EventKind.EXECUTION_COMPLETE
 
 
 @dataclass(frozen=True)
@@ -399,7 +404,7 @@ class ClusterSimulator:
                            invocation)
 
     def pump_until(self, time: float) -> int:
-        """Process every due non-arrival event, then sweep at ``time``.
+        """Process every due completion, then sweep at ``time``.
 
         The serving plane's janitor calls this on a timer: completions
         whose scheduled time has passed are handled exactly as the offline
@@ -419,7 +424,7 @@ class ClusterSimulator:
                     "pump_until reached an undecided arrival; drive it "
                     "through next_decision_point/apply_decision"
                 )
-            self._handle_non_arrival(self.loop.pop_next())
+            self._complete(self.loop.pop_next())
             handled += 1
         self.loop.advance_to(time)
         if self.verifier is not None:
@@ -429,7 +434,7 @@ class ClusterSimulator:
     def next_decision_point(self) -> Optional[SchedulingContext]:
         """Advance until the next arrival; return its scheduling context.
 
-        Completion events between arrivals are processed internally.
+        Completion events before the arrival are processed internally.
         Returns ``None`` once all arrivals have been handled.
         """
         if self._pending is not None:
@@ -442,7 +447,7 @@ class ClusterSimulator:
                 # queue again holds exactly one future arrival.
                 self._prime_next_arrival()
                 return self._context_for(self._pending)
-            self._handle_non_arrival(event)
+            self._complete(event)
         return None
 
     def apply_decision(self, decision: PoolDecision) -> InvocationRecord:
@@ -509,9 +514,11 @@ class ClusterSimulator:
         )
         latency = queue_delay + service_s
         ready_at = start_at + service_s
-        container.begin_startup(spec.name, now, ready_at)
-        self.loop.schedule(ready_at, EventKind.STARTUP_COMPLETE,
-                           (container, invocation))
+        finish_at = ready_at + invocation.execution_time_s
+        container.begin_startup(spec.name, now, finish_at)
+        # One completion per invocation.  Priority ``ready_at`` pops
+        # same-time completions in the order their startups finished.
+        self.loop.schedule(finish_at, _COMPLETE, container, ready_at)
         self.eviction.on_function_start(spec.name, latency,
                                         container.memory_mb, now)
         if self.telemetry.queueing_enabled:
@@ -570,7 +577,7 @@ class ClusterSimulator:
         while (event := self.loop.pop_next()) is not None:
             if event.kind is EventKind.ARRIVAL:
                 raise RuntimeError("finish() called with arrivals outstanding")
-            self._handle_non_arrival(event)
+            self._complete(event)
         self._finished = True
         self.telemetry.duration_s = self.loop.now
         if self.verifier is not None:
@@ -588,22 +595,15 @@ class ClusterSimulator:
     def _context_for(self, invocation: Invocation) -> SchedulingContext:
         return SchedulingContext(invocation, self.pool, self.config.cost_model)
 
-    def _handle_non_arrival(self, event) -> None:
-        container, invocation = event.payload
+    def _complete(self, event) -> None:
+        """An invocation finished: pool its container (or crash it)."""
+        container = event.payload
         now = self.loop.now
-        if event.kind is EventKind.STARTUP_COMPLETE:
-            finish_at = now + invocation.execution_time_s
-            container.begin_execution(now, finish_at)
-            self.loop.schedule(finish_at, EventKind.EXECUTION_COMPLETE,
-                               (container, invocation))
-        elif event.kind is EventKind.EXECUTION_COMPLETE:
-            container.finish_execution(now)
-            if self.lifecycle.faults_enabled and self.lifecycle.should_crash():
-                self.lifecycle.destroy(container)
-                self.telemetry.record_crash()
-            else:
-                self.lifecycle.keep_alive(container, now)
-        else:  # pragma: no cover - exhaustive enum
-            raise RuntimeError(f"unhandled event kind {event.kind}")
+        container.finish_execution(now)
+        if self.lifecycle.faults_enabled and self.lifecycle.should_crash():
+            self.lifecycle.destroy(container)
+            self.telemetry.record_crash()
+        else:
+            self.lifecycle.keep_alive(container, now)
         if self.verifier is not None:
             self.verifier.checkpoint()

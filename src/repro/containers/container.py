@@ -17,10 +17,14 @@ from repro.containers.volumes import Volume
 
 
 class ContainerState(enum.Enum):
-    """Container lifecycle states (paper: idle / busy / waiting)."""
+    """Container lifecycle states (paper: idle / busy / waiting).
 
-    STARTING = "starting"  # startup phases executing
-    BUSY = "busy"          # function executing
+    A claimed container is STARTING from its claim until its function
+    finishes executing: startup and execution are one busy span, and
+    nothing in the simulator reads the boundary between them.
+    """
+
+    STARTING = "starting"  # startup phases, then the function, executing
     IDLE = "idle"          # warm, in the pool, reusable
     EVICTED = "evicted"    # removed from the pool, gone
 
@@ -39,7 +43,8 @@ class Container:
     state:
         Lifecycle state.
     created_at, last_used_at, busy_until:
-        Simulation timestamps (seconds).
+        Simulation timestamps (seconds); ``busy_until`` is when the
+        current invocation finishes executing.
     current_function:
         Name of the function occupying or last occupying the container.
     mounted_volumes:
@@ -69,7 +74,7 @@ class Container:
 
     @property
     def is_busy(self) -> bool:
-        return self.state in (ContainerState.BUSY, ContainerState.STARTING)
+        return self.state is ContainerState.STARTING
 
     def idle_duration(self, now: float) -> float:
         """Seconds the container has sat idle; 0 when not idle."""
@@ -78,23 +83,20 @@ class Container:
         return max(0.0, now - self.last_used_at)
 
     # -- state transitions -----------------------------------------------------
-    def begin_startup(self, function_name: str, now: float, ready_at: float) -> None:
-        """Enter STARTING for ``function_name``; ready (busy) at ``ready_at``."""
+    def begin_startup(
+        self, function_name: str, now: float, busy_until: float
+    ) -> None:
+        """Enter STARTING for ``function_name``: starting up, then executing
+        until ``busy_until``."""
         self._require(ContainerState.STARTING, ContainerState.IDLE)
         self.state = ContainerState.STARTING
         self.current_function = function_name
         self.last_used_at = now
-        self.busy_until = ready_at
-
-    def begin_execution(self, now: float, finish_at: float) -> None:
-        """Startup finished; the function now executes until ``finish_at``."""
-        self._require(ContainerState.STARTING)
-        self.state = ContainerState.BUSY
-        self.busy_until = finish_at
+        self.busy_until = busy_until
 
     def finish_execution(self, now: float) -> None:
         """Execution done; the container becomes idle (kept warm)."""
-        self._require(ContainerState.BUSY)
+        self._require(ContainerState.STARTING)
         self.state = ContainerState.IDLE
         self.last_used_at = now
 

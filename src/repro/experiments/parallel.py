@@ -152,44 +152,38 @@ class GridCell:
 #: an object graph; doubles round-trip exactly.
 PackedCell = Tuple[str, Tuple[str, ...], "array"]
 
-#: Per-process workload memo keyed by ``(name, seed)``: grid tasks in the
-#: same worker that share a workload draw skip rebuilding it.  Safe because
+#: Size bound of the per-process draw memo: a 20k-function draw costs
+#: real memory (its workload, its arrival table and, under Offline-Q, its
+#: bootstrap fit), so the memo must not accumulate one entry per
+#: ``(workload, seed)`` across a large grid.
+ARRIVAL_TABLE_CACHE_CAP = 8
+
+#: Per-process draw memo keyed by ``(name, seed)``: grid tasks in the same
+#: worker that share a workload draw skip rebuilding it, and every lane
+#: replaying it shares one read-only
+#: :class:`~repro.cluster.lanes.ArrivalTable`.  Each table holds its
+#: workload, so this one bounded LRU (at most
+#: :data:`ARRIVAL_TABLE_CACHE_CAP` draws) bounds both: hits refresh
+#: recency, and an insert beyond the cap evicts the least-recently-used
+#: draw, whose workload -- and, through the ``weakref.finalize`` of
+#: :func:`~repro.schedulers.offline.bootstrap_policy`, its Offline-Q fit
+#: -- is then collected.  Eviction is equivalence-preserving:
 #: :class:`~repro.workloads.workload.Workload` is frozen and
-#: ``build_workload`` is deterministic, so reuse is observationally
-#: identical to a rebuild.
-_WORKLOAD_CACHE: Dict[Tuple[str, int], Workload] = {}
+#: ``build_workload`` is deterministic, so a rebuilt draw replays
+#: bit-identically to the evicted one.
+_ARRIVAL_TABLE_CACHE: "OrderedDict[Tuple[str, int], ArrivalTable]" = (
+    OrderedDict()
+)
 
 
 def cached_workload(name: str, seed: int) -> Workload:
     """Build (or fetch the process-local memo of) one workload draw."""
-    key = (name, seed)
-    workload = _WORKLOAD_CACHE.get(key)
-    if workload is None:
-        workload = _WORKLOAD_CACHE[key] = build_workload(name, seed=seed)
-    return workload
+    return cached_arrival_table(name, seed).workload
 
 
 def clear_workload_cache() -> None:
-    """Drop the process-local workload memo (used by tests)."""
-    _WORKLOAD_CACHE.clear()
+    """Drop the process-local draw memo (used by tests)."""
     _ARRIVAL_TABLE_CACHE.clear()
-
-
-#: Size bound of the per-process arrival-table memo: a 20k-function table
-#: costs real memory, so the memo must not accumulate one entry per
-#: ``(workload, seed)`` across a large grid.
-ARRIVAL_TABLE_CACHE_CAP = 8
-
-#: Per-process arrival-table memo keyed by ``(name, seed)``: every lane
-#: replaying the same workload draw shares one read-only
-#: :class:`~repro.cluster.lanes.ArrivalTable`.  Bounded LRU (at most
-#: :data:`ARRIVAL_TABLE_CACHE_CAP` tables): hits refresh recency, inserts
-#: beyond the cap evict the least-recently-used table.  Eviction is
-#: equivalence-preserving -- a rebuilt table replays bit-identically to the
-#: evicted one.
-_ARRIVAL_TABLE_CACHE: "OrderedDict[Tuple[str, int], ArrivalTable]" = (
-    OrderedDict()
-)
 
 
 def cached_arrival_table(name: str, seed: int) -> ArrivalTable:
@@ -197,7 +191,7 @@ def cached_arrival_table(name: str, seed: int) -> ArrivalTable:
     key = (name, seed)
     table = _ARRIVAL_TABLE_CACHE.get(key)
     if table is None:
-        table = ArrivalTable(cached_workload(name, seed))
+        table = ArrivalTable(build_workload(name, seed=seed))
         _ARRIVAL_TABLE_CACHE[key] = table
         while len(_ARRIVAL_TABLE_CACHE) > ARRIVAL_TABLE_CACHE_CAP:
             _ARRIVAL_TABLE_CACHE.popitem(last=False)

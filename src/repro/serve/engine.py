@@ -273,9 +273,9 @@ class ServeEngine:
     def sim_inflight(self) -> int:
         """Requests still starting or executing inside the simulator.
 
-        Every submitted request holds exactly one outstanding event
-        (``STARTUP_COMPLETE`` then ``EXECUTION_COMPLETE``) until it
-        finishes, so the event-queue length is the in-flight count.
+        Every submitted request holds exactly one outstanding completion
+        event until it finishes, and a request is decided as it is
+        submitted, so the event-queue length is the in-flight count.
         """
         return len(self.sim.loop)
 

@@ -114,7 +114,7 @@ class ConservationMonitor(InvariantMonitor):
                 if not container.is_busy:
                     self.fail(
                         f"live unpooled container {cid} is "
-                        f"{container.state.value}, neither starting nor busy"
+                        f"{container.state.value}, not starting or executing"
                     )
                 n_running += 1
         orphans = pooled_ids - set(live)

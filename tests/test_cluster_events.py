@@ -1,7 +1,9 @@
-"""Tests for the event queue the :class:`EventLoop` owns."""
+"""Tests for the event queues the :class:`EventLoop` owns."""
+
+import heapq
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.eventloop import EventLoop
@@ -43,20 +45,22 @@ class TestEventQueue:
         assert loop and len(loop) == 1
 
     def test_event_kinds(self):
-        assert {k.value for k in EventKind} == {
-            "arrival", "startup", "execution"
-        }
+        assert {k.value for k in EventKind} == {"arrival", "execution"}
 
 
 class TestEvent:
     def test_fields_and_priority(self):
         loop = EventLoop()
         arrival = loop.schedule(1.0, EventKind.ARRIVAL, "a")
-        startup = loop.schedule(1.0, EventKind.STARTUP_COMPLETE, "s")
+        done = loop.schedule(1.0, EventKind.EXECUTION_COMPLETE, "c")
+        ready = loop.schedule(1.0, EventKind.EXECUTION_COMPLETE, "r", 0.25)
         assert isinstance(arrival, Event)
         assert tuple(arrival) == (1.0, 0, 0, EventKind.ARRIVAL, "a")
-        assert (startup.time, startup.priority, startup.seq) == (1.0, 1, 1)
-        assert startup.kind is EventKind.STARTUP_COMPLETE
+        assert (done.time, done.priority, done.seq) == (1.0, 1, 1)
+        assert done.kind is EventKind.EXECUTION_COMPLETE
+        assert (ready.priority, ready.seq) == (0.25, 2)
+        # The arrival wins the tie; completions pop by (priority, seq).
+        assert [loop.pop_next().payload for _ in range(3)] == ["a", "r", "c"]
 
     @pytest.mark.parametrize("name", Event._fields)
     def test_fields_are_immutable(self, name):
@@ -104,3 +108,45 @@ def test_pops_in_time_priority_seq_order(schedules):
     assert [row[:3] for row in popped] == [row[:3] for row in expected]
     assert all(event.kind is row[3] and event.payload is row[4]
                for event, row in zip(popped, expected))
+
+
+# Schedules (time, kind) interleaved with pops (None).
+_interleaved = st.lists(
+    st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                  st.sampled_from(list(EventKind))),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300)
+@given(_interleaved)
+def test_interleaved_schedules_and_pops_match_one_heap(ops):
+    """Scheduling between pops -- late arrivals, arrivals in the past and
+    a drained arrival FIFO included -- pops what one ``(time, priority,
+    seq)`` heap with arrivals at priority 0 and completions at 1 pops."""
+    loop = EventLoop()
+    reference = []
+    n = 0
+    for op in ops:
+        if op is None:
+            event = loop.pop_next()
+            if not reference:
+                assert event is None
+            else:
+                assert event.payload == heapq.heappop(reference)[2]
+        else:
+            time, kind = op
+            loop.schedule(time, kind, n)
+            heapq.heappush(
+                reference, (time, 0 if kind is EventKind.ARRIVAL else 1, n)
+            )
+            n += 1
+        assert len(loop) == len(reference)
+        assert bool(loop) == bool(reference)
+        head = loop.peek()
+        assert (head.payload if head else None) == (
+            min(reference)[2] if reference else None
+        )

@@ -58,7 +58,7 @@ class TestMembership:
     def test_only_idle_containers(self):
         pool = WarmPool(1000.0)
         busy = small_container(1)
-        busy.state = ContainerState.BUSY
+        busy.state = ContainerState.STARTING
         with pytest.raises(ValueError):
             pool.add(busy)
 

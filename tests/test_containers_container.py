@@ -10,9 +10,8 @@ from conftest import make_container, make_image
 class TestLifecycle:
     def test_full_happy_cycle(self):
         c = Container(1, make_image(), state=ContainerState.STARTING)
-        c.begin_startup("f", now=0.0, ready_at=1.0)
-        c.begin_execution(now=1.0, finish_at=2.0)
-        assert c.is_busy
+        c.begin_startup("f", now=0.0, busy_until=2.0)
+        assert c.is_busy and c.busy_until == 2.0
         c.finish_execution(now=2.0)
         assert c.is_idle
         c.claim()
@@ -25,19 +24,14 @@ class TestLifecycle:
         assert c.state is ContainerState.EVICTED
 
     def test_evict_from_busy_rejected(self):
-        c = Container(1, make_image(), state=ContainerState.BUSY)
+        c = Container(1, make_image(), state=ContainerState.STARTING)
         with pytest.raises(RuntimeError):
             c.evict()
 
     def test_claim_requires_idle(self):
-        c = Container(1, make_image(), state=ContainerState.BUSY)
+        c = Container(1, make_image(), state=ContainerState.STARTING)
         with pytest.raises(RuntimeError):
             c.claim()
-
-    def test_begin_execution_requires_starting(self):
-        c = make_container(1)  # idle
-        with pytest.raises(RuntimeError):
-            c.begin_execution(0.0, 1.0)
 
     def test_finish_requires_busy(self):
         c = make_container(1)
@@ -63,7 +57,7 @@ class TestProperties:
         assert c.idle_duration(5.0) == 0.0  # clamped
 
     def test_idle_duration_zero_when_busy(self):
-        c = Container(1, make_image(), state=ContainerState.BUSY,
+        c = Container(1, make_image(), state=ContainerState.STARTING,
                       last_used_at=0.0)
         assert c.idle_duration(100.0) == 0.0
 

@@ -35,8 +35,10 @@ Pinned properties:
 from __future__ import annotations
 
 import ast
+import gc
 import inspect
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -298,6 +300,25 @@ class TestArrivalTableCacheBound:
         for seed in range(10):
             cached_arrival_table("LO-Sim", seed)
         assert len(_ARRIVAL_TABLE_CACHE) == 8
+
+    def test_cap_bounds_workloads_and_bootstrap_fits(self):
+        """Evicting a draw's table frees its workload and, with it, the
+        Offline-Q bootstrap fit memoized for that workload."""
+        from repro.schedulers.offline import bootstrap_policy
+
+        _ARRIVAL_TABLE_CACHE.clear()
+        workloads, fits = [], []
+        for seed in range(10):
+            workload = cached_arrival_table("LO-Sim", seed).workload
+            assert cached_workload("LO-Sim", seed) is workload
+            workloads.append(weakref.ref(workload))
+            fits.append(weakref.ref(bootstrap_policy(workload)))
+        del workload
+        gc.collect()
+        assert sum(ref() is not None for ref in workloads) <= 8
+        assert sum(ref() is not None for ref in fits) <= 8
+        # The two oldest draws are the ones gone.
+        assert workloads[0]() is None and workloads[1]() is None
 
 
 class TestLaneParity:

@@ -143,8 +143,8 @@ class TestJanitor:
     def test_tick_counts_pumped_events(self):
         engine, stats, janitor, done = self._idle_session()
         handled = janitor.tick(now=done + 0.1)
-        assert handled == 2  # startup completion + execution completion
-        assert janitor.events_pumped == 2
+        assert handled == 1  # one completion per invocation
+        assert janitor.events_pumped == 1
 
     def test_async_start_stop_lifecycle(self):
         engine, clock = _engine(keepalive_ttl_s=5.0)

@@ -143,8 +143,11 @@ class TestPumpUntil:
         # Not yet due: nothing processed, but the clock advances.
         assert sim.pump_until(ready_at - 0.1) == 0
         assert sim.now == ready_at - 0.1
-        # Due: startup + execution completions both fire, container pools.
-        assert sim.pump_until(done_at + 0.1) == 2
+        # Still running at ready_at: the one completion waits for done_at.
+        assert sim.pump_until(ready_at + 0.5 * record.execution_time_s) == 0
+        assert len(sim.pool) == 0
+        # Due: the invocation's one completion fires, container pools.
+        assert sim.pump_until(done_at + 0.1) == 1
         assert len(sim.pool) == 1
 
     def test_trailing_sweep_expires_ttl(self):

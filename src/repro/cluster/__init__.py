@@ -6,7 +6,7 @@ cold start and multi-level warm reuse, containers execute and return to a
 fixed-capacity warm pool, and a pluggable eviction policy reclaims space.
 """
 
-from repro.cluster.events import Event, EventKind
+from repro.cluster.events import Event
 from repro.cluster.eventloop import (
     EventLoop,
     TimeSource,
@@ -33,7 +33,6 @@ from repro.cluster.simulator import (
 
 __all__ = [
     "Event",
-    "EventKind",
     "EventLoop",
     "TimeSource",
     "VirtualClock",

@@ -1,28 +1,26 @@
-"""Control-plane event loop: the time source, the queue and periodic sweeps.
+"""Control-plane event loop: the time source, the completion heap, sweeps.
 
 The :class:`EventLoop` owns the pieces of the simulator that define *when*
-things happen: the deterministic event queues of
-:class:`~repro.cluster.events.Event` named tuples -- a FIFO of arrivals
-and a ``heapq`` heap of completions -- plus the sequence counter that
-breaks time ties, a pluggable :class:`TimeSource`, and an optional sweep
-hook that runs after every clock advance (the simulator installs the
-warm-pool TTL sweep there, so expiry runs once per popped event, after
-time has advanced).
+things happen: a deterministic ``heapq`` heap of completion
+:class:`~repro.cluster.events.Event` named tuples plus the sequence
+counter that breaks time ties, a pluggable :class:`TimeSource`, and an
+optional sweep hook that runs after every clock advance (the simulator
+installs the warm-pool TTL sweep there, so expiry runs once per popped
+completion and once per arrival, after time has advanced).
 
-Arrivals are scheduled in time order by every driver, so they need no
-heap: the FIFO is a sorted list plus a read cursor, appended to in order
-and cleared once drained (a streaming feed therefore holds one arrival
-in it).  An arrival scheduled out of order is inserted into the unread
-part by ``(time, seq)``.  A pop takes the earlier of the FIFO head and
-the heap head, and an arrival wins a time tie.
+Arrivals never enter the loop.  The simulator holds the next undecided
+arrival itself, pops the completions due strictly before it, then moves
+the clock to the arrival with :meth:`EventLoop.advance_to` -- the order
+the lane kernel's ``drain_until`` follows too.
 
 Time is abstracted behind the :class:`TimeSource` protocol so sim-time and
 wall-time are interchangeable:
 
 * :class:`VirtualClock` -- the historical simulation clock: time is a plain
   float that only moves when the loop advances it.  Fully deterministic;
-  every offline mode (batch, streaming, incremental) uses it, and the
-  golden traces / differential oracles pin its behaviour byte-for-byte.
+  every offline driver (``run``, ``run_stream``, incremental) uses it,
+  and the golden traces / differential oracles pin its behaviour
+  byte-for-byte.
 * :class:`WallClock` -- real elapsed time from ``time.monotonic`` relative
   to a construction-time epoch.  ``advance_to`` never *sets* wall time (it
   cannot); it only clamps the reading forward, so a loop driven by a wall
@@ -35,22 +33,20 @@ session replayable through the offline simulator (the ``serve_replay``
 differential oracle).
 
 Separating this layer from the container data plane means the policy
-driver (:class:`~repro.cluster.simulator.ClusterSimulator`) contains no
-time-keeping logic at all: it only decides what to do with the events the
-loop hands it.
+driver (:class:`~repro.cluster.simulator.ClusterSimulator`) keeps no clock
+and runs no sweep: it only orders its one pending arrival against the
+heap head and decides what to do with the events the loop hands it.
 """
 
 from __future__ import annotations
 
 import itertools
 import time as _time
-from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
-from repro.cluster.events import Event, EventKind
+from repro.cluster.events import Event
 
-_ARRIVAL = EventKind.ARRIVAL
 #: Builds an :class:`Event` from one tuple without the keyword constructor.
 _new_event = tuple.__new__
 
@@ -127,7 +123,7 @@ class WallClock:
 
 
 class EventLoop:
-    """Deterministic event queues plus time source plus per-advance sweep.
+    """Deterministic completion heap plus time source plus per-advance sweep.
 
     Parameters
     ----------
@@ -155,10 +151,6 @@ class EventLoop:
         clock: Optional[TimeSource] = None,
     ) -> None:
         self.clock: TimeSource = clock if clock is not None else VirtualClock()
-        # Arrival FIFO sorted by (time, seq); _next indexes the first
-        # unread one.  Empty whenever every arrival has been read.
-        self._arrivals: list[Event] = []
-        self._next = 0
         self._heap: list[Event] = []
         self._seq = itertools.count()
         self._sweep = sweep
@@ -170,60 +162,30 @@ class EventLoop:
         return self.clock.now
 
     def schedule(
-        self,
-        time: float,
-        kind: EventKind,
-        payload: Any = None,
-        priority: float = 1,
+        self, time: float, payload: Any = None, priority: float = 0
     ) -> Event:
-        """Queue an event at ``time``; returns the created event.
+        """Queue a completion at ``time``; returns the created event.
 
-        An arrival joins the arrival FIFO with priority 0.  Any other kind
-        joins the completion heap with ``priority``: completions due at
-        one time pop by ``(priority, seq)``.  The simulator passes the
-        time the container finished starting up.
+        Completions due at one time pop by ``(priority, seq)``.  The
+        simulator passes the time the container finished starting up.
         """
         if self._observer is not None:
             self._observer("schedule", time)
         if time < 0:
             raise ValueError("event time must be >= 0")
-        if kind is _ARRIVAL:
-            event = _new_event(Event, (time, 0, next(self._seq), kind,
-                                       payload))
-            arrivals = self._arrivals
-            if arrivals and time < arrivals[-1][0]:
-                insort(arrivals, event, lo=self._next)
-            else:
-                arrivals.append(event)
-        else:
-            event = _new_event(Event, (time, priority, next(self._seq), kind,
-                                       payload))
-            heappush(self._heap, event)
+        event = _new_event(Event, (time, priority, next(self._seq), payload))
+        heappush(self._heap, event)
         return event
 
     def pop_next(self) -> Optional[Event]:
         """Pop the earliest event, advance the clock, run the sweep.
 
-        Returns ``None`` when both queues are empty (the clock and sweep
-        are untouched in that case).
+        Returns ``None`` when the heap is empty (the clock and sweep are
+        untouched in that case).
         """
-        arrivals = self._arrivals
-        heap = self._heap
-        if arrivals:
-            i = self._next
-            event = arrivals[i]
-            if heap and heap[0][0] < event[0]:
-                event = heappop(heap)
-            else:
-                i += 1
-                if i == len(arrivals):
-                    arrivals.clear()
-                    i = 0
-                self._next = i
-        elif heap:
-            event = heappop(heap)
-        else:
+        if not self._heap:
             return None
+        event = heappop(self._heap)
         now = self.clock.advance_to(event[0])
         if self._observer is not None:
             self._observer("advance", now)
@@ -234,11 +196,13 @@ class EventLoop:
     def advance_to(self, time: float) -> float:
         """Advance the clock with no event, running the observer and sweep.
 
-        The online serving plane's janitor uses this to make "wall time
-        passed with nothing due" a first-class loop operation: TTL expiry
-        (the sweep hook) runs exactly as it would at an event pop, so idle
-        containers scale to zero between requests.  Returns the new clock
-        reading (which, for a :class:`WallClock`, may exceed ``time``).
+        The simulator calls this at every arrival, after the completions
+        due before it; the online serving plane's janitor calls it to make
+        "wall time passed with nothing due" a first-class loop operation:
+        TTL expiry (the sweep hook) runs exactly as it would at an event
+        pop, so idle containers scale to zero between requests.  Returns
+        the new clock reading (which, for a :class:`WallClock`, may exceed
+        ``time``).
         """
         now = self.clock.advance_to(time)
         if self._observer is not None:
@@ -249,16 +213,10 @@ class EventLoop:
 
     def peek(self) -> Optional[Event]:
         """The earliest queued event without popping it."""
-        heap = self._heap
-        if self._arrivals:
-            event = self._arrivals[self._next]
-            if heap and heap[0][0] < event[0]:
-                return heap[0]
-            return event
-        return heap[0] if heap else None
+        return self._heap[0] if self._heap else None
 
     def __len__(self) -> int:
-        return len(self._arrivals) - self._next + len(self._heap)
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return bool(self._arrivals or self._heap)
+        return bool(self._heap)

@@ -339,9 +339,10 @@ class _Lane(PoolLifecycle):
     def drain_until(self, t: float) -> None:
         """Handle every completion strictly before ``t`` (the next arrival).
 
-        Same-time completions yield to the arrival (arrivals carry event
-        priority 0); each pop runs the TTL sweep at its own time before
-        handling, mirroring ``EventLoop.pop_next``.
+        Same-time completions yield to the arrival; each pop runs the TTL
+        sweep at its own time before handling, as the sequential engine's
+        ``ClusterSimulator.next_decision_point`` does through
+        ``EventLoop.pop_next``.
         """
         heap = self.heap
         ttl_active = self.eviction.ttl_s is not None

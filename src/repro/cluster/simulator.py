@@ -8,8 +8,8 @@ the keep-warm request).
 
 The simulator is layered control-plane / data-plane:
 
-* :class:`~repro.cluster.eventloop.EventLoop` -- the clock, the event
-  queues and the per-event TTL sweep (control plane);
+* :class:`~repro.cluster.eventloop.EventLoop` -- the clock, the
+  completion heap and the per-advance TTL sweep (control plane);
 * :class:`~repro.cluster.lifecycle.ContainerLifecycle` -- container
   create/claim/repack/keep-alive/destroy, the cleaner, volumes and fault
   hooks (data plane);
@@ -22,28 +22,31 @@ The simulator is layered control-plane / data-plane:
 * :class:`ClusterSimulator` -- the thin policy driver that turns scheduler
   decisions into lifecycle/placement calls and telemetry records.
 
-The driver exposes three equivalent driving modes:
+The driver holds at most one undecided arrival, in a slot.  Every driving
+mode feeds that slot through one checked path, and arrivals must come in
+non-decreasing time order and never behind the clock:
 
-* :meth:`ClusterSimulator.run` -- batch mode with a
-  :class:`~repro.schedulers.base.Scheduler`: every arrival is queued up
-  front;
-* :meth:`ClusterSimulator.run_stream` -- streaming mode: arrivals are
-  pulled one at a time from a lazy
-  :class:`~repro.workloads.stream.InvocationStream`, so the arrival FIFO
-  holds exactly one future arrival (beside the in-flight completions) and
-  replaying a million-invocation trace never materializes it.  Because an
-  arrival wins every time tie and same-time arrivals pop in order, the
-  pop order -- and therefore every decision, record and summary -- is
-  byte-identical to batch mode (the ``streaming_vs_materialized``
-  differential oracle enforces this);
+* :meth:`ClusterSimulator.run` / :meth:`ClusterSimulator.run_stream` --
+  one drive loop with a :class:`~repro.schedulers.base.Scheduler` over a
+  :class:`~repro.workloads.workload.Workload` or any iterable of
+  invocations (a lazy :class:`~repro.workloads.stream.InvocationStream`
+  included).  The source is pulled one arrival at a time, so replaying a
+  million-invocation trace never materializes it;
 * the incremental API (:meth:`load` / :meth:`next_decision_point` /
-  :meth:`apply_decision` / :meth:`finish`) used by the DRL environment and
-  the serving engine, which interleave their own work with decisions:
+  :meth:`apply_decision` / :meth:`finish`) used by the DRL environment,
+  which interleaves its own work with decisions:
   :meth:`next_decision_point` hands out the pending arrival's
   :class:`~repro.schedulers.base.SchedulingContext` (invocation, warm pool,
   cost model) and :meth:`apply_decision` takes the
   :data:`~repro.schedulers.base.PoolDecision` that
-  :meth:`~repro.schedulers.base.Scheduler.decide` returns for it.
+  :meth:`~repro.schedulers.base.Scheduler.decide` returns for it;
+* the online feed (:meth:`offer` / :meth:`pump_until`) used by the serving
+  engine, which puts one arrival in the slot at a time.
+
+:meth:`next_decision_point` handles the completions due strictly before
+the slot's arrival, then advances the clock to it (running the TTL sweep)
+-- the lane kernel's ``drain_until`` order, so an arrival wins every time
+tie with a completion.
 
 Every mode decides through
 :meth:`~repro.schedulers.base.Scheduler.decide`, i.e. the policy's
@@ -65,7 +68,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional
 
 from repro.cluster.eventloop import EventLoop
-from repro.cluster.events import EventKind
 from repro.cluster.eviction import EvictionPolicy, LRUEviction
 from repro.cluster.faults import FaultConfig
 from repro.cluster.lifecycle import ContainerLifecycle, InvalidDecisionError
@@ -86,8 +88,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
 ]
-
-_COMPLETE = EventKind.EXECUTION_COMPLETE
 
 
 @dataclass(frozen=True)
@@ -225,8 +225,12 @@ class ClusterSimulator:
                 self.verifier.observe_loop if self.verifier is not None else None
             ),
         )
+        # The arrival slot: the next undecided arrival, if any, and the
+        # loaded source that refills it.  ``_pending`` is the arrival
+        # handed out by next_decision_point and not yet applied.
+        self._arrival: Optional[Invocation] = None
+        self._source: Optional[Iterator[Invocation]] = None
         self._pending: Optional[Invocation] = None
-        self._arrival_source: Optional[Iterator[Invocation]] = None
         self._last_arrival_t = 0.0
         self._workload_name = "<none>"
         self._finished = False
@@ -252,7 +256,7 @@ class ClusterSimulator:
         return self.lifecycle.cleaner
 
     # ------------------------------------------------------------------
-    # Batch mode
+    # Driving a whole run
     # ------------------------------------------------------------------
     def run(self, workload: Workload, scheduler: Scheduler) -> SimulationResult:
         """Simulate ``workload`` end-to-end under ``scheduler``.
@@ -264,15 +268,26 @@ class ClusterSimulator:
         way -- the ``batch_vs_incremental`` differential oracle holds both
         modes to that.
         """
-        self.load(workload)
-        return self._drive(scheduler)
+        return self._drive(workload, scheduler)
 
-    def _drive(self, scheduler: Scheduler) -> SimulationResult:
-        """Decide and apply every queued arrival, then finish the run.
+    def run_stream(
+        self, stream: Iterable[Invocation], scheduler: Scheduler
+    ) -> SimulationResult:
+        """Simulate a lazy invocation stream end-to-end under ``scheduler``.
 
-        The one sequential drive loop behind :meth:`run` and
-        :meth:`run_stream`; they differ only in how arrivals are queued.
+        The same drive loop as :meth:`run`: arrivals are pulled from
+        ``stream`` one at a time, so memory stays O(in-flight containers)
+        regardless of trace length.  Combine with
+        ``SimulationConfig(bounded_telemetry=True)`` to keep the telemetry
+        side O(1) as well.
         """
+        return self._drive(stream, scheduler)
+
+    def _drive(
+        self, arrivals: Iterable[Invocation], scheduler: Scheduler
+    ) -> SimulationResult:
+        """Load ``arrivals``, decide and apply each one, finish the run."""
+        self.load(arrivals)
         while True:
             ctx = self.next_decision_point()
             if ctx is None:
@@ -296,70 +311,63 @@ class ClusterSimulator:
             )
 
     # ------------------------------------------------------------------
-    # Streaming mode
+    # The arrival slot
     # ------------------------------------------------------------------
-    def run_stream(
-        self, stream: Iterable[Invocation], scheduler: Scheduler
-    ) -> SimulationResult:
-        """Simulate a lazy invocation stream end-to-end under ``scheduler``.
+    def load(self, arrivals: Iterable[Invocation]) -> None:
+        """Attach an arrival source; its first arrival fills the slot.
 
-        Equivalent to :meth:`run` on the materialized workload -- same
-        decisions, same telemetry rows, same summary -- but arrivals are
-        pulled from ``stream`` one at a time, so the event queue never
-        holds more than one future arrival and memory stays O(in-flight
-        containers) regardless of trace length.  Combine with
-        ``SimulationConfig(bounded_telemetry=True)`` to keep the telemetry
-        side O(1) as well.
-        """
-        self.load_stream(stream)
-        return self._drive(scheduler)
-
-    def load_stream(self, stream: Iterable[Invocation]) -> None:
-        """Attach a lazy arrival source and schedule its first arrival.
-
-        The remaining arrivals are pulled one at a time as the simulation
-        progresses (each popped arrival primes the next).  The stream must
-        yield invocations in non-decreasing ``arrival_time`` order;
-        :meth:`_prime_next_arrival` raises ``ValueError`` otherwise, since
-        a late-discovered earlier arrival could no longer be scheduled in
-        the past.
+        ``arrivals`` is a :class:`~repro.workloads.workload.Workload` or any
+        iterable of invocations in non-decreasing ``arrival_time`` order.
+        It is pulled lazily: each arrival handed out by
+        :meth:`next_decision_point` is replaced by the source's next one.
+        An out-of-order arrival raises ``ValueError`` when it is pulled.
+        Raises ``RuntimeError`` while an arrival (offered, or from an
+        earlier source) is still undecided.
         """
         if self._finished:
             raise RuntimeError("simulator already finished; build a new one")
-        if self._arrival_source is not None:
-            raise RuntimeError("an arrival stream is already attached")
-        self._workload_name = getattr(stream, "name", "<stream>")
-        self._arrival_source = iter(stream)
-        self._prime_next_arrival()
-
-    def _prime_next_arrival(self) -> None:
-        """Schedule the next arrival from the attached stream, if any."""
-        source = self._arrival_source
-        if source is None:
-            return
-        inv = next(source, None)
-        if inv is None:
-            self._arrival_source = None
-            return
-        if inv.arrival_time < self._last_arrival_t:
-            raise ValueError(
-                "arrival stream is not sorted: got t="
-                f"{inv.arrival_time:.6f} after t={self._last_arrival_t:.6f}"
+        if self._arrival is not None:
+            raise RuntimeError(
+                f"load() while arrival {self._arrival.invocation_id} is "
+                "still undecided"
             )
-        self._last_arrival_t = inv.arrival_time
-        self.loop.schedule(inv.arrival_time, EventKind.ARRIVAL, inv)
+        self._workload_name = getattr(arrivals, "name", "<stream>")
+        self._source = iter(arrivals)
+        self._fill(next(self._source, None))
+
+    def _fill(self, invocation: Optional[Invocation]) -> None:
+        """Put ``invocation`` in the arrival slot, checking its order.
+
+        The one way into the slot, for loaded and offered arrivals alike.
+        ``None`` (an exhausted source) detaches the loaded source instead.
+        Raises ``ValueError`` for an arrival earlier than the one before
+        it or than the clock, and ``RuntimeError`` when the slot is full.
+        """
+        if invocation is None:
+            self._source = None
+            return
+        t = invocation.arrival_time
+        if t < self._last_arrival_t:
+            raise ValueError(
+                f"arrival {invocation.invocation_id} out of order: got "
+                f"t={t:.6f} after t={self._last_arrival_t:.6f}"
+            )
+        if t < self.loop.now:
+            raise ValueError(
+                f"arrival {invocation.invocation_id} at t={t:.6f} is "
+                f"behind the clock at t={self.loop.now:.6f}"
+            )
+        if self._arrival is not None:
+            raise RuntimeError(
+                f"arrival {invocation.invocation_id} offered while arrival "
+                f"{self._arrival.invocation_id} is still undecided"
+            )
+        self._last_arrival_t = t
+        self._arrival = invocation
 
     # ------------------------------------------------------------------
-    # Incremental mode (used by the DRL environment)
+    # Proactive provisioning
     # ------------------------------------------------------------------
-    def load(self, workload: Workload) -> None:
-        """Queue every arrival of ``workload``; resets nothing else."""
-        if self._finished:
-            raise RuntimeError("simulator already finished; build a new one")
-        self._workload_name = workload.name
-        for inv in workload:
-            self.loop.schedule(inv.arrival_time, EventKind.ARRIVAL, inv)
-
     def prewarm(self, image, owner_name: str = "prewarm") -> Container:
         """Provision an idle warm container before (or between) arrivals.
 
@@ -381,27 +389,25 @@ class ClusterSimulator:
     # Online feed (used by the serving plane)
     # ------------------------------------------------------------------
     def offer(self, invocation: Invocation) -> None:
-        """Inject a single arrival into the event loop (online feed).
+        """Put a single arrival in the slot (online feed).
 
         The serving plane (:mod:`repro.serve`) stamps each incoming request
         with a wall-relative arrival time and offers it here one at a time;
         :meth:`next_decision_point` then processes every due completion and
         returns the request's scheduling context exactly as the offline
         modes would.  Arrival times must be non-decreasing across calls
-        (and across any stream fed via :meth:`load_stream`), mirroring the
-        streaming feed's ordering contract.
+        and not behind the clock (``ValueError`` otherwise).  Raises
+        ``RuntimeError`` while a loaded source still has arrivals or an
+        earlier offer is undecided.
         """
         if self._finished:
             raise RuntimeError("simulator already finished; build a new one")
-        if invocation.arrival_time < self._last_arrival_t:
-            raise ValueError(
-                "arrival offered out of order: got t="
-                f"{invocation.arrival_time:.6f} after "
-                f"t={self._last_arrival_t:.6f}"
+        if self._source is not None:
+            raise RuntimeError(
+                f"offer() of arrival {invocation.invocation_id} while a "
+                "loaded source still has arrivals"
             )
-        self._last_arrival_t = invocation.arrival_time
-        self.loop.schedule(invocation.arrival_time, EventKind.ARRIVAL,
-                           invocation)
+        self._fill(invocation)
 
     def pump_until(self, time: float) -> int:
         """Process every due completion, then sweep at ``time``.
@@ -412,43 +418,50 @@ class ClusterSimulator:
         TTL sweep), and the trailing :meth:`~EventLoop.advance_to` runs one
         more sweep at ``time`` so idle containers expire -- and the pool
         scales to zero -- even when no event is due.  Returns the number of
-        events processed.  Raises if an undecided arrival is due (arrivals
-        must go through :meth:`next_decision_point`).
+        events processed.  Raises, with nothing processed, if an undecided
+        arrival is due by ``time`` (arrivals must go through
+        :meth:`next_decision_point`).
         """
         if self._pending is not None:
             raise RuntimeError("pending decision not applied")
+        if self._arrival is not None and self._arrival.arrival_time <= time:
+            raise RuntimeError(
+                "pump_until reached an undecided arrival; drive it "
+                "through next_decision_point/apply_decision"
+            )
+        loop = self.loop
         handled = 0
-        while (event := self.loop.peek()) is not None and event.time <= time:
-            if event.kind is EventKind.ARRIVAL:
-                raise RuntimeError(
-                    "pump_until reached an undecided arrival; drive it "
-                    "through next_decision_point/apply_decision"
-                )
-            self._complete(self.loop.pop_next())
+        while (event := loop.peek()) is not None and event[0] <= time:
+            self._complete(loop.pop_next())
             handled += 1
-        self.loop.advance_to(time)
+        loop.advance_to(time)
         if self.verifier is not None:
             self.verifier.checkpoint()
         return handled
 
     def next_decision_point(self) -> Optional[SchedulingContext]:
-        """Advance until the next arrival; return its scheduling context.
+        """Advance to the slot's arrival; return its scheduling context.
 
-        Completion events before the arrival are processed internally.
-        Returns ``None`` once all arrivals have been handled.
+        Completions due strictly before the arrival are processed first,
+        then the clock advances to it (running the TTL sweep), and a loaded
+        source refills the slot before the context is handed out.  Returns
+        ``None`` once every arrival has been handled.
         """
         if self._pending is not None:
             raise RuntimeError("previous decision not applied yet")
-        while (event := self.loop.pop_next()) is not None:
-            if event.kind is EventKind.ARRIVAL:
-                self._pending = event.payload
-                # Streaming feed: replace the consumed arrival with the
-                # stream's next one before any decision is taken, so the
-                # queue again holds exactly one future arrival.
-                self._prime_next_arrival()
-                return self._context_for(self._pending)
-            self._complete(event)
-        return None
+        invocation = self._arrival
+        if invocation is None:
+            return None
+        t = invocation.arrival_time
+        loop = self.loop
+        while (event := loop.peek()) is not None and event[0] < t:
+            self._complete(loop.pop_next())
+        loop.advance_to(t)
+        self._arrival = None
+        self._pending = invocation
+        if self._source is not None:
+            self._fill(next(self._source, None))
+        return self._context_for(invocation)
 
     def apply_decision(self, decision: PoolDecision) -> InvocationRecord:
         """Execute a scheduling decision for the pending invocation.
@@ -518,7 +531,7 @@ class ClusterSimulator:
         container.begin_startup(spec.name, now, finish_at)
         # One completion per invocation.  Priority ``ready_at`` pops
         # same-time completions in the order their startups finished.
-        self.loop.schedule(finish_at, _COMPLETE, container, ready_at)
+        self.loop.schedule(finish_at, container, ready_at)
         self.eviction.on_function_start(spec.name, latency,
                                         container.memory_mb, now)
         if self.telemetry.queueing_enabled:
@@ -574,9 +587,9 @@ class ClusterSimulator:
         """Drain remaining events and return the run result."""
         if self._pending is not None:
             raise RuntimeError("pending decision not applied")
+        if self._arrival is not None:
+            raise RuntimeError("finish() called with arrivals outstanding")
         while (event := self.loop.pop_next()) is not None:
-            if event.kind is EventKind.ARRIVAL:
-                raise RuntimeError("finish() called with arrivals outstanding")
             self._complete(event)
         self._finished = True
         self.telemetry.duration_s = self.loop.now

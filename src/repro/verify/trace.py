@@ -87,11 +87,7 @@ class TraceSpec:
 
     ``verify`` additionally attaches the runtime invariant monitors during
     recording; it does not affect the recorded behaviour (and is therefore
-    not part of the header).  ``stream`` records through
-    :meth:`~repro.cluster.simulator.ClusterSimulator.run_stream` (the
-    workload wrapped as a lazy stream) instead of batch ``run``; the two
-    paths are decision-identical by design, so it too is excluded from the
-    header -- a golden trace recorded either way replays against both.
+    not part of the header).
     """
 
     workload: str
@@ -99,7 +95,6 @@ class TraceSpec:
     seed: int = 0
     pool: str = "Tight"
     verify: bool = False
-    stream: bool = False
 
 
 @dataclass(frozen=True)
@@ -310,12 +305,6 @@ def _simulate(spec: TraceSpec) -> Tuple[float, SimulationResult]:
         SimulationConfig(pool_capacity_mb=capacity, verify=spec.verify),
         scheduler.make_eviction_policy(),
     )
-    if spec.stream:
-        from repro.workloads.stream import stream_from_workload
-
-        return capacity, sim.run_stream(
-            stream_from_workload(workload), scheduler
-        )
     return capacity, sim.run(workload, scheduler)
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.eventloop import EventLoop, VirtualClock
-from repro.cluster.events import EventKind
 from repro.cluster.eviction import LRUEviction
 from repro.cluster.placement import PlacementEngine
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
@@ -38,8 +37,8 @@ class TestSimulationClock:
 class TestEventLoop:
     def test_pop_advances_clock_in_time_order(self):
         loop = EventLoop()
-        loop.schedule(2.0, EventKind.ARRIVAL, "b")
-        loop.schedule(1.0, EventKind.ARRIVAL, "a")
+        loop.schedule(2.0, "b")
+        loop.schedule(1.0, "a")
         assert loop.pop_next().payload == "a"
         assert loop.now == 1.0
         assert loop.pop_next().payload == "b"
@@ -49,8 +48,8 @@ class TestEventLoop:
     def test_sweep_runs_once_per_pop_after_advance(self):
         seen = []
         loop = EventLoop(sweep=seen.append)
-        loop.schedule(1.0, EventKind.ARRIVAL)
-        loop.schedule(4.0, EventKind.ARRIVAL)
+        loop.schedule(1.0)
+        loop.schedule(4.0)
         loop.pop_next()
         loop.pop_next()
         assert seen == [1.0, 4.0]
@@ -60,7 +59,7 @@ class TestEventLoop:
     def test_len_and_peek(self):
         loop = EventLoop()
         assert not loop and len(loop) == 0 and loop.peek() is None
-        loop.schedule(1.0, EventKind.ARRIVAL, "x")
+        loop.schedule(1.0, "x")
         assert loop and len(loop) == 1
         assert loop.peek().payload == "x"
         assert len(loop) == 1  # peek does not pop

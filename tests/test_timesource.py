@@ -11,7 +11,6 @@ from repro.cluster import (
     VirtualClock,
     WallClock,
 )
-from repro.cluster.events import EventKind
 from repro.schedulers.base import COLD
 from repro.workloads.functions import function_by_id
 from repro.workloads.workload import Invocation
@@ -81,7 +80,7 @@ class TestEventLoopClock:
         clock = VirtualClock(start=2.0)
         loop = EventLoop(clock=clock)
         assert loop.now == 2.0
-        loop.schedule(5.0, EventKind.ARRIVAL, "x")
+        loop.schedule(5.0, "x")
         event = loop.pop_next()
         assert event.time == 5.0 and clock.now == 5.0
 
@@ -195,3 +194,69 @@ class TestPumpUntil:
             return records
 
         assert run(pump=False) == run(pump=True)
+
+
+class TestArrivalSlot:
+    """Every driver fills the simulator's one arrival slot the same way."""
+
+    def test_offer_behind_the_clock_rejected(self):
+        # Without verify, too: no monitor is needed to catch the arrival.
+        sim = ClusterSimulator(SimulationConfig(pool_capacity_mb=10_000.0))
+        sim.pump_until(10.0)
+        with pytest.raises(ValueError, match="arrival 0 .*behind the clock"):
+            sim.offer(_invocation(0, 5.0))
+        # The rejected arrival left the slot empty.
+        assert sim.next_decision_point() is None
+        sim.offer(_invocation(1, 10.0))
+        assert sim.next_decision_point().invocation.invocation_id == 1
+
+    def test_out_of_order_load_rejected(self):
+        sim = ClusterSimulator(SimulationConfig(pool_capacity_mb=10_000.0))
+        sim.load([_invocation(0, 2.0), _invocation(1, 1.0)])
+        # The source is pulled lazily: the late arrival is found when it
+        # would refill the slot.
+        with pytest.raises(ValueError, match="arrival 1 out of order"):
+            sim.next_decision_point()
+
+    def test_offer_while_source_loaded_rejected(self):
+        sim = ClusterSimulator(SimulationConfig(pool_capacity_mb=10_000.0))
+        sim.load([_invocation(0, 1.0), _invocation(1, 2.0)])
+        with pytest.raises(RuntimeError, match="loaded source"):
+            sim.offer(_invocation(2, 3.0))
+        sim.next_decision_point()
+        sim.apply_decision(COLD)
+        with pytest.raises(RuntimeError, match="loaded source"):
+            sim.offer(_invocation(2, 3.0))
+        sim.next_decision_point()
+        sim.apply_decision(COLD)
+        # The source is exhausted: the online feed may take over.
+        sim.offer(_invocation(2, 3.0))
+        assert sim.next_decision_point().invocation.invocation_id == 2
+
+    def test_load_while_offer_pending_rejected(self):
+        sim = ClusterSimulator(SimulationConfig(pool_capacity_mb=10_000.0))
+        sim.offer(_invocation(0, 1.0))
+        with pytest.raises(RuntimeError, match="arrival 0 is still undecided"):
+            sim.load([_invocation(1, 2.0)])
+
+    def test_second_offer_while_first_undecided_rejected(self):
+        sim = ClusterSimulator(SimulationConfig(pool_capacity_mb=10_000.0))
+        sim.offer(_invocation(0, 1.0))
+        with pytest.raises(RuntimeError, match="still undecided"):
+            sim.offer(_invocation(1, 2.0))
+
+    def test_run_and_run_stream_take_any_iterable(self):
+        from repro.schedulers.greedy import GreedyMatchScheduler
+
+        arrivals = [_invocation(i, t) for i, t in
+                    enumerate([0.0, 0.0, 0.2, 3.0, 3.0, 9.5])]
+        summaries = [
+            getattr(
+                ClusterSimulator(SimulationConfig(pool_capacity_mb=300.0)),
+                method,
+            )(source, GreedyMatchScheduler()).summary()
+            for method in ("run", "run_stream")
+            for source in (arrivals, iter(arrivals))
+        ]
+        assert all(s == summaries[0] for s in summaries)
+        assert summaries[0]["invocations"] == len(arrivals)

@@ -47,6 +47,16 @@ class TestApiDocGenerator:
         assert result.returncode == 0, result.stderr
         assert target.exists()
 
+    def test_help_prints_usage_and_writes_nothing(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "tools" / "gen_api_docs.py"),
+             "--help"],
+            capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "usage:" in result.stdout
+        assert list(tmp_path.iterdir()) == []
+
     def test_checked_in_reference_is_current(self):
         """API_REFERENCE.md must be regenerated when the API changes."""
         checked_in = (REPO_ROOT / "API_REFERENCE.md").read_text()

@@ -13,6 +13,7 @@ generated reference is always complete.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pkgutil
@@ -102,7 +103,14 @@ def render() -> str:
 
 def main(argv: List[str]) -> int:
     """CLI entry point."""
-    target = Path(argv[0]) if argv else Path("API_REFERENCE.md")
+    parser = argparse.ArgumentParser(
+        description="Generate the API reference from the docstrings."
+    )
+    parser.add_argument(
+        "output", nargs="?", type=Path, default=Path("API_REFERENCE.md"),
+        help="markdown file to write (default: API_REFERENCE.md)",
+    )
+    target = parser.parse_args(argv).output
     target.write_text(render())
     print(f"wrote {target}")
     return 0

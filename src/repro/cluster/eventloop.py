@@ -1,41 +1,38 @@
-"""Control-plane event loop: the time source, the completion heap, sweeps.
+"""Control-plane event loop: the completion queue, the clock, sweeps.
 
-The :class:`EventLoop` owns the pieces of the simulator that define *when*
-things happen: a deterministic ``heapq`` heap of completion
+The :class:`EventLoop` is the one completion queue of both engines: a
+deterministic ``heapq`` heap of completion
 :class:`~repro.cluster.events.Event` named tuples plus the sequence
-counter that breaks time ties, a pluggable :class:`TimeSource`, and an
-optional sweep hook that runs after every clock advance (the simulator
-installs the warm-pool TTL sweep there, so expiry runs once per popped
+counter that breaks time ties, the simulation clock (a plain float that
+only moves forward) and an optional sweep hook that runs after every
+clock advance (the warm-pool TTL sweep, so expiry runs once per popped
 completion and once per arrival, after time has advanced).
 
-Arrivals never enter the loop.  The simulator holds the next undecided
-arrival itself, pops the completions due strictly before it, then moves
-the clock to the arrival with :meth:`EventLoop.advance_to` -- the order
-the lane kernel's ``drain_until`` follows too.
+Arrivals never enter the loop.  Each engine holds the next arrival
+itself and hands :meth:`EventLoop.drain_until` the arrival's time and
+its completion handler; the loop pops every completion due strictly
+before the arrival.  Then the engine sweeps at the arrival (the
+sequential :class:`~repro.cluster.simulator.ClusterSimulator` by moving
+the clock there with :meth:`EventLoop.advance_to`).  The simulator and
+every lane of :mod:`repro.cluster.lanes` drain this way, each through
+its :class:`~repro.cluster.lifecycle.PoolLifecycle`'s loop.
 
-Time is abstracted behind the :class:`TimeSource` protocol so sim-time and
-wall-time are interchangeable:
+The loop's clock is always virtual, so the golden traces and the
+differential oracles pin its behaviour byte-for-byte.  The
+:class:`TimeSource` protocol and its two clocks live here too:
 
-* :class:`VirtualClock` -- the historical simulation clock: time is a plain
-  float that only moves when the loop advances it.  Fully deterministic;
-  every offline driver (``run``, ``run_stream``, incremental) uses it,
-  and the golden traces / differential oracles pin its behaviour
-  byte-for-byte.
-* :class:`WallClock` -- real elapsed time from ``time.monotonic`` relative
-  to a construction-time epoch.  ``advance_to`` never *sets* wall time (it
-  cannot); it only clamps the reading forward, so a loop driven by a wall
-  clock processes events when reality catches up with them.
+* :class:`VirtualClock` -- a deterministic clock that only moves when
+  advanced; the scripted wall source of tests, examples and the
+  benchmark's serving leg.
+* :class:`WallClock` -- real elapsed time from ``time.monotonic``
+  relative to a construction-time epoch.  ``advance_to`` never *sets*
+  wall time (it cannot); it only clamps the reading forward.
 
-The online serving plane (:mod:`repro.serve`) samples a :class:`WallClock`
-to timestamp arriving requests and then drives the same deterministic
-event-loop machinery with those timestamps, which is what makes a serving
-session replayable through the offline simulator (the ``serve_replay``
+The online serving plane (:mod:`repro.serve`) samples a wall source to
+timestamp arriving requests and then drives the same deterministic
+event loop with those timestamps, which is what makes a serving session
+replayable through the offline simulator (the ``serve_replay``
 differential oracle).
-
-Separating this layer from the container data plane means the policy
-driver (:class:`~repro.cluster.simulator.ClusterSimulator`) keeps no clock
-and runs no sweep: it only orders its one pending arrival against the
-heap head and decides what to do with the events the loop hands it.
 """
 
 from __future__ import annotations
@@ -123,51 +120,41 @@ class WallClock:
 
 
 class EventLoop:
-    """Deterministic completion heap plus time source plus per-advance sweep.
+    """Deterministic completion queue plus clock plus per-advance sweep.
 
     Parameters
     ----------
     sweep:
         Optional callable invoked with the current time after every clock
         advance (i.e. once per popped event and once per explicit
-        :meth:`advance_to`).  The cluster simulator installs the
-        container-lifecycle TTL sweep here.
+        :meth:`advance_to`).  The pool lifecycle installs its TTL sweep
+        here.
     observer:
         Optional callable ``(kind, time)`` notified on every ``"schedule"``
         (with the event's time) and every ``"advance"`` (with the new clock
         reading).  The verification harness installs its clock-monotonicity
         monitor here; ``None`` (the default) keeps the loop observer-free.
-    clock:
-        The :class:`TimeSource` driving the loop.  Defaults to a fresh
-        :class:`VirtualClock`, which reproduces the historical simulator
-        behaviour exactly; pass a :class:`WallClock` for an online loop
-        whose reading tracks real time.
     """
 
     def __init__(
         self,
         sweep: Optional[Callable[[float], None]] = None,
         observer: Optional[Callable[[str, float], None]] = None,
-        clock: Optional[TimeSource] = None,
     ) -> None:
-        self.clock: TimeSource = clock if clock is not None else VirtualClock()
+        #: Current simulation time; it never rewinds.
+        self.now = 0.0
         self._heap: list[Event] = []
         self._seq = itertools.count()
         self._sweep = sweep
         self._observer = observer
-
-    @property
-    def now(self) -> float:
-        """Current time as read from the loop's time source."""
-        return self.clock.now
 
     def schedule(
         self, time: float, payload: Any = None, priority: float = 0
     ) -> Event:
         """Queue a completion at ``time``; returns the created event.
 
-        Completions due at one time pop by ``(priority, seq)``.  The
-        simulator passes the time the container finished starting up.
+        Completions due at one time pop by ``(priority, seq)``.  Both
+        engines pass the time the container finished starting up.
         """
         if self._observer is not None:
             self._observer("schedule", time)
@@ -186,12 +173,29 @@ class EventLoop:
         if not self._heap:
             return None
         event = heappop(self._heap)
-        now = self.clock.advance_to(event[0])
+        now = event[0]
+        if now > self.now:
+            self.now = now
+        else:
+            now = self.now
         if self._observer is not None:
             self._observer("advance", now)
         if self._sweep is not None:
             self._sweep(now)
         return event
+
+    def drain_until(
+        self, time: float, on_complete: Callable[[Any, float], None]
+    ) -> None:
+        """Handle every completion due strictly before ``time``.
+
+        Each one pops through :meth:`pop_next` (clock advance, then
+        sweep) and is handed to ``on_complete(payload, now)``.  An arrival
+        at ``time`` therefore wins every time tie with a completion.
+        """
+        heap = self._heap
+        while heap and heap[0][0] < time:
+            on_complete(self.pop_next()[3], self.now)
 
     def advance_to(self, time: float) -> float:
         """Advance the clock with no event, running the observer and sweep.
@@ -200,11 +204,13 @@ class EventLoop:
         due before it; the online serving plane's janitor calls it to make
         "wall time passed with nothing due" a first-class loop operation:
         TTL expiry (the sweep hook) runs exactly as it would at an event
-        pop, so idle containers scale to zero between requests.  Returns
-        the new clock reading (which, for a :class:`WallClock`, may exceed
-        ``time``).
+        pop, so idle containers scale to zero between requests.  A time
+        in the past leaves the clock where it is.  Returns the new clock
+        reading.
         """
-        now = self.clock.advance_to(time)
+        if time > self.now:
+            self.now = time
+        now = self.now
         if self._observer is not None:
             self._observer("advance", now)
         if self._sweep is not None:

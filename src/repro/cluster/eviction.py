@@ -57,11 +57,6 @@ class EvictionPolicy(abc.ABC):
         """Clear any accumulated state between runs."""
 
 
-def _never_fits(pool: WarmPool, incoming: Container) -> bool:
-    """True when the container cannot fit even in an empty pool."""
-    return incoming.memory_mb > pool.capacity_mb
-
-
 class LRUEviction(EvictionPolicy):
     """Evict least-recently-used idle containers until the newcomer fits."""
 
@@ -69,17 +64,18 @@ class LRUEviction(EvictionPolicy):
         self, pool: WarmPool, incoming: Container, now: float
     ) -> Optional[List[Container]]:
         """Containers to evict so the newcomer fits, or None to reject it."""
-        if _never_fits(pool, incoming):
+        memory_mb = incoming.image.memory_mb
+        if memory_mb > pool.capacity_mb:  # never fits
             return None
-        victims: List[Container] = []
-        freed = 0.0
-        needed = incoming.memory_mb - pool.free_mb
+        needed = memory_mb - pool.free_mb
         if needed <= 0:
             return []
+        victims: List[Container] = []
+        freed = 0.0
         # Walk the shard LRU-first in place; only the victims are copied.
         for container in pool:
             victims.append(container)
-            freed += container.memory_mb
+            freed += container.image.memory_mb
             if freed >= needed:
                 return victims
         return None  # unreachable for consistent pools; defensive
@@ -150,9 +146,10 @@ class FaasCacheEviction(EvictionPolicy):
         self, pool: WarmPool, incoming: Container, now: float
     ) -> Optional[List[Container]]:
         """Containers to evict so the newcomer fits, or None to reject it."""
-        if _never_fits(pool, incoming):
+        memory_mb = incoming.image.memory_mb
+        if memory_mb > pool.capacity_mb:  # never fits
             return None
-        needed = incoming.memory_mb - pool.free_mb
+        needed = memory_mb - pool.free_mb
         if needed <= 0:
             return []
         ranked = sorted(pool.containers(), key=self.priority)
@@ -160,7 +157,7 @@ class FaasCacheEviction(EvictionPolicy):
         freed = 0.0
         for container in ranked:
             victims.append(container)
-            freed += container.memory_mb
+            freed += container.image.memory_mb
             if freed >= needed:
                 # Age the cache: the clock advances to the last victim's
                 # priority, exactly as greedy-dual prescribes.

@@ -3,11 +3,10 @@
 A grid sweep replays thousands of *independent* simulations -- one per
 ``(scheduler, workload, seed, capacity)`` cell.  The sequential path runs
 each cell through the full :class:`~repro.cluster.simulator.ClusterSimulator`
-stack: an :class:`~repro.cluster.eventloop.EventLoop` call per scheduled
-and per popped :class:`~repro.cluster.events.Event`, with its observer and
-sweep hooks, the layered lifecycle (cleaner, volumes, placement) and a
-16-column telemetry append per invocation.  None of that machinery is
-needed to produce the *summary* a grid cell actually carries.
+stack: a scheduling context per arrival, placement and admission, the
+cleaner's volumes, monitor hooks and a 16-column telemetry append per
+invocation.  None of that machinery is needed to produce the *summary* a
+grid cell actually carries; the invocation lifecycle itself is shared.
 
 This module runs many **lanes** (one lane = one cell) per process through a
 lean kernel:
@@ -25,21 +24,24 @@ lean kernel:
   bounded chunks for O(1)-memory lane replay (:func:`run_stream_lanes`).
 * **Run-to-completion lanes** -- lanes are independent, so each one
   replays its whole table in one loop (:meth:`_Lane.replay`): per arrival,
-  due completions drain, TTL sweeps run, the scheduler's
-  :meth:`~repro.schedulers.base.Scheduler.decide_pool` rule decides
-  against the lane's warm pool, a warm pick is validated, and the
-  decision and its proactive actions are applied.
-  :meth:`LaneKernel.run` replays each lane once; :func:`run_stream_lanes`
-  replays each lane once per stream chunk.
-* **Shared pool semantics** -- each lane *is* a
-  :class:`~repro.cluster.lifecycle.PoolLifecycle`, the pool-side container
-  bookkeeping the sequential :class:`~repro.cluster.lifecycle.\
-ContainerLifecycle` extends, running on a real
-  :class:`~repro.cluster.pool.WarmPool` and
-  :class:`~repro.cluster.eviction.EvictionPolicy`.  Create, claim, repack,
-  keep-alive and eviction, TTL expiry, destroy, pre-warm and lend, live
-  memory and the scalar :class:`~repro.cluster.telemetry.Counters` are
-  therefore one implementation on both engines, not a reimplementation.
+  due completions drain through the lane's
+  :class:`~repro.cluster.eventloop.EventLoop`, TTL sweeps run, the
+  scheduler's :meth:`~repro.schedulers.base.Scheduler.decide_pool` rule
+  decides against the lane's warm pool, the decided container starts,
+  its latency is folded and its completion queued, and the decision's
+  proactive actions are applied.  :meth:`LaneKernel.run` replays each
+  lane once; :func:`run_stream_lanes` replays each lane once per stream
+  chunk.
+* **One invocation lifecycle** -- each lane *is* a
+  :class:`~repro.cluster.lifecycle.PoolLifecycle`, the lifecycle the
+  sequential :class:`~repro.cluster.lifecycle.ContainerLifecycle`
+  extends, running on a real :class:`~repro.cluster.pool.WarmPool` and
+  :class:`~repro.cluster.eviction.EvictionPolicy`.  Start (create, or
+  validate, claim and repack), the completion queue, complete (the
+  checked transitions, keep-alive and eviction), TTL expiry, destroy,
+  pre-warm and lend, live memory and the scalar
+  :class:`~repro.cluster.telemetry.Counters` are therefore one
+  implementation on both engines, not a reimplementation.
 
 Every scheduler registry key (:data:`SCHEDULER_CLASS_NAMES`), and a
 trained MLCR policy given as its policy-file bytes (``LaneSpec.policy``),
@@ -51,8 +53,9 @@ reaches the same rule through
 :meth:`~repro.schedulers.base.Scheduler.decide` on its
 :class:`~repro.cluster.pool.PoolSet`, so both engines run one
 implementation.  Every warm pick passes
-:meth:`~repro.cluster.lifecycle.PoolLifecycle.check_decision`, the
-sequential claim's validation, and any attached
+:meth:`~repro.cluster.lifecycle.PoolLifecycle.check_decision` inside the
+shared :meth:`~repro.cluster.lifecycle.PoolLifecycle.start`, and any
+attached
 :class:`~repro.schedulers.base.PrewarmRequest` /
 :class:`~repro.schedulers.base.LendRequest` actions replay through the
 lane lifecycle.
@@ -66,8 +69,8 @@ time, seq)``, with arrivals before same-time completions), same decisions,
 same floating-point accumulation order for latency totals and memory
 peaks, same pre-warm / lending counter blocks.
 Bounded lanes (``LaneSpec(bounded=True)``, used by the streaming replay)
-fold latencies the way :class:`~repro.cluster.telemetry.BoundedTelemetry`
-does -- running total plus quantile sketch -- so ``repro experiment
+fold latencies into the same sketch form as
+:class:`~repro.cluster.telemetry.BoundedTelemetry`, so ``repro experiment
 stream`` is byte-identical to ``ClusterSimulator.run_stream`` with bounded
 telemetry.  The ``lanes_vs_sequential`` and ``streaming_vs_materialized``
 differential oracles and the hypothesis suites in ``tests/test_lanes.py``
@@ -81,21 +84,19 @@ This kernel is the only engine behind
 
 from __future__ import annotations
 
-import heapq
 import io
 import itertools
 from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cluster.eviction import EvictionPolicy
 from repro.cluster.lifecycle import PoolLifecycle
 from repro.cluster.pool import WarmPool
 from repro.cluster.sketches import QuantileSketch
-from repro.cluster.telemetry import Counters, column_percentiles, summary_fold
-from repro.containers.container import Container, ContainerState
+from repro.cluster.telemetry import (
+    Counters, fold_adder, latency_stats, summary_fold,
+)
 from repro.containers.costmodel import StartupCostModel
 from repro.workloads.workload import Invocation, Workload
 
@@ -241,9 +242,9 @@ class LaneSpec:
     from memory; ``table`` is the (shareable) arrival table of the lane's
     workload and
     ``capacity_mb`` the warm-pool capacity of the cell.  ``bounded``
-    selects :class:`~repro.cluster.telemetry.BoundedTelemetry`-equivalent
-    folding (running totals plus quantile sketches instead of a latency
-    column) -- the streaming replay's O(1)-memory mode.
+    selects the latency fold's sketch form, as
+    :class:`~repro.cluster.telemetry.BoundedTelemetry` does, instead of
+    the exact column -- the streaming replay's O(1)-memory mode.
     :func:`run_stream_lanes` passes ``table=None`` and binds stream chunks
     as they arrive.
     """
@@ -265,24 +266,23 @@ class LaneResult:
 
 class _Lane(PoolLifecycle):
     """One lane: a :class:`~repro.cluster.lifecycle.PoolLifecycle` on its
-    own warm pool, plus the lane's scheduler, completion heap and latency
-    fold.
+    own warm pool, plus the lane's scheduler and latency fold.
 
-    Create, claim, repack, keep-alive, TTL expiry, destroy, pre-warm and
-    lend are the shared pool bookkeeping the sequential lifecycle runs
-    too; the lane's counters go to its own
+    Start, the completion queue, complete, keep-alive, TTL expiry,
+    destroy, pre-warm and lend are the shared lifecycle the sequential
+    engine runs too; the lane's counters go to its own
     :class:`~repro.cluster.telemetry.Counters` record.  Containers are
-    real :class:`~repro.containers.container.Container` objects (the pool
-    and eviction policies read their id, image, recency and idle state),
-    but the checked state-machine transitions, cleaner, volumes and
-    placement of the sequential lifecycle -- none of which influence a
-    summary under the supported configuration -- are skipped.
+    real :class:`~repro.containers.container.Container` objects through
+    their checked transitions; the cleaner, volumes and placement of the
+    sequential lifecycle -- none of which influence a summary under the
+    supported configuration -- are skipped.  The latency fold is the
+    exact column, or in bounded mode the sketch; the lane binds the one
+    function that adds to it.
     """
 
     __slots__ = (
-        "table", "method", "rule", "on_start", "cold",
-        "latencies", "heap", "seq", "bounded", "lat_n", "lat_total",
-        "lat_sketch",
+        "table", "method", "rule", "on_start", "cold", "latencies",
+        "add_latency",
     )
 
     def __init__(self, spec: LaneSpec) -> None:
@@ -318,152 +318,74 @@ class _Lane(PoolLifecycle):
             else None
         )
         self.cold = 0
-        self.bounded = spec.bounded
-        if spec.bounded:
-            self.latencies = None
-            self.lat_n = 0
-            self.lat_total = 0.0
-            self.lat_sketch = QuantileSketch(0.01)
-        else:
-            self.latencies = array("d")
-            self.lat_n = 0
-            self.lat_total = 0.0
-            self.lat_sketch = None
-        # Completion heap: one (finish, ready_at, seq, container) entry
-        # per invocation, the sequential queue's (time, priority, seq)
-        # completion order; seq counts decisions.
-        self.heap: List[Tuple[float, float, int, Container]] = []
-        self.seq = 0
-
-    # -- event handling ------------------------------------------------------
-    def drain_until(self, t: float) -> None:
-        """Handle every completion strictly before ``t`` (the next arrival).
-
-        Same-time completions yield to the arrival; each pop runs the TTL
-        sweep at its own time before handling, as the sequential engine's
-        ``ClusterSimulator.next_decision_point`` does through
-        ``EventLoop.pop_next``.
-        """
-        heap = self.heap
-        ttl_active = self.eviction.ttl_s is not None
-        while heap and heap[0][0] < t:
-            time, _ready, _seq, container = heapq.heappop(heap)
-            if ttl_active and len(self.pool):
-                self.expire_ttl(time)
-            container.state = ContainerState.IDLE
-            container.last_used_at = time
-            self.keep_alive(container, time)
+        self.latencies = QuantileSketch(0.01) if spec.bounded else array("d")
+        self.add_latency = fold_adder(self.latencies)
 
     def replay(self, table: ArrivalTable) -> None:
         """Bind ``table`` and replay every arrival in it, in order.
 
-        Per arrival: drain the completions due strictly before it, run the
-        TTL sweep at the arrival's time (the sequential loop sweeps on the
-        arrival pop before the scheduler decides), decide, validate a warm
-        pick as the sequential claim does
-        (:class:`~repro.cluster.lifecycle.InvalidDecisionError` on an
-        unknown id or a NO_MATCH container), apply.
-        Completions still in flight afterwards stay queued, so a stream
-        lane replays chunk after chunk and drains once at the end
-        (:meth:`drain_all`).
+        Per arrival: complete the invocations due strictly before it, run
+        the TTL sweep at the arrival's time (the sequential engine sweeps
+        when it advances its clock to the arrival, before the scheduler
+        decides), decide, start the decided container
+        (:meth:`~repro.cluster.lifecycle.PoolLifecycle.start` validates a
+        warm pick as the sequential engine does), price the start, fold
+        its latency, queue its completion and apply the decision's
+        proactive actions.  Completions still in flight afterwards stay
+        queued, so a stream lane replays chunk after chunk and drains once
+        at the end (:meth:`~repro.cluster.lifecycle.PoolLifecycle.\
+drain_all`).
         """
         self.table = table
-        drain_until = self.drain_until
-        apply = self.apply
+        loop = self.loop
+        drain_until = loop.drain_until
+        schedule = loop.schedule
+        complete = self.complete
+        start = self.start
         pool = self.pool
         sweep = self.expire_ttl if self.eviction.ttl_s is not None else None
         rule = self.rule
-        check = self.check_decision
         cost_model = table.cost_model
+        latency_s = cost_model.latency_s
+        add_latency = self.add_latency
+        on_start = self.on_start
+        cold = 0
         for invocation in table.invocations:
             t = invocation.arrival_time
-            drain_until(t)
+            drain_until(t, complete)
             if sweep is not None and len(pool):
                 sweep(t)
-            container, match, preserve, actions = rule(
-                pool, invocation, cost_model
-            )
-            if container is not None:
-                container, match = check(
-                    container.container_id, invocation.spec
-                )
-            apply(t, invocation, container, match, preserve, actions)
-
-    def drain_all(self) -> None:
-        """Run out every in-flight completion (the ``finish()`` drain)."""
-        self.drain_until(float("inf"))
-
-    # -- application ---------------------------------------------------------
-    def apply(
-        self,
-        t: float,
-        invocation: Invocation,
-        container: Optional[Container],
-        match: int,
-        preserve: bool,
-        actions: tuple,
-    ) -> None:
-        """Execute a decision for ``invocation``, arriving at ``t``."""
-        spec = invocation.spec
-        if container is None:
-            container = self.create(spec.image, spec.name, t)
-            self.cold += 1
-        else:
-            self.claim(container.container_id, spec, t)
-            container.state = ContainerState.STARTING
-            if not preserve:
-                # Zygote-style preserve keeps the superset image in place.
-                self.repack(container, spec.image, spec.name)
-        counters = self.counters
-        if self.live_memory_mb > counters.peak_live_memory_mb:
-            counters.peak_live_memory_mb = self.live_memory_mb
-        latency = self.table.cost_model.latency_s(
-            spec.image, match, spec.function_init_s
-        )
-        if self.bounded:
-            self.lat_n += 1
-            self.lat_total += latency
-            self.lat_sketch.insert(latency)
-        else:
-            self.latencies.append(latency)
-        # begin_startup stamps the claim time and the serving function (the
-        # latter feeds FaasCache's greedy-dual priorities).
-        container.current_function = spec.name
-        container.last_used_at = t
-        ready_at = t + latency
-        heapq.heappush(
-            self.heap,
-            (ready_at + invocation.execution_time_s, ready_at, self.seq,
-             container),
-        )
-        self.seq += 1
-        if self.on_start is not None:
-            self.on_start(spec.name, latency, container.memory_mb, t)
-        if actions:
-            self.apply_actions(actions, t)
+            picked, _, preserve, actions = rule(pool, invocation, cost_model)
+            spec = invocation.spec
+            container, match, _ = start(spec, picked, preserve, t)
+            if picked is None:
+                cold += 1
+            latency = latency_s(spec.image, match, spec.function_init_s)
+            add_latency(latency)
+            # One completion per invocation, ordered (finish, ready_at, seq)
+            # as in the sequential engine.
+            ready_at = t + latency
+            schedule(ready_at + invocation.execution_time_s, container,
+                     ready_at)
+            if on_start is not None:
+                on_start(spec.name, latency, container.memory_mb, t)
+            if actions:
+                self.apply_actions(actions, t)
+        self.cold += cold
 
     # -- results -------------------------------------------------------------
     def summary(self) -> Dict[str, float]:
         """The cell summary, key-for-key and bit-for-bit equal to
         :meth:`repro.cluster.telemetry.Telemetry.summary` (or
         :class:`~repro.cluster.telemetry.BoundedTelemetry`'s in bounded
-        mode) of the equivalent sequential run: same accumulation order,
-        same numpy percentile calls / sketch estimates, and the same
-        :func:`~repro.cluster.telemetry.summary_fold`.  The warm-pool peak
-        is read off the pool's own tracking."""
+        mode) of the equivalent sequential run: the same
+        :func:`~repro.cluster.telemetry.latency_stats` of the same fold
+        form, and the same :func:`~repro.cluster.telemetry.summary_fold`.
+        The warm-pool peak is read off the pool's own tracking."""
         counters = self.counters
         counters.peak_warm_memory_mb = self.pool.peak_used_mb
-        if self.bounded:
-            sketch = self.lat_sketch
-            return summary_fold(
-                counters, self.lat_n, self.lat_total,
-                sketch.percentile(50), sketch.percentile(95), self.cold,
-            )
-        latencies = self.latencies
-        p50, p95 = column_percentiles(np.array(latencies, dtype=np.float64))
         return summary_fold(
-            counters, len(latencies), float(sum(latencies)), p50, p95,
-            self.cold,
+            counters, *latency_stats(self.latencies), self.cold
         )
 
 
@@ -510,8 +432,8 @@ def run_stream_lanes(
     lanes consume the same stream, cut once into
     :meth:`ArrivalTable.from_stream` chunks and re-bound to every lane as
     each chunk arrives, so memory stays O(chunk + #functions + in-flight
-    containers) regardless of stream length.  Lanes run in
-    ``BoundedTelemetry``-equivalent folding; the result summaries are
+    containers) regardless of stream length.  Lanes fold latencies in
+    the bounded (sketch) form; the result summaries are
     byte-identical to ``ClusterSimulator.run_stream`` with
     ``SimulationConfig(bounded_telemetry=True)`` per cell (the
     ``streaming_vs_materialized`` oracle pins this).

@@ -1,39 +1,43 @@
-"""Data-plane container lifecycle: create, claim, repack, keep-alive, destroy.
+"""Data-plane container lifecycle: start, complete, keep-alive, destroy.
 
 Two layers own every container-state mutation in the cluster:
 
-* :class:`PoolLifecycle` -- the pool-side bookkeeping both engines run:
-  container ids and live-memory accounting, claiming (pre-warm and lend
-  reuse), the image-swap repack, keep-alive through the eviction policy
-  (reject, or evict the victims, then add), TTL expiry, destroy (pre-warm
-  waste, dropping the lend entry), pre-warming and lending.  Its scalar
-  counters go to one :class:`~repro.cluster.telemetry.Counters` record.
-  Each lane of the lane kernel (:mod:`repro.cluster.lanes`) is one,
-  running on a single :class:`~repro.cluster.pool.WarmPool`.
+* :class:`PoolLifecycle` -- one invocation's lifecycle and the pool-side
+  bookkeeping, run by both engines.  :meth:`~PoolLifecycle.start` begins
+  an invocation (create, or validate, claim and repack a warm pick, then
+  the checked STARTING transition); the engine queues its completion on
+  the lifecycle's :class:`~repro.cluster.eventloop.EventLoop`, whose sweep
+  is the TTL expiry; :meth:`~PoolLifecycle.complete` ends it (IDLE, then
+  keep-alive through the eviction policy: reject, or evict the victims,
+  then add).  Around these sit container ids and live-memory accounting,
+  pre-warm and lend reuse, destroy (pre-warm waste, dropping the lend
+  entry), pre-warming and lending.  Its scalar counters go to one
+  :class:`~repro.cluster.telemetry.Counters` record.  Each lane of the
+  lane kernel (:mod:`repro.cluster.lanes`) is one, running on a single
+  :class:`~repro.cluster.pool.WarmPool`.
 * :class:`ContainerLifecycle` -- the sequential engine's extension:
   worker placement, the cleaner's volume-level repack, the live-container
   set and created/destroyed counts behind the conservation invariant,
-  checked state transitions, monitor notifications, warm-memory peak
-  sampling, per-worker shard routing (:meth:`~ContainerLifecycle.\
-worker_of`) and the crash / straggler hooks of the configured
+  monitor notifications and checkpoints, warm-memory peak sampling,
+  per-worker shard routing (:meth:`~ContainerLifecycle.worker_of`) and
+  the crash / straggler hooks of the configured
   :class:`~repro.cluster.faults.FaultModel`.
 
 The policy driver (:class:`~repro.cluster.simulator.ClusterSimulator`)
 composes :class:`ContainerLifecycle` with the
-:class:`~repro.cluster.eventloop.EventLoop` and the
-:class:`~repro.cluster.placement.PlacementEngine`; nothing here touches the
-clock or the event queue.  The lifecycle is *time-source-agnostic*: every
-time-dependent operation takes ``now`` as a plain float argument, so the
-same code serves the offline simulator (driven by a
-:class:`~repro.cluster.eventloop.VirtualClock`) and the online serving
+:class:`~repro.cluster.placement.PlacementEngine` and prices each start.
+Every time-dependent operation takes ``now`` as a plain float argument,
+so the same code serves the offline simulator and the online serving
 plane (driven by wall-clock timestamps) without change.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.cluster.eventloop import EventLoop
 from repro.cluster.eviction import EvictionPolicy
 from repro.cluster.faults import FaultConfig, FaultModel
 from repro.cluster.placement import PlacementEngine
@@ -54,18 +58,21 @@ class InvalidDecisionError(RuntimeError):
 
 
 class PoolLifecycle:
-    """Pool-side container bookkeeping, shared by both engines.
+    """One invocation's lifecycle plus the pool-side container
+    bookkeeping, shared by both engines.
 
     ``pool`` holds the idle warm containers, ``eviction`` admits finished
-    ones to it and ``counters`` receives the scalar counters.  Containers
-    are plain state records at this layer: no checked transitions,
-    placement or volumes.  Every method works on a single
-    :class:`~repro.cluster.pool.WarmPool`; :class:`ContainerLifecycle`
-    routes a :class:`~repro.cluster.pool.PoolSet`'s shards itself.
+    ones to it and ``counters`` receives the scalar counters.  ``loop`` is
+    the completion queue of the invocations this lifecycle started; its
+    sweep is :meth:`expire_ttl` and ``observer`` watches it.  Placement
+    and volumes are not modelled at this layer.  Every method works on a
+    single :class:`~repro.cluster.pool.WarmPool`;
+    :class:`ContainerLifecycle` routes a
+    :class:`~repro.cluster.pool.PoolSet`'s shards itself.
     """
 
     __slots__ = (
-        "pool", "eviction", "counters", "live_memory_mb", "_ids",
+        "pool", "eviction", "counters", "loop", "live_memory_mb", "_ids",
         "_prewarmed", "_lent",
     )
 
@@ -74,10 +81,12 @@ class PoolLifecycle:
         pool: Union[WarmPool, PoolSet],
         eviction: EvictionPolicy,
         counters: Counters,
+        observer=None,
     ) -> None:
         self.pool = pool
         self.eviction = eviction
         self.counters = counters
+        self.loop = EventLoop(sweep=self.expire_ttl, observer=observer)
         self._ids = itertools.count(1)
         self.live_memory_mb = 0.0
         # Proactive-action bookkeeping: pre-warmed container ids awaiting
@@ -94,23 +103,72 @@ class PoolLifecycle:
         now: float,
         idle: bool = False,
     ) -> Container:
-        """Create a container and count its memory as live.
+        """Create a container for ``function_name`` and count its memory
+        as live.
 
-        ``idle=True`` builds a pre-warmed container (already IDLE, owner
-        recorded) for :meth:`prewarm`; the default is a cold-start
-        container in its STARTING state.
+        The default is a cold-start container, STARTING since ``now``;
+        ``idle=True`` builds a pre-warmed one (IDLE since ``now``) for
+        :meth:`prewarm`.
         """
         container = Container(
             container_id=next(self._ids),
             image=image,
+            state=ContainerState.IDLE if idle else ContainerState.STARTING,
             created_at=now,
-            last_used_at=now if idle else 0.0,
+            last_used_at=now,
+            current_function=function_name,
         )
-        if idle:
-            container.state = ContainerState.IDLE
-            container.current_function = function_name
         self.live_memory_mb += image.memory_mb
         return container
+
+    # -- one invocation: start and complete -----------------------------------
+    def start(
+        self,
+        spec: FunctionSpec,
+        picked: Optional[Container],
+        preserve: bool,
+        now: float,
+    ) -> Tuple[Container, MatchLevel, FunctionImage]:
+        """Begin serving an arrival of ``spec`` at ``now``.
+
+        ``picked`` is the decision's warm container, or None to
+        cold-create one.  A warm pick is validated first
+        (:meth:`check_decision`; an :class:`InvalidDecisionError` leaves
+        everything untouched), then claimed and repacked toward
+        ``spec``'s image -- or onto its own image under ``preserve``
+        (zygote-style reuse keeps the superset image) -- and stamped as
+        serving ``spec`` since ``now``, as a new container is born.  Then
+        the live-memory peak is sampled.
+        Returns the container, its match level (``NO_MATCH`` when cold)
+        and the image it held before the repack.
+        """
+        if picked is None:
+            container = self.create(spec.image, spec.name, now)
+            match = MatchLevel.NO_MATCH
+            old_image = spec.image
+        else:
+            container, match = self.check_decision(picked.container_id, spec)
+            old_image = container.image
+            self.claim(container.container_id, spec, now)
+            self.repack(
+                container, old_image if preserve else spec.image, spec.name
+            )
+            container.begin_startup(spec.name, now)
+        counters = self.counters
+        if self.live_memory_mb > counters.peak_live_memory_mb:
+            counters.peak_live_memory_mb = self.live_memory_mb
+        return container, match, old_image
+
+    def complete(self, container: Container, now: float) -> None:
+        """An invocation finished at ``now``: its container goes IDLE and
+        back to the pool through keep-alive.  The completion handler both
+        engines pass to ``loop.drain_until``."""
+        container.finish_execution(now)
+        self.keep_alive(container, now)
+
+    def drain_all(self) -> None:
+        """Complete every invocation still in flight (the end of a run)."""
+        self.loop.drain_until(math.inf, self.complete)
 
     # -- claiming / repacking ------------------------------------------------
     def check_decision(
@@ -138,9 +196,11 @@ class PoolLifecycle:
     def claim(
         self, container_id: int, spec: FunctionSpec, now: float
     ) -> Container:
-        """Pull a pooled container out for reuse by ``spec``, counting a
-        pre-warm or lend hit.  The decision must be valid already."""
+        """Pull a pooled container out for reuse by ``spec`` (IDLE to
+        STARTING), counting a pre-warm or lend hit.  The decision must be
+        valid already."""
         container = self.pool.remove(container_id)
+        container.claim()
         prewarmed = self._prewarmed
         if prewarmed and container_id in prewarmed:
             prewarmed.discard(container_id)
@@ -305,9 +365,9 @@ class ContainerLifecycle(PoolLifecycle):
     """The sequential engine's container lifecycle.
 
     Extends :class:`PoolLifecycle` with worker placement, cleaner volumes,
-    the live-container set, checked state transitions, monitor
-    notifications, warm-memory peak sampling and per-worker shard
-    routing.  ``telemetry`` is the counters record.
+    the live-container set, monitor notifications and checkpoints,
+    warm-memory peak sampling, per-worker shard routing and injected
+    crashes.  ``telemetry`` is the counters record.
     """
 
     def __init__(
@@ -320,7 +380,10 @@ class ContainerLifecycle(PoolLifecycle):
         per_worker_pools: bool = False,
         monitor=None,
     ) -> None:
-        super().__init__(pool, eviction, telemetry)
+        super().__init__(
+            pool, eviction, telemetry,
+            observer=monitor.observe_loop if monitor is not None else None,
+        )
         self.telemetry = telemetry
         self.placement = placement
         self.per_worker_pools = per_worker_pools
@@ -374,22 +437,20 @@ class ContainerLifecycle(PoolLifecycle):
         """Snapshot view of every live (non-destroyed) container by id."""
         return dict(self._live)
 
-    # -- claiming / repacking ------------------------------------------------
-    def claim(
-        self, container_id: Optional[int], spec: FunctionSpec, now: float
-    ) -> Container:
-        """Validate a warm decision and pull the container from the pool.
+    def complete(self, container: Container, now: float) -> None:
+        """Complete an invocation; an injected crash destroys the finished
+        container instead of pooling it.  Monitors check every
+        completion."""
+        if self.faults_enabled and self.faults.should_crash():
+            container.finish_execution(now)
+            self.destroy(container)
+            self.telemetry.record_crash()
+        else:
+            super().complete(container, now)
+        if self._monitor is not None:
+            self._monitor.checkpoint()
 
-        Validation (:meth:`check_decision`) happens *before* any mutation,
-        so an :class:`InvalidDecisionError` leaves the cluster untouched --
-        callers rely on this to keep the pending invocation alive across a
-        rejected decision.
-        """
-        self.check_decision(container_id, spec)
-        container = super().claim(container_id, spec, now)
-        container.claim()
-        return container
-
+    # -- repacking -------------------------------------------------------------
     def repack(
         self,
         container: Container,
@@ -440,10 +501,6 @@ class ContainerLifecycle(PoolLifecycle):
         telemetry.sample_live_memory(self.live_memory_mb)
 
     # -- fault hooks ---------------------------------------------------------
-    def should_crash(self) -> bool:
-        """Sample whether a finishing container dies instead of pooling."""
-        return self.faults.should_crash()
-
     def perturb_breakdown(self, breakdown: StartupBreakdown) -> tuple:
         """Possibly perturb a startup breakdown; returns (breakdown, straggled)."""
         return self.faults.perturb_breakdown(breakdown)

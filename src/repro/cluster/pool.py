@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.containers.container import Container
+from repro.containers.container import Container, ContainerState
 from repro.containers.image import FunctionImage
 from repro.containers.matching import MatchLevel
 
@@ -141,22 +141,22 @@ class WarmPool:
         ValueError
             When the container is not idle or already present.
         """
-        if not container.is_idle:
+        cid = container.container_id
+        if container.state is not ContainerState.IDLE:
             raise ValueError(
-                f"container {container.container_id} is {container.state.value}, "
+                f"container {cid} is {container.state.value}, "
                 "only idle containers can be pooled"
             )
-        if container.container_id in self._containers:
-            raise ValueError(f"container {container.container_id} already pooled")
-        if not self.fits(container):
+        if cid in self._containers:
+            raise ValueError(f"container {cid} already pooled")
+        memory_mb = container.image.memory_mb
+        if not memory_mb <= self.capacity_mb - self._used_mb:  # fits()
             raise PoolFullError(
-                f"container {container.container_id} "
-                f"({container.memory_mb:.0f}MB) exceeds free capacity "
-                f"({self.free_mb:.0f}MB)"
+                f"container {cid} ({memory_mb:.0f}MB) exceeds free "
+                f"capacity ({self.free_mb:.0f}MB)"
             )
-        cid = container.container_id
         self._containers[cid] = container
-        self._used_mb += container.memory_mb
+        self._used_mb += memory_mb
         if self._used_mb > self.peak_used_mb:
             self.peak_used_mb = self._used_mb
         fps = container.image.fingerprints
@@ -178,7 +178,7 @@ class WarmPool:
         container = self._containers.pop(container_id, None)
         if container is None:
             raise KeyError(f"container {container_id} not in pool")
-        self._used_mb -= container.memory_mb
+        self._used_mb -= container.image.memory_mb
         # Guard against float drift accumulating below zero.
         if self._used_mb < 1e-9:
             self._used_mb = 0.0

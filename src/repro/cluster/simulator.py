@@ -9,9 +9,11 @@ the keep-warm request).
 The simulator is layered control-plane / data-plane:
 
 * :class:`~repro.cluster.eventloop.EventLoop` -- the clock, the
-  completion heap and the per-advance TTL sweep (control plane);
-* :class:`~repro.cluster.lifecycle.ContainerLifecycle` -- container
-  create/claim/repack/keep-alive/destroy, the cleaner, volumes and fault
+  completion queue and the per-advance TTL sweep (control plane), owned
+  by the lifecycle;
+* :class:`~repro.cluster.lifecycle.ContainerLifecycle` -- one
+  invocation's lifecycle (start, complete) as the lane kernel runs it,
+  plus keep-alive/destroy, the cleaner, volumes, monitors and fault
   hooks (data plane);
 * :class:`~repro.cluster.placement.PlacementEngine` -- the worker books
   (which worker hosts each container, memory per worker), worker
@@ -19,8 +21,9 @@ The simulator is layered control-plane / data-plane:
   ``worker_concurrency``, startups beyond the limit queue FIFO on their
   worker and the queueing delay is added to startup latency (and recorded
   separately in telemetry);
-* :class:`ClusterSimulator` -- the thin policy driver that turns scheduler
-  decisions into lifecycle/placement calls and telemetry records.
+* :class:`ClusterSimulator` -- the thin policy driver that wraps the
+  shared start with pricing, faults, placement and queueing, the
+  verifier and telemetry records.
 
 The driver holds at most one undecided arrival, in a slot.  Every driving
 mode feeds that slot through one checked path, and arrivals must come in
@@ -43,10 +46,10 @@ non-decreasing time order and never behind the clock:
 * the online feed (:meth:`offer` / :meth:`pump_until`) used by the serving
   engine, which puts one arrival in the slot at a time.
 
-:meth:`next_decision_point` handles the completions due strictly before
-the slot's arrival, then advances the clock to it (running the TTL sweep)
--- the lane kernel's ``drain_until`` order, so an arrival wins every time
-tie with a completion.
+:meth:`next_decision_point` completes the invocations due strictly
+before the slot's arrival (``EventLoop.drain_until``, as each lane
+does), then advances the clock to it (running the TTL sweep), so an
+arrival wins every time tie with a completion.
 
 Every mode decides through
 :meth:`~repro.schedulers.base.Scheduler.decide`, i.e. the policy's
@@ -54,8 +57,10 @@ Every mode decides through
 interface, which the lane kernel calls directly.
 
 Each decided invocation queues one completion event, due when its startup
-and execution are both done (:meth:`ClusterSimulator._complete` pools or
-destroys the container then).  All modes share every line of
+and execution are both done
+(:meth:`~repro.cluster.lifecycle.ContainerLifecycle.complete` pools or,
+on an injected crash, destroys the container then).  All modes share
+every line of
 event-handling code, so trained policies see exactly the dynamics they
 were trained on.  With ``worker_concurrency`` unset the dynamics (and the
 resulting telemetry summaries) are identical to the pre-layering
@@ -64,10 +69,10 @@ monolith.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional
 
-from repro.cluster.eventloop import EventLoop
 from repro.cluster.eviction import EvictionPolicy, LRUEviction
 from repro.cluster.faults import FaultConfig
 from repro.cluster.lifecycle import ContainerLifecycle, InvalidDecisionError
@@ -77,7 +82,10 @@ from repro.cluster.telemetry import InvocationRecord, Telemetry
 from repro.containers.cleaner import ContainerCleaner
 from repro.containers.container import Container
 from repro.containers.costmodel import StartupCostModel
-from repro.containers.matching import MatchLevel, match_level
+# Not called here (the warm match comes from the lifecycle's
+# check_decision), but the repository benchmark's tracer patches and
+# checks this module's by-value alias.
+from repro.containers.matching import match_level  # noqa: F401
 from repro.containers.volumes import VolumeStore
 from repro.schedulers.base import PoolDecision, Scheduler, SchedulingContext
 from repro.workloads.workload import Invocation, Workload
@@ -219,12 +227,7 @@ class ClusterSimulator:
             per_worker_pools=config.per_worker_pools,
             monitor=self.verifier,
         )
-        self.loop = EventLoop(
-            sweep=self.lifecycle.expire_ttl,
-            observer=(
-                self.verifier.observe_loop if self.verifier is not None else None
-            ),
-        )
+        self.loop = self.lifecycle.loop
         # The arrival slot: the next undecided arrival, if any, and the
         # loaded source that refills it.  ``_pending`` is the arrival
         # handed out by next_decision_point and not yet applied.
@@ -430,10 +433,11 @@ class ClusterSimulator:
                 "through next_decision_point/apply_decision"
             )
         loop = self.loop
-        handled = 0
-        while (event := loop.peek()) is not None and event[0] <= time:
-            self._complete(loop.pop_next())
-            handled += 1
+        queued = len(loop)
+        # Strictly before the next float after ``time``: due by ``time``.
+        loop.drain_until(math.nextafter(time, math.inf),
+                         self.lifecycle.complete)
+        handled = queued - len(loop)
         loop.advance_to(time)
         if self.verifier is not None:
             self.verifier.checkpoint()
@@ -454,8 +458,7 @@ class ClusterSimulator:
             return None
         t = invocation.arrival_time
         loop = self.loop
-        while (event := loop.peek()) is not None and event[0] < t:
-            self._complete(loop.pop_next())
+        loop.drain_until(t, self.lifecycle.complete)
         loop.advance_to(t)
         self._arrival = None
         self._pending = invocation
@@ -484,29 +487,14 @@ class ClusterSimulator:
         invocation = self._pending
         spec = invocation.spec
         now = self.loop.now
-        picked, _, preserve_image, actions = decision
+        picked, _, preserve, actions = decision
         is_cold = picked is None
-
-        if is_cold:
-            container = self.lifecycle.create(spec.image, spec.name, now)
-            match = MatchLevel.NO_MATCH
-            old_image = spec.image
-        else:
-            # claim() validates before mutating: an InvalidDecisionError
-            # propagates with self._pending intact.
-            container = self.lifecycle.claim(picked.container_id, spec, now)
-            old_image = container.image
-            # Zygote-style reuse keeps the container's own (superset) image;
-            # the cleaner then only swaps the user-data volume.
-            target_image = container.image if preserve_image else spec.image
-            result = self.lifecycle.repack(container, target_image, spec.name)
-            match = (
-                match_level(spec.image, container.image)
-                if preserve_image
-                else result.match
-            )
+        # start() validates a warm pick before it changes anything: an
+        # InvalidDecisionError propagates with self._pending intact.
+        container, match, old_image = self.lifecycle.start(
+            spec, picked, preserve, now
+        )
         self._pending = None
-        self.telemetry.sample_live_memory(self.lifecycle.live_memory_mb)
 
         if not is_cold and self.config.delta_pricing:
             breakdown = self.config.cost_model.delta_breakdown(
@@ -528,7 +516,7 @@ class ClusterSimulator:
         latency = queue_delay + service_s
         ready_at = start_at + service_s
         finish_at = ready_at + invocation.execution_time_s
-        container.begin_startup(spec.name, now, finish_at)
+        container.busy_until = finish_at
         # One completion per invocation.  Priority ``ready_at`` pops
         # same-time completions in the order their startups finished.
         self.loop.schedule(finish_at, container, ready_at)
@@ -589,8 +577,7 @@ class ClusterSimulator:
             raise RuntimeError("pending decision not applied")
         if self._arrival is not None:
             raise RuntimeError("finish() called with arrivals outstanding")
-        while (event := self.loop.pop_next()) is not None:
-            self._complete(event)
+        self.lifecycle.drain_all()
         self._finished = True
         self.telemetry.duration_s = self.loop.now
         if self.verifier is not None:
@@ -607,16 +594,3 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     def _context_for(self, invocation: Invocation) -> SchedulingContext:
         return SchedulingContext(invocation, self.pool, self.config.cost_model)
-
-    def _complete(self, event) -> None:
-        """An invocation finished: pool its container (or crash it)."""
-        container = event.payload
-        now = self.loop.now
-        container.finish_execution(now)
-        if self.lifecycle.faults_enabled and self.lifecycle.should_crash():
-            self.lifecycle.destroy(container)
-            self.telemetry.record_crash()
-        else:
-            self.lifecycle.keep_alive(container, now)
-        if self.verifier is not None:
-            self.verifier.checkpoint()

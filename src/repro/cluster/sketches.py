@@ -7,8 +7,14 @@ within relative error ``a`` of a true sample value.  Memory is
 O(log(max/min) / log(gamma)) buckets regardless of how many values are
 inserted -- for startup latencies spanning 1 ms .. 1000 s at 1% accuracy
 that is a few hundred integer counters, which is what lets
-:class:`~repro.cluster.telemetry.BoundedTelemetry` summarize a
-10M-invocation streaming replay in O(1) space.
+:class:`~repro.cluster.telemetry.BoundedTelemetry` and the bounded stream
+lanes summarize a 10M-invocation streaming replay in O(1) space.
+
+The sketch is the bounded form of :mod:`repro.cluster.telemetry`'s latency
+fold, whose exact form is an ``array('d')`` column: a summary reads the
+sketch's exact ``count`` and left-to-right running ``sum`` where it reads
+the column's length and ``sum``, and it counts exact zeros, so only the
+percentiles are estimates.
 
 The sketch is fully deterministic (no sampling), insertion-order
 independent, and mergeable, so per-shard sketches from parallel experiment
@@ -82,6 +88,11 @@ class QuantileSketch:
     def count(self) -> int:
         """How many values were inserted."""
         return self._count
+
+    @property
+    def zero_count(self) -> int:
+        """How many inserted values were exactly zero."""
+        return self._zero_count
 
     @property
     def sum(self) -> float:

@@ -14,6 +14,15 @@ row-oriented view -- :class:`InvocationRecord` -- is materialized lazily
 (and cached) by the :attr:`Telemetry.records` property for the callers that
 still compare whole rows (the batch-vs-incremental oracle).
 
+Startup latencies (and queueing delays) go into a *fold* with two forms:
+the exact ``array('d')`` column, or a bounded
+:class:`~repro.cluster.sketches.QuantileSketch` whose ``count`` and
+``sum`` are exact (the sum a left-to-right running total).
+:func:`fold_adder` gives the one function that adds a value to either
+form and :func:`latency_stats` reads ``(n, total, p50, p95)`` off either;
+:class:`Telemetry`, :class:`BoundedTelemetry` and every lane of
+:mod:`repro.cluster.lanes` summarize through them.
+
 The pre-columnar list implementation survives as
 :class:`repro.cluster.telemetry_reference.LegacyTelemetry`; the hypothesis
 parity suite (``tests/test_telemetry_parity.py``) drives both with random
@@ -23,8 +32,11 @@ event streams and asserts identical summaries and aggregates.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -91,11 +103,37 @@ class InvocationColumns(NamedTuple):
     execution_time_s: Sequence[float]
 
 
-def column_percentiles(lat: np.ndarray) -> Tuple[float, float]:
-    """Exact ``(p50, p95)`` of a latency column (zeros when empty)."""
-    if not lat.size:
-        return 0.0, 0.0
-    return float(np.median(lat)), float(np.percentile(lat, 95))
+#: A latency fold: the exact column or its bounded sketch form.
+Fold = Union[array, QuantileSketch]
+
+
+def fold_adder(fold: Fold) -> Callable[[float], None]:
+    """The function that adds one value to ``fold``: the column's
+    ``append`` or the sketch's ``insert``."""
+    return fold.insert if isinstance(fold, QuantileSketch) else fold.append
+
+
+def fold_totals(fold: Fold) -> Tuple[int, float]:
+    """``(n, total)`` of a fold: the column's length and ``sum``, or the
+    sketch's exact count and left-to-right running sum."""
+    if isinstance(fold, QuantileSketch):
+        return fold.count, fold.sum
+    return len(fold), float(sum(fold))
+
+
+def latency_stats(fold: Fold) -> Tuple[int, float, float, float]:
+    """``(n, total, p50, p95)`` of a latency fold.
+
+    The column gives exact order statistics (numpy's median and 95th
+    percentile, zeros when empty); the sketch gives its estimates.
+    """
+    n, total = fold_totals(fold)
+    if isinstance(fold, QuantileSketch):
+        return n, total, fold.percentile(50), fold.percentile(95)
+    if not n:
+        return n, total, 0.0, 0.0
+    lat = np.array(fold, dtype=np.float64)
+    return n, total, float(np.median(lat)), float(np.percentile(lat, 95))
 
 
 def summary_fold(
@@ -110,9 +148,9 @@ def summary_fold(
     """The scalar run summary, built the same way for every engine.
 
     ``counters`` is a :class:`Counters` record: a telemetry collector or a
-    lane's own record.  The latency statistics and the cold-start count
-    come from the caller, which owns how they are accumulated (a latency
-    column, or a running total plus a sketch).  The 14 base keys are
+    lane's own record.  The latency statistics are
+    :func:`latency_stats` of the caller's latency fold, and the cold-start
+    count is the caller's.  The 14 base keys are
     always present; the queueing block is appended when given, and the
     surrogate-audit, pre-warm and lending blocks when their counters are
     non-zero, in that order.
@@ -208,30 +246,46 @@ class Telemetry(Counters):
         self.max_queue_depth = 0
         self.worker_busy_s: Dict[int, float] = {}
         self.duration_s = 0.0
-        # Per-invocation columns (struct-of-arrays).
-        self._inv_id = array("q")
-        self._fn_ix = array("q")
-        self._arrival = array("d")
-        self._cid = array("q")
-        self._cold = array("b")
-        self._match = array("b")
-        self._latency = array("d")
-        self._queue_delay = array("d")
-        self._worker = array("q")
-        self._exec = array("d")
-        self._bd_create = array("d")
-        self._bd_pull = array("d")
-        self._bd_install = array("d")
-        self._bd_rinit = array("d")
-        self._bd_finit = array("d")
-        self._bd_clean = array("d")
+        # Exact counts in either form.
+        self._n_cold = 0
+        self._match_counts = [0] * len(_MATCH_MEMBERS)
+        # The startup-latency and queueing-delay folds (read by
+        # :meth:`summary` and :meth:`queueing_summary`).
+        self._latency = self._fold()
+        self._add_latency = fold_adder(self._latency)
+        self._queue_delays = self._fold()
+        self._add_queue_delay = fold_adder(self._queue_delays)
+        # Per-invocation row columns (struct-of-arrays); the latency fold
+        # is the startup-latency column.
+        column = self._row_column
+        self._inv_id = column("q")
+        self._fn_ix = column("q")
+        self._arrival = column("d")
+        self._cid = column("q")
+        self._cold = column("b")
+        self._match = column("b")
+        self._queue_delay = column("d")
+        self._worker = column("q")
+        self._exec = column("d")
+        self._bd_create = column("d")
+        self._bd_pull = column("d")
+        self._bd_install = column("d")
+        self._bd_rinit = column("d")
+        self._bd_finit = column("d")
+        self._bd_clean = column("d")
         # Interned function-name table.
         self._names: List[str] = []
         self._name_ix: Dict[str, int] = {}
-        # Queueing-delay column (read by :meth:`queueing_summary`).
-        self._queue_delays = array("d")
         # Lazily materialized row view (invalidated by length mismatch).
         self._records_view: Optional[List[InvocationRecord]] = None
+
+    def _fold(self) -> Fold:
+        """A new latency fold: the exact column."""
+        return array("d")
+
+    def _row_column(self, typecode: str):
+        """A new per-invocation row column of ``typecode``."""
+        return array(typecode)
 
     # -- interning -----------------------------------------------------------
     def _intern(self, name: str) -> int:
@@ -268,13 +322,18 @@ class Telemetry(Counters):
         an :class:`InvocationRecord` per event; the row view is available
         afterwards through :attr:`records`.
         """
+        self._add_latency(startup_latency_s)
+        self._n_cold += cold_start
+        self._match_counts[match] += 1
         self._inv_id.append(invocation_id)
-        self._fn_ix.append(self._intern(function_name))
+        ix = self._name_ix.get(function_name)
+        self._fn_ix.append(
+            ix if ix is not None else self._intern(function_name)
+        )
         self._arrival.append(arrival_time)
         self._cid.append(container_id)
         self._cold.append(cold_start)
         self._match.append(match)
-        self._latency.append(startup_latency_s)
         self._queue_delay.append(queue_delay_s)
         self._worker.append(worker_id)
         self._exec.append(execution_time_s)
@@ -324,7 +383,7 @@ class Telemetry(Counters):
 
     def record_queueing(self, delay_s: float) -> None:
         """Record one startup's queueing delay (0 when it started at once)."""
-        self._queue_delays.append(delay_s)
+        self._add_queue_delay(delay_s)
 
     def record_queue_depth(self, depth: int) -> None:
         """Track the deepest per-worker startup queue observed."""
@@ -415,22 +474,20 @@ class Telemetry(Counters):
     # -- aggregates ---------------------------------------------------------
     @property
     def n_invocations(self) -> int:
-        return len(self._inv_id)
+        return fold_totals(self._latency)[0]
 
     @property
     def total_startup_latency_s(self) -> float:
-        return float(sum(self._latency))
+        return fold_totals(self._latency)[1]
 
     @property
     def mean_startup_latency_s(self) -> float:
-        n = len(self._latency)
-        if not n:
-            return 0.0
-        return self.total_startup_latency_s / n
+        n, total = fold_totals(self._latency)
+        return total / n if n else 0.0
 
     @property
     def cold_starts(self) -> int:
-        return int(sum(self._cold))
+        return self._n_cold
 
     @property
     def warm_starts(self) -> int:
@@ -450,15 +507,12 @@ class Telemetry(Counters):
 
     def match_histogram(self) -> Dict[MatchLevel, int]:
         """How many starts happened at each match level."""
-        counts = [0] * len(_MATCH_MEMBERS)
-        for m in self._match:
-            counts[m] += 1
-        return {lvl: counts[int(lvl)] for lvl in _MATCH_MEMBERS}
+        return {lvl: self._match_counts[int(lvl)] for lvl in _MATCH_MEMBERS}
 
     @property
     def total_queueing_s(self) -> float:
         """Total time startups spent queued for worker slots."""
-        return float(sum(self._queue_delays))
+        return fold_totals(self._queue_delays)[1]
 
     @property
     def queued_starts(self) -> int:
@@ -486,14 +540,12 @@ class Telemetry(Counters):
     def queueing_summary(self) -> Dict[str, float]:
         """Scalar queueing/utilization block (appended to :meth:`summary`
         when a worker concurrency limit was enforced)."""
-        delays = np.array(self._queue_delays, dtype=np.float64)
+        total, mean, p95 = self._queueing_stats()
         utilization = list(self.worker_utilization().values())
         return {
-            "total_queueing_s": float(delays.sum()) if delays.size else 0.0,
-            "mean_queueing_s": float(delays.mean()) if delays.size else 0.0,
-            "p95_queueing_s": (
-                float(np.percentile(delays, 95)) if delays.size else 0.0
-            ),
+            "total_queueing_s": total,
+            "mean_queueing_s": mean,
+            "p95_queueing_s": p95,
             "queued_starts": float(self.queued_starts),
             "max_queue_depth": float(self.max_queue_depth),
             "mean_worker_utilization": (
@@ -504,6 +556,15 @@ class Telemetry(Counters):
             ),
         }
 
+    def _queueing_stats(self) -> Tuple[float, float, float]:
+        """``(total, mean, p95)`` of the queueing delays (numpy's, zeros
+        when empty)."""
+        delays = np.array(self._queue_delays, dtype=np.float64)
+        if not delays.size:
+            return 0.0, 0.0, 0.0
+        return (float(delays.sum()), float(delays.mean()),
+                float(np.percentile(delays, 95)))
+
     def summary(self) -> Dict[str, float]:
         """Scalar summary used by experiment reports (:func:`summary_fold`).
 
@@ -512,10 +573,8 @@ class Telemetry(Counters):
         summaries of runs without admission control are unchanged from the
         pre-queueing simulator.
         """
-        p50, p95 = column_percentiles(self.latencies())
         return summary_fold(
-            self, self.n_invocations, self.total_startup_latency_s, p50, p95,
-            self.cold_starts,
+            self, *latency_stats(self._latency), self._n_cold,
             self.queueing_summary() if self.queueing_enabled else None,
         )
 
@@ -523,14 +582,14 @@ class Telemetry(Counters):
 class BoundedTelemetry(Telemetry):
     """O(1)-memory metric collector for streaming million-invocation replays.
 
-    Same recording interface and :meth:`summary` key set as
-    :class:`Telemetry`, but per-invocation state is exact counters (counts,
-    sums, match histogram, peaks) plus :class:`~repro.cluster.sketches.\
-QuantileSketch` sketches for the latency/queueing percentiles, so memory
-    stays constant while a 10M-invocation replay streams through.  The
-    percentile summary cells (``p50_startup_s``, ``p95_startup_s``,
-    ``p95_queueing_s``) are sketch estimates within the sketch's relative
-    accuracy; every other cell is bit-exact.
+    The same collector as :class:`Telemetry` with the bounded fold forms:
+    the startup-latency and queueing-delay folds are
+    :class:`~repro.cluster.sketches.QuantileSketch` sketches and the row
+    columns keep nothing, so memory stays constant while a 10M-invocation
+    replay streams through.  The percentile summary cells
+    (``p50_startup_s``, ``p95_startup_s``, ``p95_queueing_s``) are sketch
+    estimates within the sketch's relative accuracy; every other cell is
+    bit-exact.
 
     Row-level views are structurally unavailable: :attr:`records`,
     :meth:`invocation_columns`, :meth:`latencies` and friends raise
@@ -543,116 +602,32 @@ QuantileSketch` sketches for the latency/queueing percentiles, so memory
         worker_slots: int = 1,
         relative_accuracy: float = 0.01,
     ) -> None:
+        self.relative_accuracy = relative_accuracy
         super().__init__(
             queueing_enabled=queueing_enabled,
             worker_slots=worker_slots,
         )
-        self.relative_accuracy = relative_accuracy
-        self._n = 0
-        self._n_cold = 0
-        self._lat_total = 0.0
-        self._match_counts = [0] * len(_MATCH_MEMBERS)
-        self._lat_sketch = QuantileSketch(relative_accuracy)
-        self._queue_sketch = QuantileSketch(relative_accuracy)
-        self._queue_total = 0.0
-        self._n_queued = 0
 
-    # -- recording (bounded state only) --------------------------------------
-    def record_invocation_values(
-        self,
-        invocation_id: int,
-        function_name: str,
-        arrival_time: float,
-        container_id: int,
-        cold_start: bool,
-        match: int,
-        startup_latency_s: float,
-        create_s: float,
-        pull_s: float,
-        install_s: float,
-        runtime_init_s: float,
-        function_init_s: float,
-        clean_s: float,
-        execution_time_s: float,
-        queue_delay_s: float = 0.0,
-        worker_id: int = 0,
-    ) -> None:
-        """Fold one invocation into the counters and the latency sketch."""
-        self._n += 1
-        self._n_cold += cold_start
-        self._lat_total += startup_latency_s
-        self._match_counts[match] += 1
-        self._lat_sketch.insert(startup_latency_s)
+    def _fold(self) -> Fold:
+        """A new latency fold: the bounded sketch."""
+        return QuantileSketch(self.relative_accuracy)
 
-    def record_queueing(self, delay_s: float) -> None:
-        """Fold one queueing delay into the totals and the queue sketch."""
-        self._queue_total += delay_s
-        if delay_s > 0:
-            self._n_queued += 1
-        self._queue_sketch.insert(delay_s)
+    def _row_column(self, typecode: str):
+        """A row column that keeps nothing."""
+        return _DISCARD
 
-    # -- aggregates (exact, from counters) -----------------------------------
-    @property
-    def n_invocations(self) -> int:
-        """Exact invocation count."""
-        return self._n
-
-    @property
-    def total_startup_latency_s(self) -> float:
-        """Exact total startup latency."""
-        return self._lat_total
-
-    @property
-    def mean_startup_latency_s(self) -> float:
-        """Exact mean startup latency."""
-        return self._lat_total / self._n if self._n else 0.0
-
-    @property
-    def cold_starts(self) -> int:
-        """Exact cold-start count."""
-        return self._n_cold
-
-    def match_histogram(self) -> Dict[MatchLevel, int]:
-        """Exact per-match-level start counts."""
-        return {lvl: self._match_counts[int(lvl)] for lvl in _MATCH_MEMBERS}
-
-    @property
-    def total_queueing_s(self) -> float:
-        """Exact total queueing delay."""
-        return self._queue_total
-
+    # -- aggregates whose exact form reads a row column -----------------------
     @property
     def queued_starts(self) -> int:
-        """Exact count of startups that waited for a worker slot."""
-        return self._n_queued
+        """Exact count of startups that waited for a worker slot (the
+        sketch counts zero delays exactly)."""
+        return self._queue_delays.count - self._queue_delays.zero_count
 
-    def queueing_summary(self) -> Dict[str, float]:
-        """Queueing/utilization block; ``p95_queueing_s`` is a sketch
-        estimate, everything else exact."""
-        utilization = list(self.worker_utilization().values())
-        return {
-            "total_queueing_s": self._queue_total,
-            "mean_queueing_s": self._queue_sketch.mean,
-            "p95_queueing_s": self._queue_sketch.percentile(95),
-            "queued_starts": float(self._n_queued),
-            "max_queue_depth": float(self.max_queue_depth),
-            "mean_worker_utilization": (
-                float(np.mean(utilization)) if utilization else 0.0
-            ),
-            "max_worker_utilization": (
-                float(np.max(utilization)) if utilization else 0.0
-            ),
-        }
-
-    def summary(self) -> Dict[str, float]:
-        """Same key set as :meth:`Telemetry.summary`; the two startup
-        percentiles are sketch estimates, every other cell exact."""
-        return summary_fold(
-            self, self._n, self._lat_total,
-            self._lat_sketch.percentile(50), self._lat_sketch.percentile(95),
-            self._n_cold,
-            self.queueing_summary() if self.queueing_enabled else None,
-        )
+    def _queueing_stats(self) -> Tuple[float, float, float]:
+        """``(total, mean, p95)`` off the queue sketch: the running total
+        and mean are exact, ``p95`` is a sketch estimate."""
+        sketch = self._queue_delays
+        return sketch.sum, sketch.mean, sketch.percentile(95)
 
     # -- row views: structurally unavailable ---------------------------------
     def _unavailable(self, what: str) -> RuntimeError:
@@ -682,3 +657,7 @@ QuantileSketch` sketches for the latency/queueing percentiles, so memory
     def cumulative_cold_starts(self) -> np.ndarray:
         """Unavailable in bounded mode (raises ``RuntimeError``)."""
         raise self._unavailable("cumulative_cold_starts()")
+
+
+#: The row "column" of :class:`BoundedTelemetry`: appending discards.
+_DISCARD = deque(maxlen=0)

@@ -44,7 +44,8 @@ class Container:
         Lifecycle state.
     created_at, last_used_at, busy_until:
         Simulation timestamps (seconds); ``busy_until`` is when the
-        current invocation finishes executing.
+        current invocation finishes executing (0 until the engine has
+        priced its start).
     current_function:
         Name of the function occupying or last occupying the container.
     mounted_volumes:
@@ -84,11 +85,12 @@ class Container:
 
     # -- state transitions -----------------------------------------------------
     def begin_startup(
-        self, function_name: str, now: float, busy_until: float
+        self, function_name: str, now: float, busy_until: float = 0.0
     ) -> None:
         """Enter STARTING for ``function_name``: starting up, then executing
         until ``busy_until``."""
-        self._require(ContainerState.STARTING, ContainerState.IDLE)
+        if self.state is ContainerState.EVICTED:
+            raise self._invalid(ContainerState.STARTING, ContainerState.IDLE)
         self.state = ContainerState.STARTING
         self.current_function = function_name
         self.last_used_at = now
@@ -96,28 +98,31 @@ class Container:
 
     def finish_execution(self, now: float) -> None:
         """Execution done; the container becomes idle (kept warm)."""
-        self._require(ContainerState.STARTING)
+        if self.state is not ContainerState.STARTING:
+            raise self._invalid(ContainerState.STARTING)
         self.state = ContainerState.IDLE
         self.last_used_at = now
 
     def evict(self) -> None:
         """Remove the container permanently."""
-        self._require(ContainerState.IDLE)
+        if self.state is not ContainerState.IDLE:
+            raise self._invalid(ContainerState.IDLE)
         self.state = ContainerState.EVICTED
 
     def claim(self) -> None:
         """Claim an idle container for reuse (cleaner runs next)."""
-        self._require(ContainerState.IDLE)
+        if self.state is not ContainerState.IDLE:
+            raise self._invalid(ContainerState.IDLE)
         self.state = ContainerState.STARTING
         self.reuse_count += 1
 
-    def _require(self, *states: ContainerState) -> None:
-        if self.state not in states:
-            raise RuntimeError(
-                f"container {self.container_id}: invalid transition from "
-                f"{self.state.value} (expected one of "
-                f"{[s.value for s in states]})"
-            )
+    def _invalid(self, *expected: ContainerState) -> RuntimeError:
+        """The error for a transition from a state not in ``expected``."""
+        return RuntimeError(
+            f"container {self.container_id}: invalid transition from "
+            f"{self.state.value} (expected one of "
+            f"{[s.value for s in expected]})"
+        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -201,17 +201,33 @@ class TestRegistry:
             assert not {"decide", "decide_pool"} <= own, key
 
     def test_pool_bookkeeping_written_once(self):
-        """Lanes run the shared pool lifecycle rather than a copy, and the
-        scalar counters are declared only by ``Counters.__init__``."""
+        """Lanes run the shared pool lifecycle rather than a copy -- its
+        start, completion queue and complete included -- and never set a
+        container's state fields themselves; the scalar counters are
+        declared only by ``Counters.__init__``."""
         from repro.cluster import lanes, lifecycle, telemetry
         from repro.cluster.telemetry import Counters
 
         own = set(vars(_Lane))
         assert not own & {
             "create", "claim", "repack", "keep_alive", "expire_ttl",
-            "destroy", "prewarm", "lend",
+            "destroy", "prewarm", "lend", "start", "complete",
+            "drain_until", "drain_all",
         }
         assert issubclass(_Lane, lifecycle.PoolLifecycle)
+        assigned = [
+            target.attr
+            for node in ast.walk(ast.parse(inspect.getsource(lanes)))
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for target in (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target]
+            )
+            if isinstance(target, ast.Attribute)
+        ]
+        assert not set(assigned) & {
+            "state", "current_function", "last_used_at"
+        }
         names = set(vars(Counters()))
         assert len(names) == 14
         declared = [

@@ -1,5 +1,5 @@
-"""Time-source abstraction: VirtualClock, WallClock, event-loop injection,
-and the simulator's online feed (offer / pump_until)."""
+"""Time-source abstraction: VirtualClock, WallClock, the event loop's
+clock, and the simulator's online feed (offer / pump_until)."""
 
 import pytest
 
@@ -69,21 +69,10 @@ class TestWallClock:
 
 
 # ---------------------------------------------------------------------------
-# EventLoop clock injection and no-event advancement
+# EventLoop clock: no-event advancement
 # ---------------------------------------------------------------------------
 
 class TestEventLoopClock:
-    def test_default_clock_is_virtual(self):
-        assert isinstance(EventLoop().clock, VirtualClock)
-
-    def test_injected_clock_is_used(self):
-        clock = VirtualClock(start=2.0)
-        loop = EventLoop(clock=clock)
-        assert loop.now == 2.0
-        loop.schedule(5.0, "x")
-        event = loop.pop_next()
-        assert event.time == 5.0 and clock.now == 5.0
-
     def test_advance_to_runs_sweep_and_observer(self):
         calls = []
         loop = EventLoop(

@@ -13,9 +13,10 @@ itself and hands :meth:`EventLoop.drain_until` the arrival's time and
 its completion handler; the loop pops every completion due strictly
 before the arrival.  Then the engine sweeps at the arrival (the
 sequential :class:`~repro.cluster.simulator.ClusterSimulator` by moving
-the clock there with :meth:`EventLoop.advance_to`).  The simulator and
-every lane of :mod:`repro.cluster.lanes` drain this way, each through
-its :class:`~repro.cluster.lifecycle.PoolLifecycle`'s loop.
+the clock there with :meth:`EventLoop.advance_to`).  Each
+:class:`~repro.cluster.lifecycle.PoolLifecycle` owns one loop; a lane of
+:mod:`repro.cluster.lanes` pushes and pops its loop's
+:attr:`EventLoop.heap` inline, in the same order, then drains it.
 
 The loop's clock is always virtual, so the golden traces and the
 differential oracles pin its behaviour byte-for-byte.  The
@@ -143,8 +144,10 @@ class EventLoop:
     ) -> None:
         #: Current simulation time; it never rewinds.
         self.now = 0.0
-        self._heap: list[Event] = []
-        self._seq = itertools.count()
+        #: The completion heap of ``(time, priority, seq, payload)`` tuples
+        #: (:meth:`schedule` pushes :class:`Event` ones), numbered by seq.
+        self.heap: list[Event] = []
+        self.seq = itertools.count()
         self._sweep = sweep
         self._observer = observer
 
@@ -153,15 +156,16 @@ class EventLoop:
     ) -> Event:
         """Queue a completion at ``time``; returns the created event.
 
-        Completions due at one time pop by ``(priority, seq)``.  Both
-        engines pass the time the container finished starting up.
+        Completions due at one time pop by ``(priority, seq)``.  The
+        sequential engine passes the time the container finished
+        starting up (as a lane does on its inline pushes).
         """
         if self._observer is not None:
             self._observer("schedule", time)
         if time < 0:
             raise ValueError("event time must be >= 0")
-        event = _new_event(Event, (time, priority, next(self._seq), payload))
-        heappush(self._heap, event)
+        event = _new_event(Event, (time, priority, next(self.seq), payload))
+        heappush(self.heap, event)
         return event
 
     def pop_next(self) -> Optional[Event]:
@@ -170,9 +174,9 @@ class EventLoop:
         Returns ``None`` when the heap is empty (the clock and sweep are
         untouched in that case).
         """
-        if not self._heap:
+        if not self.heap:
             return None
-        event = heappop(self._heap)
+        event = heappop(self.heap)
         now = event[0]
         if now > self.now:
             self.now = now
@@ -193,9 +197,10 @@ class EventLoop:
         sweep) and is handed to ``on_complete(payload, now)``.  An arrival
         at ``time`` therefore wins every time tie with a completion.
         """
-        heap = self._heap
+        heap = self.heap
+        pop_next = self.pop_next
         while heap and heap[0][0] < time:
-            on_complete(self.pop_next()[3], self.now)
+            on_complete(pop_next()[3], self.now)
 
     def advance_to(self, time: float) -> float:
         """Advance the clock with no event, running the observer and sweep.
@@ -219,10 +224,10 @@ class EventLoop:
 
     def peek(self) -> Optional[Event]:
         """The earliest queued event without popping it."""
-        return self._heap[0] if self._heap else None
+        return self.heap[0] if self.heap else None
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.heap)

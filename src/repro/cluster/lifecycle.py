@@ -53,6 +53,12 @@ from repro.schedulers.base import PrewarmRequest
 from repro.workloads.functions import FunctionSpec
 
 
+# Aliases: an enum member read off its class costs a descriptor call.
+_NO_MATCH = MatchLevel.NO_MATCH
+_STARTING, _IDLE, _EVICTED = (
+    ContainerState.STARTING, ContainerState.IDLE, ContainerState.EVICTED)
+
+
 class InvalidDecisionError(RuntimeError):
     """A scheduler returned an unusable decision (bad id, busy, no-match)."""
 
@@ -113,7 +119,7 @@ class PoolLifecycle:
         container = Container(
             container_id=next(self._ids),
             image=image,
-            state=ContainerState.IDLE if idle else ContainerState.STARTING,
+            state=_IDLE if idle else _STARTING,
             created_at=now,
             last_used_at=now,
             current_function=function_name,
@@ -144,7 +150,7 @@ class PoolLifecycle:
         """
         if picked is None:
             container = self.create(spec.image, spec.name, now)
-            match = MatchLevel.NO_MATCH
+            match = _NO_MATCH
             old_image = spec.image
         else:
             container, match = self.check_decision(picked.container_id, spec)
@@ -186,7 +192,7 @@ class PoolLifecycle:
                 f"container {container_id} is not an idle pooled container"
             )
         match = match_level(spec.image, container.image)
-        if match is MatchLevel.NO_MATCH:
+        if match is _NO_MATCH:
             raise InvalidDecisionError(
                 f"container {container_id} does not match invocation "
                 f"{spec.name} at any level"
@@ -484,7 +490,7 @@ class ContainerLifecycle(PoolLifecycle):
 
     def destroy(self, container: Container) -> None:
         """Tear a container down and release its worker placement."""
-        if container.state is not ContainerState.EVICTED:
+        if container.state is not _EVICTED:
             container.evict()
         if self._live.pop(container.container_id, None) is not None:
             self.destroyed_count += 1

@@ -44,6 +44,11 @@ from repro.containers.container import Container, ContainerState
 from repro.containers.image import FunctionImage
 from repro.containers.matching import MatchLevel
 
+# Aliases: an enum member read off its class costs a descriptor call.
+_IDLE = ContainerState.IDLE
+_NO_MATCH, _L1, _L2, _L3 = (
+    MatchLevel.NO_MATCH, MatchLevel.L1, MatchLevel.L2, MatchLevel.L3)
+
 
 class PoolFullError(RuntimeError):
     """Raised when adding a container would exceed the pool capacity."""
@@ -78,6 +83,9 @@ class WarmPool:
         Total memory reserved for warm containers.  ``float("inf")`` models
         an unbounded pool (used to compute the paper's *Loose* sizing).
     """
+
+    __slots__ = ("capacity_mb", "_containers", "_used_mb", "peak_used_mb",
+                 "_idx_l1", "_idx_l2", "_idx_l3", "_index_keys", "_newest_key")
 
     def __init__(self, capacity_mb: float) -> None:
         if capacity_mb < 0:
@@ -142,7 +150,7 @@ class WarmPool:
             When the container is not idle or already present.
         """
         cid = container.container_id
-        if container.state is not ContainerState.IDLE:
+        if container.state is not _IDLE:
             raise ValueError(
                 f"container {cid} is {container.state.value}, "
                 "only idle containers can be pooled"
@@ -221,11 +229,11 @@ class WarmPool:
         pooled container in pool (LRU) order.
         """
         f = image.fingerprints
-        if level is MatchLevel.NO_MATCH:
+        if level is _NO_MATCH:
             return list(self._containers.values())
-        if level is MatchLevel.L3:
+        if level is _L3:
             bucket = self._idx_l3.get(f)
-        elif level is MatchLevel.L2:
+        elif level is _L2:
             bucket = self._idx_l2.get(f[:2])
         else:
             bucket = self._idx_l1.get(f[0])
@@ -257,14 +265,14 @@ class WarmPool:
         f = image.fingerprints
         bucket = self._idx_l3.get(f)
         if bucket:
-            return next(reversed(bucket.values())), MatchLevel.L3
+            return next(reversed(bucket.values())), _L3
         bucket = self._idx_l2.get(f[:2])
         if bucket:
-            return next(reversed(bucket.values())), MatchLevel.L2
+            return next(reversed(bucket.values())), _L2
         bucket = self._idx_l1.get(f[0])
         if bucket:
-            return next(reversed(bucket.values())), MatchLevel.L1
-        return None, MatchLevel.NO_MATCH
+            return next(reversed(bucket.values())), _L1
+        return None, _NO_MATCH
 
     def best_exact(self, image: FunctionImage) -> Optional[Container]:
         """Most-recently-used exact (L3) match for ``image``, or None.
@@ -304,15 +312,15 @@ class WarmPool:
         Offline-Q's level-targeted pick.
         """
         f = image.fingerprints
-        if level is MatchLevel.L3:
+        if level is _L3:
             bucket = self._idx_l3.get(f)
             if not bucket:
                 return None
             return next(reversed(bucket.values()))
-        if level is MatchLevel.L2:
+        if level is _L2:
             bucket = self._idx_l2.get(f[:2])
             deeper = self._idx_l3.get(f)
-        elif level is MatchLevel.L1:
+        elif level is _L1:
             bucket = self._idx_l1.get(f[0])
             deeper = self._idx_l2.get(f[:2])
         else:

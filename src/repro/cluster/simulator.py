@@ -47,9 +47,10 @@ non-decreasing time order and never behind the clock:
   engine, which puts one arrival in the slot at a time.
 
 :meth:`next_decision_point` completes the invocations due strictly
-before the slot's arrival (``EventLoop.drain_until``, as each lane
-does), then advances the clock to it (running the TTL sweep), so an
-arrival wins every time tie with a completion.
+before the slot's arrival (``EventLoop.drain_until``; each lane pops
+the same order off its own loop's heap), then advances the clock to it
+(running the TTL sweep), so an arrival wins every time tie with a
+completion.
 
 Every mode decides through
 :meth:`~repro.schedulers.base.Scheduler.decide`, i.e. the policy's
@@ -516,7 +517,6 @@ class ClusterSimulator:
         latency = queue_delay + service_s
         ready_at = start_at + service_s
         finish_at = ready_at + invocation.execution_time_s
-        container.busy_until = finish_at
         # One completion per invocation.  Priority ``ready_at`` pops
         # same-time completions in the order their startups finished.
         self.loop.schedule(finish_at, container, ready_at)

@@ -246,9 +246,6 @@ class Telemetry(Counters):
         self.max_queue_depth = 0
         self.worker_busy_s: Dict[int, float] = {}
         self.duration_s = 0.0
-        # Exact counts in either form.
-        self._n_cold = 0
-        self._match_counts = [0] * len(_MATCH_MEMBERS)
         # The startup-latency and queueing-delay folds (read by
         # :meth:`summary` and :meth:`queueing_summary`).
         self._latency = self._fold()
@@ -323,8 +320,6 @@ class Telemetry(Counters):
         afterwards through :attr:`records`.
         """
         self._add_latency(startup_latency_s)
-        self._n_cold += cold_start
-        self._match_counts[match] += 1
         self._inv_id.append(invocation_id)
         ix = self._name_ix.get(function_name)
         self._fn_ix.append(
@@ -487,7 +482,7 @@ class Telemetry(Counters):
 
     @property
     def cold_starts(self) -> int:
-        return self._n_cold
+        return int(sum(self._cold))
 
     @property
     def warm_starts(self) -> int:
@@ -507,7 +502,10 @@ class Telemetry(Counters):
 
     def match_histogram(self) -> Dict[MatchLevel, int]:
         """How many starts happened at each match level."""
-        return {lvl: self._match_counts[int(lvl)] for lvl in _MATCH_MEMBERS}
+        counts = [0] * len(_MATCH_MEMBERS)
+        for m in self._match:
+            counts[m] += 1
+        return {lvl: counts[int(lvl)] for lvl in _MATCH_MEMBERS}
 
     @property
     def total_queueing_s(self) -> float:
@@ -574,7 +572,7 @@ class Telemetry(Counters):
         pre-queueing simulator.
         """
         return summary_fold(
-            self, *latency_stats(self._latency), self._n_cold,
+            self, *latency_stats(self._latency), self.cold_starts,
             self.queueing_summary() if self.queueing_enabled else None,
         )
 
@@ -584,9 +582,10 @@ class BoundedTelemetry(Telemetry):
 
     The same collector as :class:`Telemetry` with the bounded fold forms:
     the startup-latency and queueing-delay folds are
-    :class:`~repro.cluster.sketches.QuantileSketch` sketches and the row
-    columns keep nothing, so memory stays constant while a 10M-invocation
-    replay streams through.  The percentile summary cells
+    :class:`~repro.cluster.sketches.QuantileSketch` sketches, and the row
+    columns keep nothing but the cold-start and match-level tallies its
+    two count aggregates read, so memory stays constant while a
+    10M-invocation replay streams through.  The percentile summary cells
     (``p50_startup_s``, ``p95_startup_s``, ``p95_queueing_s``) are sketch
     estimates within the sketch's relative accuracy; every other cell is
     bit-exact.
@@ -607,6 +606,9 @@ class BoundedTelemetry(Telemetry):
             queueing_enabled=queueing_enabled,
             worker_slots=worker_slots,
         )
+        # The two row columns the exact aggregates count keep their tallies.
+        self._cold = _Tally([0, 0])
+        self._match = _Tally([0] * len(_MATCH_MEMBERS))
 
     def _fold(self) -> Fold:
         """A new latency fold: the bounded sketch."""
@@ -617,6 +619,15 @@ class BoundedTelemetry(Telemetry):
         return _DISCARD
 
     # -- aggregates whose exact form reads a row column -----------------------
+    @property
+    def cold_starts(self) -> int:
+        """Exact cold-start count (the cold column's tally)."""
+        return self._cold[1]
+
+    def match_histogram(self) -> Dict[MatchLevel, int]:
+        """Exact per-match-level start counts (the match column's tally)."""
+        return {lvl: self._match[int(lvl)] for lvl in _MATCH_MEMBERS}
+
     @property
     def queued_starts(self) -> int:
         """Exact count of startups that waited for a worker slot (the
@@ -661,3 +672,11 @@ class BoundedTelemetry(Telemetry):
 
 #: The row "column" of :class:`BoundedTelemetry`: appending discards.
 _DISCARD = deque(maxlen=0)
+
+
+class _Tally(list):
+    """A bounded row column of small non-negative integers: item ``v``
+    counts how often ``v`` was appended."""
+
+    def append(self, value: int) -> None:
+        self[value] += 1

@@ -29,7 +29,12 @@ class ContainerState(enum.Enum):
     EVICTED = "evicted"    # removed from the pool, gone
 
 
-@dataclass
+# Aliases: an enum member read off its class costs a descriptor call.
+_STARTING, _IDLE, _EVICTED = (
+    ContainerState.STARTING, ContainerState.IDLE, ContainerState.EVICTED)
+
+
+@dataclass(slots=True)
 class Container:
     """A mutable simulated container.
 
@@ -42,10 +47,8 @@ class Container:
         different function).
     state:
         Lifecycle state.
-    created_at, last_used_at, busy_until:
-        Simulation timestamps (seconds); ``busy_until`` is when the
-        current invocation finishes executing (0 until the engine has
-        priced its start).
+    created_at, last_used_at:
+        Simulation timestamps (seconds).
     current_function:
         Name of the function occupying or last occupying the container.
     mounted_volumes:
@@ -59,7 +62,6 @@ class Container:
     state: ContainerState = ContainerState.STARTING
     created_at: float = 0.0
     last_used_at: float = 0.0
-    busy_until: float = 0.0
     current_function: Optional[str] = None
     mounted_volumes: List[Volume] = field(default_factory=list)
     reuse_count: int = 0
@@ -71,49 +73,46 @@ class Container:
 
     @property
     def is_idle(self) -> bool:
-        return self.state is ContainerState.IDLE
+        return self.state is _IDLE
 
     @property
     def is_busy(self) -> bool:
-        return self.state is ContainerState.STARTING
+        return self.state is _STARTING
 
     def idle_duration(self, now: float) -> float:
         """Seconds the container has sat idle; 0 when not idle."""
-        if self.state is not ContainerState.IDLE:
+        if self.state is not _IDLE:
             return 0.0
         return max(0.0, now - self.last_used_at)
 
     # -- state transitions -----------------------------------------------------
-    def begin_startup(
-        self, function_name: str, now: float, busy_until: float = 0.0
-    ) -> None:
-        """Enter STARTING for ``function_name``: starting up, then executing
-        until ``busy_until``."""
-        if self.state is ContainerState.EVICTED:
-            raise self._invalid(ContainerState.STARTING, ContainerState.IDLE)
-        self.state = ContainerState.STARTING
+    def begin_startup(self, function_name: str, now: float) -> None:
+        """Enter STARTING for ``function_name`` at ``now``: starting up,
+        then executing until its completion."""
+        if self.state is _EVICTED:
+            raise self._invalid(_STARTING, _IDLE)
+        self.state = _STARTING
         self.current_function = function_name
         self.last_used_at = now
-        self.busy_until = busy_until
 
     def finish_execution(self, now: float) -> None:
         """Execution done; the container becomes idle (kept warm)."""
-        if self.state is not ContainerState.STARTING:
-            raise self._invalid(ContainerState.STARTING)
-        self.state = ContainerState.IDLE
+        if self.state is not _STARTING:
+            raise self._invalid(_STARTING)
+        self.state = _IDLE
         self.last_used_at = now
 
     def evict(self) -> None:
         """Remove the container permanently."""
-        if self.state is not ContainerState.IDLE:
-            raise self._invalid(ContainerState.IDLE)
-        self.state = ContainerState.EVICTED
+        if self.state is not _IDLE:
+            raise self._invalid(_IDLE)
+        self.state = _EVICTED
 
     def claim(self) -> None:
         """Claim an idle container for reuse (cleaner runs next)."""
-        if self.state is not ContainerState.IDLE:
-            raise self._invalid(ContainerState.IDLE)
-        self.state = ContainerState.STARTING
+        if self.state is not _IDLE:
+            raise self._invalid(_IDLE)
+        self.state = _STARTING
         self.reuse_count += 1
 
     def _invalid(self, *expected: ContainerState) -> RuntimeError:

@@ -22,6 +22,8 @@ from repro.containers.matching import MatchLevel, match_level
 from repro.schedulers.base import COLD, PoolDecision, Scheduler
 from repro.workloads.workload import Invocation
 
+_NO_MATCH, _L1 = MatchLevel.NO_MATCH, MatchLevel.L1  # per-arrival aliases
+
 
 class AlwaysAdoptScheduler(Scheduler):
     """Adopt the same-OS container with the smallest delta startup cost."""
@@ -39,7 +41,7 @@ class AlwaysAdoptScheduler(Scheduler):
         """
         spec = invocation.spec
         image = spec.image
-        candidates = pool.match_candidates(image, MatchLevel.L1)
+        candidates = pool.match_candidates(image, _L1)
         if not candidates:
             return COLD
         if len(candidates) > 1:
@@ -52,7 +54,7 @@ class AlwaysAdoptScheduler(Scheduler):
             if cost < best_cost:
                 best_cost = cost
                 best = c
-        cold = cost_model.latency_s(image, MatchLevel.NO_MATCH, finit)
+        cold = cost_model.latency_s(image, _NO_MATCH, finit)
         if best_cost < cold:
             return best, int(match_level(image, best.image)), False, ()
         return COLD

@@ -35,6 +35,8 @@ from repro.schedulers.base import COLD, PoolDecision, Scheduler
 from repro.workloads.functions import FunctionSpec
 from repro.workloads.workload import Invocation
 
+_L1 = MatchLevel.L1  # per-arrival alias: enum reads cost a descriptor call
+
 #: Covering-test memo: (function fingerprints, container fingerprints) ->
 #: whether the container's package set covers the function's.  Interned
 #: fingerprints are equal iff the package sets are, so the key fully
@@ -85,7 +87,7 @@ class ZygoteScheduler(Scheduler):
         bucket order is irrelevant.
         """
         image = invocation.spec.image
-        candidates = pool.match_candidates(image, MatchLevel.L1)
+        candidates = pool.match_candidates(image, _L1)
         if not candidates:
             return COLD
         fps = image.fingerprints

@@ -10,8 +10,8 @@ from conftest import make_container, make_image
 class TestLifecycle:
     def test_full_happy_cycle(self):
         c = Container(1, make_image(), state=ContainerState.STARTING)
-        c.begin_startup("f", now=0.0, busy_until=2.0)
-        assert c.is_busy and c.busy_until == 2.0
+        c.begin_startup("f", now=0.0)
+        assert c.is_busy and c.last_used_at == 0.0
         c.finish_execution(now=2.0)
         assert c.is_idle
         c.claim()
@@ -40,7 +40,7 @@ class TestLifecycle:
 
     def test_begin_startup_from_idle_allowed(self):
         c = make_container(1)
-        c.begin_startup("f", 5.0, 6.0)
+        c.begin_startup("f", 5.0)
         assert c.current_function == "f"
         assert c.state is ContainerState.STARTING
 

@@ -204,7 +204,8 @@ class TestRegistry:
         """Lanes run the shared pool lifecycle rather than a copy -- its
         start, completion queue and complete included -- and never set a
         container's state fields themselves; the scalar counters are
-        declared only by ``Counters.__init__``."""
+        declared only by ``Counters.__init__``.  A lane's completions
+        live on its lifecycle loop's heap, not on one of its own."""
         from repro.cluster import lanes, lifecycle, telemetry
         from repro.cluster.telemetry import Counters
 
@@ -215,6 +216,7 @@ class TestRegistry:
             "drain_until", "drain_all",
         }
         assert issubclass(_Lane, lifecycle.PoolLifecycle)
+        assert not {"heap", "seq"} & set(_Lane.__slots__)
         assigned = [
             target.attr
             for node in ast.walk(ast.parse(inspect.getsource(lanes)))

@@ -21,9 +21,11 @@ entries:
 * ``test_stream_lane_replay`` -- the chunked streaming lane path
   (``run_stream_lanes``) vs per-cell sequential ``run_stream`` on the
   stream family's closed-form schedulers; pins the >= 3x speedup the
-  acceptance criteria require.  Its two legs alternate round by round
-  (the sequential pass is the untimed setup of each lane round), and
-  the ratio is of the fastest round of each.
+  acceptance criteria require.
+
+In every entry the two legs alternate round by round (the sequential
+pass is the untimed setup of each lane round), and the ratio is of the
+fastest round of each, so host drift hits both legs alike.
 
 Every entry asserts byte-identical summaries before timing means
 anything (the ``lanes_vs_sequential`` / ``streaming_vs_materialized``
@@ -88,8 +90,9 @@ assert {task.scheduler for task in CLOSED_FORM_CELLS + SCRIPTED_CELLS} == (
 STREAM_SCHEDULERS = ("lru", "keepalive", "greedy")
 STREAM_FUNCTIONS = 100
 STREAM_INVOCATIONS = 8000
-#: Interleaved (sequential, lane) rounds of the stream entry; each leg
-#: reports its fastest.
+#: Interleaved (sequential, lane) rounds of the grid entries and of the
+#: stream entry; each leg reports its fastest.
+GRID_ROUNDS = 10
 STREAM_ROUNDS = 5
 
 
@@ -115,14 +118,29 @@ def _sequential_cell(task):
     return outcome.method, outcome.result.telemetry.summary()
 
 
-def _sequential_floor(cells, repeats=2):
-    """Best-of-N sequential wall time over the same cells."""
-    best = float("inf")
-    for _ in range(repeats):
+def _interleaved(benchmark, cells):
+    """Time the lane batch over ``cells`` with a sequential pass over the
+    same cells as the untimed setup of each round.
+
+    Both legs are warmed once, untimed.  Returns the fastest sequential
+    pass, the last pass's ``(method, summary)`` pairs and the last lane
+    batch's results.
+    """
+    _warm_memos(cells)
+    _kernel_batch(cells)
+    sequential = [_sequential_cell(task) for task in cells]
+    sequential_times = []
+
+    def sequential_round():
         t0 = time.perf_counter()
-        results = [_sequential_cell(task) for task in cells]
-        best = min(best, time.perf_counter() - t0)
-    return best, results
+        sequential[:] = [_sequential_cell(task) for task in cells]
+        sequential_times.append(time.perf_counter() - t0)
+        return (cells,), {}
+
+    results = benchmark.pedantic(
+        _kernel_batch, setup=sequential_round, rounds=GRID_ROUNDS
+    )
+    return min(sequential_times), sequential, results
 
 
 def _assert_parity(sequential, results):
@@ -140,9 +158,7 @@ def _warm_memos(cells):
 
 def test_lane_kernel_8_lanes(benchmark, emit):
     """8-lane kernel batch vs the sequential per-cell path (>= 3x)."""
-    _warm_memos(CELLS)
-    sequential_s, sequential = _sequential_floor(CELLS)
-    results = benchmark(_kernel_batch, CELLS)
+    sequential_s, sequential, results = _interleaved(benchmark, CELLS)
     _assert_parity(sequential, results)
     speedup = sequential_s / benchmark.stats["min"]
     emit(
@@ -160,9 +176,9 @@ def test_lane_kernel_closed_form_registry(benchmark, emit):
     Offline-Q's per-cell bootstrap rollout -- while the lane side shares
     one arrival table (and its cached bootstrap policy) across lanes.
     """
-    _warm_memos(CLOSED_FORM_CELLS)
-    sequential_s, sequential = _sequential_floor(CLOSED_FORM_CELLS)
-    results = benchmark(_kernel_batch, CLOSED_FORM_CELLS)
+    sequential_s, sequential, results = _interleaved(
+        benchmark, CLOSED_FORM_CELLS
+    )
     _assert_parity(sequential, results)
     speedup = sequential_s / benchmark.stats["min"]
     emit(
@@ -180,9 +196,9 @@ def test_lane_kernel_scripted(benchmark, emit):
     (``no_guard``: the rules stay Python, so the margin is too thin to
     gate on under load jitter)."""
     benchmark.extra_info["no_guard"] = True
-    _warm_memos(SCRIPTED_CELLS)
-    sequential_s, sequential = _sequential_floor(SCRIPTED_CELLS)
-    results = benchmark(_kernel_batch, SCRIPTED_CELLS)
+    sequential_s, sequential, results = _interleaved(
+        benchmark, SCRIPTED_CELLS
+    )
     _assert_parity(sequential, results)
     speedup = sequential_s / benchmark.stats["min"]
     emit(
@@ -239,9 +255,7 @@ def test_stream_lane_replay(benchmark, emit):
     sequential_times = []
 
     def sequential_round():
-        """The benchmark's untimed setup before each lane round: one
-        sequential pass, timed here, so both legs get the same number of
-        interleaved rounds and host drift hits both alike."""
+        """The untimed setup of each lane round (as in _interleaved)."""
         t0 = time.perf_counter()
         sequential[:] = [run_stream_cell(k) for k in STREAM_SCHEDULERS]
         sequential_times.append(time.perf_counter() - t0)

@@ -13,12 +13,18 @@ import time
 
 from repro.cluster.telemetry import Telemetry
 from repro.cluster.telemetry_reference import LegacyTelemetry
+from repro.containers.costmodel import StartupBreakdown
 
 N_EVENTS = 5_000
 
 
 def _synthetic_events(n=N_EVENTS):
-    """Deterministic invocation-value tuples shaped like simulator output."""
+    """Deterministic invocation-value tuples shaped like simulator output:
+    the breakdowns are shared, as the cost model's memoized ones are."""
+    breakdowns = [
+        StartupBreakdown(0.3, 0.1, 0.05, 0.03, 0.02, 0.0),
+        StartupBreakdown(0.0, 0.0, 0.0, 0.0, 0.004, 0.05),
+    ]
     events = []
     for i in range(n):
         fn = f"fn-{i % 17}"
@@ -26,7 +32,7 @@ def _synthetic_events(n=N_EVENTS):
         events.append((
             i, fn, i * 0.01, i % 40, cold, (i % 4),
             0.5 if cold else 0.05,
-            0.3, 0.1, 0.05, 0.03, 0.02, 0.0,
+            breakdowns[0 if cold else 1],
             0.5, 0.0, i % 4,
         ))
     return events

@@ -3,10 +3,15 @@
 The :class:`EventLoop` is the one completion queue of both engines: a
 deterministic ``heapq`` heap of completion
 :class:`~repro.cluster.events.Event` named tuples plus the sequence
-counter that breaks time ties, the simulation clock (a plain float that
-only moves forward) and an optional sweep hook that runs after every
-clock advance (the warm-pool TTL sweep, so expiry runs once per popped
-completion and once per arrival, after time has advanced).
+counter that breaks time ties, and the simulation clock (a plain float
+that only moves forward).  Each clock advance can run a sweep (the
+warm-pool TTL sweep, so expiry runs once per popped completion and once
+per arrival, after time has advanced).  The caller passes the sweep with
+each :meth:`~EventLoop.pop_next`, :meth:`~EventLoop.drain_until` or
+:meth:`~EventLoop.advance_to` call instead of the loop storing it: the
+sweep is a method of the lifecycle that owns the loop, so a stored one
+would tie the two into a reference cycle that only the cyclic garbage
+collector frees.
 
 Arrivals never enter the loop.  Each engine holds the next arrival
 itself and hands :meth:`EventLoop.drain_until` the arrival's time and
@@ -47,6 +52,9 @@ from repro.cluster.events import Event
 
 #: Builds an :class:`Event` from one tuple without the keyword constructor.
 _new_event = tuple.__new__
+
+#: A clock-advance hook: called with the new clock reading.
+Sweep = Callable[[float], Any]
 
 
 @runtime_checkable
@@ -121,15 +129,15 @@ class WallClock:
 
 
 class EventLoop:
-    """Deterministic completion queue plus clock plus per-advance sweep.
+    """Deterministic completion queue plus clock.
+
+    Every clock-moving method takes an optional ``sweep``: a callable
+    invoked with the current time after the clock advance (once per
+    popped event and once per explicit :meth:`advance_to`).  The pool
+    lifecycle passes its TTL sweep there.
 
     Parameters
     ----------
-    sweep:
-        Optional callable invoked with the current time after every clock
-        advance (i.e. once per popped event and once per explicit
-        :meth:`advance_to`).  The pool lifecycle installs its TTL sweep
-        here.
     observer:
         Optional callable ``(kind, time)`` notified on every ``"schedule"``
         (with the event's time) and every ``"advance"`` (with the new clock
@@ -139,7 +147,6 @@ class EventLoop:
 
     def __init__(
         self,
-        sweep: Optional[Callable[[float], None]] = None,
         observer: Optional[Callable[[str, float], None]] = None,
     ) -> None:
         #: Current simulation time; it never rewinds.
@@ -148,7 +155,6 @@ class EventLoop:
         #: (:meth:`schedule` pushes :class:`Event` ones), numbered by seq.
         self.heap: list[Event] = []
         self.seq = itertools.count()
-        self._sweep = sweep
         self._observer = observer
 
     def schedule(
@@ -168,11 +174,11 @@ class EventLoop:
         heappush(self.heap, event)
         return event
 
-    def pop_next(self) -> Optional[Event]:
-        """Pop the earliest event, advance the clock, run the sweep.
+    def pop_next(self, sweep: Optional[Sweep] = None) -> Optional[Event]:
+        """Pop the earliest event, advance the clock, run ``sweep``.
 
-        Returns ``None`` when the heap is empty (the clock and sweep are
-        untouched in that case).
+        Returns ``None`` when the heap is empty (the clock is untouched
+        and no sweep runs in that case).
         """
         if not self.heap:
             return None
@@ -184,31 +190,36 @@ class EventLoop:
             now = self.now
         if self._observer is not None:
             self._observer("advance", now)
-        if self._sweep is not None:
-            self._sweep(now)
+        if sweep is not None:
+            sweep(now)
         return event
 
     def drain_until(
-        self, time: float, on_complete: Callable[[Any, float], None]
+        self,
+        time: float,
+        on_complete: Callable[[Any, float], None],
+        sweep: Optional[Sweep] = None,
     ) -> None:
         """Handle every completion due strictly before ``time``.
 
         Each one pops through :meth:`pop_next` (clock advance, then
-        sweep) and is handed to ``on_complete(payload, now)``.  An arrival
-        at ``time`` therefore wins every time tie with a completion.
+        ``sweep``) and is handed to ``on_complete(payload, now)``.  An
+        arrival at ``time`` therefore wins every time tie with a
+        completion.
         """
         heap = self.heap
         pop_next = self.pop_next
         while heap and heap[0][0] < time:
-            on_complete(pop_next()[3], self.now)
+            on_complete(pop_next(sweep)[3], self.now)
 
-    def advance_to(self, time: float) -> float:
-        """Advance the clock with no event, running the observer and sweep.
+    def advance_to(self, time: float, sweep: Optional[Sweep] = None) -> float:
+        """Advance the clock with no event, running the observer and
+        ``sweep``.
 
         The simulator calls this at every arrival, after the completions
         due before it; the online serving plane's janitor calls it to make
         "wall time passed with nothing due" a first-class loop operation:
-        TTL expiry (the sweep hook) runs exactly as it would at an event
+        TTL expiry (the ``sweep``) runs exactly as it would at an event
         pop, so idle containers scale to zero between requests.  A time
         in the past leaves the clock where it is.  Returns the new clock
         reading.
@@ -218,8 +229,8 @@ class EventLoop:
         now = self.now
         if self._observer is not None:
             self._observer("advance", now)
-        if self._sweep is not None:
-            self._sweep(now)
+        if sweep is not None:
+            sweep(now)
         return now
 
     def peek(self) -> Optional[Event]:

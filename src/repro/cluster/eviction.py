@@ -15,7 +15,7 @@ Three policies from the paper's comparison set:
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.pool import WarmPool
 from repro.containers.container import Container
@@ -57,6 +57,15 @@ class EvictionPolicy(abc.ABC):
         """Clear any accumulated state between runs."""
 
 
+def start_hook(policy: EvictionPolicy) -> Optional[Callable[..., None]]:
+    """``policy``'s bound :meth:`~EvictionPolicy.on_function_start`, or
+    None when the policy keeps the base no-op (so an engine skips the
+    per-start call entirely)."""
+    if type(policy).on_function_start is EvictionPolicy.on_function_start:
+        return None
+    return policy.on_function_start
+
+
 class LRUEviction(EvictionPolicy):
     """Evict least-recently-used idle containers until the newcomer fits."""
 
@@ -93,7 +102,7 @@ class RejectNewcomerEviction(EvictionPolicy):
         self, pool: WarmPool, incoming: Container, now: float
     ) -> Optional[List[Container]]:
         """Containers to evict so the newcomer fits, or None to reject it."""
-        if incoming.memory_mb <= pool.free_mb:
+        if incoming.image.memory_mb <= pool.free_mb:
             return []
         return None
 
@@ -139,7 +148,7 @@ class FaasCacheEviction(EvictionPolicy):
         name = container.current_function or container.image.name
         freq = self._freq.get(name, 1)
         cost = self._cost.get(name, 1.0)
-        size = max(container.memory_mb, 1.0)
+        size = max(container.image.memory_mb, 1.0)
         return self._clock + freq * cost / size
 
     def select_victims(

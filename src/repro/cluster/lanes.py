@@ -91,7 +91,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.cluster.eviction import EvictionPolicy
+from repro.cluster.eviction import start_hook
 from repro.cluster.lifecycle import PoolLifecycle
 from repro.cluster.pool import WarmPool
 from repro.cluster.sketches import QuantileSketch
@@ -309,15 +309,8 @@ class _Lane(PoolLifecycle):
         self.method = scheduler.name
         eviction = scheduler.make_eviction_policy()
         super().__init__(WarmPool(spec.capacity_mb), eviction, Counters())
-        # Bind the start hook only when the policy actually overrides the
-        # base no-op (FaasCache's greedy-dual statistics); other lanes then
-        # skip the per-arrival call entirely.
-        self.on_start = (
-            eviction.on_function_start
-            if type(eviction).on_function_start
-            is not EvictionPolicy.on_function_start
-            else None
-        )
+        # Only FaasCache's greedy-dual statistics need the start hook.
+        self.on_start = start_hook(eviction)
         self.cold = 0
         self.latencies = QuantileSketch(0.01) if spec.bounded else array("d")
         self.add_latency = fold_adder(self.latencies)
@@ -374,7 +367,7 @@ drain_all`).  The completions go on the lane loop's heap in
             heappush(heap, (ready_at + invocation.execution_time_s, ready_at,
                             next(seq), container))
             if on_start is not None:
-                on_start(spec.name, latency, container.memory_mb, t)
+                on_start(spec.name, latency, container.image.memory_mb, t)
             if actions:
                 self.apply_actions(actions, t)
         self.cold += cold

@@ -6,8 +6,10 @@ Two layers own every container-state mutation in the cluster:
   bookkeeping, run by both engines.  :meth:`~PoolLifecycle.start` begins
   an invocation (create, or validate, claim and repack a warm pick, then
   the checked STARTING transition); the engine queues its completion on
-  the lifecycle's :class:`~repro.cluster.eventloop.EventLoop`, whose sweep
-  is the TTL expiry; :meth:`~PoolLifecycle.complete` ends it (IDLE, then
+  the lifecycle's :class:`~repro.cluster.eventloop.EventLoop` and passes
+  :meth:`~PoolLifecycle.expire_ttl` as the loop's sweep (the loop keeps
+  no reference back, so a lifecycle is freed by reference counting alone);
+  :meth:`~PoolLifecycle.complete` ends it (IDLE, then
   keep-alive through the eviction policy: reject, or evict the victims,
   then add).  Around these sit container ids and live-memory accounting,
   pre-warm and lend reuse, destroy (pre-warm waste, dropping the lend
@@ -69,8 +71,9 @@ class PoolLifecycle:
 
     ``pool`` holds the idle warm containers, ``eviction`` admits finished
     ones to it and ``counters`` receives the scalar counters.  ``loop`` is
-    the completion queue of the invocations this lifecycle started; its
-    sweep is :meth:`expire_ttl` and ``observer`` watches it.  Placement
+    the completion queue of the invocations this lifecycle started;
+    ``observer`` watches it, and the engines pass :meth:`expire_ttl` as
+    the sweep of each clock advance.  Placement
     and volumes are not modelled at this layer.  Every method works on a
     single :class:`~repro.cluster.pool.WarmPool`;
     :class:`ContainerLifecycle` routes a
@@ -92,7 +95,7 @@ class PoolLifecycle:
         self.pool = pool
         self.eviction = eviction
         self.counters = counters
-        self.loop = EventLoop(sweep=self.expire_ttl, observer=observer)
+        self.loop = EventLoop(observer=observer)
         self._ids = itertools.count(1)
         self.live_memory_mb = 0.0
         # Proactive-action bookkeeping: pre-warmed container ids awaiting
@@ -174,7 +177,7 @@ class PoolLifecycle:
 
     def drain_all(self) -> None:
         """Complete every invocation still in flight (the end of a run)."""
-        self.loop.drain_until(math.inf, self.complete)
+        self.loop.drain_until(math.inf, self.complete, self.expire_ttl)
 
     # -- claiming / repacking ------------------------------------------------
     def check_decision(
@@ -333,10 +336,11 @@ class PoolLifecycle:
         container = self.pool.get(container_id)
         if container is None:
             return False
-        if match_level(target_image, container.image) is MatchLevel.NO_MATCH:
+        if match_level(target_image, container.image) is _NO_MATCH:
             return False
         shard = self.home_shard(container_id)
-        headroom = shard.capacity_mb - shard.used_mb + container.memory_mb
+        headroom = (shard.capacity_mb - shard.used_mb
+                    + container.image.memory_mb)
         if target_image.memory_mb > headroom:
             return False
         # The donor stays on its shard; re-adding re-keys its match index.
@@ -393,6 +397,9 @@ class ContainerLifecycle(PoolLifecycle):
         self.telemetry = telemetry
         self.placement = placement
         self.per_worker_pools = per_worker_pools
+        # Without per-worker pools every container lives on the one shard,
+        # so keep-alive goes straight to it.
+        self._shard = None if per_worker_pools else pool.shard(0)
         self.volume_store = VolumeStore()
         self.cleaner = ContainerCleaner(self.volume_store)
         self.faults = FaultModel(faults)
@@ -433,7 +440,7 @@ class ContainerLifecycle(PoolLifecycle):
         container = super().create(image, function_name, now, idle)
         self._live[container.container_id] = container
         self.created_count += 1
-        self.placement.place(container.container_id, container.memory_mb, now)
+        self.placement.place(container.container_id, image.memory_mb, now)
         self.cleaner.initial_mount(container, function_name)
         if self._monitor is not None:
             self._monitor.notify("create", container=container)
@@ -447,12 +454,12 @@ class ContainerLifecycle(PoolLifecycle):
         """Complete an invocation; an injected crash destroys the finished
         container instead of pooling it.  Monitors check every
         completion."""
+        container.finish_execution(now)
         if self.faults_enabled and self.faults.should_crash():
-            container.finish_execution(now)
             self.destroy(container)
             self.telemetry.record_crash()
         else:
-            super().complete(container, now)
+            self.keep_alive(container, now)
         if self._monitor is not None:
             self._monitor.checkpoint()
 
@@ -465,19 +472,28 @@ class ContainerLifecycle(PoolLifecycle):
     ) -> CleanResult:
         """Repack a claimed container through the cleaner (volume by
         volume), keeping live memory in sync."""
-        old_memory = container.memory_mb
+        old_mb = container.image.memory_mb
         result = self.cleaner.repack(container, target_image, function_name)
-        self.live_memory_mb += container.memory_mb - old_memory
+        self.live_memory_mb += target_image.memory_mb - old_mb
         return result
 
     # -- keep-alive / destruction --------------------------------------------
     def keep_alive(self, container: Container, now: float) -> None:
-        """Try to put a finished container back into its worker's pool."""
-        index = self.worker_of(container.container_id)
-        if self.make_room(self.pool.shard(index), container, now) is None:
-            return
-        self.pool.add(container, index)
-        self.telemetry.sample_memory(now, self.pool.used_mb)
+        """Try to put a finished container back into its worker's pool,
+        then update the warm-memory peak."""
+        shard = self._shard
+        if shard is None:
+            index = self.placement.worker_of(container.container_id)
+            if self.make_room(self.pool.shard(index), container, now) is None:
+                return
+            self.pool.add(container, index)
+            self.telemetry.sample_memory(now, self.pool.used_mb)
+        elif self.make_room(shard, container, now) is not None:
+            shard.add(container)
+            # One shard: the pool's peak is the shard's own running peak.
+            telemetry = self.telemetry
+            if shard.peak_used_mb > telemetry.peak_warm_memory_mb:
+                telemetry.peak_warm_memory_mb = shard.peak_used_mb
 
     def _expired(
         self, now: float, ttl: float, expired: List[Container]
@@ -497,7 +513,8 @@ class ContainerLifecycle(PoolLifecycle):
             super().destroy(container)
             if self._monitor is not None:
                 self._monitor.notify("destroy", container=container)
-        self.placement.release(container.container_id, container.memory_mb)
+        self.placement.release(container.container_id,
+                               container.image.memory_mb)
 
     def _proactive(self, now: float, kind: str, container: Container) -> None:
         """Sample the memory a pre-warm or lend moved."""

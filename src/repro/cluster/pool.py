@@ -18,8 +18,9 @@ then finds
 * its L1-or-deeper candidates under key ``f1``,
 
 so :meth:`WarmPool.best_match` and :meth:`WarmPool.match_depth_counts` are
-dictionary lookups instead of linear scans over the pool.  The index is
-keyed by the fingerprints a container had when it was added (kept per
+dictionary lookups instead of linear scans over the pool.  The ``(f1, f2)``
+key is the image's cached ``l2_key``, so no operation slices a key.  The
+index is keyed by the image a container had when it was added (kept per
 container id), so removal stays correct even if a caller mutates a pooled
 container's image -- re-adding after a repack re-keys it.
 
@@ -99,7 +100,8 @@ class WarmPool:
         self._idx_l1: Dict[int, Dict[int, Container]] = {}
         self._idx_l2: Dict[Tuple[int, int], Dict[int, Container]] = {}
         self._idx_l3: Dict[Tuple[int, int, int], Dict[int, Container]] = {}
-        self._index_keys: Dict[int, Tuple[int, int, int]] = {}
+        # The image each pooled container was indexed under.
+        self._index_keys: Dict[int, FunctionImage] = {}
         # Greatest (last_used_at, container_id) ever indexed: an add at or
         # above it keeps every bucket sorted by appending.
         self._newest_key: Tuple[float, int] = (float("-inf"), -1)
@@ -139,8 +141,12 @@ class WarmPool:
         return self._containers.get(container_id)
 
     # -- mutation ----------------------------------------------------------
-    def add(self, container: Container) -> None:
+    def add(self, container: Container, shard_index: int = 0) -> None:
         """Insert an idle container as most-recently-used.
+
+        ``shard_index`` is ignored: a warm pool is a single shard, and the
+        argument lets a one-shard :class:`PoolSet` use this method as its
+        own ``add``.
 
         Raises
         ------
@@ -157,7 +163,8 @@ class WarmPool:
             )
         if cid in self._containers:
             raise ValueError(f"container {cid} already pooled")
-        memory_mb = container.image.memory_mb
+        image = container.image
+        memory_mb = image.memory_mb
         if not memory_mb <= self.capacity_mb - self._used_mb:  # fits()
             raise PoolFullError(
                 f"container {cid} ({memory_mb:.0f}MB) exceeds free "
@@ -167,12 +174,19 @@ class WarmPool:
         self._used_mb += memory_mb
         if self._used_mb > self.peak_used_mb:
             self.peak_used_mb = self._used_mb
-        fps = container.image.fingerprints
-        b1 = self._idx_l1.setdefault(fps[0], {})
-        b2 = self._idx_l2.setdefault(fps[:2], {})
-        b3 = self._idx_l3.setdefault(fps, {})
+        # get-then-insert: setdefault would build a throwaway {} per call.
+        fps = image.fingerprints
+        b1 = self._idx_l1.get(fps[0])
+        if b1 is None:
+            b1 = self._idx_l1[fps[0]] = {}
+        b2 = self._idx_l2.get(image.l2_key)
+        if b2 is None:
+            b2 = self._idx_l2[image.l2_key] = {}
+        b3 = self._idx_l3.get(fps)
+        if b3 is None:
+            b3 = self._idx_l3[fps] = {}
         b1[cid] = b2[cid] = b3[cid] = container
-        self._index_keys[cid] = fps
+        self._index_keys[cid] = image
         key = (container.last_used_at, cid)
         if key >= self._newest_key:
             self._newest_key = key
@@ -190,16 +204,21 @@ class WarmPool:
         # Guard against float drift accumulating below zero.
         if self._used_mb < 1e-9:
             self._used_mb = 0.0
-        fps = self._index_keys.pop(container_id)
-        for index, key in (
-            (self._idx_l1, fps[0]),
-            (self._idx_l2, fps[:2]),
-            (self._idx_l3, fps),
-        ):
-            bucket = index[key]
-            del bucket[container_id]
-            if not bucket:
-                del index[key]
+        # The three index levels, unrolled: no key or pair tuples.
+        image = self._index_keys.pop(container_id)
+        fps = image.fingerprints
+        bucket = self._idx_l1[fps[0]]
+        del bucket[container_id]
+        if not bucket:
+            del self._idx_l1[fps[0]]
+        bucket = self._idx_l2[image.l2_key]
+        del bucket[container_id]
+        if not bucket:
+            del self._idx_l2[image.l2_key]
+        bucket = self._idx_l3[fps]
+        del bucket[container_id]
+        if not bucket:
+            del self._idx_l3[fps]
         return container
 
     def touch(self, container_id: int) -> None:
@@ -234,7 +253,7 @@ class WarmPool:
         if level is _L3:
             bucket = self._idx_l3.get(f)
         elif level is _L2:
-            bucket = self._idx_l2.get(f[:2])
+            bucket = self._idx_l2.get(image.l2_key)
         else:
             bucket = self._idx_l1.get(f[0])
         return list(bucket.values()) if bucket else []
@@ -248,7 +267,7 @@ class WarmPool:
         """
         f = image.fingerprints
         n3 = len(self._idx_l3.get(f, ()))
-        n23 = len(self._idx_l2.get(f[:2], ()))
+        n23 = len(self._idx_l2.get(image.l2_key, ()))
         n123 = len(self._idx_l1.get(f[0], ()))
         return (len(self._containers) - n123, n123 - n23, n23 - n3, n3)
 
@@ -266,7 +285,7 @@ class WarmPool:
         bucket = self._idx_l3.get(f)
         if bucket:
             return next(reversed(bucket.values())), _L3
-        bucket = self._idx_l2.get(f[:2])
+        bucket = self._idx_l2.get(image.l2_key)
         if bucket:
             return next(reversed(bucket.values())), _L2
         bucket = self._idx_l1.get(f[0])
@@ -318,11 +337,11 @@ class WarmPool:
                 return None
             return next(reversed(bucket.values()))
         if level is _L2:
-            bucket = self._idx_l2.get(f[:2])
+            bucket = self._idx_l2.get(image.l2_key)
             deeper = self._idx_l3.get(f)
         elif level is _L1:
             bucket = self._idx_l1.get(f[0])
-            deeper = self._idx_l2.get(f[:2])
+            deeper = self._idx_l2.get(image.l2_key)
         else:
             raise ValueError("best_at_level requires a reusable match level")
         if not bucket:
@@ -364,8 +383,10 @@ class PoolSet:
     :meth:`match_depth_counts`, :meth:`exact_matches`) merge the per-shard
     indexes, so a :class:`WarmPool` and a ``PoolSet`` answer every query
     the schedulers' ``decide_pool`` rules make the same way.  With one
-    shard, :meth:`get` and those queries are the shard's own bound
-    methods, so a lookup costs no merge and no extra call.
+    shard, :meth:`get`, :meth:`add`, :meth:`remove`,
+    :meth:`expire_older_than` and those queries are the shard's own bound
+    methods, so an operation costs no merge and no extra call, and no
+    shard map is kept (membership is the shard's).
     """
 
     def __init__(self, capacity_mb: float, n_shards: int = 1) -> None:
@@ -376,10 +397,14 @@ class PoolSet:
         self.n_shards = n_shards
         per_shard = capacity_mb / n_shards
         self._shards = [WarmPool(per_shard) for _ in range(n_shards)]
+        # Container id -> shard index; kept with more than one shard only.
         self._shard_of: dict[int, int] = {}
         if n_shards == 1:
             only = self._shards[0]
             self.get = only.get
+            self.add = only.add
+            self.remove = only.remove
+            self.expire_older_than = only.expire_older_than
             self.best_match = only.best_match
             self.best_exact = only.best_exact
             self.best_at_level = only.best_at_level
@@ -393,7 +418,12 @@ class PoolSet:
         return self._shards[index % self.n_shards]
 
     def shard_of(self, container_id: int) -> WarmPool:
-        """The shard currently holding ``container_id``."""
+        """The shard currently holding ``container_id`` (``KeyError`` when
+        it is not pooled)."""
+        if self.n_shards == 1:
+            if container_id not in self._shards[0]:
+                raise KeyError(container_id)
+            return self._shards[0]
         return self._shards[self._shard_of[container_id]]
 
     # -- aggregate capacity ----------------------------------------------------
@@ -416,9 +446,13 @@ class PoolSet:
 
     # -- membership -------------------------------------------------------------
     def __len__(self) -> int:
+        if self.n_shards == 1:
+            return len(self._shards[0])
         return len(self._shard_of)
 
     def __contains__(self, container_id: int) -> bool:
+        if self.n_shards == 1:
+            return container_id in self._shards[0]
         return container_id in self._shard_of
 
     def get(self, container_id: int) -> Optional[Container]:
@@ -453,7 +487,7 @@ class PoolSet:
         ``(last_used_at, container_id)``), matching the LRU-scan semantics.
         """
         best_container: Optional[Container] = None
-        best_level = MatchLevel.NO_MATCH
+        best_level = _NO_MATCH
         for shard in self._shards:
             container, level = shard.best_match(image)
             if container is None:
@@ -500,7 +534,7 @@ class PoolSet:
 
     def exact_matches(self, image: FunctionImage) -> List[Container]:
         """Idle containers fully (L3) matching ``image``, MRU first."""
-        matches = self.match_candidates(image, MatchLevel.L3)
+        matches = self.match_candidates(image, _L3)
         matches.sort(key=_mru_key, reverse=True)
         return matches
 

@@ -8,9 +8,9 @@ the keep-warm request).
 
 The simulator is layered control-plane / data-plane:
 
-* :class:`~repro.cluster.eventloop.EventLoop` -- the clock, the
-  completion queue and the per-advance TTL sweep (control plane), owned
-  by the lifecycle;
+* :class:`~repro.cluster.eventloop.EventLoop` -- the clock and the
+  completion queue (control plane), owned by the lifecycle; each clock
+  advance runs the lifecycle's TTL sweep, passed per call;
 * :class:`~repro.cluster.lifecycle.ContainerLifecycle` -- one
   invocation's lifecycle (start, complete) as the lane kernel runs it,
   plus keep-alive/destroy, the cleaner, volumes, monitors and fault
@@ -74,7 +74,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional
 
-from repro.cluster.eviction import EvictionPolicy, LRUEviction
+from repro.cluster.eviction import EvictionPolicy, LRUEviction, start_hook
 from repro.cluster.faults import FaultConfig
 from repro.cluster.lifecycle import ContainerLifecycle, InvalidDecisionError
 from repro.cluster.placement import PlacementEngine
@@ -229,6 +229,11 @@ class ClusterSimulator:
             monitor=self.verifier,
         )
         self.loop = self.lifecycle.loop
+        # The lifecycle's completion handler and TTL sweep, bound once;
+        # the start hook only when the policy overrides the base no-op.
+        self._complete = self.lifecycle.complete
+        self._expire_ttl = self.lifecycle.expire_ttl
+        self._on_start = start_hook(self.eviction)
         # The arrival slot: the next undecided arrival, if any, and the
         # loaded source that refills it.  ``_pending`` is the arrival
         # handed out by next_decision_point and not yet applied.
@@ -434,12 +439,13 @@ class ClusterSimulator:
                 "through next_decision_point/apply_decision"
             )
         loop = self.loop
+        sweep = self._expire_ttl if self.eviction.ttl_s is not None else None
         queued = len(loop)
         # Strictly before the next float after ``time``: due by ``time``.
-        loop.drain_until(math.nextafter(time, math.inf),
-                         self.lifecycle.complete)
+        loop.drain_until(math.nextafter(time, math.inf), self._complete,
+                         sweep)
         handled = queued - len(loop)
-        loop.advance_to(time)
+        loop.advance_to(time, sweep)
         if self.verifier is not None:
             self.verifier.checkpoint()
         return handled
@@ -459,8 +465,11 @@ class ClusterSimulator:
             return None
         t = invocation.arrival_time
         loop = self.loop
-        loop.drain_until(t, self.lifecycle.complete)
-        loop.advance_to(t)
+        # No sweep while the policy has no TTL.  Read per arrival: the
+        # serving engine may set one after construction.
+        sweep = self._expire_ttl if self.eviction.ttl_s is not None else None
+        loop.drain_until(t, self._complete, sweep)
+        loop.advance_to(t, sweep)
         self._arrival = None
         self._pending = invocation
         if self._source is not None:
@@ -487,64 +496,60 @@ class ClusterSimulator:
             raise RuntimeError("no pending invocation; call next_decision_point")
         invocation = self._pending
         spec = invocation.spec
-        now = self.loop.now
+        loop = self.loop
+        now = loop.now
+        config = self.config
+        lifecycle = self.lifecycle
         picked, _, preserve, actions = decision
-        is_cold = picked is None
         # start() validates a warm pick before it changes anything: an
         # InvalidDecisionError propagates with self._pending intact.
-        container, match, old_image = self.lifecycle.start(
+        container, match, old_image = lifecycle.start(
             spec, picked, preserve, now
         )
         self._pending = None
 
-        if not is_cold and self.config.delta_pricing:
-            breakdown = self.config.cost_model.delta_breakdown(
+        if picked is not None and config.delta_pricing:
+            breakdown = config.cost_model.delta_breakdown(
                 spec.image, old_image, spec.function_init_s
             )
         else:
-            breakdown = self.config.cost_model.breakdown(
+            breakdown = config.cost_model.breakdown(
                 spec.image, match, spec.function_init_s
             )
-        if self.lifecycle.faults_enabled:
-            breakdown, straggled = self.lifecycle.perturb_breakdown(breakdown)
+        telemetry = self.telemetry
+        if lifecycle.faults_enabled:
+            breakdown, straggled = lifecycle.perturb_breakdown(breakdown)
             if straggled:
-                self.telemetry.record_straggler()
+                telemetry.record_straggler()
         service_s = breakdown.total_s
-        worker_id = self.placement.worker_of(container.container_id)
-        start_at, queue_delay = self.placement.admit(
-            worker_id, now, service_s + invocation.execution_time_s
+        execution_s = invocation.execution_time_s
+        placement = self.placement
+        worker_id = placement.worker_of(container.container_id)
+        start_at, queue_delay = placement.admit(
+            worker_id, now, service_s + execution_s
         )
         latency = queue_delay + service_s
         ready_at = start_at + service_s
-        finish_at = ready_at + invocation.execution_time_s
         # One completion per invocation.  Priority ``ready_at`` pops
         # same-time completions in the order their startups finished.
-        self.loop.schedule(finish_at, container, ready_at)
-        self.eviction.on_function_start(spec.name, latency,
-                                        container.memory_mb, now)
-        if self.telemetry.queueing_enabled:
-            self.telemetry.record_queueing(queue_delay)
-            self.telemetry.record_queue_depth(
-                max(self.placement.queue_depths(now))
-            )
-            self.telemetry.record_worker_busy(
-                worker_id, service_s + invocation.execution_time_s
-            )
-        self.telemetry.record_invocation_values(
+        loop.schedule(ready_at + execution_s, container, ready_at)
+        if self._on_start is not None:
+            self._on_start(spec.name, latency, container.image.memory_mb,
+                           now)
+        if telemetry.queueing_enabled:
+            telemetry.record_queueing(queue_delay)
+            telemetry.record_queue_depth(max(placement.queue_depths(now)))
+            telemetry.record_worker_busy(worker_id, service_s + execution_s)
+        telemetry.record_invocation_values(
             invocation.invocation_id,
             spec.name,
             invocation.arrival_time,
             container.container_id,
-            is_cold,
-            int(match),
+            picked is None,
+            match,
             latency,
-            breakdown.create_s,
-            breakdown.pull_s,
-            breakdown.install_s,
-            breakdown.runtime_init_s,
-            breakdown.function_init_s,
-            breakdown.clean_s,
-            invocation.execution_time_s,
+            breakdown,
+            execution_s,
             queue_delay,
             worker_id,
         )
@@ -552,7 +557,7 @@ class ClusterSimulator:
         # after the decision itself, in every driving mode (batch, stream,
         # incremental, online serve), keeping the modes decision-identical.
         if actions:
-            self.lifecycle.apply_actions(actions, now)
+            lifecycle.apply_actions(actions, now)
         if self.verifier is not None:
             self.verifier.checkpoint()
         if not want_record:
@@ -562,11 +567,11 @@ class ClusterSimulator:
             function_name=spec.name,
             arrival_time=invocation.arrival_time,
             container_id=container.container_id,
-            cold_start=is_cold,
+            cold_start=picked is None,
             match=match,
             startup_latency_s=latency,
             breakdown=breakdown,
-            execution_time_s=invocation.execution_time_s,
+            execution_time_s=execution_s,
             queue_delay_s=queue_delay,
             worker_id=worker_id,
         )

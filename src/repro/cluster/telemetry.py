@@ -4,9 +4,12 @@ The paper's figures need, per run: total/average startup latency, number of
 cold starts, cumulative latency trajectories (Fig. 9), peak warm-pool memory
 and eviction counts (Fig. 10), plus per-invocation breakdowns (Fig. 1).
 
-Storage is *columnar* (struct-of-arrays): every per-invocation field lives
-in its own ``array('d')`` / ``array('q')`` column, with function names
-interned into a string table.  Appending an event touches a handful of
+Storage is *columnar* (struct-of-arrays): every per-invocation scalar field
+lives in its own ``array('d')`` / ``array('q')`` column, with function names
+interned into a string table, and the startup breakdown is one column of
+:class:`~repro.containers.costmodel.StartupBreakdown` references (the cost
+model memoizes breakdowns, so a row costs one 8-byte reference, not six
+floats).  Appending an event touches a handful of
 primitive array slots instead of allocating a Python object per invocation,
 and the aggregates (:meth:`Telemetry.summary`, percentiles, per-worker
 utilization) compute directly over the columns in one pass.  The historical
@@ -264,12 +267,7 @@ class Telemetry(Counters):
         self._queue_delay = column("d")
         self._worker = column("q")
         self._exec = column("d")
-        self._bd_create = column("d")
-        self._bd_pull = column("d")
-        self._bd_install = column("d")
-        self._bd_rinit = column("d")
-        self._bd_finit = column("d")
-        self._bd_clean = column("d")
+        self._breakdown = column(None)
         # Interned function-name table.
         self._names: List[str] = []
         self._name_ix: Dict[str, int] = {}
@@ -280,9 +278,10 @@ class Telemetry(Counters):
         """A new latency fold: the exact column."""
         return array("d")
 
-    def _row_column(self, typecode: str):
-        """A new per-invocation row column of ``typecode``."""
-        return array(typecode)
+    def _row_column(self, typecode: Optional[str]):
+        """A new per-invocation row column of ``typecode``; ``None`` gives
+        a column of object references (a list)."""
+        return [] if typecode is None else array(typecode)
 
     # -- interning -----------------------------------------------------------
     def _intern(self, name: str) -> int:
@@ -303,12 +302,7 @@ class Telemetry(Counters):
         cold_start: bool,
         match: int,
         startup_latency_s: float,
-        create_s: float,
-        pull_s: float,
-        install_s: float,
-        runtime_init_s: float,
-        function_init_s: float,
-        clean_s: float,
+        breakdown: StartupBreakdown,
         execution_time_s: float,
         queue_delay_s: float = 0.0,
         worker_id: int = 0,
@@ -317,7 +311,9 @@ class Telemetry(Counters):
 
         Hot callers (the simulator's batch loop) use this to skip building
         an :class:`InvocationRecord` per event; the row view is available
-        afterwards through :attr:`records`.
+        afterwards through :attr:`records`.  ``breakdown`` is stored by
+        reference (it is immutable; the cost model hands out memoized
+        ones).
         """
         self._add_latency(startup_latency_s)
         self._inv_id.append(invocation_id)
@@ -332,16 +328,10 @@ class Telemetry(Counters):
         self._queue_delay.append(queue_delay_s)
         self._worker.append(worker_id)
         self._exec.append(execution_time_s)
-        self._bd_create.append(create_s)
-        self._bd_pull.append(pull_s)
-        self._bd_install.append(install_s)
-        self._bd_rinit.append(runtime_init_s)
-        self._bd_finit.append(function_init_s)
-        self._bd_clean.append(clean_s)
+        self._breakdown.append(breakdown)
 
     def record_invocation(self, record: InvocationRecord) -> None:
         """Append one per-invocation record (row-oriented compatibility API)."""
-        b = record.breakdown
         self.record_invocation_values(
             record.invocation_id,
             record.function_name,
@@ -350,12 +340,7 @@ class Telemetry(Counters):
             record.cold_start,
             int(record.match),
             record.startup_latency_s,
-            b.create_s,
-            b.pull_s,
-            b.install_s,
-            b.runtime_init_s,
-            b.function_init_s,
-            b.clean_s,
+            record.breakdown,
             record.execution_time_s,
             record.queue_delay_s,
             record.worker_id,
@@ -426,21 +411,16 @@ class Telemetry(Counters):
                 cold_start=bool(cold),
                 match=_MATCH_MEMBERS[m],
                 startup_latency_s=lat,
-                breakdown=StartupBreakdown(
-                    create_s=c, pull_s=p, install_s=i,
-                    runtime_init_s=r, function_init_s=f, clean_s=cl,
-                ),
+                breakdown=breakdown,
                 execution_time_s=ex,
                 queue_delay_s=q,
                 worker_id=w,
             )
-            for inv, fn, arr, cid, cold, m, lat, q, w, ex, c, p, i, r, f, cl
+            for inv, fn, arr, cid, cold, m, lat, q, w, ex, breakdown
             in zip(
                 self._inv_id, self._fn_ix, self._arrival, self._cid,
                 self._cold, self._match, self._latency, self._queue_delay,
-                self._worker, self._exec, self._bd_create, self._bd_pull,
-                self._bd_install, self._bd_rinit, self._bd_finit,
-                self._bd_clean,
+                self._worker, self._exec, self._breakdown,
             )
         ]
         self._records_view = view
@@ -614,7 +594,7 @@ class BoundedTelemetry(Telemetry):
         """A new latency fold: the bounded sketch."""
         return QuantileSketch(self.relative_accuracy)
 
-    def _row_column(self, typecode: str):
+    def _row_column(self, typecode: Optional[str]):
         """A row column that keeps nothing."""
         return _DISCARD
 

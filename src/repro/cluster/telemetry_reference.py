@@ -50,22 +50,28 @@ class LegacyTelemetry:
         """Append one per-invocation record."""
         self.records.append(record)
 
-    def record_invocation_values(self, *values) -> None:
+    def record_invocation_values(
+        self,
+        invocation_id: int,
+        function_name: str,
+        arrival_time: float,
+        container_id: int,
+        cold_start: bool,
+        match: int,
+        startup_latency_s: float,
+        breakdown: StartupBreakdown,
+        execution_time_s: float,
+        queue_delay_s: float = 0.0,
+        worker_id: int = 0,
+    ) -> None:
         """Columnar-compatible ingest entry point: builds the row object.
 
         Mirrors :meth:`repro.cluster.telemetry.Telemetry.
         record_invocation_values` so the parity tests and the ingest
         benchmark can drive both implementations through one call shape;
-        the legacy cost -- constructing an :class:`InvocationRecord` (and
-        its breakdown) per event -- is exactly what the columnar path
-        eliminates.
+        the legacy cost -- constructing an :class:`InvocationRecord` per
+        event -- is exactly what the columnar path eliminates.
         """
-        (invocation_id, function_name, arrival_time, container_id,
-         cold_start, match, startup_latency_s, create_s, pull_s, install_s,
-         runtime_init_s, function_init_s, clean_s, execution_time_s,
-         *rest) = values
-        queue_delay_s = rest[0] if rest else 0.0
-        worker_id = rest[1] if len(rest) > 1 else 0
         self.records.append(InvocationRecord(
             invocation_id=invocation_id,
             function_name=function_name,
@@ -74,11 +80,7 @@ class LegacyTelemetry:
             cold_start=bool(cold_start),
             match=MatchLevel(match),
             startup_latency_s=startup_latency_s,
-            breakdown=StartupBreakdown(
-                create_s=create_s, pull_s=pull_s, install_s=install_s,
-                runtime_init_s=runtime_init_s, function_init_s=function_init_s,
-                clean_s=clean_s,
-            ),
+            breakdown=breakdown,
             execution_time_s=execution_time_s,
             queue_delay_s=queue_delay_s,
             worker_id=worker_id,

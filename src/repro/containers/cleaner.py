@@ -26,26 +26,33 @@ it never triggers under any schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from repro.containers.container import Container
 from repro.containers.image import FunctionImage
 from repro.containers.matching import MatchLevel, match_level
 from repro.containers.volumes import Volume, VolumeKind, VolumeStore
 
+# Aliases: an enum member read off its class costs a descriptor call.
+_NO_MATCH = MatchLevel.NO_MATCH
+_USER_DATA = VolumeKind.USER_DATA
+
 
 class SecurityViolation(RuntimeError):
     """A user-data volume would be exposed to a foreign function."""
 
 
-@dataclass(frozen=True)
-class CleanResult:
+class CleanResult(NamedTuple):
     """Outcome of a repack: what was unmounted/mounted and the match level."""
 
     match: MatchLevel
     unmounted: List[Volume]
     mounted: List[Volume]
+
+
+#: Builds a :class:`CleanResult` from one tuple without the keyword
+#: constructor (one C call per repack).
+_new_result = tuple.__new__
 
 
 class ContainerCleaner:
@@ -61,9 +68,10 @@ class ContainerCleaner:
 
     def initial_mount(self, container: Container, function_name: str) -> List[Volume]:
         """Mount the volume set for a freshly created (cold-start) container."""
-        needed, _ = self._store.plan(container.image, function_name)
+        store = self._store
+        needed, _ = store.plan(container.image, function_name)
         container.mounted_volumes = list(needed)
-        self._store.record_mount(len(needed))
+        store.mount_count += len(needed)
         return list(needed)
 
     def repack(
@@ -87,40 +95,35 @@ class ContainerCleaner:
             only repack reusable containers.
         """
         match = match_level(new_image, container.image)
-        if match is MatchLevel.NO_MATCH:
+        if match is _NO_MATCH:
             raise SecurityViolation(
                 f"container {container.container_id} has a different OS level; "
                 "repacking cannot change the writable layer"
             )
-        needed, needed_ids = self._store.plan(new_image, function_name)
+        store = self._store
+        needed, needed_ids = store.plan(new_image, function_name)
         current = container.mounted_volumes
         if current == needed:
             # Same-function reuse: every volume stays, in place.
             unmounted: List[Volume] = []
             mounted: List[Volume] = []
         else:
-            unmounted = [v for v in current if v.volume_id not in needed_ids]
-            kept = [v for v in current if v.volume_id in needed_ids]
+            kept = []
+            unmounted = []
+            for v in current:
+                (kept if v.volume_id in needed_ids else unmounted).append(v)
             kept_ids = {v.volume_id for v in kept}
             mounted = [v for v in needed if v.volume_id not in kept_ids]
             container.mounted_volumes = kept + mounted
+            store.unmount_count += len(unmounted)
+            store.mount_count += len(mounted)
         container.image = new_image
-        self._store.record_unmount(len(unmounted))
-        self._store.record_mount(len(mounted))
         self.repack_count += 1
-
-        self._verify_isolation(container, function_name)
-        return CleanResult(match=match, unmounted=unmounted, mounted=mounted)
-
-    @staticmethod
-    def _verify_isolation(container: Container, function_name: str) -> None:
-        """Post-condition: only the new function's user data is mounted."""
+        # Post-condition: only the new function's user data is mounted.
         for vol in container.mounted_volumes:
-            if (
-                vol.kind is VolumeKind.USER_DATA
-                and vol.owner_function != function_name
-            ):
+            if vol.kind is _USER_DATA and vol.owner_function != function_name:
                 raise SecurityViolation(
                     f"user-data volume of {vol.owner_function!r} still mounted "
                     f"while repacking for {function_name!r}"
                 )
+        return _new_result(CleanResult, (match, unmounted, mounted))

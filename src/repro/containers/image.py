@@ -29,8 +29,9 @@ class FunctionImage:
         warm-pool capacity accounting.
 
     The interned per-level fingerprint tuple of :attr:`packages` is cached
-    on the instance as :attr:`fingerprints` at construction; the Table-I
-    matcher and the warm-pool match index key on it.
+    on the instance as :attr:`fingerprints` at construction, and its
+    ``(L1, L2)`` prefix as :attr:`l2_key`; the Table-I matcher and the
+    warm-pool match index key on them.
     """
 
     name: str
@@ -44,21 +45,28 @@ class FunctionImage:
             raise ValueError("memory_mb must be >= 0")
         if not self.packages.os_packages:
             raise ValueError(f"image {self.name!r} has no OS-level package")
-        # Cached as a plain attribute (not a property) so the matcher's hot
-        # path pays a single dict lookup per image.
-        object.__setattr__(self, "fingerprints", self.packages.level_fingerprints)
+        self._cache_fingerprints()
+
+    def _cache_fingerprints(self) -> None:
+        """Cache the fingerprints and their L2 prefix as plain attributes
+        (not properties), so the matcher and the pool index pay a single
+        dict lookup per read and never slice a key."""
+        fingerprints = self.packages.level_fingerprints
+        object.__setattr__(self, "fingerprints", fingerprints)
+        object.__setattr__(self, "l2_key", fingerprints[:2])
 
     def __getstate__(self):
         """Pickle without the cached fingerprints (process-local ids)."""
         state = dict(self.__dict__)
         state.pop("fingerprints", None)
+        state.pop("l2_key", None)
         return state
 
     def __setstate__(self, state) -> None:
         """Restore fields and re-derive fingerprints in this process."""
         for key, value in state.items():
             object.__setattr__(self, key, value)
-        object.__setattr__(self, "fingerprints", self.packages.level_fingerprints)
+        self._cache_fingerprints()
 
     @classmethod
     def from_packages(

@@ -52,9 +52,12 @@ from repro.schedulers.base import COLD, PoolDecision
 from repro.workloads.functions import FunctionSpec
 from repro.workloads.workload import Invocation
 
+# Aliases: an enum member read off its class costs a descriptor call.
+_NO_MATCH, _L1, _L2, _L3 = (
+    MatchLevel.NO_MATCH, MatchLevel.L1, MatchLevel.L2, MatchLevel.L3)
+
 #: Levels in ranking order; each index bucket holds its level and deeper.
-_RANK_LEVELS = (MatchLevel.L3, MatchLevel.L2, MatchLevel.L1,
-                MatchLevel.NO_MATCH)
+_RANK_LEVELS = (_L3, _L2, _L1, _NO_MATCH)
 
 # Feature-scaling constants: chosen so typical values land in ~[0, 3].
 _LATENCY_SCALE = 0.1     # seconds -> tenths of ten-seconds
@@ -86,7 +89,7 @@ class EncodedState:
             return COLD
         container = self.slot_containers[action]
         match = self.slot_matches[action]
-        if container is None or not match.is_reusable:
+        if container is None or match is _NO_MATCH:
             return COLD
         return container, int(match), False, ()
 
@@ -202,7 +205,7 @@ class StateEncoder:
         # least as deep as level m (precomputed once per decision point).
         redundancy_suffix = np.cumsum(depth_counts[::-1])[::-1]
         cold_latency = cost_model.latency_s(
-            spec.image, MatchLevel.NO_MATCH, spec.function_init_s
+            spec.image, _NO_MATCH, spec.function_init_s
         )
         global_part = self._global_features(
             pool, spec, interval, depth_counts, cold_latency
@@ -211,12 +214,12 @@ class StateEncoder:
         mask = np.zeros(self.action_dim, dtype=bool)
         mask[-1] = True  # cold start is always allowed
         slot_containers: List[Optional[Container]] = [None] * self.n_slots
-        slot_matches: List[MatchLevel] = [MatchLevel.NO_MATCH] * self.n_slots
+        slot_matches: List[MatchLevel] = [_NO_MATCH] * self.n_slots
         for slot, (container, match) in enumerate(ranked):
             # Idle containers matching at least as deep as this one, besides
             # itself: >0 means taking this container costs nothing.
             redundancy = float(redundancy_suffix[int(match)] - 1)
-            if match.is_reusable:
+            if match is not _NO_MATCH:
                 reuse_latency = cost_model.latency_s(
                     spec.image, match, spec.function_init_s
                 )
@@ -228,15 +231,15 @@ class StateEncoder:
             )
             slot_containers[slot] = container
             slot_matches[slot] = match
-            if match.is_reusable:
+            if match is not _NO_MATCH:
                 mask[slot] = True
 
         # Dominance rule on top of the paper's mask: when a full (L3) match
         # is visible, shallower reuses are filtered out -- the L3 reuse is
         # both the cheapest start and destroys no warm state.
-        if MatchLevel.L3 in slot_matches:
+        if _L3 in slot_matches:
             for slot, match in enumerate(slot_matches):
-                if match.is_reusable and match is not MatchLevel.L3:
+                if match is not _NO_MATCH and match is not _L3:
                     mask[slot] = False
 
         state = np.concatenate([global_part, slot_parts.reshape(-1)])
@@ -339,7 +342,7 @@ class StateEncoder:
                     reuse_latency * _LATENCY_SCALE,
                     saving * _LATENCY_SCALE,
                     np.log1p(container.idle_duration(now)),
-                    container.memory_mb * _MEMORY_SCALE,
+                    container.image.memory_mb * _MEMORY_SCALE,
                     # What a repack would throw away: the container's current
                     # runtime payload (the Fig. 2 "keep the good container
                     # for later" signal).

@@ -28,6 +28,9 @@ from repro.schedulers.base import LendRequest, PoolDecision
 from repro.schedulers.greedy import GreedyMatchScheduler
 from repro.workloads.workload import Invocation
 
+# Aliases: an enum member read off its class costs a descriptor call.
+_NO_MATCH, _L1, _L3 = MatchLevel.NO_MATCH, MatchLevel.L1, MatchLevel.L3
+
 
 class PagurusLendingScheduler(GreedyMatchScheduler):
     """Greedy multi-level reuse plus idle-container lending.
@@ -69,7 +72,7 @@ class PagurusLendingScheduler(GreedyMatchScheduler):
         when the hit was inexact and a donor is available."""
         decision = super().decide_pool(pool, invocation, cost_model)
         container, match, preserve, _ = decision
-        if self._lends_used >= self.lend_budget or match == MatchLevel.L3:
+        if self._lends_used >= self.lend_budget or match == _L3:
             # Exact hit: nothing to improve for this function right now.
             return decision
         spec = invocation.spec
@@ -102,8 +105,8 @@ class PagurusLendingScheduler(GreedyMatchScheduler):
         strictly deeper level.
         """
         best: Optional[Container] = None
-        best_level = MatchLevel.NO_MATCH
-        candidates = pool.match_candidates(image, MatchLevel.L1)
+        best_level = _NO_MATCH
+        candidates = pool.match_candidates(image, _L1)
         candidates.sort(key=_mru_key)
         for candidate in candidates:
             if candidate is claimed:

@@ -26,7 +26,8 @@ from repro.containers.matching import MatchLevel, match_level
 from repro.schedulers.base import COLD, PoolDecision, Scheduler
 from repro.workloads.workload import Invocation, Workload
 
-_NO_MATCH = MatchLevel.NO_MATCH
+# Aliases: an enum member read off its class costs a descriptor call.
+_NO_MATCH, _L1 = MatchLevel.NO_MATCH, MatchLevel.L1
 
 
 class LookaheadScheduler(Scheduler):
@@ -64,7 +65,7 @@ class LookaheadScheduler(Scheduler):
         (greatest ``(last_used_at, container_id)``)."""
         scored = [
             (c, match_level(image, c.image))
-            for c in pool.match_candidates(image, MatchLevel.L1)
+            for c in pool.match_candidates(image, _L1)
         ]
         scored.sort(key=lambda cm: (cm[1], _mru_key(cm[0])), reverse=True)
         return scored

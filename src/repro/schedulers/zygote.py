@@ -105,7 +105,7 @@ class ZygoteScheduler(Scheduler):
                 )
             if not covers:
                 continue
-            key = (c.memory_mb, c.container_id)
+            key = (c.image.memory_mb, c.container_id)
             if best_key is None or key < best_key:
                 best_key = key
                 best = c

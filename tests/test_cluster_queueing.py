@@ -47,13 +47,13 @@ class TestEventLoop:
 
     def test_sweep_runs_once_per_pop_after_advance(self):
         seen = []
-        loop = EventLoop(sweep=seen.append)
+        loop = EventLoop()
         loop.schedule(1.0)
         loop.schedule(4.0)
-        loop.pop_next()
-        loop.pop_next()
+        loop.pop_next(seen.append)
+        loop.pop_next(seen.append)
         assert seen == [1.0, 4.0]
-        loop.pop_next()  # empty queue: no sweep
+        loop.pop_next(seen.append)  # empty queue: no sweep
         assert seen == [1.0, 4.0]
 
     def test_len_and_peek(self):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.telemetry import Telemetry
 from repro.cluster.telemetry_reference import LegacyTelemetry
+from repro.containers.costmodel import StartupBreakdown
 from repro.verify.trace import TraceLine
 
 FUNCTION_NAMES = ("alpha", "beta", "gamma", "delta-9", "f")
@@ -33,7 +34,8 @@ event_strategy = st.tuples(
     st.booleans(),                                  # cold_start
     st.integers(min_value=0, max_value=3),          # match level
     finite,                                         # startup_latency_s
-    finite, finite, finite, finite, finite, finite,  # breakdown phases
+    st.builds(StartupBreakdown, finite, finite, finite, finite, finite,
+              finite),                              # breakdown phases
     finite,                                         # execution_time_s
     finite,                                         # queue_delay_s
     st.integers(min_value=0, max_value=7),          # worker_id
@@ -149,7 +151,7 @@ def test_peak_warm_memory_parity(samples):
 def test_records_view_is_cached_and_invalidates():
     telemetry = Telemetry()
     event = (1, "f", 0.0, 7, True, 2, 0.4,
-             0.1, 0.1, 0.1, 0.05, 0.05, 0.0, 1.0, 0.0, 0)
+             StartupBreakdown(0.1, 0.1, 0.1, 0.05, 0.05, 0.0), 1.0, 0.0, 0)
     telemetry.record_invocation_values(*event)
     first = telemetry.records
     assert telemetry.records is first          # cached

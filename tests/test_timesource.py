@@ -75,11 +75,10 @@ class TestWallClock:
 class TestEventLoopClock:
     def test_advance_to_runs_sweep_and_observer(self):
         calls = []
-        loop = EventLoop(
-            sweep=lambda now: calls.append(("sweep", now)),
-            observer=lambda kind, t: calls.append((kind, t)),
-        )
-        assert loop.advance_to(4.0) == 4.0
+        loop = EventLoop(observer=lambda kind, t: calls.append((kind, t)))
+        assert loop.advance_to(
+            4.0, lambda now: calls.append(("sweep", now))
+        ) == 4.0
         assert loop.now == 4.0
         assert ("advance", 4.0) in calls
         assert ("sweep", 4.0) in calls

@@ -172,8 +172,8 @@ def test_capacity_fires_on_foreign_hosting(finished_sim):
 
 def test_pool_index_fires_on_dropped_index_entry(finished_sim):
     pool = finished_sim.pool
-    cid, shard_index = next(iter(pool._shard_of.items()))
-    del pool._shards[shard_index]._index_keys[cid]
+    cid = pool.containers()[0].container_id
+    del pool.shard_of(cid)._index_keys[cid]
     with pytest.raises(InvariantViolation, match=r"\[pool-index\]"):
         finished_sim.verifier.checkpoint()
 

@@ -27,6 +27,7 @@ from repro.cluster.simulator import (
     SimulationConfig,
     SimulationResult,
 )
+from repro.containers.costmodel import StartupCostModel
 from repro.core.config import MLCRConfig
 from repro.core.mlcr import MLCRScheduler, train_mlcr_scheduler
 from repro.core.persistence import save_scheduler
@@ -143,6 +144,12 @@ def pool_sizes(workload: Workload) -> Dict[str, float]:
 # Sequential evaluation
 # ---------------------------------------------------------------------------
 
+#: The default-params cost model every sequential cell prices with: its
+#: memo keeps each breakdown priced once per process, as a lane table's
+#: model does for its lanes (prices are pure, so sharing it changes none).
+_SHARED_COST_MODEL = StartupCostModel()
+
+
 def evaluate_scheduler(
     scheduler: Scheduler,
     workload: Workload,
@@ -155,7 +162,9 @@ def evaluate_scheduler(
     if hasattr(scheduler, "observe_workload"):
         scheduler.observe_workload(workload)
     sim = ClusterSimulator(
-        SimulationConfig(pool_capacity_mb=capacity_mb),
+        SimulationConfig(
+            pool_capacity_mb=capacity_mb, cost_model=_SHARED_COST_MODEL
+        ),
         scheduler.make_eviction_policy(),
     )
     result = sim.run(workload, scheduler)

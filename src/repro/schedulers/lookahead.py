@@ -9,14 +9,23 @@ estimate of how much headroom exists beyond Greedy-Match, which bounds what
 the DRL scheduler can hope to learn.
 
 A decision finds its horizon through an ``invocation_id -> position`` index
-built once per workload, prices each upcoming arrival once, and scores each
-distinct candidate image once: a candidate's score depends only on its
-image, so only the first container of an image in scan order can win.
+built once per workload and scores each distinct candidate image once: a
+candidate's score depends only on its image, so only the first container of
+an image in scan order can win.  Savings are priced once per run, not once
+per decision: the saving an upcoming function gets from a container holding
+image X is a pure function of the two images, the function's init time and
+the cost model, so the scheduler memoizes it in rows keyed by X's
+fingerprints, each indexed by a small integer that :meth:`observe_workload`
+gives every distinct ``(image, function_init_s)`` among the arrivals.  The
+memo is per instance and per run: ``reset``, ``observe_workload`` and a
+decision priced by a different cost model start it afresh, and it is not
+pickled (fingerprints are process-local).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from operator import attrgetter, itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.pool import _mru_key
 from repro.containers.container import Container
@@ -28,6 +37,9 @@ from repro.workloads.workload import Invocation, Workload
 
 # Aliases: an enum member read off its class costs a descriptor call.
 _NO_MATCH, _L1 = MatchLevel.NO_MATCH, MatchLevel.L1
+# ``_mru_key`` and a scan entry's level, read without a Python call.
+_recency = attrgetter("last_used_at", "container_id")
+_level = itemgetter(0)
 
 
 class LookaheadScheduler(Scheduler):
@@ -39,21 +51,41 @@ class LookaheadScheduler(Scheduler):
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
         self.horizon = horizon
-        self._future: List[Invocation] = []
-        self._position: Dict[int, int] = {}
+        self.reset()
 
     def observe_workload(self, workload: Workload) -> None:
         """Give the scheduler clairvoyant access to the arrival stream."""
+        self.reset()
         self._future = list(workload.invocations)
-        self._position = {}
+        keys: Dict[tuple, int] = {}
         for i, inv in enumerate(self._future):
             # A repeated id keeps its first position.
             self._position.setdefault(inv.invocation_id, i)
+            spec = inv.spec
+            image, init = spec.image, spec.function_init_s
+            key = keys.setdefault((image.fingerprints, init), len(keys))
+            self._arrivals.append((key, image, init, inv.arrival_time))
+        self._n_keys = len(keys)
 
     def reset(self) -> None:
         """Clear per-run state."""
-        self._future = []
-        self._position = {}
+        self._future: List[Invocation] = []
+        self._position: Dict[int, int] = {}
+        # Per position of ``_future``: (saving key, image, init, arrival),
+        # the key numbering the distinct (image, init) pairs 0.._n_keys-1.
+        self._arrivals: List[Tuple[int, FunctionImage, float, float]] = []
+        self._n_keys = 0
+        # Held-image fingerprints -> savings indexed by key (None until
+        # priced), and the cost model that priced them.
+        self._savings: Dict[tuple, List[Optional[float]]] = {}
+        self._priced_by = None
+
+    def __getstate__(self) -> dict:
+        """Pickle without the savings memo (fingerprint keys are
+        process-local)."""
+        state = self.__dict__.copy()
+        state["_savings"], state["_priced_by"] = {}, None
+        return state
 
     # -- decision logic -------------------------------------------------------
     @staticmethod
@@ -80,53 +112,70 @@ class LookaheadScheduler(Scheduler):
         An upcoming arrival that lands while the container is busy
         (startup plus execution) forfeits its whole as-is saving; a later
         one forfeits only how much more that is than its saving from the
-        container repacked to this image.  Each upcoming arrival's cold
-        latency and repacked saving are priced once per decision.  Scans
-        :meth:`candidates` in order, scoring only the first container of
-        each distinct image; a later candidate wins only with a strictly
-        better score.
+        container repacked to this image.  Both savings come from the
+        per-run memo, so each (upcoming function, held image) pair is
+        priced once per run, not once per decision.  Scores the first
+        container of each distinct image in :meth:`candidates` order --
+        the image's most recently used one; images deepest level first,
+        then by that container's recency -- and a later image wins only
+        with a strictly better score.
         """
         spec = invocation.spec
         image = spec.image
-        finit = spec.function_init_s
+        containers = pool.match_candidates(image, _L1)
+        if not containers:
+            return COLD
+        containers.sort(key=_recency, reverse=True)
+        firsts = {}
+        for container in containers:
+            firsts.setdefault(container.image.fingerprints, container)
+        scan = [(match_level(image, c.image), fingerprints, c)
+                for fingerprints, c in firsts.items()]
+        # Stable: each level keeps the recency order.
+        scan.sort(key=_level, reverse=True)
+        if cost_model is not self._priced_by:
+            self._savings = {}
+            self._priced_by = cost_model
+        savings = self._savings
         latency_s = cost_model.latency_s
-        cold_latency = latency_s(image, _NO_MATCH, finit)
+        finit = spec.function_init_s
+        idx = self._position.get(invocation.invocation_id)
         window = []
-        for inv in self._upcoming(invocation):
-            up, up_init = inv.spec.image, inv.spec.function_init_s
-            up_cold = latency_s(up, _NO_MATCH, up_init)
-            repack = match_level(up, image)
-            repacked = (
-                0.0 if repack is _NO_MATCH
-                else up_cold - latency_s(up, repack, up_init)
-            )
-            window.append((up, up_init, inv.arrival_time, up_cold, repacked))
+        if idx is not None:
+            mine = savings.get(image.fingerprints)
+            if mine is None:
+                mine = savings[image.fingerprints] = [None] * self._n_keys
+            for key, up, up_init, arrival in (
+                self._arrivals[idx + 1 : idx + 1 + self.horizon]
+            ):
+                repacked = mine[key]
+                if repacked is None:
+                    repacked = mine[key] = _saving(
+                        up, up_init, image, latency_s)
+                window.append((key, up, up_init, arrival, repacked))
+        cold_latency = latency_s(image, _NO_MATCH, finit)
         best = COLD
         best_score = 0.0  # score of cold start: zero net saving
-        seen_images = set()
-        for container, level in self.candidates(pool, image):
+        for level, fingerprints, container in scan:
             held = container.image
-            if held.fingerprints in seen_images:
-                continue
-            seen_images.add(held.fingerprints)
+            row = savings.get(fingerprints)
+            if row is None:
+                row = savings[fingerprints] = [None] * self._n_keys
             my_latency = latency_s(image, level, finit)
             busy_until = (
                 invocation.arrival_time + my_latency
                 + invocation.execution_time_s
             )
-            worst = 0.0
-            for up, up_init, arrival, up_cold, repacked in window:
-                match = match_level(up, held)
-                if match is _NO_MATCH:
-                    continue
-                as_is = up_cold - latency_s(up, match, up_init)
+            worst = 0.0  # so a negative loss counts as 0.0
+            for key, up, up_init, arrival, repacked in window:
+                as_is = row[key]
+                if as_is is None:
+                    as_is = row[key] = _saving(up, up_init, held, latency_s)
                 if as_is <= 0:
                     continue
-                if arrival < busy_until:
-                    loss = as_is
-                else:
-                    loss = max(0.0, as_is - repacked)
-                worst = max(worst, loss)
+                loss = as_is if arrival < busy_until else as_is - repacked
+                if loss > worst:
+                    worst = loss
             score = (cold_latency - my_latency) - worst
             if score > best_score:
                 best_score = score
@@ -140,3 +189,15 @@ class LookaheadScheduler(Scheduler):
         if idx is None:
             return []
         return self._future[idx + 1 : idx + 1 + self.horizon]
+
+
+def _saving(
+    up: FunctionImage, up_init: float, held: FunctionImage, latency_s
+) -> float:
+    """The startup saving of a function with image ``up`` and init time
+    ``up_init`` from a container holding ``held``: its cold latency minus
+    its latency at their match level, or 0.0 when nothing matches."""
+    match = match_level(up, held)
+    if match is _NO_MATCH:
+        return 0.0
+    return latency_s(up, _NO_MATCH, up_init) - latency_s(up, match, up_init)

@@ -19,7 +19,8 @@ reused / wasted) measures the forecaster's hit rate.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.cluster.eviction import EvictionPolicy, RejectNewcomerEviction
 from repro.containers.container import Container
@@ -38,7 +39,9 @@ class ArrivalForecaster:
 
     ``observe(fn, t)`` folds one arrival in; ``predict_next(fn)`` returns
     the forecast next-arrival time (last arrival plus the smoothed gap),
-    or ``None`` before two arrivals have been seen.  The prediction is
+    or ``None`` before two arrivals have been seen.  The forecast is
+    computed once per arrival, when it changes; :meth:`forecasts` is a
+    read-only view of every current one.  The prediction is
     shift-equivariant: shifting every observed arrival time by a constant
     shifts every prediction by the same constant (gaps are differences).
     """
@@ -49,6 +52,7 @@ class ArrivalForecaster:
         self.alpha = alpha
         self._last: Dict[str, float] = {}
         self._ewma_gap: Dict[str, float] = {}
+        self._next: Dict[str, float] = {}
 
     def observe(self, function_name: str, arrival_time: float) -> None:
         """Fold one arrival of ``function_name`` at ``arrival_time``."""
@@ -56,25 +60,26 @@ class ArrivalForecaster:
         if last is not None:
             gap = arrival_time - last
             prev = self._ewma_gap.get(function_name)
-            if prev is None:
-                self._ewma_gap[function_name] = gap
-            else:
-                self._ewma_gap[function_name] = (
-                    self.alpha * gap + (1.0 - self.alpha) * prev
-                )
+            if prev is not None:
+                gap = self.alpha * gap + (1.0 - self.alpha) * prev
+            self._ewma_gap[function_name] = gap
+            self._next[function_name] = arrival_time + gap
         self._last[function_name] = arrival_time
 
     def predict_next(self, function_name: str) -> Optional[float]:
         """Forecast next-arrival time; None before two observations."""
-        gap = self._ewma_gap.get(function_name)
-        if gap is None:
-            return None
-        return self._last[function_name] + gap
+        return self._next.get(function_name)
+
+    def forecasts(self) -> Mapping[str, float]:
+        """Read-only live view ``function name -> forecast next-arrival
+        time`` of every function seen at least twice."""
+        return MappingProxyType(self._next)
 
     def reset(self) -> None:
         """Forget every observation."""
         self._last.clear()
         self._ewma_gap.clear()
+        self._next.clear()
 
 
 class MPCScheduler(ExactMatchScheduler):
@@ -153,25 +158,43 @@ class MPCScheduler(ExactMatchScheduler):
     def _plan(
         self, pool, invocation: Invocation, claimed: Optional[Container]
     ) -> Tuple[PrewarmRequest, ...]:
-        """Pre-warm requests for functions forecast inside the horizon."""
+        """Pre-warm requests for functions forecast inside the horizon.
+
+        Walks the registered functions in first-seen order and plans one
+        pre-warm for each function other than the invoked one whose
+        forecast lies in ``(now, now + horizon_s]``, that was not already
+        pre-warmed for that forecast, and that has no idle exact match
+        other than ``claimed`` (which this decision takes out of the pool).
+        Stops once the plan holds ``prewarm_budget`` requests (at least
+        one: :meth:`decide_pool` does not plan with a zero budget).  The
+        exact-match test is O(1): the most recent exact match, and the
+        full list only when that one is ``claimed``.
+        """
         now = invocation.arrival_time
         deadline = now + self.horizon_s
+        current = invocation.spec.name
+        budget = self.prewarm_budget
+        forecasts = self.forecaster.forecasts()
+        prewarmed_for = self._prewarmed_for
         plan = []
         for fn, image in self._images.items():
-            if len(plan) >= self.prewarm_budget:
-                break
-            if fn == invocation.spec.name:
+            predicted = forecasts.get(fn)
+            if predicted is None or not (now < predicted <= deadline):
+                continue
+            if fn == current:
                 # The container this very decision starts (or claims) will
                 # serve the function's next arrival if keep-alive holds it.
                 continue
-            predicted = self.forecaster.predict_next(fn)
-            if predicted is None or not (now < predicted <= deadline):
+            if prewarmed_for.get(fn) == predicted:
                 continue
-            if self._prewarmed_for.get(fn) == predicted:
-                continue
-            if any(c is not claimed for c in pool.exact_matches(image)):
+            held = pool.best_exact(image)
+            if held is not None and (
+                held is not claimed or len(pool.exact_matches(image)) > 1
+            ):
                 # An idle exact match stays pooled past this decision.
                 continue
             plan.append(PrewarmRequest(image=image, function_name=fn))
-            self._prewarmed_for[fn] = predicted
+            prewarmed_for[fn] = predicted
+            if len(plan) == budget:
+                break
         return tuple(plan)

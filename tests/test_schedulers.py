@@ -1,5 +1,6 @@
 """Unit tests for the baseline scheduling policies."""
 
+import pickle
 import random
 
 import pytest
@@ -9,8 +10,8 @@ from repro.cluster.eviction import (
     LRUEviction,
     RejectNewcomerEviction,
 )
-from repro.cluster.pool import PoolSet
-from repro.containers.costmodel import StartupCostModel
+from repro.cluster.pool import PoolSet, WarmPool
+from repro.containers.costmodel import CostModelParams, StartupCostModel
 from repro.containers.matching import MatchLevel, match_level
 from repro.schedulers import (
     ColdOnlyScheduler,
@@ -21,7 +22,8 @@ from repro.schedulers import (
     LRUScheduler,
     PagurusLendingScheduler,
 )
-from repro.schedulers.base import COLD, LendRequest
+from repro.schedulers.base import COLD, LendRequest, PrewarmRequest
+from repro.schedulers.mpc import MPCScheduler
 from repro.workloads.fstartbench import build_workload
 from repro.workloads.workload import Workload
 
@@ -237,9 +239,102 @@ class TestLookahead:
             )
         assert all(outcomes.values()), outcomes
 
+    def test_memo_follows_the_cost_model(self):
+        """One scheduler deciding with two cost models of different
+        parameters, alternately, returns each model's reference decision:
+        savings priced under one model are never read under the other."""
+        workload = build_workload("Overall", seed=5)
+        images = [spec.image for spec in workload.function_specs()]
+        scheduler = LookaheadScheduler(horizon=8)
+        scheduler.observe_workload(workload)
+        models = (
+            StartupCostModel(),
+            StartupCostModel(CostModelParams(
+                create_s=2.0, bandwidth_mb_per_s=10.0, clean_s=0.5,
+                warm_runtime_factor=0.9)),
+        )
+        rng = random.Random(5)
+        differ = 0
+        for step, inv in enumerate(workload.invocations[:150]):
+            pool = _random_lookahead_pool(rng, images, inv.spec.image)
+            wants = [
+                _decision_key(_reference_decide(
+                    workload.invocations, 8, pool, inv, model))
+                for model in models
+            ]
+            differ += wants[0] != wants[1]
+            for m in ((0, 1) if step % 2 else (1, 0)):
+                got = scheduler.decide_pool(pool, inv, models[m])
+                assert _decision_key(got) == wants[m]
+        assert differ
+
+    def test_memo_is_not_pickled(self):
+        """The savings memo is keyed by process-local fingerprints, so a
+        pickled scheduler carries none and re-prices after unpickling."""
+        inv_now, _, workload = self._two_arrival_workload()
+        scheduler = LookaheadScheduler(horizon=4)
+        scheduler.observe_workload(workload)
+        ctx = make_ctx(inv_now, idle_containers=[make_container(1)])
+        decision = scheduler.decide(ctx)
+        assert scheduler._savings
+        clone = pickle.loads(pickle.dumps(scheduler))
+        assert clone._savings == {} and clone._priced_by is None
+        assert _decision_key(clone.decide(ctx)) == _decision_key(decision)
+
+    def test_same_name_specs_match_reference(self):
+        """Specs sharing a name but not an image or init time are priced
+        apart (the memo is keyed by image and init time, not by name)."""
+        numpy = make_image("n", runtime_names=("numpy",))
+        specs = [
+            make_spec(func_id=1, name="dup", image=make_image("f"),
+                      function_init_s=0.1),
+            make_spec(func_id=2, name="dup", image=numpy,
+                      function_init_s=3.0),
+            make_spec(func_id=3, name="dup", image=make_image("f"),
+                      function_init_s=4.0),
+            make_spec(func_id=4, name="other",
+                      image=make_image("p", runtime_names=("pandas",)),
+                      function_init_s=0.5),
+        ]
+        rng = random.Random(11)
+        invocations = [
+            make_invocation(rng.choice(specs), i, arrival_time=i * 0.7,
+                            execution_time_s=rng.choice((0.2, 5.0)))
+            for i in range(120)
+        ]
+        workload = Workload.from_invocations("dup", invocations)
+        images = [spec.image for spec in specs]
+        scheduler = LookaheadScheduler(horizon=6)
+        scheduler.observe_workload(workload)
+        model = StartupCostModel()
+        warm = 0
+        for inv in workload.invocations:
+            pool = _random_lookahead_pool(rng, images, inv.spec.image)
+            got = scheduler.decide_pool(pool, inv, model)
+            want = _reference_decide(workload.invocations, 6, pool, inv,
+                                     StartupCostModel())
+            assert _decision_key(got) == _decision_key(want)
+            warm += got[0] is not None
+        assert 0 < warm < len(invocations)
+
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             LookaheadScheduler(horizon=-1)
+
+
+def _random_lookahead_pool(rng, images, image):
+    """A two-shard idle pool of up to 10 random images, up to two
+    containers of ``image`` and a same-image run, tied on
+    ``last_used_at``."""
+    pool = PoolSet(float("inf"), n_shards=2)
+    drawn = [rng.choice(images) for _ in range(rng.randint(0, 10))]
+    drawn += [image] * rng.randint(0, 2)
+    drawn += [rng.choice(images)] * 3
+    for cid, held in enumerate(drawn):
+        pool.add(make_container(cid, image=held,
+                                last_used_at=float(rng.randint(0, 1))),
+                 shard_index=cid)
+    return pool
 
 
 def _reference_upcoming(future, current, horizon):
@@ -318,6 +413,99 @@ def _decision_key(decision):
         None if container is None else container.container_id,
         match, preserve_image, actions,
     )
+
+
+class TestMPCPlan:
+    @pytest.mark.parametrize("budget", [1, 2])
+    @pytest.mark.parametrize("n_shards", [0, 2])  # 0: a lane's WarmPool
+    def test_plan_matches_straight_line_rule(self, budget, n_shards):
+        """``_plan`` returns (and records) what the straight-line rule does
+        at every arrival -- a per-decision forecast and the idle
+        exact-match test as ``any(c is not claimed for c in
+        exact_matches(image))`` -- over random pools where two functions
+        share an image, so the claimed container is sometimes another
+        function's only exact match and sometimes one of two."""
+        flask = make_image("f")
+        numpy = make_image("n", runtime_names=("numpy",))
+        images = [flask, numpy,
+                  make_image("p", runtime_names=("pandas",)),
+                  make_image("e", lang_name="nodejs",
+                             runtime_names=("express",))]
+        specs = [make_spec(func_id=i, name=f"fn{i}", image=image)
+                 for i, image in enumerate(
+                     [flask, numpy, numpy, images[2], images[3], flask])]
+        alpha, horizon_s = 0.3, 6.0
+        scheduler = MPCScheduler(horizon_s=horizon_s, prewarm_budget=budget,
+                                 alpha=alpha)
+        model = StartupCostModel()
+        rng = random.Random(budget * 10 + n_shards)
+        registered, last, gap, forecast = {}, {}, {}, {}
+        seen = {"claimed_only": 0, "claimed_of_two": 0, "full_plan": 0}
+        now = 0.0
+        for i in range(400):
+            now += rng.uniform(0.1, 3.0)
+            inv = make_invocation(rng.choice(specs), i, arrival_time=now)
+            fn = inv.spec.name
+            registered[fn] = inv.spec.image
+            if fn in last:
+                step = now - last[fn]
+                gap[fn] = step if fn not in gap else (
+                    alpha * step + (1.0 - alpha) * gap[fn])
+                forecast[fn] = now + gap[fn]
+            last[fn] = now
+            pool = _random_mpc_pool(rng, images, inv.spec.image, n_shards)
+            prewarmed_for = dict(scheduler._prewarmed_for)
+            decision = scheduler.decide_pool(pool, inv, model)
+            want = _reference_plan(
+                registered, forecast, prewarmed_for, budget, horizon_s,
+                pool, inv, decision[0], seen)
+            assert decision[3] == want
+            assert scheduler._prewarmed_for == prewarmed_for
+            seen["full_plan"] += len(want) == budget
+        assert all(seen.values()), seen
+
+
+def _random_mpc_pool(rng, images, image, n_shards):
+    """A ``WarmPool`` (``n_shards == 0``) or ``PoolSet`` of up to six
+    random images plus up to two containers of ``image``, tied on
+    ``last_used_at``."""
+    pool = (WarmPool(float("inf")) if n_shards == 0
+            else PoolSet(float("inf"), n_shards=n_shards))
+    drawn = [rng.choice(images) for _ in range(rng.randint(0, 6))]
+    drawn += [image] * rng.randint(0, 2)
+    for cid, held in enumerate(drawn):
+        pool.add(make_container(cid, image=held,
+                                last_used_at=float(rng.randint(0, 1))),
+                 shard_index=cid)
+    return pool
+
+
+def _reference_plan(registered, forecast, prewarmed_for, budget, horizon_s,
+                    pool, invocation, claimed, seen):
+    """MPC's planning step written straight: the budget checked before
+    each function, the full exact-match list built for each."""
+    now = invocation.arrival_time
+    deadline = now + horizon_s
+    plan = []
+    for fn, image in registered.items():
+        if len(plan) >= budget:
+            break
+        if fn == invocation.spec.name:
+            continue
+        predicted = forecast.get(fn)
+        if predicted is None or not (now < predicted <= deadline):
+            continue
+        if prewarmed_for.get(fn) == predicted:
+            continue
+        exact = pool.exact_matches(image)
+        if any(c is claimed for c in exact):
+            seen["claimed_only"] += len(exact) == 1
+            seen["claimed_of_two"] += len(exact) == 2
+        if any(c is not claimed for c in exact):
+            continue
+        plan.append(PrewarmRequest(image=image, function_name=fn))
+        prewarmed_for[fn] = predicted
+    return tuple(plan)
 
 
 class TestLendingDonor:

@@ -7,6 +7,9 @@
 * **Call budget.**  The Python-level function calls the sequential engine
   makes per invocation on one fixed grid cell stay under a ceiling, so a
   change that adds a hop to the per-invocation path shows up here.
+* **Lookahead's decision budget.**  The calls one Lookahead decision
+  makes stay under a ceiling, so a change that re-prices savings per
+  decision shows up here.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ import weakref
 
 from repro.cluster.lanes import ArrivalTable, LaneKernel, LaneSpec
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
+from repro.experiments.common import pool_sizes
 from repro.schedulers.greedy import GreedyMatchScheduler
 from repro.schedulers.keepalive import KeepAliveScheduler
+from repro.schedulers.lookahead import LookaheadScheduler
 from repro.workloads.fstartbench import build_workload
 
 #: Python ``call`` events per invocation of ``ClusterSimulator.run`` on
@@ -26,6 +31,13 @@ from repro.workloads.fstartbench import build_workload
 #: the per-invocation path was cut (Python 3.11); it was 56.9 before.
 #: The ceiling leaves about 3 % of headroom.
 CALL_BUDGET = 40.0
+
+#: Python ``call`` events per ``LookaheadScheduler.decide_pool`` call on
+#: the Lookahead budget cell (Overall at seed 0, Tight capacity), the
+#: decision's own call included: 9.7 with savings memoized per run and
+#: one scan entry per distinct image (Python 3.11); it was 62.6 when
+#: every decision re-priced every saving.  About 3 % of headroom.
+LOOKAHEAD_CALL_BUDGET = 10.0
 
 
 def test_finished_engines_are_freed_without_the_cyclic_gc():
@@ -77,4 +89,39 @@ def test_sequential_calls_per_invocation_stay_under_budget():
     assert result.summary()["invocations"] == n
     assert calls / n <= CALL_BUDGET, (
         f"{calls / n:.2f} calls per invocation (budget {CALL_BUDGET})"
+    )
+
+
+def test_lookahead_calls_per_decision_stay_under_budget():
+    workload = build_workload("Overall", seed=0)
+    scheduler = LookaheadScheduler()
+    scheduler.observe_workload(workload)
+    sim = ClusterSimulator(
+        SimulationConfig(pool_capacity_mb=pool_sizes(workload)["Tight"]),
+        scheduler.make_eviction_policy(),
+    )
+    calls = decisions = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    rule = scheduler.decide_pool
+
+    def counted(pool, invocation, cost_model):
+        nonlocal decisions
+        decisions += 1
+        sys.setprofile(count)
+        try:
+            return rule(pool, invocation, cost_model)
+        finally:
+            sys.setprofile(None)
+
+    scheduler.decide_pool = counted
+    result = sim.run(workload, scheduler)
+    assert decisions == result.summary()["invocations"] == len(workload)
+    assert calls / decisions <= LOOKAHEAD_CALL_BUDGET, (
+        f"{calls / decisions:.2f} calls per decision "
+        f"(budget {LOOKAHEAD_CALL_BUDGET})"
     )

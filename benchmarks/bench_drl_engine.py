@@ -118,10 +118,9 @@ def test_eval_rollout_batched_vs_sequential(benchmark, emit):
 
     Fast path: float32 network, lockstep batched greedy lanes (one
     ``(E, state_dim)`` inference forward per step).  Reference: float64
-    network, one episode at a time, one batch-1 forward per decision --
-    the engine before this round of optimization.  Outcome parity between
-    batched and sequential rollouts is pinned separately in
-    ``tests/test_drl_fastpath.py``.
+    network, one one-lane rollout per episode, one batch-1 forward per
+    decision.  Outcome parity between batched and one-lane rollouts is
+    pinned separately in ``tests/test_drl_fastpath.py``.
     """
     n_eval = 12
     episodes = [EVAL_EPISODE_BASE + i for i in range(n_eval)]
@@ -139,8 +138,7 @@ def test_eval_rollout_batched_vs_sequential(benchmark, emit):
     sequential_trainer = make_trainer(n_eval, dtype="float64")
     start = time.perf_counter()
     sequential = [
-        sequential_trainer._run_episode("eval", learn=False, episode=ep)
-        for ep in episodes
+        sequential_trainer.rollout(["eval"], [ep])[0] for ep in episodes
     ]
     seq_time = time.perf_counter() - start
     assert len(sequential) == n_eval

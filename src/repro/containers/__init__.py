@@ -10,7 +10,6 @@ from repro.containers.image import FunctionImage
 from repro.containers.container import Container, ContainerState
 from repro.containers.matching import (
     MatchLevel,
-    best_match,
     match_level,
     match_level_sets,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "MatchLevel",
     "match_level",
     "match_level_sets",
-    "best_match",
     "CostModelParams",
     "StartupBreakdown",
     "StartupCostModel",

@@ -26,7 +26,6 @@ fingerprint path against.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional, Tuple
 
 from repro.containers.image import FunctionImage
 from repro.packages.package import PackageLevel
@@ -102,33 +101,3 @@ def match_level(
     # fingerprints necessarily differ at L3.
     return _L2
 
-
-def best_match(
-    function_image: FunctionImage,
-    candidates: Iterable[Tuple[object, FunctionImage]],
-) -> Tuple[Optional[object], MatchLevel]:
-    """Find the candidate with the deepest match level.
-
-    Parameters
-    ----------
-    function_image:
-        The invoked function's image.
-    candidates:
-        Iterable of ``(handle, image)`` pairs; ``handle`` is opaque (e.g. a
-        container id) and returned for the winner.
-
-    Returns
-    -------
-    ``(handle, level)`` of the deepest match, or ``(None, NO_MATCH)`` when no
-    candidate is reusable.  Ties keep the *first* candidate encountered, so
-    callers control tie-breaking by ordering (e.g. most-recently-used first).
-    """
-    best_handle: Optional[object] = None
-    best_level = MatchLevel.NO_MATCH
-    for handle, image in candidates:
-        level = match_level(function_image, image)
-        if level > best_level:
-            best_handle, best_level = handle, level
-            if level is MatchLevel.L3:
-                break  # cannot do better than a full match
-    return best_handle, best_level

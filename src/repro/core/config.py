@@ -36,8 +36,9 @@ class MLCRConfig:
         Agent hyperparameters (gamma, lr, replay, target sync...).
     n_episodes:
         Training episodes (each episode replays one workload).
-    epsilon_start, epsilon_end, epsilon_decay_steps:
-        Linear exploration schedule.
+    epsilon_decay_steps:
+        Decisions over which exploration decays linearly from
+        :data:`~repro.core.trainer.EPSILON_START` to ``EPSILON_END``.
     train_every:
         Gradient steps are taken every ``train_every`` decisions.
     demo_episodes:
@@ -50,8 +51,6 @@ class MLCRConfig:
         checkpoint selection).
     eval_episodes:
         Validation episodes per evaluation point.
-    reward_scale:
-        Reward = ``-startup_latency_s * reward_scale``.
     shaping_coef:
         Strength of potential-based reward shaping (0 disables).  The
         potential is the demand-weighted warm value of the idle pool; see
@@ -74,14 +73,11 @@ class MLCRConfig:
     use_mask: bool = True
     dqn: DQNConfig = field(default_factory=DQNConfig)
     n_episodes: int = 30
-    epsilon_start: float = 0.9
-    epsilon_end: float = 0.02
     epsilon_decay_steps: int = 6000
     train_every: int = 2
     demo_episodes: int = 3
     eval_every: int = 4
     eval_episodes: int = 2
-    reward_scale: float = 0.1
     shaping_coef: float = 1.0
     dtype: str = "float32"
     seed: int = 0
@@ -102,8 +98,6 @@ class MLCRConfig:
             raise ValueError("demo_episodes must be >= 0")
         if self.eval_every < 0 or self.eval_episodes < 0:
             raise ValueError("eval_every and eval_episodes must be >= 0")
-        if self.reward_scale <= 0:
-            raise ValueError("reward_scale must be positive")
         if self.shaping_coef < 0:
             raise ValueError("shaping_coef must be >= 0")
         if self.dtype not in ("float32", "float64"):

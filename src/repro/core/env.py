@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.cluster.eviction import EvictionPolicy, LRUEviction
+from repro.cluster.eviction import LRUEviction
 from repro.cluster.simulator import (
     ClusterSimulator,
     SimulationConfig,
@@ -34,6 +34,9 @@ from repro.cluster.simulator import (
 from repro.containers.matching import MatchLevel
 from repro.core.state import EncodedState, StateEncoder
 from repro.workloads.workload import Workload
+
+#: Reward = ``-startup_latency_s * REWARD_SCALE``.
+REWARD_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -67,10 +70,8 @@ class SchedulingEnv:
     encoder:
         State encoder (shared with the eventual :class:`MLCRScheduler` so
         training and serving observe identical features).
-    eviction_factory:
-        Builds the eviction policy per episode (LRU in the paper).
-    reward_scale:
-        Reward = ``-latency * reward_scale``.
+
+    Every episode evicts with LRU, as in the paper.
     """
 
     def __init__(
@@ -78,16 +79,12 @@ class SchedulingEnv:
         workload_factory: Callable[[int], Workload],
         sim_config: SimulationConfig,
         encoder: StateEncoder,
-        eviction_factory: Callable[[], EvictionPolicy] = LRUEviction,
-        reward_scale: float = 0.1,
         shaping_coef: float = 0.0,
         gamma: float = 0.99,
     ) -> None:
         self.workload_factory = workload_factory
         self.sim_config = sim_config
         self.encoder = encoder
-        self.eviction_factory = eviction_factory
-        self.reward_scale = reward_scale
         self.shaping_coef = shaping_coef
         self.gamma = gamma
         self._sim: Optional[ClusterSimulator] = None
@@ -107,8 +104,6 @@ class SchedulingEnv:
             workload_factory=self.workload_factory,
             sim_config=self.sim_config,
             encoder=self.encoder.clone(),
-            eviction_factory=self.eviction_factory,
-            reward_scale=self.reward_scale,
             shaping_coef=self.shaping_coef,
             gamma=self.gamma,
         )
@@ -121,7 +116,7 @@ class SchedulingEnv:
         """
         self._episode = self._episode + 1 if episode is None else episode
         workload = self.workload_factory(self._episode)
-        self._sim = ClusterSimulator(self.sim_config, self.eviction_factory())
+        self._sim = ClusterSimulator(self.sim_config, LRUEviction())
         self._sim.load(workload)
         self.encoder.reset()
         ctx = self._sim.next_decision_point()
@@ -139,7 +134,7 @@ class SchedulingEnv:
             raise RuntimeError("call reset() before step()")
         decision = encoded.decision_for(action)
         record = self._sim.apply_decision(decision)
-        reward = -record.startup_latency_s * self.reward_scale
+        reward = -record.startup_latency_s * REWARD_SCALE
         ctx = self._sim.next_decision_point()
         if ctx is None:
             if self.shaping_coef:
@@ -184,7 +179,7 @@ class SchedulingEnv:
         for container in self._sim.pool.containers():
             demand = self.encoder._demand_of(container.image.packages)
             phi += demand * self._stack_saving(container.image)
-        return phi * self.reward_scale * self.shaping_coef
+        return phi * REWARD_SCALE * self.shaping_coef
 
     def finish(self, scheduler_name: str = "MLCR-train") -> SimulationResult:
         """Drain the simulator after the final decision of an episode."""

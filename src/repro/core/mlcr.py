@@ -17,7 +17,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.cluster.eviction import LRUEviction
 from repro.cluster.pool import PoolSet
 from repro.cluster.simulator import SimulationConfig
 from repro.containers.costmodel import StartupCostModel
@@ -137,8 +136,6 @@ def train_mlcr_scheduler(
         workload_factory=workload_factory,
         sim_config=sim_config,
         encoder=encoder,
-        eviction_factory=LRUEviction,
-        reward_scale=cfg.reward_scale,
         shaping_coef=cfg.shaping_coef,
         gamma=cfg.dqn.gamma,
     )

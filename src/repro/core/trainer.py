@@ -2,7 +2,10 @@
 
 Each training iteration replays the workload; every decision stores a
 transition ``(s_t, a_t, r_t, s_{t+1})`` in the replay pool and takes
-mini-batch gradient steps.  Two practical additions over the bare algorithm:
+mini-batch gradient steps.  Every episode -- learning, demonstration or
+validation -- runs through the one loop :meth:`MLCRTrainer.rollout`, as a
+lane of kind ``"dqn"``, ``"greedy"``/``"exact"`` or ``"eval"``.  Three
+practical additions over the bare algorithm:
 
 * **Demonstration seeding** -- before DQN episodes, a few episodes are rolled
   out with heuristic policies and stored in the replay buffer: Greedy-Match
@@ -35,6 +38,11 @@ from repro.drl.network import AttentionQNetwork, MLPQNetwork, QNetwork
 from repro.drl.replay import Transition
 from repro.drl.schedules import LinearDecayEpsilon
 
+
+#: Linear exploration schedule: epsilon decays from ``EPSILON_START`` to
+#: ``EPSILON_END`` over ``MLCRConfig.epsilon_decay_steps`` decisions.
+EPSILON_START = 0.9
+EPSILON_END = 0.02
 
 #: Episode indices at or above this base are validation episodes; workload
 #: factories must map them to seeds disjoint from the training seeds.
@@ -91,10 +99,10 @@ def q_network_factory(
 
 @dataclass
 class _Lane:
-    """One episode's live state inside a synchronized batched rollout."""
+    """One episode's live state inside a synchronized rollout."""
 
     env: SchedulingEnv
-    kind: str                       # "eval" | "greedy" | "exact"
+    kind: str                       # "dqn" | "eval" | "greedy" | "exact"
     encoded: Optional[EncodedState]
     total_reward: float = 0.0
     total_latency: float = 0.0
@@ -114,7 +122,6 @@ class MLCRTrainer:
         self.env = env
         self.config = config
         self.encoder = encoder or env.encoder
-        self.rng = np.random.default_rng(config.seed)
         self.agent = DQNAgent(
             network_factory=q_network_factory(config, self.encoder),
             config=config.dqn,
@@ -122,8 +129,8 @@ class MLCRTrainer:
         )
         self.history = TrainingHistory()
         self._epsilon = LinearDecayEpsilon(
-            start=config.epsilon_start,
-            end=config.epsilon_end,
+            start=EPSILON_START,
+            end=EPSILON_END,
             decay_steps=config.epsilon_decay_steps,
         )
         self._global_step = 0
@@ -139,9 +146,7 @@ class MLCRTrainer:
             self.rollout(kinds, range(self.config.demo_episodes))
         best_snapshot = None
         for episode in range(self.config.n_episodes):
-            ret, latency, colds = self._run_episode(
-                policy="dqn", learn=True, episode=episode
-            )
+            [(ret, latency, colds)] = self.rollout(["dqn"], [episode])
             self.history.episode_returns.append(ret)
             self.history.episode_latencies.append(latency)
             self.history.episode_cold_starts.append(colds)
@@ -178,21 +183,30 @@ class MLCRTrainer:
         )
         return float(np.mean([latency for _, latency, _ in results]))
 
-    # -- batched rollouts ---------------------------------------------------
+    # -- rollouts --------------------------------------------------------------
     def rollout(
         self, kinds: Sequence[str], episodes: Sequence[int]
     ) -> List[Tuple[float, float, int]]:
-        """Run no-learning episodes (``"eval"``/``"greedy"``/``"exact"``)
-        stepped together.
+        """Run episodes of the given lane kinds stepped together.
 
         Each episode gets its own environment/encoder (via
         :meth:`~repro.core.env.SchedulingEnv.spawn`) so arrival tracking
-        stays per-episode.  All ``"eval"`` lanes that are still alive share
-        one batched greedy forward per step; demonstration lanes
-        (``"greedy"`` / ``"exact"``) act heuristically and store their
-        transitions exactly as a one-at-a-time :meth:`_run_episode` does
-        (the ``sequential_vs_batched`` differential oracle holds the two
-        to identical outcomes).  Returns ``(return, latency, cold_starts)``
+        stays per-episode.  The four lane kinds:
+
+        * ``"dqn"`` -- a learning episode of Algorithm 1: epsilon-greedy
+          :meth:`~repro.drl.dqn.DQNAgent.act`, one state at a time so the
+          agent's generator is drawn in decision order, and a gradient step
+          every ``train_every`` global steps;
+        * ``"eval"`` -- greedy; all live eval lanes share one batched
+          forward per step (they act before that step's ``"dqn"`` lanes
+          train);
+        * ``"greedy"`` / ``"exact"`` -- heuristic demonstrations
+          (:meth:`_demo_action`).
+
+        Every lane but ``"eval"`` stores one transition per decision and
+        advances the global step, in Algorithm 1's order: the transition
+        (unless terminal), the gradient step, the step count, then the
+        terminal transition.  Returns ``(return, latency, cold_starts)``
         per episode, in input order.
         """
         lanes = []
@@ -216,20 +230,36 @@ class MLCRTrainer:
                     lane.next_action = int(action)
             still_active = []
             for lane in active:
-                is_eval = lane.kind == "eval"
-                action = (
-                    lane.next_action if is_eval
-                    else self._demo_action(lane.encoded, lane.kind)
-                )
-                result = lane.env.step(action, lane.encoded)
+                kind, encoded = lane.kind, lane.encoded
+                if kind == "eval":
+                    action = lane.next_action
+                elif kind == "dqn":
+                    action = self.agent.act(
+                        encoded.state,
+                        self._training_mask(encoded),
+                        self._epsilon.value(self._global_step),
+                    )
+                else:
+                    action = self._demo_action(encoded, kind)
+                result = lane.env.step(action, encoded)
                 lane.total_reward += result.reward
                 lane.total_latency += result.startup_latency_s
                 lane.cold_starts += int(result.cold_start)
-                if not is_eval:
-                    self._remember(lane.encoded, action, result.reward,
-                                   result.state)
-                    self._global_step += 1
                 lane.encoded = result.state
+                if kind != "eval":
+                    if result.state is not None:
+                        self._remember(encoded, action, result.reward,
+                                       result.state)
+                    if (kind == "dqn"
+                            and self._global_step % self.config.train_every == 0):
+                        loss = self.agent.train_step()
+                        if loss is not None:
+                            self.history.losses.append(loss)
+                    self._global_step += 1
+                    if result.state is None:
+                        # The terminal transition enters the buffer after the
+                        # episode's last gradient step, never before it.
+                        self._remember(encoded, action, result.reward, None)
                 if lane.encoded is None:
                     lane.env.finish()
                 else:
@@ -239,41 +269,6 @@ class MLCRTrainer:
             (lane.total_reward, lane.total_latency, lane.cold_starts)
             for lane in lanes
         ]
-
-    # -- episode rollout -------------------------------------------------------
-    def _run_episode(self, policy: str, learn: bool, episode: int):
-        encoded = self.env.reset(episode)
-        is_eval = policy == "eval"
-        demo_kind = policy if policy in ("greedy", "exact") else None
-        total_reward = 0.0
-        total_latency = 0.0
-        cold_starts = 0
-
-        while encoded is not None:
-            action = self._choose_action(encoded, demo_kind, is_eval)
-            result = self.env.step(action, encoded)
-            total_reward += result.reward
-            total_latency += result.startup_latency_s
-            cold_starts += int(result.cold_start)
-
-            if is_eval:
-                encoded = result.state
-                continue
-            if result.state is not None:
-                self._remember(encoded, action, result.reward, result.state)
-            if learn and self._global_step % self.config.train_every == 0:
-                loss = self.agent.train_step()
-                if loss is not None:
-                    self.history.losses.append(loss)
-            self._global_step += 1
-            if result.state is None:
-                # The terminal transition enters the buffer after the
-                # episode's last gradient step, never before it.
-                self._remember(encoded, action, result.reward, None)
-            encoded = result.state
-
-        self.env.finish()
-        return total_reward, total_latency, cold_starts
 
     def _remember(
         self,
@@ -306,17 +301,6 @@ class MLCRTrainer:
         if self.config.use_mask:
             return encoded.mask
         return np.ones_like(encoded.mask)
-
-    def _choose_action(
-        self, encoded: EncodedState, demo_kind: Optional[str],
-        is_eval: bool = False,
-    ) -> int:
-        if demo_kind is not None:
-            return self._demo_action(encoded, demo_kind)
-        epsilon = 0.0 if is_eval else self._epsilon.value(self._global_step)
-        return self.agent.act(
-            encoded.state, self._training_mask(encoded), epsilon
-        )
 
     @staticmethod
     def _demo_action(encoded: EncodedState, kind: str) -> int:

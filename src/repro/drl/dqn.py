@@ -25,6 +25,11 @@ from repro.drl.replay import ReplayBuffer, Transition
 
 NEG_INF = -1e18
 
+#: Huber loss threshold between the quadratic and linear regimes.
+HUBER_DELTA = 1.0
+#: Global gradient-norm bound applied before every optimizer step.
+GRAD_CLIP = 10.0
+
 
 def masked_argmax(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise argmax of ``q`` restricted to ``mask`` (boolean, same shape)."""
@@ -44,8 +49,6 @@ class DQNConfig:
     batch_size: int = 32
     buffer_capacity: int = 20_000
     target_sync_every: int = 200
-    grad_clip: float = 10.0
-    huber_delta: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
@@ -160,13 +163,13 @@ class DQNAgent:
         q_all = self.online.forward(batch["states"])          # (B, A)
         rows = np.arange(cfg.batch_size)
         q_taken = q_all[rows, batch["actions"]]
-        loss, d_q_taken = huber_loss(q_taken, targets, cfg.huber_delta)
+        loss, d_q_taken = huber_loss(q_taken, targets, HUBER_DELTA)
 
         grad = np.zeros_like(q_all)
         grad[rows, batch["actions"]] = d_q_taken
         self.online.zero_grad()
         self.online.backward(grad)
-        self.optimizer.clip_grad_norm(cfg.grad_clip)
+        self.optimizer.clip_grad_norm(GRAD_CLIP)
         self.optimizer.step()
 
         self.train_steps += 1

@@ -22,8 +22,9 @@ float64_vs_float32         a trained float64 policy, round-tripped
                            float64, picks the same greedy actions as its
                            float32 cast
 sequential_vs_batched      ``MLCRTrainer.rollout`` (lockstep batched
-                           episodes) == one ``_run_episode`` per entry
-                           (identical outcomes and replay-buffer fill)
+                           episodes) == one one-lane ``rollout`` per
+                           entry (equal outcomes, replay-buffer fill and
+                           global step)
 cached_vs_fresh            ``run_grid`` without a cache == with a cold
                            cache == with a warm cache (identical cell
                            summaries and report bytes; warm run is all
@@ -326,7 +327,8 @@ def oracle_float64_vs_float32() -> OracleResult:
 
 
 def oracle_sequential_vs_batched() -> OracleResult:
-    """``MLCRTrainer.rollout`` agrees with one ``_run_episode`` per entry."""
+    """A lockstep ``MLCRTrainer.rollout`` agrees with one one-lane
+    ``rollout`` per entry."""
     name = "sequential_vs_batched"
     kinds = ["greedy", "exact", "eval", "eval"]
     episodes = [0, 1, EVAL_EPISODE_BASE, EVAL_EPISODE_BASE + 1]
@@ -338,18 +340,13 @@ def oracle_sequential_vs_batched() -> OracleResult:
     outcomes = {
         True: trainers[True].rollout(kinds, episodes),
         False: [
-            trainers[False]._run_episode(kind, learn=False, episode=ep)
+            trainers[False].rollout([kind], [ep])[0]
             for kind, ep in zip(kinds, episodes)
         ],
     }
 
     for i, (got, want) in enumerate(zip(outcomes[True], outcomes[False])):
-        (g_ret, g_lat, g_cold), (w_ret, w_lat, w_cold) = got, want
-        if (
-            not math.isclose(g_ret, w_ret, rel_tol=_REL_TOL, abs_tol=1e-9)
-            or not math.isclose(g_lat, w_lat, rel_tol=_REL_TOL, abs_tol=1e-9)
-            or g_cold != w_cold
-        ):
+        if got != want:
             return OracleResult(
                 name, False,
                 f"episode {i} ({kinds[i]}): batched {got} vs sequential {want}"

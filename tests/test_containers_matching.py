@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.containers.image import FunctionImage
-from repro.containers.matching import MatchLevel, best_match, match_level
+from repro.containers.matching import MatchLevel, match_level
 from repro.packages.package import PackageLevel, PackageSet
 
 from conftest import make_image, make_package
@@ -57,48 +57,6 @@ class TestMatchLevel:
     def test_ordering(self):
         assert (MatchLevel.NO_MATCH < MatchLevel.L1 < MatchLevel.L2
                 < MatchLevel.L3)
-
-
-class TestBestMatch:
-    def test_empty_candidates(self):
-        handle, level = best_match(make_image("f"), [])
-        assert handle is None
-        assert level is MatchLevel.NO_MATCH
-
-    def test_picks_deepest(self):
-        f = make_image("f", runtime_names=("flask",))
-        c_l1 = make_image("c1", lang_name="nodejs")
-        c_l2 = make_image("c2", runtime_names=("numpy",))
-        c_l3 = make_image("c3", runtime_names=("flask",))
-        handle, level = best_match(
-            f, [("a", c_l1), ("b", c_l2), ("c", c_l3)]
-        )
-        assert handle == "c"
-        assert level is MatchLevel.L3
-
-    def test_ties_keep_first(self):
-        f = make_image("f")
-        c1 = make_image("c1", runtime_names=("numpy",))
-        c2 = make_image("c2", runtime_names=("pandas",))
-        handle, level = best_match(f, [("first", c1), ("second", c2)])
-        assert handle == "first"
-        assert level is MatchLevel.L2
-
-    def test_stops_early_on_full_match(self):
-        """Candidates after an L3 hit are not inspected (generator proof)."""
-        f = make_image("f")
-        seen = []
-
-        def gen():
-            for i, img in enumerate(
-                [make_image("c0"), make_image("c1", lang_name="nodejs")]
-            ):
-                seen.append(i)
-                yield (i, img)
-
-        handle, level = best_match(f, gen())
-        assert level is MatchLevel.L3
-        assert seen == [0]
 
 
 # -- property-based -----------------------------------------------------------

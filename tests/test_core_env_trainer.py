@@ -5,11 +5,19 @@ import pytest
 
 from repro.cluster.simulator import SimulationConfig
 from repro.core.config import MLCRConfig
-from repro.core.env import SchedulingEnv
+from repro.core.env import REWARD_SCALE, SchedulingEnv
 from repro.core.mlcr import MLCRScheduler, train_mlcr_scheduler
 from repro.core.state import StateEncoder
-from repro.core.trainer import EVAL_EPISODE_BASE, MLCRTrainer
-from repro.drl.dqn import DQNConfig
+from repro.core.trainer import (
+    EPSILON_END,
+    EPSILON_START,
+    EVAL_EPISODE_BASE,
+    MLCRTrainer,
+    q_network_factory,
+)
+from repro.drl.dqn import DQNAgent, DQNConfig
+from repro.drl.replay import Transition
+from repro.drl.schedules import LinearDecayEpsilon
 from repro.workloads.workload import Workload
 
 from conftest import make_image, make_invocation, make_spec
@@ -71,7 +79,7 @@ class TestEnv:
         encoded = env.reset(0)
         result = env.step(encoded.mask.size - 1, encoded)
         assert result.reward == pytest.approx(
-            -result.startup_latency_s * env.reward_scale
+            -result.startup_latency_s * REWARD_SCALE
         )
 
     def test_step_before_reset_rejected(self, env):
@@ -186,6 +194,75 @@ class TestTrainer:
         )
         MLCRTrainer(env, tiny_config(n_episodes=2, demo_episodes=0)).train()
         assert any(ep >= EVAL_EPISODE_BASE for ep in seen)
+
+
+def algorithm_one_reference(env, cfg):
+    """Algorithm 1's DQN episodes written out straight on ``env``."""
+    agent = DQNAgent(q_network_factory(cfg, env.encoder), cfg.dqn,
+                     np.random.default_rng(cfg.seed + 1))
+    epsilon = LinearDecayEpsilon(EPSILON_START, EPSILON_END,
+                                 cfg.epsilon_decay_steps)
+    terminal_mask = np.zeros(agent.action_dim, dtype=bool)
+    terminal_mask[-1] = True
+    losses, step = [], 0
+    for episode in range(cfg.n_episodes):
+        encoded = env.reset(episode)
+        while encoded is not None:
+            action = agent.act(encoded.state, encoded.mask,
+                               epsilon.value(step))
+            result = env.step(action, encoded)
+            following = result.state
+            if following is not None:
+                agent.remember(Transition(encoded.state, action, result.reward,
+                                          following.state, following.mask,
+                                          False))
+            if step % cfg.train_every == 0:
+                loss = agent.train_step()
+                if loss is not None:
+                    losses.append(loss)
+            step += 1
+            if following is None:
+                agent.remember(Transition(encoded.state, action, result.reward,
+                                          np.zeros_like(encoded.state),
+                                          terminal_mask, True))
+            encoded = following
+        env.finish()
+    return agent, losses, step
+
+
+class TestAlgorithmOneReference:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_learning_episodes_match_straight_line_reference(self, dtype):
+        """``train`` without demonstrations or validation is bit-identical
+        to a straight Algorithm 1 loop over the environment and agent."""
+        cfg = tiny_config(n_episodes=3, demo_episodes=0, eval_every=0,
+                          dtype=dtype)
+
+        def make_env():
+            return SchedulingEnv(
+                lambda ep: tiny_workload(seed=ep % 3),
+                SimulationConfig(pool_capacity_mb=10_000.0),
+                StateEncoder(n_slots=4),
+                shaping_coef=cfg.shaping_coef, gamma=cfg.dqn.gamma,
+            )
+
+        trainer = MLCRTrainer(make_env(), cfg)
+        history = trainer.train()
+        agent, losses, step = algorithm_one_reference(make_env(), cfg)
+
+        assert losses and history.losses == losses
+        assert trainer._global_step == step
+        for got_net, want_net in ((trainer.agent.online, agent.online),
+                                  (trainer.agent.target, agent.target)):
+            got, want = got_net.state_dict(), want_net.state_dict()
+            assert got.keys() == want.keys()
+            for key in got:
+                assert np.array_equal(got[key], want[key]), key
+        for name in ("_states", "_actions", "_rewards", "_next_states",
+                     "_next_masks", "_dones"):
+            assert np.array_equal(getattr(trainer.agent.buffer, name),
+                                  getattr(agent.buffer, name)), name
+        assert len(trainer.agent.buffer) == len(agent.buffer) == step
 
 
 class TestTrainMLCRScheduler:

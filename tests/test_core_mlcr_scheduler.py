@@ -87,8 +87,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             MLCRConfig(n_episodes=0)
         with pytest.raises(ValueError):
-            MLCRConfig(reward_scale=0.0)
-        with pytest.raises(ValueError):
             MLCRConfig(shaping_coef=-1.0)
         with pytest.raises(ValueError):
             MLCRConfig(eval_every=-1)

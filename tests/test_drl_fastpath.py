@@ -226,23 +226,15 @@ class TestBatchedRollouts:
             agent.act_batch(states, bad)
 
     def test_batched_validation_matches_sequential(self):
-        """Lockstep eval lanes reproduce one-at-a-time eval episodes."""
+        """Lockstep eval lanes reproduce one-lane eval episodes."""
         cfg = tiny_config(eval_episodes=3)
         batched = MLCRTrainer(make_env(), cfg)
         sequential = MLCRTrainer(make_env(), cfg)
 
-        got = batched.rollout(
-            ["eval"] * 3, [EVAL_EPISODE_BASE + i for i in range(3)]
-        )
-        want = [
-            sequential._run_episode("eval", learn=False,
-                                    episode=EVAL_EPISODE_BASE + i)
-            for i in range(3)
-        ]
-        for (gr, gl, gc), (wr, wl, wc) in zip(got, want):
-            assert gr == pytest.approx(wr)
-            assert gl == pytest.approx(wl)
-            assert gc == wc
+        episodes = [EVAL_EPISODE_BASE + i for i in range(3)]
+        got = batched.rollout(["eval"] * 3, episodes)
+        want = [sequential.rollout(["eval"], [ep])[0] for ep in episodes]
+        assert got == want
 
     def test_batched_demos_match_sequential_stats(self):
         """Demonstration lanes produce the sequential episodes' outcomes and
@@ -253,13 +245,10 @@ class TestBatchedRollouts:
 
         got = batched.rollout(["greedy", "exact"], [0, 1])
         want = [
-            sequential._run_episode("greedy", learn=False, episode=0),
-            sequential._run_episode("exact", learn=False, episode=1),
+            sequential.rollout(["greedy"], [0])[0],
+            sequential.rollout(["exact"], [1])[0],
         ]
-        for (gr, gl, gc), (wr, wl, wc) in zip(got, want):
-            assert gr == pytest.approx(wr)
-            assert gl == pytest.approx(wl)
-            assert gc == wc
+        assert got == want
         assert len(batched.agent.buffer) == len(sequential.agent.buffer)
         assert batched._global_step == sequential._global_step
 

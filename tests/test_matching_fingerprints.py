@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.containers.matching import (
     MatchLevel,
-    best_match,
     match_level,
     match_level_sets,
 )
@@ -49,17 +48,6 @@ class TestFingerprintEquivalence:
     @settings(max_examples=50, deadline=None)
     def test_self_match_is_l3(self, img):
         assert match_level(img, img) is MatchLevel.L3
-
-    @given(a=images, b=images, c=images)
-    @settings(max_examples=100, deadline=None)
-    def test_best_match_consistent_with_pairwise(self, a, b, c):
-        """best_match picks a candidate at the true deepest level."""
-        by_handle = {"b": b, "c": c}
-        chosen, level = best_match(a, [("b", b), ("c", c)])
-        expected = max(match_level(a, b), match_level(a, c))
-        assert level is expected
-        if level is not MatchLevel.NO_MATCH:
-            assert match_level(a, by_handle[chosen]) is level
 
 
 class TestFingerprintInterning:

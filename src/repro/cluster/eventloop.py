@@ -233,12 +233,5 @@ class EventLoop:
             sweep(now)
         return now
 
-    def peek(self) -> Optional[Event]:
-        """The earliest queued event without popping it."""
-        return self.heap[0] if self.heap else None
-
     def __len__(self) -> int:
         return len(self.heap)
-
-    def __bool__(self) -> bool:
-        return bool(self.heap)

@@ -26,8 +26,8 @@ lean kernel:
   replays its whole table in one loop (:meth:`_Lane.replay`): per arrival,
   due completions pop off the heap of the lane's
   :class:`~repro.cluster.eventloop.EventLoop` and complete, TTL sweeps
-  run, the scheduler's :meth:`~repro.schedulers.base.Scheduler.\
-decide_pool` rule decides against the lane's warm pool, the decided
+  run, the scheduler's :meth:`~repro.schedulers.base.Scheduler.decide`
+  rule decides against the lane's warm pool, the decided
   container starts, its latency is folded and its completion queued,
   and the decision's proactive actions are applied.  :meth:`LaneKernel.run` replays each
   lane once; :func:`run_stream_lanes` replays each lane once per stream
@@ -46,13 +46,11 @@ decide_pool` rule decides against the lane's warm pool, the decided
 Every scheduler registry key (:data:`SCHEDULER_CLASS_NAMES`), and a
 trained MLCR policy given as its policy-file bytes (``LaneSpec.policy``),
 runs in a lane the same way: the lane calls the scheduler's
-:meth:`~repro.schedulers.base.Scheduler.decide_pool` rule on its own warm
+:meth:`~repro.schedulers.base.Scheduler.decide` rule on its own warm
 pool once per arrival, with the arrival's
 :class:`~repro.workloads.workload.Invocation`.  The sequential simulator
-reaches the same rule through
-:meth:`~repro.schedulers.base.Scheduler.decide` on its
-:class:`~repro.cluster.pool.PoolSet`, so both engines run one
-implementation.  Every warm pick passes
+calls the same method on its :class:`~repro.cluster.pool.PoolSet`, so
+both engines run one implementation.  Every warm pick passes
 :meth:`~repro.cluster.lifecycle.PoolLifecycle.check_decision` inside the
 shared :meth:`~repro.cluster.lifecycle.PoolLifecycle.start`, and any
 attached
@@ -305,7 +303,7 @@ class _Lane(PoolLifecycle):
                 scheduler.policy = _offline_policy_for(table)
             elif hasattr(scheduler, "observe_workload"):
                 scheduler.observe_workload(table.workload)
-        self.rule = scheduler.decide_pool
+        self.rule = scheduler.decide
         self.method = scheduler.name
         eviction = scheduler.make_eviction_policy()
         super().__init__(WarmPool(spec.capacity_mb), eviction, Counters())
@@ -354,7 +352,7 @@ drain_all`).  The completions go on the lane loop's heap in
                 complete(finished, done)
             if sweep is not None and len(pool):
                 sweep(t)
-            picked, _, preserve, actions = rule(pool, invocation, cost_model)
+            picked, preserve, actions = rule(pool, invocation, cost_model)
             spec = invocation.spec
             container, match, _ = start(spec, picked, preserve, t)
             if picked is None:

@@ -117,10 +117,6 @@ class WarmPool:
         """Remaining warm-pool capacity."""
         return self.capacity_mb - self._used_mb
 
-    def fits(self, container: Container) -> bool:
-        """Whether ``container`` fits in the remaining capacity."""
-        return container.memory_mb <= self.free_mb
-
     # -- membership ----------------------------------------------------------
     def __len__(self) -> int:
         return len(self._containers)
@@ -165,7 +161,8 @@ class WarmPool:
             raise ValueError(f"container {cid} already pooled")
         image = container.image
         memory_mb = image.memory_mb
-        if not memory_mb <= self.capacity_mb - self._used_mb:  # fits()
+        # Must fit in free_mb; a NaN size does not.
+        if not memory_mb <= self.capacity_mb - self._used_mb:
             raise PoolFullError(
                 f"container {cid} ({memory_mb:.0f}MB) exceeds free "
                 f"capacity ({self.free_mb:.0f}MB)"
@@ -230,12 +227,6 @@ class WarmPool:
     def lru_order(self) -> List[Container]:
         """Containers least-recently-used first (eviction candidates)."""
         return list(self._containers.values())
-
-    def oldest(self) -> Optional[Container]:
-        """The least-recently-used pooled container (None when empty)."""
-        if not self._containers:
-            return None
-        return next(iter(self._containers.values()))
 
     # -- match index --------------------------------------------------------
     def match_candidates(
@@ -382,7 +373,7 @@ class PoolSet:
     :meth:`best_at_level`, :meth:`match_candidates`,
     :meth:`match_depth_counts`, :meth:`exact_matches`) merge the per-shard
     indexes, so a :class:`WarmPool` and a ``PoolSet`` answer every query
-    the schedulers' ``decide_pool`` rules make the same way.  With one
+    the schedulers' ``decide`` rules make the same way.  With one
     shard, :meth:`get`, :meth:`add`, :meth:`remove`,
     :meth:`expire_older_than` and those queries are the shard's own bound
     methods, so an operation costs no merge and no extra call, and no

@@ -42,7 +42,8 @@ non-decreasing time order and never behind the clock:
   :class:`~repro.schedulers.base.SchedulingContext` (invocation, warm pool,
   cost model) and :meth:`apply_decision` takes the
   :data:`~repro.schedulers.base.PoolDecision` that
-  :meth:`~repro.schedulers.base.Scheduler.decide` returns for it;
+  :meth:`~repro.schedulers.base.Scheduler.decide` returns for those three
+  fields;
 * the online feed (:meth:`offer` / :meth:`pump_until`) used by the serving
   engine, which puts one arrival in the slot at a time.
 
@@ -52,10 +53,9 @@ the same order off its own loop's heap), then advances the clock to it
 (running the TTL sweep), so an arrival wins every time tie with a
 completion.
 
-Every mode decides through
-:meth:`~repro.schedulers.base.Scheduler.decide`, i.e. the policy's
-:meth:`~repro.schedulers.base.Scheduler.decide_pool` rule, the one decision
-interface, which the lane kernel calls directly.
+Every mode decides through the policy's
+:meth:`~repro.schedulers.base.Scheduler.decide` rule, the one decision
+interface, which the lane kernel calls too.
 
 Each decided invocation queues one completion event, due when its startup
 and execution are both done
@@ -297,18 +297,22 @@ class ClusterSimulator:
     ) -> SimulationResult:
         """Load ``arrivals``, decide and apply each one, finish the run."""
         self.load(arrivals)
+        decide = scheduler.decide
         while True:
             ctx = self.next_decision_point()
             if ctx is None:
                 break
-            self._apply(scheduler.decide(ctx), want_record=False)
+            self._apply(
+                decide(ctx.pool, ctx.invocation, ctx.cost_model),
+                want_record=False,
+            )
         self._fold_scheduler_counters(scheduler)
         return self.finish(scheduler_name=scheduler.name)
 
     def _fold_scheduler_counters(self, scheduler: Scheduler) -> None:
         """Copy a policy's surrogate-audit counters into telemetry.
 
-        Schedulers have no telemetry handle inside ``decide_pool``, so
+        Schedulers have no telemetry handle inside ``decide``, so
         policies that serve from a distilled surrogate (see
         ``MLCRScheduler.attach_surrogate``) count audits locally; the run
         drivers fold the totals in here once the decision loop ends.
@@ -481,7 +485,7 @@ class ClusterSimulator:
 
         ``decision`` is a :data:`~repro.schedulers.base.PoolDecision`; a
         warm pick is validated against the live pool before anything
-        changes, and its match level is recomputed from the repack.  A
+        changes, and the validation derives its match level.  A
         rejected decision (:class:`InvalidDecisionError`) leaves the
         pending invocation in place, so the caller can retry with a valid
         decision instead of silently losing the arrival.
@@ -500,7 +504,7 @@ class ClusterSimulator:
         now = loop.now
         config = self.config
         lifecycle = self.lifecycle
-        picked, _, preserve, actions = decision
+        picked, preserve, actions = decision
         # start() validates a warm pick before it changes anything: an
         # InvalidDecisionError propagates with self._pending intact.
         container, match, old_image = lifecycle.start(

@@ -92,7 +92,7 @@ class MLCRScheduler(Scheduler):
                 self.surrogate_disagreements += 1
         return action
 
-    def decide_pool(
+    def decide(
         self,
         pool: PoolSet,
         invocation: Invocation,

@@ -23,7 +23,7 @@ filtered out rather than explored); when a full (L3) match is visible, the
 shallower reuses it dominates are masked too.
 
 The encoder reads exactly what :meth:`~repro.schedulers.base.Scheduler.\
-decide_pool` receives: the warm pool, the invocation (whose
+decide` receives: the warm pool, the invocation (whose
 ``arrival_time`` is the decision time) and the cost model.  Encoding is
 incremental: bag-of-packages vectors are cached per image configuration,
 per-depth idle counts come from the warm pool's match index
@@ -88,10 +88,9 @@ class EncodedState:
         if action == len(self.slot_containers):
             return COLD
         container = self.slot_containers[action]
-        match = self.slot_matches[action]
-        if container is None or match is _NO_MATCH:
+        if container is None or self.slot_matches[action] is _NO_MATCH:
             return COLD
-        return container, int(match), False, ()
+        return container, False, ()
 
 
 class StateEncoder:

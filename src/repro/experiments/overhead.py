@@ -50,9 +50,9 @@ def run(
         "Overall", lambda s: overall_workload(seed=s), capacity, scale
     )
 
-    # Time every decision by wrapping decide_pool().
+    # Time every decision by wrapping decide().
     times: list = []
-    original_decide = mlcr.decide_pool
+    original_decide = mlcr.decide
 
     def timed_decide(pool, invocation, cost_model):
         t0 = time.perf_counter()
@@ -61,7 +61,7 @@ def run(
         return decision
 
     mlcr.reset()
-    mlcr.decide_pool = timed_decide  # type: ignore[method-assign]
+    mlcr.decide = timed_decide  # type: ignore[method-assign]
     try:
         sim = ClusterSimulator(
             SimulationConfig(pool_capacity_mb=capacity),
@@ -69,7 +69,7 @@ def run(
         )
         mlcr_result = sim.run(workload, mlcr)
     finally:
-        del mlcr.decide_pool  # restore the bound method
+        del mlcr.decide  # restore the bound method
 
     # Savings: compare against the best exact-match baseline.
     baseline_latency = min(

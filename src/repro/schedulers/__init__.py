@@ -1,9 +1,8 @@
 """Container-reuse schedulers: the paper's comparison set.
 
-Every policy writes its rule once, in ``decide_pool`` over the warm pool's
-match index, the arriving invocation and the cost model; the lane kernel
-calls it directly, and the sequential simulator and the serving engine
-through ``Scheduler.decide``, which no policy overrides.
+Every policy writes its rule once, in ``Scheduler.decide`` over the warm
+pool's match index, the arriving invocation and the cost model; the lane
+kernel, the sequential simulator and the serving engine all call it.
 
 * :class:`ColdOnlyScheduler` -- always cold start (lower-bound sanity check).
 * :class:`KeepAliveScheduler` -- exact-configuration reuse, 10-minute TTL,

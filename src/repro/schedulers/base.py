@@ -1,16 +1,17 @@
 """Scheduler interface shared by all policies (including MLCR).
 
-Every policy writes its rule once, in :meth:`Scheduler.decide_pool`: a
+Every policy writes its rule once, in :meth:`Scheduler.decide`: a
 function of the warm pool's match index, the arriving invocation (whose
 ``arrival_time`` is the decision time) and the cost model, returning a
 :data:`PoolDecision` -- the container to reuse (None for a cold start),
-its match level, ``preserve_image`` and any proactive actions.  It is the
-one decision interface: the lane kernel calls it on each lane's pool, and
-the sequential simulator, the online serving engine and the incremental
-API's callers reach it through :meth:`Scheduler.decide`, which applies it
-to a pending arrival's :class:`SchedulingContext` and which no policy
-overrides.  So every engine runs the same code.  MLCR's DRL scheduler
-encodes the same three inputs into its state vector.
+``preserve_image`` and any proactive actions.  It is the one decision
+interface: the lane kernel calls it on each lane's pool, and the
+sequential simulator, the online serving engine and the incremental API's
+callers call it with the three fields of a pending arrival's
+:class:`SchedulingContext`.  So every engine runs the same code.  The
+Table-I match level is not part of the decision: the lifecycle derives it
+from the function and the picked container.  MLCR's DRL scheduler encodes
+the same three inputs into its state vector.
 
 Proactive policies (MPC pre-warming, Pagurus lending) attach
 :class:`PrewarmRequest` / :class:`LendRequest` actions beside their
@@ -63,27 +64,23 @@ class LendRequest:
 
 ProactiveAction = Union[PrewarmRequest, LendRequest]
 
-#: What :meth:`Scheduler.decide_pool` returns: the container to reuse (None
-#: for a cold start), its Table-I match level as an int, whether to keep
-#: the container's own image (zygote-style ``preserve_image``) and the
-#: proactive actions to run after the decision.
-PoolDecision = Tuple[
-    Optional[Container], int, bool, Tuple[ProactiveAction, ...]
-]
+#: What :meth:`Scheduler.decide` returns: the container to reuse (None for
+#: a cold start), whether to keep the container's own image (zygote-style
+#: ``preserve_image``) and the proactive actions to run after the decision.
+PoolDecision = Tuple[Optional[Container], bool, Tuple[ProactiveAction, ...]]
 
 #: The cold-start :data:`PoolDecision` with no actions.
-COLD: PoolDecision = (None, 0, False, ())
+COLD: PoolDecision = (None, False, ())
 
 
 @dataclass(frozen=True)
 class SchedulingContext:
     """One pending arrival, as the simulator's incremental API hands it out.
 
-    The three inputs of :meth:`Scheduler.decide_pool`: the arriving
+    The three inputs of :meth:`Scheduler.decide`: the arriving
     ``invocation``, the live warm ``pool`` (a
     :class:`~repro.cluster.pool.PoolSet`) and the cluster's
-    ``cost_model``.  Pass it to :meth:`Scheduler.decide` for the
-    scheduler's decision.
+    ``cost_model``.
     """
 
     invocation: Invocation
@@ -94,22 +91,14 @@ class SchedulingContext:
 class Scheduler:
     """Base class for container-reuse scheduling policies.
 
-    A policy implements :meth:`decide_pool`, the one decision interface;
-    :meth:`decide` is the sequential engines' entry to it.
+    A policy implements :meth:`decide`, the one decision interface that
+    every engine calls.
     """
 
     #: Human-readable policy name used in reports and figures.
     name: str = "scheduler"
 
-    def decide(self, ctx: SchedulingContext) -> PoolDecision:
-        """This policy's :meth:`decide_pool` for the arrival in ``ctx``.
-
-        Not an extension point: the lane kernel calls :meth:`decide_pool`
-        directly, so an override here would be ignored there.
-        """
-        return self.decide_pool(ctx.pool, ctx.invocation, ctx.cost_model)
-
-    def decide_pool(
+    def decide(
         self,
         pool: "PoolSet",
         invocation: Invocation,
@@ -149,7 +138,7 @@ class ExactMatchScheduler(Scheduler):
     and MPC's reactive half, which differ only in eviction (and MPC's
     pre-warming)."""
 
-    def decide_pool(
+    def decide(
         self,
         pool: "PoolSet",
         invocation: Invocation,
@@ -159,4 +148,4 @@ class ExactMatchScheduler(Scheduler):
         container = pool.best_exact(invocation.spec.image)
         if container is None:
             return COLD
-        return container, 3, False, ()
+        return container, False, ()

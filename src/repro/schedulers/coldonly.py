@@ -16,7 +16,7 @@ class ColdOnlyScheduler(Scheduler):
 
     name = "ColdOnly"
 
-    def decide_pool(
+    def decide(
         self, pool, invocation: Invocation, cost_model: StartupCostModel
     ) -> PoolDecision:
         """Always cold."""

@@ -19,11 +19,11 @@ class GreedyMatchScheduler(Scheduler):
 
     name = "Greedy-Match"
 
-    def decide_pool(
+    def decide(
         self, pool, invocation: Invocation, cost_model: StartupCostModel
     ) -> PoolDecision:
         """Deepest match at any level (MRU tie-break), else cold."""
-        container, level = pool.best_match(invocation.spec.image)
+        container, _ = pool.best_match(invocation.spec.image)
         if container is None:
             return COLD
-        return container, int(level), False, ()
+        return container, False, ()

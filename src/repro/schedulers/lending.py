@@ -29,7 +29,7 @@ from repro.schedulers.greedy import GreedyMatchScheduler
 from repro.workloads.workload import Invocation
 
 # Aliases: an enum member read off its class costs a descriptor call.
-_NO_MATCH, _L1, _L3 = MatchLevel.NO_MATCH, MatchLevel.L1, MatchLevel.L3
+_NO_MATCH, _L1 = MatchLevel.NO_MATCH, MatchLevel.L1
 
 
 class PagurusLendingScheduler(GreedyMatchScheduler):
@@ -65,24 +65,28 @@ class PagurusLendingScheduler(GreedyMatchScheduler):
         """Restore the full lending budget for a fresh run."""
         self._lends_used = 0
 
-    def decide_pool(
+    def decide(
         self, pool, invocation: Invocation, cost_model: StartupCostModel
     ) -> PoolDecision:
         """Greedy deepest-match reuse, plus a lend toward this function
         when the hit was inexact and a donor is available."""
-        decision = super().decide_pool(pool, invocation, cost_model)
-        container, match, preserve, _ = decision
-        if self._lends_used >= self.lend_budget or match == _L3:
-            # Exact hit: nothing to improve for this function right now.
+        decision = super().decide(pool, invocation, cost_model)
+        if self._lends_used >= self.lend_budget:
             return decision
+        container, preserve, _ = decision
         spec = invocation.spec
+        # Interned fingerprint tuples are the same object exactly when the
+        # match is L3: an exact hit leaves nothing to improve right now.
+        if (container is not None
+                and container.image.fingerprints is spec.image.fingerprints):
+            return decision
         donor = self._pick_donor(
             pool, spec.image, invocation.arrival_time, container
         )
         if donor is None:
             return decision
         self._lends_used += 1
-        return container, match, preserve, (
+        return container, preserve, (
             LendRequest(
                 container_id=donor.container_id,
                 image=spec.image,

@@ -102,7 +102,7 @@ class LookaheadScheduler(Scheduler):
         scored.sort(key=lambda cm: (cm[1], _mru_key(cm[0])), reverse=True)
         return scored
 
-    def decide_pool(
+    def decide(
         self, pool, invocation: Invocation, cost_model: StartupCostModel
     ) -> PoolDecision:
         """The reusable container with the best positive net saving --
@@ -179,7 +179,7 @@ class LookaheadScheduler(Scheduler):
             score = (cold_latency - my_latency) - worst
             if score > best_score:
                 best_score = score
-                best = (container, int(level), False, ())
+                best = (container, False, ())
         return best
 
     def _upcoming(self, current: Invocation) -> List[Invocation]:

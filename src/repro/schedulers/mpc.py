@@ -139,18 +139,18 @@ class MPCScheduler(ExactMatchScheduler):
         """Keep-alive semantics for the reactive half."""
         return RejectNewcomerEviction(ttl_s=self.ttl_s)
 
-    def decide_pool(
+    def decide(
         self, pool, invocation: Invocation, cost_model: StartupCostModel
     ) -> PoolDecision:
         """Keep-alive exact-match reuse plus the receding-horizon plan."""
         spec = invocation.spec
         self._images[spec.name] = spec.image
         self.forecaster.observe(spec.name, invocation.arrival_time)
-        decision = super().decide_pool(pool, invocation, cost_model)
+        decision = super().decide(pool, invocation, cost_model)
         if not self.forecast or self.prewarm_budget == 0:
             return decision
-        container, match, preserve, _ = decision
-        return container, match, preserve, self._plan(
+        container, preserve, _ = decision
+        return container, preserve, self._plan(
             pool, invocation, container
         )
 
@@ -166,7 +166,7 @@ class MPCScheduler(ExactMatchScheduler):
         pre-warmed for that forecast, and that has no idle exact match
         other than ``claimed`` (which this decision takes out of the pool).
         Stops once the plan holds ``prewarm_budget`` requests (at least
-        one: :meth:`decide_pool` does not plan with a zero budget).  The
+        one: :meth:`decide` does not plan with a zero budget).  The
         exact-match test is O(1): the most recent exact match, and the
         full list only when that one is ``claimed``.
         """

@@ -126,7 +126,7 @@ class OfflineQScheduler(Scheduler):
             return
         self.policy = bootstrap_policy(workload)
 
-    def decide_pool(
+    def decide(
         self, pool, invocation: Invocation, cost_model: StartupCostModel
     ) -> PoolDecision:
         """Masked arg-max over the function's Q-row; greedy fallback.
@@ -165,8 +165,8 @@ class OfflineQScheduler(Scheduler):
                 if best_a > 0:
                     container = pool.best_at_level(image, _LEVELS[best_a])
                     if container is not None:
-                        return container, best_a, False, ()
-        container, level = pool.best_match(image)
+                        return container, False, ()
+        container, _ = pool.best_match(image)
         if container is None:
             return COLD
-        return container, int(level), False, ()
+        return container, False, ()

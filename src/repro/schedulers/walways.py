@@ -18,7 +18,7 @@ import math
 
 from repro.cluster.pool import _mru_key
 from repro.containers.costmodel import StartupCostModel
-from repro.containers.matching import MatchLevel, match_level
+from repro.containers.matching import MatchLevel
 from repro.schedulers.base import COLD, PoolDecision, Scheduler
 from repro.workloads.workload import Invocation
 
@@ -30,7 +30,7 @@ class AlwaysAdoptScheduler(Scheduler):
 
     name = "W-AlwaysAdopt"
 
-    def decide_pool(
+    def decide(
         self, pool, invocation: Invocation, cost_model: StartupCostModel
     ) -> PoolDecision:
         """Cheapest same-OS delta cost, adopted only when it beats the
@@ -56,5 +56,5 @@ class AlwaysAdoptScheduler(Scheduler):
                 best = c
         cold = cost_model.latency_s(image, _NO_MATCH, finit)
         if best_cost < cold:
-            return best, int(match_level(image, best.image)), False, ()
+            return best, False, ()
         return COLD

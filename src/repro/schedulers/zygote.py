@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.containers.costmodel import StartupCostModel
 from repro.containers.image import FunctionImage
-from repro.containers.matching import MatchLevel, match_level
+from repro.containers.matching import MatchLevel
 from repro.schedulers.base import COLD, PoolDecision, Scheduler
 from repro.workloads.functions import FunctionSpec
 from repro.workloads.workload import Invocation
@@ -75,7 +75,7 @@ class ZygoteScheduler(Scheduler):
 
     name = "Zygote"
 
-    def decide_pool(
+    def decide(
         self, pool, invocation: Invocation, cost_model: StartupCostModel
     ) -> PoolDecision:
         """Smallest covering same-OS container (preserved in place), else
@@ -110,8 +110,8 @@ class ZygoteScheduler(Scheduler):
                 best_key = key
                 best = c
         if best is not None:
-            return best, int(match_level(image, best.image)), True, ()
+            return best, True, ()
         exact = pool.best_exact(image)
         if exact is None:
             return COLD
-        return exact, 3, False, ()
+        return exact, False, ()

@@ -64,14 +64,18 @@ class ServeOutcome:
     """The scheduling outcome of one served request.
 
     Wraps the simulator's :class:`~repro.cluster.telemetry.InvocationRecord`
-    together with the execution time that was scheduled and the scheduler
-    key that made the decision (the engine's scheduler can be hot-swapped
-    between requests, so the key is captured per outcome).
+    together with the scheduler key that made the decision (the engine's
+    scheduler can be hot-swapped between requests, so the key is captured
+    per outcome).
     """
 
     record: InvocationRecord
     scheduler: str
-    exec_time_s: float
+
+    @property
+    def exec_time_s(self) -> float:
+        """The execution time that was scheduled."""
+        return self.record.execution_time_s
 
     @property
     def service_time_s(self) -> float:
@@ -208,13 +212,13 @@ class ServeEngine:
         self._next_invocation_id += 1
         self.sim.offer(invocation)
         ctx = self.sim.next_decision_point()
-        record = self.sim.apply_decision(self.scheduler.decide(ctx))
+        record = self.sim.apply_decision(
+            self.scheduler.decide(ctx.pool, ctx.invocation, ctx.cost_model)
+        )
         self.submitted += 1
         if self.recorder is not None:
-            self.recorder.on_decision(record, exec_s)
-        return ServeOutcome(
-            record=record, scheduler=self.scheduler_key, exec_time_s=exec_s
-        )
+            self.recorder.on_decision(record)
+        return ServeOutcome(record=record, scheduler=self.scheduler_key)
 
     def pump(self, now: Optional[float] = None) -> int:
         """Process due completions and TTL-sweep up to the wall reading.

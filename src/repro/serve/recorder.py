@@ -111,13 +111,13 @@ class DecisionRecorder:
             "keepalive_ttl_s": engine.keepalive_ttl_s,
         })
 
-    def on_decision(self, record, exec_time_s: float) -> None:
+    def on_decision(self, record) -> None:
         """Append one served decision (an ``InvocationRecord``) to the log."""
         self._write({
             "inv": record.invocation_id,
             "fn": record.function_name,
             "t": record.arrival_time,
-            "exec": exec_time_s,
+            "exec": record.execution_time_s,
             "cold": record.cold_start,
             "cid": record.container_id,
             "m": int(record.match),

@@ -195,7 +195,9 @@ def oracle_batch_vs_incremental() -> OracleResult:
     scheduler = GreedyMatchScheduler()
     inc_sim.load(workload)
     while (ctx := inc_sim.next_decision_point()) is not None:
-        inc_sim.apply_decision(scheduler.decide(ctx))
+        inc_sim.apply_decision(
+            scheduler.decide(ctx.pool, ctx.invocation, ctx.cost_model)
+        )
     incremental = inc_sim.finish(scheduler_name=scheduler.name)
 
     want = batch.telemetry.records

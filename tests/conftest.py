@@ -140,6 +140,11 @@ def make_ctx(
     )
 
 
+def decide(scheduler, ctx: SchedulingContext):
+    """``scheduler``'s decision for the arrival in ``ctx``."""
+    return scheduler.decide(ctx.pool, ctx.invocation, ctx.cost_model)
+
+
 def fstart_spec(func_id: int) -> FunctionSpec:
     """Shortcut to a Table-II function."""
     return function_by_id(func_id)

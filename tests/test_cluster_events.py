@@ -36,13 +36,6 @@ class TestEventQueue:
     def test_pop_empty_returns_none(self):
         assert EventLoop().pop_next() is None
 
-    def test_peek(self):
-        loop = EventLoop()
-        assert loop.peek() is None
-        loop.schedule(2.0, "x")
-        assert loop.peek().payload == "x"
-        assert len(loop) == 1  # peek does not remove
-
     def test_len_and_bool(self):
         loop = EventLoop()
         assert not loop
@@ -150,7 +143,7 @@ def test_interleaved_schedules_and_pops_match_one_heap(ops):
         last_now = loop.now
         assert len(loop) == len(reference)
         assert bool(loop) == bool(reference)
-        head = loop.peek()
+        head = loop.heap[0] if loop.heap else None
         assert (head.payload if head else None) == (
             min(reference)[2] if reference else None
         )

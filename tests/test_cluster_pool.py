@@ -47,12 +47,6 @@ class TestCapacity:
         pool.remove(1)
         assert pool.peak_used_mb == pytest.approx(200.0)
 
-    def test_fits(self):
-        pool = WarmPool(150.0)
-        pool.add(small_container(1))
-        assert not pool.fits(small_container(2))
-        assert pool.fits(small_container(3, mem=50.0))
-
 
 class TestMembership:
     def test_only_idle_containers(self):

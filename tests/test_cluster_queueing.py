@@ -58,11 +58,10 @@ class TestEventLoop:
 
     def test_len_and_peek(self):
         loop = EventLoop()
-        assert not loop and len(loop) == 0 and loop.peek() is None
+        assert not loop and len(loop) == 0 and not loop.heap
         loop.schedule(1.0, "x")
         assert loop and len(loop) == 1
-        assert loop.peek().payload == "x"
-        assert len(loop) == 1  # peek does not pop
+        assert loop.heap[0].payload == "x"
 
 
 class TestPlacementEngine:
@@ -268,6 +267,8 @@ class TestQueueingIntegration:
         assert sim.placement.memory_mb == [0.0, 0.0, 0.0]
         assert sim.placement._placement == {}
         assert sim.placement.queue_depths(sim.now) == (0, 0, 0)
-        record = sim.apply_decision(LRUScheduler().decide(ctx))
+        record = sim.apply_decision(
+            LRUScheduler().decide(ctx.pool, ctx.invocation, ctx.cost_model)
+        )
         assert record.worker_id in (0, 1, 2)
         sim.finish()

@@ -34,7 +34,7 @@ def spec_b(name="fb"):
 
 def warm(container):
     """A reuse decision for ``container`` (validated by the simulator)."""
-    return container, 3, False, ()
+    return container, False, ()
 
 
 def sim(capacity=10_000.0, policy=None):
@@ -224,7 +224,9 @@ class TestIncrementalAPI:
         sched = LRUScheduler()
         s2.load(wl)
         while (ctx := s2.next_decision_point()) is not None:
-            s2.apply_decision(sched.decide(ctx))
+            s2.apply_decision(
+                sched.decide(ctx.pool, ctx.invocation, ctx.cost_model)
+            )
         inc = s2.finish("LRU").telemetry
         assert batch.total_startup_latency_s == pytest.approx(
             inc.total_startup_latency_s

@@ -10,7 +10,14 @@ from repro.drl.dqn import DQNAgent, DQNConfig
 from repro.drl.network import MLPQNetwork
 from repro.schedulers.base import COLD, Scheduler
 
-from conftest import make_container, make_ctx, make_image, make_invocation, make_spec
+from conftest import (
+    decide,
+    make_container,
+    make_ctx,
+    make_image,
+    make_invocation,
+    make_spec,
+)
 
 
 @pytest.fixture
@@ -42,16 +49,16 @@ class TestServing:
                 idle_containers=containers,
             )
             # Only the matching container may be reused.
-            assert scheduler.decide(ctx)[0] in (None, containers[0])
+            assert decide(scheduler, ctx)[0] in (None, containers[0])
 
     def test_counts_decisions(self, scheduler):
         ctx = make_ctx(make_invocation())
-        scheduler.decide(ctx)
-        scheduler.decide(ctx)
+        decide(scheduler, ctx)
+        decide(scheduler, ctx)
         assert scheduler.decisions_made == 2
 
     def test_reset_clears_state(self, scheduler):
-        scheduler.decide(make_ctx(make_invocation()))
+        decide(scheduler, make_ctx(make_invocation()))
         scheduler.reset()
         assert scheduler.decisions_made == 0
 
@@ -60,13 +67,12 @@ class TestServing:
         no_match = make_container(2, image=make_image("o", os_name="debian"))
         ctx = make_ctx(make_invocation(), idle_containers=[no_match])
         # The only container is no-match: any action resolves to cold.
-        assert scheduler.decide(ctx) == COLD
+        assert decide(scheduler, ctx) == COLD
 
-    def test_rule_written_in_decide_pool(self):
-        """MLCR writes its rule where every registry policy does and
-        inherits ``decide``, which the lane kernel would bypass."""
-        assert MLCRScheduler.decide is Scheduler.decide
-        assert MLCRScheduler.decide_pool is not Scheduler.decide_pool
+    def test_rule_written_in_decide(self):
+        """MLCR writes its rule where every registry policy does, in
+        its own ``decide``."""
+        assert MLCRScheduler.decide is not Scheduler.decide
 
 
 class TestConfig:

@@ -108,7 +108,7 @@ class TestDecisionFor:
     def test_warm_action(self, encoder):
         container = make_container(7)
         enc = encoder.encode(*decision_point([container]))
-        assert enc.decision_for(0) == (container, 3, False, ())
+        assert enc.decision_for(0) == (container, False, ())
 
     def test_empty_slot_means_cold(self, encoder):
         """Paper: actions pointing beyond the pool mean cold start."""

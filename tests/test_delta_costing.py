@@ -7,7 +7,14 @@ from repro.containers.matching import MatchLevel
 from repro.schedulers.base import COLD
 from repro.schedulers.walways import AlwaysAdoptScheduler
 
-from conftest import make_container, make_ctx, make_image, make_invocation, make_spec
+from conftest import (
+    decide,
+    make_container,
+    make_ctx,
+    make_image,
+    make_invocation,
+    make_spec,
+)
 
 
 @pytest.fixture
@@ -93,13 +100,13 @@ class TestAlwaysAdoptScheduler:
             1, image=make_image("z", runtime_names=("flask", "numpy"))
         )
         ctx = make_ctx(make_invocation(spec), idle_containers=[zygote])
-        assert AlwaysAdoptScheduler().decide(ctx)[0] is zygote
+        assert decide(AlwaysAdoptScheduler(), ctx)[0] is zygote
 
     def test_ignores_other_os(self):
         spec = make_spec(name="f", image=make_image("f", os_name="alpine"))
         other = make_container(1, image=make_image("o", os_name="debian"))
         ctx = make_ctx(make_invocation(spec), idle_containers=[other])
-        assert AlwaysAdoptScheduler().decide(ctx) == COLD
+        assert decide(AlwaysAdoptScheduler(), ctx) == COLD
 
     def test_picks_cheapest_delta(self):
         spec = make_spec(
@@ -109,8 +116,8 @@ class TestAlwaysAdoptScheduler:
         near = make_container(2, image=make_image("near",
                                                   runtime_names=("flask",)))
         ctx = make_ctx(make_invocation(spec), idle_containers=[far, near])
-        assert AlwaysAdoptScheduler().decide(ctx)[0] is near
+        assert decide(AlwaysAdoptScheduler(), ctx)[0] is near
 
     def test_cold_when_empty(self):
         ctx = make_ctx(make_invocation(make_spec()))
-        assert AlwaysAdoptScheduler().decide(ctx) == COLD
+        assert decide(AlwaysAdoptScheduler(), ctx) == COLD

@@ -8,9 +8,9 @@ Pinned properties:
   every float, not approx (property-based over the full scheduler
   registry, arbitrary seeds, capacities including the 0/inf edges, and
   arbitrary lane counts).
-* Every registry class inherits ``Scheduler.decide`` unchanged: lanes
-  call each key's ``decide_pool`` rule, so a policy that overrode
-  ``decide`` would be ignored there.
+* Every registry class writes its rule in ``decide``, and both engines
+  dispatch through that one attribute: a wrapper patched onto it sees
+  every arrival of a lane and of ``ClusterSimulator.run``.
 * Proactive decision actions (MPC's ``PrewarmRequest``, Pagurus's
   ``LendRequest``) replay inside the lane lifecycle: the pre-warm /
   lending telemetry blocks match the sequential driver exactly.
@@ -184,21 +184,37 @@ def lane_summary(task):
 class TestRegistry:
     def test_every_registry_key_lane_supported(self):
         """The whole scheduler registry runs in lanes, which call each
-        key's ``decide_pool`` rule: every registry class must inherit
-        ``Scheduler.decide`` unchanged, or lanes would ignore its
-        override."""
+        key's ``decide`` rule: every registry class has one of its own."""
         assert set(SCHEDULER_CLASS_NAMES) == set(SCHEDULER_FACTORIES)
         for key in SCHEDULER_CLASS_NAMES:
             cls = type(build_scheduler(key))
-            assert cls.decide is Scheduler.decide, key
-            assert cls.decide_pool is not Scheduler.decide_pool, key
+            assert cls.decide is not Scheduler.decide, key
 
-    def test_each_rule_written_once(self):
-        """No registry class writes both a ``decide`` and a
-        ``decide_pool``: a reactive rule lives in ``decide_pool`` only."""
-        for key in SCHEDULER_CLASS_NAMES:
-            own = set(vars(type(build_scheduler(key))))
-            assert not {"decide", "decide_pool"} <= own, key
+    def test_both_engines_dispatch_through_decide(self, monkeypatch):
+        """A counting wrapper patched onto a registry class's ``decide``
+        sees one call per arrival, in arrival order, on a lane and on
+        ``ClusterSimulator.run``: no engine reaches the rule another
+        way."""
+        from repro.schedulers.greedy import GreedyMatchScheduler
+
+        seen = []
+        rule = GreedyMatchScheduler.decide
+
+        def counted(self, pool, invocation, cost_model):
+            seen.append(invocation.invocation_id)
+            return rule(self, pool, invocation, cost_model)
+
+        monkeypatch.setattr(GreedyMatchScheduler, "decide", counted)
+        task = make_task("greedy", "LO-Sim", seed=0, capacity=800.0)
+        arrivals = [
+            inv.invocation_id
+            for inv in cached_workload(task.workload, task.seed).invocations
+        ]
+        lane_summary(task)
+        assert seen == arrivals
+        seen.clear()
+        sequential_cell(task)
+        assert seen == arrivals
 
     def test_pool_bookkeeping_written_once(self):
         """Lanes run the shared pool lifecycle rather than a copy -- its
@@ -556,15 +572,15 @@ class TestKernelValidation:
 
 class _NoMatchReuse(Scheduler):
     """Rogue rule: picks an idle container that matches the arrival at no
-    Table-I level, claiming an exact match."""
+    Table-I level."""
 
     name = "Rogue-NoMatch"
 
-    def decide_pool(self, pool, invocation, cost_model):
+    def decide(self, pool, invocation, cost_model):
         image = invocation.spec.image
         for container in pool.containers():
             if match_level(image, container.image) is MatchLevel.NO_MATCH:
-                return container, int(MatchLevel.L3), False, ()
+                return container, False, ()
         return COLD
 
 
@@ -573,9 +589,9 @@ class _UnknownIdReuse(Scheduler):
 
     name = "Rogue-UnknownId"
 
-    def decide_pool(self, pool, invocation, cost_model):
+    def decide(self, pool, invocation, cost_model):
         stray = Container(container_id=10**9, image=invocation.spec.image)
-        return stray, int(MatchLevel.L3), False, ()
+        return stray, False, ()
 
 
 class TestDecisionValidation:

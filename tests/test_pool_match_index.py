@@ -133,8 +133,7 @@ class TestWarmPoolIndex:
             pool.add(make_container(i, last_used_at=float(i)))
         assert pool.expire_older_than(0.0) == []
         assert len(pool) == 5
-        head = pool.oldest()
-        assert head is not None and head.container_id == 0
+        assert next(iter(pool)).container_id == 0
 
     def test_repack_rekeys_index(self):
         """claim -> repack (image swap) -> re-add must re-key the entry."""

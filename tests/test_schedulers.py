@@ -28,6 +28,7 @@ from repro.workloads.fstartbench import build_workload
 from repro.workloads.workload import Workload
 
 from conftest import (
+    decide,
     make_container,
     make_ctx,
     make_image,
@@ -44,7 +45,7 @@ def ctx_for(containers, spec=None, **kw):
 class TestColdOnly:
     def test_always_cold(self):
         ctx = ctx_for([make_container(1)])
-        assert ColdOnlyScheduler().decide(ctx) == COLD
+        assert decide(ColdOnlyScheduler(), ctx) == COLD
 
 
 class TestExactMatchers:
@@ -58,7 +59,7 @@ class TestExactMatchers:
         partial = make_container(2, image=make_image("p",
                                                      runtime_names=("numpy",)))
         ctx = ctx_for([partial, exact])
-        assert scheduler_cls().decide(ctx) == (exact, 3, False, ())
+        assert decide(scheduler_cls(), ctx) == (exact, False, ())
 
     @pytest.mark.parametrize(
         "scheduler_cls", [KeepAliveScheduler, LRUScheduler, FaasCacheScheduler]
@@ -67,14 +68,14 @@ class TestExactMatchers:
         partial = make_container(2, image=make_image("p",
                                                      runtime_names=("numpy",)))
         ctx = ctx_for([partial])
-        assert scheduler_cls().decide(ctx) == COLD
+        assert decide(scheduler_cls(), ctx) == COLD
 
     def test_mru_tie_break(self):
         older = make_container(1, last_used_at=0.0)
         newer = make_container(2, last_used_at=10.0)
         # Pool order is LRU-first: [older, newer].
         ctx = ctx_for([older, newer])
-        assert LRUScheduler().decide(ctx)[0] is newer
+        assert decide(LRUScheduler(), ctx)[0] is newer
 
     def test_paired_eviction_policies(self):
         assert isinstance(LRUScheduler.make_eviction_policy(), LRUEviction)
@@ -91,17 +92,17 @@ class TestGreedyMatch:
         c_l2 = make_container(2, image=make_image("y",
                                                   runtime_names=("numpy",)))
         ctx = ctx_for([c_l1, c_l2])
-        assert GreedyMatchScheduler().decide(ctx)[0] is c_l2
+        assert decide(GreedyMatchScheduler(), ctx)[0] is c_l2
 
     def test_uses_shallow_match_when_only_option(self):
         c_l1 = make_container(1, image=make_image("x", lang_name="nodejs"))
         ctx = ctx_for([c_l1])
-        assert GreedyMatchScheduler().decide(ctx)[0] is c_l1
+        assert decide(GreedyMatchScheduler(), ctx)[0] is c_l1
 
     def test_cold_when_nothing_matches(self):
         other_os = make_container(1, image=make_image("o", os_name="debian"))
         ctx = ctx_for([other_os])
-        assert GreedyMatchScheduler().decide(ctx) == COLD
+        assert decide(GreedyMatchScheduler(), ctx) == COLD
 
 
 class TestLookahead:
@@ -123,7 +124,7 @@ class TestLookahead:
         scheduler = LookaheadScheduler(horizon=4)
         scheduler.observe_workload(workload)
         ctx = make_ctx(inv_now, idle_containers=[contested])
-        assert scheduler.decide(ctx) == COLD
+        assert decide(scheduler, ctx) == COLD
 
     def test_takes_container_when_no_future_contention(self):
         inv_now, _, _ = self._two_arrival_workload()
@@ -134,7 +135,7 @@ class TestLookahead:
         )
         ctx = make_ctx(inv_now, idle_containers=[contested])
         assert LookaheadScheduler.candidates(ctx.pool, inv_now.spec.image)
-        assert scheduler.decide(ctx)[0] is contested
+        assert decide(scheduler, ctx)[0] is contested
 
     def test_candidates_sorted_deepest_first(self):
         """The rule scans reusable containers deepest level first, then
@@ -219,7 +220,7 @@ class TestLookahead:
                                    last_used_at=float(rng.randint(0, 1))),
                     shard_index=cid,
                 )
-            got = scheduler.decide_pool(pool, inv, rule_model)
+            got = scheduler.decide(pool, inv, rule_model)
             want = _reference_decide(
                 workload.invocations, 8, pool, inv, reference_model
             )
@@ -264,7 +265,7 @@ class TestLookahead:
             ]
             differ += wants[0] != wants[1]
             for m in ((0, 1) if step % 2 else (1, 0)):
-                got = scheduler.decide_pool(pool, inv, models[m])
+                got = scheduler.decide(pool, inv, models[m])
                 assert _decision_key(got) == wants[m]
         assert differ
 
@@ -275,11 +276,11 @@ class TestLookahead:
         scheduler = LookaheadScheduler(horizon=4)
         scheduler.observe_workload(workload)
         ctx = make_ctx(inv_now, idle_containers=[make_container(1)])
-        decision = scheduler.decide(ctx)
+        decision = decide(scheduler, ctx)
         assert scheduler._savings
         clone = pickle.loads(pickle.dumps(scheduler))
         assert clone._savings == {} and clone._priced_by is None
-        assert _decision_key(clone.decide(ctx)) == _decision_key(decision)
+        assert _decision_key(decide(clone, ctx)) == _decision_key(decision)
 
     def test_same_name_specs_match_reference(self):
         """Specs sharing a name but not an image or init time are priced
@@ -310,7 +311,7 @@ class TestLookahead:
         warm = 0
         for inv in workload.invocations:
             pool = _random_lookahead_pool(rng, images, inv.spec.image)
-            got = scheduler.decide_pool(pool, inv, model)
+            got = scheduler.decide(pool, inv, model)
             want = _reference_decide(workload.invocations, 6, pool, inv,
                                      StartupCostModel())
             assert _decision_key(got) == _decision_key(want)
@@ -403,15 +404,15 @@ def _reference_decide(future, horizon, pool, invocation, cost_model):
         score = my_saving - loss
         if score > best_score:
             best_score = score
-            best = (container, int(level), False, ())
+            best = (container, False, ())
     return best
 
 
 def _decision_key(decision):
-    container, match, preserve_image, actions = decision
+    container, preserve_image, actions = decision
     return (
         None if container is None else container.container_id,
-        match, preserve_image, actions,
+        preserve_image, actions,
     )
 
 
@@ -455,11 +456,11 @@ class TestMPCPlan:
             last[fn] = now
             pool = _random_mpc_pool(rng, images, inv.spec.image, n_shards)
             prewarmed_for = dict(scheduler._prewarmed_for)
-            decision = scheduler.decide_pool(pool, inv, model)
+            decision = scheduler.decide(pool, inv, model)
             want = _reference_plan(
                 registered, forecast, prewarmed_for, budget, horizon_s,
                 pool, inv, decision[0], seen)
-            assert decision[3] == want
+            assert decision[2] == want
             assert scheduler._prewarmed_for == prewarmed_for
             seen["full_plan"] += len(want) == budget
         assert all(seen.values()), seen
@@ -524,9 +525,9 @@ class TestLendingDonor:
         ]
         ctx = make_ctx(make_invocation(spec, arrival_time=10.0),
                        idle_containers=donors)
-        container, _, _, actions = PagurusLendingScheduler(
-            help_threshold_s=2.0
-        ).decide(ctx)
+        container, _, actions = decide(
+            PagurusLendingScheduler(help_threshold_s=2.0), ctx
+        )
         assert container.container_id == 3  # greedy MRU pick at L2
         assert actions == (
             LendRequest(container_id=1, image=spec.image, function_name="f"),

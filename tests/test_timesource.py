@@ -177,7 +177,9 @@ class TestPumpUntil:
                             sim.pump_until(tick)
                 sim.offer(_invocation(i, t))
                 ctx = sim.next_decision_point()
-                records.append(sim.apply_decision(scheduler.decide(ctx)))
+                decision = scheduler.decide(
+                    ctx.pool, ctx.invocation, ctx.cost_model)
+                records.append(sim.apply_decision(decision))
             sim.finish()
             return records
 

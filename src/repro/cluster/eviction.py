@@ -39,9 +39,14 @@ class EvictionPolicy(abc.ABC):
     ) -> Optional[List[Container]]:
         """Containers to evict so ``incoming`` fits, or ``None`` to reject it.
 
-        Returning ``[]`` admits the newcomer without evictions.  The policy
-        must return victims whose freed memory actually makes room; the
-        simulator validates this.
+        Both engines call this only when ``incoming`` does not fit
+        (``incoming.image.memory_mb > pool.free_mb``): the lifecycle's
+        keep-alive admits a fitting newcomer without asking, so a policy
+        cannot evict to admit a newcomer that already fits.  Every policy
+        here returns ``[]`` for a fitting newcomer all the same (pinned by
+        ``tests/test_cluster_eviction.py``).  The policy must return
+        victims whose freed memory actually makes room; the pool's ``add``
+        raises otherwise.
         """
 
     def on_function_start(

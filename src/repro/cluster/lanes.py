@@ -50,9 +50,8 @@ runs in a lane the same way: the lane calls the scheduler's
 pool once per arrival, with the arrival's
 :class:`~repro.workloads.workload.Invocation`.  The sequential simulator
 calls the same method on its :class:`~repro.cluster.pool.PoolSet`, so
-both engines run one implementation.  Every warm pick passes
-:meth:`~repro.cluster.lifecycle.PoolLifecycle.check_decision` inside the
-shared :meth:`~repro.cluster.lifecycle.PoolLifecycle.start`, and any
+both engines run one implementation.  Every warm pick is validated by
+the shared :meth:`~repro.cluster.lifecycle.PoolLifecycle.start`, and any
 attached
 :class:`~repro.schedulers.base.PrewarmRequest` /
 :class:`~repro.schedulers.base.LendRequest` actions replay through the

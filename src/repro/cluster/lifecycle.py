@@ -56,7 +56,7 @@ from repro.workloads.functions import FunctionSpec
 
 
 # Aliases: an enum member read off its class costs a descriptor call.
-_NO_MATCH = MatchLevel.NO_MATCH
+_NO_MATCH, _L3 = MatchLevel.NO_MATCH, MatchLevel.L3
 _STARTING, _IDLE, _EVICTED = (
     ContainerState.STARTING, ContainerState.IDLE, ContainerState.EVICTED)
 
@@ -141,9 +141,11 @@ class PoolLifecycle:
         """Begin serving an arrival of ``spec`` at ``now``.
 
         ``picked`` is the decision's warm container, or None to
-        cold-create one.  A warm pick is validated first
-        (:meth:`check_decision`; an :class:`InvalidDecisionError` leaves
-        everything untouched), then claimed and repacked toward
+        cold-create one.  A warm pick is validated first: it must be a
+        pooled (idle) container that matches ``spec`` at some Table-I
+        level, and the match level is derived here, once (otherwise an
+        :class:`InvalidDecisionError` leaves everything untouched).  Then
+        it is claimed and repacked toward
         ``spec``'s image -- or onto its own image under ``preserve``
         (zygote-style reuse keeps the superset image) -- and stamped as
         serving ``spec`` since ``now``, as a new container is born.  Then
@@ -156,12 +158,25 @@ class PoolLifecycle:
             match = _NO_MATCH
             old_image = spec.image
         else:
-            container, match = self.check_decision(picked.container_id, spec)
+            cid = picked.container_id
+            container = self.pool.get(cid)
+            if container is None:
+                raise InvalidDecisionError(
+                    f"container {cid} is not an idle pooled container"
+                )
             old_image = container.image
-            self.claim(container.container_id, spec, now)
-            self.repack(
-                container, old_image if preserve else spec.image, spec.name
-            )
+            match = match_level(spec.image, old_image)
+            if match is _NO_MATCH:
+                raise InvalidDecisionError(
+                    f"container {cid} does not match invocation "
+                    f"{spec.name} at any level"
+                )
+            self.claim(cid, spec, now)
+            if preserve:
+                # The container keeps its own image: an exact match.
+                self.repack(container, old_image, spec.name, _L3)
+            else:
+                self.repack(container, spec.image, spec.name, match)
             container.begin_startup(spec.name, now)
         counters = self.counters
         if self.live_memory_mb > counters.peak_live_memory_mb:
@@ -180,28 +195,6 @@ class PoolLifecycle:
         self.loop.drain_until(math.inf, self.complete, self.expire_ttl)
 
     # -- claiming / repacking ------------------------------------------------
-    def check_decision(
-        self, container_id: Optional[int], spec: FunctionSpec
-    ) -> Tuple[Container, MatchLevel]:
-        """Validate a warm decision for an arrival of ``spec``.
-
-        The id must name a pooled (idle) container that matches ``spec``
-        at some Table-I level.  Returns the container and its match level;
-        raises :class:`InvalidDecisionError`, mutating nothing, otherwise.
-        """
-        container = self.pool.get(container_id)
-        if container is None:
-            raise InvalidDecisionError(
-                f"container {container_id} is not an idle pooled container"
-            )
-        match = match_level(spec.image, container.image)
-        if match is _NO_MATCH:
-            raise InvalidDecisionError(
-                f"container {container_id} does not match invocation "
-                f"{spec.name} at any level"
-            )
-        return container, match
-
     def claim(
         self, container_id: int, spec: FunctionSpec, now: float
     ) -> Container:
@@ -223,26 +216,41 @@ class PoolLifecycle:
         container: Container,
         target_image: FunctionImage,
         function_name: str,
+        match: MatchLevel,
     ) -> None:
-        """Swap a container's image, keeping live memory in sync."""
+        """Swap a container's image, keeping live memory in sync.
+
+        ``match`` is ``target_image``'s Table-I level against the
+        container's image, derived by the caller (never ``NO_MATCH``).
+        """
         old_mb = container.image.memory_mb
         container.image = target_image
         self.live_memory_mb += target_image.memory_mb - old_mb
 
     # -- keep-alive / destruction --------------------------------------------
     def keep_alive(self, container: Container, now: float) -> None:
-        """Put a finished container back into the pool, if admitted."""
-        if self.make_room(self.pool, container, now) is not None:
-            self.pool.add(container)
+        """Put a finished container back into the pool, if admitted.
+
+        A container that fits the pool's free memory is pooled at once;
+        only one that does not fit goes through :meth:`make_room`.
+        """
+        pool = self.pool
+        if (container.image.memory_mb <= pool.capacity_mb - pool.used_mb
+                or self.make_room(pool, container, now) is not None):
+            pool.add(container)
 
     def make_room(
         self, shard: WarmPool, container: Container, now: float
     ) -> Optional[List[Container]]:
-        """Run the eviction policy for pooling ``container`` on ``shard``.
+        """Run the eviction policy for pooling ``container`` on ``shard``,
+        which it does not fit.
 
         A rejected container is destroyed and None returned.  Otherwise
         the victims are taken out of the pool, destroyed and returned; the
-        caller then adds ``container``.
+        caller then adds ``container``.  The keep-alive tests the fit
+        itself, so the policy never runs for a fitting newcomer (the
+        :meth:`~repro.cluster.eviction.EvictionPolicy.select_victims`
+        contract).
         """
         victims = self.eviction.select_victims(shard, container, now)
         if victims is None:
@@ -336,7 +344,8 @@ class PoolLifecycle:
         container = self.pool.get(container_id)
         if container is None:
             return False
-        if match_level(target_image, container.image) is _NO_MATCH:
+        match = match_level(target_image, container.image)
+        if match is _NO_MATCH:
             return False
         shard = self.home_shard(container_id)
         headroom = (shard.capacity_mb - shard.used_mb
@@ -345,7 +354,7 @@ class PoolLifecycle:
             return False
         # The donor stays on its shard; re-adding re-keys its match index.
         shard.remove(container_id)
-        self.repack(container, target_image, function_name)
+        self.repack(container, target_image, function_name, match)
         container.current_function = function_name
         container.last_used_at = now
         shard.add(container)
@@ -469,31 +478,40 @@ class ContainerLifecycle(PoolLifecycle):
         container: Container,
         target_image: FunctionImage,
         function_name: str,
+        match: MatchLevel,
     ) -> CleanResult:
         """Repack a claimed container through the cleaner (volume by
-        volume), keeping live memory in sync."""
+        volume), keeping live memory in sync.  The cleaner takes the
+        caller's ``match`` instead of deriving it again."""
         old_mb = container.image.memory_mb
-        result = self.cleaner.repack(container, target_image, function_name)
+        result = self.cleaner.repack(container, target_image, function_name,
+                                     match)
         self.live_memory_mb += target_image.memory_mb - old_mb
         return result
 
     # -- keep-alive / destruction --------------------------------------------
     def keep_alive(self, container: Container, now: float) -> None:
         """Try to put a finished container back into its worker's pool,
-        then update the warm-memory peak."""
+        then update the warm-memory peak.  As in the pool lifecycle, only
+        a container that does not fit its shard goes through
+        :meth:`make_room`."""
         shard = self._shard
+        index = None
         if shard is None:
             index = self.placement.worker_of(container.container_id)
-            if self.make_room(self.pool.shard(index), container, now) is None:
-                return
-            self.pool.add(container, index)
-            self.telemetry.sample_memory(now, self.pool.used_mb)
-        elif self.make_room(shard, container, now) is not None:
+            shard = self.pool.shard(index)
+        if not (container.image.memory_mb <= shard.capacity_mb - shard.used_mb
+                or self.make_room(shard, container, now) is not None):
+            return
+        telemetry = self.telemetry
+        if index is None:
             shard.add(container)
             # One shard: the pool's peak is the shard's own running peak.
-            telemetry = self.telemetry
             if shard.peak_used_mb > telemetry.peak_warm_memory_mb:
                 telemetry.peak_warm_memory_mb = shard.peak_used_mb
+        else:
+            self.pool.add(container, index)
+            telemetry.sample_memory(now, self.pool.used_mb)
 
     def _expired(
         self, now: float, ttl: float, expired: List[Container]

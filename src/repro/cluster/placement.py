@@ -29,7 +29,7 @@ arithmetic serves offline simulation and the online serving plane.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 class PlacementEngine:
@@ -65,6 +65,11 @@ class PlacementEngine:
         self.memory_mb: List[float] = [0.0] * n_workers
         # Worker id of every placed, unreleased container.
         self._placement: Dict[int, int] = {}
+        #: ``worker_of(container_id)``: the worker id hosting a placed
+        #: container (``KeyError`` when it is not placed).  The books'
+        #: own lookup, bound once, so a start's worker costs no Python
+        #: call.
+        self.worker_of: Callable[[int], int] = self._placement.__getitem__
         # Per-worker release times of the jobs currently holding a slot
         # chain (at most ``concurrency_limit`` entries per worker).
         self._slots: List[List[float]] = [[] for _ in range(n_workers)]
@@ -113,10 +118,6 @@ class PlacementEngine:
         self.memory_mb[worker_id] = max(
             0.0, self.memory_mb[worker_id] - memory_mb
         )
-
-    def worker_of(self, container_id: int) -> int:
-        """The worker id hosting a placed container."""
-        return self._placement[container_id]
 
     # -- admission ----------------------------------------------------------
     def admit(self, worker_id: int, now: float, hold_s: float) -> Tuple[float, float]:

@@ -39,7 +39,7 @@ delete in place).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.containers.container import Container, ContainerState
 from repro.containers.image import FunctionImage
@@ -85,15 +85,24 @@ class WarmPool:
         an unbounded pool (used to compute the paper's *Loose* sizing).
     """
 
-    __slots__ = ("capacity_mb", "_containers", "_used_mb", "peak_used_mb",
-                 "_idx_l1", "_idx_l2", "_idx_l3", "_index_keys", "_newest_key")
+    __slots__ = ("capacity_mb", "_containers", "get", "used_mb",
+                 "peak_used_mb", "_idx_l1", "_idx_l2", "_idx_l3",
+                 "_index_keys", "_newest_key")
 
     def __init__(self, capacity_mb: float) -> None:
         if capacity_mb < 0:
             raise ValueError("capacity_mb must be >= 0")
         self.capacity_mb = capacity_mb
         self._containers: "OrderedDict[int, Container]" = OrderedDict()
-        self._used_mb = 0.0
+        #: ``get(container_id)``: the pooled container with that id, or
+        #: None.  The membership dict's own lookup, bound once, so
+        #: validating a warm pick costs no Python call.
+        self.get: Callable[[int], Optional[Container]] = (
+            self._containers.get)
+        #: Memory currently consumed by idle warm containers (read-only:
+        #: :meth:`add` and :meth:`remove` keep it).  A plain attribute, so
+        #: the lifecycle's keep-alive fit test costs no call.
+        self.used_mb = 0.0
         self.peak_used_mb = 0.0
         # Match index: fingerprint prefix -> {container_id: Container},
         # each bucket in ascending (last_used_at, container_id) order.
@@ -108,14 +117,9 @@ class WarmPool:
 
     # -- capacity -----------------------------------------------------------
     @property
-    def used_mb(self) -> float:
-        """Memory currently consumed by idle warm containers."""
-        return self._used_mb
-
-    @property
     def free_mb(self) -> float:
         """Remaining warm-pool capacity."""
-        return self.capacity_mb - self._used_mb
+        return self.capacity_mb - self.used_mb
 
     # -- membership ----------------------------------------------------------
     def __len__(self) -> int:
@@ -131,10 +135,6 @@ class WarmPool:
     def containers(self) -> List[Container]:
         """Snapshot list, least-recently-used first."""
         return list(self._containers.values())
-
-    def get(self, container_id: int) -> Optional[Container]:
-        """Look up by id; returns None when absent."""
-        return self._containers.get(container_id)
 
     # -- mutation ----------------------------------------------------------
     def add(self, container: Container, shard_index: int = 0) -> None:
@@ -162,15 +162,15 @@ class WarmPool:
         image = container.image
         memory_mb = image.memory_mb
         # Must fit in free_mb; a NaN size does not.
-        if not memory_mb <= self.capacity_mb - self._used_mb:
+        if not memory_mb <= self.capacity_mb - self.used_mb:
             raise PoolFullError(
                 f"container {cid} ({memory_mb:.0f}MB) exceeds free "
                 f"capacity ({self.free_mb:.0f}MB)"
             )
         self._containers[cid] = container
-        self._used_mb += memory_mb
-        if self._used_mb > self.peak_used_mb:
-            self.peak_used_mb = self._used_mb
+        self.used_mb += memory_mb
+        if self.used_mb > self.peak_used_mb:
+            self.peak_used_mb = self.used_mb
         # get-then-insert: setdefault would build a throwaway {} per call.
         fps = image.fingerprints
         b1 = self._idx_l1.get(fps[0])
@@ -197,10 +197,10 @@ class WarmPool:
         container = self._containers.pop(container_id, None)
         if container is None:
             raise KeyError(f"container {container_id} not in pool")
-        self._used_mb -= container.image.memory_mb
+        self.used_mb -= container.image.memory_mb
         # Guard against float drift accumulating below zero.
-        if self._used_mb < 1e-9:
-            self._used_mb = 0.0
+        if self.used_mb < 1e-9:
+            self.used_mb = 0.0
         # The three index levels, unrolled: no key or pair tuples.
         image = self._index_keys.pop(container_id)
         fps = image.fingerprints

@@ -83,9 +83,9 @@ from repro.cluster.telemetry import InvocationRecord, Telemetry
 from repro.containers.cleaner import ContainerCleaner
 from repro.containers.container import Container
 from repro.containers.costmodel import StartupCostModel
-# Not called here (the warm match comes from the lifecycle's
-# check_decision), but the repository benchmark's tracer patches and
-# checks this module's by-value alias.
+# Not called here (the warm match comes from the lifecycle's start), but
+# the repository benchmark's tracer patches and checks this module's
+# by-value alias.
 from repro.containers.matching import match_level  # noqa: F401
 from repro.containers.volumes import VolumeStore
 from repro.schedulers.base import PoolDecision, Scheduler, SchedulingContext
@@ -529,21 +529,27 @@ class ClusterSimulator:
         execution_s = invocation.execution_time_s
         placement = self.placement
         worker_id = placement.worker_of(container.container_id)
-        start_at, queue_delay = placement.admit(
-            worker_id, now, service_s + execution_s
-        )
-        latency = queue_delay + service_s
-        ready_at = start_at + service_s
+        if config.worker_concurrency is None:
+            # No admission control (and no queueing telemetry): the
+            # startup begins at once.
+            queue_delay = 0.0
+            latency = service_s
+            ready_at = now + service_s
+        else:
+            start_at, queue_delay = placement.admit(
+                worker_id, now, service_s + execution_s
+            )
+            latency = queue_delay + service_s
+            ready_at = start_at + service_s
+            telemetry.record_queueing(queue_delay)
+            telemetry.record_queue_depth(max(placement.queue_depths(now)))
+            telemetry.record_worker_busy(worker_id, service_s + execution_s)
         # One completion per invocation.  Priority ``ready_at`` pops
         # same-time completions in the order their startups finished.
         loop.schedule(ready_at + execution_s, container, ready_at)
         if self._on_start is not None:
             self._on_start(spec.name, latency, container.image.memory_mb,
                            now)
-        if telemetry.queueing_enabled:
-            telemetry.record_queueing(queue_delay)
-            telemetry.record_queue_depth(max(placement.queue_depths(now)))
-            telemetry.record_worker_busy(worker_id, service_s + execution_s)
         telemetry.record_invocation_values(
             invocation.invocation_id,
             spec.name,

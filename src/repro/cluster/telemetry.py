@@ -4,18 +4,20 @@ The paper's figures need, per run: total/average startup latency, number of
 cold starts, cumulative latency trajectories (Fig. 9), peak warm-pool memory
 and eviction counts (Fig. 10), plus per-invocation breakdowns (Fig. 1).
 
-Storage is *columnar* (struct-of-arrays): every per-invocation scalar field
-lives in its own ``array('d')`` / ``array('q')`` column, with function names
-interned into a string table, and the startup breakdown is one column of
-:class:`~repro.containers.costmodel.StartupBreakdown` references (the cost
-model memoizes breakdowns, so a row costs one 8-byte reference, not six
-floats).  Appending an event touches a handful of
-primitive array slots instead of allocating a Python object per invocation,
-and the aggregates (:meth:`Telemetry.summary`, percentiles, per-worker
-utilization) compute directly over the columns in one pass.  The historical
-row-oriented view -- :class:`InvocationRecord` -- is materialized lazily
-(and cached) by the :attr:`Telemetry.records` property for the callers that
-still compare whole rows (the batch-vs-incremental oracle).
+Storage is *row-appended, column-read*: recording an invocation is one
+``list.extend`` of its eleven fields onto a flat row list (no Python object
+per invocation, no per-field call), and the startup breakdown is one
+reference (the cost model memoizes breakdowns).  The typed columns --
+``array('q')`` / ``array('d')`` / ``array('b')``, one per scalar field of
+:class:`InvocationColumns` -- are materialized lazily from the rows by
+stride slicing, each on its first read after an append, so the
+aggregates (:meth:`Telemetry.summary`, percentiles, cumulative series)
+build just the fields they read.  The historical row-oriented view --
+:class:`InvocationRecord` -- is materialized the same way (and cached) by
+the :attr:`Telemetry.records` property for the callers that still compare
+whole rows (the batch-vs-incremental oracle).  A field value a column's
+typecode cannot hold therefore raises when the columns are read, not when
+the row is recorded.
 
 Startup latencies (and queueing delays) go into a *fold* with two forms:
 the exact ``array('d')`` column, or a bounded
@@ -29,13 +31,13 @@ form and :func:`latency_stats` reads ``(n, total, p50, p95)`` off either;
 The pre-columnar list implementation survives as
 :class:`repro.cluster.telemetry_reference.LegacyTelemetry`; the hypothesis
 parity suite (``tests/test_telemetry_parity.py``) drives both with random
-event streams and asserts identical summaries and aggregates.
+event streams and asserts identical summaries, aggregates and columns
+(typecodes included).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
@@ -85,12 +87,14 @@ class InvocationRecord:
 
 
 class InvocationColumns(NamedTuple):
-    """Zero-copy view over the telemetry's per-invocation columns.
+    """The telemetry's per-invocation scalar fields, one column each.
 
-    Numeric fields are the live ``array`` columns (do not mutate);
-    ``function_name`` is materialized as a list of interned name references.
-    Consumers that only need scalar fields (golden-trace recording, columnar
-    IPC packing) iterate these directly instead of building one
+    Numeric fields are ``array`` columns (typecodes in
+    :data:`COLUMN_TYPECODES`) built from the recorded rows and shared
+    with later reads until the next append (do not mutate);
+    ``function_name`` is a list of the recorded name references.
+    Consumers that only need scalar fields (golden-trace recording,
+    columnar IPC packing) iterate these directly instead of building one
     :class:`InvocationRecord` object per row.
     """
 
@@ -105,6 +109,19 @@ class InvocationColumns(NamedTuple):
     worker_id: Sequence[int]
     execution_time_s: Sequence[float]
 
+
+#: The ``array`` typecode of each :class:`InvocationColumns` field, in
+#: field order (``None``: a list of references).
+COLUMN_TYPECODES: Tuple[Optional[str], ...] = (
+    "q", None, "d", "q", "b", "b", "d", "d", "q", "d",
+)
+
+#: Values per recorded row: the :class:`InvocationColumns` fields in
+#: order, then the startup breakdown.
+_ROW_WIDTH = len(COLUMN_TYPECODES) + 1
+
+#: Offset of each :class:`InvocationColumns` field within a row.
+_OFFSET = {name: i for i, name in enumerate(InvocationColumns._fields)}
 
 #: A latency fold: the exact column or its bounded sketch form.
 Fold = Union[array, QuantileSketch]
@@ -224,7 +241,7 @@ class Counters:
 
 
 class Telemetry(Counters):
-    """Mutable per-run metric collector (columnar storage).
+    """Mutable per-run metric collector (rows appended, columns read).
 
     Constructor flags:
 
@@ -249,48 +266,47 @@ class Telemetry(Counters):
         self.max_queue_depth = 0
         self.worker_busy_s: Dict[int, float] = {}
         self.duration_s = 0.0
-        # The startup-latency and queueing-delay folds (read by
-        # :meth:`summary` and :meth:`queueing_summary`).
-        self._latency = self._fold()
-        self._add_latency = fold_adder(self._latency)
+        # The queueing-delay fold (read by :meth:`queueing_summary`).
         self._queue_delays = self._fold()
         self._add_queue_delay = fold_adder(self._queue_delays)
-        # Per-invocation row columns (struct-of-arrays); the latency fold
-        # is the startup-latency column.
-        column = self._row_column
-        self._inv_id = column("q")
-        self._fn_ix = column("q")
-        self._arrival = column("d")
-        self._cid = column("q")
-        self._cold = column("b")
-        self._match = column("b")
-        self._queue_delay = column("d")
-        self._worker = column("q")
-        self._exec = column("d")
-        self._breakdown = column(None)
-        # Interned function-name table.
-        self._names: List[str] = []
-        self._name_ix: Dict[str, int] = {}
-        # Lazily materialized row view (invalidated by length mismatch).
+        # Per-invocation rows, flat: _ROW_WIDTH values per invocation, in
+        # InvocationColumns order, then the breakdown.  The startup
+        # latency fold is the materialized latency column.
+        self._rows: list = []
+        # Lazily materialized columns by field, valid while the row list
+        # has _columns_len values, and the row view.
+        self._columns: Dict[str, Sequence] = {}
+        self._columns_len = 0
         self._records_view: Optional[List[InvocationRecord]] = None
 
     def _fold(self) -> Fold:
         """A new latency fold: the exact column."""
         return array("d")
 
-    def _row_column(self, typecode: Optional[str]):
-        """A new per-invocation row column of ``typecode``; ``None`` gives
-        a column of object references (a list)."""
-        return [] if typecode is None else array(typecode)
+    def _column(self, field: str) -> Sequence:
+        """The column of one :class:`InvocationColumns` field.
 
-    # -- interning -----------------------------------------------------------
-    def _intern(self, name: str) -> int:
-        """Index of ``name`` in the shared string table (inserting it)."""
-        ix = self._name_ix.get(name)
-        if ix is None:
-            ix = self._name_ix[name] = len(self._names)
-            self._names.append(name)
-        return ix
+        Built from the rows by stride slicing (an ``array`` of the field's
+        typecode) on the first read after an append, then shared, so an
+        aggregate materializes only the fields it reads.
+        """
+        rows = self._rows
+        if len(rows) != self._columns_len:
+            self._columns = {}
+            self._columns_len = len(rows)
+        column = self._columns.get(field)
+        if column is None:
+            offset = _OFFSET[field]
+            typecode = COLUMN_TYPECODES[offset]
+            column = rows[offset::_ROW_WIDTH]
+            if typecode is not None:
+                column = array(typecode, column)
+            self._columns[field] = column
+        return column
+
+    def _latency_fold(self) -> Fold:
+        """The startup-latency fold: the exact latency column."""
+        return self._column("startup_latency_s")
 
     # -- recording ----------------------------------------------------------
     def record_invocation_values(
@@ -307,28 +323,19 @@ class Telemetry(Counters):
         queue_delay_s: float = 0.0,
         worker_id: int = 0,
     ) -> None:
-        """Append one invocation directly into the columns (the fast path).
+        """Append one invocation as one row (the fast path).
 
         Hot callers (the simulator's batch loop) use this to skip building
-        an :class:`InvocationRecord` per event; the row view is available
-        afterwards through :attr:`records`.  ``breakdown`` is stored by
-        reference (it is immutable; the cost model hands out memoized
-        ones).
+        an :class:`InvocationRecord` per event; the columns and the row
+        view are available afterwards through :meth:`invocation_columns`
+        and :attr:`records`.  ``breakdown`` is stored by reference (it is
+        immutable; the cost model hands out memoized ones).
         """
-        self._add_latency(startup_latency_s)
-        self._inv_id.append(invocation_id)
-        ix = self._name_ix.get(function_name)
-        self._fn_ix.append(
-            ix if ix is not None else self._intern(function_name)
-        )
-        self._arrival.append(arrival_time)
-        self._cid.append(container_id)
-        self._cold.append(cold_start)
-        self._match.append(match)
-        self._queue_delay.append(queue_delay_s)
-        self._worker.append(worker_id)
-        self._exec.append(execution_time_s)
-        self._breakdown.append(breakdown)
+        self._rows.extend((
+            invocation_id, function_name, arrival_time, container_id,
+            cold_start, match, startup_latency_s, queue_delay_s, worker_id,
+            execution_time_s, breakdown,
+        ))
 
     def record_invocation(self, record: InvocationRecord) -> None:
         """Append one per-invocation record (row-oriented compatibility API)."""
@@ -399,13 +406,13 @@ class Telemetry(Counters):
         since the last access; treat it as read-only.
         """
         view = self._records_view
-        if view is not None and len(view) == len(self._inv_id):
+        if view is not None and len(view) == self.n_invocations:
             return view
-        names = self._names
+        cols = self.invocation_columns()
         view = [
             InvocationRecord(
                 invocation_id=inv,
-                function_name=names[fn],
+                function_name=fn,
                 arrival_time=arr,
                 container_id=cid,
                 cold_start=bool(cold),
@@ -417,11 +424,7 @@ class Telemetry(Counters):
                 worker_id=w,
             )
             for inv, fn, arr, cid, cold, m, lat, q, w, ex, breakdown
-            in zip(
-                self._inv_id, self._fn_ix, self._arrival, self._cid,
-                self._cold, self._match, self._latency, self._queue_delay,
-                self._worker, self._exec, self._breakdown,
-            )
+            in zip(*cols, self._rows[_ROW_WIDTH - 1::_ROW_WIDTH])
         ]
         self._records_view = view
         return view
@@ -430,39 +433,31 @@ class Telemetry(Counters):
         """The scalar per-invocation columns as one named view.
 
         Used by golden-trace recording and the columnar IPC packer to read
-        rows without materializing :class:`InvocationRecord` objects.
+        rows without materializing :class:`InvocationRecord` objects.  The
+        columns are built from the rows on the first read after an append
+        and shared by later reads; treat them as read-only.
         """
-        names = self._names
-        return InvocationColumns(
-            invocation_id=self._inv_id,
-            function_name=[names[i] for i in self._fn_ix],
-            arrival_time=self._arrival,
-            container_id=self._cid,
-            cold_start=self._cold,
-            match=self._match,
-            startup_latency_s=self._latency,
-            queue_delay_s=self._queue_delay,
-            worker_id=self._worker,
-            execution_time_s=self._exec,
+        return InvocationColumns._make(
+            self._column(field) for field in InvocationColumns._fields
         )
 
     # -- aggregates ---------------------------------------------------------
     @property
     def n_invocations(self) -> int:
-        return fold_totals(self._latency)[0]
+        return len(self._rows) // _ROW_WIDTH
 
     @property
     def total_startup_latency_s(self) -> float:
-        return fold_totals(self._latency)[1]
+        return fold_totals(self._latency_fold())[1]
 
     @property
     def mean_startup_latency_s(self) -> float:
-        n, total = fold_totals(self._latency)
+        n, total = fold_totals(self._latency_fold())
         return total / n if n else 0.0
 
     @property
     def cold_starts(self) -> int:
-        return int(sum(self._cold))
+        return int(sum(self._column("cold_start")))
 
     @property
     def warm_starts(self) -> int:
@@ -470,7 +465,7 @@ class Telemetry(Counters):
 
     def latencies(self) -> np.ndarray:
         """Per-invocation startup latencies in arrival order."""
-        return np.array(self._latency, dtype=np.float64)
+        return np.array(self._latency_fold(), dtype=np.float64)
 
     def cumulative_latency(self) -> np.ndarray:
         """Cumulative startup latency vs arrival index (Fig. 9 series)."""
@@ -478,12 +473,13 @@ class Telemetry(Counters):
 
     def cumulative_cold_starts(self) -> np.ndarray:
         """Cumulative cold-start counts vs arrival index."""
-        return np.cumsum(np.array(self._cold, dtype=np.int64))
+        return np.cumsum(np.array(self._column("cold_start"),
+                                  dtype=np.int64))
 
     def match_histogram(self) -> Dict[MatchLevel, int]:
         """How many starts happened at each match level."""
         counts = [0] * len(_MATCH_MEMBERS)
-        for m in self._match:
+        for m in self._column("match"):
             counts[m] += 1
         return {lvl: counts[int(lvl)] for lvl in _MATCH_MEMBERS}
 
@@ -546,13 +542,13 @@ class Telemetry(Counters):
     def summary(self) -> Dict[str, float]:
         """Scalar summary used by experiment reports (:func:`summary_fold`).
 
-        One pass over the columns; the queueing/utilization block is only
-        present when the run enforced a worker concurrency limit, so
-        summaries of runs without admission control are unchanged from the
-        pre-queueing simulator.
+        Reads the latency and cold-start fields; the queueing/utilization
+        block is only present when the run enforced a worker concurrency
+        limit, so summaries of runs without admission control are
+        unchanged from the pre-queueing simulator.
         """
         return summary_fold(
-            self, *latency_stats(self._latency), self.cold_starts,
+            self, *latency_stats(self._latency_fold()), self.cold_starts,
             self.queueing_summary() if self.queueing_enabled else None,
         )
 
@@ -562,11 +558,13 @@ class BoundedTelemetry(Telemetry):
 
     The same collector as :class:`Telemetry` with the bounded fold forms:
     the startup-latency and queueing-delay folds are
-    :class:`~repro.cluster.sketches.QuantileSketch` sketches, and the row
-    columns keep nothing but the cold-start and match-level tallies its
-    two count aggregates read, so memory stays constant while a
-    10M-invocation replay streams through.  The percentile summary cells
-    (``p50_startup_s``, ``p95_startup_s``, ``p95_queueing_s``) are sketch
+    :class:`~repro.cluster.sketches.QuantileSketch` sketches, and a
+    recorded row leaves nothing but its latency in the sketch and its
+    cold flag and match level in the two tallies the exact count
+    aggregates read (the row list stays empty), so memory stays constant
+    while a 10M-invocation replay streams through.  The percentile
+    summary cells (``p50_startup_s``, ``p95_startup_s``,
+    ``p95_queueing_s``) are sketch
     estimates within the sketch's relative accuracy; every other cell is
     bit-exact.
 
@@ -586,27 +584,56 @@ class BoundedTelemetry(Telemetry):
             queueing_enabled=queueing_enabled,
             worker_slots=worker_slots,
         )
-        # The two row columns the exact aggregates count keep their tallies.
-        self._cold = _Tally([0, 0])
-        self._match = _Tally([0] * len(_MATCH_MEMBERS))
+        self._latency = self._fold()
+        self._add_latency = fold_adder(self._latency)
+        # Starts per cold flag (index 1 counts the cold ones) and per
+        # match level.
+        self._cold_tally = [0, 0]
+        self._match_tally = [0] * len(_MATCH_MEMBERS)
 
     def _fold(self) -> Fold:
         """A new latency fold: the bounded sketch."""
         return QuantileSketch(self.relative_accuracy)
 
-    def _row_column(self, typecode: Optional[str]):
-        """A row column that keeps nothing."""
-        return _DISCARD
+    def _latency_fold(self) -> Fold:
+        """The startup-latency fold: the sketch."""
+        return self._latency
+
+    def record_invocation_values(
+        self,
+        invocation_id: int,
+        function_name: str,
+        arrival_time: float,
+        container_id: int,
+        cold_start: bool,
+        match: int,
+        startup_latency_s: float,
+        breakdown: StartupBreakdown,
+        execution_time_s: float,
+        queue_delay_s: float = 0.0,
+        worker_id: int = 0,
+    ) -> None:
+        """Fold one invocation: its startup latency into the sketch, its
+        cold flag and match level into their tallies.  The rest of the
+        row is not kept."""
+        self._add_latency(startup_latency_s)
+        self._cold_tally[cold_start] += 1
+        self._match_tally[match] += 1
 
     # -- aggregates whose exact form reads a row column -----------------------
     @property
+    def n_invocations(self) -> int:
+        """Exact invocation count (the sketch's)."""
+        return self._latency.count
+
+    @property
     def cold_starts(self) -> int:
-        """Exact cold-start count (the cold column's tally)."""
-        return self._cold[1]
+        """Exact cold-start count (the cold flag's tally)."""
+        return self._cold_tally[1]
 
     def match_histogram(self) -> Dict[MatchLevel, int]:
-        """Exact per-match-level start counts (the match column's tally)."""
-        return {lvl: self._match[int(lvl)] for lvl in _MATCH_MEMBERS}
+        """Exact per-match-level start counts (the match level's tally)."""
+        return {lvl: self._match_tally[int(lvl)] for lvl in _MATCH_MEMBERS}
 
     @property
     def queued_starts(self) -> int:
@@ -649,14 +676,3 @@ class BoundedTelemetry(Telemetry):
         """Unavailable in bounded mode (raises ``RuntimeError``)."""
         raise self._unavailable("cumulative_cold_starts()")
 
-
-#: The row "column" of :class:`BoundedTelemetry`: appending discards.
-_DISCARD = deque(maxlen=0)
-
-
-class _Tally(list):
-    """A bounded row column of small non-negative integers: item ``v``
-    counts how often ``v`` was appended."""
-
-    def append(self, value: int) -> None:
-        self[value] += 1

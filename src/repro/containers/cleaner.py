@@ -26,7 +26,8 @@ it never triggers under any schedule.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from operator import is_
+from typing import List, NamedTuple, Optional
 
 from repro.containers.container import Container
 from repro.containers.image import FunctionImage
@@ -79,8 +80,13 @@ class ContainerCleaner:
         container: Container,
         new_image: FunctionImage,
         function_name: str,
+        match: Optional[MatchLevel] = None,
     ) -> CleanResult:
         """Repack ``container`` so ``function_name`` can run ``new_image``.
+
+        ``match`` is ``new_image``'s Table-I level against the container's
+        current image when the caller has derived it already (the
+        lifecycle's ``start`` has); ``None`` derives it here.
 
         Volumes shared between the old and new configuration stay mounted
         (language/runtime volumes are content-addressed, so an identical
@@ -94,7 +100,8 @@ class ContainerCleaner:
             (the cleaner cannot replace the writable layer) -- callers must
             only repack reusable containers.
         """
-        match = match_level(new_image, container.image)
+        if match is None:
+            match = match_level(new_image, container.image)
         if match is _NO_MATCH:
             raise SecurityViolation(
                 f"container {container.container_id} has a different OS level; "
@@ -103,17 +110,22 @@ class ContainerCleaner:
         store = self._store
         needed, needed_ids = store.plan(new_image, function_name)
         current = container.mounted_volumes
-        if current == needed:
-            # Same-function reuse: every volume stays, in place.
-            unmounted: List[Volume] = []
-            mounted: List[Volume] = []
-        else:
+        unmounted: List[Volume] = []
+        mounted: List[Volume] = []
+        # Same-function reuse (the container holds exactly the plan) keeps
+        # every volume in place.  The store deduplicates volumes, so an
+        # identity test is an equality test.
+        if not (len(current) == len(needed)
+                and all(map(is_, current, needed))):
+            # Plain loops, not comprehensions: no call per repack.
             kept = []
-            unmounted = []
+            held = set()  # ids of the volumes the container holds
             for v in current:
+                held.add(v.volume_id)
                 (kept if v.volume_id in needed_ids else unmounted).append(v)
-            kept_ids = {v.volume_id for v in kept}
-            mounted = [v for v in needed if v.volume_id not in kept_ids]
+            for v in needed:
+                if v.volume_id not in held:
+                    mounted.append(v)
             container.mounted_volumes = kept + mounted
             store.unmount_count += len(unmounted)
             store.mount_count += len(mounted)

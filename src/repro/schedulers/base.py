@@ -73,7 +73,7 @@ PoolDecision = Tuple[Optional[Container], bool, Tuple[ProactiveAction, ...]]
 COLD: PoolDecision = (None, False, ())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SchedulingContext:
     """One pending arrival, as the simulator's incremental API hands it out.
 
@@ -86,6 +86,20 @@ class SchedulingContext:
     invocation: Invocation
     pool: "PoolSet"
     cost_model: StartupCostModel
+
+    def __init__(
+        self,
+        invocation: Invocation,
+        pool: "PoolSet",
+        cost_model: StartupCostModel,
+    ) -> None:
+        # The sequential engine builds one context per arrival.  The
+        # generated frozen __init__ pays one object.__setattr__ call per
+        # field; writing the instance dict directly takes half the time.
+        fields = self.__dict__
+        fields["invocation"] = invocation
+        fields["pool"] = pool
+        fields["cost_model"] = cost_model
 
 
 class Scheduler:

@@ -1,13 +1,26 @@
 """Tests for eviction (keep-alive) policies."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.eviction import (
     FaasCacheEviction,
     LRUEviction,
     RejectNewcomerEviction,
 )
+from repro.cluster.lanes import (
+    ArrivalTable,
+    LaneKernel,
+    LaneSpec,
+    scheduler_class,
+)
 from repro.cluster.pool import WarmPool
+from repro.cluster.simulator import ClusterSimulator, SimulationConfig
+from repro.experiments.common import pool_sizes
+from repro.workloads.fstartbench import build_workload
 
 from test_cluster_pool import small_container
 
@@ -120,3 +133,68 @@ class TestFaasCache:
         assert policy.select_victims(
             pool, small_container(9, mem=301.0), 0.0
         ) is None
+
+
+# -- the select_victims contract: a fitting newcomer is never asked about -----
+
+POLICIES = (LRUEviction, RejectNewcomerEviction, FaasCacheEviction)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.floats(1.0, 500.0), max_size=8),
+    spare=st.floats(1.0, 1000.0),
+    share=st.floats(0.0, 1.0),
+    starts=st.lists(
+        st.tuples(st.integers(0, 9), st.floats(0.01, 10.0)), max_size=12
+    ),
+)
+def test_every_policy_returns_no_victims_for_a_fitting_newcomer(
+    sizes, spare, share, starts
+):
+    """On a random pool, each policy admits any newcomer that fits the
+    free memory (the boundary ``share == 1`` included) with ``[]`` and
+    no side effect: the engines' keep-alive skips the call on a fit,
+    which is only sound while this holds."""
+    pool = filled_pool(capacity=sum(sizes) + spare, sizes=sizes)
+    incoming = small_container(99, mem=share * pool.free_mb)
+    assert incoming.image.memory_mb <= pool.free_mb
+    for policy_class in POLICIES:
+        policy = policy_class()
+        for index, cost in starts:
+            policy.on_function_start(f"img{index}", cost, 100.0, 0.0)
+        before = copy.deepcopy(vars(policy))
+        assert policy.select_victims(pool, incoming, 0.0) == []
+        assert vars(policy) == before
+
+
+@pytest.mark.parametrize("key", ["lru", "keepalive", "faascache"])
+def test_no_engine_asks_the_policy_about_a_fitting_newcomer(
+    key, monkeypatch
+):
+    """A counting wrapper on the key's eviction policy sees no fitting
+    newcomer from a lane or from ``ClusterSimulator.run`` on a Tight pool,
+    and does see the newcomers that do not fit."""
+    scheduler_type = scheduler_class(key)
+    policy_class = type(scheduler_type().make_eviction_policy())
+    rule = policy_class.select_victims
+    fits = []
+
+    def counted(self, pool, incoming, now):
+        fits.append(incoming.image.memory_mb <= pool.free_mb)
+        return rule(self, pool, incoming, now)
+
+    monkeypatch.setattr(policy_class, "select_victims", counted)
+    workload = build_workload("Overall", seed=0)
+    capacity = pool_sizes(workload)["Tight"]
+    LaneKernel([LaneSpec(key, ArrivalTable(workload), capacity)]).run()
+    lane_fits = list(fits)
+    fits.clear()
+    scheduler = scheduler_type()
+    ClusterSimulator(
+        SimulationConfig(pool_capacity_mb=capacity),
+        scheduler.make_eviction_policy(),
+    ).run(workload, scheduler)
+    assert lane_fits and fits
+    assert not any(lane_fits)
+    assert not any(fits)

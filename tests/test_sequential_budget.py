@@ -4,9 +4,12 @@
   finished lane are freed by reference counting alone, with the cyclic
   garbage collector off: the event loop holds no reference back to the
   lifecycle that owns it (the lifecycle passes its TTL sweep per call).
-* **Call budget.**  The Python-level function calls the sequential engine
-  makes per invocation on one fixed grid cell stay under a ceiling, so a
-  change that adds a hop to the per-invocation path shows up here.
+* **Call budgets.**  The Python-level function calls the sequential engine
+  makes per invocation on one fixed grid cell stay under a ceiling, both
+  through ``run`` with exact telemetry and through ``run_stream`` with
+  bounded telemetry (the path of a streaming replay's reference leg and
+  of the serving engine's decisions), so a change that adds a hop to
+  either per-invocation path shows up here.
 * **Lookahead's decision budget.**  The calls one Lookahead decision
   makes stay under a ceiling, so a change that re-prices savings per
   decision shows up here.
@@ -27,11 +30,19 @@ from repro.schedulers.lookahead import LookaheadScheduler
 from repro.workloads.fstartbench import build_workload
 
 #: Python ``call`` events per invocation of ``ClusterSimulator.run`` on
-#: the budget cell (Greedy-Match, Overall at seed 0, 1500 MB): 37.9 with
-#: the engine calling the policy's ``decide`` rule directly (Python 3.11);
-#: it was 56.9 before the per-invocation path was cut.  The ceiling
-#: leaves about 3 % of headroom.
-CALL_BUDGET = 39.0
+#: the budget cell (Greedy-Match, Overall at seed 0, 1500 MB): 29.9 with
+#: the eviction policy consulted only for a newcomer that does not fit,
+#: one row append per invocation, the warm match level derived once and
+#: no admission call without a concurrency limit (Python 3.11).  It was
+#: 37.9 before those cuts and 56.9 before the first round of them.  The
+#: ceiling leaves about 3 % of headroom.
+CALL_BUDGET = 30.7
+
+#: The same count for ``ClusterSimulator.run_stream`` over the budget
+#: cell's arrivals with ``bounded_telemetry=True``: 30.9 (Python 3.11),
+#: one more than ``run`` for the latency sketch's ``insert``; it was
+#: 40.9 before the cuts above.  About 3 % of headroom.
+STREAM_CALL_BUDGET = 31.8
 
 #: Python ``call`` events per ``LookaheadScheduler.decide`` call on
 #: the Lookahead budget cell (Overall at seed 0, Tight capacity), the
@@ -67,11 +78,15 @@ def test_finished_engines_are_freed_without_the_cyclic_gc():
             gc.enable()
 
 
-def test_sequential_calls_per_invocation_stay_under_budget():
+def _calls_per_invocation(bounded: bool) -> float:
+    """Python calls per invocation of the budget cell: ``run`` over the
+    workload, or ``run_stream`` over its arrivals with bounded
+    telemetry."""
     workload = build_workload("Overall", seed=0)
     scheduler = GreedyMatchScheduler()
     sim = ClusterSimulator(
-        SimulationConfig(pool_capacity_mb=1500.0),
+        SimulationConfig(pool_capacity_mb=1500.0,
+                         bounded_telemetry=bounded),
         scheduler.make_eviction_policy(),
     )
     calls = 0
@@ -83,13 +98,29 @@ def test_sequential_calls_per_invocation_stay_under_budget():
 
     sys.setprofile(count)
     try:
-        result = sim.run(workload, scheduler)
+        if bounded:
+            result = sim.run_stream(iter(workload.invocations), scheduler)
+        else:
+            result = sim.run(workload, scheduler)
     finally:
         sys.setprofile(None)
     n = len(workload)
     assert result.summary()["invocations"] == n
-    assert calls / n <= CALL_BUDGET, (
-        f"{calls / n:.2f} calls per invocation (budget {CALL_BUDGET})"
+    return calls / n
+
+
+def test_sequential_calls_per_invocation_stay_under_budget():
+    per_invocation = _calls_per_invocation(bounded=False)
+    assert per_invocation <= CALL_BUDGET, (
+        f"{per_invocation:.2f} calls per invocation (budget {CALL_BUDGET})"
+    )
+
+
+def test_bounded_stream_calls_per_invocation_stay_under_budget():
+    per_invocation = _calls_per_invocation(bounded=True)
+    assert per_invocation <= STREAM_CALL_BUDGET, (
+        f"{per_invocation:.2f} calls per invocation "
+        f"(budget {STREAM_CALL_BUDGET})"
     )
 
 

@@ -1,14 +1,15 @@
-"""Hypothesis parity: columnar Telemetry vs the legacy list reference.
+"""Hypothesis parity: Telemetry vs the legacy list reference.
 
 Random event streams are fed to both
-:class:`repro.cluster.telemetry.Telemetry` (struct-of-arrays) and
-:class:`repro.cluster.telemetry_reference.LegacyTelemetry` (the
+:class:`repro.cluster.telemetry.Telemetry` (rows appended, typed columns
+read) and :class:`repro.cluster.telemetry_reference.LegacyTelemetry` (the
 list-of-records implementation it replaced); every observable --
-``summary()``, the materialized records, ``queueing_summary()``,
-``worker_utilization()``, the warm-memory peak, trace-line serializations
--- must be identical,
+``summary()``, the materialized records and columns (array typecodes
+included), ``queueing_summary()``, ``worker_utilization()``, the
+warm-memory peak, trace-line serializations -- must be identical,
 because downstream reports and golden traces were recorded against the
-legacy semantics.
+legacy semantics.  :class:`~repro.cluster.telemetry.BoundedTelemetry`'s
+exact count aggregates must equal the exact collector's.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.telemetry import Telemetry
+from repro.cluster.telemetry import (
+    BoundedTelemetry,
+    InvocationColumns,
+    Telemetry,
+)
 from repro.cluster.telemetry_reference import LegacyTelemetry
 from repro.containers.costmodel import StartupBreakdown
 from repro.verify.trace import TraceLine
@@ -72,6 +77,66 @@ def test_summary_and_records_parity(events):
     assert (columnar.cumulative_cold_starts().tolist()
             == legacy.cumulative_cold_starts().tolist())
     assert columnar.match_histogram() == legacy.match_histogram()
+
+
+#: The array typecode each scalar column must have (None: a plain list).
+EXPECTED_TYPECODES = {
+    "invocation_id": "q",
+    "function_name": None,
+    "arrival_time": "d",
+    "container_id": "q",
+    "cold_start": "b",
+    "match": "b",
+    "startup_latency_s": "d",
+    "queue_delay_s": "d",
+    "worker_id": "q",
+    "execution_time_s": "d",
+}
+
+
+def _assert_columns_match_records(columns, records):
+    """Each column holds its field of the reference rows, in order, with
+    the pinned typecode."""
+    assert list(InvocationColumns._fields) == list(EXPECTED_TYPECODES)
+    for field, typecode in EXPECTED_TYPECODES.items():
+        column = getattr(columns, field)
+        assert getattr(column, "typecode", None) == typecode, field
+        assert list(column) == [getattr(r, field) for r in records], field
+
+
+@settings(max_examples=40, deadline=None)
+@given(events=stream_strategy, cut=st.integers(min_value=0, max_value=60))
+def test_invocation_columns_parity(events, cut):
+    """``invocation_columns()`` equals the reference rows field by field,
+    typecodes included, also when rows are appended between two reads
+    (the cached columns and records must then be rebuilt)."""
+    telemetry, legacy = _pair()
+    _feed((legacy,), events)
+    head, tail = events[:cut], events[cut:]
+    _feed((telemetry,), head)
+    _assert_columns_match_records(
+        telemetry.invocation_columns(), legacy.records[:len(head)]
+    )
+    assert telemetry.records == legacy.records[:len(head)]
+    _feed((telemetry,), tail)
+    _assert_columns_match_records(
+        telemetry.invocation_columns(), legacy.records
+    )
+    assert telemetry.records == legacy.records
+    assert telemetry.summary() == legacy.summary()
+
+
+@settings(max_examples=40, deadline=None)
+@given(events=stream_strategy)
+def test_bounded_count_aggregates_parity(events):
+    """BoundedTelemetry's inline cold-start and match-level tallies equal
+    the exact collector's counts over the same stream."""
+    exact, bounded = Telemetry(), BoundedTelemetry()
+    _feed((exact, bounded), events)
+    assert bounded.n_invocations == exact.n_invocations
+    assert bounded.cold_starts == exact.cold_starts
+    assert bounded.warm_starts == exact.warm_starts
+    assert bounded.match_histogram() == exact.match_histogram()
 
 
 @settings(max_examples=40, deadline=None)

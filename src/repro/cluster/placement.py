@@ -29,6 +29,7 @@ arithmetic serves offline simulation and the online serving plane.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 
@@ -90,16 +91,23 @@ class PlacementEngine:
         With admission control off this is the historical least-memory
         rule: smallest hosted memory, ties broken by the lower worker id.
         With it on, workers are ranked by in-flight load first so
-        ``n_workers`` genuinely spreads startup contention.
+        ``n_workers`` genuinely spreads startup contention: the least
+        ``(in-flight startups, hosted memory, worker id)``, found in one
+        pass that prunes each worker's in-flight heap once.
         """
         memory = self.memory_mb
         if self.concurrency_limit is None:
             # ``index`` returns the first minimum: the lowest id on a tie.
             return memory.index(min(memory))
-        return min(
-            range(self.n_workers),
-            key=lambda w: (self._inflight_count(w, now), memory[w], w),
-        )
+        best, best_load, best_mb = 0, math.inf, math.inf
+        for w, inflight in enumerate(self._inflight):
+            while inflight and inflight[0] <= now:
+                heapq.heappop(inflight)
+            load = len(inflight)
+            # Strict comparisons keep the lower id on a full tie.
+            if load < best_load or (load == best_load and memory[w] < best_mb):
+                best, best_load, best_mb = w, load, memory[w]
+        return best
 
     def place(self, container_id: int, memory_mb: float, now: float) -> int:
         """Select a worker and book the container on it; returns its id."""
@@ -152,12 +160,6 @@ class PlacementEngine:
         return start, start - now
 
     # -- load views ---------------------------------------------------------
-    def _inflight_count(self, worker_id: int, now: float) -> int:
-        inflight = self._inflight[worker_id]
-        while inflight and inflight[0] <= now:
-            heapq.heappop(inflight)
-        return len(inflight)
-
     def slot_counts(self) -> Tuple[int, ...]:
         """Occupied (possibly stale) slot-chain entries per worker.
 
@@ -169,16 +171,27 @@ class PlacementEngine:
         """
         return tuple(len(slots) for slots in self._slots)
 
+    def queue_depth(self, worker_id: int, now: float) -> int:
+        """Startups waiting for a concurrency slot on one worker at ``now``.
+
+        0 when admission control is disabled.  A worker's waiting heap
+        grows only when :meth:`admit` queues a startup on it, so between
+        its own admissions its depth only falls: the deepest queue over a
+        run is the deepest one read from each admitted worker right after
+        its admission.
+        """
+        if self.concurrency_limit is None:
+            return 0
+        waiting = self._waiting[worker_id]
+        while waiting and waiting[0] <= now:
+            heapq.heappop(waiting)
+        return len(waiting)
+
     def queue_depths(self, now: float) -> Tuple[int, ...]:
         """Startups waiting for a concurrency slot, per worker.
 
         All zeros when admission control is disabled.
         """
-        if self.concurrency_limit is None:
-            return (0,) * self.n_workers
-        depths = []
-        for waiting in self._waiting:
-            while waiting and waiting[0] <= now:
-                heapq.heappop(waiting)
-            depths.append(len(waiting))
-        return tuple(depths)
+        return tuple(
+            self.queue_depth(w, now) for w in range(self.n_workers)
+        )

@@ -98,6 +98,10 @@ __all__ = [
     "SimulationResult",
 ]
 
+#: Builds an :class:`InvocationRecord` from one tuple of every field in
+#: order, without the keyword constructor.
+_new_record = tuple.__new__
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -542,7 +546,9 @@ class ClusterSimulator:
             latency = queue_delay + service_s
             ready_at = start_at + service_s
             telemetry.record_queueing(queue_delay)
-            telemetry.record_queue_depth(max(placement.queue_depths(now)))
+            # The admitted worker's depth: no other worker's queue grew
+            # since its own last admission, so the run maximum is exact.
+            telemetry.record_queue_depth(placement.queue_depth(worker_id, now))
             telemetry.record_worker_busy(worker_id, service_s + execution_s)
         # One completion per invocation.  Priority ``ready_at`` pops
         # same-time completions in the order their startups finished.
@@ -572,19 +578,11 @@ class ClusterSimulator:
             self.verifier.checkpoint()
         if not want_record:
             return None
-        return InvocationRecord(
-            invocation_id=invocation.invocation_id,
-            function_name=spec.name,
-            arrival_time=invocation.arrival_time,
-            container_id=container.container_id,
-            cold_start=picked is None,
-            match=match,
-            startup_latency_s=latency,
-            breakdown=breakdown,
-            execution_time_s=execution_s,
-            queue_delay_s=queue_delay,
-            worker_id=worker_id,
-        )
+        return _new_record(InvocationRecord, (
+            invocation.invocation_id, spec.name, invocation.arrival_time,
+            container.container_id, picked is None, match, latency,
+            breakdown, execution_s, queue_delay, worker_id,
+        ))
 
     def finish(self, scheduler_name: str = "policy") -> SimulationResult:
         """Drain remaining events and return the run result."""

@@ -38,7 +38,6 @@ event streams and asserts identical summaries, aggregates and columns
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import (
     Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
@@ -55,13 +54,16 @@ from repro.containers.matching import MatchLevel
 _MATCH_MEMBERS: Tuple[MatchLevel, ...] = tuple(MatchLevel)
 
 
-@dataclass(frozen=True)
-class InvocationRecord:
+class InvocationRecord(NamedTuple):
     """Per-invocation outcome.
 
     ``startup_latency_s`` includes any queueing delay the startup spent
     waiting for a worker concurrency slot; ``queue_delay_s`` records that
     component separately (0 when admission control is disabled).
+
+    A named tuple: immutable, compared field by field, and built by the
+    engine in one C call (``tuple.__new__``) rather than through the
+    keyword constructor.
     """
 
     invocation_id: int
@@ -78,12 +80,18 @@ class InvocationRecord:
 
     @property
     def finish_time(self) -> float:
+        """Arrival plus startup latency plus execution time."""
         return self.arrival_time + self.startup_latency_s + self.execution_time_s
 
     @property
     def service_latency_s(self) -> float:
         """Startup latency excluding time queued for a worker slot."""
         return self.startup_latency_s - self.queue_delay_s
+
+
+#: Builds an :class:`InvocationRecord` from one tuple of every field in
+#: order, without the keyword constructor.
+_new_record = tuple.__new__
 
 
 class InvocationColumns(NamedTuple):
@@ -410,19 +418,10 @@ class Telemetry(Counters):
             return view
         cols = self.invocation_columns()
         view = [
-            InvocationRecord(
-                invocation_id=inv,
-                function_name=fn,
-                arrival_time=arr,
-                container_id=cid,
-                cold_start=bool(cold),
-                match=_MATCH_MEMBERS[m],
-                startup_latency_s=lat,
-                breakdown=breakdown,
-                execution_time_s=ex,
-                queue_delay_s=q,
-                worker_id=w,
-            )
+            _new_record(InvocationRecord, (
+                inv, fn, arr, cid, bool(cold), _MATCH_MEMBERS[m], lat,
+                breakdown, ex, q, w,
+            ))
             for inv, fn, arr, cid, cold, m, lat, q, w, ex, breakdown
             in zip(*cols, self._rows[_ROW_WIDTH - 1::_ROW_WIDTH])
         ]

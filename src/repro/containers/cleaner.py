@@ -68,12 +68,15 @@ class ContainerCleaner:
         return self._store
 
     def initial_mount(self, container: Container, function_name: str) -> List[Volume]:
-        """Mount the volume set for a freshly created (cold-start) container."""
+        """Mount the volume set for a freshly created (cold-start) container.
+
+        Returns the container's own ``mounted_volumes`` list, not a copy.
+        """
         store = self._store
         needed, _ = store.plan(container.image, function_name)
-        container.mounted_volumes = list(needed)
-        store.mount_count += len(needed)
-        return list(needed)
+        container.mounted_volumes = mounted = list(needed)
+        store.mount_count += len(mounted)
+        return mounted
 
     def repack(
         self,

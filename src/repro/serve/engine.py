@@ -33,8 +33,7 @@ Three properties make the contract hold:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, NamedTuple, Optional, Union
 
 from repro.cluster.eventloop import TimeSource, WallClock
 from repro.cluster.simulator import (
@@ -54,19 +53,23 @@ from repro.workloads.workload import Invocation
 
 __all__ = ["ServeClosed", "ServeEngine", "ServeOutcome"]
 
+#: Builds a :class:`ServeOutcome` from one ``(record, scheduler)`` tuple
+#: without the keyword constructor.
+_new_outcome = tuple.__new__
+
 
 class ServeClosed(RuntimeError):
     """The engine has drained; no further requests are accepted."""
 
 
-@dataclass(frozen=True)
-class ServeOutcome:
+class ServeOutcome(NamedTuple):
     """The scheduling outcome of one served request.
 
     Wraps the simulator's :class:`~repro.cluster.telemetry.InvocationRecord`
     together with the scheduler key that made the decision (the engine's
     scheduler can be hot-swapped between requests, so the key is captured
-    per outcome).
+    per outcome).  A named tuple, like the record: immutable, compared
+    field by field, and built by :meth:`ServeEngine.submit` in one C call.
     """
 
     record: InvocationRecord
@@ -218,7 +221,7 @@ class ServeEngine:
         self.submitted += 1
         if self.recorder is not None:
             self.recorder.on_decision(record)
-        return ServeOutcome(record=record, scheduler=self.scheduler_key)
+        return _new_outcome(ServeOutcome, (record, self.scheduler_key))
 
     def pump(self, now: Optional[float] = None) -> int:
         """Process due completions and TTL-sweep up to the wall reading.

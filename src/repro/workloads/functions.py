@@ -173,25 +173,44 @@ def _build_specs(catalog: PackageCatalog) -> List[FunctionSpec]:
 
 
 _CACHE: Dict[int, List[FunctionSpec]] = {}
+# The default catalog's specs by name and by FuncID, filled together with
+# ``_CACHE`` on first use (no import-time work).
+_BY_NAME: Dict[str, FunctionSpec] = {}
+_BY_ID: Dict[int, FunctionSpec] = {}
+
+
+def _default_specs() -> List[FunctionSpec]:
+    """The cached default-catalog specs, built (with the name and id
+    indexes) on first use."""
+    specs = _CACHE.get(0)
+    if specs is None:
+        specs = _build_specs(default_catalog())
+        _CACHE[0] = specs
+        _BY_NAME.update((spec.name, spec) for spec in specs)
+        _BY_ID.update((spec.func_id, spec) for spec in specs)
+    return specs
 
 
 def fstartbench_functions(catalog: PackageCatalog | None = None) -> List[FunctionSpec]:
     """The 13 Table-II functions (cached for the default catalog)."""
     if catalog is None:
-        specs = _CACHE.get(0)
-        if specs is None:
-            specs = _build_specs(default_catalog())
-            _CACHE[0] = specs
-        return list(specs)
+        return list(_default_specs())
     return _build_specs(catalog)
 
 
 def function_by_id(func_id: int, catalog: PackageCatalog | None = None) -> FunctionSpec:
     """Look up one Table-II function by its FuncID (1-13)."""
-    for spec in fstartbench_functions(catalog):
-        if spec.func_id == func_id:
-            return spec
-    raise KeyError(f"no FStartBench function with id {func_id}")
+    if catalog is None:
+        if not _BY_ID:
+            _default_specs()
+        spec = _BY_ID.get(func_id)
+    else:
+        spec = next(
+            (s for s in _build_specs(catalog) if s.func_id == func_id), None
+        )
+    if spec is None:
+        raise KeyError(f"no FStartBench function with id {func_id}")
+    return spec
 
 
 def functions_by_ids(
@@ -207,9 +226,17 @@ def function_by_name(
     """Look up one Table-II function by its name (e.g. ``"hello-python"``).
 
     The serving plane resolves request payloads and replayed arrival logs
-    through this, so function names are a stable wire format.
+    through this, so function names are a stable wire format; the default
+    catalog answers from a dict, one lookup per request.
     """
-    for spec in fstartbench_functions(catalog):
-        if spec.name == name:
-            return spec
-    raise KeyError(f"no FStartBench function named {name!r}")
+    if catalog is None:
+        if not _BY_NAME:
+            _default_specs()
+        spec = _BY_NAME.get(name)
+    else:
+        spec = next(
+            (s for s in _build_specs(catalog) if s.name == name), None
+        )
+    if spec is None:
+        raise KeyError(f"no FStartBench function named {name!r}")
+    return spec

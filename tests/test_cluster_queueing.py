@@ -1,6 +1,10 @@
 """Tests for the layered simulator: event loop, placement and queueing."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.eventloop import EventLoop, VirtualClock
 from repro.cluster.eviction import LRUEviction
@@ -159,6 +163,63 @@ class TestPlacementEngine:
         assert eng.place(1, 500.0, now=0.0) == 0
         eng.admit(1, now=0.0, hold_s=100.0)
         assert eng.select_worker(now=0.0) == 0
+
+
+#: One step of an admission run: a place (select, book and admit a
+#: startup) or a release of a placed container, after a clock step.  Times,
+#: holds and memory come in quarter steps and hundreds so ties are common.
+_STEPS = st.tuples(
+    st.sampled_from(["place", "place", "release"]),
+    st.integers(0, 8).map(lambda k: k * 0.25),
+    st.integers(1, 16).map(lambda k: k * 0.25),
+    st.integers(1, 4).map(lambda k: k * 100.0),
+    st.integers(0, 1000),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_workers=st.integers(1, 5),
+    limit=st.integers(1, 3),
+    steps=st.lists(_STEPS, min_size=1, max_size=60),
+)
+def test_one_pass_selection_and_admitted_depth_match_full_scans(
+    n_workers, limit, steps
+):
+    """``select_worker`` is the rule ``min(range(n), key=(in-flight count,
+    memory, worker id))``, and the running maximum of the admitted
+    worker's ``queue_depth`` is the running maximum of
+    ``max(queue_depths(now))``, at every decision."""
+    eng = PlacementEngine(n_workers, concurrency_limit=limit)
+    # The test's own books: release times of every admitted startup, and
+    # the placed containers with the memory they were booked at.
+    releases = [[] for _ in range(n_workers)]
+    placed = []
+    ids = itertools.count()
+    now = 0.0
+    admitted_max = scanned_max = 0
+    for kind, step, hold_s, memory_mb, pick in steps:
+        now += step
+        if kind == "release" and placed:
+            container_id, mb = placed.pop(pick % len(placed))
+            eng.release(container_id, mb)
+            continue
+        expected = min(
+            range(n_workers),
+            key=lambda w: (
+                sum(1 for r in releases[w] if r > now), eng.memory_mb[w], w
+            ),
+        )
+        worker = eng.select_worker(now)
+        assert worker == expected
+        container_id = next(ids)
+        assert eng.place(container_id, memory_mb, now) == worker
+        placed.append((container_id, memory_mb))
+        start, _ = eng.admit(worker, now, hold_s)
+        releases[worker].append(start + hold_s)
+        admitted_max = max(admitted_max, eng.queue_depth(worker, now))
+        scanned_max = max(scanned_max, max(eng.queue_depths(now)))
+        assert admitted_max == scanned_max
 
 
 def queueing_sim(n_workers, limit, capacity=2048.0):

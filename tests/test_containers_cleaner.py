@@ -208,8 +208,8 @@ def test_volume_plan_matches_per_call_plan(steps):
 
 
 def test_volume_plan_is_never_aliased():
-    """Mutating one container's mounted list (or a returned list) changes
-    neither the memoized plan nor another container."""
+    """Mutating one container's mounted list (which ``initial_mount``
+    returns) changes neither the memoized plan nor another container."""
     store = VolumeStore()
     cleaner = ContainerCleaner(store)
     spec = FSTARTBENCH[0]
@@ -218,8 +218,8 @@ def test_volume_plan_is_never_aliased():
     b = make_container(2, image=spec.image)
     returned = cleaner.initial_mount(a, spec.name)
     cleaner.initial_mount(b, spec.name)
-    returned.clear()
-    a.mounted_volumes.pop()
+    assert returned is a.mounted_volumes
+    returned.pop()
     assert _ids(store.plan(spec.image, spec.name)[0]) == plan_ids
     assert _ids(b.mounted_volumes) == plan_ids
 

@@ -10,6 +10,12 @@
   bounded telemetry (the path of a streaming replay's reference leg and
   of the serving engine's decisions), so a change that adds a hop to
   either per-invocation path shows up here.
+* **Serve budget.**  The calls one request makes through
+  :class:`~repro.serve.engine.ServeEngine` -- its ``submit``, its share
+  of the janitor's ``pump`` ticks and of the final ``drain`` -- stay
+  under a ceiling on a 4-worker x 16-slot cluster with admission
+  control and bounded telemetry, so a change that adds a hop to a
+  served decision shows up here.
 * **Lookahead's decision budget.**  The calls one Lookahead decision
   makes stay under a ceiling, so a change that re-prices savings per
   decision shows up here.
@@ -18,16 +24,20 @@
 from __future__ import annotations
 
 import gc
+import random
 import sys
 import weakref
 
+from repro.cluster.eventloop import VirtualClock
 from repro.cluster.lanes import ArrivalTable, LaneKernel, LaneSpec
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.experiments.common import pool_sizes
 from repro.schedulers.greedy import GreedyMatchScheduler
 from repro.schedulers.keepalive import KeepAliveScheduler
 from repro.schedulers.lookahead import LookaheadScheduler
+from repro.serve.engine import ServeEngine
 from repro.workloads.fstartbench import build_workload
+from repro.workloads.functions import fstartbench_functions
 
 #: Python ``call`` events per invocation of ``ClusterSimulator.run`` on
 #: the budget cell (Greedy-Match, Overall at seed 0, 1500 MB): 29.9 with
@@ -43,6 +53,15 @@ CALL_BUDGET = 30.7
 #: one more than ``run`` for the latency sketch's ``insert``; it was
 #: 40.9 before the cuts above.  About 3 % of headroom.
 STREAM_CALL_BUDGET = 31.8
+
+#: Python ``call`` events per ``ServeEngine.submit`` on the serve budget
+#: session (Greedy-Match, 4 workers x 16 slots, bounded telemetry, 1000
+#: seeded requests at 200/s, janitor pumps and the drain included):
+#: 55.0 with one-pass worker selection, the queue depth read from the
+#: admitted worker only, records and outcomes built as named tuples in
+#: one C call and function lookup by dict (Python 3.11); it was 65.8
+#: before those cuts.  About 3 % of headroom.
+SERVE_CALL_BUDGET = 56.7
 
 #: Python ``call`` events per ``LookaheadScheduler.decide`` call on
 #: the Lookahead budget cell (Overall at seed 0, Tight capacity), the
@@ -121,6 +140,69 @@ def test_bounded_stream_calls_per_invocation_stay_under_budget():
     assert per_invocation <= STREAM_CALL_BUDGET, (
         f"{per_invocation:.2f} calls per invocation "
         f"(budget {STREAM_CALL_BUDGET})"
+    )
+
+
+#: Serve budget session: request rate (per second of virtual time),
+#: request count, janitor interval and keep-alive TTL (seconds).
+SERVE_RATE = 200.0
+SERVE_REQUESTS = 1000
+SERVE_PUMP_S = 0.05
+SERVE_TTL_S = 2.0
+
+
+def _serve_calls_per_submit() -> float:
+    """Python calls per request of the serve budget session: a seeded
+    Poisson schedule over the 13 Table-II functions (popularity falling
+    with rank), janitor pumps every :data:`SERVE_PUMP_S` of virtual time
+    and the final drain, divided by the number of submits."""
+    specs = fstartbench_functions()
+    rng = random.Random(3)
+    names = [spec.name for spec in specs]
+    weights = [1.0 / (rank + 1) ** 1.5 for rank in range(len(names))]
+    schedule = []
+    t = 0.0
+    for _ in range(SERVE_REQUESTS):
+        t += rng.expovariate(SERVE_RATE)
+        schedule.append((t, rng.choices(names, weights)[0]))
+    config = SimulationConfig(
+        pool_capacity_mb=sum(spec.image.memory_mb for spec in specs),
+        n_workers=4,
+        worker_concurrency=16,
+        bounded_telemetry=True,
+    )
+    clock = VirtualClock()
+    engine = ServeEngine(config, "greedy", wall=clock,
+                         keepalive_ttl_s=SERVE_TTL_S)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    next_pump = SERVE_PUMP_S
+    sys.setprofile(count)
+    try:
+        for offset, function in schedule:
+            while next_pump <= offset:
+                clock.advance_to(next_pump)
+                engine.pump()
+                next_pump += SERVE_PUMP_S
+            clock.advance_to(offset)
+            engine.submit(function)
+        summary = engine.drain().summary()
+    finally:
+        sys.setprofile(None)
+    assert summary["invocations"] == engine.submitted == SERVE_REQUESTS
+    assert summary["max_queue_depth"] >= 1
+    return calls / engine.submitted
+
+
+def test_serve_calls_per_submit_stay_under_budget():
+    per_submit = _serve_calls_per_submit()
+    assert per_submit <= SERVE_CALL_BUDGET, (
+        f"{per_submit:.2f} calls per submit (budget {SERVE_CALL_BUDGET})"
     )
 
 

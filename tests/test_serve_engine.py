@@ -7,10 +7,14 @@ import pytest
 
 from repro.cluster.eventloop import VirtualClock
 from repro.cluster.simulator import SimulationConfig
+from repro.cluster.telemetry import InvocationRecord
+from repro.containers.costmodel import StartupBreakdown
+from repro.containers.matching import MatchLevel
 from repro.serve import (
     DecisionRecorder,
     ServeClosed,
     ServeEngine,
+    ServeOutcome,
     replay_recording,
 )
 
@@ -77,6 +81,76 @@ class TestSubmit:
         clock.advance_to(60.0)
         engine.pump()
         assert engine.sim_inflight == 0
+
+
+class TestRecordTypes:
+    """The decision records: immutable, compared field by field, with the
+    same fields, defaults, properties and JSON payload wherever built."""
+
+    @staticmethod
+    def _record(latency=3.0, queue=1.0):
+        return InvocationRecord(
+            invocation_id=7, function_name="hello-python",
+            arrival_time=2.0, container_id=5, cold_start=True,
+            match=MatchLevel.NO_MATCH, startup_latency_s=latency,
+            breakdown=StartupBreakdown(create_s=latency - queue),
+            execution_time_s=0.5, queue_delay_s=queue, worker_id=1,
+        )
+
+    def test_fields_in_order_with_defaults(self):
+        assert InvocationRecord._fields == (
+            "invocation_id", "function_name", "arrival_time",
+            "container_id", "cold_start", "match", "startup_latency_s",
+            "breakdown", "execution_time_s", "queue_delay_s", "worker_id",
+        )
+        assert ServeOutcome._fields == ("record", "scheduler")
+        r = InvocationRecord(1, "f", 0.0, 1, False, MatchLevel.L3, 0.2,
+                             StartupBreakdown(), 0.1)
+        assert (r.queue_delay_s, r.worker_id) == (0.0, 0)
+
+    def test_reject_attribute_assignment(self):
+        r = self._record()
+        outcome = ServeOutcome(record=r, scheduler="lru")
+        for obj, name in ((r, "startup_latency_s"), (r, "extra"),
+                          (outcome, "scheduler"), (outcome, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0)
+
+    def test_equal_field_by_field(self):
+        assert self._record() == self._record()
+        assert self._record() != self._record(latency=4.0)
+        assert hash(self._record()) == hash(self._record())
+        same = ServeOutcome(self._record(), "lru")
+        assert same == ServeOutcome(record=self._record(), scheduler="lru")
+        assert same != ServeOutcome(self._record(), "greedy")
+
+    def test_properties_and_json(self):
+        r = self._record()
+        assert r.finish_time == 2.0 + 3.0 + 0.5
+        assert r.service_latency_s == 2.0
+        outcome = ServeOutcome(r, "greedy")
+        assert outcome.exec_time_s == 0.5
+        assert outcome.service_time_s == 3.5
+        assert outcome.to_json() == {
+            "invocation_id": 7, "function": "hello-python", "arrival_t": 2.0,
+            "cold_start": True, "match": "NO_MATCH", "container_id": 5,
+            "worker_id": 1, "startup_latency_s": 3.0, "queue_delay_s": 1.0,
+            "exec_time_s": 0.5, "service_time_s": 3.5, "scheduler": "greedy",
+        }
+
+    def test_engine_builds_what_the_keyword_constructors_build(self):
+        clock = VirtualClock()
+        engine = ServeEngine(_config(n_workers=1, worker_concurrency=1),
+                             "greedy", wall=clock)
+        engine.submit("hello-python")
+        outcome = engine.submit("hello-python")
+        record = outcome.record
+        assert type(outcome) is ServeOutcome
+        assert type(record) is InvocationRecord
+        assert record.queue_delay_s > 0.0
+        assert outcome == ServeOutcome(
+            record=InvocationRecord(**record._asdict()), scheduler="greedy"
+        )
 
 
 class TestSwapAndDrain:

@@ -101,9 +101,9 @@ class InvocationColumns(NamedTuple):
     :data:`COLUMN_TYPECODES`) built from the recorded rows and shared
     with later reads until the next append (do not mutate);
     ``function_name`` is a list of the recorded name references.
-    Consumers that only need scalar fields (golden-trace recording,
-    columnar IPC packing) iterate these directly instead of building one
-    :class:`InvocationRecord` object per row.
+    Consumers that only need scalar fields (offline-Q training lines,
+    the differential oracles) iterate these directly instead of building
+    one :class:`InvocationRecord` object per row.
     """
 
     invocation_id: Sequence[int]
@@ -431,7 +431,7 @@ class Telemetry(Counters):
     def invocation_columns(self) -> InvocationColumns:
         """The scalar per-invocation columns as one named view.
 
-        Used by golden-trace recording and the columnar IPC packer to read
+        Used by offline-Q training and the differential oracles to read
         rows without materializing :class:`InvocationRecord` objects.  The
         columns are built from the rows on the first read after an append
         and shared by later reads; treat them as read-only.

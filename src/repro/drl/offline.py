@@ -10,7 +10,7 @@ is a cold start, actions 1..3 are warm starts at match level L1..L3 --
 with reward ``-lat`` and the next arriving function as the successor
 state, then runs a fixed number of synchronous value-iteration sweeps.
 
-Determinism contract (pinned by the ``offline_agent_deterministic``
+Determinism contract (pinned by the ``offline_deterministic``
 differential oracle and the shard-shuffle property suite):
 
 * **Order independence** -- transitions are reduced to sufficient

@@ -1,4 +1,4 @@
-"""Decoding one JSONL line into a checked JSON object.
+"""Decoding one JSONL line into a checked JSON object, and the decision line.
 
 Golden traces, serving recordings and offline-training shards are files
 the program reads from outside, one JSON object per line.  Each loader
@@ -16,6 +16,12 @@ int, so the numeric kinds compare exact types and reject booleans.
 ``json.loads`` also decodes the non-standard ``NaN``, ``Infinity`` and
 ``-Infinity``; :data:`NUMBER` rejects them (``key 't' is not a number:
 nan``), since no time, latency or capacity a loader reads can be one.
+
+Golden traces and serving recordings store one scheduling decision as
+the same line, :data:`DECISION_SCHEMA`.  :func:`decision_line` is the one
+place that maps an invocation record's fields to that line's keys, and
+:func:`first_divergence` the one report of the first key two lines (or
+two headers) disagree on, as a :class:`Divergence`.
 This module imports nothing but the standard library.
 """
 
@@ -23,7 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Callable, Dict, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 #: A JSON value kind: a predicate on the decoded value, and the phrase an
 #: error message uses for it ("is not {label}").
@@ -50,6 +57,60 @@ DECISION_SCHEMA: Dict[str, Kind] = {
     "inv": INT, "fn": STR, "t": NUMBER, "cold": BOOL, "cid": INT,
     "m": MATCH_LEVEL, "lat": NUMBER, "q": NUMBER, "w": INT, "exec": NUMBER,
 }
+
+
+def decision_line(record) -> Dict[str, Any]:
+    """The decision line of an ``InvocationRecord``, in schema key order.
+
+    ``cold`` is a bool and ``m`` the match level as an int; the other
+    values are the record's own.  Reads attributes only, so any object
+    with the record's field names encodes.
+    """
+    return {
+        "inv": record.invocation_id,
+        "fn": record.function_name,
+        "t": record.arrival_time,
+        "cold": bool(record.cold_start),
+        "cid": record.container_id,
+        "m": int(record.match),
+        "lat": record.startup_latency_s,
+        "q": record.queue_delay_s,
+        "w": record.worker_id,
+        "exec": record.execution_time_s,
+    }
+
+
+@dataclass(frozen=True)
+class Divergence:
+    """The first key where two lines disagree.
+
+    ``index`` is the line's event or decision index (``-1`` for a
+    header), ``field`` the JSON key, and ``expected`` / ``actual`` the
+    two values.
+    """
+
+    index: int
+    field: str
+    expected: Any
+    actual: Any
+
+    def __str__(self) -> str:
+        where = "header" if self.index < 0 else f"event {self.index}"
+        return (
+            f"first divergence at {where}, field {self.field!r}: "
+            f"expected {self.expected!r}, got {self.actual!r}"
+        )
+
+
+def first_divergence(index: int, expected: Mapping[str, Any],
+                     actual: Mapping[str, Any],
+                     keys: Iterable[str]) -> Optional[Divergence]:
+    """The first of ``keys`` whose values differ, or ``None``."""
+    for key in keys:
+        want, got = expected[key], actual[key]
+        if want != got:
+            return Divergence(index, key, want, got)
+    return None
 
 
 def nullable(kind: Kind) -> Kind:

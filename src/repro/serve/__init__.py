@@ -30,10 +30,10 @@ from repro.serve.admission import AdmissionController, AdmissionRejected
 from repro.serve.client import http_json
 from repro.serve.engine import ServeClosed, ServeEngine, ServeOutcome
 from repro.serve.janitor import Janitor
+from repro.jsonl import Divergence
 from repro.serve.recorder import (
     DecisionRecorder,
     ReplayReport,
-    ServeDivergence,
     read_recording,
     replay_recording,
 )
@@ -45,13 +45,13 @@ __all__ = [
     "AdmissionController",
     "AdmissionRejected",
     "DecisionRecorder",
+    "Divergence",
     "HttpError",
     "Janitor",
     "ReplayReport",
     "Request",
     "Router",
     "ServeClosed",
-    "ServeDivergence",
     "ServeEngine",
     "ServeOutcome",
     "ServePlane",

@@ -2,18 +2,19 @@
 
 Every served decision is appended to a JSONL log: one header line carrying
 everything needed to rebuild the cluster (scheduler key, capacities,
-worker topology, keep-alive TTL), then one line per decision (function,
-stamped arrival time, execution time and the full decision outcome) and
-one line per scheduler hot-swap.  Lines are flushed as written, so a
-session interrupted at any point still replays up to its last decision.
+worker topology, keep-alive TTL), then one
+:func:`~repro.jsonl.decision_line` per decision (function, stamped
+arrival time, execution time and the full decision outcome) and one line
+per scheduler hot-swap.  Lines are flushed as written, so a session
+interrupted at any point still replays up to its last decision.
 
 Replay (:func:`replay_recording`) rebuilds a fresh
 :class:`~repro.serve.engine.ServeEngine` from the header and re-submits
 the recorded arrivals with their recorded stamps.  Because the engine's
 state transitions all happen in the simulator's virtual time, the replayed
-decisions must match the served ones byte for byte; the first field that
-differs is reported as a :class:`ServeDivergence`.  The ``serve_replay``
-differential oracle runs exactly this check.
+decisions must match the served ones byte for byte; the first key that
+differs is reported as a :class:`~repro.jsonl.Divergence`.  The
+``serve_replay`` differential oracle runs exactly this check.
 
 Limitations: recordings assume the default
 :class:`~repro.containers.costmodel.StartupCostModel` and fault-free
@@ -35,7 +36,10 @@ from repro.jsonl import (
     INT,
     NUMBER,
     STR,
+    Divergence,
     check_object,
+    decision_line,
+    first_divergence,
     nullable,
     read_object,
 )
@@ -44,16 +48,12 @@ from repro.workloads.functions import fstartbench_functions
 __all__ = [
     "DecisionRecorder",
     "ReplayReport",
-    "ServeDivergence",
     "read_recording",
     "replay_recording",
 ]
 
 #: Recording format version (bumped on any incompatible line change).
 RECORDING_VERSION = 1
-
-#: Decision fields compared by replay, in reporting order.
-_COMPARED_FIELDS = ("inv", "cold", "cid", "m", "lat", "q", "w")
 
 #: Header keys replay rebuilds the engine from, with their JSON kinds.
 _HEADER_SCHEMA = {
@@ -113,18 +113,7 @@ class DecisionRecorder:
 
     def on_decision(self, record) -> None:
         """Append one served decision (an ``InvocationRecord``) to the log."""
-        self._write({
-            "inv": record.invocation_id,
-            "fn": record.function_name,
-            "t": record.arrival_time,
-            "exec": record.execution_time_s,
-            "cold": record.cold_start,
-            "cid": record.container_id,
-            "m": int(record.match),
-            "lat": record.startup_latency_s,
-            "q": record.queue_delay_s,
-            "w": record.worker_id,
-        })
+        self._write(decision_line(record))
         self.n_decisions += 1
 
     def on_swap(self, key: str, t: float) -> None:
@@ -156,28 +145,12 @@ class DecisionRecorder:
 
 
 @dataclass(frozen=True)
-class ServeDivergence:
-    """First field where a replayed decision differed from the recording."""
-
-    index: int
-    field: str
-    recorded: object
-    replayed: object
-
-    def __str__(self) -> str:
-        return (
-            f"decision {self.index}: field {self.field!r} recorded "
-            f"{self.recorded!r} but replayed {self.replayed!r}"
-        )
-
-
-@dataclass(frozen=True)
 class ReplayReport:
     """Outcome of replaying one recorded serving session."""
 
     n_decisions: int
     n_swaps: int
-    divergence: Optional[ServeDivergence]
+    divergence: Optional[Divergence]
 
     @property
     def ok(self) -> bool:
@@ -260,7 +233,8 @@ def replay_recording(
     Rebuilds the cluster and scheduler from the header, submits every
     recorded arrival with its recorded stamp and execution time, applies
     scheduler swaps at their recorded positions, and compares each decision
-    field-by-field.  ``verify=True`` additionally runs the invariant
+    line key by key (the recorded value is ``expected``, the replayed one
+    ``actual``).  ``verify=True`` additionally runs the invariant
     monitors throughout the replay.  Stops at the first divergence.
     """
     from repro.cluster.simulator import SimulationConfig
@@ -282,7 +256,7 @@ def replay_recording(
     )
     n_decisions = 0
     n_swaps = 0
-    divergence: Optional[ServeDivergence] = None
+    divergence: Optional[Divergence] = None
     for entry in entries:
         if "swap" in entry:
             engine.swap_scheduler(entry["swap"])
@@ -291,25 +265,9 @@ def replay_recording(
         outcome = engine.submit(
             entry["fn"], exec_time_s=entry["exec"], now=entry["t"]
         )
-        record = outcome.record
-        replayed = {
-            "inv": record.invocation_id,
-            "cold": record.cold_start,
-            "cid": record.container_id,
-            "m": int(record.match),
-            "lat": record.startup_latency_s,
-            "q": record.queue_delay_s,
-            "w": record.worker_id,
-        }
-        for field in _COMPARED_FIELDS:
-            if replayed[field] != entry[field]:
-                divergence = ServeDivergence(
-                    index=n_decisions,
-                    field=field,
-                    recorded=entry[field],
-                    replayed=replayed[field],
-                )
-                break
+        divergence = first_divergence(n_decisions, entry,
+                                      decision_line(outcome.record),
+                                      DECISION_SCHEMA)
         n_decisions += 1
         if divergence is not None:
             break

@@ -35,12 +35,11 @@ from repro.verify.invariants import (
     VerificationHarness,
     VolumeMonitor,
 )
+from repro.jsonl import Divergence
 from repro.verify.trace import (
     TRACE_FORMAT_VERSION,
     Trace,
-    TraceDivergence,
     TraceHeader,
-    TraceLine,
     TraceSpec,
     diff_traces,
     read_trace,
@@ -63,9 +62,8 @@ __all__ = [
     "TRACE_FORMAT_VERSION",
     "Trace",
     "TraceHeader",
-    "TraceLine",
     "TraceSpec",
-    "TraceDivergence",
+    "Divergence",
     "record_trace",
     "replay_trace",
     "read_trace",

@@ -10,7 +10,7 @@ Python's shortest-round-trip ``repr`` so equality really is bitwise.
 
 Checked-in golden traces (``tests/golden_traces/``, regenerated with
 :func:`record_golden_traces`) turn any behavioural drift into a
-structured :class:`TraceDivergence` -- the exact first event and field
+structured :class:`~repro.jsonl.Divergence` -- the exact first event and key
 that changed -- instead of a summary-level mismatch.  The ``repro trace
 record|replay|diff`` CLI exposes the same primitives.
 
@@ -35,15 +35,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.simulator import (
     ClusterSimulator,
     SimulationConfig,
     SimulationResult,
 )
-from repro.cluster.telemetry import InvocationRecord
-from repro.containers.matching import MatchLevel
 from repro.experiments.common import POOL_LEVELS, pool_sizes
 from repro.experiments.parallel import SCHEDULER_FACTORIES, build_scheduler
 from repro.jsonl import (
@@ -51,7 +49,10 @@ from repro.jsonl import (
     INT,
     NUMBER,
     STR,
+    Divergence,
     check_object,
+    decision_line,
+    first_divergence,
     read_object,
 )
 from repro.workloads.fstartbench import WORKLOAD_BUILDERS, build_workload
@@ -158,87 +159,32 @@ _KINDS = {"int": INT, "str": STR, "float": NUMBER}
 _HEADER_SCHEMA = {f.name: _KINDS[f.type] for f in fields(TraceHeader)}
 
 
-#: JSON key per :class:`TraceLine` field, in serialization order.
-_LINE_KEYS = (
-    ("index", "i"),
-    ("invocation_id", "inv"),
-    ("function", "fn"),
-    ("arrival", "t"),
-    ("cold", "cold"),
-    ("container_id", "cid"),
-    ("match", "m"),
-    ("latency_s", "lat"),
-    ("queue_s", "q"),
-    ("worker", "w"),
-    ("exec_s", "exec"),
-)
-
-
-@dataclass(frozen=True)
-class TraceLine:
-    """One scheduling decision/outcome, in arrival order."""
-
-    index: int
-    invocation_id: int
-    function: str
-    arrival: float
-    cold: bool
-    container_id: int
-    match: int
-    latency_s: float
-    queue_s: float
-    worker: int
-    exec_s: float
-
-    @staticmethod
-    def from_record(index: int, record: InvocationRecord) -> "TraceLine":
-        return TraceLine(
-            index=index,
-            invocation_id=record.invocation_id,
-            function=record.function_name,
-            arrival=record.arrival_time,
-            cold=record.cold_start,
-            container_id=record.container_id,
-            match=int(record.match),
-            latency_s=record.startup_latency_s,
-            queue_s=record.queue_delay_s,
-            worker=record.worker_id,
-            exec_s=record.execution_time_s,
-        )
-
-    @property
-    def match_level(self) -> MatchLevel:
-        """The Table-I match level of the decision."""
-        return MatchLevel(self.match)
-
-    def to_json(self) -> str:
-        """Serialize the line with the compact key set of the format spec."""
-        data = {key: getattr(self, attr) for attr, key in _LINE_KEYS}
-        return json.dumps(data)
-
-    @staticmethod
-    def from_json(line: str) -> "TraceLine":
-        """Parse one decision line; ``ValueError`` on a malformed one."""
-        data = read_object(line, "trace line")
-        check_object(data, _LINE_SCHEMA, "trace line")
-        return TraceLine(**{attr: data[key] for attr, key in _LINE_KEYS})
-
-
 #: Line key -> kind: the event index, then the decision fields.
 _LINE_SCHEMA = {"i": INT, **DECISION_SCHEMA}
 
 
+def _read_line(row: str) -> Dict[str, Any]:
+    """Parse one decision line; ``ValueError`` on a malformed one."""
+    line = read_object(row, "trace line")
+    check_object(line, _LINE_SCHEMA, "trace line")
+    return line
+
+
 @dataclass(frozen=True)
 class Trace:
-    """A parsed trace: header plus every decision line."""
+    """A parsed trace: header plus every decision line.
+
+    Each line is a dict: the event index ``i``, then the
+    :func:`~repro.jsonl.decision_line` of that invocation.
+    """
 
     header: TraceHeader
-    lines: Tuple[TraceLine, ...]
+    lines: Tuple[Dict[str, Any], ...]
 
     def to_jsonl(self) -> str:
         """Serialize to the on-disk JSONL form (trailing newline included)."""
         out = [self.header.to_json()]
-        out.extend(line.to_json() for line in self.lines)
+        out.extend(json.dumps(line) for line in self.lines)
         return "\n".join(out) + "\n"
 
     @staticmethod
@@ -250,8 +196,7 @@ class Trace:
                 continue
             try:
                 parsed.append(
-                    TraceLine.from_json(row) if parsed
-                    else TraceHeader.from_json(row)
+                    _read_line(row) if parsed else TraceHeader.from_json(row)
                 )
             except ValueError as exc:
                 raise ValueError(f"line {number}: {exc}") from None
@@ -265,28 +210,6 @@ class Trace:
                 f"file holds {len(lines)}"
             )
         return Trace(header=header, lines=lines)
-
-
-@dataclass(frozen=True)
-class TraceDivergence:
-    """The first point where two traces disagree.
-
-    ``index`` is the event index (``-1`` for a header-level divergence),
-    ``field`` the differing :class:`TraceLine` / :class:`TraceHeader`
-    attribute, and ``expected`` / ``actual`` the two values.
-    """
-
-    index: int
-    field: str
-    expected: object
-    actual: object
-
-    def __str__(self) -> str:
-        where = "header" if self.index < 0 else f"event {self.index}"
-        return (
-            f"first divergence at {where}, field {self.field!r}: "
-            f"expected {self.expected!r}, got {self.actual!r}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -309,38 +232,11 @@ def _simulate(spec: TraceSpec) -> Tuple[float, SimulationResult]:
 
 
 def record_trace(spec: TraceSpec) -> Trace:
-    """Simulate the spec's cell and capture its full decision trace.
-
-    Reads the telemetry's invocation columns directly
-    (:meth:`~repro.cluster.telemetry.Telemetry.invocation_columns`), so no
-    :class:`~repro.cluster.telemetry.InvocationRecord` objects are
-    materialized on the recording path; the line values are identical to
-    :meth:`TraceLine.from_record` over the row view.
-    """
+    """Simulate the spec's cell and capture its full decision trace."""
     capacity, result = _simulate(spec)
-    cols = result.telemetry.invocation_columns()
     lines = tuple(
-        TraceLine(
-            index=i,
-            invocation_id=inv,
-            function=fn,
-            arrival=arrival,
-            cold=bool(cold),
-            container_id=cid,
-            match=match,
-            latency_s=latency,
-            queue_s=queue,
-            worker=worker,
-            exec_s=exec_s,
-        )
-        for i, (inv, fn, arrival, cold, cid, match, latency, queue, worker,
-                exec_s)
-        in enumerate(zip(
-            cols.invocation_id, cols.function_name, cols.arrival_time,
-            cols.cold_start, cols.container_id, cols.match,
-            cols.startup_latency_s, cols.queue_delay_s, cols.worker_id,
-            cols.execution_time_s,
-        ))
+        {"i": i, **decision_line(record)}
+        for i, record in enumerate(result.telemetry.records)
     )
     return Trace(
         header=TraceHeader(
@@ -361,22 +257,16 @@ def replay_trace(trace: Trace, verify: bool = False) -> Trace:
     return record_trace(trace.header.spec(verify=verify))
 
 
-def diff_traces(expected: Trace, actual: Trace) -> Optional[TraceDivergence]:
+def diff_traces(expected: Trace, actual: Trace) -> Optional[Divergence]:
     """First divergence between two traces, or ``None`` when identical."""
-    for field_name in ("version", "workload", "scheduler", "seed", "pool",
-                       "capacity_mb", "n_events"):
-        want = getattr(expected.header, field_name)
-        got = getattr(actual.header, field_name)
-        if want != got:
-            return TraceDivergence(-1, field_name, want, got)
-    for index, (want_line, got_line) in enumerate(
-        zip(expected.lines, actual.lines)
-    ):
-        for attr, _ in _LINE_KEYS:
-            want = getattr(want_line, attr)
-            got = getattr(got_line, attr)
-            if want != got:
-                return TraceDivergence(index, attr, want, got)
+    divergence = first_divergence(-1, asdict(expected.header),
+                                  asdict(actual.header), _HEADER_SCHEMA)
+    if divergence is not None:
+        return divergence
+    for index, (want, got) in enumerate(zip(expected.lines, actual.lines)):
+        divergence = first_divergence(index, want, got, _LINE_SCHEMA)
+        if divergence is not None:
+            return divergence
     return None
 
 

@@ -236,6 +236,31 @@ class TestRecordingReplay:
         assert not report.ok
         assert report.divergence.field == "w"
 
+    def test_older_key_order_still_replays(self):
+        """Recordings written before the shared decision-line codec put
+        ``exec`` fourth; readers are key-order free, so they replay, and
+        a tampered key is still reported by its name."""
+        old_order = ("inv", "fn", "t", "exec", "cold", "cid", "m", "lat",
+                     "q", "w")
+        lines = self._record_session().lines()
+        decisions = []
+        for number, line in enumerate(lines[1:], start=1):
+            entry = json.loads(line)
+            if "swap" not in entry:
+                assert list(entry) != list(old_order)
+                lines[number] = json.dumps(
+                    {key: entry[key] for key in old_order},
+                    separators=(",", ":"))
+                decisions.append(number)
+        assert replay_recording(lines).ok
+
+        entry = json.loads(lines[decisions[-1]])
+        entry["w"] = (entry["w"] + 1) % 2
+        lines[decisions[-1]] = json.dumps(entry, separators=(",", ":"))
+        report = replay_recording(lines)
+        assert not report.ok
+        assert report.divergence.field == "w"
+
     def test_recording_round_trips_through_a_file(self, tmp_path):
         recorder = self._record_session()
         path = tmp_path / "session.jsonl"
@@ -313,4 +338,4 @@ class TestCli:
         bad = tmp_path / "tampered.jsonl"
         bad.write_text("\n".join(lines) + "\n")
         assert main(["serve-replay", str(bad)]) == 1
-        assert "recorded" in capsys.readouterr().out
+        assert "first divergence" in capsys.readouterr().out

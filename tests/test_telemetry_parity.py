@@ -5,10 +5,9 @@ Random event streams are fed to both
 read) and :class:`repro.cluster.telemetry_reference.LegacyTelemetry` (the
 list-of-records implementation it replaced); every observable --
 ``summary()``, the materialized records and columns (array typecodes
-included), ``queueing_summary()``, ``worker_utilization()``, the
-warm-memory peak, trace-line serializations -- must be identical,
-because downstream reports and golden traces were recorded against the
-legacy semantics.  :class:`~repro.cluster.telemetry.BoundedTelemetry`'s
+included), ``queueing_summary()``, ``worker_utilization()`` and the
+warm-memory peak -- must be identical, because downstream reports and
+golden traces were recorded against the legacy semantics.  :class:`~repro.cluster.telemetry.BoundedTelemetry`'s
 exact count aggregates must equal the exact collector's.
 """
 
@@ -24,7 +23,6 @@ from repro.cluster.telemetry import (
 )
 from repro.cluster.telemetry_reference import LegacyTelemetry
 from repro.containers.costmodel import StartupBreakdown
-from repro.verify.trace import TraceLine
 
 FUNCTION_NAMES = ("alpha", "beta", "gamma", "delta-9", "f")
 
@@ -137,36 +135,6 @@ def test_bounded_count_aggregates_parity(events):
     assert bounded.cold_starts == exact.cold_starts
     assert bounded.warm_starts == exact.warm_starts
     assert bounded.match_histogram() == exact.match_histogram()
-
-
-@settings(max_examples=40, deadline=None)
-@given(events=stream_strategy)
-def test_trace_line_bytes_parity(events):
-    """Golden-trace lines from the columns == lines from the row view."""
-    columnar, legacy = _pair()
-    _feed((columnar, legacy), events)
-
-    cols = columnar.invocation_columns()
-    from_columns = [
-        TraceLine(
-            index=i, invocation_id=inv, function=fn, arrival=arrival,
-            cold=bool(cold), container_id=cid, match=match,
-            latency_s=latency, queue_s=queue, worker=worker, exec_s=exec_s,
-        ).to_json()
-        for i, (inv, fn, arrival, cold, cid, match, latency, queue, worker,
-                exec_s)
-        in enumerate(zip(
-            cols.invocation_id, cols.function_name, cols.arrival_time,
-            cols.cold_start, cols.container_id, cols.match,
-            cols.startup_latency_s, cols.queue_delay_s, cols.worker_id,
-            cols.execution_time_s,
-        ))
-    ]
-    from_records = [
-        TraceLine.from_record(i, record).to_json()
-        for i, record in enumerate(legacy.records)
-    ]
-    assert from_columns == from_records
 
 
 @settings(max_examples=40, deadline=None)

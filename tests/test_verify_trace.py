@@ -16,12 +16,12 @@ import pytest
 from repro.cli import main as cli_main
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.core.persistence import load_scheduler
+from repro.jsonl import decision_line
 from repro.verify.trace import (
     GOLDEN_MATRIX,
     TRACE_FORMAT_VERSION,
     Trace,
     TraceHeader,
-    TraceLine,
     TraceSpec,
     diff_traces,
     golden_trace_name,
@@ -46,18 +46,24 @@ def test_golden_matrix_files_exist():
     ids=[f"{w}-{s}" for w, s in GOLDEN_MATRIX],
 )
 def test_golden_replay_is_bit_identical(workload, scheduler):
-    golden = read_trace(GOLDEN_ROOT / golden_trace_name(workload, scheduler))
+    path = GOLDEN_ROOT / golden_trace_name(workload, scheduler)
+    golden = read_trace(path)
     assert golden.header.version == TRACE_FORMAT_VERSION
     replayed = replay_trace(golden)
     assert diff_traces(golden, replayed) is None
-    # Bitwise, not just structurally: the serialized forms are equal too.
-    assert golden.to_jsonl() == replayed.to_jsonl()
+    # Bitwise, not just structurally: the re-recording serializes to the
+    # checked-in file's text, so a serializer change cannot pass unseen.
+    # (Compared as a bool: pytest's diff of two long traces that differ
+    # on every line takes minutes.)
+    same_text = replayed.to_jsonl() == path.read_text()
+    assert same_text, f"re-recording differs from the text of {path.name}"
 
 
 @pytest.mark.parametrize("workload", ["LO-Sim", "Peak"])
 def test_mlcr_fixture_replay_is_bit_identical(workload):
     """The checked-in MLCR policy's decisions on its recorded cells."""
-    golden = read_trace(MLCR_FIXTURE_ROOT / f"{workload.lower()}.jsonl")
+    path = MLCR_FIXTURE_ROOT / f"{workload.lower()}.jsonl"
+    golden = read_trace(path)
     header = golden.header
     policy = load_scheduler(MLCR_FIXTURE_ROOT / "policy.npz")
     policy.reset()
@@ -67,11 +73,12 @@ def test_mlcr_fixture_replay_is_bit_identical(workload):
     )
     result = sim.run(build_workload(header.workload, seed=header.seed),
                      policy)
-    lines = tuple(TraceLine.from_record(i, record)
+    lines = tuple({"i": i, **decision_line(record)}
                   for i, record in enumerate(result.telemetry.records))
     replayed = Trace(replace(header, n_events=len(lines)), lines)
     assert diff_traces(golden, replayed) is None
-    assert golden.to_jsonl() == replayed.to_jsonl()
+    same_text = replayed.to_jsonl() == path.read_text()
+    assert same_text, f"re-recording differs from the text of {path.name}"
 
 
 def test_record_with_verify_changes_nothing():
@@ -90,12 +97,12 @@ def test_roundtrip_through_file(tmp_path):
 def test_diff_reports_exact_first_divergence():
     golden = read_trace(GOLDEN_ROOT / golden_trace_name(*GOLDEN_MATRIX[0]))
     lines = list(golden.lines)
-    lines[17] = replace(lines[17], latency_s=lines[17].latency_s + 0.5)
+    lines[17] = {**lines[17], "lat": lines[17]["lat"] + 0.5}
     perturbed = Trace(header=golden.header, lines=tuple(lines))
     divergence = diff_traces(golden, perturbed)
     assert divergence is not None
     assert divergence.index == 17
-    assert divergence.field == "latency_s"
+    assert divergence.field == "lat"
     assert divergence.actual == pytest.approx(divergence.expected + 0.5)
     assert "event 17" in str(divergence)
 
@@ -147,7 +154,7 @@ def test_cli_diff_detects_perturbation(tmp_path, capsys):
     golden_path = GOLDEN_ROOT / golden_trace_name(*GOLDEN_MATRIX[0])
     golden = read_trace(golden_path)
     lines = list(golden.lines)
-    lines[3] = replace(lines[3], worker=lines[3].worker + 1)
+    lines[3] = {**lines[3], "w": lines[3]["w"] + 1}
     perturbed_path = write_trace(
         Trace(header=golden.header, lines=tuple(lines)),
         tmp_path / "perturbed.jsonl",

@@ -45,7 +45,7 @@ def _peak_rss_mb() -> float:
 
 
 def test_stream_generation_throughput(benchmark):
-    """Drain a 50k-invocation Azure stream (synthesis + heap merge only)."""
+    """Drain a 50k-invocation Azure stream (synthesis + window merge only)."""
     gen = _generator(5 * N_INVOCATIONS)
 
     def consume():
@@ -82,7 +82,8 @@ def test_stream_memory_is_o1():
 
     Consumes a 50k-invocation stream to establish the process peak, then a
     500k-invocation stream; the peak may only grow by a constant working
-    set (chunks, heap, per-function sources), never by the trace length.
+    set (chunks, one merge window, the frontier heap, per-function
+    sources), never by the trace length.
     """
     small = 0
     for _ in _generator(MEM_SMALL).stream(seed=0):

@@ -17,15 +17,23 @@ not the mean -- is guarded because shared/virtualized hosts add steal
 time that inflates the mean unboundedly under load, while the fastest of
 hundreds of rounds lands in a quiet slice and only moves when the code
 itself slows down.
+
+OpenBLAS is pinned to one thread (unless ``OPENBLAS_NUM_THREADS`` is
+already set) before anything imports numpy: its default thread pool
+makes the DRL micro-benchmarks' small matrix products several times
+slower on a 2-vCPU host, with no change in results.
 """
 
-import json
 import os
-from pathlib import Path
 
-import pytest
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from repro.experiments.common import ExperimentScale
+import json  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import pytest  # noqa: E402
+
+from repro.experiments.common import ExperimentScale  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "bench_baseline.json"
 

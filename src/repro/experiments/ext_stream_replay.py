@@ -5,8 +5,9 @@ The paper evaluates on 400-invocation FStartBench mixes; production traces
 millions of invocations per day.  This scenario family replays a synthetic
 Azure-like trace at that scale through the streaming pipeline end to end:
 
-* arrivals come from :meth:`AzureTraceGenerator.stream` -- heap-merged
-  per-function generators, never materialized, O(#functions) memory;
+* arrivals come from :meth:`AzureTraceGenerator.stream` -- per-function
+  numpy chunks merged one time window at a time, never materialized,
+  O(#functions + window + chunk) memory;
 * bounded stream lanes (:func:`~repro.cluster.lanes.run_stream_lanes`)
   consume them in bounded chunks, every cell replaying the same stream
   sharing one pass;

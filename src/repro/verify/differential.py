@@ -34,7 +34,10 @@ streaming_vs_materialized  ``ClusterSimulator.run_stream`` over a lazy
                            materialized workload (identical summaries
                            and per-invocation columns, for both a
                            wrapped FStartBench list and a chunk-
-                           synthesized Azure stream), and chunked
+                           synthesized Azure stream), the window-merged
+                           Azure stream == a straight-line concatenate-
+                           and-sort of its chunk sources (equal
+                           invocations, same spec objects), and chunked
                            ``run_stream_lanes`` == bounded-telemetry
                            ``run_stream`` for every registry scheduler
                            (byte-equal summaries)
@@ -80,7 +83,7 @@ import tempfile
 import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -133,6 +136,29 @@ def tiny_workload(seed: int = 0, n: int = 12) -> Workload:
         for i in range(n)
     ]
     return Workload.from_invocations(f"diff-tiny{seed}", invocations)
+
+
+def straight_line_merge(
+    specs: Sequence, sources: Sequence[Iterable],
+) -> List[Invocation]:
+    """Reference for :func:`~repro.workloads.stream.merge_function_chunks`.
+
+    Concatenates every source's ``(times, exec_times)`` chunks, stable-sorts
+    the arrivals by ``(time, function index)`` and numbers them in that
+    order: no windows, no frontiers, no per-chunk binning.
+    """
+    rows = [
+        (time, index, exec_s)
+        for index, source in enumerate(sources)
+        for times, execs in source
+        for time, exec_s in zip(times.tolist(), execs.tolist())
+    ]
+    rows.sort(key=lambda row: (row[0], row[1]))
+    return [
+        Invocation(invocation_id=i, spec=specs[index], arrival_time=time,
+                   execution_time_s=exec_s)
+        for i, (time, index, exec_s) in enumerate(rows)
+    ]
 
 
 def tiny_mlcr_config(**overrides) -> MLCRConfig:
@@ -420,8 +446,10 @@ def oracle_streaming_vs_materialized() -> OracleResult:
     check) and a chunk-synthesized
     :meth:`~repro.workloads.azure.AzureTraceGenerator.stream` against its
     own materialized ``generate()`` (feed path plus arrival synthesis),
-    each under two schedulers.  A third leg pins the chunked streaming
-    *lane* replay: :func:`~repro.cluster.lanes.run_stream_lanes` over
+    each under two schedulers.  A second leg holds the window-merged Azure
+    stream, at one window and at the benchmark's 2,000-function shape,
+    to :func:`straight_line_merge` over its own chunk sources.  A third
+    leg pins the chunked streaming *lane* replay: :func:`~repro.cluster.lanes.run_stream_lanes` over
     the Azure stream must be byte-equal (exact ``==``) to the sequential
     bounded-telemetry ``run_stream`` for every scheduler in the
     experiment registry.
@@ -471,6 +499,23 @@ def oracle_streaming_vs_materialized() -> OracleResult:
                     )
             checked += len(want.invocation_id)
 
+    # Second leg: the window merge against the straight-line reference.
+    from repro.experiments.ext_stream_replay import trace_config
+
+    merged = 0
+    for stream in (azure.stream(seed=0),
+                   AzureTraceGenerator(trace_config(2000, 20_000)).stream(0)):
+        want = straight_line_merge(stream.specs, stream.chunk_sources())
+        got = list(stream)
+        if got != want or any(a.spec is not b.spec
+                              for a, b in zip(got, want)):
+            return OracleResult(
+                name, False,
+                f"Azure {len(stream.specs)} functions: window merge "
+                f"differs from the straight-line reference",
+            )
+        merged += len(got)
+
     # Third leg: chunked streaming *lane* replay.  Every registry
     # scheduler replays the Azure stream once through the sequential
     # bounded-telemetry ``run_stream`` and once through
@@ -511,6 +556,7 @@ def oracle_streaming_vs_materialized() -> OracleResult:
         name, True,
         f"{checked} records identical across "
         f"{len(pairs)}x{len(schedulers)} runs; "
+        f"{merged} merged arrivals equal the straight-line reference; "
         f"{len(lane_cells)} stream-lane summaries byte-equal",
     )
 

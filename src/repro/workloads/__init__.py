@@ -41,7 +41,7 @@ from repro.workloads.stream import (
     InvocationStream,
     StreamStatistics,
     WorkloadStream,
-    merge_function_arrivals,
+    merge_function_chunks,
     statistics_from_counts,
     stream_from_workload,
 )
@@ -75,7 +75,7 @@ __all__ = [
     "InvocationStream",
     "StreamStatistics",
     "WorkloadStream",
-    "merge_function_arrivals",
+    "merge_function_chunks",
     "statistics_from_counts",
     "stream_from_workload",
     "workload_similarity",

@@ -16,15 +16,17 @@ multi-level reuse worthwhile.
 
 Synthesis is *streaming-first*: :meth:`AzureTraceGenerator.stream` builds an
 :class:`AzureTraceStream` -- a lazy, restartable
-:class:`~repro.workloads.stream.InvocationStream` that heap-merges
-per-function arrival generators, each synthesizing its arrivals in bounded
+:class:`~repro.workloads.stream.InvocationStream` that window-merges
+per-function chunk sources, each synthesizing its arrivals in bounded
 numpy chunks (binomial splitting over time slices, so a chunk is an exact
-sample of the per-function arrival law restricted to its slice).
+sample of the per-function arrival law restricted to its slice).  The
+merge cuts the trace window into ``ceil(n_invocations / ARRIVAL_CHUNK)``
+time windows and orders one window at a time.
 :meth:`AzureTraceGenerator.generate` is simply ``stream(seed)``
 materialized, so list and stream replay agree element-for-element; at
 production scale (tens of thousands of functions x millions of
-invocations) only the stream is affordable -- its memory is O(#functions),
-never O(#invocations).
+invocations) only the stream is affordable -- its memory is
+O(#functions + window + chunk), never O(#invocations).
 
 Burstiness is modeled with a Dirichlet(alpha) weighting over equal time
 slices, drawn by stick-breaking (sequential beta-binomial splitting):
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Union
 
 import numpy as np
 
@@ -47,9 +49,10 @@ from repro.packages.package import Package, PackageLevel
 from repro.workloads.functions import FunctionSpec
 from repro.workloads.metrics import workload_similarity, workload_size_variance
 from repro.workloads.stream import (
+    ArrivalChunk,
     InvocationStream,
     StreamStatistics,
-    merge_function_arrivals,
+    merge_function_chunks,
     statistics_from_counts,
 )
 from repro.workloads.workload import Invocation, Workload
@@ -57,7 +60,9 @@ from repro.workloads.workload import Invocation, Workload
 #: Upper bound on the arrival-chunk size of any single function; the
 #: per-function chunk is scaled down proportionally to its share of the
 #: trace (floored at :data:`MIN_ARRIVAL_CHUNK`), so the *sum* of live chunk
-#: buffers across all merged functions stays O(#functions + chunk).
+#: buffers across all merged functions stays O(#functions + chunk).  The
+#: merge also cuts the trace into one time window per this many
+#: invocations, so a window holds about this many arrivals on average.
 ARRIVAL_CHUNK = 4096
 
 #: Floor of the per-function arrival chunk: small-count functions buffer at
@@ -112,9 +117,11 @@ class AzureTraceStream(InvocationStream):
 
     Construction samples the function population and per-function
     invocation counts (O(#functions) work and memory); every ``__iter__``
-    then heap-merges freshly seeded per-function arrival generators, so
-    repeated passes yield identical invocations.  ``metadata`` carries the
-    cited trace statistics, computed directly from the counts.
+    then window-merges freshly seeded per-function chunk sources
+    (:meth:`chunk_sources`), so repeated passes yield identical
+    invocations.  A pass holds O(#functions + window + chunk) arrivals.
+    ``metadata`` carries the cited trace statistics, computed directly
+    from the counts.
     """
 
     name = "Azure-like"
@@ -133,18 +140,28 @@ class AzureTraceStream(InvocationStream):
     def __len__(self) -> int:
         return self.n_invocations
 
-    def __iter__(self) -> Iterator[Invocation]:
+    def chunk_sources(self) -> List[Iterator[ArrivalChunk]]:
+        """Fresh ``(times, exec_times)`` chunk sources, one per spec.
+
+        Source ``i`` draws from its own generator seeded ``(seed, i)``, so
+        each pass (and each consumer) sees the same chunks.
+        """
         gen = self._generator
         total = max(1, self.n_invocations)
-        sources = [
-            gen._function_arrivals(
+        return [
+            gen._function_chunks(
                 spec, int(count),
                 rng=np.random.default_rng((self.seed, index)),
                 chunk=_proportional_chunk(int(count), total),
             )
             for index, (spec, count) in enumerate(zip(self.specs, self.counts))
         ]
-        return merge_function_arrivals(self.specs, sources)
+
+    def __iter__(self) -> Iterator[Invocation]:
+        windows = max(1, math.ceil(self.n_invocations / ARRIVAL_CHUNK))
+        duration = self.config.duration_s
+        ends = [duration * k / windows for k in range(1, windows)]
+        return merge_function_chunks(self.specs, self.chunk_sources(), ends)
 
 
 def _proportional_chunk(count: int, total: int) -> int:
@@ -282,14 +299,13 @@ class AzureTraceGenerator:
             if not remaining:
                 return
 
-    def _function_arrivals(
+    def _function_chunks(
         self, spec: FunctionSpec, count: int, rng: np.random.Generator,
         chunk: int = ARRIVAL_CHUNK,
-    ) -> Iterator[Tuple[float, float]]:
-        """One function's ``(arrival, exec_time)`` pairs, chunk by chunk."""
+    ) -> Iterator[ArrivalChunk]:
+        """One function's ``(times, exec_times)`` arrays, chunk by chunk."""
         for times in self._arrival_chunks(count, rng, chunk):
-            execs = spec.sample_exec_times(times.size, rng)
-            yield from zip(times.tolist(), execs.tolist())
+            yield times, spec.sample_exec_times(times.size, rng)
 
     # -- main entry points --------------------------------------------------
     def stream(self, seed: int = 0) -> AzureTraceStream:

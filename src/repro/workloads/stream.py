@@ -1,4 +1,4 @@
-"""Lazy invocation streams: arrival pipelines with O(#functions) memory.
+"""Lazy invocation streams: arrival pipelines with bounded memory.
 
 A :class:`Workload` materializes every :class:`Invocation` up front, which
 caps trace replay at a few hundred thousand invocations (O(N) objects plus
@@ -6,18 +6,19 @@ seconds of generation).  An :class:`InvocationStream` is the lazy
 counterpart: an arrival-ordered *iterable* of invocations that synthesizes
 events on demand, so replaying a million-invocation trace holds only
 
-* one generator (plus one pending arrival chunk) per function, and
+* one chunk source (plus its pending arrival chunk) per function,
+* the arrivals of one merge window, and
 * the single invocation currently in flight.
 
-The central primitive is :func:`merge_function_arrivals`: a heap merge of
-per-function arrival generators.  Each generator yields
-``(arrival_time, execution_time_s)`` pairs in non-decreasing time order;
-the merge interleaves them into one globally ordered stream with the
-deterministic tie-break ``(arrival_time, function_index)`` and assigns
-invocation ids in merged arrival order -- exactly the ids
-:func:`materialize` would produce, so streaming and materialized replay
-are equivalent by construction (the ``streaming_vs_materialized``
-differential oracle holds them to it).
+The central primitive is :func:`merge_function_chunks`: a window merge of
+per-function arrival chunks.  Each source yields ``(times, exec_times)``
+numpy array pairs in non-decreasing time order; the merge cuts time into
+windows, sorts each window's arrivals once with the deterministic
+tie-break ``(arrival_time, function_index)`` and assigns invocation ids
+in merged arrival order -- exactly the ids :func:`materialize` would
+produce, so streaming and materialized replay are equivalent by
+construction (the ``streaming_vs_materialized`` differential oracle holds
+them to it, and to a straight-line concatenate-and-sort reference).
 
 :class:`StreamStatistics` is the online accumulator behind single-pass
 ``trace_statistics``: per-function invocation counts, O(#functions)
@@ -27,13 +28,18 @@ state however long the stream runs.
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_right
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.workloads.functions import FunctionSpec
 from repro.workloads.workload import Invocation, Workload
 
-#: A per-function arrival generator item: ``(arrival_time, exec_time_s)``.
-ArrivalPair = Tuple[float, float]
+#: One per-function arrival chunk: ``(arrival_times, exec_times_s)``, two
+#: equal-length float arrays with non-decreasing times.
+ArrivalChunk = Tuple[np.ndarray, np.ndarray]
 
 
 class InvocationStream:
@@ -93,52 +99,100 @@ def stream_from_workload(workload: Workload) -> WorkloadStream:
     return WorkloadStream(workload)
 
 
-def merge_function_arrivals(
+def merge_function_chunks(
     specs: Sequence[FunctionSpec],
-    sources: Sequence[Iterator[ArrivalPair]],
+    sources: Sequence[Iterable[ArrivalChunk]],
+    window_ends: Sequence[float],
 ) -> Iterator[Invocation]:
-    """Heap-merge per-function arrival generators into one ordered stream.
+    """Merge per-function arrival chunks into one ordered stream.
 
-    ``sources[i]`` yields ``specs[i]``'s ``(arrival_time, exec_time_s)``
-    pairs in non-decreasing time order.  The merged stream is ordered by
-    ``(arrival_time, function_index)`` -- the function index breaks time
-    ties deterministically -- and invocation ids are assigned in merged
-    order, matching what :meth:`Workload.from_invocations` produces from
-    the same per-function arrivals.
+    ``sources[i]`` yields ``specs[i]``'s ``(times, exec_times_s)`` chunks,
+    times non-decreasing within and across chunks.  The merged stream is
+    ordered by ``(arrival_time, function_index)`` -- the function index
+    breaks time ties deterministically, and a function's own arrivals keep
+    their order -- and invocation ids are assigned in merged order,
+    matching what :meth:`Workload.from_invocations` produces from the same
+    per-function arrivals.
 
-    Memory is one heap entry (and one buffered pair) per *active* source;
-    a source's own buffering is its business -- chunked generators keep it
-    O(chunk).
+    Time is cut into windows at the increasing ``window_ends``; the last
+    window is open-ended.  A heap keeps each live source's *frontier*
+    (the last time it has yielded).  Before window ``w`` is emitted, every
+    source whose frontier lies below the window's end is pulled, so every
+    arrival of the window is in hand; each pulled chunk is binned into
+    its windows with one ``searchsorted``, and a window is ordered by one
+    stable ``lexsort``.  Memory is O(#functions + window + chunk),
+    independent of the stream's length.
+
+    A source that goes back in time, within a chunk or across chunks,
+    raises :class:`ValueError`; each :class:`Invocation` validates its own
+    fields.
     """
     if len(specs) != len(sources):
         raise ValueError("specs and sources must align")
-    heap: List[Tuple[float, int, float, Iterator[ArrivalPair]]] = []
-    for index, source in enumerate(sources):
-        it = iter(source)
-        first = next(it, None)
-        if first is not None:
-            heap.append((first[0], index, first[1], it))
-    heapq.heapify(heap)
-    invocation_id = 0
-    while heap:
-        time, index, exec_s, it = heap[0]
-        yield Invocation(
-            invocation_id=invocation_id,
-            spec=specs[index],
-            arrival_time=float(time),
-            execution_time_s=float(exec_s),
+    ends = [float(end) for end in window_ends]
+    if any(b <= a for a, b in zip(ends, ends[1:])):
+        raise ValueError("window_ends must increase")
+    spec_table = np.empty(len(specs), dtype=object)
+    for index, spec in enumerate(specs):
+        spec_table[index] = spec
+    sources = [iter(source) for source in sources]
+    # ``(frontier, index)`` per live source; -inf: nothing pulled yet.
+    frontiers = [(-math.inf, index) for index in range(len(sources))]
+    buckets: List[List[Tuple[int, np.ndarray, np.ndarray]]] = [
+        [] for _ in range(len(ends) + 1)
+    ]
+    next_id = 0
+    for window, end in enumerate([*ends, math.inf]):
+        while frontiers and frontiers[0][0] < end:
+            frontier, index = frontiers[0]
+            chunk = next(sources[index], None)
+            if chunk is None:
+                heapq.heappop(frontiers)
+                continue
+            times, execs = chunk
+            if not times.size:
+                continue
+            first = float(times[0])
+            last = float(times[-1])
+            if first < frontier or (times[1:] < times[:-1]).any():
+                raise ValueError(
+                    f"function {index} yielded arrivals out of order "
+                    f"(chunk [{first}, {last}] after {frontier})"
+                )
+            # Arrivals at or past a window's end belong to a later window.
+            lo = bisect_right(ends, first)
+            hi = bisect_right(ends, last)
+            if lo == hi:
+                buckets[lo].append((index, times, execs))
+            else:
+                cuts = np.searchsorted(times, ends[lo:hi]).tolist()
+                start = 0
+                for offset, cut in enumerate(cuts):
+                    if cut > start:
+                        buckets[lo + offset].append(
+                            (index, times[start:cut], execs[start:cut])
+                        )
+                        start = cut
+                buckets[hi].append((index, times[start:], execs[start:]))
+            heapq.heapreplace(frontiers, (last, index))
+        bucket = buckets[window]
+        buckets[window] = []
+        if not bucket:
+            continue
+        times = np.concatenate([part[1] for part in bucket])
+        owners = np.repeat([part[0] for part in bucket],
+                           [part[1].size for part in bucket])
+        order = np.lexsort((owners, times))
+        execs = np.concatenate([part[2] for part in bucket])[order]
+        count = times.size
+        yield from map(
+            Invocation,
+            range(next_id, next_id + count),
+            spec_table[owners[order]].tolist(),
+            times[order].tolist(),
+            execs.tolist(),
         )
-        invocation_id += 1
-        following = next(it, None)
-        if following is None:
-            heapq.heappop(heap)
-        elif following[0] < time:
-            raise ValueError(
-                f"function {index} yielded arrivals out of order "
-                f"({following[0]} after {time})"
-            )
-        else:
-            heapq.heapreplace(heap, (following[0], index, following[1], it))
+        next_id += count
 
 
 class StreamStatistics:

@@ -15,8 +15,9 @@ Commands
     Distill a trained MLCR policy into a µs-scale decision-tree surrogate
     and save it next to the network checkpoint.
 ``experiment``
-    Run a paper experiment by id (fig1, fig2, fig3, tab2, fig8, fig9,
-    fig10, fig11a/b/c, overhead, ablations, stream) and print its report.
+    Run one section of the experiment table
+    (:data:`repro.experiments.runall.SECTIONS`) by key and print its
+    report, or ``all`` of them into one combined report.
 ``trace``
     Golden-trace tooling: ``record`` a decision trace for one
     (workload, scheduler, seed, pool) cell, ``replay`` a trace file and
@@ -34,15 +35,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
+from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.report import ascii_table
 from repro.cluster.simulator import SimulationConfig
-from repro.experiments.common import (
-    ExperimentScale,
-    make_training_factory,
-    pool_sizes,
-)
+from repro.experiments.cache import ExperimentCache, pool_sizes_cached
+from repro.experiments.common import ExperimentScale, make_training_factory
 from repro.experiments.parallel import (
     GRID_KEYS,
     SCHEDULER_FACTORIES,
@@ -52,11 +52,6 @@ from repro.experiments.parallel import (
 from repro.workloads.fstartbench import WORKLOAD_BUILDERS, build_workload
 
 _SCHEDULERS = SCHEDULER_FACTORIES
-
-_EXPERIMENTS = (
-    "fig1", "fig2", "fig3", "tab2", "fig8", "fig9", "fig10",
-    "fig11a", "fig11b", "fig11c", "overhead", "ablations", "stream",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +97,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ``REPRO_CACHE=off``) is given; ``--profile`` prints the top
     cumulative-time entries of the run.
     """
-    from repro.experiments.cache import ExperimentCache, pool_sizes_cached
-
     cache = ExperimentCache(enabled=False if args.no_cache else None)
     capacity = pool_sizes_cached(
         args.workload, args.seed, cache
@@ -167,11 +160,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     scale = ExperimentScale.from_env()
     builder = WORKLOAD_BUILDERS[args.workload]
-    capacity = pool_sizes(builder(seed=0))[args.pool.capitalize()]
+    capacity = pool_sizes_cached(
+        args.workload, 0, ExperimentCache()
+    )[args.pool.capitalize()]
     config = scale.mlcr_config(seed=args.seed)
     if args.episodes:
-        from dataclasses import replace
-
         config = replace(config, n_episodes=args.episodes)
     print(f"training on {args.workload}@{args.pool} ({capacity:.0f} MB), "
           f"{config.n_episodes} episodes...")
@@ -214,13 +207,12 @@ def cmd_train_offline(args: argparse.Namespace) -> int:
           f"(gamma={policy.gamma}, {policy.iterations} sweeps)")
     print(f"saved policy to {path}")
     if args.evaluate:
-        from repro.experiments.cache import pool_sizes_cached
         from repro.experiments.common import evaluate_scheduler
         from repro.schedulers.offline import OfflineQScheduler
 
         workload = build_workload(args.evaluate, seed=args.seed)
         capacity = pool_sizes_cached(
-            args.evaluate, args.seed, None
+            args.evaluate, args.seed, ExperimentCache()
         )[args.pool.capitalize()]
         outcome = evaluate_scheduler(
             OfflineQScheduler(policy), workload, capacity,
@@ -254,7 +246,9 @@ def cmd_distill(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     builder = WORKLOAD_BUILDERS[args.workload]
-    capacity = pool_sizes(builder(seed=0))[args.pool.capitalize()]
+    capacity = pool_sizes_cached(
+        args.workload, 0, ExperimentCache()
+    )[args.pool.capitalize()]
     workloads = [builder(seed=s) for s in range(args.seeds)]
     print(f"distilling {args.policy} over {args.seeds} draws of "
           f"{args.workload}@{args.pool} ({capacity:.0f} MB)...")
@@ -270,55 +264,43 @@ def cmd_distill(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    """``repro experiment``: run one paper experiment."""
-    from repro.experiments import (
-        ablations,
-        ext_stream_replay,
-        fig1_breakdown,
-        fig2_motivation,
-        fig3_dockerhub,
-        fig8_overall,
-        fig9_trajectory,
-        fig10_memory,
-        fig11_benchmarks,
-        overhead,
-        tab2_functions,
-    )
+    """``repro experiment``: run one section of the table, or ``all``.
 
-    simple = {
-        "fig1": fig1_breakdown,
-        "fig2": fig2_motivation,
-        "fig3": fig3_dockerhub,
-        "tab2": tab2_functions,
+    A single key prints that section's report body; ``all`` runs
+    :func:`repro.experiments.runall.run_all`.  Both run through the cell
+    cache (unless ``--no-cache``), ``--jobs`` and ``--lanes``; an output
+    path and ``--figures`` apply to ``all``.
+    """
+    from repro.experiments.runall import SECTIONS, run_all
+
+    cache = ExperimentCache(enabled=False if args.no_cache else None)
+    overrides = {
+        name: getattr(args, name)
+        for name in ("stream_functions", "stream_invocations")
+        if getattr(args, name) is not None
     }
-    scaled = {
-        "fig8": fig8_overall,
-        "fig9": fig9_trajectory,
-        "fig10": fig10_memory,
-        "overhead": overhead,
-        "ablations": ablations,
-        "stream": ext_stream_replay,
-    }
-    if args.id in simple:
-        module = simple[args.id]
-        print(module.report(module.run()))
-    elif args.id == "stream":
-        # The streaming family takes the lane count: cells replaying the
-        # same stream share one chunked lane pass under --lanes.
-        print(ext_stream_replay.report(ext_stream_replay.run(
-            ExperimentScale.from_env(), lanes=getattr(args, "lanes", 1)
-        )))
-    elif args.id in scaled:
-        module = scaled[args.id]
-        print(module.report(module.run(ExperimentScale.from_env())))
-    elif args.id.startswith("fig11"):
-        sub = {"fig11a": "a:similarity", "fig11b": "b:variance",
-               "fig11c": "c:arrival"}[args.id]
-        print(fig11_benchmarks.report(
-            fig11_benchmarks.run_subfigure(sub, ExperimentScale.from_env())
-        ))
-    else:  # pragma: no cover - argparse choices prevent this
-        raise SystemExit(f"unknown experiment {args.id}")
+    scale = replace(ExperimentScale.from_env(), **overrides)
+    if args.id == "all":
+        def call() -> None:
+            run_all(args.output, scale=scale, figures_dir=args.figures,
+                    jobs=args.jobs, cache=cache, lanes=args.lanes)
+    elif args.output is not None or args.figures is not None:
+        print("error: an output path and --figures apply to "
+              "`experiment all` only", file=sys.stderr)
+        return 2
+    else:
+        section = next(s for s in SECTIONS if s.key == args.id)
+
+        def call() -> None:
+            print(section.report(section.run(
+                scale, jobs=args.jobs, cache=cache, lanes=args.lanes
+            )))
+    if args.profile:
+        from repro.profiling import profile_call
+
+        profile_call(call)
+    else:
+        call()
     return 0
 
 
@@ -461,9 +443,33 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose leaf commands take flags and positionals in any order.
+
+    Plain argparse binds an optional positional (``experiment all
+    [output]``) as soon as it reaches one, so ``experiment all --jobs 4
+    report.md`` would reject ``report.md``; a command without subcommands
+    parses intermixed instead.  The guard makes the intermixed parse's own
+    inner ``parse_known_args`` calls plain ones.
+    """
+
+    _intermixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._intermixing or self._subparsers is not None:
+            return super().parse_known_args(args, namespace)
+        self._intermixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixing = False
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the CLI."""
-    parser = argparse.ArgumentParser(
+    from repro.experiments.runall import SECTIONS
+
+    parser = _Parser(
         prog="repro",
         description="MLCR reproduction: simulator, FStartBench, experiments",
     )
@@ -542,12 +548,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="mlcr_surrogate.npz")
     p.set_defaults(func=cmd_distill)
 
-    p = sub.add_parser("experiment", help="run a paper experiment")
-    p.add_argument("id", choices=_EXPERIMENTS)
+    p = sub.add_parser("experiment",
+                       help="run a paper experiment, or all of them")
+    p.add_argument("id", choices=[*(s.key for s in SECTIONS), "all"])
+    p.add_argument("output", nargs="?", type=Path, default=None,
+                   help="write the `all` report to this markdown file")
+    p.add_argument("--figures", type=Path, default=None, metavar="DIR",
+                   help="render the `all` run's figures as SVG files")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the simulated cells")
     p.add_argument("--lanes", type=int, default=1,
-                   help="stream-family cells sharing one chunked "
-                        "stream-lane pass (identical results for any "
-                        "value; ignored by other experiments)")
+                   help="cells per lane kernel; results are identical for "
+                        "any value")
+    p.add_argument("--no-cache", action="store_true",
+                   help="bypass the content-addressed experiment cache")
+    p.add_argument("--profile", action="store_true",
+                   help="run under cProfile and print the top-25 "
+                        "cumulative-time entries")
+    p.add_argument("--stream-functions", type=int, default=None,
+                   help="override the stream section's function count")
+    p.add_argument("--stream-invocations", type=int, default=None,
+                   help="override the stream section's invocation count")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("trace",

@@ -2,7 +2,9 @@
 
 Each module exposes ``run(...) -> <Result dataclass>`` and
 ``report(result) -> str`` (the rows/series the paper reports, as ASCII).
-The ``benchmarks/`` directory wires each one into pytest-benchmark.
+:data:`repro.experiments.runall.SECTIONS` is the one table of them that
+``python -m repro experiment <key>|all`` runs; the ``benchmarks/``
+directory wires each one into pytest-benchmark.
 
 See DESIGN.md section 4 for the experiment index.
 """

@@ -157,7 +157,3 @@ def report(result: AblationResult) -> str:
             f"Lookahead (clairvoyant): {result.lookahead_total_s:.1f}s",
         ]
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    print(report(run()))

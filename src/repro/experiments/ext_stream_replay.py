@@ -270,7 +270,3 @@ def report(result: StreamReplayResult) -> str:
                f"(capacity = {CAPACITY_FRACTION:.0%} of summed image MB, "
                "bounded telemetry)"),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    print(report(run()))

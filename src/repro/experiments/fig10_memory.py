@@ -111,7 +111,3 @@ def report(result: Fig10Result) -> str:
             f"({result.capacity_mb:.0f}MB)"
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    print(report(run()))

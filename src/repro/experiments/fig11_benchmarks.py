@@ -166,9 +166,3 @@ def report(result: Fig11Result) -> str:
             f"{result.repeats} seeds"
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    for sub in SUBFIGURES:
-        print(report(run_subfigure(sub)))
-        print()

@@ -82,7 +82,3 @@ def report(result: Fig1Result) -> str:
         )
     lines.append(f"  max speedup: {result.max_speedup:.1f}x (paper: up to 14x)")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    print(report(run()))

@@ -107,7 +107,3 @@ def report(result: Fig2Result) -> str:
         f"greedy suboptimal: {result.greedy_is_suboptimal}",
     ]
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    print(report(run()))

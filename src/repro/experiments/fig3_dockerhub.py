@@ -61,7 +61,3 @@ def report(result: Fig3Result) -> str:
             f"top-4 language-image pull share: {result.top4_language_share:.1%}",
         ]
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    print(report(run()))

@@ -140,7 +140,3 @@ def report(result: Fig8Result) -> str:
         )
         lines.append(f"  vs {baseline:12s} {per_pool}")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    print(report(run()))

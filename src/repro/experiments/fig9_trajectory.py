@@ -91,7 +91,3 @@ def report(result: Fig9Result, samples: int = 10) -> str:
         "(paper: +3.8s)"
     )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    print(report(run()))

@@ -107,7 +107,3 @@ def report(result: OverheadResult) -> str:
             f"  scheduling worthwhile:     {result.worthwhile}",
         ]
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    print(report(run()))

@@ -30,7 +30,7 @@ the same packer so their cells are identical by construction.  With an
 are served from disk and only the misses fan out to workers.
 
 Wired into ``python -m repro simulate --jobs N`` and, through
-``python -m repro.experiments.runall --jobs N --lanes L``, into the grid
+``python -m repro experiment <key>|all --jobs N --lanes L``, into the grid
 section and the Fig 8, Fig 10, Fig 11 and ablation sections, whose
 baseline, heuristic and trained-policy cells are all grid tasks.
 """
@@ -430,8 +430,3 @@ def run_default_grid(
     return GridResult(
         cells=run_grid(tasks, jobs=jobs, cache=cache, lanes=lanes)
     )
-
-
-def report(result: GridResult) -> str:
-    """Module-level report hook matching the other experiment modules."""
-    return result.report()

@@ -121,7 +121,3 @@ def report(result: QueueingResult) -> str:
         title=("Extension: worker concurrency limits on HI-Sim "
                f"(Greedy-Match, {POOL_CAPACITY_MB:.0f}MB pool)"),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    print(report(run()))

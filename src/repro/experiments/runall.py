@@ -1,10 +1,17 @@
-"""Run every paper experiment and write a combined report.
+"""Every paper experiment in one table, and the driver that runs them all.
 
-Used to regenerate the data section of EXPERIMENTS.md::
+:data:`SECTIONS` is the one list of experiments: each entry holds a
+section's key, its report title, how it runs and how it reports.  Both
+front ends read it::
 
-    python -m repro.experiments.runall [output.md] [--figures DIR]
+    python -m repro experiment <key>|all [output.md] [--figures DIR]
         [--jobs N] [--lanes L] [--no-cache] [--profile]
         [--stream-functions N] [--stream-invocations N]
+    python -m repro.experiments.runall [output.md] [flags as above]
+
+A single key prints that section's report body; ``all`` (and
+``runall``, which delegates to it) runs :func:`run_all` and regenerates the
+data section of EXPERIMENTS.md.
 
 Honors ``REPRO_SCALE``.  The MLCR training cache is shared across
 experiments, so fig8/fig9/fig10 train each pool size once.  With
@@ -12,8 +19,9 @@ experiments, so fig8/fig9/fig10 train each pool size once.  With
 files into the given directory.  ``--jobs N`` fans the simulated cells
 of the grid, Fig 8, Fig 10, Fig 11 and ablation sections (baselines and
 trained MLCR policies alike) over N worker processes, and ``--lanes L``
-puts L of a section's cells in one lane kernel; ``--jobs`` also fans the
-streaming replay section.  The report text is identical for any N and L.
+puts L of a section's cells in one lane kernel; ``--jobs`` and ``--lanes``
+also reach the streaming replay section.  The report text is identical
+for any N and L.
 
 Section bodies are deterministic (no timestamps; every seed fixed), so
 each is additionally served from the content-addressed experiment cache
@@ -36,9 +44,10 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import (
     ablations,
@@ -53,65 +62,76 @@ from repro.experiments import (
     overhead,
     parallel,
     queueing,
+    sharding,
     tab2_functions,
 )
 from repro.experiments.cache import ExperimentCache
 from repro.experiments.common import ExperimentScale
 
 
-def _experiments(
-    scale: ExperimentScale, collected: dict, jobs: int = 1,
-    cache: Optional[ExperimentCache] = None, lanes: int = 1,
-) -> List[Tuple[str, str, Callable[[], str]]]:
-    def keep(key: str, result):
-        collected[key] = result
-        return result
+@dataclass(frozen=True)
+class Section:
+    """One experiment: its key, report title, runner and report renderer.
 
-    # What every run_grid-backed section takes.
-    grid = dict(jobs=jobs, cache=cache, lanes=lanes)
+    ``runner(scale, **options)`` returns the result ``report`` renders;
+    ``options`` names which of ``jobs``, ``cache`` and ``lanes`` it takes.
+    """
 
-    return [
-        ("fig1", "Fig 1 - startup breakdown (C vs W)",
-         lambda: fig1_breakdown.report(fig1_breakdown.run())),
-        ("fig2", "Fig 2 - greedy vs planned reuse",
-         lambda: fig2_motivation.report(fig2_motivation.run())),
-        ("fig3", "Fig 3 - Docker Hub popularity",
-         lambda: fig3_dockerhub.report(fig3_dockerhub.run())),
-        ("tab2", "Table II - FStartBench functions",
-         lambda: tab2_functions.report(tab2_functions.run())),
-        ("fig8", "Fig 8 - overall latency & cold starts",
-         lambda: fig8_overall.report(
-             keep("fig8", fig8_overall.run(scale, **grid)))),
-        ("fig9", "Fig 9 - cumulative trajectories",
-         lambda: fig9_trajectory.report(
-             keep("fig9", fig9_trajectory.run(scale)))),
-        ("fig10", "Fig 10 - warm resource consumption",
-         lambda: fig10_memory.report(
-             keep("fig10", fig10_memory.run(scale, **grid)))),
-        ("fig11a", "Fig 11a - function similarity",
-         lambda: fig11_benchmarks.report(keep(
-             "fig11a",
-             fig11_benchmarks.run_subfigure("a:similarity", scale, **grid)))),
-        ("fig11b", "Fig 11b - package size variance",
-         lambda: fig11_benchmarks.report(keep(
-             "fig11b",
-             fig11_benchmarks.run_subfigure("b:variance", scale, **grid)))),
-        ("fig11c", "Fig 11c - arrival patterns",
-         lambda: fig11_benchmarks.report(keep(
-             "fig11c",
-             fig11_benchmarks.run_subfigure("c:arrival", scale, **grid)))),
-        ("overhead", "Section VI-D - scheduler overhead",
-         lambda: overhead.report(overhead.run(scale))),
-        ("ablations", "Ablations",
-         lambda: ablations.report(ablations.run(scale, **grid))),
-        ("queueing", "Extension - worker concurrency & queueing",
-         lambda: queueing.report(queueing.run(scale))),
-        ("grid", "Baseline grid (parallel runner)",
-         lambda: parallel.run_default_grid(scale, **grid).report()),
-        ("stream", "Extension - streaming Azure-like replay",
-         lambda: ext_stream_replay.report(
-             ext_stream_replay.run(scale, jobs=jobs))),
-    ]
+    key: str
+    title: str
+    runner: Callable[..., object]
+    report: Callable[[object], str]
+    options: Tuple[str, ...] = ()
+
+    def run(self, scale: ExperimentScale, jobs: int = 1,
+            cache: Optional[ExperimentCache] = None, lanes: int = 1):
+        """Run the section at ``scale`` with the options its runner takes."""
+        given = {"jobs": jobs, "cache": cache, "lanes": lanes}
+        return self.runner(scale, **{name: given[name]
+                                     for name in self.options})
+
+
+#: What every run_grid-backed section takes.
+_GRID = ("jobs", "cache", "lanes")
+
+#: Every experiment, in report order.
+SECTIONS: Tuple[Section, ...] = (
+    Section("fig1", "Fig 1 - startup breakdown (C vs W)",
+            lambda scale: fig1_breakdown.run(), fig1_breakdown.report),
+    Section("fig2", "Fig 2 - greedy vs planned reuse",
+            lambda scale: fig2_motivation.run(), fig2_motivation.report),
+    Section("fig3", "Fig 3 - Docker Hub popularity",
+            lambda scale: fig3_dockerhub.run(), fig3_dockerhub.report),
+    Section("tab2", "Table II - FStartBench functions",
+            lambda scale: tab2_functions.run(), tab2_functions.report),
+    Section("fig8", "Fig 8 - overall latency & cold starts",
+            fig8_overall.run, fig8_overall.report, _GRID),
+    Section("fig9", "Fig 9 - cumulative trajectories",
+            fig9_trajectory.run, fig9_trajectory.report),
+    Section("fig10", "Fig 10 - warm resource consumption",
+            fig10_memory.run, fig10_memory.report, _GRID),
+    Section("fig11a", "Fig 11a - function similarity",
+            partial(fig11_benchmarks.run_subfigure, "a:similarity"),
+            fig11_benchmarks.report, _GRID),
+    Section("fig11b", "Fig 11b - package size variance",
+            partial(fig11_benchmarks.run_subfigure, "b:variance"),
+            fig11_benchmarks.report, _GRID),
+    Section("fig11c", "Fig 11c - arrival patterns",
+            partial(fig11_benchmarks.run_subfigure, "c:arrival"),
+            fig11_benchmarks.report, _GRID),
+    Section("overhead", "Section VI-D - scheduler overhead",
+            overhead.run, overhead.report),
+    Section("ablations", "Ablations", ablations.run, ablations.report, _GRID),
+    Section("queueing", "Extension - worker concurrency & queueing",
+            queueing.run, queueing.report),
+    Section("grid", "Baseline grid (parallel runner)",
+            parallel.run_default_grid, parallel.GridResult.report, _GRID),
+    Section("stream", "Extension - streaming Azure-like replay",
+            ext_stream_replay.run, ext_stream_replay.report,
+            ("jobs", "lanes")),
+    Section("sharding", "Extension - global vs per-worker warm pools",
+            sharding.run, sharding.report),
+)
 
 
 def run_all(
@@ -122,7 +142,8 @@ def run_all(
     cache: Optional[ExperimentCache] = None,
     lanes: int = 1,
 ) -> str:
-    """Run every experiment; returns (and optionally writes) the report.
+    """Run every section of :data:`SECTIONS`; returns (and optionally
+    writes) the report.
 
     ``jobs`` fans the cells of the ``run_grid``-backed sections (grid,
     Fig 8, Fig 10, Fig 11, ablations) and the streaming replay over worker
@@ -133,10 +154,10 @@ def run_all(
     file reads.
     """
     scale = scale or ExperimentScale.from_env()
-    collected: dict = {}
+    results: Dict[str, object] = {}
     scale_fields = asdict(scale)
-    # Figure rendering needs the result objects the section runners feed
-    # into ``collected``; a cached body cannot provide them.
+    # Figure rendering needs the result objects a cached body cannot
+    # provide.
     use_section_cache = (
         cache is not None and cache.enabled and figures_dir is None
     )
@@ -145,34 +166,36 @@ def run_all(
         f"scale: repeats={scale.repeats}, "
         f"train_episodes={scale.train_episodes}, restarts={scale.restarts}",
     ]
-    for key, title, runner in _experiments(scale, collected, jobs, cache,
-                                            lanes):
+    for section in SECTIONS:
         start = time.time()
         cached_body = (
-            cache.get_section(key, scale_fields)
+            cache.get_section(section.key, scale_fields)
             if use_section_cache else None
         )
         if cached_body is not None:
-            print(f"cached: {title}", flush=True)
+            print(f"cached: {section.title}", flush=True)
             body = cached_body
         else:
-            print(f"running: {title} ...", flush=True)
+            print(f"running: {section.title} ...", flush=True)
             try:
-                body = runner()
+                result = section.run(scale, jobs=jobs, cache=cache,
+                                     lanes=lanes)
+                body = section.report(result)
             except Exception as exc:  # pragma: no cover - surfaced, not hidden
                 body = f"FAILED: {exc!r}"
             else:
+                results[section.key] = result
                 if use_section_cache:
-                    cache.put_section(key, scale_fields, body)
+                    cache.put_section(section.key, scale_fields, body)
         elapsed = time.time() - start
         # Wall-clock goes to stdout only: the report itself must be
         # byte-identical across jobs counts and cache states.
-        sections.append(f"\n## {title}\n\n```\n{body}\n```")
+        sections.append(f"\n## {section.title}\n\n```\n{body}\n```")
         print(f"  done in {elapsed:.1f}s", flush=True)
     if figures_dir is not None:
         from repro.experiments.figures import save_figures
 
-        written = save_figures(collected, figures_dir)
+        written = save_figures(results, figures_dir)
         sections.append(
             "\n## Figures\n\n" + "\n".join(f"* `{p}`" for p in written)
         )
@@ -184,63 +207,7 @@ def run_all(
     return text
 
 
-def _parse_args(
-    argv: List[str],
-) -> Tuple[Path | None, Path | None, int, int, bool, bool, dict]:
-    output: Path | None = None
-    figures: Path | None = None
-    jobs = 1
-    lanes = 1
-    no_cache = False
-    profile = False
-    scale_overrides: dict = {}
-    rest = list(argv)
-    while rest:
-        arg = rest.pop(0)
-        if arg == "--figures":
-            if not rest:
-                raise SystemExit("--figures needs a directory")
-            figures = Path(rest.pop(0))
-        elif arg == "--jobs":
-            if not rest:
-                raise SystemExit("--jobs needs a worker count")
-            jobs = int(rest.pop(0))
-        elif arg == "--lanes":
-            if not rest:
-                raise SystemExit("--lanes needs a lane count")
-            lanes = int(rest.pop(0))
-        elif arg == "--stream-functions":
-            if not rest:
-                raise SystemExit("--stream-functions needs a count")
-            scale_overrides["stream_functions"] = int(rest.pop(0))
-        elif arg == "--stream-invocations":
-            if not rest:
-                raise SystemExit("--stream-invocations needs a count")
-            scale_overrides["stream_invocations"] = int(rest.pop(0))
-        elif arg == "--no-cache":
-            no_cache = True
-        elif arg == "--profile":
-            profile = True
-        else:
-            output = Path(arg)
-    return output, figures, jobs, lanes, no_cache, profile, scale_overrides
+if __name__ == "__main__":  # pragma: no cover - ``repro experiment all``
+    from repro.cli import main
 
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    (out, figs, n_jobs, n_lanes, no_cache, profile,
-     overrides) = _parse_args(sys.argv[1:])
-    run_cache = ExperimentCache(enabled=False if no_cache else None)
-    run_scale = ExperimentScale.from_env()
-    if overrides:
-        run_scale = replace(run_scale, **overrides)
-
-    def _main() -> str:
-        return run_all(out, scale=run_scale, figures_dir=figs, jobs=n_jobs,
-                       cache=run_cache, lanes=n_lanes)
-
-    if profile:
-        from repro.profiling import profile_call
-
-        profile_call(_main)
-    else:
-        _main()
+    sys.exit(main(["experiment", "all", *sys.argv[1:]]))

@@ -104,7 +104,3 @@ def report(result: ShardingResult) -> str:
         title=(f"Extension: pool sharding at Tight capacity "
                f"({result.capacity_mb:.0f}MB total)"),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    print(report(run()))

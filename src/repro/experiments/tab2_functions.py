@@ -110,7 +110,3 @@ def report(result: Tab2Result) -> str:
             "(paper: 1.3x - 166x)",
         ]
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI convenience
-    print(report(run()))

@@ -2,7 +2,7 @@
 
 Hot-path regressions in the simulator or the experiment grid should be
 diagnosable without external tooling: ``repro simulate --profile`` and
-``python -m repro.experiments.runall --profile`` run their workload under
+``repro experiment <key>|all --profile`` run their workload under
 :mod:`cProfile` and print the top cumulative-time entries before the
 normal output.
 """

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import pickle
 from pathlib import Path
 
@@ -57,6 +58,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    @pytest.mark.parametrize("key", ["queueing", "grid", "sharding", "all"])
+    def test_experiment_takes_every_table_key(self, key):
+        assert build_parser().parse_args(["experiment", key]).id == key
+
 
 class TestCommands:
     def test_workloads_lists_all(self, capsys):
@@ -88,6 +93,11 @@ class TestCommands:
     def test_experiment_fig3(self, capsys):
         assert main(["experiment", "fig3"]) == 0
         assert "ubuntu" in capsys.readouterr().out
+
+    def test_experiment_output_path_needs_all(self, tmp_path, capsys):
+        assert main(["experiment", "fig2", str(tmp_path / "r.md")]) == 2
+        assert "error: an output path" in capsys.readouterr().err
+        assert not (tmp_path / "r.md").exists()
 
     def test_simulate_proactive_scheduler(self, capsys):
         assert main([
@@ -199,6 +209,10 @@ class TestCommands:
 
         scheduler = load_scheduler(out_file)
         assert scheduler.name == "MLCR"
+        # The pool was sized through the cache, so a re-run skips the
+        # reference simulation.
+        pools = Path(os.environ["REPRO_CACHE_DIR"]) / "pools"
+        assert len(list(pools.iterdir())) == 1
 
     @pytest.mark.parametrize("lines, needle", [
         ([json.dumps({"version": 99, "kind": "serve"})],

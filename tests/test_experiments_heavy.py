@@ -5,6 +5,8 @@ overhead and ablation code paths are exercised inside the unit suite in
 seconds; the real budgets live in ``benchmarks/``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from repro.experiments import (
     fig11_benchmarks,
     overhead,
 )
+from repro.cli import main
+from repro.experiments.cache import ExperimentCache
 from repro.experiments.common import (
     ExperimentScale,
     clear_mlcr_cache,
@@ -23,6 +27,7 @@ from repro.experiments.common import (
     train_mlcr_for,
 )
 from repro.experiments.parallel import BASELINE_KEYS, build_scheduler
+from repro.experiments.runall import SECTIONS, run_all
 from repro.workloads.fstartbench import overall_workload
 
 MICRO = ExperimentScale(
@@ -142,3 +147,48 @@ class TestSectionParity:
         fanned = ablations.run(MICRO, jobs=2, lanes=4)
         assert serial == fanned
         assert [r.variant for r in serial.rows] == list(ablations.VARIANTS)
+
+
+@pytest.mark.slow
+class TestRunAll:
+    """The section driver: one pass over :data:`SECTIONS` at micro scale."""
+
+    SCALE = replace(MICRO, stream_functions=20, stream_invocations=400)
+
+    @pytest.fixture(scope="class")
+    def reports(self, tmp_path_factory):
+        cache = ExperimentCache(root=tmp_path_factory.mktemp("cache"),
+                                enabled=True)
+        cold = run_all(scale=self.SCALE, cache=cache)
+        warm = run_all(scale=self.SCALE, cache=cache)
+        return cold, warm, cache
+
+    def test_warm_cache_report_is_byte_identical(self, reports):
+        cold, warm, _ = reports
+        assert warm == cold
+        assert "FAILED" not in cold
+
+    def test_sections_appear_in_table_order(self, reports):
+        cold, _, _ = reports
+        positions = [cold.index(f"\n## {s.title}\n") for s in SECTIONS]
+        assert positions == sorted(positions)
+
+    def test_single_section_body_equals_its_runall_section(self, reports,
+                                                           capsys):
+        cold, _, _ = reports
+        assert main(["experiment", "fig2"]) == 0
+        body = capsys.readouterr().out
+        title = next(s.title for s in SECTIONS if s.key == "fig2")
+        assert f"\n## {title}\n\n```\n{body}```" in cold
+
+    def test_figures_writes_seven_svgs(self, reports, tmp_path):
+        _, _, cache = reports
+        report = run_all(scale=self.SCALE, cache=cache,
+                         figures_dir=tmp_path / "figs")
+        svgs = sorted(p.name for p in (tmp_path / "figs").iterdir())
+        assert svgs == sorted([
+            "fig8a_latency.svg", "fig8b_cold_starts.svg",
+            "fig9_trajectory.svg", "fig10_memory.svg", "fig11a.svg",
+            "fig11b.svg", "fig11c.svg",
+        ])
+        assert "\n## Figures\n" in report

@@ -1,5 +1,6 @@
-"""Tests for the API-doc generator tool and the runall driver plumbing."""
+"""Tests for the API-doc generator tool and the experiment registry plumbing."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,16 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import gen_api_docs  # noqa: E402  (path injection above)
 
-from repro.experiments.runall import _parse_args  # noqa: E402
+from repro.cli import build_parser  # noqa: E402
+from repro.experiments.runall import SECTIONS  # noqa: E402
+
+#: Modules of ``repro.experiments`` that are shared plumbing, not sections.
+INFRASTRUCTURE = {"common", "cache", "parallel", "figures", "runall"}
+
+
+def _parse_all(argv):
+    """Parse ``repro experiment all <argv>`` (what ``runall`` delegates)."""
+    return build_parser().parse_args(["experiment", "all", *argv])
 
 
 class TestApiDocGenerator:
@@ -65,53 +75,106 @@ class TestApiDocGenerator:
 
 class TestRunallArgs:
     def test_no_args(self):
-        assert _parse_args([]) == (None, None, 1, 1, False, False, {})
+        args = _parse_all([])
+        assert (args.output, args.figures, args.jobs, args.lanes,
+                args.no_cache, args.profile) == (None, None, 1, 1, False,
+                                                 False)
+        assert args.stream_functions is None
+        assert args.stream_invocations is None
 
     def test_output_only(self):
-        out, figs, jobs, lanes, no_cache, profile, overrides = _parse_args(
-            ["report.md"])
-        assert out == Path("report.md") and figs is None and jobs == 1
-        assert lanes == 1 and not no_cache and not profile
-        assert overrides == {}
+        args = _parse_all(["report.md"])
+        assert args.output == Path("report.md") and args.figures is None
+        assert args.jobs == 1 and args.lanes == 1
+        assert not args.no_cache and not args.profile
 
     def test_figures_flag(self):
-        out, figs, jobs, *_ = _parse_args(
-            ["report.md", "--figures", "figs"])
-        assert out == Path("report.md") and figs == Path("figs")
-        assert jobs == 1
+        args = _parse_all(["report.md", "--figures", "figs"])
+        assert args.output == Path("report.md")
+        assert args.figures == Path("figs") and args.jobs == 1
 
     def test_jobs_flag(self):
-        out, figs, jobs, *_ = _parse_args(["--jobs", "4", "report.md"])
-        assert out == Path("report.md") and figs is None and jobs == 4
+        args = _parse_all(["--jobs", "4", "report.md"])
+        assert args.output == Path("report.md") and args.figures is None
+        assert args.jobs == 4
 
     def test_cache_and_profile_flags(self):
-        out, figs, jobs, lanes, no_cache, profile, _ = _parse_args(
-            ["--no-cache", "--profile", "report.md"])
-        assert out == Path("report.md") and no_cache and profile
+        args = _parse_all(["--no-cache", "--profile", "report.md"])
+        assert args.output == Path("report.md")
+        assert args.no_cache and args.profile
 
     def test_lanes_flag(self):
-        _, _, jobs, lanes, *_ = _parse_args(
-            ["--jobs", "2", "--lanes", "8", "report.md"])
-        assert jobs == 2 and lanes == 8
+        args = _parse_all(["--jobs", "2", "--lanes", "8", "report.md"])
+        assert args.jobs == 2 and args.lanes == 8
+
+    def test_flags_and_output_in_any_order(self):
+        args = build_parser().parse_args(
+            ["experiment", "--lanes", "8", "all", "--figures", "figs",
+             "report.md", "--jobs", "2"])
+        assert args.id == "all" and args.output == Path("report.md")
+        assert args.figures == Path("figs")
+        assert args.jobs == 2 and args.lanes == 8
 
     def test_lanes_missing_value(self):
         with pytest.raises(SystemExit):
-            _parse_args(["--lanes"])
+            _parse_all(["--lanes"])
 
     def test_stream_scale_overrides(self):
-        *_, overrides = _parse_args(
+        args = _parse_all(
             ["--stream-functions", "50", "--stream-invocations", "9000"])
-        assert overrides == {"stream_functions": 50,
-                             "stream_invocations": 9000}
+        assert args.stream_functions == 50
+        assert args.stream_invocations == 9000
 
     def test_figures_missing_value(self):
         with pytest.raises(SystemExit):
-            _parse_args(["--figures"])
+            _parse_all(["--figures"])
 
     def test_jobs_missing_value(self):
         with pytest.raises(SystemExit):
-            _parse_args(["--jobs"])
+            _parse_all(["--jobs"])
+
+    def test_jobs_not_a_number_is_a_usage_error(self):
+        with pytest.raises(SystemExit):
+            _parse_all(["--jobs", "x"])
 
     def test_stream_functions_missing_value(self):
         with pytest.raises(SystemExit):
-            _parse_args(["--stream-functions"])
+            _parse_all(["--stream-functions"])
+
+    def test_second_output_path_rejected(self):
+        with pytest.raises(SystemExit):
+            _parse_all(["a.md", "b.md"])
+
+    def test_module_delegates_to_the_cli(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.runall", "--help"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ,
+                 "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert result.returncode == 0, result.stderr
+        assert "usage: repro experiment" in result.stdout
+
+
+class TestSectionRegistry:
+    def test_keys_are_unique(self):
+        keys = [s.key for s in SECTIONS]
+        assert len(keys) == len(set(keys))
+        assert "all" not in keys
+
+    def test_every_experiment_module_backs_a_section(self):
+        """A new experiment module cannot be left out of the table."""
+        import pkgutil
+
+        import repro.experiments
+
+        modules = {
+            info.name for info in pkgutil.iter_modules(
+                repro.experiments.__path__)
+        } - INFRASTRUCTURE
+        # Each experiment module renders its own section's report.
+        backing = {
+            section.report.__module__.rsplit(".", 1)[-1]
+            for section in SECTIONS
+        }
+        assert modules <= backing, sorted(modules - backing)

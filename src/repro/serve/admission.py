@@ -13,8 +13,9 @@ wait for a slot, and anything beyond that is rejected immediately
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
-from typing import AsyncIterator, Optional
+from typing import AsyncIterator, Deque, Optional
 
 __all__ = ["AdmissionController", "AdmissionRejected"]
 
@@ -33,8 +34,13 @@ class AdmissionController:
         admission control (every request is accepted immediately).
     max_queue:
         Requests allowed to *wait* for a slot when all are taken; beyond
-        this, :meth:`acquire` raises :class:`AdmissionRejected` without
-        yielding.  Default 0: full means reject.
+        this, :meth:`try_acquire` and :meth:`acquire` raise
+        :class:`AdmissionRejected` without yielding.  Default 0: full
+        means reject.
+
+    Counters: ``accepted`` requests were given a slot, ``waited`` of them
+    queued for it first, ``rejected`` were turned away, and
+    ``peak_inflight`` is the most slots held at once.
     """
 
     def __init__(
@@ -49,46 +55,71 @@ class AdmissionController:
         self.inflight = 0
         self.peak_inflight = 0
         self.accepted = 0
+        self.waited = 0
         self.rejected = 0
-        self._waiting = 0
-        self._sem = (
-            asyncio.Semaphore(max_inflight)
-            if max_inflight is not None
-            else None
-        )
+        # FIFO of waiters; release hands a freed slot straight to the
+        # first, so a newcomer never overtakes the queue.
+        self._waiters: Deque[asyncio.Future] = collections.deque()
         self._idle = asyncio.Event()
         self._idle.set()
+
+    def try_acquire(self) -> bool:
+        """Take a free slot without waiting.
+
+        Returns ``True`` when the request holds a slot, ``False`` when it
+        must queue for one (every slot taken, or earlier requests already
+        waiting).  Raises :class:`AdmissionRejected` when the overflow
+        queue is full too, so rejected requests cost one exception, not a
+        queue entry.
+        """
+        if self.max_inflight is None or (
+            self.inflight < self.max_inflight and not self._waiters
+        ):
+            self.inflight += 1
+            self.accepted += 1
+            self._idle.clear()
+            if self.inflight > self.peak_inflight:
+                self.peak_inflight = self.inflight
+            return True
+        if len(self._waiters) >= self.max_queue:
+            self.rejected += 1
+            raise AdmissionRejected(
+                f"{self.inflight} in flight and {len(self._waiters)} "
+                "waiting; try again later"
+            )
+        return False
 
     async def acquire(self) -> None:
         """Take a slot, waiting in the bounded overflow queue if needed.
 
         Raises :class:`AdmissionRejected` *synchronously* (before any
-        await) when both the slots and the overflow queue are full, so
-        rejected requests cost one exception, not a queue entry.
+        await) when both the slots and the overflow queue are full.
         """
-        if self._sem is None:
-            self._admit()
+        if self.try_acquire():
             return
-        if self.inflight >= self.max_inflight and self._waiting >= self.max_queue:
-            self.rejected += 1
-            raise AdmissionRejected(
-                f"{self.inflight} in flight and {self._waiting} waiting; "
-                "try again later"
-            )
-        self._waiting += 1
+        waiter = asyncio.get_running_loop().create_future()
+        self._waiters.append(waiter)
+        self.waited += 1
         try:
-            await self._sem.acquire()
-        finally:
-            self._waiting -= 1
-        self._admit()
+            await waiter
+        except BaseException:
+            if waiter.done() and not waiter.cancelled():
+                self.release()  # handed a slot, then cancelled: pass it on
+            elif waiter in self._waiters:
+                self._waiters.remove(waiter)
+            raise
 
     def release(self) -> None:
-        """Return a slot; wakes one waiter (FIFO) if any."""
+        """Return a slot; hands it to the first waiter (FIFO) if any."""
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                self.accepted += 1
+                return
         self.inflight -= 1
         if self.inflight == 0:
             self._idle.set()
-        if self._sem is not None:
-            self._sem.release()
 
     @contextlib.asynccontextmanager
     async def slot(self) -> AsyncIterator[None]:
@@ -102,11 +133,3 @@ class AdmissionController:
     async def drained(self) -> None:
         """Block until no request holds a slot (used by graceful shutdown)."""
         await self._idle.wait()
-
-    def _admit(self) -> None:
-        """Book one admitted request."""
-        self.inflight += 1
-        self.accepted += 1
-        self._idle.clear()
-        if self.inflight > self.peak_inflight:
-            self.peak_inflight = self.inflight

@@ -1,19 +1,20 @@
 """Minimal stdlib HTTP/1.1 plumbing for the serving plane.
 
 The container image carries no HTTP framework, so the serving plane
-speaks just enough HTTP/1.1 over raw asyncio streams for its four JSON
-endpoints: request-line + headers + ``Content-Length`` body in,
-``Connection: close`` JSON responses out.  Deliberately not a general
-server -- no chunked encoding, no keep-alive, no TLS -- which keeps the
-parser a few dozen auditable lines.
+speaks just enough HTTP/1.1 for its four JSON endpoints: request-line +
+headers + ``Content-Length`` body in, ``Connection: close`` JSON responses
+out.  :func:`read_request` is a pure function over the bytes a connection
+has received so far, so the server feeds it whatever its sockets deliver
+and the parser holds no I/O state.  Deliberately not a general server --
+no chunked encoding, no keep-alive, no TLS -- which keeps the parser a few
+dozen auditable lines.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Optional, Tuple, Union
 
 __all__ = ["HttpError", "Request", "Router", "json_response", "read_request"]
 
@@ -64,32 +65,33 @@ class Request:
         return payload
 
 
-async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Read one HTTP/1.1 request from ``reader``.
+def read_request(data: bytes) -> Optional[Request]:
+    """Parse one HTTP/1.1 request from the bytes a connection has received.
 
-    Returns ``None`` if the peer closed the connection before sending a
-    request line; raises :class:`HttpError` on malformed or oversized
-    input.
+    A pure function of ``data``: returns ``None`` while the head or the
+    ``Content-Length`` body is still incomplete, and the :class:`Request`
+    once both are in (bytes past the body are ignored).  Raises
+    :class:`HttpError` (400) on malformed or oversized input as soon as
+    the bytes received decide it, so every split of a request's bytes,
+    fed cumulatively, gives the same result as the whole.
     """
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise HttpError(400, "truncated request head") from None
-    except asyncio.LimitOverrunError:
-        raise HttpError(400, "request head too large") from None
-    if len(head) > _MAX_HEADER_BYTES:
+    end = data.find(b"\r\n\r\n")
+    if end < 0:
+        # No head terminator yet: once the bytes alone reach the limit,
+        # no completion can bring the head back under it.
+        if len(data) >= _MAX_HEADER_BYTES:
+            raise HttpError(400, "request head too large")
+        return None
+    body_start = end + 4
+    if body_start > _MAX_HEADER_BYTES:
         raise HttpError(400, "request head too large")
-    lines = head.decode("latin-1").split("\r\n")
+    lines = data[:end].decode("latin-1").split("\r\n")
     parts = lines[0].split(" ")
     if len(parts) != 3:
         raise HttpError(400, f"malformed request line: {lines[0]!r}")
     method, target, _version = parts
     headers: Dict[str, str] = {}
     for line in lines[1:]:
-        if not line:
-            continue
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(400, f"malformed header line: {line!r}")
@@ -101,9 +103,12 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         raise HttpError(400, f"bad Content-Length: {length_text!r}") from None
     if length < 0 or length > _MAX_BODY_BYTES:
         raise HttpError(400, f"unacceptable Content-Length: {length}")
-    body = await reader.readexactly(length) if length else b""
+    body_end = body_start + length
+    if len(data) < body_end:
+        return None
     path = target.split("?", 1)[0]
-    return Request(method=method, path=path, headers=headers, body=body)
+    return Request(method=method, path=path, headers=headers,
+                   body=data[body_start:body_end])
 
 
 def json_response(status: int, payload: Dict[str, object]) -> bytes:
@@ -120,8 +125,13 @@ def json_response(status: int, payload: Dict[str, object]) -> bytes:
     return head + body
 
 
-#: An endpoint handler: request in, ``(status, payload)`` out.
-Handler = Callable[[Request], Awaitable[Tuple[int, Dict[str, object]]]]
+#: An endpoint's answer: ``(status, payload)``.
+Reply = Tuple[int, Dict[str, object]]
+
+#: An endpoint handler: request in, :data:`Reply` out -- returned directly,
+#: or as an awaitable when the handler must wait (a coroutine function's
+#: call, or a plain handler's coroutine for its slow path).
+Handler = Callable[[Request], Union[Reply, Awaitable[Reply]]]
 
 
 class Router:
@@ -131,14 +141,19 @@ class Router:
         self._routes: Dict[Tuple[str, str], Handler] = {}
 
     def add(self, method: str, path: str, handler: Handler) -> None:
-        """Register ``handler`` for ``method path``."""
+        """Register ``handler`` for ``method path`` (a plain function or a
+        coroutine function)."""
         self._routes[(method.upper(), path)] = handler
 
-    async def dispatch(self, request: Request) -> Tuple[int, Dict[str, object]]:
-        """Route one request; 404 on unknown path, 405 on wrong method."""
+    def dispatch(self, request: Request) -> Union[Reply, Awaitable[Reply]]:
+        """Route one request; 404 on unknown path, 405 on wrong method.
+
+        Returns the handler's result: ``(status, payload)``, or an
+        awaitable of it when the handler must wait.
+        """
         handler = self._routes.get((request.method.upper(), request.path))
         if handler is not None:
-            return await handler(request)
+            return handler(request)
         if any(path == request.path for _, path in self._routes):
             raise HttpError(405, f"method {request.method} not allowed")
         raise HttpError(404, f"no such endpoint: {request.path}")

@@ -1,11 +1,20 @@
 """The asyncio HTTP serving plane (``repro serve``).
 
-Wires the pieces together: a stdlib ``asyncio.start_server`` accept loop,
-the :mod:`~repro.serve.router` HTTP plumbing, the
+Wires the pieces together: a plain-socket server driven by the event
+loop's ``add_reader`` / ``add_writer`` readiness callbacks, the
+:mod:`~repro.serve.router` HTTP plumbing, the
 :class:`~repro.serve.admission.AdmissionController` bounding in-flight
 requests, the :class:`~repro.serve.janitor.Janitor` driving keep-alive
 sweeps, and the :class:`~repro.serve.engine.ServeEngine` making every
 scheduling decision through the deterministic simulator core.
+
+One request is usually served inside one callback: the listening socket's
+reader accepts a connection, receives what is already queued on it,
+parses, dispatches, sends the response and closes.  A reader is
+registered on the connection only while its request is incomplete, a
+writer only if the kernel takes part of the response, and a task only
+when the handler must wait: an ``/invoke`` that queues for an admission
+slot or holds for ``time_scale > 0``, or an ``async`` route.
 
 Endpoints (all JSON, ``Connection: close``):
 
@@ -29,15 +38,17 @@ so the simulator runs out its event queue and the recording closes.
 from __future__ import annotations
 
 import asyncio
+import socket
 import time
-from typing import Dict, Optional, Tuple
+from typing import Awaitable, Optional, Set, Union
 
 from repro.cluster.simulator import SimulationResult
 from repro.serve.admission import AdmissionController, AdmissionRejected
-from repro.serve.engine import ServeClosed, ServeEngine
+from repro.serve.engine import ServeClosed, ServeEngine, ServeOutcome
 from repro.serve.janitor import Janitor
 from repro.serve.router import (
     HttpError,
+    Reply,
     Request,
     Router,
     json_response,
@@ -46,6 +57,29 @@ from repro.serve.router import (
 from repro.serve.stats import ServeStats
 
 __all__ = ["ServePlane"]
+
+#: Bytes asked of one ``recv``: a whole request (head and body limits are
+#: 64 KiB each) usually arrives in one call.
+_RECV_BYTES = 64 * 1024
+#: Pending connections the listening socket queues (``asyncio.start_server``'s
+#: default).
+_BACKLOG = 100
+#: Wall seconds the accept reader pauses after the process runs out of
+#: file descriptors (asyncio's own accept retry delay).
+_ACCEPT_RETRY_S = 1.0
+
+
+class _Connection:
+    """One accepted socket: the request bytes in, the response bytes out."""
+
+    __slots__ = ("sock", "fd", "data", "reading", "out")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.fd = sock.fileno()
+        self.data = b""
+        self.reading = False
+        self.out: Optional[memoryview] = None
 
 
 class ServePlane:
@@ -105,9 +139,12 @@ class ServePlane:
         self.router.add("GET", "/stats", self._get_stats)
         self.router.add("GET", "/healthz", self._healthz)
         self.router.add("POST", "/scheduler", self._swap_scheduler)
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._listener: Optional[socket.socket] = None
+        self._port = 0
         self._draining = False
         self._active_conns = 0
+        self._tasks: Set[asyncio.Task] = set()
         self._conns_idle = asyncio.Event()
         self._conns_idle.set()
         self.result: Optional[SimulationResult] = None
@@ -116,17 +153,50 @@ class ServePlane:
     @property
     def port(self) -> int:
         """The bound TCP port (valid after :meth:`start`)."""
-        if self._server is None:
+        if self._listener is None:
             raise RuntimeError("server not started")
-        return self._server.sockets[0].getsockname()[1]
+        return self._port
 
     async def start(self) -> None:
-        """Bind the listening socket and start the janitor."""
-        if self._server is not None:
+        """Bind the listening socket and start the janitor.
+
+        ``host`` may be a name or an IPv4 or IPv6 literal; the socket binds
+        the first address it resolves to.
+        """
+        if self._listener is not None:
             raise RuntimeError("server already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
-        )
+        loop = asyncio.get_running_loop()
+        try:
+            infos = socket.getaddrinfo(
+                self.host, self._requested_port, type=socket.SOCK_STREAM,
+                flags=socket.AI_PASSIVE | socket.AI_NUMERICHOST,
+            )
+        except socket.gaierror:  # a name: resolve it off the event loop
+            infos = await loop.getaddrinfo(
+                self.host, self._requested_port, type=socket.SOCK_STREAM,
+                flags=socket.AI_PASSIVE,
+            )
+        family, kind, proto, _, address = infos[0]
+        listener = socket.socket(family, kind, proto)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            if family == socket.AF_INET6:
+                listener.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY, 1)
+            if hasattr(socket, "TCP_DEFER_ACCEPT"):
+                # Linux: wake the accept reader only once a connection has
+                # data (or a FIN), so the first recv rarely comes up empty.
+                listener.setsockopt(socket.IPPROTO_TCP,
+                                    socket.TCP_DEFER_ACCEPT, 1)
+            listener.bind(address)
+            listener.listen(_BACKLOG)
+            listener.setblocking(False)
+        except OSError:
+            listener.close()
+            raise
+        self._loop = loop
+        self._listener = listener
+        self._port = listener.getsockname()[1]
+        self._loop.add_reader(listener.fileno(), self._accept)
         self.janitor.start()
 
     async def stop(self) -> SimulationResult:
@@ -136,13 +206,11 @@ class ServePlane:
         for every in-flight request and open connection to finish, stop the
         janitor (final sweep), then drain the engine.
         """
-        if self._server is None:
+        if self._listener is None:
             raise RuntimeError("server not started")
         self._draining = True
-        self._server.close()
-        # Python 3.12's wait_closed also waits for handler completion;
-        # the explicit waits below make the ordering version-independent.
-        await self._server.wait_closed()
+        self._loop.remove_reader(self._listener.fileno())
+        self._listener.close()
         await self.admission.drained()
         await self._conns_idle.wait()
         await self.janitor.stop()
@@ -150,8 +218,13 @@ class ServePlane:
         return self.result
 
     # -- endpoint handlers ---------------------------------------------------
-    async def _invoke(self, request: Request) -> Tuple[int, Dict[str, object]]:
-        """``POST /invoke``: schedule one invocation and hold for service."""
+    def _invoke(self, request: Request) -> Union[Reply, Awaitable[Reply]]:
+        """``POST /invoke``: schedule one invocation and hold for service.
+
+        With ``time_scale == 0`` and a free admission slot the decision is
+        made and answered synchronously; a request that must queue for a
+        slot, or hold its connection, returns a coroutine instead.
+        """
         if self._draining:
             raise HttpError(503, "server is draining")
         payload = request.json()
@@ -162,17 +235,30 @@ class ServePlane:
         if exec_s is not None and not isinstance(exec_s, (int, float)):
             raise HttpError(400, "'exec_s' must be a number")
         started = time.monotonic()
+        if self.time_scale:
+            return self._invoke_held(function, exec_s, started)
+        try:
+            admitted = self.admission.try_acquire()
+        except AdmissionRejected as exc:
+            self.stats.on_reject()
+            raise HttpError(429, str(exc)) from None
+        if not admitted:
+            return self._invoke_held(function, exec_s, started)
+        try:
+            outcome = self._decide(function, exec_s)
+        finally:
+            self.admission.release()
+        self.stats.on_wall_latency(time.monotonic() - started)
+        return 200, outcome.to_json()
+
+    async def _invoke_held(
+        self, function: Union[str, int], exec_s, started: float
+    ) -> Reply:
+        """``/invoke`` that waits: queue for a slot, hold for the service
+        time scaled by ``time_scale``, then answer."""
         try:
             async with self.admission.slot():
-                try:
-                    outcome = self.engine.submit(function, exec_time_s=exec_s)
-                except KeyError as exc:
-                    raise HttpError(404, str(exc)) from None
-                except ValueError as exc:
-                    raise HttpError(400, str(exc)) from None
-                except ServeClosed as exc:
-                    raise HttpError(503, str(exc)) from None
-                self.stats.on_decision(outcome.record)
+                outcome = self._decide(function, exec_s)
                 hold_s = outcome.service_time_s * self.time_scale
                 if hold_s > 0:
                     await asyncio.sleep(hold_s)
@@ -182,7 +268,20 @@ class ServePlane:
         self.stats.on_wall_latency(time.monotonic() - started)
         return 200, outcome.to_json()
 
-    async def _get_stats(self, request: Request) -> Tuple[int, Dict[str, object]]:
+    def _decide(self, function: Union[str, int], exec_s) -> ServeOutcome:
+        """Submit one admitted request to the engine and account it."""
+        try:
+            outcome = self.engine.submit(function, exec_time_s=exec_s)
+        except KeyError as exc:
+            raise HttpError(404, str(exc)) from None
+        except ValueError as exc:
+            raise HttpError(400, str(exc)) from None
+        except ServeClosed as exc:
+            raise HttpError(503, str(exc)) from None
+        self.stats.on_decision(outcome.record)
+        return outcome
+
+    def _get_stats(self, request: Request) -> Reply:
         """``GET /stats``: the bounded session statistics snapshot."""
         payload = self.stats.snapshot(self.engine)
         payload["admission"] = {
@@ -190,18 +289,17 @@ class ServePlane:
             "peak_inflight": self.admission.peak_inflight,
             "max_inflight": self.admission.max_inflight,
             "accepted": self.admission.accepted,
+            "waited": self.admission.waited,
             "rejected": self.admission.rejected,
         }
         return 200, payload
 
-    async def _healthz(self, request: Request) -> Tuple[int, Dict[str, object]]:
+    def _healthz(self, request: Request) -> Reply:
         """``GET /healthz``: live invariant-monitor checkpoint."""
         report = self.engine.health()
         return (200 if report["healthy"] else 500), report
 
-    async def _swap_scheduler(
-        self, request: Request
-    ) -> Tuple[int, Dict[str, object]]:
+    def _swap_scheduler(self, request: Request) -> Reply:
         """``POST /scheduler``: hot-swap the decision policy."""
         payload = request.json()
         key = payload.get("scheduler")
@@ -214,35 +312,140 @@ class ServePlane:
         return 200, {"scheduler": key, "previous": previous}
 
     # -- connection plumbing -------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one request on one connection (``Connection: close``)."""
+    def _accept(self) -> None:
+        """Listening socket readable: accept one connection and serve what
+        it has already sent."""
+        try:
+            sock, _ = self._listener.accept()
+        except (BlockingIOError, InterruptedError, ConnectionAbortedError):
+            return
+        except OSError:
+            # Out of descriptors (or buffers): stop polling the listener
+            # for a moment instead of spinning on a readiness that cannot
+            # be served.
+            self._loop.remove_reader(self._listener.fileno())
+            self._loop.call_later(_ACCEPT_RETRY_S, self._resume_accept)
+            return
+        sock.setblocking(False)
         self._active_conns += 1
         self._conns_idle.clear()
+        self._receive(_Connection(sock))
+
+    def _resume_accept(self) -> None:
+        if not self._draining:
+            self._loop.add_reader(self._listener.fileno(), self._accept)
+
+    def _receive(self, conn: _Connection) -> None:
+        """Take what is queued on ``conn``; serve the request once it is
+        complete, else wait for more with a reader on the socket."""
         try:
-            try:
-                request = await read_request(reader)
-                if request is None:
-                    return
-                status, payload = await self.router.dispatch(request)
-            except HttpError as exc:
-                if exc.status >= 500 or exc.status == 404:
-                    self.stats.on_error()
-                status, payload = exc.status, {"error": exc.message}
-            except Exception as exc:  # unexpected: surface as 500
+            data = conn.sock.recv(_RECV_BYTES)
+        except (BlockingIOError, InterruptedError):
+            self._read_more(conn)
+            return
+        except OSError:
+            self._close(conn)
+            return
+        if not data:
+            # The peer closed its side: nothing sent is a silent close; a
+            # partial request is answered, for a peer that only half-closed.
+            if not conn.data:
+                self._close(conn)
+            else:
+                part = "body" if b"\r\n\r\n" in conn.data else "head"
+                self._reply_error(
+                    conn, HttpError(400, f"truncated request {part}"))
+            return
+        conn.data += data
+        try:
+            request = read_request(conn.data)
+            if request is None:
+                self._read_more(conn)
+                return
+            result = self.router.dispatch(request)
+            if not isinstance(result, tuple):
+                self._stop_reading(conn)
+                task = self._loop.create_task(self._finish(conn, result))
+                self._tasks.add(task)
+                task.add_done_callback(self._tasks.discard)
+                return
+            response = json_response(*result)
+        except Exception as exc:
+            self._reply_error(conn, exc)
+            return
+        self._send(conn, response)
+
+    def _read_more(self, conn: _Connection) -> None:
+        """Call :meth:`_receive` again when more of the request arrives."""
+        if not conn.reading:
+            conn.reading = True
+            self._loop.add_reader(conn.fd, self._receive, conn)
+
+    def _stop_reading(self, conn: _Connection) -> None:
+        if conn.reading:
+            conn.reading = False
+            self._loop.remove_reader(conn.fd)
+
+    async def _finish(self, conn: _Connection, pending) -> None:
+        """Await a handler that must wait, then answer on ``conn``."""
+        try:
+            status, payload = await pending
+            response = json_response(status, payload)
+        except asyncio.CancelledError:
+            self._close(conn)
+            raise
+        except Exception as exc:
+            self._reply_error(conn, exc)
+            return
+        self._send(conn, response)
+
+    def _reply_error(self, conn: _Connection, exc: Exception) -> None:
+        """Answer a failed request: its HTTP status, or 500 if unexpected."""
+        if isinstance(exc, HttpError):
+            if exc.status >= 500 or exc.status == 404:
                 self.stats.on_error()
-                status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            writer.write(json_response(status, payload))
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._active_conns -= 1
-            if self._active_conns == 0:
-                self._conns_idle.set()
+            status, payload = exc.status, {"error": exc.message}
+        else:
+            self.stats.on_error()
+            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        self._send(conn, json_response(status, payload))
+
+    def _send(self, conn: _Connection, response: bytes) -> None:
+        """Send ``response`` and close; a writer takes over what the
+        kernel does not accept at once."""
+        self._stop_reading(conn)
+        try:
+            sent = conn.sock.send(response)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:
+            self._close(conn)
+            return
+        if sent == len(response):
+            self._close(conn)
+            return
+        conn.out = memoryview(response)[sent:]
+        self._loop.add_writer(conn.fd, self._flush, conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        """Socket writable: send more of the pending response."""
+        try:
+            sent = conn.sock.send(conn.out)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self._close(conn)
+            return
+        conn.out = conn.out[sent:]
+        if not conn.out:
+            self._close(conn)
+
+    def _close(self, conn: _Connection) -> None:
+        """Unregister and close ``conn``; the last one sets the idle event."""
+        self._stop_reading(conn)
+        if conn.out is not None:
+            self._loop.remove_writer(conn.fd)
+        conn.sock.close()
+        self._active_conns -= 1
+        if self._active_conns == 0:
+            self._conns_idle.set()

@@ -132,3 +132,66 @@ def test_discovery_matches_disk():
     assert set(bench_capture.DEFAULT_BENCHMARKS) == set(
         bench_capture.default_benchmarks()
     )
+
+
+# ---------------------------------------------------------------------------
+# The ledger's folding and comparison (no benchmark runs)
+# ---------------------------------------------------------------------------
+
+_TRACED_TABLE = """\
+# traced serve-http: wall 0.427 s
+layer                                   calls     self_s   share
+serve.idle                               1136     3.2744  766.2%
+serve.callback                           1193     0.2335   54.6%
+serve.router                             1907     0.0583   13.6%
+serve.engine.submit                       621     0.0353    8.3%
+serve.loop                               1135     0.0288    6.7%
+lifecycle.apply                          1455     0.0161    3.8%
+sketches.insert                          2484     0.0077    1.8%
+  decide.greedy                           621     0.0038
+pool.lookup.hit_ratio                                     0.0370
+"""
+
+
+def test_ledger_top_layers_skip_idle_time_and_sub_rows():
+    rows = bench_capture.top_layers(_TRACED_TABLE)
+    assert [row["layer"] for row in rows] == [
+        "serve.callback", "serve.router", "serve.engine.submit",
+        "serve.loop", "lifecycle.apply",
+    ]
+    assert rows[0] == {"layer": "serve.callback", "calls": 1193,
+                       "self_s": 0.2335}
+
+
+def test_ledger_spread_is_median_and_inclusive_quartiles():
+    assert bench_capture.spread([5.0]) == {
+        "median": 5.0, "q1": 5.0, "q3": 5.0, "iqr": 0.0}
+    assert bench_capture.spread([1.0, 2.0, 3.0, 4.0, 5.0]) == {
+        "median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0}
+
+
+def _ledger(inv_per_s, p50_ms, failed=0):
+    return {"workloads": {"serve-http": {
+        "metrics": {"inv_per_s": {"median": inv_per_s},
+                    "p50_ms": {"median": p50_ms}},
+        "attempted": 100, "failed": failed,
+    }}}
+
+
+def test_ledger_compare_flags_only_moves_past_a_bound():
+    spec = {
+        "workloads": [{"name": "serve-http"}, {"name": "grid-closed"}],
+        "end_to_end": [
+            {"name": "inv_per_s", "better": "higher", "bound": 0.25},
+            {"name": "p50_ms", "better": "lower", "bound": 0.25},
+        ],
+    }
+    base = _ledger(1000.0, 1.0)
+    assert bench_capture.compare_ledgers(base, _ledger(1400.0, 1.2),
+                                         spec) == []
+    worse = bench_capture.compare_ledgers(base, _ledger(700.0, 1.3), spec)
+    assert len(worse) == 2
+    assert "inv_per_s" in worse[0] and "p50_ms" in worse[1]
+    failing = bench_capture.compare_ledgers(base, _ledger(1000.0, 1.0, 1),
+                                            spec)
+    assert len(failing) == 1 and "failed checks" in failing[0]
